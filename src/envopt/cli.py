@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from . import __version__
+from . import __version__, solvers
 from .applications import (
     AppSpec,
     aic,
@@ -57,7 +57,11 @@ _SIM_COLUMNS = {
 
 @dataclass
 class RunManifest:
-    """Provenance block attached to every output file."""
+    """Provenance block attached to every output file.
+
+    ``to_dict`` also records which fused-lasso DP ran (``"c"`` or
+    ``"python"``), so a fallback to the Python DP shows in every artifact.
+    """
 
     command: str
     seed: int | None = None
@@ -72,6 +76,7 @@ class RunManifest:
             "config": self.config,
             "version": self.version,
             "timings": self.timings,
+            "fused_lasso_kernel": solvers.FUSED_LASSO_KERNEL,
         }
 
 

@@ -263,9 +263,14 @@ def prox(p: PenaltySpec, u, s):
     if p.kind == "psi-specified":
         raise CapabilityError("psi-specified penalty has no prox")
     u_arr = np.asarray(u, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if s.ndim:  # a step per element
+        u_arr, s = np.broadcast_arrays(u_arr, s)
+        s = s.ravel()
+    else:
+        s = float(s)
     scalar = u_arr.ndim == 0
     u_flat = np.atleast_1d(u_arr).ravel()
-    s = float(s)
     au = np.abs(u_flat)
     sgn = np.sign(u_flat)
 

@@ -5,7 +5,10 @@ Contents:
 * :func:`weighted_fused_lasso` -- exact dynamic program for
   ``sum_i (w_i/2)(z_i - b_i)^2 + sum_i u_i |b_{i+1} - b_i|`` via
   forward-backward message passing over piecewise-linear derivatives
-  (clipping at +-u_i per edge).
+  (clipping at +-u_i per edge).  It runs the C kernel ``_fldp.c``, built
+  on first use with the system C compiler and cached per user, or the
+  pure-Python DP when no compiler or cache is available
+  (:data:`FUSED_LASSO_KERNEL` says which).
 * :func:`weighted_trend_filter` -- ADMM with a banded Cholesky beta-step
   for ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|`` where D is
   the difference operator of order k+1.
@@ -19,7 +22,15 @@ Contents:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,17 +41,10 @@ from .losses import LossSpec, loss_grad, loss_value, lipschitz_bound
 from .operators import diff_matrix, soft_threshold
 from .penalties import PenaltySpec, penalty_value, prox
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 __all__ = [
     "SolverConfig",
     "FitResult",
+    "FUSED_LASSO_KERNEL",
     "weighted_fused_lasso",
     "weighted_trend_filter",
     "proximal_gradient",
@@ -97,8 +101,8 @@ class FitResult:
 # Exact weighted fused lasso (message-passing dynamic program)
 
 
-@njit(cache=True)
-def _fused_lasso_dp(z, w, u):  # pragma: no cover - exercised via wrapper
+def _fused_lasso_dp(z, w, u):
+    """Pure-Python DP: the fallback of the C kernel and its test oracle."""
     n = z.shape[0]
     beta = np.empty(n)
     if n == 1:
@@ -178,30 +182,118 @@ def _fused_lasso_dp(z, w, u):  # pragma: no cover - exercised via wrapper
     return beta
 
 
-def weighted_fused_lasso(z, omega, u_edges, cfg: Optional[SolverConfig] = None):
+_KERNEL_SOURCE = Path(__file__).with_name("_fldp.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")  # no contraction: same bits
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME")
+    if not root or not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "envopt"
+
+
+def _build_kernel(cc: str, lib: Path):
+    """Compile to a temp file beside ``lib``, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _kernel():
+    """The compiled DP as a ctypes function, or None for the Python DP.
+
+    The library is cached per user under ``$XDG_CACHE_HOME/envopt`` (or
+    ``~/.cache/envopt``), named by a hash of the source, the flags and
+    the compiler, so each machine compiles each version once; a file lock
+    lets exactly one of several concurrent processes build it.  It is
+    loaded only from a directory that no other user can write to.
+    """
+    cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+    if cc is None:
+        return None
+    try:
+        import fcntl  # POSIX; the flags below build a POSIX shared library
+        cc_stat = os.stat(cc)
+        key = hashlib.sha256(repr((
+            _KERNEL_SOURCE.read_bytes(), _CFLAGS, os.path.realpath(cc),
+            cc_stat.st_size, cc_stat.st_mtime_ns)).encode()).hexdigest()[:16]
+        cache = _cache_dir()
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = os.stat(cache)
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None
+        lib = cache / f"fldp-{key}.so"
+        if not lib.exists():
+            with open(cache / "build.lock", "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                if not lib.exists():
+                    _build_kernel(cc, lib)
+        fn = ctypes.CDLL(str(lib)).fused_lasso_dp
+    except (ImportError, OSError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_void_p]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def __getattr__(name):
+    # FUSED_LASSO_KERNEL is resolved on first use, so importing the
+    # module never starts the compiler.
+    if name == "FUSED_LASSO_KERNEL":
+        return "python" if _kernel() is None else "c"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _float_vector(x, n: int) -> np.ndarray:
+    """``x`` broadcast to a contiguous float vector of length ``n``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        x = np.broadcast_to(x, (n,))
+    return np.ascontiguousarray(x)
+
+
+def weighted_fused_lasso(z, omega, u_edges):
     """Exact global minimizer of the weighted 1-d fused lasso.
 
     Minimizes ``sum_i (omega_i/2)(z_i - beta_i)^2 +
     sum_i u_i |beta_{i+1} - beta_i|``.  The problem is strictly convex,
-    so the dynamic program returns the unique solution; ``cfg`` is
-    accepted for interface uniformity but unused.
+    so the dynamic program returns the unique solution.  The C kernel
+    and the Python DP return the same bits.
     """
     z = np.ascontiguousarray(z, dtype=float)
     n = z.shape[0]
     if n == 0:
         raise ValidationError("z must be nonempty")
-    omega = np.ascontiguousarray(np.broadcast_to(np.asarray(omega, dtype=float), (n,)))
-    u = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(u_edges, dtype=float), (max(n - 1, 0),)))
-    if not np.all(omega > 0):
+    if z.ndim != 1:
+        raise ValidationError("z must be one-dimensional")
+    omega = _float_vector(omega, n)
+    u = _float_vector(u_edges, n - 1)
+    # min and max propagate NaN, and a NaN fails every comparison below
+    if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
-    if np.any(u < 0):
+    u_min, u_max = (u.min(), u.max()) if n > 1 else (0.0, 0.0)
+    if u_min < 0:
         raise ValidationError("edge weights must be nonnegative")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(omega)) and np.all(np.isfinite(u))):
+    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf
+            and u_min >= 0 and u_max < np.inf):
         raise ValidationError("inputs must be finite")
-    if not u.any():
+    if u_max == 0:
         return z.copy()  # decoupled: exact without the dp arithmetic
-    return _fused_lasso_dp(z, omega, u)
+    fn = _kernel()
+    if fn is None:
+        return _fused_lasso_dp(z, omega, u)
+    beta = np.empty(n)
+    if fn(z.ctypes.data, omega.ctypes.data, u.ctypes.data, n, beta.ctypes.data):
+        raise MemoryError("fused-lasso DP could not allocate its work arrays")
+    return beta
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from envopt.duality import EXPONENTIAL, GAUSSIAN_LOCATION, GAUSSIAN_SCALE, GridSpec, conjugate_numeric
 from envopt.errors import CapabilityError, ValidationError
 from envopt.penalties import (
+    PENALTY_KINDS,
     PenaltySpec,
     lambda_hat,
     penalty_deriv,
@@ -144,6 +145,28 @@ def test_prox_vectorized():
     u = np.array([-3.0, 0.0, 3.0])
     out = prox(dp, u, 1.0)
     np.testing.assert_allclose(out, [-(1 + np.sqrt(3)), 0.0, 1 + np.sqrt(3)])
+
+
+def test_prox_vector_step_matches_scalar_calls():
+    rng = np.random.Generator(np.random.PCG64(12))
+    u = rng.uniform(-6, 6, size=40)
+    s = rng.uniform(0.1, 5, size=40)
+    for kind in PENALTY_KINDS:
+        if kind == "psi-specified":
+            continue
+        p = PenaltySpec(kind, gamma=1.3, a=2.5, weight=0.9)
+        out = prox(p, u, s)
+        ref = [prox(p, ui, si) for ui, si in zip(u, s)]
+        np.testing.assert_array_equal(out, ref)
+        # the step broadcasts against u, in either direction
+        np.testing.assert_array_equal(prox(p, u.reshape(4, 10), s[:10]),
+                                      [[prox(p, ui, si) for ui, si in zip(row, s[:10])]
+                                       for row in u.reshape(4, 10)])
+        np.testing.assert_array_equal(prox(p, u[0], s[:3]),
+                                      [prox(p, u[0], si) for si in s[:3]])
+    l1 = PenaltySpec("l1", weight=1.0)
+    np.testing.assert_array_equal(
+        prox(l1, np.array([3.0, -2.0, 0.5]), np.array([1.0, 2.0, 4.0])), [2.0, -1.5, 0.25])
 
 
 def test_psi_specified_value_only():

@@ -1,7 +1,15 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import envopt
+from envopt import solvers
 from envopt.errors import CapabilityError, MonotonicityError, ValidationError
 from envopt.losses import LossSpec, loss_grad
 from envopt.operators import soft_threshold
@@ -91,6 +99,101 @@ def test_fused_lasso_matches_long_run_admm():
         a = weighted_fused_lasso(z, omega, u)
         b = weighted_trend_filter(z, omega, 0, u, cfg=ref_cfg)
         np.testing.assert_allclose(a, b, atol=1e-6)
+
+
+def _dp_instances(rng, count):
+    """Random DP inputs: n in 1..300, unit or non-uniform weights, edge
+    penalties over four decades with some zero edges, z over six."""
+    for i in range(count):
+        n = int(rng.integers(1, 301))
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        omega = np.ones(n) if i % 2 else rng.uniform(0.05, 20.0, size=n)
+        u = rng.uniform(0.0, 1.0, size=n - 1) * 10.0 ** rng.uniform(-2, 2)
+        u[rng.random(n - 1) < rng.uniform(0.0, 0.5)] = 0.0
+        yield z, omega, u
+    n = 50  # fully fused: every edge far above the data's spread
+    yield rng.normal(size=n), rng.uniform(0.5, 2.0, size=n), np.full(n - 1, 1e6)
+
+
+def test_fused_lasso_equals_python_dp_exactly():
+    rng = np.random.Generator(np.random.PCG64(2013))
+    for z, omega, u in _dp_instances(rng, 1000):
+        out = weighted_fused_lasso(z, omega, u)
+        ref = solvers._fused_lasso_dp(z, omega, u) if u.any() else z
+        assert np.array_equal(out, ref), (z.size, solvers.FUSED_LASSO_KERNEL)
+    assert np.ptp(out) == 0.0  # the last instance fuses to one level
+
+
+def test_fused_lasso_forced_python_fallback(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(77))
+    cases = list(_dp_instances(rng, 40))
+    expected = [weighted_fused_lasso(*c) for c in cases]
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    assert solvers.FUSED_LASSO_KERNEL == "python"
+    for c, e in zip(cases, expected):
+        assert np.array_equal(weighted_fused_lasso(*c), e)
+    bad = [
+        (([], [], []), "nonempty"),
+        ((np.ones((3, 2)), 1.0, 1.0), "one-dimensional"),
+        (([1.0, 2.0], [1.0, -1.0], [0.5]), "omega must be strictly positive"),
+        (([1.0, 2.0], [1.0, np.nan], [0.5]), "omega must be strictly positive"),
+        (([1.0, 2.0], [1.0, 1.0], [-0.5]), "edge weights must be nonnegative"),
+        (([1.0, np.inf], [1.0, 1.0], [0.5]), "inputs must be finite"),
+        (([1.0, 2.0], [1.0, np.inf], [0.5]), "inputs must be finite"),
+        (([1.0, 2.0], [1.0, 1.0], [np.nan]), "inputs must be finite"),
+    ]
+    for args, msg in bad:
+        with pytest.raises(ValidationError, match=msg):
+            weighted_fused_lasso(*args)
+
+
+def _kernel_probe(env, n_procs):
+    """Start ``n_procs`` fresh interpreters at once; each loads the kernel
+    and prints FUSED_LASSO_KERNEL."""
+    code = "from envopt import solvers; print(solvers.FUSED_LASSO_KERNEL)"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE) for _ in range(n_procs)]
+    return [p.communicate(timeout=300)[0].strip() for p in procs]
+
+
+def _probe_env(tmp_path, path):
+    src = str(Path(envopt.__file__).resolve().parent.parent)
+    return dict(os.environ, PATH=path, XDG_CACHE_HOME=str(tmp_path / "cache"),
+                PYTHONPATH=src)
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_fused_lasso_kernel_compiled_once_then_cached(tmp_path):
+    real_cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    log = tmp_path / "cc.log"
+    wrapper = bin_dir / "cc"  # counts compiler runs
+    wrapper.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{real_cc}" "$@"\n')
+    wrapper.chmod(0o755)
+    env = _probe_env(tmp_path, f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    # cold cache, three processes at once: exactly one compiles
+    assert _kernel_probe(env, 3) == ["c"] * 3
+    assert log.read_text().splitlines() == ["run"]
+    # a later process reuses the cached library
+    assert _kernel_probe(env, 1) == ["c"]
+    assert log.read_text().splitlines() == ["run"]
+    libs = list((tmp_path / "cache" / "envopt").glob("fldp-*.so"))
+    assert len(libs) == 1
+
+
+def test_fused_lasso_kernel_falls_back_to_python(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _kernel_probe(_probe_env(tmp_path, str(empty)), 1) == ["python"]
+    assert not (tmp_path / "cache").exists()
+    # a cache directory that other users can write to is never used
+    shared = tmp_path / "cache" / "envopt"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    env = _probe_env(tmp_path, os.environ.get("PATH", ""))
+    assert _kernel_probe(env, 1) == ["python"]
+    assert list(shared.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
