@@ -211,6 +211,10 @@ def fit_qrtf(y, q: float, k: int, lam: float,
     true objective (possible from inexact inner solves or clamped
     weights at near-exact fits) is rejected, which simply freezes the
     iterate and triggers convergence.
+
+    ``aux["admm"]`` holds the run record of the last inner solve and,
+    under ``"total"``, the ADMM ``calls``, summed ``iters`` and
+    ``capped`` calls (stopped at ``inner_max_iters``) of the whole fit.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -226,21 +230,28 @@ def fit_qrtf(y, q: float, k: int, lam: float,
         return true_objective(state["beta"])
 
     admm_state: dict = {}
+    totals = {"calls": 0, "iters": 0, "capped": 0}
+
+    def solve(z, omega, admm):
+        beta = weighted_trend_filter(z, omega, k, lam, cfg, state=admm)
+        totals["calls"] += 1
+        totals["iters"] += admm["iters"]
+        totals["capped"] += not admm["converged"]  # stopped at inner_max_iters
+        return beta
 
     def weight_step(state):
         omega, z = variance_mean_update(loss, state["beta"], clamp=clamp)
         return {"beta": state["beta"], "omega": omega, "z": z}
 
     def beta_step(state):
-        cand = weighted_trend_filter(state["z"], state["omega"], k, lam, cfg,
-                                     state=admm_state)
+        cand = solve(state["z"], state["omega"], admm_state)
         out = dict(state)
         if true_objective(cand) <= true_objective(state["beta"]):
             out["beta"] = cand
         return out
 
     if init is None:
-        init_beta = weighted_trend_filter(y, np.ones_like(y), k, lam, cfg)
+        init_beta = solve(y, np.ones_like(y), {})
     else:
         init_beta = np.array(init, dtype=float).copy()
     omega0, z0 = variance_mean_update(loss, init_beta, clamp=clamp)
@@ -257,6 +268,7 @@ def fit_qrtf(y, q: float, k: int, lam: float,
                                                           clamp=clamp)
     fit.aux["admm"] = {kk: admm_state.get(kk) for kk in
                        ("iters", "converged", "primal_res", "dual_res", "rho")}
+    fit.aux["admm"]["total"] = totals
     return fit
 
 

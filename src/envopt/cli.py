@@ -59,8 +59,10 @@ _SIM_COLUMNS = {
 class RunManifest:
     """Provenance block attached to every output file.
 
-    ``to_dict`` also records which fused-lasso DP ran (``"c"`` or
-    ``"python"``), so a fallback to the Python DP shows in every artifact.
+    ``to_dict`` also records which implementation of the compiled loops
+    (the fused-lasso DP and the trend-filter ADMM) ran, ``"c"`` or
+    ``"python"``, so a fallback to the Python loops shows in every
+    artifact.
     """
 
     command: str

@@ -5,10 +5,7 @@ Contents:
 * :func:`weighted_fused_lasso` -- exact dynamic program for
   ``sum_i (w_i/2)(z_i - b_i)^2 + sum_i u_i |b_{i+1} - b_i|`` via
   forward-backward message passing over piecewise-linear derivatives
-  (clipping at +-u_i per edge).  It runs the C kernel ``_fldp.c``, built
-  on first use with the system C compiler and cached per user, or the
-  pure-Python DP when no compiler or cache is available
-  (:data:`FUSED_LASSO_KERNEL` says which).
+  (clipping at +-u_i per edge).
 * :func:`weighted_trend_filter` -- ADMM with a banded Cholesky beta-step
   for ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|`` where D is
   the difference operator of order k+1.
@@ -18,6 +15,15 @@ Contents:
   monotonicity enforcement.
 * :func:`logistic_fused_lasso` -- curvature-bound majorization reducing
   each step to a weighted fused lasso.
+
+The first two loops are compiled: ``_fldp.c`` (the DP) and ``_tfadmm.c``
+(the whole ADMM iteration) are built together into one library on first use
+with the system C compiler, cached per user and called through ctypes.
+When no compiler or cache is available, or the build or load fails, both
+run as the pure-Python loops here (:func:`_fused_lasso_dp` and
+:func:`_trend_filter_admm`), which stay as the test oracles.
+:data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
+implementation of both loops runs.
 """
 
 from __future__ import annotations
@@ -182,7 +188,8 @@ def _fused_lasso_dp(z, w, u):
     return beta
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_fldp.c")
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
+                        for name in ("_fldp.c", "_tfadmm.c"))
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")  # no contraction: same bits
 
 
@@ -198,7 +205,7 @@ def _build_kernel(cc: str, lib: Path):
     fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, *map(str, _KERNEL_SOURCES), "-lm"],
                        check=True, capture_output=True, timeout=300)
         os.replace(tmp, lib)
     finally:
@@ -208,10 +215,12 @@ def _build_kernel(cc: str, lib: Path):
 
 @functools.cache
 def _kernel():
-    """The compiled DP as a ctypes function, or None for the Python DP.
+    """The compiled kernel library (ctypes), or None for the Python loops.
 
-    The library is cached per user under ``$XDG_CACHE_HOME/envopt`` (or
-    ``~/.cache/envopt``), named by a hash of the source, the flags and
+    One library holds both compiled loops, the fused-lasso DP and the
+    trend-filter ADMM, so either both run in C or both in Python.  It is
+    cached per user under ``$XDG_CACHE_HOME/envopt`` (or
+    ``~/.cache/envopt``), named by a hash of the sources, the flags and
     the compiler, so each machine compiles each version once; a file lock
     lets exactly one of several concurrent processes build it.  It is
     loaded only from a directory that no other user can write to.
@@ -223,8 +232,9 @@ def _kernel():
         import fcntl  # POSIX; the flags below build a POSIX shared library
         cc_stat = os.stat(cc)
         key = hashlib.sha256(repr((
-            _KERNEL_SOURCE.read_bytes(), _CFLAGS, os.path.realpath(cc),
-            cc_stat.st_size, cc_stat.st_mtime_ns)).encode()).hexdigest()[:16]
+            [src.read_bytes() for src in _KERNEL_SOURCES], _CFLAGS,
+            os.path.realpath(cc), cc_stat.st_size,
+            cc_stat.st_mtime_ns)).encode()).hexdigest()[:16]
         cache = _cache_dir()
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = os.stat(cache)
@@ -236,17 +246,22 @@ def _kernel():
                 fcntl.flock(lock, fcntl.LOCK_EX)
                 if not lib.exists():
                     _build_kernel(cc, lib)
-        fn = ctypes.CDLL(str(lib)).fused_lasso_dp
+        lib = ctypes.CDLL(str(lib))
     except (ImportError, OSError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_void_p]
-    fn.restype = ctypes.c_int
-    return fn
+    ptr, c_long, c_double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.fused_lasso_dp.argtypes = [ptr] * 3 + [c_long, ptr]
+    lib.fused_lasso_dp.restype = ctypes.c_int
+    lib.trend_filter_admm.argtypes = ([ptr] * 5 + [c_long, c_long, c_double, c_long]
+                                      + [ptr] * 4)
+    lib.trend_filter_admm.restype = ctypes.c_int
+    return lib
 
 
 def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
-    # module never starts the compiler.
+    # module never starts the compiler.  It names the implementation of
+    # both compiled loops: the fused-lasso DP and the trend-filter ADMM.
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -287,11 +302,12 @@ def weighted_fused_lasso(z, omega, u_edges):
         raise ValidationError("inputs must be finite")
     if u_max == 0:
         return z.copy()  # decoupled: exact without the dp arithmetic
-    fn = _kernel()
-    if fn is None:
+    lib = _kernel()
+    if lib is None:
         return _fused_lasso_dp(z, omega, u)
     beta = np.empty(n)
-    if fn(z.ctypes.data, omega.ctypes.data, u.ctypes.data, n, beta.ctypes.data):
+    if lib.fused_lasso_dp(z.ctypes.data, omega.ctypes.data, u.ctypes.data, n,
+                          beta.ctypes.data):
         raise MemoryError("fused-lasso DP could not allocate its work arrays")
     return beta
 
@@ -314,49 +330,87 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     ``(diag(omega) + rho D.T D) beta = omega*z + rho D.T (alpha - w)``;
     the alpha-step is soft thresholding at ``lam/rho``; dual ascent on w.
     rho starts at the penalty level and is rebalanced by factors of 2
-    when the primal/dual residual ratio exceeds 10.
+    when the primal/dual residual ratio exceeds 10.  The loop runs in the
+    C kernel ``_tfadmm.c`` when the compiled library loads, and as
+    :func:`_trend_filter_admm` in Python otherwise.
 
     ``lam`` may be a scalar or a per-row vector.  ``state``, if given, is
     read for warm-start values (alpha, w, rho) and updated in place with
     those plus iters/converged/residuals.
     """
     cfg = cfg or SolverConfig()
-    z = np.asarray(z, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValidationError("z must be one-dimensional")
     n = z.shape[0]
     if k < 0:
         raise ValidationError("order k must be >= 0")
     if n < k + 2:
         raise ValidationError(f"need len(z) >= k + 2, got {n}")
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,)).copy()
-    if not np.all(omega > 0):
+    omega = _float_vector(omega, n)
+    m = n - k - 1
+    lam_v = _float_vector(lam, m)
+    # min and max propagate NaN, and a NaN fails every comparison below
+    if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
-    D = diff_matrix(n, k)
-    m = D.rows
-    lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (m,)).copy()
-    if np.any(lam_v < 0):
+    lam_min, lam_max = lam_v.min(), lam_v.max()
+    if lam_min < 0:
         raise ValidationError("lam must be nonnegative")
+    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf
+            and lam_min >= 0 and lam_max < np.inf):
+        raise ValidationError("inputs must be finite")
     if state is None:
         state = {}
-    if np.all(lam_v == 0.0):
+    if lam_max == 0.0:
         state.update(iters=0, converged=True, primal_res=0.0, dual_res=0.0)
         return z.copy()
 
-    gram_ab = D.gram_bands()
-    rho = state.get("rho") or cfg.admm_rho or max(float(np.mean(lam_v)), 1e-8)
-    alpha = state.get("alpha")
-    w = state.get("w")
+    D = diff_matrix(n, k)
+    rho = float(state.get("rho") or cfg.admm_rho or max(float(np.mean(lam_v)), 1e-8))
+    # copies of the warm start: the C loop overwrites alpha and w in place
+    alpha, w = state.get("alpha"), state.get("w")
     if alpha is None or alpha.shape != (m,):
         alpha = D.apply(z)
-    if w is None or w.shape != (m,):
-        w = np.zeros(m)
+    else:
+        alpha = np.array(alpha, dtype=float)
+    w = np.zeros(m) if w is None or w.shape != (m,) else np.array(w, dtype=float)
+    lib = _kernel()
+    if lib is None:
+        beta, run = _trend_filter_admm(z, omega, lam_v, D, rho, alpha, w,
+                                       cfg.inner_tol, cfg.inner_max_iters)
+        state.update(run)
+        return beta
+    beta = np.empty(n)
+    info = np.array([rho, 0.0, 0.0, 0.0, 0.0, 0.0])
+    gram_ab = np.ascontiguousarray(D.gram_bands())
+    stencil = np.ascontiguousarray(D.stencil)
+    status = lib.trend_filter_admm(
+        z.ctypes.data, omega.ctypes.data, lam_v.ctypes.data, stencil.ctypes.data,
+        gram_ab.ctypes.data, n, k, cfg.inner_tol, cfg.inner_max_iters,
+        beta.ctypes.data, alpha.ctypes.data, w.ctypes.data, info.ctypes.data)
+    if status == 1:
+        raise MemoryError("trend-filter ADMM could not allocate its work arrays")
+    if status == 2:
+        raise np.linalg.LinAlgError("trend-filter system is not positive definite")
+    state.update(alpha=alpha, w=w, rho=float(info[0]), iters=int(info[1]),
+                 converged=bool(info[2]), primal_res=float(info[3]),
+                 dual_res=float(info[4]), primal_res_inf=float(info[5]))
+    return beta
+
+
+def _trend_filter_admm(z, omega, lam_v, D, rho, alpha, w, tol, max_iters):
+    """Python ADMM loop: the fallback of the C kernel and its test oracle.
+
+    Returns beta and the run record that :func:`weighted_trend_filter`
+    writes into ``state``.
+    """
+    n, m = D.n, D.rows
+    gram_ab = D.gram_bands()
     chol = _factor(omega, gram_ab, rho)
     wz = omega * z
-    tol = cfg.inner_tol
     converged = False
-    it = 0
     last_balance = 0
-    beta = z.copy()
-    for it in range(1, cfg.inner_max_iters + 1):
+    for it in range(1, max_iters + 1):
         beta = cho_solve_banded((chol, False), wz + rho * D.transpose_apply(alpha - w))
         Db = D.apply(beta)
         alpha_old = alpha
@@ -383,10 +437,9 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
                 w = w * 2.0
                 chol = _factor(omega, gram_ab, rho)
                 last_balance = it
-    state.update(alpha=alpha, w=w, rho=rho, iters=it, converged=converged,
-                 primal_res=float(r_norm), dual_res=float(s_norm),
-                 primal_res_inf=float(np.max(np.abs(r_pri))))
-    return beta
+    return beta, dict(alpha=alpha, w=w, rho=rho, iters=it, converged=converged,
+                      primal_res=float(r_norm), dual_res=float(s_norm),
+                      primal_res_inf=float(np.max(np.abs(r_pri))))
 
 
 def trend_filter_kkt_residual(beta, z, omega, k: int, lam) -> float:

@@ -124,6 +124,35 @@ def test_qrtf_self_consistency_at_fixed_point():
     assert np.max(np.abs(refit - fit.beta)) <= 1e-5
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_qrtf_admm_totals_count_every_inner_call(monkeypatch, warm):
+    from envopt import applications
+
+    solve = applications.weighted_trend_filter
+    runs = []
+
+    def counting(*args, state=None, **kwargs):
+        state = {} if state is None else state
+        out = solve(*args, state=state, **kwargs)
+        runs.append((state["iters"], state["converged"]))
+        return out
+
+    y = simulate("qrtf", 150, seed=5).y
+    # a budget some inner solves hit and others do not
+    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=600, inner_tol=1e-6)
+    init = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg).beta if warm else None
+    monkeypatch.setattr(applications, "weighted_trend_filter", counting)
+    fit = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
+    admm = fit.aux["admm"]
+    assert admm["total"] == {"calls": len(runs),
+                             "iters": sum(it for it, _ in runs),
+                             "capped": sum(not conv for _, conv in runs)}
+    assert 0 < admm["total"]["capped"] < admm["total"]["calls"]
+    # the last call's record is kept as before
+    assert (admm["iters"], admm["converged"]) == runs[-1]
+    assert {"primal_res", "dual_res", "rho"} <= admm.keys()
+
+
 # ---------------------------------------------------------------------------
 # fused double-Pareto
 

@@ -247,6 +247,135 @@ def test_trend_filter_per_row_lambda():
     np.testing.assert_allclose(beta, ref, atol=1e-8)
 
 
+# a fixed budget: a tolerance no residual reaches, so neither loop stops early
+_TF_BUDGET = SolverConfig(inner_max_iters=150, inner_tol=1e-30)
+
+
+def _tf_instances(rng, count):
+    """Random trend-filter inputs: k in {0, 1, 2}, n from k+2 to 300,
+    omega over six decades with some rows at fit_qrtf's 1e6 clamp, scalar
+    or per-row lam, and every other one a warm state whose rho was
+    rebalanced by an earlier run on nearby data."""
+    for i in range(count):
+        k = i % 3
+        n = int(rng.integers(k + 2, 301))
+        z = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-2, 2)
+        omega = 10.0 ** rng.uniform(-3, 3, size=n)
+        omega[rng.random(n) < 0.1] = 1e6
+        lam = 10.0 ** rng.uniform(-2, 2)
+        if i % 4 >= 2:
+            lam = lam * rng.uniform(0.0, 1.0, size=n - k - 1)
+        state = None
+        if i % 2:
+            state = {}
+            weighted_trend_filter(z + rng.normal(scale=0.1, size=n), omega, k,
+                                  lam, _TF_BUDGET, state)
+        yield z, omega, k, lam, state
+
+
+def _tf_run(args, python):
+    z, omega, k, lam, state = args
+    state = None if state is None else dict(state)  # each run reads a copy
+    out = {} if state is None else state
+    with pytest.MonkeyPatch.context() as mp:
+        if python:
+            mp.setattr(solvers, "_kernel", lambda: None)
+        beta = weighted_trend_filter(z, omega, k, lam, _TF_BUDGET, out)
+    return beta, out
+
+
+def _rel_close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-9 * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_trend_filter_c_loop_matches_python_loop():
+    rng = np.random.Generator(np.random.PCG64(1406))
+    warm_rhos = []
+    at_floor = 0
+    for args in _tf_instances(rng, 200):
+        beta_c, c = _tf_run(args, python=False)
+        beta_py, py = _tf_run(args, python=True)
+        where = (args[0].size, args[2], args[4] is not None)
+        assert _rel_close(beta_c, beta_py), where
+        assert _rel_close(c["alpha"], py["alpha"]), where
+        floor = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(beta_py)))
+        if min(max(r["primal_res"], r["dual_res"]) for r in (c, py)) <= floor:
+            # Once a loop's residuals are down to rounding (a few small
+            # instances converge within the budget, some to an exact fixed
+            # point), the stopping test and rho rebalancing compare
+            # rounding noise, so the loops may stop or rebalance at
+            # different iterations; a rebalance rescales w but not rho * w.
+            at_floor += 1
+            assert _rel_close(c["rho"] * c["w"], py["rho"] * py["w"]), where
+            continue
+        assert _rel_close(c["w"], py["w"]), where
+        assert (c["rho"], c["iters"], c["converged"]) == \
+            (py["rho"], py["iters"], py["converged"]), where
+        assert c["iters"] == _TF_BUDGET.inner_max_iters
+        if args[4] is not None:
+            warm_rhos.append(args[4]["rho"] / max(np.mean(args[3]), 1e-8))
+    assert at_floor <= 15
+    # the warm starts include rho values the balancing moved up and down
+    assert min(warm_rhos) < 1.0 < max(warm_rhos)
+
+
+_TF_BAD = [
+    ((np.ones((3, 2)), 1.0, 0, 1.0), "one-dimensional"),
+    ((np.ones(4), 1.0, -1, 1.0), "order k must be >= 0"),
+    ((np.ones(3), 1.0, 2, 1.0), "need len"),
+    ((np.ones(4), [1.0, -1.0, 1.0, 1.0], 1, 1.0), "omega must be strictly positive"),
+    ((np.ones(4), [1.0, np.nan, 1.0, 1.0], 1, 1.0), "omega must be strictly positive"),
+    ((np.ones(4), [1.0, np.inf, 1.0, 1.0], 1, 1.0), "inputs must be finite"),
+    ((np.ones(4), 1.0, 1, [1.0, -1.0]), "lam must be nonnegative"),
+    ((np.ones(4), 1.0, 1, [1.0, np.nan]), "inputs must be finite"),
+    ((np.ones(4), 1.0, 1, np.inf), "inputs must be finite"),
+    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
+    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 0.0), "inputs must be finite"),
+    (([1.0, np.inf, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
+    (([1.0, -np.inf, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
+]
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_trend_filter_rejects_bad_input_before_any_work(monkeypatch, python):
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    for (z, omega, k, lam), msg in _TF_BAD:
+        state = {}
+        with pytest.raises(ValidationError, match=msg):
+            weighted_trend_filter(z, omega, k, lam, state=state)
+        assert state == {}
+
+
+def test_trend_filter_forced_python_fallback(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(2016))
+    cases = list(_tf_instances(rng, 12))
+    expected = [_tf_run(c, python=False) for c in cases]
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    assert solvers.FUSED_LASSO_KERNEL == "python"
+    for c, (beta, state) in zip(cases, expected):
+        beta_py, py = _tf_run(c, python=False)  # the loader is patched away
+        assert _rel_close(beta_py, beta)
+        assert _rel_close(py["alpha"], state["alpha"])
+    for (z, omega, k, lam), msg in _TF_BAD:
+        with pytest.raises(ValidationError, match=msg):
+            weighted_trend_filter(z, omega, k, lam)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_compiled_sources_are_package_data():
+    # without its source, an installed package silently runs the Python loops
+    import tomllib
+
+    root = Path(__file__).resolve().parent.parent
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    shipped = set(config["tool"]["setuptools"]["package-data"]["envopt"])
+    compiled = {src.name for src in solvers._KERNEL_SOURCES}
+    assert compiled == {src.name for src in (root / "src" / "envopt").glob("*.c")}
+    assert compiled <= shipped
+
+
 # ---------------------------------------------------------------------------
 # proximal gradient
 
