@@ -21,10 +21,10 @@ held-out predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .errors import ValidationError
 from .operators import diff_matrix
@@ -56,6 +56,9 @@ __all__ = [
     "fit_fdp",
     "fused_lasso_gaussian",
     "binomial_fused_lasso",
+    "AppEntry",
+    "APP_TABLE",
+    "APPS",
     "aic",
     "app_loss",
     "solution_path",
@@ -65,8 +68,6 @@ __all__ = [
     "FDP_TRUE_LEVELS",
     "LOGIT_CAP",
 ]
-
-APPS = ("rfl", "qrtf", "fdp")
 
 # Canonical piecewise-constant truths for the simulators (levels on equal
 # fifths of the unit interval); fixed so scores are reproducible.  The
@@ -282,14 +283,16 @@ def _logit_nll(y, m, beta):
 
 def binomial_fused_lasso(y, m, lam: float, init=None,
                          cfg: Optional[SolverConfig] = None) -> FitResult:
-    """Binomial logit fit with a constant l1 penalty on first differences."""
+    """Binomial logit fit with a constant l1 penalty on first differences;
+    ``iters``, ``trace`` and ``converged`` are those of its MM loop."""
     y = np.asarray(y, dtype=float)
     m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
     n = y.shape[0]
-    beta = logistic_fused_lasso(y, m_arr, np.full(n - 1, lam), init=init, cfg=cfg)
+    inner = logistic_fused_lasso(y, m_arr, np.full(n - 1, lam), init=init, cfg=cfg)
+    beta = inner.beta
     obj = _logit_nll(y, m_arr, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
-    return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]), iters=1,
-                     converged=True, df=distinct_levels(beta))
+    return FitResult(beta=beta, objective=obj, trace=inner.trace, iters=inner.iters,
+                     converged=inner.converged, df=distinct_levels(beta))
 
 
 def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
@@ -303,6 +306,9 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     tight), and the resulting logistic fused lasso is solved to inner
     tolerance.  When ``init`` is None the fit starts at the binomial
     fused-lasso solution at the same lam.
+    ``converged`` also requires every beta-step to meet ``inner_tol``
+    within ``inner_max_iters``; ``aux["inner"]`` counts the beta-steps'
+    ``calls`` and the ``capped`` ones.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -332,10 +338,14 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     inner_cfg = SolverConfig(max_iters=cfg.inner_max_iters, tol=cfg.inner_tol,
                              record_trace=False)
 
+    inner = {"calls": 0, "capped": 0}
+
     def beta_step(state):
-        beta = logistic_fused_lasso(y, m_arr, state["u"], init=state["beta"],
-                                    cfg=inner_cfg)
-        return {"beta": beta, "u": state["u"]}
+        sub = logistic_fused_lasso(y, m_arr, state["u"], init=state["beta"],
+                                   cfg=inner_cfg)
+        inner["calls"] += 1
+        inner["capped"] += not sub.converged
+        return {"beta": sub.beta, "u": state["u"]}
 
     if init is None:
         init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
@@ -345,9 +355,80 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
                     [("log-penalty-weights", u_step),
                      ("logistic-fused-lasso", beta_step)],
                     {"beta": init_beta, "u": np.zeros(n - 1)}, cfg)
+    fit.converged = fit.converged and inner["capped"] == 0
     fit.df = distinct_levels(fit.beta)
     fit.aux["u"] = lam / (a + np.abs(np.diff(fit.beta)))
+    fit.aux["inner"] = inner
     return fit
+
+
+# ---------------------------------------------------------------------------
+# The application table
+
+
+@dataclass(frozen=True)
+class AppEntry:
+    """What fits, paths, CV and the CLI need to know about one app.
+
+    ``fit(spec, y, m, cfg, init)`` runs the estimator; ``loss(spec, y,
+    beta, m)`` is its data loss (AIC, held-out CV loss); ``start(spec, y,
+    m, cfg, init, fit)`` is the next path fit's warm start, given the
+    previous start and fit (None at the first lam); ``columns`` are the
+    CLI input columns, ``truth(spec, data)`` the truth column of its
+    selected fit (or None) and ``params`` the AppSpec fields written in
+    its fit records.  The callables look estimators up as module globals
+    at call time, so rebinding one rebinds the table too.
+    """
+
+    fit: Callable
+    loss: Callable
+    start: Callable
+    columns: tuple
+    truth: Callable
+    params: tuple = ()
+
+    @property
+    def needs_m(self) -> bool:
+        return "m" in self.columns
+
+
+def _previous_fit(spec, y, m, cfg, init, fit):
+    return None if fit is None else fit.beta
+
+
+def _chained_fused_lasso(spec, y, m, cfg, init, fit):
+    # the convex fit, warm-started along the path, guards the nonconvex
+    # path against propagating poor local optima
+    return binomial_fused_lasso(y, m, spec.lam, init=init, cfg=cfg).beta
+
+
+def _qrtf_truth(spec, data):
+    if "truth_mean" in data and "truth_sigma" in data:
+        return data["truth_mean"] + ndtri(spec.q) * data["truth_sigma"]
+    return None
+
+
+APP_TABLE = {
+    "rfl": AppEntry(
+        fit=lambda spec, y, m, cfg, init: fit_rfl(y, spec.lam, cfg=cfg, init=init),
+        loss=lambda spec, y, beta, m: float(np.sum(huber(y - beta))),
+        start=_previous_fit, columns=("x", "y"),
+        truth=lambda spec, data: data.get("truth")),
+    "qrtf": AppEntry(
+        fit=lambda spec, y, m, cfg, init: fit_qrtf(y, spec.q, spec.k, spec.lam,
+                                                   cfg=cfg, init=init),
+        loss=lambda spec, y, beta, m: float(np.sum(check_value(y - beta, spec.q))),
+        start=_previous_fit, columns=("x", "y"), truth=_qrtf_truth,
+        params=("q", "k")),
+    "fdp": AppEntry(
+        fit=lambda spec, y, m, cfg, init: fit_fdp(y, m, spec.lam, a=spec.a,
+                                                  init=init, cfg=cfg),
+        loss=lambda spec, y, beta, m: _logit_nll(
+            y, np.broadcast_to(np.asarray(m, dtype=float), y.shape), beta),
+        start=_chained_fused_lasso, columns=("x", "y", "m"),
+        truth=lambda spec, data: data.get("truth_logodds"), params=("a",)),
+}
+APPS = tuple(APP_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -364,38 +445,30 @@ def app_loss(app: AppSpec, y, beta, m=None) -> float:
     """The data-fit part of an application objective at a fitted vector."""
     y = np.asarray(y, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if app.app == "rfl":
-        return float(np.sum(huber(y - beta)))
-    if app.app == "qrtf":
-        return float(np.sum(check_value(y - beta, app.q)))
-    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape)
-    return _logit_nll(y, m_arr, beta)
+    return APP_TABLE[app.app].loss(app, y, beta, m)
 
 
-def _fit_app(app: AppSpec, y, m, cfg, init, fl_init_fit=None):
-    if app.app == "rfl":
-        return fit_rfl(y, app.lam, cfg=cfg, init=init)
-    if app.app == "qrtf":
-        return fit_qrtf(y, app.q, app.k, app.lam, cfg=cfg, init=init)
-    fl_beta = fl_init_fit.beta if fl_init_fit is not None else init
-    return fit_fdp(y, m, app.lam, a=app.a, init=fl_beta, cfg=cfg)
-
-
-def _ordinary_fit(app: AppSpec, y, m, init=None, cfg=None):
-    """The convex comparator used for warm starts (fdp only)."""
-    return binomial_fused_lasso(y, m, app.lam, init=init, cfg=cfg)
+def _warm_fits(app: AppSpec, y, m, lam_arr, cfg):
+    """Yield the fits along ``lam_arr``, each from its app's warm start."""
+    entry = APP_TABLE[app.app]
+    if m is None and entry.needs_m:
+        raise ValidationError(f"{app.app} requires trial counts m")
+    init = fit = None
+    for lam in lam_arr:
+        spec = app.with_lam(lam)
+        init = entry.start(spec, y, m, cfg, init, fit)
+        fit = entry.fit(spec, y, m, cfg, init)
+        yield fit
 
 
 def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
-                  folds: int = 5, cfg: Optional[SolverConfig] = None,
-                  init_mode: str = "auto") -> SolutionPath:
+                  folds: int = 5, cfg: Optional[SolverConfig] = None) -> SolutionPath:
     """Warm-started fits along a strictly decreasing penalty grid.
 
-    Each fit starts at the previous solution; for fdp the default
-    ("fused-lasso-init") instead starts each fit at the binomial
-    fused-lasso solution for the same lam, which guards the nonconvex
-    path against propagating poor local optima.  ``criterion`` is "aic"
-    or "cv"; ties select the larger lam.
+    rfl and qrtf fits start at the previous solution; each fdp fit
+    instead starts at the binomial fused-lasso solution for the same
+    lam, itself warm-started from the previous lam's.  ``criterion`` is
+    "aic" or "cv"; ties select the larger lam.
     """
     lam_arr = np.asarray(lambdas, dtype=float)
     if lam_arr.ndim != 1 or lam_arr.size == 0:
@@ -404,28 +477,9 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
         raise ValidationError("lambdas must be strictly decreasing")
     if criterion not in ("aic", "cv"):
         raise ValidationError(f"unknown criterion {criterion!r}")
-    if init_mode == "auto":
-        init_mode = "fused-lasso-init" if app.app == "fdp" else "warm"
-    if init_mode not in ("warm", "fused-lasso-init"):
-        raise ValidationError(f"unknown init mode {init_mode!r}")
-    if app.app == "fdp" and m is None:
-        raise ValidationError("fdp requires trial counts m")
 
     y = np.asarray(y, dtype=float)
-    fits = []
-    prev_beta = None
-    fl_prev = None
-    for lam in lam_arr:
-        spec = app.with_lam(lam)
-        if app.app == "fdp" and init_mode == "fused-lasso-init":
-            fl_fit = _ordinary_fit(spec, y, m, init=fl_prev, cfg=cfg)
-            fl_prev = fl_fit.beta
-            fit = _fit_app(spec, y, m, cfg, init=None, fl_init_fit=fl_fit)
-        else:
-            fit = _fit_app(spec, y, m, cfg, init=prev_beta)
-        prev_beta = fit.beta
-        fits.append(fit)
-
+    fits = list(_warm_fits(app, y, m, lam_arr, cfg))
     if criterion == "aic":
         crit = np.asarray([
             aic(f, app_loss(app, y, f.beta, m=m)) for f in fits])
@@ -442,12 +496,12 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     """Interleaved K-fold cross validation over a penalty grid.
 
     Fold r holds out indices with ``i mod K == r`` (preserving grid
-    coverage); fits run on the retained subsequence and held-out points
-    are predicted by linear interpolation of the fitted vector between
-    the nearest retained indices (constant beyond the ends).  The CV
-    loss is the application's data loss summed over held-out points.
-    Returns ``(best_lambda, cv_table)`` with ties going to the larger
-    lam.
+    coverage); fits run on the retained subsequence, warm-started as on
+    a solution path, and held-out points are predicted by linear
+    interpolation of the fitted vector between the nearest retained
+    indices (constant beyond the ends).  The CV loss is the
+    application's data loss summed over held-out points.  Returns
+    ``(best_lambda, cv_table)`` with ties going to the larger lam.
     """
     if K < 2:
         raise ValidationError("K must be >= 2")
@@ -455,8 +509,6 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     n = y.shape[0]
     if K > n:
         raise ValidationError("K cannot exceed the number of observations")
-    if app.app == "fdp" and m is None:
-        raise ValidationError("fdp requires trial counts m")
     lam_arr = np.asarray(lambdas, dtype=float)
     m_arr = None if m is None else np.broadcast_to(np.asarray(m, dtype=float), y.shape)
     idx = np.arange(n)
@@ -464,27 +516,10 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     for r in range(K):
         held = idx[idx % K == r]
         kept = idx[idx % K != r]
-        y_kept = y[kept]
-        m_kept = None if m_arr is None else m_arr[kept]
-        prev_beta = None
-        fl_prev = None
-        for j, lam in enumerate(lam_arr):
-            spec = app.with_lam(lam)
-            if app.app == "fdp":
-                fl_fit = _ordinary_fit(spec, y_kept, m_kept, init=fl_prev, cfg=cfg)
-                fl_prev = fl_fit.beta
-                fit = _fit_app(spec, y_kept, m_kept, cfg, None, fl_init_fit=fl_fit)
-            else:
-                fit = _fit_app(spec, y_kept, m_kept, cfg, init=prev_beta)
-            prev_beta = fit.beta
+        m_kept, m_held = (None, None) if m_arr is None else (m_arr[kept], m_arr[held])
+        for j, fit in enumerate(_warm_fits(app, y[kept], m_kept, lam_arr, cfg)):
             pred = np.interp(held.astype(float), kept.astype(float), fit.beta)
-            if app.app == "rfl":
-                table[j] += float(np.sum(huber(y[held] - pred)))
-            elif app.app == "qrtf":
-                table[j] += float(np.sum(check_value(y[held] - pred, app.q)))
-            else:
-                table[j] += float(np.sum(
-                    m_arr[held] * np.logaddexp(0.0, pred) - y[held] * pred))
+            table[j] += app_loss(app, y[held], pred, m=m_held)
     best = float(lam_arr[int(np.argmin(table))])
     return best, table
 

@@ -50,6 +50,9 @@ __all__ = [
     "conjugate_suite",
     "prox_suite",
     "solver_suite",
+    "fused_lasso_dp_check",
+    "trend_filter_kkt_check",
+    "proximal_gradient_checks",
     "run_suite",
     "SUITES",
 ]
@@ -287,16 +290,8 @@ def prox_suite(n_draws: int = 200, seed: int = 20240613):
              "passed": failures == 0}]
 
 
-def solver_suite(n_instances: int = 50, seed: int = 77):
-    """Structured-solver cross checks.
-
-    Fused-lasso DP vs a long-run ADMM reference (the k = 0 trend-filter
-    machinery run to high precision), trend-filter KKT residuals, and
-    proximal-gradient fixed points.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    results = []
-
+def fused_lasso_dp_check(rng, n_instances: int) -> dict:
+    """Fused-lasso DP vs a long-run ADMM reference (the k = 0 trend filter)."""
     worst = 0.0
     ref_cfg = SolverConfig(inner_max_iters=100_000, inner_tol=1e-13)
     for _ in range(n_instances):
@@ -307,9 +302,12 @@ def solver_suite(n_instances: int = 50, seed: int = 77):
         beta_dp = weighted_fused_lasso(z, omega, u)
         beta_admm = weighted_trend_filter(z, omega, 0, u, cfg=ref_cfg)
         worst = max(worst, float(np.max(np.abs(beta_dp - beta_admm))))
-    results.append({"name": f"fused-lasso DP vs long-run ADMM ({n_instances})",
-                    "max_gap": worst, "tol": 1e-6, "passed": worst <= 1e-6})
+    return {"name": f"fused-lasso DP vs long-run ADMM ({n_instances})",
+            "max_gap": worst, "tol": 1e-6, "passed": worst <= 1e-6}
 
+
+def trend_filter_kkt_check(rng) -> dict:
+    """Trend-filter KKT residuals, five random instances each of k = 1, 2."""
     worst_kkt = 0.0
     kkt_cfg = SolverConfig(inner_max_iters=50_000, inner_tol=1e-11)
     for k in (1, 2):
@@ -320,16 +318,17 @@ def solver_suite(n_instances: int = 50, seed: int = 77):
             beta = weighted_trend_filter(z, np.ones(n), k, lam, cfg=kkt_cfg)
             worst_kkt = max(worst_kkt,
                             trend_filter_kkt_residual(beta, z, np.ones(n), k, lam))
-    results.append({"name": "trend-filter KKT residual (k in {1,2})",
-                    "max_gap": worst_kkt, "tol": 1e-6,
-                    "passed": worst_kkt <= 1e-6})
+    return {"name": "trend-filter KKT residual (k in {1,2})",
+            "max_gap": worst_kkt, "tol": 1e-6, "passed": worst_kkt <= 1e-6}
 
-    # proximal gradient: lasso fixed points against a long-run oracle
+
+def proximal_gradient_checks(rng, n_instances: int) -> list:
+    """Proximal-gradient lasso fits vs a long-run oracle, and their fixed points."""
     worst_obj = 0.0
     worst_fix = 0.0
     tight = SolverConfig(max_iters=20_000, tol=1e-16)
     oracle_cfg = SolverConfig(max_iters=100_000, tol=1e-16)
-    for _ in range(5):
+    for _ in range(n_instances):
         A = rng.normal(size=(20, 10))
         yv = rng.normal(size=20)
         loss = LossSpec("gaussian", y=yv, design=A)
@@ -340,13 +339,17 @@ def solver_suite(n_instances: int = 50, seed: int = 77):
         a = fit.aux["step"]
         fp = prox(pen, fit.beta - a * loss_grad(loss, fit.beta), 1.0 / a)
         worst_fix = max(worst_fix, float(np.max(np.abs(fp - fit.beta))))
-    results.append({"name": "proximal gradient vs long-run oracle (5)",
-                    "max_gap": worst_obj, "tol": 1e-6,
-                    "passed": worst_obj <= 1e-6})
-    results.append({"name": "proximal gradient fixed-point residual",
-                    "max_gap": worst_fix, "tol": 1e-8,
-                    "passed": worst_fix <= 1e-8})
-    return results
+    return [{"name": f"proximal gradient vs long-run oracle ({n_instances})",
+             "max_gap": worst_obj, "tol": 1e-6, "passed": worst_obj <= 1e-6},
+            {"name": "proximal gradient fixed-point residual",
+             "max_gap": worst_fix, "tol": 1e-8, "passed": worst_fix <= 1e-8}]
+
+
+def solver_suite(n_instances: int = 50, seed: int = 77):
+    """Structured-solver cross checks: the three checks above on one generator."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [fused_lasso_dp_check(rng, n_instances), trend_filter_kkt_check(rng),
+            *proximal_gradient_checks(rng, 5)]
 
 
 SUITES = {

@@ -1,12 +1,12 @@
 """Command-line front end: simulate, fit, path, and check.
 
-CSV schemas (exact headers):
+CSV schemas (exact headers) come from ``envopt.applications``:
 
-  simulate rfl   -> x,y,truth
-  simulate qrtf  -> x,y,truth_mean,truth_sigma
-  simulate fdp   -> x,y,m,truth_logodds
-  fit/path input -> x,y (rfl, qrtf) or x,y,m (fdp); extra columns such as
-                    the simulator truth columns are carried along.
+  simulate       -> the ``Dataset`` columns in order: x, y, m (fdp), truths.
+  fit/path input -> ``APP_TABLE[app].columns``, plus any other distinct
+                    columns (such as the simulator truth), carried along.
+  path selected  -> x,y,fitted and, when ``APP_TABLE[app].truth`` finds
+                    it in the input, truth.
 
 Numbers are written with 17 significant digits so values round-trip
 bit-exactly.  Fit and path artifacts are JSON (they carry variable-length
@@ -28,16 +28,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from . import __version__, solvers
 from .applications import (
+    APP_TABLE,
+    APPS,
     AppSpec,
     aic,
     app_loss,
-    fit_fdp,
-    fit_qrtf,
-    fit_rfl,
     simulate,
     solution_path,
 )
@@ -46,13 +44,6 @@ from .errors import ConvergenceError, EnvoptError, ValidationError
 from .solvers import SolverConfig
 
 __all__ = ["main", "RunManifest"]
-
-_FIT_SCHEMAS = {"rfl": ("x", "y"), "qrtf": ("x", "y"), "fdp": ("x", "y", "m")}
-_SIM_COLUMNS = {
-    "rfl": ("x", "y", "truth"),
-    "qrtf": ("x", "y", "truth_mean", "truth_sigma"),
-    "fdp": ("x", "y", "m", "truth_logodds"),
-}
 
 
 @dataclass
@@ -83,7 +74,8 @@ class RunManifest:
 
 
 def thread_cap() -> int:
-    """Parallelism cap from ENVOPT's environment knob (default 1)."""
+    """How many validation suites ``check --suite all`` runs at once, from
+    the environment variable ``HIERDUALS_THREADS`` (default 1)."""
     raw = os.environ.get("HIERDUALS_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -121,21 +113,20 @@ def _write_json(path: str, obj):
 
 
 def _read_csv(path: str, required):
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file")
-            rows = list(reader)
-    except OSError as e:
-        raise e
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        rows = list(reader)
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated columns {repeated}")
     missing = [c for c in required if c not in header]
     if missing:
         raise ValidationError(f"{path}: missing columns {missing}")
     data = {}
-    for name in header:
-        j = header.index(name)
+    for j, name in enumerate(header):
         try:
             col = np.array([float(r[j]) for r in rows])
         except (ValueError, IndexError) as e:
@@ -180,15 +171,7 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _fit_one(app: AppSpec, data, cfg):
-    if app.app == "rfl":
-        return fit_rfl(data["y"], app.lam, cfg=cfg)
-    if app.app == "qrtf":
-        return fit_qrtf(data["y"], app.q, app.k, app.lam, cfg=cfg)
-    return fit_fdp(data["y"], data["m"], app.lam, a=app.a, cfg=cfg)
-
-
-def _fit_record(app: AppSpec, data, fit, manifest: RunManifest) -> dict:
+def _fit_record(app: AppSpec, data, fit, manifest: RunManifest | None) -> dict:
     loss = app_loss(app, data["y"], fit.beta, m=data.get("m"))
     rec = {
         "app": app.app,
@@ -200,13 +183,10 @@ def _fit_record(app: AppSpec, data, fit, manifest: RunManifest) -> dict:
         "converged": fit.converged,
         "df": fit.df,
         "aic": aic(fit, loss),
-        "manifest": manifest.to_dict(),
     }
-    if app.app == "qrtf":
-        rec["q"] = app.q
-        rec["k"] = app.k
-    if app.app == "fdp":
-        rec["a"] = app.a
+    if manifest is not None:
+        rec["manifest"] = manifest.to_dict()
+    rec.update({p: getattr(app, p) for p in APP_TABLE[app.app].params})
     return rec
 
 
@@ -220,9 +200,8 @@ def cmd_simulate(args) -> int:
     if ds.m is not None:
         cols["m"] = ds.m
     cols.update(ds.truth)
-    header = _SIM_COLUMNS[args.app]
     manifest.timings["simulate"] = time.perf_counter() - t0
-    _write_csv(args.out, header, [cols[h] for h in header])
+    _write_csv(args.out, list(cols), list(cols.values()))
     _write_json(args.out + ".manifest.json", manifest.to_dict())
     print(f"wrote {args.out} ({args.n} rows)")
     return 0
@@ -230,10 +209,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    data = _read_csv(args.data, _FIT_SCHEMAS[args.app])
+    data = _read_csv(args.data, APP_TABLE[args.app].columns)
     app = AppSpec(args.app, lam=args.lam, q=args.q, k=args.k, a=args.a)
     cfg = _solver_config(args)
-    fit = _fit_one(app, data, cfg)
+    fit = APP_TABLE[app.app].fit(app, data["y"], data.get("m"), cfg, None)
     manifest = RunManifest(command=" ".join(sys.argv),
                            config={"lam": args.lam, "q": args.q, "k": args.k,
                                    "a": args.a, "tol": cfg.tol,
@@ -247,19 +226,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _selected_truth(app: AppSpec, data):
-    if app.app == "rfl" and "truth" in data:
-        return data["truth"]
-    if app.app == "qrtf" and "truth_mean" in data and "truth_sigma" in data:
-        return data["truth_mean"] + norm.ppf(app.q) * data["truth_sigma"]
-    if app.app == "fdp" and "truth_logodds" in data:
-        return data["truth_logodds"]
-    return None
-
-
 def cmd_path(args) -> int:
     t0 = time.perf_counter()
-    data = _read_csv(args.data, _FIT_SCHEMAS[args.app])
+    data = _read_csv(args.data, APP_TABLE[args.app].columns)
     lambdas = _parse_lambda_grid(args.lambdas)
     app = AppSpec(args.app, lam=float(lambdas[0]), q=args.q, k=args.k, a=args.a)
     cfg = _solver_config(args)
@@ -270,10 +239,8 @@ def cmd_path(args) -> int:
                                    "criterion": args.criterion,
                                    "folds": args.folds})
     manifest.timings["path"] = time.perf_counter() - t0
-    records = []
-    for lam, fit in zip(path.lambdas, path.fits):
-        records.append(_fit_record(app.with_lam(float(lam)), data, fit,
-                                   manifest))
+    records = [_fit_record(app.with_lam(float(lam)), data, fit, None)
+               for lam, fit in zip(path.lambdas, path.fits)]
     out = {
         "app": app.app,
         "lambdas": [float(v) for v in path.lambdas],
@@ -289,7 +256,7 @@ def cmd_path(args) -> int:
     fit_csv = os.path.splitext(args.out)[0] + "_selected.csv"
     header = ["x", "y", "fitted"]
     cols = [data["x"], data["y"], sel.beta]
-    truth = _selected_truth(app, data)
+    truth = APP_TABLE[app.app].truth(app, data)
     if truth is not None:
         header.append("truth")
         cols.append(truth)
@@ -353,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 4 when a fit fails to converge")
 
     sp = sub.add_parser("simulate", help="write a seeded dataset CSV")
-    sp.add_argument("--app", required=True, choices=("rfl", "qrtf", "fdp"))
+    sp.add_argument("--app", required=True, choices=APPS)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--m", type=int, default=None,
@@ -362,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit one model, write a JSON artifact")
-    sp.add_argument("--app", required=True, choices=("rfl", "qrtf", "fdp"))
+    sp.add_argument("--app", required=True, choices=APPS)
     sp.add_argument("--data", required=True)
     sp.add_argument("--lam", type=float, required=True)
     sp.add_argument("--out", required=True)
@@ -370,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("path", help="warm-started fits over a lambda grid")
-    sp.add_argument("--app", required=True, choices=("rfl", "qrtf", "fdp"))
+    sp.add_argument("--app", required=True, choices=APPS)
     sp.add_argument("--data", required=True)
     sp.add_argument("--lambdas", required=True,
                     help="logspace:<lo>:<hi>:<count> (log10) or a "

@@ -18,7 +18,7 @@ Every function is vectorized over ``x``/``u`` and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +75,6 @@ class PenaltySpec:
                 raise ValidationError(f"{self.kind} requires gamma >= 0 and a > 0")
         if self.weight < 0:
             raise ValidationError("weight must be nonnegative")
-
-    def to_config(self) -> dict:
-        """Flat key-value form: kind, gamma, a, weight."""
-        return {k: v for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_config(cls, config: dict) -> "PenaltySpec":
-        known = {"kind", "gamma", "a", "weight"}
-        extra = set(config) - known
-        if extra:
-            raise ValidationError(f"unknown penalty config keys {sorted(extra)}")
-        return cls(**config)
 
 
 def _strength(p: PenaltySpec) -> float:

@@ -580,13 +580,15 @@ def mm_driver(objective: Callable, steps: Sequence, init,
 
 
 def logistic_fused_lasso(y, m, u_edges, init=None,
-                         cfg: Optional[SolverConfig] = None) -> np.ndarray:
+                         cfg: Optional[SolverConfig] = None) -> FitResult:
     """Stationary point of ``sum_i [m_i log(1+e^{b_i}) - y_i b_i] +
     sum_i u_i |b_{i+1} - b_i|``.
 
     Each step majorizes the logit terms by their global curvature bound
     ``m_i/4`` (quadratic at the current iterate) and solves the
     resulting weighted fused lasso exactly, so the objective is monotone.
+    Returns the MM run record: ``iters`` cycles, their ``trace`` and
+    whether the loop met ``cfg.tol`` within ``cfg.max_iters``.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -609,9 +611,8 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
         return {"beta": weighted_fused_lasso(z, omega, u)}
 
     init_beta = np.zeros(n) if init is None else np.array(init, dtype=float).copy()
-    fit = mm_driver(objective, [("curvature-bound-fused-lasso", step)],
-                    {"beta": init_beta}, cfg)
-    return fit.beta
+    return mm_driver(objective, [("curvature-bound-fused-lasso", step)],
+                     {"beta": init_beta}, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,17 @@ from envopt.applications import (
     simulate,
     solution_path,
 )
-from envopt.checks import conjugate_suite, envelope_suite, prox_suite
-from envopt.losses import LossSpec, lipschitz_bound, loss_grad
-from envopt.penalties import PenaltySpec, prox
-from envopt.solvers import (
-    SolverConfig,
-    proximal_gradient,
-    trend_filter_kkt_residual,
-    weighted_fused_lasso,
-    weighted_trend_filter,
+from envopt.checks import (
+    conjugate_suite,
+    envelope_suite,
+    fused_lasso_dp_check,
+    proximal_gradient_checks,
+    prox_suite,
+    trend_filter_kkt_check,
 )
+from envopt.losses import LossSpec, lipschitz_bound
+from envopt.penalties import PenaltySpec, prox
+from envopt.solvers import SolverConfig
 
 
 def _report(num, passed, detail):
@@ -189,21 +190,8 @@ def test_criterion_7_fused_double_pareto_replication():
 
 def test_criterion_8_proximal_gradient_correctness():
     rng = np.random.Generator(np.random.PCG64(101))
-    worst_obj = 0.0
-    worst_fix = 0.0
-    tight = SolverConfig(max_iters=20_000, tol=1e-16)
-    oracle = SolverConfig(max_iters=100_000, tol=1e-16)
-    for _ in range(20):
-        A = rng.normal(size=(20, 10))
-        y = rng.normal(size=20)
-        loss = LossSpec("gaussian", y=y, design=A)
-        pen = PenaltySpec("l1", weight=float(rng.uniform(0.5, 3.0)))
-        fit = proximal_gradient(loss, pen, np.zeros(10), tight)
-        ref = proximal_gradient(loss, pen, np.zeros(10), oracle)
-        worst_obj = max(worst_obj, abs(fit.objective - ref.objective))
-        a = fit.aux["step"]
-        fp = prox(pen, fit.beta - a * loss_grad(loss, fit.beta), 1.0 / a)
-        worst_fix = max(worst_fix, float(np.max(np.abs(fp - fit.beta))))
+    obj_row, fix_row = proximal_gradient_checks(rng, 20)
+    worst_obj, worst_fix = obj_row["max_gap"], fix_row["max_gap"]
     worst_eig = -np.inf
     for _ in range(20):
         n, d = 30, 5
@@ -216,7 +204,7 @@ def test_criterion_8_proximal_gradient_correctness():
         w = expit(A @ beta)
         H = A.T @ (A * (m * w * (1 - w))[:, None])
         worst_eig = max(worst_eig, float(np.linalg.eigvalsh(H)[-1]) - L)
-    ok = worst_obj <= 1e-6 and worst_fix <= 1e-8 and worst_eig <= 1e-8
+    ok = obj_row["passed"] and fix_row["passed"] and worst_eig <= 1e-8
     _report(8, ok,
             f"proximal gradient: oracle objective gap {worst_obj:.2e} "
             f"(<= 1e-6), fixed-point residual {worst_fix:.2e} (<= 1e-8), "
@@ -225,28 +213,10 @@ def test_criterion_8_proximal_gradient_correctness():
 
 def test_criterion_9_structured_solver_cross_validation():
     rng = np.random.Generator(np.random.PCG64(77))
-    worst = 0.0
-    ref_cfg = SolverConfig(inner_max_iters=100_000, inner_tol=1e-13)
-    for _ in range(50):
-        n = int(rng.integers(2, 51))
-        z = rng.normal(0.0, 2.0, size=n)
-        omega = rng.uniform(0.2, 3.0, size=n)
-        u = rng.uniform(0.0, 2.0, size=n - 1)
-        beta_dp = weighted_fused_lasso(z, omega, u)
-        beta_admm = weighted_trend_filter(z, omega, 0, u, cfg=ref_cfg)
-        worst = max(worst, float(np.max(np.abs(beta_dp - beta_admm))))
-    worst_kkt = 0.0
-    kkt_cfg = SolverConfig(inner_max_iters=50_000, inner_tol=1e-11)
-    for k in (1, 2):
-        for _ in range(5):
-            n = int(rng.integers(k + 5, 60))
-            z = rng.normal(size=n)
-            lam = float(rng.uniform(0.2, 3.0))
-            beta = weighted_trend_filter(z, np.ones(n), k, lam, cfg=kkt_cfg)
-            worst_kkt = max(worst_kkt, trend_filter_kkt_residual(
-                beta, z, np.ones(n), k, lam))
-    ok = worst <= 1e-6 and worst_kkt <= 1e-6
+    dp_row = fused_lasso_dp_check(rng, 50)
+    kkt_row = trend_filter_kkt_check(rng)
+    ok = dp_row["passed"] and kkt_row["passed"]
     _report(9, ok,
-            f"structured solvers: DP vs long-run ADMM max gap {worst:.2e} "
-            f"on 50 instances (<= 1e-6); trend-filter KKT residual "
-            f"{worst_kkt:.2e} (<= 1e-6)")
+            f"structured solvers: DP vs long-run ADMM max gap "
+            f"{dp_row['max_gap']:.2e} on 50 instances (<= 1e-6); trend-filter "
+            f"KKT residual {kkt_row['max_gap']:.2e} (<= 1e-6)")

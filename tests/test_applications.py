@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from envopt import applications
 from envopt.applications import (
     AppSpec,
     FDP_TRUE_LEVELS,
@@ -186,6 +187,26 @@ def test_fdp_monotone_and_local_minimizer():
     assert fit.objective <= fl.objective + 1e-9  # same objective family at u
 
 
+def test_binomial_fused_lasso_reports_inner_convergence():
+    ds = simulate("fdp", 30, seed=10)
+    fl = binomial_fused_lasso(ds.y, ds.m, 5.0, cfg=SolverConfig(max_iters=3))
+    assert fl.iters == 3 and not fl.converged
+    assert fl.trace.shape == (4,)
+    done = binomial_fused_lasso(ds.y, ds.m, 5.0)
+    assert done.converged and done.iters > 3
+    assert done.objective == pytest.approx(done.trace[-1], rel=1e-12)
+
+
+def test_fdp_converged_requires_every_inner_solve():
+    ds = simulate("fdp", 30, seed=10)
+    capped = fit_fdp(ds.y, ds.m, 5.0, cfg=SolverConfig(inner_max_iters=2))
+    assert capped.aux["inner"]["capped"] > 0
+    assert not capped.converged
+    full = fit_fdp(ds.y, ds.m, 5.0)
+    assert full.aux["inner"] == {"calls": full.iters, "capped": 0}
+    assert full.converged
+
+
 # ---------------------------------------------------------------------------
 # model selection
 
@@ -233,13 +254,62 @@ def test_solution_path_rfl_beats_endpoints():
 def test_fdp_path_bit_exact_reproducible():
     ds = simulate("fdp", 60, seed=9, m=25)
     lams = np.geomspace(40.0, 5.0, 4)
-    p1 = solution_path(AppSpec("fdp"), ds.y, lams, m=ds.m,
-                       init_mode="fused-lasso-init")
-    p2 = solution_path(AppSpec("fdp"), ds.y, lams, m=ds.m,
-                       init_mode="fused-lasso-init")
+    p1 = solution_path(AppSpec("fdp"), ds.y, lams, m=ds.m)
+    p2 = solution_path(AppSpec("fdp"), ds.y, lams, m=ds.m)
     for f1, f2 in zip(p1.fits, p2.fits):
         assert f1.beta.tobytes() == f2.beta.tobytes()
     assert p1.selected == p2.selected
+
+
+def _policy_fits(app, y, m, lams, cfg):
+    """The documented warm starts, by direct estimator calls: each rfl or
+    qrtf fit starts at the previous fit, each fdp fit at the binomial
+    fused-lasso fit at its lam, itself started at the previous one."""
+    fits, start = [], None
+    for lam in lams:
+        prev = fits[-1].beta if fits else None
+        if app == "rfl":
+            fits.append(fit_rfl(y, lam, cfg=cfg, init=prev))
+        elif app == "qrtf":
+            fits.append(fit_qrtf(y, 0.9, 2, lam, cfg=cfg, init=prev))
+        else:
+            start = binomial_fused_lasso(y, m, lam, init=start, cfg=cfg).beta
+            fits.append(fit_fdp(y, m, lam, a=1.0, init=start, cfg=cfg))
+    return fits
+
+
+def _assert_same_fits(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.beta.tobytes() == e.beta.tobytes()
+        assert g.objective == e.objective
+        assert g.trace.tobytes() == e.trace.tobytes()
+
+
+@pytest.mark.parametrize("app", ["rfl", "qrtf", "fdp"])
+def test_warm_start_policy_bitwise(monkeypatch, app):
+    ds = simulate(app, 30, seed=11)
+    lams = np.geomspace(20.0, 0.5, 4)
+    cfg = SolverConfig(max_iters=30, tol=1e-6, inner_max_iters=300, inner_tol=1e-7)
+    path = solution_path(AppSpec(app), ds.y, lams, m=ds.m, cfg=cfg)
+    _assert_same_fits(path.fits, _policy_fits(app, ds.y, ds.m, lams, cfg))
+
+    # the fits of the first CV fold (held out: i mod 3 == 0)
+    name = {"rfl": "fit_rfl", "qrtf": "fit_qrtf", "fdp": "fit_fdp"}[app]
+    estimator = getattr(applications, name)
+    fold_fits = []
+
+    def recorded(*args, **kwargs):
+        fold_fits.append(estimator(*args, **kwargs))
+        return fold_fits[-1]
+
+    monkeypatch.setattr(applications, name, recorded)
+    kfold_cv(AppSpec(app), ds.y, lams, K=3, cfg=cfg, m=ds.m)
+    assert len(fold_fits) == 3 * len(lams)
+    kept = np.arange(30) % 3 != 0
+    m_kept = None if ds.m is None else ds.m[kept]
+    _assert_same_fits(fold_fits[:len(lams)],
+                      _policy_fits(app, ds.y[kept], m_kept, lams, cfg))
 
 
 def test_kfold_leave_one_out_mechanics():

@@ -171,6 +171,48 @@ def test_strict_convergence_failure(tmp_path):
     assert relaxed == 0
 
 
+def test_strict_fdp_fit_fails_when_inner_solves_cap(tmp_path):
+    data = tmp_path / "f.csv"
+    run(["simulate", "--app", "fdp", "--n", 30, "--m", 25, "--seed", 10,
+         "--out", data])
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--app", "fdp", "--data", data, "--lam", 5.0,
+                "--out", out, "--inner-max-iters", 2, "--strict"]) == 4
+    assert json.loads(out.read_text())["converged"] is False
+
+
+def test_repeated_column_is_validation_failure(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("x,y,y\n0.1,1.0,5.0\n0.2,2.0,6.0\n0.3,3.0,7.0\n")
+    out = tmp_path / "f.json"
+    assert run(["fit", "--app", "rfl", "--data", data, "--lam", 1.0,
+                "--out", out]) == 2
+    assert "repeated columns ['y']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_path_fdp_cv(tmp_path):
+    data = tmp_path / "f.csv"
+    run(["simulate", "--app", "fdp", "--n", 40, "--m", 25, "--seed", 3,
+         "--out", data])
+    out = tmp_path / "p.json"
+    assert run(["path", "--app", "fdp", "--data", data, "--lambdas",
+                "20,5,1", "--criterion", "cv", "--folds", 3, "--a", 2.0,
+                "--out", out]) == 0
+    d = json.loads(out.read_text())
+    assert d["criterion"] == "cv" and len(d["criterion_values"]) == 3
+    assert d["selected"] == int(np.argmin(d["criterion_values"]))
+    assert [rec["a"] for rec in d["fits"]] == [2.0, 2.0, 2.0]
+    assert all("manifest" not in rec for rec in d["fits"])
+    assert d["manifest"]["config"]["criterion"] == "cv"
+    lines = (tmp_path / "p_selected.csv").read_text().splitlines()
+    assert lines[0] == "x,y,fitted,truth"
+    assert len(lines) == 41
+    truth = [float(r.split(",")[3]) for r in lines[1:]]
+    sim = [float(r.split(",")[3]) for r in data.read_text().splitlines()[1:]]
+    assert truth == sim  # the simulator's truth_logodds column
+
+
 def test_check_prox_suite_cli(capsys):
     assert run(["check", "--suite", "prox"]) == 0
     out = capsys.readouterr().out

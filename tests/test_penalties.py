@@ -179,10 +179,3 @@ def test_psi_specified_value_only():
     lam = np.linspace(0.0, 5.0, 400001)
     ref = float(np.min(0.5 * (x - lam) ** 2 + lam / (2 * (1 + lam))))
     assert penalty_value(p, x) == pytest.approx(ref, abs=1e-9)
-
-
-def test_config_round_trip():
-    p = PenaltySpec("mcp", gamma=2.0, a=1.5, weight=0.4)
-    assert PenaltySpec.from_config(p.to_config()) == p
-    with pytest.raises(ValidationError):
-        PenaltySpec.from_config({"kind": "l1", "bogus": 1})

@@ -505,7 +505,7 @@ def test_logistic_fused_lasso_balanced_zero():
     y = np.full(6, 2.0)
     m = np.full(6, 4.0)
     beta = logistic_fused_lasso(y, m, np.zeros(5),
-                                cfg=SolverConfig(tol=1e-12))
+                                cfg=SolverConfig(tol=1e-12)).beta
     np.testing.assert_allclose(beta, np.zeros(6), atol=1e-8)
 
 
@@ -514,7 +514,7 @@ def test_logistic_fused_lasso_pooled_limit():
     m = np.full(8, 10.0)
     y = rng.integers(2, 9, size=8).astype(float)
     beta = logistic_fused_lasso(y, m, np.full(7, 1e6),
-                                cfg=SolverConfig(max_iters=4000, tol=1e-14))
+                                cfg=SolverConfig(max_iters=4000, tol=1e-14)).beta
     pooled = np.log(np.sum(y) / (np.sum(m) - np.sum(y)))
     np.testing.assert_allclose(beta, np.full(8, pooled), atol=1e-6)
 
@@ -524,7 +524,7 @@ def test_logistic_fused_lasso_two_point_grid_oracle():
     m = np.array([10.0, 10.0])
     u = np.array([0.5])
     beta = logistic_fused_lasso(y, m, u, cfg=SolverConfig(max_iters=5000,
-                                                          tol=1e-14))
+                                                          tol=1e-14)).beta
     grid = np.linspace(-3.0, 3.0, 1201)
     B1, B2 = np.meshgrid(grid, grid, indexing="ij")
     obj = (m[0] * np.logaddexp(0, B1) - y[0] * B1
