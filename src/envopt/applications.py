@@ -277,10 +277,6 @@ def fit_qrtf(y, q: float, k: int, lam: float,
 # Fused double-Pareto binomial smoothing
 
 
-def _logit_nll(y, m, beta):
-    return float(np.sum(m * np.logaddexp(0.0, beta) - y * beta))
-
-
 def binomial_fused_lasso(y, m, lam: float, init=None,
                          cfg: Optional[SolverConfig] = None) -> FitResult:
     """Binomial logit fit with a constant l1 penalty on first differences;
@@ -290,7 +286,8 @@ def binomial_fused_lasso(y, m, lam: float, init=None,
     n = y.shape[0]
     inner = logistic_fused_lasso(y, m_arr, np.full(n - 1, lam), init=init, cfg=cfg)
     beta = inner.beta
-    obj = _logit_nll(y, m_arr, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
+    loss = LossSpec("binomial-logit", y=y, m=m_arr)
+    obj = loss_value(loss, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
     return FitResult(beta=beta, objective=obj, trace=inner.trace, iters=inner.iters,
                      converged=inner.converged, df=distinct_levels(beta))
 
@@ -315,20 +312,21 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
     if np.any(y < 0) or np.any(y > m_arr):
         raise ValidationError("need 0 <= y <= m")
+    loss = LossSpec("binomial-logit", y=y, m=m_arr)
     n = y.shape[0]
     if lam == 0.0:
         # decoupled pointwise logit MLE, capped where y/m hits {0, 1}
         with np.errstate(divide="ignore"):
             beta = np.log(y) - np.log(m_arr - y)
         beta = np.clip(beta, -LOGIT_CAP, LOGIT_CAP)
-        obj = _logit_nll(y, m_arr, beta)
+        obj = loss_value(loss, beta)
         return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
                          iters=1, converged=True, df=distinct_levels(beta),
                          aux={"u": np.zeros(n - 1)})
 
     def objective(state):
         beta = state["beta"]
-        return _logit_nll(y, m_arr, beta) + lam * float(
+        return loss_value(loss, beta) + lam * float(
             np.sum(np.log1p(np.abs(np.diff(beta)) / a)))
 
     def u_step(state):
@@ -423,8 +421,9 @@ APP_TABLE = {
     "fdp": AppEntry(
         fit=lambda spec, y, m, cfg, init: fit_fdp(y, m, spec.lam, a=spec.a,
                                                   init=init, cfg=cfg),
-        loss=lambda spec, y, beta, m: _logit_nll(
-            y, np.broadcast_to(np.asarray(m, dtype=float), y.shape), beta),
+        loss=lambda spec, y, beta, m: loss_value(LossSpec(
+            "binomial-logit", y=y,
+            m=np.broadcast_to(np.asarray(m, dtype=float), y.shape)), beta),
         start=_chained_fused_lasso, columns=("x", "y", "m"),
         truth=lambda spec, data: data.get("truth_logodds"), params=("a",)),
 }

@@ -3,8 +3,10 @@
 CSV schemas (exact headers) come from ``envopt.applications``:
 
   simulate       -> the ``Dataset`` columns in order: x, y, m (fdp), truths.
-  fit/path input -> ``APP_TABLE[app].columns``, plus any other distinct
-                    columns (such as the simulator truth), carried along.
+  fit/path input -> ``APP_TABLE[app].columns``, which must be numeric,
+                    plus any other distinct columns (such as the
+                    simulator truth): numeric ones are carried along,
+                    the rest (ids, labels) are skipped.
   path selected  -> x,y,fitted and, when ``APP_TABLE[app].truth`` finds
                     it in the input, truth.
 
@@ -24,7 +26,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,16 +74,6 @@ class RunManifest:
         }
 
 
-def thread_cap() -> int:
-    """How many validation suites ``check --suite all`` runs at once, from
-    the environment variable ``HIERDUALS_THREADS`` (default 1)."""
-    raw = os.environ.get("HIERDUALS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -128,10 +119,11 @@ def _read_csv(path: str, required):
     data = {}
     for j, name in enumerate(header):
         try:
-            col = np.array([float(r[j]) for r in rows])
+            data[name] = np.array([float(r[j]) for r in rows])
         except (ValueError, IndexError) as e:
-            raise ValidationError(f"{path}: column {name!r} is not numeric: {e}")
-        data[name] = col
+            # extra columns that are not numeric (ids, labels) are skipped
+            if name in required:
+                raise ValidationError(f"{path}: column {name!r} is not numeric: {e}")
     for name in required:
         if not np.all(np.isfinite(data[name])):
             raise ValidationError(f"{path}: non-finite values in column {name!r}")
@@ -271,15 +263,7 @@ def cmd_path(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    names = (["envelope", "conjugate", "prox", "solver"]
-             if args.suite == "all" else [args.suite])
-    cap = thread_cap()
-    if cap > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            chunks = list(pool.map(lambda s: run_suite(s, args.tol), names))
-    else:
-        chunks = [run_suite(s, args.tol) for s in names]
-    results = [r for chunk in chunks for r in chunk]
+    results = run_suite(args.suite, args.tol)
     all_pass = all(r["passed"] for r in results)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"

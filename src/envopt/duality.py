@@ -214,7 +214,7 @@ def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
     x = np.asarray(x, dtype=float)
     if tag in _NONNEG_TAGS and np.any(lam < 0):
         raise ValidationError(f"family {tag!r} requires lam >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if tag == "exponential":
             out = lam * np.abs(x) - dual(lam)
         elif tag == "gaussian-scale":
@@ -270,19 +270,9 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
 
 def _integrand_matrix(family, dual, x_col, lam_grid):
     """Integrand over a (B, count) lam grid for the column of x values."""
-    tag = family.tag
-    x = x_col[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if tag == "exponential":
-            return lam_grid * np.abs(x) - dual(lam_grid)
-        if tag == "gaussian-scale":
-            return 0.5 * lam_grid * x**2 - dual(lam_grid)
-        if tag == "gaussian-location":
-            return 0.5 * (x - lam_grid) ** 2 + dual(lam_grid)
-        if tag == "variance-mean":
-            kappa = family.drift
-            return 0.5 * lam_grid * (x - kappa / lam_grid) ** 2 - dual(lam_grid)
-    raise ValidationError("grid checks support scalar families only")
+    if family.tag == "multivariate-location":
+        raise ValidationError("grid checks support scalar families only")
+    return envelope_integrand(family, dual, x_col[:, None], lam_grid)
 
 
 @dataclass(frozen=True)
@@ -302,19 +292,14 @@ class EnvelopeReport:
 
 def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
                             tol: float = 1e-6, grid: Optional[GridSpec] = None,
-                            lambda_hat: Optional[Callable] = None,
-                            lambda_tol: float = 0.0) -> EnvelopeReport:
+                            lambda_hat: Optional[Callable] = None) -> EnvelopeReport:
     """Compare ``target(x)`` with the grid-refined envelope infimum.
 
     ``max_gap`` is the largest absolute difference over ``x_grid``
     between the target and ``min_lam integrand``.  When ``lambda_hat``
     is supplied, the report also says whether the closed-form update
     matches the numeric argmin within the final grid spacing at every x.
-    ``lambda_tol`` widens that agreement tolerance; a numerically
-    computed dual has an argmin noise floor near sqrt(dual error /
-    integrand curvature), which no grid refinement can beat, so members
-    with numeric duals must pass their floor here.  Failures are
-    reported, never raised.
+    Failures are reported, never raised.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
@@ -339,8 +324,7 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
         max_dev = float(np.max(dev))
         # 1 ulp headroom: the argmin lands on grid points, the closed form
         # does not.
-        agrees = bool(np.all(dev <= np.maximum(spacing * (1.0 + 1e-9), lambda_tol)
-                             + 1e-15))
+        agrees = bool(np.all(dev <= spacing * (1.0 + 1e-9) + 1e-15))
     return EnvelopeReport(
         max_gap=float(gaps[worst]),
         worst_x=float(x_arr[worst]),

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from . import duality
 from .errors import CapabilityError, ValidationError
 from .operators import soft_threshold
 
@@ -274,66 +273,89 @@ def huber_location_dual(delta: float = 1.0):
     return dual
 
 
-def _dedup_rows(fn):
-    """Evaluate a row-wise callable once when all matrix rows coincide.
+def _sech2(u):
+    """sech(u)^2 as 4e/(1+e)^2 with e = exp(-2|u|), so large |u| cannot
+    overflow."""
+    e = np.exp(-2.0 * np.abs(u))
+    return 4.0 * e / (1.0 + e) ** 2
 
-    The identity-check grids share their first refinement stage across
-    every x, so this turns a (B, count) evaluation into a (count,) one.
+
+def _bracketed_newton(g, dg, x, lo, hi, c):
+    """Elementwise root in ``[lo, hi]`` of ``g(x, c)``, which increases
+    through its root, by Newton steps from ``x`` (arrays of one shape).
+
+    Each step narrows an element's bracket by the sign of ``g``; a step
+    that leaves the bracket becomes a bisection.  An element stops when
+    its iterate stops moving, and every element after 100 steps.
     """
-
-    def wrapped(lam):
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim == 2 and lam.shape[0] > 1 and (lam == lam[0]).all():
-            return np.broadcast_to(fn(lam[0]), lam.shape)
-        return fn(lam)
-
-    return wrapped
+    shape = np.shape(x)
+    x, lo, hi, c = (np.array(np.broadcast_to(v, shape), dtype=float).ravel()
+                    for v in (x, lo, hi, c))
+    act = np.arange(x.size)
+    for _ in range(100):
+        if act.size == 0:
+            break
+        xa, ca = x[act], c[act]
+        gx = g(xa, ca)
+        la = np.where(gx <= 0.0, xa, lo[act])
+        ha = np.where(gx >= 0.0, xa, hi[act])
+        lo[act], hi[act] = la, ha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xa - gx / dg(xa, ca)
+        new = np.where((la <= step) & (step <= ha), step, 0.5 * (la + ha))
+        x[act] = new
+        # a step back onto an end of the bracket returns to a point
+        # already tried: the iterate has stopped moving (or cycles in
+        # the last bits)
+        act = act[(la < new) & (new < ha)]
+    return x.reshape(shape)
 
 
 def logcosh_scale_dual(m: float = 1.0):
-    """Numeric concave dual of theta(z) = m log cosh(sqrt(2z)/2).
+    """Concave dual of theta(z) = m log cosh(sqrt(2z)/2):
+    ``lam x^2/2 - logcosh(x, m)`` at the stationary point, where
+    ``u = x/2`` solves ``tanh(u)/u = 4 lam/m``; 0 for lam >= m/4 and
+    -inf for lam <= 0."""
+    if not m > 0:
+        raise ValidationError("logcosh scale dual requires m > 0")
 
-    The inner bracket tracks the stationary point z ~ m^2/(8 lam^2) so
-    the conjugate stays exact for small lam.
-    """
-
-    def theta(z):
-        return logcosh(np.sqrt(2.0 * np.maximum(z, 0.0)), m)
-
-    @_dedup_rows
     def dual(lam):
         lam = np.asarray(lam, dtype=float)
-        flat = np.atleast_1d(lam).ravel()
-        # tanh(u) < u gives the exact bound z_bar < m^2 / (8 lam^2)
-        with np.errstate(divide="ignore", over="ignore"):
-            hi = np.minimum(m**2 / (8.0 * flat**2 + 1e-300) + 1e-9, 1e12)
-        out = duality.conjugate_numeric_rowwise(
-            theta, flat, np.zeros_like(flat), hi, count=61, rounds=4,
-            sense="concave")
-        out = out.reshape(np.shape(lam))
-        return float(out) if np.ndim(lam) == 0 else out
+        out = np.where(lam > 0, 0.0, -np.inf)
+        inner = (lam > 0) & (lam < 0.25 * m)
+        lam_in = lam[inner]
+        r = 4.0 * lam_in / m
+        # r u - tanh(u) is convex on u >= 0 and vanishes at 0 and at the
+        # root, so Newton from u = 1/r (tanh < 1) falls to the root
+        # monotonically
+        u = _bracketed_newton(lambda u, r: r * u - np.tanh(u),
+                              lambda u, r: r - _sech2(u), 1.0 / r, 0.0, 1.0 / r, r)
+        x = 2.0 * u
+        out[inner] = 0.5 * lam_in * x * x - logcosh(x, m)
+        return float(out) if out.ndim == 0 else out
 
     return dual
 
 
 def logcosh_location_dual(m: float = 1.0):
-    """Numeric half-quadratic dual psi(lam) = sup_x {-(x-lam)^2/2 +
-    m log cosh(x/2)} (requires m <= 4 for the envelope to be tight)."""
+    """Half-quadratic dual psi(lam) = sup_x {-(x-lam)^2/2 + logcosh(x, m)},
+    evaluated at the root of ``x - lam = (m/2) tanh(x/2)``.  That root
+    lies in ``[lam - m/2, lam + m/2]`` and is unique only for
+    ``0 < m <= 4``, the range where the envelope is tight."""
+    if not 0 < m <= 4:
+        raise ValidationError("logcosh location dual requires 0 < m <= 4")
+    half = 0.5 * m
 
-    @_dedup_rows
     def dual(lam):
         lam = np.asarray(lam, dtype=float)
-        flat = np.atleast_1d(lam).ravel()
-        # the stationary point satisfies |x - lam| = (m/2)|tanh(x/2)| < m/2
-        half = 0.5 * m + 1.0
-
-        def values_at(t):
-            return 0.5 * (t - flat[:, None]) ** 2 - logcosh(t, m)
-
-        vals, _, _ = duality._refined_min(
-            values_at, flat - half, flat + half, 61, 4)
-        out = (-vals).reshape(np.shape(lam))
-        return float(out) if np.ndim(lam) == 0 else out
+        # the root has the sign of lam, and x - lam - (m/2) tanh(x/2) is
+        # convex for x > 0 and concave for x < 0, so Newton from the
+        # bracket end on that side approaches the root monotonically
+        x = _bracketed_newton(lambda x, lam: x - lam - half * np.tanh(0.5 * x),
+                              lambda x, lam: 1.0 - 0.5 * half * _sech2(0.5 * x),
+                              lam + half * np.sign(lam), lam - half, lam + half, lam)
+        out = logcosh(x, m) - 0.5 * (x - lam) ** 2
+        return float(out) if out.ndim == 0 else out
 
     return dual
 

@@ -217,3 +217,47 @@ def test_check_prox_suite_cli(capsys):
     assert run(["check", "--suite", "prox"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_non_numeric_extra_column_is_skipped(tmp_path):
+    data = tmp_path / "labelled.csv"
+    data.write_text("x,y,label\n0.1,1.0,a\n0.2,2.0,b\n0.3,3.0,c\n")
+    out = tmp_path / "f.json"
+    assert run(["fit", "--app", "rfl", "--data", data, "--lam", 1.0,
+                "--out", out]) == 0
+    assert len(json.loads(out.read_text())["beta"]) == 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y,label\n0.1,1.0,a\n0.2,two,b\n0.3,3.0,c\n")
+    assert run(["fit", "--app", "rfl", "--data", bad, "--lam", 1.0,
+                "--out", tmp_path / "g.json"]) == 2
+
+
+CHECK_ROWS = [
+    *[f"{m}/exponential" for m in ("double-pareto(g=1,a=1)", "mcp(g=1,a=3)",
+                                   "l1(w=1)")],
+    "ridge(w=1)/gaussian-scale",
+    "huber(delta=1)/gaussian-location",
+    "limited-translation/gaussian-location",
+    "logcosh(m=1)/gaussian-scale",
+    "logcosh(m=1)/gaussian-location",
+    "logcosh(m=4)/gaussian-scale",
+    "logcosh(m=4)/gaussian-location",
+    *[f"check(q={q})/variance-mean" for q in (0.1, 0.5, 0.9)],
+    "double-pareto dual vs grid (lam in [0.01, 2g])",
+    "mcp corrected dual vs grid (lam in [0, 2g])",
+    *[f"double conjugation: {m}" for m in ("huber", "limited-translation",
+                                           "logcosh(m=1)", "logcosh(m=4)")],
+    "prox vs grid oracle (200 draws)",
+    "fused-lasso DP vs long-run ADMM (50)",
+    "trend-filter KKT residual (k in {1,2})",
+    "proximal gradient vs long-run oracle (5)",
+    "proximal gradient fixed-point residual",
+]
+
+
+def test_check_all_suites_cli(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["check", "--suite", "all", "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert [r["name"] for r in report["results"]] == CHECK_ROWS
+    assert all(r["passed"] for r in report["results"]) and report["pass"]

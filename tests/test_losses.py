@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -203,6 +205,46 @@ def test_logcosh_envelopes(m):
         GAUSSIAN_LOCATION, logcosh_location_dual(m), lambda x: logcosh(x, m),
         np.linspace(-6.0, 6.0, 121), grid=GridSpec(-16.0, 16.0, 241, 3))
     assert loc.max_gap <= 1e-6
+
+
+@pytest.mark.parametrize("m", [1.0, 4.0])
+def test_logcosh_duals_match_grid_conjugate(m):
+    # second oracle: each dual recomputed from its definition by a zoomed
+    # grid search over x, never through the stationarity conditions
+    from envopt.duality import _refined_min
+
+    def grid_inf(integrand, lam, lo, hi):
+        vals, _, _ = _refined_min(lambda x: integrand(x, lam[:, None]),
+                                  lo, hi, 201, 8)
+        return vals
+
+    lam_s = np.concatenate([[1e-6], 0.25 * m * np.linspace(0.01, 1.0, 34),
+                            0.25 * m * np.array([1.0 + 1e-9, 1.5, 2.0, 10.0])])
+    lam_l = np.linspace(-50.0, 50.0, 401)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = logcosh_scale_dual(m)(lam_s)
+        scale_at_zero = logcosh_scale_dual(m)(0.0)
+        loc = logcosh_location_dual(m)(lam_l)
+    # the scale minimizer lies below m/(2 lam), since tanh(u) < 1
+    oracle_s = grid_inf(lambda x, lam: 0.5 * lam * x**2 - logcosh(x, m), lam_s,
+                        np.zeros_like(lam_s), np.maximum(m / (2.0 * lam_s), 4.0))
+    oracle_l = -grid_inf(lambda x, lam: 0.5 * (x - lam) ** 2 - logcosh(x, m),
+                         lam_l, lam_l - 0.5 * m - 1.0, lam_l + 0.5 * m + 1.0)
+    assert scale_at_zero == -np.inf
+    assert np.all(scale[lam_s >= 0.25 * m] == 0.0)
+    for new, oracle in ((scale, oracle_s), (loc, oracle_l)):
+        assert np.all(np.abs(new - oracle) <= 1e-11 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_logcosh_duals_reject_bad_m():
+    for m in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError):
+            logcosh_scale_dual(m)
+    # the location root is unique only for 0 < m <= 4
+    for m in (0.0, -1.0, 4.5, np.nan):
+        with pytest.raises(ValidationError):
+            logcosh_location_dual(m)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
