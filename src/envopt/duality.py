@@ -145,6 +145,24 @@ def _refined_min(values_at, lo, hi, count, rounds):
     return vals[rows, idx], grid[rows, idx], (hi - lo) / (count - 1)
 
 
+# Rows per block keep each grid temporary at 8192 floats (64 KiB), under the
+# 128 KiB from which glibc's malloc maps every array afresh: one (5025, 201)
+# grid spent a quarter of the conjugate suite in page faults.
+_BLOCK_ELEMS = 8192
+
+
+def _blocked_min(values_at, lo, hi, count, rounds):
+    """:func:`_refined_min` over blocks of rows, which are independent, so
+    no result changes; ``values_at(rows, grid)`` gets the block's slice."""
+    out = np.empty((3, lo.shape[0]))
+    step = max(1, _BLOCK_ELEMS // count)
+    for start in range(0, lo.shape[0], step):
+        rows = slice(start, start + step)
+        out[:, rows] = _refined_min(lambda g: values_at(rows, g), lo[rows], hi[rows],
+                                    count, rounds)
+    return out
+
+
 def conjugate_numeric(f, lam, grid: GridSpec, sense: str = "convex"):
     """Grid-refined Fenchel conjugate of a scalar function.
 
@@ -156,19 +174,8 @@ def conjugate_numeric(f, lam, grid: GridSpec, sense: str = "convex"):
     if sense not in ("convex", "concave"):
         raise ValidationError(f"unknown conjugate sense {sense!r}")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    shape = lam_arr.shape
-    lam_flat = lam_arr.ravel()
-    lo = np.full(lam_flat.shape, float(grid.lo))
-    hi = np.full(lam_flat.shape, float(grid.hi))
-    if sense == "convex":
-        def values_at(g):
-            return np.asarray(f(g), dtype=float) - lam_flat[:, None] * g
-    else:
-        def values_at(g):
-            return lam_flat[:, None] * g - np.asarray(f(g), dtype=float)
-    vals, _, _ = _refined_min(values_at, lo, hi, grid.count, grid.refinement_rounds)
-    out = -vals if sense == "convex" else vals
-    out = out.reshape(shape)
+    out = _conjugate_rows(f, lam_arr.ravel(), grid.lo, grid.hi, grid.count,
+                          grid.refinement_rounds, sense).reshape(lam_arr.shape)
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return float(out[0])
     return out
@@ -181,18 +188,23 @@ def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concav
     ``lam`` (the bracket must cover it for the result to be exact).
     """
     lam_arr = np.asarray(lam, dtype=float)
-    lam_flat = lam_arr.ravel()
+    return _conjugate_rows(f, lam_arr.ravel(), lo, hi, count, rounds,
+                           sense).reshape(lam_arr.shape)
+
+
+def _conjugate_rows(f, lam_flat, lo, hi, count, rounds, sense):
+    """Row-wise grid conjugate of ``f`` at each entry of ``lam_flat`` over
+    ``[lo, hi]`` (scalars or one bracket per entry)."""
     lo = np.broadcast_to(np.asarray(lo, dtype=float).ravel(), lam_flat.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float).ravel(), lam_flat.shape)
     if sense == "convex":
-        def values_at(g):
-            return np.asarray(f(g), dtype=float) - lam_flat[:, None] * g
+        def values_at(rows, g):
+            return np.asarray(f(g), dtype=float) - lam_flat[rows, None] * g
     else:
-        def values_at(g):
-            return lam_flat[:, None] * g - np.asarray(f(g), dtype=float)
-    vals, _, _ = _refined_min(values_at, lo, hi, count, rounds)
-    out = -vals if sense == "convex" else vals
-    return out.reshape(lam_arr.shape)
+        def values_at(rows, g):
+            return lam_flat[rows, None] * g - np.asarray(f(g), dtype=float)
+    vals, _, _ = _blocked_min(values_at, lo, hi, count, rounds)
+    return -vals if sense == "convex" else vals
 
 
 def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
@@ -259,10 +271,10 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
 
-    def values_at(g):
-        return _integrand_matrix(family, dual, x_arr, g)
+    def values_at(rows, g):
+        return _integrand_matrix(family, dual, x_arr[rows], g)
 
-    _, arg, _ = _refined_min(values_at, lo, hi, grid.count, grid.refinement_rounds)
+    _, arg, _ = _blocked_min(values_at, lo, hi, grid.count, grid.refinement_rounds)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(arg[0])
     return arg
@@ -309,10 +321,10 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
 
-    def values_at(g):
-        return _integrand_matrix(family, dual, x_arr, g)
+    def values_at(rows, g):
+        return _integrand_matrix(family, dual, x_arr[rows], g)
 
-    vals, args, spacing = _refined_min(values_at, lo, hi, grid.count,
+    vals, args, spacing = _blocked_min(values_at, lo, hi, grid.count,
                                        grid.refinement_rounds)
     gaps = np.abs(np.asarray(target(x_arr), dtype=float) - vals)
     worst = int(np.argmax(gaps))
