@@ -166,22 +166,17 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
     loss = LossSpec("huber", y=y)
     n = y.shape[0]
 
-    def objective(state):
-        beta = state["beta"]
+    def objective(beta):
         return loss_value(loss, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
 
-    def u_step(state):
-        return {"beta": state["beta"],
-                "u": location_envelope_update(loss, state["beta"])}
+    def huber_shift(beta):
+        return location_envelope_update(loss, beta)
 
-    def beta_step(state):
-        u = state["u"]
-        beta = weighted_fused_lasso(y - u, np.ones(n), np.full(n - 1, lam))
-        return {"beta": beta, "u": u}
+    def fused_lasso(u, beta):
+        return weighted_fused_lasso(y - u, np.ones(n), np.full(n - 1, lam))
 
     init_beta = y.copy() if init is None else np.array(init, dtype=float).copy()
-    fit = mm_driver(objective, [("huber-shift", u_step), ("fused-lasso", beta_step)],
-                    {"beta": init_beta, "u": np.zeros(n)}, cfg)
+    fit = mm_driver(objective, huber_shift, fused_lasso, init_beta, cfg)
     fit.df = distinct_levels(fit.beta)
     fit.aux["u"] = location_envelope_update(loss, fit.beta)
     return fit
@@ -202,8 +197,7 @@ def fused_lasso_gaussian(y, lam: float) -> FitResult:
 
 
 def fit_qrtf(y, q: float, k: int, lam: float,
-             cfg: Optional[SolverConfig] = None, init=None,
-             clamp: float = 1e6) -> FitResult:
+             cfg: Optional[SolverConfig] = None, init=None) -> FitResult:
     """Check-loss trend filtering at quantile ``q``, order ``k``.
 
     Each cycle forms the variance-mean weights/working responses and
@@ -224,11 +218,8 @@ def fit_qrtf(y, q: float, k: int, lam: float,
     loss = LossSpec("check", y=y, q=q)
     D = diff_matrix(y.shape[0], k)
 
-    def true_objective(beta):
+    def objective(beta):
         return loss_value(loss, beta) + lam * float(np.sum(np.abs(D.apply(beta))))
-
-    def objective(state):
-        return true_objective(state["beta"])
 
     admm_state: dict = {}
     totals = {"calls": 0, "iters": 0, "capped": 0}
@@ -240,33 +231,26 @@ def fit_qrtf(y, q: float, k: int, lam: float,
         totals["capped"] += not admm["converged"]  # stopped at inner_max_iters
         return beta
 
-    def weight_step(state):
-        omega, z = variance_mean_update(loss, state["beta"], clamp=clamp)
-        return {"beta": state["beta"], "omega": omega, "z": z}
+    def variance_mean_weights(beta):
+        return variance_mean_update(loss, beta)
 
-    def beta_step(state):
-        cand = solve(state["z"], state["omega"], admm_state)
-        out = dict(state)
-        if true_objective(cand) <= true_objective(state["beta"]):
-            out["beta"] = cand
-        return out
+    def safeguarded_trend_filter(weights, beta):
+        omega, z = weights
+        cand = solve(z, omega, admm_state)
+        return cand if objective(cand) <= objective(beta) else beta
 
     if init is None:
         init_beta = solve(y, np.ones_like(y), {})
     else:
         init_beta = np.array(init, dtype=float).copy()
-    omega0, z0 = variance_mean_update(loss, init_beta, clamp=clamp)
-    fit = mm_driver(objective,
-                    [("variance-mean-weights", weight_step),
-                     ("weighted-trend-filter", beta_step)],
-                    {"beta": init_beta, "omega": omega0, "z": z0}, cfg)
+    fit = mm_driver(objective, variance_mean_weights, safeguarded_trend_filter,
+                    init_beta, cfg)
     # knots are resolved only down to the inner solver's primal residual
     scale = max(1.0, float(np.max(np.abs(fit.beta))))
     knot_tol = max(1e-6 * scale, 3.0 * admm_state.get("primal_res_inf", 0.0))
     fit.df = count_knots(fit.beta, k, rtol=knot_tol / scale) + k + 1
     fit.aux["knot_tol"] = knot_tol
-    fit.aux["omega"], fit.aux["z"] = variance_mean_update(loss, fit.beta,
-                                                          clamp=clamp)
+    fit.aux["omega"], fit.aux["z"] = variance_mean_update(loss, fit.beta)
     fit.aux["admm"] = {kk: admm_state.get(kk) for kk in
                        ("iters", "converged", "primal_res", "dual_res", "rho")}
     fit.aux["admm"]["total"] = totals
@@ -279,17 +263,9 @@ def fit_qrtf(y, q: float, k: int, lam: float,
 
 def binomial_fused_lasso(y, m, lam: float, init=None,
                          cfg: Optional[SolverConfig] = None) -> FitResult:
-    """Binomial logit fit with a constant l1 penalty on first differences;
-    ``iters``, ``trace`` and ``converged`` are those of its MM loop."""
-    y = np.asarray(y, dtype=float)
-    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
-    n = y.shape[0]
-    inner = logistic_fused_lasso(y, m_arr, np.full(n - 1, lam), init=init, cfg=cfg)
-    beta = inner.beta
-    loss = LossSpec("binomial-logit", y=y, m=m_arr)
-    obj = loss_value(loss, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
-    return FitResult(beta=beta, objective=obj, trace=inner.trace, iters=inner.iters,
-                     converged=inner.converged, df=distinct_levels(beta))
+    """Binomial logit fit with a constant l1 penalty on first differences:
+    :func:`logistic_fused_lasso` with every edge weight ``lam``."""
+    return logistic_fused_lasso(y, m, lam, init=init, cfg=cfg)
 
 
 def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
@@ -324,35 +300,30 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
                          iters=1, converged=True, df=distinct_levels(beta),
                          aux={"u": np.zeros(n - 1)})
 
-    def objective(state):
-        beta = state["beta"]
+    def objective(beta):
         return loss_value(loss, beta) + lam * float(
             np.sum(np.log1p(np.abs(np.diff(beta)) / a)))
 
-    def u_step(state):
-        u = lam / (a + np.abs(np.diff(state["beta"])))
-        return {"beta": state["beta"], "u": u}
+    def log_penalty_weights(beta):
+        return lam / (a + np.abs(np.diff(beta)))
 
     inner_cfg = SolverConfig(max_iters=cfg.inner_max_iters, tol=cfg.inner_tol,
                              record_trace=False)
 
     inner = {"calls": 0, "capped": 0}
 
-    def beta_step(state):
-        sub = logistic_fused_lasso(y, m_arr, state["u"], init=state["beta"],
-                                   cfg=inner_cfg)
+    def logistic_fused_lasso_step(u, beta):
+        sub = logistic_fused_lasso(y, m_arr, u, init=beta, cfg=inner_cfg)
         inner["calls"] += 1
         inner["capped"] += not sub.converged
-        return {"beta": sub.beta, "u": state["u"]}
+        return sub.beta
 
     if init is None:
         init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
     else:
         init_beta = np.array(init, dtype=float).copy()
-    fit = mm_driver(objective,
-                    [("log-penalty-weights", u_step),
-                     ("logistic-fused-lasso", beta_step)],
-                    {"beta": init_beta, "u": np.zeros(n - 1)}, cfg)
+    fit = mm_driver(objective, log_penalty_weights, logistic_fused_lasso_step,
+                    init_beta, cfg)
     fit.converged = fit.converged and inner["capped"] == 0
     fit.df = distinct_levels(fit.beta)
     fit.aux["u"] = lam / (a + np.abs(np.diff(fit.beta)))

@@ -120,6 +120,12 @@ class GridSpec:
             raise ValidationError("GridSpec requires refinement_rounds >= 0")
 
 
+def _float_if_scalar(out):
+    """``out`` as a Python float when it is 0-d, else unchanged: the
+    package's functions of one scalar return a float."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _refined_min(values_at, lo, hi, count, rounds):
     """Row-wise grid minimization with zoom refinement.
 
@@ -236,9 +242,7 @@ def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
         else:  # variance-mean
             kappa = family.drift
             out = 0.5 * lam * (x - kappa / lam) ** 2 - dual(lam)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
+from .duality import _float_if_scalar
 from .errors import CapabilityError, ValidationError
 from .operators import soft_threshold
 
@@ -49,6 +50,9 @@ LOSS_KINDS = ("gaussian", "huber", "check", "binomial-logit")
 # Seed for the power-iteration start vector; fixed so bounds are
 # deterministic for fixed inputs.
 _POWER_SEED = 0x5EED
+
+# Cap on the variance-mean weights 1/|r|, reached at (near-)exact fits.
+_WEIGHT_CLAMP = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +130,7 @@ def huber(x, delta: float = 1.0):
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.where(ax < delta, 0.5 * x**2, delta * ax - 0.5 * delta**2)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
 def huber_deriv(x, delta: float = 1.0):
@@ -136,7 +140,7 @@ def huber_deriv(x, delta: float = 1.0):
 def check_value(x, q: float):
     x = np.asarray(x, dtype=float)
     out = np.abs(x) + (2.0 * q - 1.0) * x
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
 def logcosh(x, m: float = 1.0):
@@ -144,7 +148,7 @@ def logcosh(x, m: float = 1.0):
     x = np.asarray(x, dtype=float)
     au = np.abs(0.5 * x)
     out = m * (au + np.log1p(np.exp(-2.0 * au)) - np.log(2.0))
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
 def loss_value(l: LossSpec, beta) -> float:
@@ -220,20 +224,18 @@ def location_envelope_update(l: LossSpec, beta) -> np.ndarray:
     return soft_threshold(r, l.delta)
 
 
-def variance_mean_update(l: LossSpec, beta, clamp: float = 1e6):
+def variance_mean_update(l: LossSpec, beta):
     """Quantile weights and working responses.
 
-    omega_i = min(1/|r_i|, clamp) and z_i = y_i - (1-2q)/omega_i; the
+    omega_i = min(1/|r_i|, 1e6) and z_i = y_i - (1-2q)/omega_i; the
     clamp absorbs exact fits without moving fixed points materially.
     """
     if l.kind != "check":
         raise CapabilityError("variance-mean update is a check-loss rule")
-    if not clamp > 0:
-        raise ValidationError("clamp must be positive")
     r = l.y - l.predict(beta)
     with np.errstate(divide="ignore"):
-        omega = np.minimum(1.0 / np.abs(r), clamp)
-    omega = np.where(np.isnan(omega), clamp, omega)
+        omega = np.minimum(1.0 / np.abs(r), _WEIGHT_CLAMP)
+    omega = np.where(np.isnan(omega), _WEIGHT_CLAMP, omega)
     z = l.y - (1.0 - 2.0 * l.q) / omega
     return omega, z
 
@@ -243,7 +245,7 @@ def check_lambda_hat(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         out = 1.0 / np.abs(x)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
 def logit_scale_lambda(x, m=1.0):
@@ -254,7 +256,7 @@ def logit_scale_lambda(x, m=1.0):
     safe = np.where(small, 1.0, u)
     ratio = np.where(small, 1.0 - u**2 / 3.0, np.tanh(safe) / safe)
     out = 0.25 * np.asarray(m, dtype=float) * ratio
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def huber_location_dual(delta: float = 1.0):
     def dual(lam):
         lam = np.asarray(lam, dtype=float)
         out = delta * np.abs(lam)
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(out)
 
     return dual
 
@@ -322,9 +324,14 @@ def logcosh_scale_dual(m: float = 1.0):
     def dual(lam):
         lam = np.asarray(lam, dtype=float)
         out = np.where(lam > 0, 0.0, -np.inf)
-        inner = (lam > 0) & (lam < 0.25 * m)
-        lam_in = lam[inner]
-        r = 4.0 * lam_in / m
+        r = 4.0 * lam / m
+        # x = 2/r overflows near r = 1e-308; below r = 1e-300, tanh(1/r)
+        # is 1 in floating point, so the root is u = 1/r and the value
+        # its limit -m^2/(8 lam) + m log 2
+        far = (lam > 0) & (r < 1e-300)
+        out[far] = -(0.125 * m * m) / lam[far] + m * np.log(2.0)
+        inner = (r >= 1e-300) & (lam < 0.25 * m)
+        lam_in, r = lam[inner], r[inner]
         # r u - tanh(u) is convex on u >= 0 and vanishes at 0 and at the
         # root, so Newton from u = 1/r (tanh < 1) falls to the root
         # monotonically
@@ -332,7 +339,7 @@ def logcosh_scale_dual(m: float = 1.0):
                               lambda u, r: r - _sech2(u), 1.0 / r, 0.0, 1.0 / r, r)
         x = 2.0 * u
         out[inner] = 0.5 * lam_in * x * x - logcosh(x, m)
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(out)
 
     return dual
 
@@ -355,7 +362,7 @@ def logcosh_location_dual(m: float = 1.0):
                               lambda x, lam: 1.0 - 0.5 * half * _sech2(0.5 * x),
                               lam + half * np.sign(lam), lam - half, lam + half, lam)
         out = logcosh(x, m) - 0.5 * (x - lam) ** 2
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(out)
 
     return dual
 
@@ -372,6 +379,6 @@ def check_variance_mean_dual(q: float):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(divide="ignore"):
             out = np.where(lam > 0, (kappa**2 - 1.0) / (2.0 * lam), -np.inf)
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(out)
 
     return dual

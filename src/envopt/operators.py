@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import GridSpec, _refined_min
+from .duality import GridSpec, _float_if_scalar, _refined_min
 from .errors import ValidationError
 
 __all__ = [
@@ -119,9 +119,7 @@ def soft_threshold(y, lam):
         raise ValidationError("soft_threshold requires lam >= 0")
     y_arr = np.asarray(y, dtype=float)
     out = np.sign(y_arr) * np.maximum(np.abs(y_arr) - lam_arr, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duality
-from .duality import GridSpec, conjugate_numeric
+from .duality import GridSpec, _float_if_scalar, conjugate_numeric
 from .errors import CapabilityError, ValidationError
 
 __all__ = [
@@ -137,9 +137,7 @@ def penalty_deriv(p: PenaltySpec, x):
         out = sgn * p.weight * np.maximum(p.gamma - ax / p.a, 0.0)
     else:  # limited-translation
         out = p.weight * np.where(ax < np.sqrt(2.0), x_arr, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 def penalty_dual(p: PenaltySpec, lam, grid: GridSpec | None = None):
@@ -181,9 +179,7 @@ def penalty_dual(p: PenaltySpec, lam, grid: GridSpec | None = None):
             grid = GridSpec(0.0, 50.0)
         out = np.asarray(conjugate_numeric(lambda t: penalty_value(p, t),
                                            lam_arr, grid, sense="concave"))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 _FAMILY_COMPAT = {
@@ -223,9 +219,7 @@ def lambda_hat(p: PenaltySpec, x, family) -> float:
         out = np.minimum(np.where(ax == 0, limit, ratio), LAMBDA_CAP)
     else:  # gaussian-location
         out = x_arr - penalty_deriv(p, x_arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)
 
 
 def _pick_candidates(cands, objs):
@@ -310,7 +304,7 @@ def prox(p: PenaltySpec, u, s):
     return out.reshape(u_arr.shape)
 
 
-def scale_dual(p: PenaltySpec, z_hi: float = 200.0):
+def scale_dual(p: PenaltySpec):
     """Concave dual of theta(z) = phi(sqrt(2z)) for the scale envelope.
 
     Closed forms for ridge, l1 and limited-translation; the concave kinds
@@ -346,7 +340,7 @@ def scale_dual(p: PenaltySpec, z_hi: float = 200.0):
 
     def dual(lam):
         lam = np.asarray(lam, dtype=float)
-        hi = np.maximum(z_hi, np.minimum(_strength(p) ** 2 / (2.0 * lam**2 + 1e-300), 1e10))
+        hi = np.maximum(200.0, np.minimum(_strength(p) ** 2 / (2.0 * lam**2 + 1e-300), 1e10))
         return duality.conjugate_numeric_rowwise(
             theta, lam, np.zeros_like(lam).ravel(), hi.ravel(), count=161, rounds=3,
             sense="concave").reshape(lam.shape)
@@ -397,6 +391,4 @@ def psi_specified_dual(lam):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = lam / (2.0 * (1.0 + lam))
     out = np.where(lam >= 0, val, np.inf)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(out)

@@ -11,8 +11,10 @@ Contents:
   the difference operator of order k+1.
 * :func:`proximal_gradient` -- fixed-step forward-backward iteration for
   separable penalized likelihoods.
-* :func:`mm_driver` -- generic majorize/minimize loop with per-step
-  monotonicity enforcement.
+* :func:`mm_driver` -- the majorize/minimize loop of every envelope fit:
+  each cycle is a closed-form envelope update ``update(beta) -> aux``
+  followed by the subproblem solve ``solve(aux, beta) -> beta``, with one
+  objective evaluation and a monotonicity check per cycle.
 * :func:`logistic_fused_lasso` -- curvature-bound majorization reducing
   each step to a weighted fused lasso.
 
@@ -37,7 +39,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
@@ -67,15 +69,12 @@ class SolverConfig:
     """Iteration budgets and tolerances shared by the drivers.
 
     ``tol`` is relative objective change |f_t - f_{t+1}| / max(1, |f_t|).
-    ``admm_rho`` of None means auto (start at the penalty level and
-    rebalance).
     """
 
     max_iters: int = 500
     tol: float = 1e-8
     inner_max_iters: int = 2000
     inner_tol: float = 1e-10
-    admm_rho: Optional[float] = None
     record_trace: bool = True
 
     def __post_init__(self):
@@ -366,7 +365,7 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         return z.copy()
 
     D = diff_matrix(n, k)
-    rho = float(state.get("rho") or cfg.admm_rho or max(float(np.mean(lam_v)), 1e-8))
+    rho = float(state.get("rho") or max(float(np.mean(lam_v)), 1e-8))
     # copies of the warm start: the C loop overwrites alpha and w in place
     alpha, w = state.get("alpha"), state.get("w")
     if alpha is None or alpha.shape != (m,):
@@ -475,23 +474,20 @@ def trend_filter_kkt_residual(beta, z, omega, k: int, lam) -> float:
 
 
 def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
-                      cfg: Optional[SolverConfig] = None,
-                      step: Optional[float] = None,
-                      backtracking: bool = False) -> FitResult:
+                      cfg: Optional[SolverConfig] = None) -> FitResult:
     """Fixed-step forward-backward iteration for ``loss + sum_j phi(b_j)``.
 
     The step is ``a = 1/L`` with L the loss's gradient Lipschitz bound,
     so each iteration is an exact minimization of the separable quadratic
     majorizer: the objective trace is non-increasing.  ``aux['lambda']``
     records the location-envelope vector ``a^{-1} x - grad l(x)`` at
-    exit.  Optional backtracking halves the step while the majorization
-    inequality fails.
+    exit.
     """
     cfg = cfg or SolverConfig()
     beta = np.array(init, dtype=float).copy()
     if beta.shape != (loss.dim,):
         raise ValidationError(f"init must have length {loss.dim}")
-    L = 1.0 / step if step else lipschitz_bound(loss)
+    L = lipschitz_bound(loss)
     if L <= 0:
         raise ValidationError("loss curvature bound must be positive")
     a = 1.0 / L
@@ -504,19 +500,7 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = loss_grad(loss, beta)
-        a_t = a
-        while True:
-            cand = prox(penalty, beta - a_t * g, 1.0 / a_t)
-            if not backtracking:
-                break
-            gap = loss_value(loss, cand) - (
-                loss_value(loss, beta) + g @ (cand - beta)
-                + np.dot(cand - beta, cand - beta) / (2.0 * a_t))
-            if gap <= 1e-12 * max(1.0, abs(obj)) or a_t < 1e-14:
-                break
-            a_t /= 2.0
-        beta = cand
+        beta = prox(penalty, beta - a * loss_grad(loss, beta), 1.0 / a)
         new = objective(beta)
         if cfg.record_trace:
             trace.append(new)
@@ -536,43 +520,40 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
 # Generic MM driver
 
 
-def mm_driver(objective: Callable, steps: Sequence, init,
+def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
               cfg: Optional[SolverConfig] = None) -> FitResult:
-    """Cyclic majorize/minimize loop with monotonicity enforcement.
+    """Majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
 
-    ``steps`` is an ordered sequence of ``(name, fn)`` pairs, each fn
-    mapping state to state and contracted to weakly decrease
-    ``objective``.  The objective is recorded once per full cycle; any
-    step that increases it beyond a 1e-10 relative slack aborts with
-    :class:`MonotonicityError` naming the offender.  The state must
-    carry the coefficient vector under key ``"beta"``.
+    ``update(beta)`` is the envelope update: it returns only the
+    auxiliary variables, so it cannot move ``beta`` or the objective.
+    ``solve(aux, beta)`` returns the next ``beta`` from the subproblem
+    those variables leave, and must not increase ``objective``.  The
+    objective is evaluated once per cycle and recorded in the trace; a
+    solve that increases it beyond a 1e-10 relative slack aborts with
+    :class:`MonotonicityError` naming the solve.  The loop stops when the
+    relative change falls to ``cfg.tol``.
     """
     cfg = cfg or SolverConfig()
-    state = init
-    obj = float(objective(state))
+    obj = float(objective(beta))
     trace = [obj]
-    slack = lambda f: 1e-10 * max(1.0, abs(f))
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        cycle_start = obj
-        for name, fn in steps:
-            state = fn(state)
-            new = float(objective(state))
-            if new > obj + slack(obj):
-                raise MonotonicityError(name, obj, new)
-            obj = new
+        beta = solve(update(beta), beta)
+        new = float(objective(beta))
+        if new > obj + 1e-10 * max(1.0, abs(obj)):
+            raise MonotonicityError(getattr(solve, "__name__", repr(solve)), obj, new)
         if cfg.record_trace:
-            trace.append(obj)
-        if abs(cycle_start - obj) <= cfg.tol * max(1.0, abs(cycle_start)):
+            trace.append(new)
+        done = abs(obj - new) <= cfg.tol * max(1.0, abs(obj))
+        obj = new
+        if done:
             converged = True
             break
-    beta = state["beta"] if isinstance(state, dict) else state
-    aux = {k: v for k, v in state.items() if k != "beta"} if isinstance(state, dict) else {}
-    beta_arr = np.asarray(beta, dtype=float)
-    return FitResult(beta=beta_arr, objective=obj, trace=np.asarray(trace),
+    beta = np.asarray(beta, dtype=float)
+    return FitResult(beta=beta, objective=obj, trace=np.asarray(trace),
                      iters=it, converged=converged,
-                     df=distinct_levels(np.atleast_1d(beta_arr)), aux=aux)
+                     df=distinct_levels(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +581,18 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     loss = LossSpec("binomial-logit", y=y, m=m_arr)
     omega = m_arr / 4.0
 
-    def objective(state):
-        beta = state["beta"]
+    def objective(beta):
         return loss_value(loss, beta) + float(np.sum(u * np.abs(np.diff(beta))))
 
-    def step(state):
-        beta = state["beta"]
-        g = loss_grad(loss, beta)
-        z = beta - g / omega
-        return {"beta": weighted_fused_lasso(z, omega, u)}
+    def working_response(beta):
+        return beta - loss_grad(loss, beta) / omega
+
+    def curvature_bound_fused_lasso(z, beta):
+        return weighted_fused_lasso(z, omega, u)
 
     init_beta = np.zeros(n) if init is None else np.array(init, dtype=float).copy()
-    return mm_driver(objective, [("curvature-bound-fused-lasso", step)],
-                     {"beta": init_beta}, cfg)
+    return mm_driver(objective, working_response, curvature_bound_fused_lasso,
+                     init_beta, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,17 @@ def test_logcosh_duals_match_grid_conjugate(m):
         assert np.all(np.abs(new - oracle) <= 1e-11 * np.maximum(1.0, np.abs(oracle)))
 
 
+@pytest.mark.parametrize("lam", [1e-309, 1e-305])
+def test_logcosh_scale_dual_tiny_lam_is_finite_limit(lam):
+    # m/(4 lam) overflows at lam = 1e-309; the root is u = m/(4 lam) to
+    # the last bit and the dual its limit -m^2/(8 lam) + m log 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = logcosh_scale_dual(1.0)(lam)
+    assert np.isfinite(val)
+    assert val == pytest.approx(-1.0 / (8.0 * lam) + np.log(2.0), rel=1e-12)
+
+
 def test_logcosh_duals_reject_bad_m():
     for m in (0.0, -1.0, np.nan):
         with pytest.raises(ValidationError):

@@ -443,35 +443,32 @@ def test_proximal_gradient_requires_capabilities():
 def test_mm_driver_exact_minimizer_one_cycle():
     y = np.array([4.0, -1.0])
 
-    def objective(state):
-        return float(np.sum((state["beta"] - y) ** 2))
+    def objective(beta):
+        return float(np.sum((beta - y) ** 2))
 
-    fit = mm_driver(objective, [("exact", lambda s: {"beta": y.copy()})],
-                    {"beta": np.zeros(2)}, SolverConfig())
+    fit = mm_driver(objective, lambda beta: None, lambda aux, beta: y.copy(),
+                    np.zeros(2), SolverConfig())
     assert fit.converged
     assert fit.iters <= 2
     np.testing.assert_array_equal(fit.beta, y)
 
 
 def test_mm_driver_scalar_log_penalty_fixed_point():
-    # alternating soft-threshold and concave-penalty reweighting on
+    # alternating concave-penalty reweighting and soft-thresholding on
     # 0.5*(3 - x)^2 + log(1 + |x|) reaches x = 1 + sqrt(3)
     y = 3.0
 
-    def objective(state):
-        x = state["beta"][0]
+    def objective(beta):
+        x = beta[0]
         return 0.5 * (y - x) ** 2 + np.log1p(abs(x))
 
-    def x_step(state):
-        lam = state["lam"]
-        return {"beta": np.array([soft_threshold(y, lam)]), "lam": lam}
+    def lam_update(beta):
+        return 1.0 / (1.0 + abs(beta[0]))
 
-    def lam_step(state):
-        x = state["beta"][0]
-        return {"beta": state["beta"], "lam": 1.0 / (1.0 + abs(x))}
+    def x_solve(lam, beta):
+        return np.array([soft_threshold(y, lam)])
 
-    fit = mm_driver(objective, [("x", x_step), ("lam", lam_step)],
-                    {"beta": np.array([0.0]), "lam": 1.0},
+    fit = mm_driver(objective, lam_update, x_solve, np.array([0.0]),
                     SolverConfig(max_iters=200, tol=1e-14))
     assert fit.beta[0] == pytest.approx(1.0 + np.sqrt(3.0), abs=1e-6)
     diffs = np.diff(fit.trace)
@@ -479,22 +476,36 @@ def test_mm_driver_scalar_log_penalty_fixed_point():
 
 
 def test_mm_driver_flat_objective_converges():
-    fit = mm_driver(lambda s: 1.0, [("noop", lambda s: s)],
-                    {"beta": np.zeros(2)}, SolverConfig())
+    fit = mm_driver(lambda beta: 1.0, lambda beta: None, lambda aux, beta: beta,
+                    np.zeros(2), SolverConfig())
     assert fit.converged
     assert np.all(fit.trace == 1.0)
 
 
 def test_mm_driver_raises_on_increase():
-    state = {"beta": np.array([0.0])}
-
-    def bad(s):
-        return {"beta": s["beta"] + 1.0}
+    def bad_step(aux, beta):
+        return beta + 1.0
 
     with pytest.raises(MonotonicityError) as err:
-        mm_driver(lambda s: float(s["beta"][0] ** 2), [("bad-step", bad)],
-                  state, SolverConfig())
-    assert "bad-step" in str(err.value)
+        mm_driver(lambda beta: float(beta[0] ** 2), lambda beta: None, bad_step,
+                  np.array([0.0]), SolverConfig())
+    assert "bad_step" in str(err.value)
+
+
+def test_mm_driver_evaluates_objective_once_per_cycle():
+    calls = []
+
+    def objective(beta):
+        calls.append(beta[0])
+        return 0.5 * (beta[0] - 1.0) ** 2
+
+    def half_step(step, beta):
+        return beta + step * (1.0 - beta)
+
+    fit = mm_driver(objective, lambda beta: 0.5, half_step, np.array([0.0]),
+                    SolverConfig(max_iters=50, tol=1e-6))
+    assert fit.iters > 1
+    assert len(calls) == fit.iters + 1
 
 
 # ---------------------------------------------------------------------------
