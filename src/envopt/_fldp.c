@@ -1,20 +1,24 @@
-/* Exact weighted 1-d fused lasso by message passing (Johnson 2013, JCGS).
+/* Exact weighted 1-d fused lasso by message passing (Johnson 2013, JCGS),
+   and the envelope MM loops built on it.
 
-   Minimizes sum_i (w_i/2)(z_i - b_i)^2 + sum_i u_i |b_{i+1} - b_i| and
-   writes the minimizer to beta[0..n-1].  This is envopt.solvers.
-   _fused_lasso_dp operation for operation; built without floating-point
-   contraction, it returns the same bits.  The caller validates the
-   inputs (n >= 2, w > 0, u >= 0, all finite).  Returns 0, or 1 when
-   the work arrays cannot be allocated. */
+   fused_lasso_dp minimizes sum_i (w_i/2)(z_i - b_i)^2 +
+   sum_i u_i |b_{i+1} - b_i| and writes the minimizer to beta[0..n-1].
+   This is envopt.solvers._fused_lasso_dp operation for operation; built
+   without floating-point contraction, it returns the same bits.  The
+   caller validates the inputs (n >= 2, w > 0, u >= 0, all finite).
+   Returns 0, or 1 when the work arrays cannot be allocated.
 
+   envelope_fused_lasso_mm runs a whole majorize/minimize loop whose
+   subproblem is that fused lasso; see its comment below. */
+
+#include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
-int fused_lasso_dp(const double *z, const double *w, const double *u,
-                   long n, double *beta)
+/* The DP on the caller's work array x of 8n - 2 doubles. */
+static void dp(const double *z, const double *w, const double *u, long n,
+               double *beta, double *x)
 {
-    double *x = calloc((size_t)(8 * n - 2), sizeof(double));
-    if (!x)
-        return 1;
     double *a = x + 2 * n, *b = a + 2 * n, *tm = b + 2 * n, *tp = tm + (n - 1);
     long l = n - 1, r = n, lo, hi, k;
     double alo, blo, ahi, bhi, afirst, bfirst, alast, blast;
@@ -80,6 +84,150 @@ int fused_lasso_dp(const double *z, const double *w, const double *u,
         else
             beta[k] = nxt;
     }
+}
+
+int fused_lasso_dp(const double *z, const double *w, const double *u,
+                   long n, double *beta)
+{
+    double *x = calloc((size_t)(8 * n - 2), sizeof(double));
+    if (!x)
+        return 1;
+    dp(z, w, u, n, beta, x);
     free(x);
     return 0;
+}
+
+/* The envelopes of envelope_fused_lasso_mm. */
+enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1 };
+
+/* Data loss plus sum_i u_i |b_{i+1} - b_i|: the Huber loss (threshold 1)
+   of y - b, or the binomial logit loss m log(1 + e^b) - y b with
+   log(1 + e^b) evaluated as numpy's logaddexp(0, b). */
+static double objective(int envelope, const double *y, const double *m,
+                        const double *u, long n, const double *beta)
+{
+    double loss = 0.0, pen = 0.0;
+    long i;
+    for (i = 0; i < n; i++) {
+        double b = beta[i];
+        if (envelope == HUBER_SHIFT) {
+            double r = fabs(y[i] - b);
+            loss += r < 1.0 ? 0.5 * r * r : r - 0.5;
+        } else {
+            double softplus;
+            if (b == 0.0)
+                softplus = log(2.0);
+            else if (b < 0.0)
+                softplus = log1p(exp(b));
+            else
+                softplus = b + log1p(exp(-b));
+            loss += m[i] * softplus - y[i] * b;
+        }
+    }
+    for (i = 0; i < n - 1; i++)
+        pen += u[i] * fabs(beta[i + 1] - beta[i]);
+    return loss + pen;
+}
+
+/* The closed-form envelope update at beta: the weights w (constant 1 for
+   the Huber shift, set by the caller) and the working responses z.
+   Huber shift: z = y - soft(y - b, 1).  Polya-Gamma: w = (m/2b) tanh(b/2),
+   the mean of the Polya-Gamma mixing variable, with its limit m/4 at
+   b = 0, and z = (y - m/2)/w.  Returns 0, or 2 when a weight is not
+   positive and finite or a working response is not finite. */
+static int update(int envelope, const double *y, const double *m, long n,
+                  const double *beta, double *w, double *z)
+{
+    long i;
+    for (i = 0; i < n; i++) {
+        if (envelope == HUBER_SHIFT) {
+            double r = y[i] - beta[i];
+            z[i] = y[i] - (r > 1.0 ? r - 1.0 : r < -1.0 ? r + 1.0 : 0.0);
+        } else {
+            double h = 0.5 * beta[i];
+            double ratio = fabs(h) < 1e-6 ? 1.0 - h * h / 3.0 : tanh(h) / h;
+            w[i] = 0.25 * m[i] * ratio;
+            if (!(w[i] > 0.0 && w[i] < HUGE_VAL))
+                return 2;
+            z[i] = (y[i] - m[i] / 2.0) / w[i];
+        }
+        if (!(fabs(z[i]) < HUGE_VAL))
+            return 2;
+    }
+    return 0;
+}
+
+/* One majorize/minimize loop: each cycle is the envelope update at beta,
+   then the exact weighted fused lasso on (z, w, u), then the objective.
+   This is envopt.solvers.mm_driver with the update and solve of
+   envopt.applications.fit_rfl (HUBER_SHIFT, u_i = lam, m unused) or
+   envopt.solvers.logistic_fused_lasso (POLYA_GAMMA), cycle for cycle: a
+   rise of the objective beyond 1e-10 relative stops the loop, and it
+   converges when the relative change |f_t - f_{t+1}| / max(1, |f_t|)
+   falls to tol.  When every u_i is 0 the solve returns z itself, as the
+   Python wrapper of the DP does.
+
+   beta holds the start on entry and the last iterate on return.
+   trace[0] is the starting objective and, when record is nonzero,
+   trace[t] the objective after cycle t (room for max_iters + 1 values).
+   info[0..3] are the cycles run, converged (0/1), the last accepted
+   objective and, after a rise, the objective that rose.  The caller
+   validates the inputs (n >= 1, y finite, 0 <= y <= m with m >= 1 for
+   POLYA_GAMMA, u >= 0 and finite, beta finite, max_iters >= 1).
+   Returns 0; 1 when the work arrays cannot be allocated; 2 when a
+   weight, a working response or the objective is not finite; 3 when the
+   objective rises. */
+int envelope_fused_lasso_mm(int envelope, const double *y, const double *m,
+                            const double *u, long n, double tol,
+                            long max_iters, int record, double *beta,
+                            double *trace, double *info)
+{
+    long i, it, cycles = 0;
+    int status = 0, converged = 0, coupled = 0;
+    double obj, next = 0.0;
+    double *w = calloc((size_t)(10 * n - 2), sizeof(double));
+    if (!w)
+        return 1;
+    double *z = w + n, *x = z + n;
+
+    for (i = 0; i < n - 1; i++)
+        coupled |= u[i] != 0.0;
+    if (envelope == HUBER_SHIFT)
+        for (i = 0; i < n; i++)
+            w[i] = 1.0;
+    obj = objective(envelope, y, m, u, n, beta);
+    trace[0] = obj;
+    if (!(fabs(obj) < HUGE_VAL))
+        status = 2;
+    for (it = 1; it <= max_iters && !status; it++) {
+        cycles = it;
+        status = update(envelope, y, m, n, beta, w, z);
+        if (status)
+            break;
+        if (coupled)
+            dp(z, w, u, n, beta, x);
+        else
+            memcpy(beta, z, (size_t)n * sizeof(double));
+        next = objective(envelope, y, m, u, n, beta);
+        if (!(fabs(next) < HUGE_VAL)) {
+            status = 2;
+            break;
+        }
+        if (next > obj + 1e-10 * fmax(1.0, fabs(obj))) {
+            status = 3;
+            break;
+        }
+        if (record)
+            trace[it] = next;
+        converged = fabs(obj - next) <= tol * fmax(1.0, fabs(obj));
+        obj = next;
+        if (converged)
+            break;
+    }
+    info[0] = (double)cycles;
+    info[1] = converged;
+    info[2] = obj;
+    info[3] = next;
+    free(w);
+    return status;
 }

@@ -39,8 +39,11 @@ from .losses import (
 from .solvers import (
     FitResult,
     SolverConfig,
+    _edge_weights,
+    _mm_start,
     count_knots,
     distinct_levels,
+    envelope_fused_lasso_mm,
     logistic_fused_lasso,
     mm_driver,
     weighted_fused_lasso,
@@ -155,7 +158,10 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
 
     Alternates the location shift u = soft-threshold(y - beta, 1) with an
     ordinary fused lasso on the working response y - u; each step is an
-    exact minimization, so the objective trace is monotone.
+    exact minimization, so the objective trace is monotone.  The loop runs
+    in the compiled kernel (``solvers.envelope_fused_lasso_mm``), or as
+    ``mm_driver`` with the same update and solve when the kernel did not
+    load.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -165,6 +171,8 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
         raise ValidationError("lam must be nonnegative")
     loss = LossSpec("huber", y=y)
     n = y.shape[0]
+    u = _edge_weights(lam, n)
+    init_beta = _mm_start(init, y, n)
 
     def objective(beta):
         return loss_value(loss, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
@@ -172,12 +180,12 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
     def huber_shift(beta):
         return location_envelope_update(loss, beta)
 
-    def fused_lasso(u, beta):
-        return weighted_fused_lasso(y - u, np.ones(n), np.full(n - 1, lam))
+    def fused_lasso(shift, beta):
+        return weighted_fused_lasso(y - shift, np.ones(n), u)
 
-    init_beta = y.copy() if init is None else np.array(init, dtype=float).copy()
-    fit = mm_driver(objective, huber_shift, fused_lasso, init_beta, cfg)
-    fit.df = distinct_levels(fit.beta)
+    fit = envelope_fused_lasso_mm(loss, u, init_beta, cfg, fused_lasso)
+    if fit is None:  # no compiled kernel: the same cycles in Python
+        fit = mm_driver(objective, huber_shift, fused_lasso, init_beta, cfg)
     fit.aux["u"] = location_envelope_update(loss, fit.beta)
     return fit
 
@@ -217,9 +225,17 @@ def fit_qrtf(y, q: float, k: int, lam: float,
         raise ValidationError("y must be a vector of length >= k + 2")
     loss = LossSpec("check", y=y, q=q)
     D = diff_matrix(y.shape[0], k)
+    # (iterate, value) of the current iterate and the latest candidate: the
+    # safeguard and mm_driver ask for both, and no iterate is changed in place
+    known = []
 
     def objective(beta):
-        return loss_value(loss, beta) + lam * float(np.sum(np.abs(D.apply(beta))))
+        for b, value in known:
+            if b is beta:
+                return value
+        value = loss_value(loss, beta) + lam * float(np.sum(np.abs(D.apply(beta))))
+        known[:] = [*known[-1:], (beta, value)]
+        return value
 
     admm_state: dict = {}
     totals = {"calls": 0, "iters": 0, "capped": 0}
@@ -281,7 +297,7 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     fused-lasso solution at the same lam.
     ``converged`` also requires every beta-step to meet ``inner_tol``
     within ``inner_max_iters``; ``aux["inner"]`` counts the beta-steps'
-    ``calls`` and the ``capped`` ones.
+    ``calls``, the ``capped`` ones and their summed MM ``cycles``.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -310,12 +326,13 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     inner_cfg = SolverConfig(max_iters=cfg.inner_max_iters, tol=cfg.inner_tol,
                              record_trace=False)
 
-    inner = {"calls": 0, "capped": 0}
+    inner = {"calls": 0, "capped": 0, "cycles": 0}
 
     def logistic_fused_lasso_step(u, beta):
         sub = logistic_fused_lasso(y, m_arr, u, init=beta, cfg=inner_cfg)
         inner["calls"] += 1
         inner["capped"] += not sub.converged
+        inner["cycles"] += sub.iters
         return sub.beta
 
     if init is None:

@@ -9,7 +9,8 @@ Kinds (``r = y - A @ beta``; identity design when ``A`` is absent):
 
 The envelope-update helpers implement the closed-form auxiliary-variable
 rules each solver needs: the Huber location shift, the quantile
-weight/working-response pair, and the logit scale update
+weight/working-response pair, and the logit's Polya-Gamma
+weight/working-response pair built on the scale update
 ``(m/2x) * tanh(x/2)``.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
     "lipschitz_bound",
     "location_envelope_update",
     "variance_mean_update",
+    "logit_scale_update",
     "logit_scale_lambda",
     "check_lambda_hat",
     "huber",
@@ -83,7 +85,7 @@ class LossSpec:
             if self.m is None:
                 raise ValidationError("binomial-logit requires trial counts m")
             m = np.asarray(self.m, dtype=float)
-            if m.shape != y.shape or np.any(m < 1):
+            if m.shape != y.shape or not np.all((m >= 1) & (m < np.inf)):
                 raise ValidationError("m must be positive counts matching y")
             if np.any(y < 0) or np.any(y > m):
                 raise ValidationError("binomial-logit requires 0 <= y <= m")
@@ -238,6 +240,21 @@ def variance_mean_update(l: LossSpec, beta):
     omega = np.where(np.isnan(omega), _WEIGHT_CLAMP, omega)
     z = l.y - (1.0 - 2.0 * l.q) / omega
     return omega, z
+
+
+def logit_scale_update(l: LossSpec, beta):
+    """Polya-Gamma weights and working responses of the binomial logit.
+
+    omega_i = (m_i/2 eta_i) tanh(eta_i/2) (:func:`logit_scale_lambda`, the
+    mean of the Polya-Gamma mixing variable at eta = A beta) and
+    z_i = (y_i - m_i/2)/omega_i: the quadratic ``(omega/2)(e - z)^2`` in
+    the linear predictor e majorizes the logit loss up to a constant and
+    touches it at eta (the paper's Gaussian scale-mixture envelope).
+    """
+    if l.kind != "binomial-logit":
+        raise CapabilityError("logit scale update is a binomial-logit rule")
+    omega = logit_scale_lambda(l.predict(beta), l.m)
+    return omega, l.kappa / omega
 
 
 def check_lambda_hat(x):

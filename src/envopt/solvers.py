@@ -15,17 +15,22 @@ Contents:
   each cycle is a closed-form envelope update ``update(beta) -> aux``
   followed by the subproblem solve ``solve(aux, beta) -> beta``, with one
   objective evaluation and a monotonicity check per cycle.
-* :func:`logistic_fused_lasso` -- curvature-bound majorization reducing
-  each step to a weighted fused lasso.
+* :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
+  envelope (Polya-Gamma weights) reducing each step to a weighted fused
+  lasso.
 
-The first two loops are compiled: ``_fldp.c`` (the DP) and ``_tfadmm.c``
-(the whole ADMM iteration) are built together into one library on first use
-with the system C compiler, cached per user and called through ctypes.
-When no compiler or cache is available, or the build or load fails, both
-run as the pure-Python loops here (:func:`_fused_lasso_dp` and
-:func:`_trend_filter_admm`), which stay as the test oracles.
-:data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
-implementation of both loops runs.
+Three loops are compiled: ``_fldp.c`` holds the DP and
+``envelope_fused_lasso_mm``, the whole MM loop of the two envelope fits
+whose subproblem is the fused lasso (the Huber location shift of
+``applications.fit_rfl`` and the Polya-Gamma weights of
+:func:`logistic_fused_lasso`), and ``_tfadmm.c`` the whole ADMM
+iteration.  They are built together into one library on first use with the
+system C compiler, cached per user and called through ctypes.  When no
+compiler or cache is available, or the build or load fails, all three run
+in pure Python (:func:`_fused_lasso_dp`, :func:`mm_driver` with the same
+update and solve, and :func:`_trend_filter_admm`), which stay as the test
+oracles.  :data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
+implementation of all three loops runs.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import MonotonicityError, ValidationError
-from .losses import LossSpec, loss_grad, loss_value, lipschitz_bound
+from .losses import LossSpec, logit_scale_update, loss_grad, loss_value, lipschitz_bound
 from .operators import diff_matrix, soft_threshold
 from .penalties import PenaltySpec, penalty_value, prox
 
@@ -216,11 +221,12 @@ def _build_kernel(cc: str, lib: Path):
 def _kernel():
     """The compiled kernel library (ctypes), or None for the Python loops.
 
-    One library holds both compiled loops, the fused-lasso DP and the
-    trend-filter ADMM, so either both run in C or both in Python.  It is
-    cached per user under ``$XDG_CACHE_HOME/envopt`` (or
-    ``~/.cache/envopt``), named by a hash of the sources, the flags and
-    the compiler, so each machine compiles each version once; a file lock
+    One library holds the three compiled loops, the fused-lasso DP, the
+    envelope MM around it and the trend-filter ADMM, so either all run in
+    C or all in Python.  It is cached per user under
+    ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``), named by a hash
+    of the sources, the flags and the compiler, so each machine compiles
+    each version once; a file lock
     lets exactly one of several concurrent processes build it.  It is
     loaded only from a directory that no other user can write to.
     """
@@ -254,13 +260,18 @@ def _kernel():
     lib.trend_filter_admm.argtypes = ([ptr] * 5 + [c_long, c_long, c_double, c_long]
                                       + [ptr] * 4)
     lib.trend_filter_admm.restype = ctypes.c_int
+    lib.envelope_fused_lasso_mm.argtypes = ([ctypes.c_int] + [ptr] * 3
+                                            + [c_long, c_double, c_long, ctypes.c_int]
+                                            + [ptr] * 3)
+    lib.envelope_fused_lasso_mm.restype = ctypes.c_int
     return lib
 
 
 def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
     # module never starts the compiler.  It names the implementation of
-    # both compiled loops: the fused-lasso DP and the trend-filter ADMM.
+    # the three compiled loops: the fused-lasso DP, the envelope MM around
+    # it and the trend-filter ADMM.
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -272,6 +283,19 @@ def _float_vector(x, n: int) -> np.ndarray:
     if x.shape != (n,):
         x = np.broadcast_to(x, (n,))
     return np.ascontiguousarray(x)
+
+
+def _edge_weights(u_edges, n: int) -> np.ndarray:
+    """``u_edges`` as a contiguous float vector of ``n - 1`` edge weights,
+    rejected unless nonnegative and finite."""
+    u = _float_vector(u_edges, n - 1)
+    if n > 1:
+        # min and max propagate NaN, and a NaN fails both comparisons
+        if u.min() < 0:
+            raise ValidationError("edge weights must be nonnegative")
+        if not u.max() < np.inf:
+            raise ValidationError("inputs must be finite")
+    return u
 
 
 def weighted_fused_lasso(z, omega, u_edges):
@@ -289,17 +313,13 @@ def weighted_fused_lasso(z, omega, u_edges):
     if z.ndim != 1:
         raise ValidationError("z must be one-dimensional")
     omega = _float_vector(omega, n)
-    u = _float_vector(u_edges, n - 1)
     # min and max propagate NaN, and a NaN fails every comparison below
     if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
-    u_min, u_max = (u.min(), u.max()) if n > 1 else (0.0, 0.0)
-    if u_min < 0:
-        raise ValidationError("edge weights must be nonnegative")
-    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf
-            and u_min >= 0 and u_max < np.inf):
+    u = _edge_weights(u_edges, n)
+    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf):
         raise ValidationError("inputs must be finite")
-    if u_max == 0:
+    if n == 1 or u.max() == 0:
         return z.copy()  # decoupled: exact without the dp arithmetic
     lib = _kernel()
     if lib is None:
@@ -520,6 +540,13 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
 # Generic MM driver
 
 
+def _finite(value) -> float:
+    value = float(value)
+    if not abs(value) < np.inf:
+        raise ValidationError(f"an MM cycle met a value that is not finite ({value!r})")
+    return value
+
+
 def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
               cfg: Optional[SolverConfig] = None) -> FitResult:
     """Majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
@@ -530,17 +557,18 @@ def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
     those variables leave, and must not increase ``objective``.  The
     objective is evaluated once per cycle and recorded in the trace; a
     solve that increases it beyond a 1e-10 relative slack aborts with
-    :class:`MonotonicityError` naming the solve.  The loop stops when the
+    :class:`MonotonicityError` naming the solve, and a value that is not
+    finite with :class:`ValidationError`.  The loop stops when the
     relative change falls to ``cfg.tol``.
     """
     cfg = cfg or SolverConfig()
-    obj = float(objective(beta))
+    obj = _finite(objective(beta))
     trace = [obj]
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
         beta = solve(update(beta), beta)
-        new = float(objective(beta))
+        new = _finite(objective(beta))
         if new > obj + 1e-10 * max(1.0, abs(obj)):
             raise MonotonicityError(getattr(solve, "__name__", repr(solve)), obj, new)
         if cfg.record_trace:
@@ -556,8 +584,61 @@ def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
                      df=distinct_levels(beta))
 
 
+def _mm_start(init, default, n: int) -> np.ndarray:
+    """A fresh float copy of the MM start ``init`` (``default`` when None),
+    rejected unless it is a finite vector of length ``n``."""
+    beta = np.array(default if init is None else init, dtype=float)
+    if beta.shape != (n,) or not np.all(np.isfinite(beta)):
+        raise ValidationError(f"init must be a finite vector of length {n}")
+    return beta
+
+
+# The envelope of each loss that envelope_fused_lasso_mm runs (_fldp.c).
+_ENVELOPES = {"huber": 0, "binomial-logit": 1}
+
+
+def envelope_fused_lasso_mm(loss: LossSpec, u, beta, cfg: SolverConfig,
+                            solve: Callable) -> Optional[FitResult]:
+    """The compiled MM loop of a fused-lasso envelope fit, or None.
+
+    Runs in C, cycle for cycle, what :func:`mm_driver` runs with the
+    envelope update of ``loss`` and an exact weighted fused lasso with edge
+    weights ``u`` as the solve: the Huber location shift (identity design,
+    threshold 1) or the logit's Polya-Gamma weights
+    (:func:`~envopt.losses.logit_scale_update`).  ``solve`` is that Python
+    solve; a rise of the objective raises :class:`MonotonicityError`
+    naming it, as :func:`mm_driver` does.  The caller validates ``loss``,
+    ``u`` (:func:`_edge_weights`) and the start ``beta``
+    (:func:`_mm_start`), which the loop overwrites.  Returns None when the
+    compiled library did not load; the caller then runs :func:`mm_driver`.
+    """
+    lib = _kernel()
+    if lib is None:
+        return None
+    y = np.ascontiguousarray(loss.y)
+    m = y if loss.m is None else np.ascontiguousarray(loss.m)
+    trace = np.empty(cfg.max_iters + 1 if cfg.record_trace else 1)
+    info = np.zeros(4)
+    status = lib.envelope_fused_lasso_mm(
+        _ENVELOPES[loss.kind], y.ctypes.data, m.ctypes.data, u.ctypes.data,
+        y.shape[0], cfg.tol, cfg.max_iters, cfg.record_trace,
+        beta.ctypes.data, trace.ctypes.data, info.ctypes.data)
+    if status == 1:
+        raise MemoryError("envelope MM could not allocate its work arrays")
+    if status == 2:
+        raise ValidationError("an MM cycle met a value that is not finite")
+    if status == 3:
+        raise MonotonicityError(solve.__name__, float(info[2]), float(info[3]))
+    iters = int(info[0])
+    if cfg.record_trace:
+        trace = trace[:iters + 1].copy()  # a view would pin the whole buffer
+    return FitResult(beta=beta, objective=float(info[2]), trace=trace,
+                     iters=iters, converged=bool(info[1]),
+                     df=distinct_levels(beta))
+
+
 # ---------------------------------------------------------------------------
-# Logistic fused lasso by curvature-bound majorization
+# Logistic fused lasso by the Polya-Gamma envelope
 
 
 def logistic_fused_lasso(y, m, u_edges, init=None,
@@ -565,34 +646,46 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     """Stationary point of ``sum_i [m_i log(1+e^{b_i}) - y_i b_i] +
     sum_i u_i |b_{i+1} - b_i|``.
 
-    Each step majorizes the logit terms by their global curvature bound
-    ``m_i/4`` (quadratic at the current iterate) and solves the
-    resulting weighted fused lasso exactly, so the objective is monotone.
-    Returns the MM run record: ``iters`` cycles, their ``trace`` and
-    whether the loop met ``cfg.tol`` within ``cfg.max_iters``.
+    Each cycle majorizes the logit terms by the paper's Gaussian
+    scale-mixture envelope at the current iterate: the quadratic
+    ``(omega_i/2)(b_i - z_i)^2`` with the Polya-Gamma weights
+    ``omega_i = (m_i/2b_i) tanh(b_i/2)`` (the mean of the mixing variable;
+    Polson, Scott & Windle 2013) and working responses
+    ``z_i = (y_i - m_i/2)/omega_i``, which touches the loss there.  The
+    resulting weighted fused lasso is solved exactly, so the objective is
+    monotone.  The loop runs in the compiled kernel
+    (:func:`envelope_fused_lasso_mm`), or as :func:`mm_driver` with the
+    same update and solve when the kernel did not load.  Returns the MM run
+    record: ``iters`` cycles, their ``trace`` and whether the loop met
+    ``cfg.tol`` within ``cfg.max_iters``.
     """
     cfg = cfg or SolverConfig()
     y = np.asarray(y, dtype=float)
     m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
     if np.any(y < 0) or np.any(y > m_arr):
         raise ValidationError("need 0 <= y <= m")
-    n = y.shape[0]
-    u = np.broadcast_to(np.asarray(u_edges, dtype=float), (max(n - 1, 0),)).copy()
     loss = LossSpec("binomial-logit", y=y, m=m_arr)
-    omega = m_arr / 4.0
+    n = y.shape[0]
+    if n == 0:
+        raise ValidationError("y must be nonempty")
+    u = _edge_weights(u_edges, n)
+    beta = _mm_start(init, np.zeros(n), n)
 
     def objective(beta):
         return loss_value(loss, beta) + float(np.sum(u * np.abs(np.diff(beta))))
 
-    def working_response(beta):
-        return beta - loss_grad(loss, beta) / omega
+    def polya_gamma_weights(beta):
+        return logit_scale_update(loss, beta)
 
-    def curvature_bound_fused_lasso(z, beta):
+    def polya_gamma_fused_lasso(weights, beta):
+        omega, z = weights
         return weighted_fused_lasso(z, omega, u)
 
-    init_beta = np.zeros(n) if init is None else np.array(init, dtype=float).copy()
-    return mm_driver(objective, working_response, curvature_bound_fused_lasso,
-                     init_beta, cfg)
+    fit = envelope_fused_lasso_mm(loss, u, beta, cfg, polya_gamma_fused_lasso)
+    if fit is None:  # no compiled kernel: the same cycles in Python
+        fit = mm_driver(objective, polya_gamma_weights, polya_gamma_fused_lasso,
+                        beta, cfg)
+    return fit
 
 
 # ---------------------------------------------------------------------------

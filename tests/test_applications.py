@@ -18,7 +18,7 @@ from envopt.applications import (
 from envopt.errors import ValidationError
 from envopt.losses import huber
 from envopt.operators import diff_matrix
-from envopt.solvers import FitResult, SolverConfig
+from envopt.solvers import FitResult, SolverConfig, logistic_fused_lasso
 
 
 def _trace_monotone(fit):
@@ -154,6 +154,29 @@ def test_qrtf_admm_totals_count_every_inner_call(monkeypatch, warm):
     assert {"primal_res", "dual_res", "rho"} <= admm.keys()
 
 
+@pytest.mark.parametrize("lam", [2.0, 1e4])
+def test_qrtf_evaluates_objective_once_per_cycle(monkeypatch, lam):
+    from envopt import applications
+    from envopt.losses import LossSpec
+
+    loss_value = applications.loss_value
+    values = []
+
+    def counting(*args):
+        values.append(loss_value(*args))
+        return values[-1]
+
+    y = simulate("qrtf", 150, seed=5).y
+    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=600, inner_tol=1e-6)
+    monkeypatch.setattr(applications, "loss_value", counting)
+    fit = fit_qrtf(y, 0.9, 2, lam, cfg=cfg)
+    assert fit.iters > 1  # at lam=1e4 the safeguard rejects the last candidate
+    assert len(values) == fit.iters + 1
+    # the remembered value is the objective of the iterate it is returned for
+    penalty = lam * float(np.sum(np.abs(diff_matrix(150, 2).apply(fit.beta))))
+    assert fit.objective == loss_value(LossSpec("check", y=y, q=0.9), fit.beta) + penalty
+
+
 # ---------------------------------------------------------------------------
 # fused double-Pareto
 
@@ -197,13 +220,24 @@ def test_binomial_fused_lasso_reports_inner_convergence():
     assert done.objective == done.trace[-1]
 
 
-def test_fdp_converged_requires_every_inner_solve():
+def test_fdp_converged_requires_every_inner_solve(monkeypatch):
     ds = simulate("fdp", 30, seed=10)
     capped = fit_fdp(ds.y, ds.m, 5.0, cfg=SolverConfig(inner_max_iters=2))
     assert capped.aux["inner"]["capped"] > 0
     assert not capped.converged
+    inner_iters = []
+
+    def recorded(*args, **kwargs):
+        sub = logistic_fused_lasso(*args, **kwargs)
+        inner_iters.append(sub.iters)
+        return sub
+
+    monkeypatch.setattr(applications, "logistic_fused_lasso", recorded)
     full = fit_fdp(ds.y, ds.m, 5.0)
-    assert full.aux["inner"] == {"calls": full.iters, "capped": 0}
+    # the first call is the binomial fused-lasso start, not a beta-step
+    assert len(inner_iters) == full.iters + 1
+    assert full.aux["inner"] == {"calls": full.iters, "capped": 0,
+                                 "cycles": sum(inner_iters[1:])}
     assert full.converged
 
 

@@ -25,6 +25,7 @@ from envopt.losses import (
     logcosh_location_dual,
     logcosh_scale_dual,
     logit_scale_lambda,
+    logit_scale_update,
     loss_grad,
     loss_value,
     variance_mean_update,
@@ -36,6 +37,9 @@ def test_spec_validation():
         LossSpec("binomial-logit", y=np.array([1.0, 2.0]))  # missing m
     with pytest.raises(ValidationError):
         LossSpec("binomial-logit", y=np.array([3.0]), m=np.array([2.0]))
+    for m in (0.5, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="m must be positive counts"):
+            LossSpec("binomial-logit", y=np.array([0.0]), m=np.array([m]))
     with pytest.raises(ValidationError):
         LossSpec("check", y=np.array([1.0]), q=1.5)
     with pytest.raises(ValidationError):
@@ -170,6 +174,38 @@ def test_logit_scale_lambda_equals_scale_derivative():
             fd = (logcosh(np.sqrt(2 * (z + h)), m)
                   - logcosh(np.sqrt(2 * (z - h)), m)) / (2 * h)
             assert logit_scale_lambda(x, m) == pytest.approx(fd, rel=1e-5)
+
+
+def test_polya_gamma_quadratic_majorizes_logit_on_grid():
+    # the quadratic (omega/2)(e - z)^2 of the update at beta0, shifted to
+    # meet the loss at beta0, lies above the logit loss on a grid and
+    # touches it at beta0 (per coordinate, the loss being separable)
+    grid = np.linspace(-40.0, 40.0, 16001)
+    steps = np.array([-1e-3, -1e-4, 1e-4, 1e-3])
+    for m, y in ((1.0, 0.0), (1.0, 1.0), (25.0, 3.0), (25.0, 12.5), (7.0, 7.0)):
+        beta0 = np.array([-30.0, -5.0, -1e-7, 0.0, 1e-7, 0.8, 3.0, 30.0])
+        n = beta0.size
+        loss = LossSpec("binomial-logit", y=np.full(n, y), m=np.full(n, m))
+        omega, z = logit_scale_update(loss, beta0)
+        np.testing.assert_array_equal(omega, logit_scale_lambda(beta0, m))
+
+        def logit(e):
+            return m * np.logaddexp(0.0, e) - y * e
+
+        for b0, w, zi in zip(beta0, omega, z):
+            def quad(e):
+                return logit(b0) + 0.5 * w * ((e - zi) ** 2 - (b0 - zi) ** 2)
+
+            pts = np.concatenate([grid, b0 + steps])
+            gap = quad(pts) - logit(pts)
+            slack = 1e-12 * np.maximum(1.0, np.abs(logit(pts)))
+            assert np.all(gap >= -slack), (m, y, b0)
+            # it touches at b0 with the loss's slope: the gap grows like
+            # (omega/2) step^2 at most
+            assert np.all(gap[-4:] <= 0.5 * w * steps**2 + slack[-4:]), (m, y, b0)
+            assert quad(b0) == logit(b0)
+    with pytest.raises(CapabilityError):
+        logit_scale_update(LossSpec("huber", y=np.zeros(2)), np.zeros(2))
 
 
 def test_huber_location_envelope_numeric_dual():

@@ -492,6 +492,15 @@ def test_mm_driver_raises_on_increase():
     assert "bad_step" in str(err.value)
 
 
+def test_mm_driver_rejects_non_finite_objective():
+    # a NaN or infinite value would stop the loop as "converged" or never
+    for start, step in (([np.inf], lambda aux, beta: beta),
+                        ([1.0], lambda aux, beta: beta * np.nan)):
+        with pytest.raises(ValidationError, match="not finite"):
+            mm_driver(lambda beta: float(beta[0] ** 2), lambda beta: None, step,
+                      np.array(start), SolverConfig())
+
+
 def test_mm_driver_evaluates_objective_once_per_cycle():
     calls = []
 
@@ -543,6 +552,154 @@ def test_logistic_fused_lasso_two_point_grid_oracle():
            + u[0] * np.abs(B2 - B1))
     i, j = np.unravel_index(np.argmin(obj), obj.shape)
     np.testing.assert_allclose(beta, [grid[i], grid[j]], atol=6e-3)
+
+
+def _envelope_instances(rng, count):
+    """Random rfl (Huber shift) and binomial (Polya-Gamma) MM problems as
+    ``(fit, args, kwargs)``, cold and warm, converging and capped."""
+    from envopt.applications import fit_rfl
+
+    for i in range(count):
+        n = int(rng.integers(1 if i % 2 else 2, 80))
+        cfg = SolverConfig(max_iters=int(rng.choice([3, 40, 2000])),
+                           tol=float(rng.choice([1e-6, 1e-8, 1e-11])))
+        if i % 2 == 0:
+            levels = rng.normal(scale=3.0, size=4)[rng.integers(0, 4, size=n)]
+            y = levels + rng.standard_t(3, size=n)
+            lam = 0.0 if i % 10 == 0 else float(10.0 ** rng.uniform(-2, 2))
+            init = None if i % 4 == 0 else y + rng.normal(size=n)
+            yield fit_rfl, (y, lam), dict(cfg=cfg, init=init)
+        else:
+            m = rng.integers(1, 30, size=n).astype(float)
+            y = rng.binomial(m.astype(int), rng.uniform(0.05, 0.95)).astype(float)
+            u = rng.uniform(0.0, 1.0, size=n - 1) * 10.0 ** rng.uniform(-2, 2)
+            u[rng.random(n - 1) < 0.2] = 0.0
+            if i % 9 == 1:
+                u[:] = 0.0
+            init = None if i % 4 == 1 else rng.normal(scale=2.0, size=n)
+            yield logistic_fused_lasso, (y, m, u), dict(cfg=cfg, init=init)
+
+
+def _stops_within_rounding(trace, t, tol):
+    """Whether the relative change of cycle t lies within rounding of tol."""
+    scale = max(1.0, abs(trace[t - 1]))
+    return abs(abs(trace[t - 1] - trace[t]) - tol * scale) <= 1e-12 * scale
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_envelope_mm_c_loop_matches_mm_driver(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(1205))
+    cases = list(_envelope_instances(rng, 120))
+    c_fits = [fit(*args, **kwargs) for fit, args, kwargs in cases]
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    near_tol = 0
+    for (fit, args, kwargs), c in zip(cases, c_fits):
+        py = fit(*args, **kwargs)
+        where = (fit.__name__, args[0].size, kwargs["init"] is None, c.iters, py.iters)
+        if (c.iters, c.converged) != (py.iters, py.converged):
+            # the two objectives sum in different orders, so the stop test
+            # may decide differently where the change is within rounding of tol
+            near_tol += 1
+            t = min(c.iters, py.iters)
+            assert _stops_within_rounding(py.trace, t, kwargs["cfg"].tol), where
+            continue
+        scale = max(np.max(np.abs(py.beta)), 1e-300)
+        assert np.max(np.abs(c.beta - py.beta)) <= 1e-9 * scale, where
+        assert c.trace.shape == py.trace.shape == (c.iters + 1,), where
+        np.testing.assert_allclose(c.trace, py.trace, rtol=1e-12, atol=1e-12)
+        assert c.objective == c.trace[-1] and c.df == py.df, where
+        if fit is not logistic_fused_lasso and args[1] == 0.0:
+            assert np.array_equal(c.beta, py.beta), where  # y itself, no DP
+    assert near_tol <= 3
+    assert {c.iters for c in c_fits} >= {3, 40}  # capped runs of both budgets
+    assert sum(c.converged for c in c_fits) >= 60
+
+
+def test_envelope_mm_trace_owns_its_memory():
+    y = np.array([2.0, 5.0, 1.0, 4.0])
+    cfg = SolverConfig(max_iters=1000)
+    fit = logistic_fused_lasso(y, 6.0, 0.5, cfg=cfg)
+    assert fit.trace.base is None and fit.trace.shape == (fit.iters + 1,)
+    quiet = logistic_fused_lasso(y, 6.0, 0.5,
+                                 cfg=SolverConfig(max_iters=1000, record_trace=False))
+    assert quiet.trace.shape == (1,) and quiet.trace[0] == fit.trace[0]
+    np.testing.assert_array_equal(quiet.beta, fit.beta)
+
+
+def _rfl(y, u, init=None):
+    from envopt.applications import fit_rfl
+    return fit_rfl(y, u, init=init)
+
+
+_ENVELOPE_BAD = [
+    (logistic_fused_lasso, ([1.0, np.nan], 3.0, 1.0), {}, "finite"),
+    (logistic_fused_lasso, ([1.0, 4.0], 3.0, 1.0), {}, "need 0 <= y <= m"),
+    (logistic_fused_lasso, ([-1.0, 2.0], 3.0, 1.0), {}, "need 0 <= y <= m"),
+    (logistic_fused_lasso, ([0.0, 0.0], 0.0, 1.0), {}, "m must be positive"),
+    (logistic_fused_lasso, ([0.0, 0.0], -2.0, 1.0), {}, "need 0 <= y <= m"),
+    (logistic_fused_lasso, ([0.0, 0.0], [1.0, np.nan], 1.0), {}, "m must be positive"),
+    (logistic_fused_lasso, ([1.0, 2.0], 3.0, -1.0), {}, "nonnegative"),
+    (logistic_fused_lasso, ([1.0, 2.0], 3.0, np.nan), {}, "finite"),
+    (logistic_fused_lasso, ([1.0, 2.0], 3.0, np.inf), {}, "finite"),
+    (logistic_fused_lasso, ([1.0, 2.0], 3.0, 1.0), {"init": [0.0]}, "length 2"),
+    (logistic_fused_lasso, ([1.0, 2.0], 3.0, 1.0), {"init": [0.0, np.nan]}, "finite"),
+    (_rfl, ([1.0, np.nan, 2.0], 1.0), {}, "finite"),
+    (_rfl, ([1.0, 2.0, 2.0], -1.0), {}, "lam must be nonnegative"),
+    (_rfl, ([1.0, 2.0, 2.0], np.nan), {}, "finite"),
+    (_rfl, ([1.0, 2.0, 2.0], np.inf), {}, "finite"),
+    (_rfl, ([1.0, 2.0, 2.0], 1.0), {"init": [0.0, 0.0]}, "length 3"),
+    (_rfl, ([1.0, 2.0, 2.0], 1.0), {"init": [0.0, np.inf, 0.0]}, "finite"),
+]
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
+    from envopt import applications
+
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (solvers, applications):
+            for loop in ("mm_driver", "envelope_fused_lasso_mm"):
+                mp.setattr(module, loop, lambda *args: calls.append(args))
+        for fit, args, kwargs, msg in _ENVELOPE_BAD:
+            with pytest.raises(ValidationError, match=msg):
+                fit(*args, **kwargs)
+    assert calls == []
+    # starts so far out that the objective overflows are caught in the loop
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValidationError, match="not finite"):
+            _rfl(np.array([1e308, 0.0, 0.0]), 1.0, init=np.array([-1e308, 0.0, 0.0]))
+        with pytest.raises(ValidationError, match="not finite"):
+            logistic_fused_lasso([3.0, 5.0], 10.0, 1.0, init=[1e308, 0.0])
+
+
+class _FakeKernel:
+    """Stands in for the compiled library: returns ``status`` with the
+    objectives 1.0 -> 2.0 in ``info``."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def envelope_fused_lasso_mm(self, *args):
+        import ctypes
+        (ctypes.c_double * 4).from_address(args[-1])[:] = [1.0, 0.0, 1.0, 2.0]
+        return self.status
+
+
+def test_envelope_mm_kernel_status_is_raised(monkeypatch):
+    y = np.array([1.0, 3.0, 2.0])
+    for status, error in ((1, MemoryError), (2, ValidationError), (3, MonotonicityError)):
+        monkeypatch.setattr(solvers, "_kernel", lambda: _FakeKernel(status))
+        with pytest.raises(error) as logit_err:
+            logistic_fused_lasso(y, 4.0, 0.5)
+        with pytest.raises(error) as rfl_err:
+            _rfl(y, 0.5)
+    # named as mm_driver names the solve of the same loop
+    assert (logit_err.value.step, rfl_err.value.step) == ("polya_gamma_fused_lasso",
+                                                          "fused_lasso")
+    assert (logit_err.value.before, logit_err.value.after) == (1.0, 2.0)
 
 
 def test_level_and_knot_counting():
