@@ -32,21 +32,21 @@ from .losses import (
     LossSpec,
     check_value,
     huber,
-    location_envelope_update,
     loss_value,
     variance_mean_update,
 )
 from .solvers import (
     FitResult,
     SolverConfig,
+    _ONE_SOLVE,
     _edge_weights,
+    _logit_loss,
     _mm_start,
     count_knots,
     distinct_levels,
     envelope_fused_lasso_mm,
     logistic_fused_lasso,
     mm_driver,
-    weighted_fused_lasso,
     weighted_trend_filter,
 )
 
@@ -152,52 +152,46 @@ class Dataset:
 # Robust fused lasso
 
 
+def _response(y, min_len: int) -> np.ndarray:
+    """``y`` as a contiguous float vector, rejected unless it has at least
+    ``min_len`` entries, all finite."""
+    y = np.ascontiguousarray(y, dtype=float)
+    if y.ndim != 1 or y.shape[0] < min_len:
+        raise ValidationError(f"y must be a vector of length >= {min_len}")
+    # min and max propagate NaN, and a NaN fails both comparisons
+    if not (-np.inf < y.min() and y.max() < np.inf):
+        raise ValidationError("y must be finite")
+    return y
+
+
 def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
             init=None) -> FitResult:
     """Huber-loss fused lasso on an identity design.
 
     Alternates the location shift u = soft-threshold(y - beta, 1) with an
     ordinary fused lasso on the working response y - u; each step is an
-    exact minimization, so the objective trace is monotone.  The loop runs
-    in the compiled kernel (``solvers.envelope_fused_lasso_mm``), or as
-    ``mm_driver`` with the same update and solve when the kernel did not
-    load.
+    exact minimization, so the objective trace is monotone.  The inputs
+    are validated here, and the loop runs as
+    ``solvers.envelope_fused_lasso_mm``, which also returns the final
+    shift as ``aux["u"]``.
     """
     cfg = cfg or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 2:
-        raise ValidationError("y must be a vector of length >= 2")
+    y = _response(y, 2)
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
-    loss = LossSpec("huber", y=y)
     n = y.shape[0]
     u = _edge_weights(lam, n)
-    init_beta = _mm_start(init, y, n)
-
-    def objective(beta):
-        return loss_value(loss, beta) + lam * float(np.sum(np.abs(np.diff(beta))))
-
-    def huber_shift(beta):
-        return location_envelope_update(loss, beta)
-
-    def fused_lasso(shift, beta):
-        return weighted_fused_lasso(y - shift, np.ones(n), u)
-
-    fit = envelope_fused_lasso_mm(loss, u, init_beta, cfg, fused_lasso)
-    if fit is None:  # no compiled kernel: the same cycles in Python
-        fit = mm_driver(objective, huber_shift, fused_lasso, init_beta, cfg)
-    fit.aux["u"] = location_envelope_update(loss, fit.beta)
-    return fit
+    return envelope_fused_lasso_mm("huber", y, None, u, _mm_start(init, y, n), cfg)
 
 
 def fused_lasso_gaussian(y, lam: float) -> FitResult:
-    """Ordinary (squared-error) fused lasso; exact in one DP call."""
-    y = np.asarray(y, dtype=float)
+    """Ordinary (squared-error) fused lasso; exact in one DP call, run as
+    the one-cycle squared-loss envelope of
+    ``solvers.envelope_fused_lasso_mm``."""
+    y = _response(y, 1)
     n = y.shape[0]
-    beta = weighted_fused_lasso(y, np.ones(n), np.full(n - 1, lam))
-    obj = 0.5 * float(np.sum((y - beta) ** 2)) + lam * float(np.sum(np.abs(np.diff(beta))))
-    return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]), iters=1,
-                     converged=True, df=distinct_levels(beta))
+    return envelope_fused_lasso_mm("gaussian", y, None, _edge_weights(lam, n),
+                                   np.empty(n), _ONE_SOLVE)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +288,21 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     lam / (a + |diff|), its exact derivative, keeping the majorizer
     tight), and the resulting logistic fused lasso is solved to inner
     tolerance.  When ``init`` is None the fit starts at the binomial
-    fused-lasso solution at the same lam.
+    fused-lasso solution at the same lam.  The inputs are validated once,
+    here; each beta-step is one ``solvers.envelope_fused_lasso_mm`` run
+    on them.
     ``converged`` also requires every beta-step to meet ``inner_tol``
     within ``inner_max_iters``; ``aux["inner"]`` counts the beta-steps'
     ``calls``, the ``capped`` ones and their summed MM ``cycles``.
     """
     cfg = cfg or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
-    if np.any(y < 0) or np.any(y > m_arr):
-        raise ValidationError("need 0 <= y <= m")
-    loss = LossSpec("binomial-logit", y=y, m=m_arr)
-    n = y.shape[0]
+    # a NaN fails every comparison
+    if not 0.0 <= lam < np.inf:
+        raise ValidationError("lam must be nonnegative and finite")
+    if not 0.0 < a < np.inf:
+        raise ValidationError("fdp scale a must be positive and finite")
+    loss = _logit_loss(y, m)
+    y, m_arr, n = loss.y, loss.m, loss.n
     if lam == 0.0:
         # decoupled pointwise logit MLE, capped where y/m hits {0, 1}
         with np.errstate(divide="ignore"):
@@ -315,6 +312,10 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
         return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
                          iters=1, converged=True, df=distinct_levels(beta),
                          aux={"u": np.zeros(n - 1)})
+    if init is None:
+        init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
+    else:
+        init_beta = _mm_start(init, None, n)
 
     def objective(beta):
         return loss_value(loss, beta) + lam * float(
@@ -329,21 +330,17 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     inner = {"calls": 0, "capped": 0, "cycles": 0}
 
     def logistic_fused_lasso_step(u, beta):
-        sub = logistic_fused_lasso(y, m_arr, u, init=beta, cfg=inner_cfg)
+        sub = envelope_fused_lasso_mm("binomial-logit", y, m_arr, u, beta.copy(),
+                                      inner_cfg)
         inner["calls"] += 1
         inner["capped"] += not sub.converged
         inner["cycles"] += sub.iters
         return sub.beta
 
-    if init is None:
-        init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
-    else:
-        init_beta = np.array(init, dtype=float).copy()
     fit = mm_driver(objective, log_penalty_weights, logistic_fused_lasso_step,
                     init_beta, cfg)
     fit.converged = fit.converged and inner["capped"] == 0
-    fit.df = distinct_levels(fit.beta)
-    fit.aux["u"] = lam / (a + np.abs(np.diff(fit.beta)))
+    fit.aux["u"] = log_penalty_weights(fit.beta)
     fit.aux["inner"] = inner
     return fit
 

@@ -15,16 +15,22 @@ Contents:
   each cycle is a closed-form envelope update ``update(beta) -> aux``
   followed by the subproblem solve ``solve(aux, beta) -> beta``, with one
   objective evaluation and a monotonicity check per cycle.
+* :func:`envelope_fused_lasso_mm` -- one MM loop for the fused-lasso
+  envelope fits (Huber shift, Polya-Gamma weights, squared loss) that
+  returns the whole run record, df and final shift included.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
 Three loops are compiled: ``_fldp.c`` holds the DP and
-``envelope_fused_lasso_mm``, the whole MM loop of the two envelope fits
-whose subproblem is the fused lasso (the Huber location shift of
-``applications.fit_rfl`` and the Polya-Gamma weights of
-:func:`logistic_fused_lasso`), and ``_tfadmm.c`` the whole ADMM
-iteration.  They are built together into one library on first use with the
+:func:`envelope_fused_lasso_mm`, the whole MM loop of the three envelope
+fits whose subproblem is the fused lasso (the Huber location shift of
+``applications.fit_rfl``, the Polya-Gamma weights of
+:func:`logistic_fused_lasso` and of ``applications.fit_fdp``'s
+beta-steps, and the squared loss of ``applications.fused_lasso_gaussian``,
+exact in one cycle), which also returns the fit's ``df`` and the final
+Huber shift; ``_tfadmm.c`` holds the whole ADMM iteration.  They are
+built together into one library on first use with the
 system C compiler, cached per user and called through ctypes.  When no
 compiler or cache is available, or the build or load fails, all three run
 in pure Python (:func:`_fused_lasso_dp`, :func:`mm_driver` with the same
@@ -50,7 +56,8 @@ import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import MonotonicityError, ValidationError
-from .losses import LossSpec, logit_scale_update, loss_grad, loss_value, lipschitz_bound
+from .losses import (LossSpec, location_envelope_update, logit_scale_update, loss_grad,
+                     loss_value, lipschitz_bound)
 from .operators import diff_matrix, soft_threshold
 from .penalties import PenaltySpec, penalty_value, prox
 
@@ -262,7 +269,7 @@ def _kernel():
     lib.trend_filter_admm.restype = ctypes.c_int
     lib.envelope_fused_lasso_mm.argtypes = ([ctypes.c_int] + [ptr] * 3
                                             + [c_long, c_double, c_long, ctypes.c_int]
-                                            + [ptr] * 3)
+                                            + [ptr] * 4)
     lib.envelope_fused_lasso_mm.restype = ctypes.c_int
     return lib
 
@@ -277,18 +284,29 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _float_vector(x, n: int) -> np.ndarray:
-    """``x`` broadcast to a contiguous float vector of length ``n``."""
+def _float_vector(x, n: int, name: str) -> np.ndarray:
+    """``x`` broadcast to a contiguous float vector of length ``n``,
+    rejected unless it is a scalar or already has that length."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        x = np.broadcast_to(x, (n,))
+        if x.size != 1:
+            raise ValidationError(
+                f"{name} must be a scalar or a vector of length {n}, got shape {x.shape}")
+        x = np.broadcast_to(x.reshape(()), (n,))
     return np.ascontiguousarray(x)
 
 
 def _edge_weights(u_edges, n: int) -> np.ndarray:
     """``u_edges`` as a contiguous float vector of ``n - 1`` edge weights,
     rejected unless nonnegative and finite."""
-    u = _float_vector(u_edges, n - 1)
+    if isinstance(u_edges, (int, float)):  # a scalar lam, np.float64 included
+        # a NaN fails both comparisons
+        if u_edges < 0:
+            raise ValidationError("edge weights must be nonnegative")
+        if not u_edges < np.inf:
+            raise ValidationError("inputs must be finite")
+        return np.full(n - 1, float(u_edges))
+    u = _float_vector(u_edges, n - 1, "edge weights")
     if n > 1:
         # min and max propagate NaN, and a NaN fails both comparisons
         if u.min() < 0:
@@ -312,7 +330,7 @@ def weighted_fused_lasso(z, omega, u_edges):
         raise ValidationError("z must be nonempty")
     if z.ndim != 1:
         raise ValidationError("z must be one-dimensional")
-    omega = _float_vector(omega, n)
+    omega = _float_vector(omega, n, "omega")
     # min and max propagate NaN, and a NaN fails every comparison below
     if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
@@ -366,9 +384,9 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         raise ValidationError("order k must be >= 0")
     if n < k + 2:
         raise ValidationError(f"need len(z) >= k + 2, got {n}")
-    omega = _float_vector(omega, n)
+    omega = _float_vector(omega, n, "omega")
     m = n - k - 1
-    lam_v = _float_vector(lam, m)
+    lam_v = _float_vector(lam, m, "lam")
     # min and max propagate NaN, and a NaN fails every comparison below
     if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
@@ -593,52 +611,122 @@ def _mm_start(init, default, n: int) -> np.ndarray:
     return beta
 
 
-# The envelope of each loss that envelope_fused_lasso_mm runs (_fldp.c).
-_ENVELOPES = {"huber": 0, "binomial-logit": 1}
+# The envelopes of envelope_fused_lasso_mm, by loss kind: the code of each
+# in _fldp.c and the name of its solve, which a MonotonicityError reports.
+_ENVELOPES = {"huber": (0, "fused_lasso"),
+              "binomial-logit": (1, "polya_gamma_fused_lasso"),
+              "gaussian": (2, "fused_lasso")}
+
+# The run of an envelope that is exact in one cycle: one solve, whose
+# objective is the whole trace.
+_ONE_SOLVE = SolverConfig(max_iters=1, record_trace=False)
 
 
-def envelope_fused_lasso_mm(loss: LossSpec, u, beta, cfg: SolverConfig,
-                            solve: Callable) -> Optional[FitResult]:
-    """The compiled MM loop of a fused-lasso envelope fit, or None.
+def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig) -> FitResult:
+    """The MM loop of a fused-lasso envelope fit, and its whole run record.
 
-    Runs in C, cycle for cycle, what :func:`mm_driver` runs with the
-    envelope update of ``loss`` and an exact weighted fused lasso with edge
-    weights ``u`` as the solve: the Huber location shift (identity design,
-    threshold 1) or the logit's Polya-Gamma weights
-    (:func:`~envopt.losses.logit_scale_update`).  ``solve`` is that Python
-    solve; a rise of the objective raises :class:`MonotonicityError`
-    naming it, as :func:`mm_driver` does.  The caller validates ``loss``,
-    ``u`` (:func:`_edge_weights`) and the start ``beta``
-    (:func:`_mm_start`), which the loop overwrites.  Returns None when the
-    compiled library did not load; the caller then runs :func:`mm_driver`.
+    Each cycle is the closed-form envelope update of the loss ``kind`` at
+    ``beta`` and then an exact weighted fused lasso with edge weights
+    ``u``, as :func:`mm_driver` runs it:
+
+    * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
+      on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
+      shift at the last iterate.
+    * ``"binomial-logit"``: the logit's Polya-Gamma weights
+      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``.
+    * ``"gaussian"``: the squared loss, exact in one solve on ``y``; the
+      record is ``iters=1``, ``converged=True`` and ``trace=[objective]``
+      (run it with ``_ONE_SOLVE``; ``beta`` is not read).
+
+    The loop, the objective and ``df`` (:func:`distinct_levels`) run in
+    one call of the compiled kernel (``_fldp.c``).  When the kernel did
+    not load, :func:`mm_driver` runs the same cycles in Python, with
+    :func:`weighted_fused_lasso` as the solve.  The caller validates the
+    inputs: ``y`` (and ``m``) contiguous, finite and, for the logit,
+    ``0 <= y <= m`` with ``m >= 1``; ``u`` from :func:`_edge_weights`; a
+    start ``beta`` from :func:`_mm_start`, which the loop overwrites.  A
+    rise of the objective raises :class:`MonotonicityError` naming the
+    solve, and a value that is not finite :class:`ValidationError`.
     """
     lib = _kernel()
     if lib is None:
-        return None
-    y = np.ascontiguousarray(loss.y)
-    m = y if loss.m is None else np.ascontiguousarray(loss.m)
+        return _envelope_mm_python(kind, y, m, u, beta, cfg)
+    code, solve_name = _ENVELOPES[kind]
+    n = y.shape[0]
     trace = np.empty(cfg.max_iters + 1 if cfg.record_trace else 1)
-    info = np.zeros(4)
+    shift = np.empty(n) if kind == "huber" else None
+    info = np.empty(5)
     status = lib.envelope_fused_lasso_mm(
-        _ENVELOPES[loss.kind], y.ctypes.data, m.ctypes.data, u.ctypes.data,
-        y.shape[0], cfg.tol, cfg.max_iters, cfg.record_trace,
-        beta.ctypes.data, trace.ctypes.data, info.ctypes.data)
+        code, y.ctypes.data, None if m is None else m.ctypes.data, u.ctypes.data,
+        n, cfg.tol, cfg.max_iters, cfg.record_trace, beta.ctypes.data,
+        trace.ctypes.data, None if shift is None else shift.ctypes.data,
+        info.ctypes.data)
     if status == 1:
         raise MemoryError("envelope MM could not allocate its work arrays")
     if status == 2:
         raise ValidationError("an MM cycle met a value that is not finite")
     if status == 3:
-        raise MonotonicityError(solve.__name__, float(info[2]), float(info[3]))
+        raise MonotonicityError(solve_name, float(info[2]), float(info[3]))
     iters = int(info[0])
     if cfg.record_trace:
         trace = trace[:iters + 1].copy()  # a view would pin the whole buffer
     return FitResult(beta=beta, objective=float(info[2]), trace=trace,
-                     iters=iters, converged=bool(info[1]),
-                     df=distinct_levels(beta))
+                     iters=iters, converged=bool(info[1]), df=int(info[4]),
+                     aux={} if shift is None else {"u": shift})
+
+
+def _envelope_mm_python(kind, y, m, u, beta, cfg) -> FitResult:
+    """:func:`envelope_fused_lasso_mm` in Python: the fallback of the
+    compiled loop and its test oracle."""
+    loss = LossSpec(kind, y=y, m=m)
+    n = y.shape[0]
+    ones = np.ones(n)
+
+    def objective(beta):
+        return loss_value(loss, beta) + float(np.sum(u * np.abs(np.diff(beta))))
+
+    if kind == "gaussian":
+        beta = weighted_fused_lasso(y, ones, u)
+        obj = _finite(objective(beta))
+        return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]), iters=1,
+                         converged=True, df=distinct_levels(beta))
+
+    if kind == "huber":
+        def huber_shift(beta):
+            return location_envelope_update(loss, beta)
+
+        def fused_lasso(shift, beta):
+            return weighted_fused_lasso(y - shift, ones, u)
+
+        fit = mm_driver(objective, huber_shift, fused_lasso, beta, cfg)
+        fit.aux["u"] = location_envelope_update(loss, fit.beta)
+        return fit
+
+    def polya_gamma_weights(beta):
+        return logit_scale_update(loss, beta)
+
+    def polya_gamma_fused_lasso(weights, beta):
+        omega, z = weights
+        return weighted_fused_lasso(z, omega, u)
+
+    return mm_driver(objective, polya_gamma_weights, polya_gamma_fused_lasso, beta, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Logistic fused lasso by the Polya-Gamma envelope
+
+
+def _logit_loss(y, m) -> LossSpec:
+    """The validated binomial-logit loss of counts ``y`` out of ``m``
+    (a scalar or one count per entry), with contiguous ``y`` and ``m``."""
+    y = np.ascontiguousarray(y, dtype=float)
+    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
+    if np.any(y < 0) or np.any(y > m_arr):
+        raise ValidationError("need 0 <= y <= m")
+    loss = LossSpec("binomial-logit", y=y, m=m_arr)
+    if loss.n == 0:
+        raise ValidationError("y must be nonempty")
+    return loss
 
 
 def logistic_fused_lasso(y, m, u_edges, init=None,
@@ -653,39 +741,17 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     Polson, Scott & Windle 2013) and working responses
     ``z_i = (y_i - m_i/2)/omega_i``, which touches the loss there.  The
     resulting weighted fused lasso is solved exactly, so the objective is
-    monotone.  The loop runs in the compiled kernel
-    (:func:`envelope_fused_lasso_mm`), or as :func:`mm_driver` with the
-    same update and solve when the kernel did not load.  Returns the MM run
-    record: ``iters`` cycles, their ``trace`` and whether the loop met
-    ``cfg.tol`` within ``cfg.max_iters``.
+    monotone.  The inputs are validated here, and the loop runs as
+    :func:`envelope_fused_lasso_mm`.  Returns the MM run record: ``iters``
+    cycles, their ``trace`` and whether the loop met ``cfg.tol`` within
+    ``cfg.max_iters``.
     """
     cfg = cfg or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
-    if np.any(y < 0) or np.any(y > m_arr):
-        raise ValidationError("need 0 <= y <= m")
-    loss = LossSpec("binomial-logit", y=y, m=m_arr)
-    n = y.shape[0]
-    if n == 0:
-        raise ValidationError("y must be nonempty")
+    loss = _logit_loss(y, m)
+    n = loss.n
     u = _edge_weights(u_edges, n)
     beta = _mm_start(init, np.zeros(n), n)
-
-    def objective(beta):
-        return loss_value(loss, beta) + float(np.sum(u * np.abs(np.diff(beta))))
-
-    def polya_gamma_weights(beta):
-        return logit_scale_update(loss, beta)
-
-    def polya_gamma_fused_lasso(weights, beta):
-        omega, z = weights
-        return weighted_fused_lasso(z, omega, u)
-
-    fit = envelope_fused_lasso_mm(loss, u, beta, cfg, polya_gamma_fused_lasso)
-    if fit is None:  # no compiled kernel: the same cycles in Python
-        fit = mm_driver(objective, polya_gamma_weights, polya_gamma_fused_lasso,
-                        beta, cfg)
-    return fit
+    return envelope_fused_lasso_mm("binomial-logit", loss.y, loss.m, u, beta, cfg)
 
 
 # ---------------------------------------------------------------------------

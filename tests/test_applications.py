@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from envopt.applications import (
 from envopt.errors import ValidationError
 from envopt.losses import huber
 from envopt.operators import diff_matrix
-from envopt.solvers import FitResult, SolverConfig, logistic_fused_lasso
+from envopt.solvers import FitResult, SolverConfig, envelope_fused_lasso_mm
 
 
 def _trace_monotone(fit):
@@ -228,17 +230,42 @@ def test_fdp_converged_requires_every_inner_solve(monkeypatch):
     inner_iters = []
 
     def recorded(*args, **kwargs):
-        sub = logistic_fused_lasso(*args, **kwargs)
+        sub = envelope_fused_lasso_mm(*args, **kwargs)
         inner_iters.append(sub.iters)
         return sub
 
-    monkeypatch.setattr(applications, "logistic_fused_lasso", recorded)
+    # the beta-steps run the envelope loop bound in applications; the
+    # binomial fused-lasso start runs it through solvers.logistic_fused_lasso
+    monkeypatch.setattr(applications, "envelope_fused_lasso_mm", recorded)
     full = fit_fdp(ds.y, ds.m, 5.0)
-    # the first call is the binomial fused-lasso start, not a beta-step
-    assert len(inner_iters) == full.iters + 1
+    assert len(inner_iters) == full.iters  # one beta-step per outer cycle
     assert full.aux["inner"] == {"calls": full.iters, "capped": 0,
-                                 "cycles": sum(inner_iters[1:])}
+                                 "cycles": sum(inner_iters)}
     assert full.converged
+
+
+@pytest.mark.parametrize("kwargs, msg", [
+    ({"a": 0.0}, "a must be positive"),
+    ({"a": -1.0}, "a must be positive"),
+    ({"a": np.inf}, "a must be positive and finite"),
+    ({"a": np.nan}, "a must be positive"),
+    ({"lam": np.nan}, "lam must be nonnegative and finite"),
+    ({"lam": np.inf}, "lam must be nonnegative and finite"),
+    ({"lam": -1.0}, "lam must be nonnegative"),
+])
+def test_fdp_rejects_bad_scale_and_penalty_before_any_work(monkeypatch, kwargs, msg):
+    ds = simulate("fdp", 20, seed=3)
+    args = {"lam": 2.0, **kwargs}
+    calls = []
+    for loop in ("mm_driver", "envelope_fused_lasso_mm", "binomial_fused_lasso"):
+        monkeypatch.setattr(applications, loop, lambda *a, **k: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=msg):
+            fit_fdp(ds.y, ds.m, **args)
+        with pytest.raises(ValidationError, match=msg):
+            fit_fdp(ds.y, ds.m, init=np.zeros(20), **args)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ def test_fused_lasso_forced_python_fallback(monkeypatch):
         (([1.0, np.inf], [1.0, 1.0], [0.5]), "inputs must be finite"),
         (([1.0, 2.0], [1.0, np.inf], [0.5]), "inputs must be finite"),
         (([1.0, 2.0], [1.0, 1.0], [np.nan]), "inputs must be finite"),
+        ((np.ones(4), [1.0, 2.0], 1.0), "omega must be a scalar or a vector of length 4"),
+        ((np.ones(4), 1.0, np.ones(4)), "edge weights must be a scalar or a vector of length 3"),
     ]
     for args, msg in bad:
         with pytest.raises(ValidationError, match=msg):
@@ -330,6 +332,8 @@ _TF_BAD = [
     ((np.ones(4), 1.0, 1, [1.0, -1.0]), "lam must be nonnegative"),
     ((np.ones(4), 1.0, 1, [1.0, np.nan]), "inputs must be finite"),
     ((np.ones(4), 1.0, 1, np.inf), "inputs must be finite"),
+    ((np.ones(4), [1.0, 2.0], 1, 1.0), "omega must be a scalar or a vector of length 4"),
+    ((np.ones(5), 1.0, 1, [1.0, 2.0]), "lam must be a scalar or a vector of length 3"),
     (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
     (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 0.0), "inputs must be finite"),
     (([1.0, np.inf, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
@@ -641,6 +645,7 @@ _ENVELOPE_BAD = [
     (logistic_fused_lasso, ([1.0, 2.0], 3.0, -1.0), {}, "nonnegative"),
     (logistic_fused_lasso, ([1.0, 2.0], 3.0, np.nan), {}, "finite"),
     (logistic_fused_lasso, ([1.0, 2.0], 3.0, np.inf), {}, "finite"),
+    (logistic_fused_lasso, (np.ones(4), 2.0, [1.0, 2.0]), {}, "vector of length 3"),
     (logistic_fused_lasso, ([1.0, 2.0], 3.0, 1.0), {"init": [0.0]}, "length 2"),
     (logistic_fused_lasso, ([1.0, 2.0], 3.0, 1.0), {"init": [0.0, np.nan]}, "finite"),
     (_rfl, ([1.0, np.nan, 2.0], 1.0), {}, "finite"),
@@ -676,19 +681,23 @@ def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
 
 
 class _FakeKernel:
-    """Stands in for the compiled library: returns ``status`` with the
-    objectives 1.0 -> 2.0 in ``info``."""
+    """Stands in for the compiled library, with the signature of
+    ``envelope_fused_lasso_mm``: returns ``status`` with the objectives
+    1.0 -> 2.0 in ``info``."""
 
     def __init__(self, status):
         self.status = status
 
-    def envelope_fused_lasso_mm(self, *args):
+    def envelope_fused_lasso_mm(self, envelope, y, m, u, n, tol, max_iters, record,
+                                beta, trace, shift, info):
         import ctypes
-        (ctypes.c_double * 4).from_address(args[-1])[:] = [1.0, 0.0, 1.0, 2.0]
+        (ctypes.c_double * 5).from_address(info)[:] = [1.0, 0.0, 1.0, 2.0, 1.0]
         return self.status
 
 
 def test_envelope_mm_kernel_status_is_raised(monkeypatch):
+    from envopt.applications import fused_lasso_gaussian
+
     y = np.array([1.0, 3.0, 2.0])
     for status, error in ((1, MemoryError), (2, ValidationError), (3, MonotonicityError)):
         monkeypatch.setattr(solvers, "_kernel", lambda: _FakeKernel(status))
@@ -696,10 +705,78 @@ def test_envelope_mm_kernel_status_is_raised(monkeypatch):
             logistic_fused_lasso(y, 4.0, 0.5)
         with pytest.raises(error) as rfl_err:
             _rfl(y, 0.5)
+        if status < 3:  # the one-solve squared loss has no rise to report
+            with pytest.raises(error):
+                fused_lasso_gaussian(y, 0.5)
     # named as mm_driver names the solve of the same loop
     assert (logit_err.value.step, rfl_err.value.step) == ("polya_gamma_fused_lasso",
                                                           "fused_lasso")
     assert (logit_err.value.before, logit_err.value.after) == (1.0, 2.0)
+
+
+def _envelope_edge_instances(rng, count):
+    """Inputs of the three fused-lasso envelope fits, as ``(y, lam, counts,
+    m)``: n = 2 in a quarter of them, ties in half, lam = 0 or a penalty
+    far above the data's spread (a flat fit) in two fifths."""
+    for i in range(count):
+        n = 2 if i % 4 == 0 else int(rng.integers(3, 60))
+        y = rng.normal(scale=3.0, size=n)
+        if i % 2:
+            y = np.round(y)  # ties
+        lam = (0.0, 1e6)[i % 5] if i % 5 < 2 else float(10.0 ** rng.uniform(-2, 2))
+        m = rng.integers(1, 30, size=n).astype(float)
+        counts = rng.binomial(m.astype(int), rng.uniform(0.05, 0.95)).astype(float)
+        yield y, lam, counts, m
+
+
+def _three_fits(y, lam, counts, m):
+    from envopt.applications import fit_rfl, fused_lasso_gaussian
+
+    cfg = SolverConfig(max_iters=2000)
+    return (fit_rfl(y, lam, cfg=cfg), fused_lasso_gaussian(y, lam),
+            logistic_fused_lasso(counts, m, lam, cfg=cfg))
+
+
+def test_envelope_fits_return_df_and_final_shift():
+    from envopt.losses import location_envelope_update
+
+    rng = np.random.Generator(np.random.PCG64(909))
+    flat = 0
+    for y, lam, counts, m in _envelope_edge_instances(rng, 150):
+        n = y.size
+        rfl, gauss, logit = _three_fits(y, lam, counts, m)
+        for fit in (rfl, gauss, logit):
+            assert fit.df == distinct_levels(fit.beta), (n, lam)
+        # equal up to the sign of a zero shift
+        assert np.array_equal(rfl.aux["u"],
+                              location_envelope_update(LossSpec("huber", y=y), rfl.beta))
+        assert np.array_equal(gauss.beta,
+                              weighted_fused_lasso(y, np.ones(n), np.full(n - 1, lam)))
+        ref = 0.5 * np.sum((y - gauss.beta) ** 2) + lam * np.sum(np.abs(np.diff(gauss.beta)))
+        assert abs(gauss.objective - ref) <= 1e-13 * abs(ref), (n, lam)
+        assert (gauss.iters, gauss.converged) == (1, True)
+        assert gauss.trace.tolist() == [gauss.objective]
+        flat += n > 2 and rfl.df == gauss.df == logit.df == 1
+    assert flat >= 10
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_envelope_fits_same_record_without_kernel(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(910))
+    cases = list(_envelope_edge_instances(rng, 60))
+    c_fits = [_three_fits(*case) for case in cases]
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    for case, fits in zip(cases, c_fits):
+        for c, py in zip(fits, _three_fits(*case)):
+            where = (case[0].size, case[1], c.iters)
+            assert (c.iters, c.converged, c.df) == (py.iters, py.converged, py.df), where
+            np.testing.assert_allclose(c.beta, py.beta, rtol=1e-9, atol=1e-12)
+            assert c.trace.shape == py.trace.shape, where
+            np.testing.assert_allclose(c.trace, py.trace, rtol=1e-12, atol=1e-12)
+            assert c.objective == c.trace[-1] and py.objective == py.trace[-1], where
+            assert c.aux.keys() == py.aux.keys(), where
+            if "u" in c.aux:
+                np.testing.assert_allclose(c.aux["u"], py.aux["u"], rtol=1e-9, atol=1e-12)
 
 
 def test_level_and_knot_counting():
