@@ -164,7 +164,7 @@ def envelope_suite(tol: float = 1e-6):
     for name, family, dual, target, lam_hat, count in envelope_catalog():
         grid = duality.default_lambda_grid(family, x_grid, lam_hat, count=count)
         report = check_envelope_identity(family, dual, target, x_grid,
-                                         tol=tol, grid=grid, lambda_hat=lam_hat)
+                                         grid=grid, lambda_hat=lam_hat)
         results.append({
             "name": name,
             "max_gap": report.max_gap,

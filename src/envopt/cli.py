@@ -290,16 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    defaults = SolverConfig()  # the solver flags default to its fields
+
     def add_common_fit_args(sp):
         sp.add_argument("--q", type=float, default=0.9,
                         help="target quantile (qrtf)")
         sp.add_argument("--k", type=int, default=2, help="trend order (qrtf)")
         sp.add_argument("--a", type=float, default=1.0,
                         help="log-penalty scale (fdp)")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--max-iters", type=int, default=500)
-        sp.add_argument("--inner-tol", type=float, default=1e-9)
-        sp.add_argument("--inner-max-iters", type=int, default=2000)
+        sp.add_argument("--tol", type=float, default=defaults.tol)
+        sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
+        sp.add_argument("--inner-tol", type=float, default=defaults.inner_tol)
+        sp.add_argument("--inner-max-iters", type=int,
+                        default=defaults.inner_max_iters)
         sp.add_argument("--strict", action="store_true",
                         help="exit 4 when a fit fails to converge")
 

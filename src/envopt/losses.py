@@ -3,7 +3,7 @@
 Kinds (``r = y - A @ beta``; identity design when ``A`` is absent):
 
   gaussian        0.5 * sum(r^2)
-  huber           sum(H(r)),  H quadratic inside |r| < delta, linear outside
+  huber           sum(H(r)),  H quadratic inside |r| < 1, linear outside
   check           sum(|r| + (2q-1) r)       (quantile loss, nondifferentiable)
   binomial-logit  sum(m*log(1+exp(eta)) - y*eta),  eta = A @ beta
 
@@ -64,7 +64,7 @@ class LossSpec:
     ``m`` (trial counts) is required for binomial-logit, ``q`` for the
     check loss.  The variance-mean drift is derived, never set: it is
     ``1 - 2q`` for the check loss and ``y - m/2`` per observation for the
-    logit.
+    logit.  The Huber threshold is 1, as in the compiled fused-lasso loop.
     """
 
     kind: str
@@ -72,7 +72,6 @@ class LossSpec:
     m: Optional[np.ndarray] = None
     q: Optional[float] = None
     design: Optional[np.ndarray] = None
-    delta: float = 1.0  # huber threshold
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -93,8 +92,6 @@ class LossSpec:
         if self.kind == "check":
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValidationError("check loss requires q in (0, 1)")
-        if self.kind == "huber" and not self.delta > 0:
-            raise ValidationError("huber threshold must be positive")
         if self.design is not None:
             A = np.asarray(self.design, dtype=float)
             if A.ndim != 2 or A.shape[0] != y.shape[0] or not np.all(np.isfinite(A)):
@@ -159,7 +156,7 @@ def loss_value(l: LossSpec, beta) -> float:
         r = l.y - eta
         return float(0.5 * np.dot(r, r))
     if l.kind == "huber":
-        return float(np.sum(huber(l.y - eta, l.delta)))
+        return float(np.sum(huber(l.y - eta)))
     if l.kind == "check":
         return float(np.sum(check_value(l.y - eta, l.q)))
     # binomial-logit
@@ -174,7 +171,7 @@ def loss_grad(l: LossSpec, beta) -> np.ndarray:
     if l.kind == "gaussian":
         r = eta - l.y
     elif l.kind == "huber":
-        r = -huber_deriv(l.y - eta, l.delta)
+        r = -huber_deriv(l.y - eta)
     else:  # binomial-logit
         r = l.m * expit(eta) - l.y
     if l.design is None:
@@ -216,14 +213,14 @@ def lipschitz_bound(l: LossSpec) -> float:
 
 
 def location_envelope_update(l: LossSpec, beta) -> np.ndarray:
-    """Huber location shift: u_i = 0 inside the threshold, r - sgn(r)*delta
+    """Huber location shift: u_i = 0 inside the threshold 1, r - sgn(r)
     outside, at r = y - beta (identity design only)."""
     if l.kind != "huber":
         raise CapabilityError("location envelope update is a huber rule")
     if l.design is not None:
         raise CapabilityError("location envelope update needs identity design")
     r = l.y - np.asarray(beta, dtype=float)
-    return soft_threshold(r, l.delta)
+    return soft_threshold(r, 1.0)
 
 
 def variance_mean_update(l: LossSpec, beta):

@@ -21,19 +21,15 @@ __all__ = [
 class DifferenceOperator:
     """Banded discrete difference matrix of order ``order + 1``.
 
-    Row ``i`` holds the alternating-binomial stencil starting at column
-    ``i``: the first-difference matrix has rows ``(+1, -1)``, and higher
-    orders follow the recursion ``D_next = D_first @ D``.  Applying the
+    Row ``i`` holds the alternating-binomial ``stencil`` starting at
+    column ``i``: the first-difference matrix has rows ``(+1, -1)``, and
+    higher orders follow the recursion ``D_next = D_first @ D``.  Applying the
     operator to samples of a polynomial of degree <= ``order`` gives zero.
     """
 
-    order: int          # k; the operator forms (k+1)-th differences
-    n: int              # signal length
-    bands: np.ndarray   # (n - k - 1, k + 2); row i starts at column i
-
-    @property
-    def stencil(self) -> np.ndarray:
-        return self.bands[0]
+    order: int            # k; the operator forms (k+1)-th differences
+    n: int                # signal length
+    stencil: np.ndarray   # (k + 2,); every row, shifted to start at its index
 
     @property
     def rows(self) -> int:
@@ -55,7 +51,7 @@ class DifferenceOperator:
         out = np.zeros((self.rows, self.n))
         width = self.order + 2
         for i in range(self.rows):
-            out[i, i:i + width] = self.bands[i]
+            out[i, i:i + width] = self.stencil
         return out
 
     def gram_bands(self) -> np.ndarray:
@@ -104,8 +100,7 @@ def diff_matrix(n: int, k: int) -> DifferenceOperator:
     stencil = np.array([1.0])
     for _ in range(k + 1):
         stencil = np.convolve(stencil, np.array([1.0, -1.0]))
-    bands = np.tile(stencil, (n - k - 1, 1))
-    return DifferenceOperator(order=k, n=n, bands=bands)
+    return DifferenceOperator(order=k, n=n, stencil=stencil)
 
 
 def soft_threshold(y, lam):

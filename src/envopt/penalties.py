@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duality
-from .duality import GridSpec, _float_if_scalar, conjugate_numeric
+from .duality import _float_if_scalar
 from .errors import CapabilityError, ValidationError
 
 __all__ = [
@@ -69,6 +69,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValidationError(f"unknown penalty kind {self.kind!r}")
+        if not all(abs(v) < np.inf for v in (self.gamma, self.a, self.weight)):
+            raise ValidationError("penalty parameters must be finite")
         if self.kind in ("double-pareto", "mcp"):
             # gamma == 0 is allowed as the degenerate no-penalty case.
             if self.gamma < 0 or not self.a > 0:
@@ -140,15 +142,18 @@ def penalty_deriv(p: PenaltySpec, x):
     return _float_if_scalar(out)
 
 
-def penalty_dual(p: PenaltySpec, lam, grid: GridSpec | None = None):
+def penalty_dual(p: PenaltySpec, lam):
     """Concave dual ``phi*(lam) = inf_{x>=0} {lam*x - phi(x)}``.
 
-    Closed forms for l1, double-pareto and mcp; other kinds fall back to
-    the numeric conjugate on ``grid``.  The dual is -inf for lam < 0
-    (rejected here as a domain error) and, for l1, on ``[0, weight)`` --
-    the envelope infimum is attained at the effective-domain edge
-    lam = weight.
+    Closed forms for l1, double-pareto and mcp, the kinds with an
+    exponential envelope; the others raise :class:`CapabilityError`, as
+    :func:`lambda_hat` does (the dual of ridge is -inf everywhere).  The
+    dual is -inf for lam < 0 (rejected here as a domain error) and, for
+    l1, on ``[0, weight)`` -- the envelope infimum is attained at the
+    effective-domain edge lam = weight.
     """
+    if "exponential" not in _FAMILY_COMPAT.get(p.kind, ()):
+        raise CapabilityError(f"kind {p.kind!r} has no exponential dual")
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr < 0):
         raise ValidationError("penalty dual domain is lam >= 0")
@@ -165,20 +170,13 @@ def penalty_dual(p: PenaltySpec, lam, grid: GridSpec | None = None):
                     G - G * np.log(G) + G * np.log(p.a)
                 )
             out = np.where(lam_arr >= edge, 0.0, body)
-    elif p.kind == "mcp":
+    else:  # mcp
         ge = _strength(p)            # effective gamma
         ae = p.a / p.weight if p.weight > 0 else p.a
         if ge == 0.0:
             out = np.zeros_like(lam_arr)
         else:
             out = np.where(lam_arr <= ge, -0.5 * ae * (lam_arr - ge) ** 2, 0.0)
-    elif p.kind == "psi-specified":
-        raise CapabilityError("psi-specified penalty has no exponential dual")
-    else:
-        if grid is None:
-            grid = GridSpec(0.0, 50.0)
-        out = np.asarray(conjugate_numeric(lambda t: penalty_value(p, t),
-                                           lam_arr, grid, sense="concave"))
     return _float_if_scalar(out)
 
 

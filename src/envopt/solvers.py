@@ -10,7 +10,9 @@ Contents:
   for ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|`` where D is
   the difference operator of order k+1.
 * :func:`proximal_gradient` -- fixed-step forward-backward iteration for
-  separable penalized likelihoods.
+  separable penalized likelihoods: the gradient step is the location
+  envelope's update and the penalty's prox its solve, run by
+  :func:`mm_driver`.
 * :func:`mm_driver` -- the majorize/minimize loop of every envelope fit:
   each cycle is a closed-form envelope update ``update(beta) -> aux``
   followed by the subproblem solve ``solve(aux, beta) -> beta``, with one
@@ -513,18 +515,19 @@ def trend_filter_kkt_residual(beta, z, omega, k: int, lam) -> float:
 
 def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
                       cfg: Optional[SolverConfig] = None) -> FitResult:
-    """Fixed-step forward-backward iteration for ``loss + sum_j phi(b_j)``.
+    """Fixed-step forward-backward iteration for ``loss + sum_j phi(b_j)``
+    (ISTA), run by :func:`mm_driver` as an envelope MM.
 
-    The step is ``a = 1/L`` with L the loss's gradient Lipschitz bound,
-    so each iteration is an exact minimization of the separable quadratic
-    majorizer: the objective trace is non-increasing.  ``aux['lambda']``
-    records the location-envelope vector ``a^{-1} x - grad l(x)`` at
-    exit.
+    The step is ``a = 1/L`` with L the loss's gradient Lipschitz bound.
+    The multivariate Gaussian location envelope of the loss at ``beta``
+    has the update ``a*lambda = beta - a*grad l(beta)``, the gradient
+    step, and leaves the separable problem that the penalty's prox at
+    step ``a`` solves exactly: the objective trace is non-increasing.
+    ``aux['lambda']`` records the location-envelope vector
+    ``a^{-1} x - grad l(x)`` at exit.
     """
     cfg = cfg or SolverConfig()
-    beta = np.array(init, dtype=float).copy()
-    if beta.shape != (loss.dim,):
-        raise ValidationError(f"init must have length {loss.dim}")
+    beta = _mm_start(init, None, loss.dim)
     L = lipschitz_bound(loss)
     if L <= 0:
         raise ValidationError("loss curvature bound must be positive")
@@ -533,25 +536,15 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
     def objective(b):
         return loss_value(loss, b) + float(np.sum(penalty_value(penalty, b)))
 
-    obj = objective(beta)
-    trace = [obj]
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        beta = prox(penalty, beta - a * loss_grad(loss, beta), 1.0 / a)
-        new = objective(beta)
-        if cfg.record_trace:
-            trace.append(new)
-        if abs(obj - new) <= cfg.tol * max(1.0, abs(obj)):
-            obj = new
-            converged = True
-            break
-        obj = new
-    lam_exit = beta / a - loss_grad(loss, beta)
-    return FitResult(beta=beta, objective=obj, trace=np.asarray(trace),
-                     iters=it, converged=converged,
-                     df=distinct_levels(beta),
-                     aux={"lambda": lam_exit, "step": a})
+    def gradient_step(b):
+        return b - a * loss_grad(loss, b)
+
+    def penalty_prox(z, b):
+        return prox(penalty, z, 1.0 / a)
+
+    fit = mm_driver(objective, gradient_step, penalty_prox, beta, cfg)
+    fit.aux = {"lambda": fit.beta / a - loss_grad(loss, fit.beta), "step": a}
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +751,13 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
 # Level / knot counting
 
 
-def distinct_levels(beta, rtol: float = 1e-6) -> int:
+def distinct_levels(beta) -> int:
     """Number of distinct fitted levels, with adjacent values fused when
-    they differ by <= rtol * max(1, ||beta||_inf)."""
+    they differ by <= 1e-6 * max(1, ||beta||_inf), as in ``_fldp.c``."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if beta.size == 0:
         return 0
-    tol = rtol * max(1.0, float(np.max(np.abs(beta))))
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(beta))))
     return int(1 + np.sum(np.abs(np.diff(beta)) > tol))
 
 

@@ -3,7 +3,8 @@ import os
 
 import numpy as np
 
-from envopt.cli import main
+from envopt.cli import _solver_config, build_parser, main
+from envopt.solvers import SolverConfig
 
 
 def run(args):
@@ -261,3 +262,11 @@ def test_check_all_suites_cli(tmp_path):
     report = json.loads(out.read_text())
     assert [r["name"] for r in report["results"]] == CHECK_ROWS
     assert all(r["passed"] for r in report["results"]) and report["pass"]
+
+
+def test_solver_flags_default_to_solver_config():
+    for cmd in (["fit", "--app", "fdp", "--data", "d.csv", "--lam", "1",
+                 "--out", "f.json"],
+                ["path", "--app", "qrtf", "--data", "d.csv", "--lambdas", "1",
+                 "--out", "p.json"]):
+        assert _solver_config(build_parser().parse_args(cmd)) == SolverConfig()

@@ -97,7 +97,7 @@ def test_gradient_finite_differences():
             beta = rng.normal(size=d)
             if spec.kind == "huber":
                 r = spec.y - A @ beta
-                if np.any(np.abs(np.abs(r) - spec.delta) < 1e-4):
+                if np.any(np.abs(np.abs(r) - 1.0) < 1e-4):
                     continue
             g = loss_grad(spec, beta)
             fd = np.empty(d)
@@ -226,7 +226,7 @@ def test_huber_location_envelope_numeric_dual():
 
     xg = np.linspace(-5.0, 5.0, 101)
     report = check_envelope_identity(GAUSSIAN_LOCATION, psi_numeric,
-                                     lambda x: huber(x), xg, tol=1e-6)
+                                     lambda x: huber(x), xg)
     assert report.max_gap <= 1e-6
 
 

@@ -25,6 +25,15 @@ def test_spec_validation():
     PenaltySpec("double-pareto", gamma=0.0, a=1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["gamma", "a", "weight"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_parameters(field, value):
+    for kind in ("l1", "ridge", "double-pareto", "mcp", "limited-translation"):
+        with pytest.raises(ValidationError, match="finite"):
+            PenaltySpec(kind, **{field: value})
+
+
 def test_values():
     dp = PenaltySpec("double-pareto", gamma=1.0, a=1.0)
     assert penalty_value(dp, 0.0) == 0.0
@@ -81,6 +90,15 @@ def test_duals():
     assert penalty_dual(dp, 1.0) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValidationError):
         penalty_dual(dp, -0.1)
+
+
+@pytest.mark.parametrize("kind", ["ridge", "limited-translation", "psi-specified"])
+def test_dual_needs_an_exponential_envelope(kind):
+    # ridge's concave dual is -inf at every lam: no grid edge stands in for it
+    with pytest.raises(CapabilityError):
+        penalty_dual(PenaltySpec(kind), 1.0)
+    with pytest.raises(CapabilityError):
+        lambda_hat(PenaltySpec(kind), 1.0, EXPONENTIAL)
 
 
 def test_mcp_dual_matches_grid_oracle():

@@ -431,6 +431,19 @@ def test_proximal_gradient_degenerate_logit_flagged():
     np.testing.assert_allclose(expit(fit.beta), y, atol=1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proximal_gradient_rejects_non_finite_start(monkeypatch, bad):
+    def no_iteration(*args):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(solvers, "loss_grad", no_iteration)
+    loss = LossSpec("gaussian", y=[1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="finite vector of length 3"):
+        proximal_gradient(loss, PenaltySpec("l1"), [bad, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="finite vector of length 3"):
+        proximal_gradient(loss, PenaltySpec("l1"), np.zeros(2))
+
+
 def test_proximal_gradient_requires_capabilities():
     loss = LossSpec("check", y=np.zeros(3), q=0.5)
     with pytest.raises(CapabilityError):
