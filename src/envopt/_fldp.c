@@ -9,11 +9,15 @@
    Returns 0, or 1 when the work arrays cannot be allocated.
 
    envelope_fused_lasso_mm runs a whole majorize/minimize loop whose
-   subproblem is that fused lasso, for one of three envelopes: the Huber
-   location shift, the logit's Polya-Gamma weights, or the squared loss,
-   which is exact in one cycle.  Besides the iterate and its objective
-   trace it returns the fit's distinct levels (df) and, for the Huber
-   shift, the final shift; see its comment below. */
+   subproblem is that fused lasso, for one of four envelopes: the Huber
+   location shift, the logit's Polya-Gamma weights, the Polya-Gamma
+   weights together with the log penalty's edge weights (the fused
+   double-Pareto fit), or the squared loss, which is exact in one map.
+   The iterative envelopes are extrapolated by safeguarded SQUAREM.
+   Besides the iterate and its objective trace it returns the fit's
+   distinct levels (df), the SQUAREM steps and rejected extrapolations,
+   and the final envelope variables (the Huber shift or the log-penalty
+   edge weights); see its comment below. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -102,23 +106,43 @@ int fused_lasso_dp(const double *z, const double *w, const double *u,
 }
 
 /* The envelopes of envelope_fused_lasso_mm. */
-enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2 };
+enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3 };
 
-/* Data loss plus sum_i u_i |b_{i+1} - b_i|: the Huber loss (threshold 1)
-   of y - b, the binomial logit loss m log(1 + e^b) - y b with
-   log(1 + e^b) evaluated as numpy's logaddexp(0, b), or the squared
-   loss (1/2)(y - b)^2. */
-static double objective(int envelope, const double *y, const double *m,
-                        const double *u, long n, const double *beta)
+/* One envelope loop: its problem, the work arrays of a map and the run
+   record.  The problem is the data y (and trial counts m), the edge
+   penalties u and, for LOG_PENALTY, the scale a.  A map writes the
+   weights w, the working responses z and, for LOG_PENALTY, the DP's edge
+   weights ue; x is the DP's work array.  maps counts the maps run and,
+   when record is nonzero, trace[t] receives the objective after map t. */
+typedef struct {
+    int envelope, coupled, record;
+    const double *y, *m, *u;
+    double a;
+    long n, maps;
+    double *w, *z, *ue, *x, *trace;
+} loop;
+
+static int logit_loss(int envelope)
 {
+    return envelope == POLYA_GAMMA || envelope == LOG_PENALTY;
+}
+
+/* Data loss plus penalty: the Huber loss (threshold 1) of y - b, the
+   binomial logit loss m log(1 + e^b) - y b with log(1 + e^b) evaluated as
+   numpy's logaddexp(0, b), or the squared loss (1/2)(y - b)^2; plus
+   sum_i u_i |d_i| on the differences d_i = b_{i+1} - b_i, or for
+   LOG_PENALTY the log penalty sum_i u_i log(1 + |d_i|/a). */
+static double objective(const loop *s, const double *beta)
+{
+    const double *y = s->y, *m = s->m, *u = s->u;
     double loss = 0.0, pen = 0.0;
     long i;
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < s->n; i++) {
         double b = beta[i];
-        if (envelope == HUBER_SHIFT) {
+        if (s->envelope == HUBER_SHIFT) {
             double r = fabs(y[i] - b);
             loss += r < 1.0 ? 0.5 * r * r : r - 0.5;
-        } else if (envelope == SQUARED) {
+        } else if (s->envelope == SQUARED) {
             double r = y[i] - b;
             loss += 0.5 * r * r;
         } else {
@@ -132,8 +156,10 @@ static double objective(int envelope, const double *y, const double *m,
             loss += m[i] * softplus - y[i] * b;
         }
     }
-    for (i = 0; i < n - 1; i++)
-        pen += u[i] * fabs(beta[i + 1] - beta[i]);
+    for (i = 0; i < s->n - 1; i++) {
+        double d = fabs(beta[i + 1] - beta[i]);
+        pen += u[i] * (s->envelope == LOG_PENALTY ? log1p(d / s->a) : d);
+    }
     return loss + pen;
 }
 
@@ -145,21 +171,33 @@ static double huber_shift(double y, double b)
     return r > 1.0 ? r - 1.0 : r < -1.0 ? r + 1.0 : 0.0;
 }
 
-/* The closed-form envelope update at beta: the weights w (constant 1 for
-   the Huber shift and the squared loss, set by the caller) and the
-   working responses z.  Huber shift: z = y - soft(y - b, 1).  Squared
-   loss: z = y.  Polya-Gamma: w = (m/2b) tanh(b/2), the mean of the
-   Polya-Gamma mixing variable, with its limit m/4 at b = 0, and
-   z = (y - m/2)/w.  Returns 0, or 2 when a weight is not positive and
-   finite or a working response is not finite. */
-static int update(int envelope, const double *y, const double *m, long n,
-                  const double *beta, double *w, double *z)
+/* The log penalty's edge weights at beta: u_i / (a + |b_{i+1} - b_i|),
+   its derivative, whose linearization majorizes the concave penalty and
+   touches it at beta. */
+static void log_penalty_weights(const loop *s, const double *beta, double *ue)
 {
     long i;
-    for (i = 0; i < n; i++) {
-        if (envelope == HUBER_SHIFT) {
+    for (i = 0; i < s->n - 1; i++)
+        ue[i] = s->u[i] / (s->a + fabs(beta[i + 1] - beta[i]));
+}
+
+/* The closed-form envelope update at beta: the weights w (constant 1 for
+   the Huber shift and the squared loss, set by the caller) and the
+   working responses z, and for LOG_PENALTY the edge weights ue.  Huber
+   shift: z = y - soft(y - b, 1).  Squared loss: z = y.  Polya-Gamma (and
+   LOG_PENALTY): w = (m/2b) tanh(b/2), the mean of the Polya-Gamma mixing
+   variable, with its limit m/4 at b = 0, and z = (y - m/2)/w.  Returns 0,
+   or 2 when a weight is not positive and finite or a working response is
+   not finite. */
+static int update(loop *s, const double *beta)
+{
+    const double *y = s->y, *m = s->m;
+    double *w = s->w, *z = s->z;
+    long i;
+    for (i = 0; i < s->n; i++) {
+        if (s->envelope == HUBER_SHIFT) {
             z[i] = y[i] - huber_shift(y[i], beta[i]);
-        } else if (envelope == SQUARED) {
+        } else if (s->envelope == SQUARED) {
             z[i] = y[i];
         } else {
             double h = 0.5 * beta[i];
@@ -172,27 +210,99 @@ static int update(int envelope, const double *y, const double *m, long n,
         if (!(fabs(z[i]) < HUGE_VAL))
             return 2;
     }
+    if (s->envelope == LOG_PENALTY)
+        log_penalty_weights(s, beta, s->ue);
     return 0;
 }
 
-/* One cycle: the envelope update at beta, the exact weighted fused lasso
-   on (z, w, u) into beta and its objective into *obj.  When no u_i
-   couples two coefficients the solve returns z itself, as the Python
-   wrapper of the DP does.  Returns 0, or 2 when the update or the
-   objective is not finite. */
-static int cycle(int envelope, const double *y, const double *m,
-                 const double *u, long n, int coupled, double *beta,
-                 double *w, double *z, double *x, double *obj)
+/* One MM map: the envelope update at from, then the exact weighted fused
+   lasso on (z, w) with the edge weights into to (which may be from) and
+   its objective into *obj.  When no u_i couples two coefficients the
+   solve returns z itself, as the Python wrapper of the DP does.  Returns
+   0, or 2 when the update or the objective is not finite. */
+static int map(loop *s, const double *from, double *to, double *obj)
 {
-    int status = update(envelope, y, m, n, beta, w, z);
+    int status = update(s, from);
     if (status)
         return status;
-    if (coupled)
-        dp(z, w, u, n, beta, x);
+    if (s->coupled)
+        dp(s->z, s->w, s->envelope == LOG_PENALTY ? s->ue : s->u, s->n, to, s->x);
     else
-        memcpy(beta, z, (size_t)n * sizeof(double));
-    *obj = objective(envelope, y, m, u, n, beta);
+        memcpy(to, s->z, (size_t)s->n * sizeof(double));
+    *obj = objective(s, to);
     return fabs(*obj) < HUGE_VAL ? 0 : 2;
+}
+
+/* Appends the objective after one more map to the run record. */
+static void count_map(loop *s, double obj)
+{
+    s->maps++;
+    if (s->record)
+        s->trace[s->maps] = obj;
+}
+
+/* One plain map from -> to.  *obj holds the objective at from on entry
+   and at to on return; *next receives the value the map reached.
+   Returns 0, the status of map, or 3 when *next rises above *obj by more
+   than 1e-10 relative (then *obj is left as it was). */
+static int plain_map(loop *s, const double *from, double *to, double *obj,
+                     double *next)
+{
+    int status = map(s, from, to, next);
+    if (status)
+        return status;
+    if (*next > *obj + 1e-10 * fmax(1.0, fabs(*obj)))
+        return 3;
+    *obj = *next;
+    count_map(s, *obj);
+    return 0;
+}
+
+/* One safeguarded SQUAREM step (Varadhan & Roland 2008, Scand. J.
+   Statist. 35:335-353) from beta, whose objective is *obj: two plain maps
+   b1 = F(beta) and b2 = F(b1), the steplength
+   alpha = min(-|r|/|v|, -1) with r = b1 - beta and v = b2 - 2 b1 + beta
+   (-1 when v = 0), and one map at bx = beta - 2 alpha r + alpha^2 v,
+   which is b2 itself at alpha = -1.  That third map is kept when its
+   objective is at most f(b2); otherwise, or when bx or the map is not
+   finite, the step ends at b2, the third map's record repeats f(b2) and
+   *rejected counts it.  b1, b2 and bx are work vectors.  Returns 0 or
+   the status of a plain map. */
+static int squarem_step(loop *s, double *beta, double *b1, double *b2,
+                        double *bx, double *obj, double *next, long *rejected)
+{
+    long i, n = s->n;
+    double rr = 0.0, vv = 0.0, alpha = -1.0, fx = 0.0;
+    int status = plain_map(s, beta, b1, obj, next), finite = 1;
+    if (!status)
+        status = plain_map(s, b1, b2, obj, next);
+    if (status)
+        return status;
+    for (i = 0; i < n; i++) {
+        double r = b1[i] - beta[i], v = b2[i] - 2.0 * b1[i] + beta[i];
+        rr += r * r;
+        vv += v * v;
+    }
+    if (vv > 0.0 && rr > vv)
+        alpha = -sqrt(rr / vv);
+    if (alpha == -1.0) {
+        memcpy(bx, b2, (size_t)n * sizeof(double));
+    } else {
+        for (i = 0; i < n; i++) {
+            double r = b1[i] - beta[i], v = b2[i] - 2.0 * b1[i] + beta[i];
+            bx[i] = beta[i] - 2.0 * alpha * r + alpha * alpha * v;
+            finite &= fabs(bx[i]) < HUGE_VAL;
+        }
+    }
+    if (finite && !map(s, bx, bx, &fx) && fx <= *obj) {
+        *obj = fx;
+        memcpy(beta, bx, (size_t)n * sizeof(double));
+    } else {
+        ++*rejected;
+        memcpy(beta, b2, (size_t)n * sizeof(double));
+    }
+    count_map(s, *obj);
+    return 0;
 }
 
 /* Distinct levels of beta: 1 plus the adjacent differences above
@@ -209,81 +319,95 @@ static long distinct_levels(const double *beta, long n)
     return levels;
 }
 
-/* One majorize/minimize loop: each cycle is the envelope update at beta,
-   then the exact weighted fused lasso on (z, w, u), then the objective.
-   This is envopt.solvers.mm_driver with the update and solve of
-   envopt.solvers.envelope_fused_lasso_mm for the Huber shift (u_i = lam,
-   m unused) and the Polya-Gamma weights, cycle for cycle: a rise of the
-   objective beyond 1e-10 relative stops the loop, and it converges when
-   the relative change |f_t - f_{t+1}| / max(1, |f_t|) falls to tol.
-   The squared loss (m unused) is exact in one cycle: it runs that cycle
-   from no start, and its record is that cycle's objective alone.
+/* One majorize/minimize loop whose map F(beta) is the envelope update at
+   beta, then the exact weighted fused lasso, then the objective; it is
+   envopt.solvers._envelope_mm_python map for map.  The envelopes are the
+   Huber location shift (u_i = lam, m and a unused), the Polya-Gamma
+   weights (a unused), the Polya-Gamma weights together with the log
+   penalty's edge weights u_i / (a + |b_{i+1} - b_i|) recomputed from beta
+   in each map (LOG_PENALTY, u_i = lam), and the squared loss (m and a
+   unused), which is exact in one map: it runs that map from no start,
+   and its record is that map's objective alone.
+
+   The iterative envelopes run safeguarded SQUAREM steps of three maps
+   each (squarem_step) while at least three maps remain in max_iters,
+   then plain maps.  A plain map whose objective rises beyond 1e-10
+   relative stops the loop.  It converges when the relative change
+   |f_0 - f_1| / max(1, |f_0|) over a whole step (or plain map) falls to
+   tol.
 
    beta holds the start on entry (unread for SQUARED) and the last
    iterate on return.  trace[0] is the starting objective (for SQUARED
-   the objective of its one cycle) and, when record is nonzero, trace[t]
-   the objective after cycle t (room for max_iters + 1 values).  For
-   HUBER_SHIFT, shift[0..n-1] receives soft(y - beta, 1) at the last
-   iterate; other envelopes leave shift unread (it may be NULL).
-   info[0..4] are the cycles run, converged (0/1), the last accepted
-   objective, after a rise the objective that rose, and the distinct
-   levels of the last iterate (df).  The caller validates the inputs
-   (n >= 1, y finite, 0 <= y <= m with m >= 1 for POLYA_GAMMA, u >= 0
-   and finite, beta finite, max_iters >= 1).  Returns 0; 1 when the work
-   arrays cannot be allocated; 2 when a weight, a working response or the
-   objective is not finite; 3 when the objective rises. */
+   the objective of its one map) and, when record is nonzero, trace[t]
+   the objective after map t (room for max_iters + 1 values); a rejected
+   extrapolation repeats its step's plain value.  envvar receives the
+   final envelope variables: for HUBER_SHIFT the shift soft(y - beta, 1)
+   (n values), for LOG_PENALTY the edge weights at the last iterate
+   (n - 1 values); other envelopes leave it unread (it may be NULL).
+   info[0..6] are the maps run, converged (0/1), the last accepted
+   objective, after a rise the objective that rose, the distinct levels
+   of the last iterate (df), the SQUAREM steps and the rejected
+   extrapolations.  The caller validates the inputs (n >= 1, y finite,
+   0 <= y <= m with m >= 1 for the logit envelopes, u >= 0 and finite,
+   a > 0 and finite for LOG_PENALTY, beta finite, max_iters >= 1).
+   Returns 0; 1 when the work arrays cannot be allocated; 2 when a
+   weight, a working response or the objective of a plain map is not
+   finite; 3 when the objective of a plain map rises. */
 int envelope_fused_lasso_mm(int envelope, const double *y, const double *m,
-                            const double *u, long n, double tol,
+                            const double *u, double a, long n, double tol,
                             long max_iters, int record, double *beta,
-                            double *trace, double *shift, double *info)
+                            double *trace, double *envvar, double *info)
 {
-    long i, it, cycles = 0;
-    int status = 0, converged = 0, coupled = 0;
-    double obj = 0.0, next = 0.0;
-    double *w = calloc((size_t)(10 * n - 2), sizeof(double));
-    if (!w)
+    long i, steps = 0, rejected = 0;
+    int status = 0, converged = 0;
+    double obj = 0.0, next = 0.0, start;
+    double *work = calloc((size_t)(14 * n), sizeof(double));
+    if (!work)
         return 1;
-    double *z = w + n, *x = z + n;
+    double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n;
+    loop s = {envelope, 0, record, y, m, u, a, n, 0,
+              work, work + n, work + 2 * n, bx + n, trace};
 
     for (i = 0; i < n - 1; i++)
-        coupled |= u[i] != 0.0;
-    if (envelope != POLYA_GAMMA)
+        s.coupled |= u[i] != 0.0;
+    if (!logit_loss(envelope))
         for (i = 0; i < n; i++)
-            w[i] = 1.0;
+            s.w[i] = 1.0;
     if (envelope == SQUARED) {
-        cycles = 1;
+        s.maps = 1;
         converged = 1;
-        status = cycle(envelope, y, m, u, n, coupled, beta, w, z, x, &obj);
+        status = map(&s, beta, beta, &obj);
         next = obj;
         trace[0] = obj;
     } else {
-        obj = objective(envelope, y, m, u, n, beta);
+        obj = objective(&s, beta);
+        next = obj;
         trace[0] = obj;
         if (!(fabs(obj) < HUGE_VAL))
             status = 2;
     }
-    for (it = 1; it <= max_iters && !status && !converged; it++) {
-        cycles = it;
-        status = cycle(envelope, y, m, u, n, coupled, beta, w, z, x, &next);
-        if (status)
-            break;
-        if (next > obj + 1e-10 * fmax(1.0, fabs(obj))) {
-            status = 3;
-            break;
+    while (!status && !converged && s.maps < max_iters) {
+        start = obj;
+        if (max_iters - s.maps >= 3) {
+            steps++;
+            status = squarem_step(&s, beta, b1, b2, bx, &obj, &next, &rejected);
+        } else {
+            status = plain_map(&s, beta, beta, &obj, &next);
         }
-        if (record)
-            trace[it] = next;
-        converged = fabs(obj - next) <= tol * fmax(1.0, fabs(obj));
-        obj = next;
+        converged = !status && fabs(start - obj) <= tol * fmax(1.0, fabs(start));
     }
     if (envelope == HUBER_SHIFT)
         for (i = 0; i < n; i++)
-            shift[i] = huber_shift(y[i], beta[i]);
-    info[0] = (double)cycles;
+            envvar[i] = huber_shift(y[i], beta[i]);
+    if (envelope == LOG_PENALTY)
+        log_penalty_weights(&s, beta, envvar);
+    info[0] = (double)s.maps;
     info[1] = converged;
     info[2] = obj;
     info[3] = next;
     info[4] = (double)distinct_levels(beta, n);
-    free(w);
+    info[5] = (double)steps;
+    info[6] = (double)rejected;
+    free(work);
     return status;
 }

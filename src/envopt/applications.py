@@ -9,8 +9,9 @@ Three estimators, all run as alternating envelope updates:
   l1 on order-(k+1) differences; the variance-mean weights
   ``(omega, z)`` turn each step into weighted trend filtering.
 * fused double-Pareto logit (``fdp``): binomial logit likelihood + a
-  log penalty on first differences; the concave-penalty update gives
-  per-edge weights for a logistic fused lasso.
+  log penalty on first differences; the Polya-Gamma weights and the
+  concave penalty's per-edge weights, updated together, turn each step
+  into a weighted fused lasso.
 
 Model selection is by the operational AIC (2*loss + 2*df with df the
 count of distinct fitted levels, or knots + k + 1 for trend filtering)
@@ -283,17 +284,19 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     """Binomial smoothing with a log penalty on first differences.
 
     Objective: logit negative log likelihood +
-    ``lam * sum_i log(1 + |beta_{i+1} - beta_i| / a)``.  The concave
-    penalty is linearized at the current differences (u_i =
-    lam / (a + |diff|), its exact derivative, keeping the majorizer
-    tight), and the resulting logistic fused lasso is solved to inner
-    tolerance.  When ``init`` is None the fit starts at the binomial
-    fused-lasso solution at the same lam.  The inputs are validated once,
-    here; each beta-step is one ``solvers.envelope_fused_lasso_mm`` run
-    on them.
-    ``converged`` also requires every beta-step to meet ``inner_tol``
-    within ``inner_max_iters``; ``aux["inner"]`` counts the beta-steps'
-    ``calls``, the ``capped`` ones and their summed MM ``cycles``.
+    ``lam * sum_i log(1 + |beta_{i+1} - beta_i| / a)``.  Each map of one
+    envelope loop majorizes both terms at the current iterate: the logit
+    by its Polya-Gamma quadratic and the concave penalty by its
+    linearization, the edge weights ``u_i = lam / (a + |diff_i|)``.  Their
+    sum majorizes the objective, so one exact weighted fused lasso per map
+    keeps the trace monotone.  When ``init`` is None the fit starts at the
+    binomial fused-lasso solution at the same lam.  The inputs are
+    validated here, and the loop runs as one
+    ``solvers.envelope_fused_lasso_mm`` call (SQUAREM-extrapolated, to
+    ``cfg.tol`` within ``cfg.max_iters`` maps).  ``aux["u"]`` holds the
+    edge weights at the fit and ``aux["run"]`` the loop's ``maps``,
+    SQUAREM ``steps`` and ``rejected`` extrapolations.  At ``lam = 0`` the
+    fit is the closed-form pointwise MLE, and no map runs.
     """
     cfg = cfg or SolverConfig()
     # a NaN fails every comparison
@@ -311,38 +314,14 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
         obj = loss_value(loss, beta)
         return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
                          iters=1, converged=True, df=distinct_levels(beta),
-                         aux={"u": np.zeros(n - 1)})
+                         aux={"u": np.zeros(n - 1),
+                              "run": {"maps": 0, "steps": 0, "rejected": 0}})
     if init is None:
         init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
     else:
         init_beta = _mm_start(init, None, n)
-
-    def objective(beta):
-        return loss_value(loss, beta) + lam * float(
-            np.sum(np.log1p(np.abs(np.diff(beta)) / a)))
-
-    def log_penalty_weights(beta):
-        return lam / (a + np.abs(np.diff(beta)))
-
-    inner_cfg = SolverConfig(max_iters=cfg.inner_max_iters, tol=cfg.inner_tol,
-                             record_trace=False)
-
-    inner = {"calls": 0, "capped": 0, "cycles": 0}
-
-    def logistic_fused_lasso_step(u, beta):
-        sub = envelope_fused_lasso_mm("binomial-logit", y, m_arr, u, beta.copy(),
-                                      inner_cfg)
-        inner["calls"] += 1
-        inner["capped"] += not sub.converged
-        inner["cycles"] += sub.iters
-        return sub.beta
-
-    fit = mm_driver(objective, log_penalty_weights, logistic_fused_lasso_step,
-                    init_beta, cfg)
-    fit.converged = fit.converged and inner["capped"] == 0
-    fit.aux["u"] = log_penalty_weights(fit.beta)
-    fit.aux["inner"] = inner
-    return fit
+    return envelope_fused_lasso_mm("fdp", y, m_arr, _edge_weights(lam, n), init_beta,
+                                   cfg, a=float(a))
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log-penalty scale (fdp)")
         sp.add_argument("--tol", type=float, default=defaults.tol)
         sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
-        sp.add_argument("--inner-tol", type=float, default=defaults.inner_tol)
+        sp.add_argument("--inner-tol", type=float, default=defaults.inner_tol,
+                        help="ADMM tolerance of the inner trend-filter solves (qrtf)")
         sp.add_argument("--inner-max-iters", type=int,
-                        default=defaults.inner_max_iters)
+                        default=defaults.inner_max_iters,
+                        help="ADMM iteration cap of the inner trend-filter solves (qrtf)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 4 when a fit fails to converge")
 

@@ -13,32 +13,36 @@ Contents:
   separable penalized likelihoods: the gradient step is the location
   envelope's update and the penalty's prox its solve, run by
   :func:`mm_driver`.
-* :func:`mm_driver` -- the majorize/minimize loop of every envelope fit:
-  each cycle is a closed-form envelope update ``update(beta) -> aux``
-  followed by the subproblem solve ``solve(aux, beta) -> beta``, with one
-  objective evaluation and a monotonicity check per cycle.
+* :func:`mm_driver` -- the plain majorize/minimize loop of
+  ``applications.fit_qrtf`` and :func:`proximal_gradient`: each cycle is
+  a closed-form envelope update ``update(beta) -> aux`` followed by the
+  subproblem solve ``solve(aux, beta) -> beta``, with one objective
+  evaluation and a monotonicity check per cycle.
 * :func:`envelope_fused_lasso_mm` -- one MM loop for the fused-lasso
-  envelope fits (Huber shift, Polya-Gamma weights, squared loss) that
-  returns the whole run record, df and final shift included.
+  envelope fits (Huber shift, Polya-Gamma weights, Polya-Gamma weights
+  with the log penalty's edge weights, squared loss), extrapolated by
+  safeguarded SQUAREM, that returns the whole run record, df and the
+  final envelope variables included.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
 Three loops are compiled: ``_fldp.c`` holds the DP and
-:func:`envelope_fused_lasso_mm`, the whole MM loop of the three envelope
+:func:`envelope_fused_lasso_mm`, the whole MM loop of the four envelope
 fits whose subproblem is the fused lasso (the Huber location shift of
 ``applications.fit_rfl``, the Polya-Gamma weights of
-:func:`logistic_fused_lasso` and of ``applications.fit_fdp``'s
-beta-steps, and the squared loss of ``applications.fused_lasso_gaussian``,
-exact in one cycle), which also returns the fit's ``df`` and the final
-Huber shift; ``_tfadmm.c`` holds the whole ADMM iteration.  They are
+:func:`logistic_fused_lasso`, the Polya-Gamma and log-penalty weights of
+``applications.fit_fdp``, and the squared loss of
+``applications.fused_lasso_gaussian``, exact in one map), which also
+returns the fit's ``df`` and its final envelope variables; ``_tfadmm.c``
+holds the whole ADMM iteration.  They are
 built together into one library on first use with the
 system C compiler, cached per user and called through ctypes.  When no
 compiler or cache is available, or the build or load fails, all three run
-in pure Python (:func:`_fused_lasso_dp`, :func:`mm_driver` with the same
-update and solve, and :func:`_trend_filter_admm`), which stay as the test
-oracles.  :data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
-implementation of all three loops runs.
+in pure Python (:func:`_fused_lasso_dp`, :func:`_envelope_mm_python`, which
+repeats the C loop's arithmetic, and :func:`_trend_filter_admm`), which
+stay as the test oracles.  :data:`FUSED_LASSO_KERNEL` (``"c"`` or
+``"python"``) says which implementation of all three loops runs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -58,8 +63,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import MonotonicityError, ValidationError
-from .losses import (LossSpec, location_envelope_update, logit_scale_update, loss_grad,
-                     loss_value, lipschitz_bound)
+from .losses import LossSpec, location_envelope_update, loss_grad, loss_value, lipschitz_bound
 from .operators import diff_matrix, soft_threshold
 from .penalties import PenaltySpec, penalty_value, prox
 
@@ -82,7 +86,11 @@ __all__ = [
 class SolverConfig:
     """Iteration budgets and tolerances shared by the drivers.
 
-    ``tol`` is relative objective change |f_t - f_{t+1}| / max(1, |f_t|).
+    ``tol`` is relative objective change |f_t - f_{t+1}| / max(1, |f_t|)
+    of an MM cycle (of a whole SQUAREM step in the fused-lasso envelope
+    loops, where ``max_iters`` counts maps).  ``inner_max_iters`` and
+    ``inner_tol`` bound the ADMM of :func:`weighted_trend_filter`, the only
+    inner solver; of the estimators, only ``fit_qrtf`` reads them.
     """
 
     max_iters: int = 500
@@ -270,8 +278,8 @@ def _kernel():
                                       + [ptr] * 4)
     lib.trend_filter_admm.restype = ctypes.c_int
     lib.envelope_fused_lasso_mm.argtypes = ([ctypes.c_int] + [ptr] * 3
-                                            + [c_long, c_double, c_long, ctypes.c_int]
-                                            + [ptr] * 4)
+                                            + [c_double, c_long, c_double, c_long,
+                                               ctypes.c_int] + [ptr] * 4)
     lib.envelope_fused_lasso_mm.restype = ctypes.c_int
     return lib
 
@@ -560,7 +568,10 @@ def _finite(value) -> float:
 
 def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
               cfg: Optional[SolverConfig] = None) -> FitResult:
-    """Majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
+    """Plain majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
+
+    It runs ``applications.fit_qrtf`` and :func:`proximal_gradient`; the
+    fused-lasso envelope fits run :func:`envelope_fused_lasso_mm`.
 
     ``update(beta)`` is the envelope update: it returns only the
     auxiliary variables, so it cannot move ``beta`` or the objective.
@@ -604,55 +615,80 @@ def _mm_start(init, default, n: int) -> np.ndarray:
     return beta
 
 
-# The envelopes of envelope_fused_lasso_mm, by loss kind: the code of each
-# in _fldp.c and the name of its solve, which a MonotonicityError reports.
+# The envelopes of envelope_fused_lasso_mm, by fit kind: the code of each
+# in _fldp.c and the name of its map's solve, which a MonotonicityError
+# reports.
 _ENVELOPES = {"huber": (0, "fused_lasso"),
               "binomial-logit": (1, "polya_gamma_fused_lasso"),
-              "gaussian": (2, "fused_lasso")}
+              "gaussian": (2, "fused_lasso"),
+              "fdp": (3, "log_penalty_fused_lasso")}
 
-# The run of an envelope that is exact in one cycle: one solve, whose
+# The run of an envelope that is exact in one map: one solve, whose
 # objective is the whole trace.
 _ONE_SOLVE = SolverConfig(max_iters=1, record_trace=False)
 
 
-def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig) -> FitResult:
+def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
+                            a: float = 1.0) -> FitResult:
     """The MM loop of a fused-lasso envelope fit, and its whole run record.
 
-    Each cycle is the closed-form envelope update of the loss ``kind`` at
-    ``beta`` and then an exact weighted fused lasso with edge weights
-    ``u``, as :func:`mm_driver` runs it:
+    The loop's map ``F(beta)`` is the closed-form envelope update of the
+    fit ``kind`` at ``beta`` and then an exact weighted fused lasso:
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
-      on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
-      shift at the last iterate.
+      on ``y - soft(y - beta, 1)`` with unit weights and edge weights
+      ``u``; ``aux["u"]`` is the shift at the last iterate.
     * ``"binomial-logit"``: the logit's Polya-Gamma weights
-      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``.
+      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``
+      and edge weights ``u``.
+    * ``"fdp"``: the Polya-Gamma weights together with the log penalty
+      ``sum_i u_i log(1 + |beta_{i+1} - beta_i| / a)`` linearized at
+      ``beta``, whose edge weights are ``u_i / (a + |beta_{i+1} -
+      beta_i|)``.  Each bound touches its own term at ``beta``, so their
+      sum majorizes the objective; ``aux["u"]`` is the edge weights at the
+      last iterate.
     * ``"gaussian"``: the squared loss, exact in one solve on ``y``; the
       record is ``iters=1``, ``converged=True`` and ``trace=[objective]``
       (run it with ``_ONE_SOLVE``; ``beta`` is not read).
 
+    The iterative envelopes are extrapolated by safeguarded SQUAREM
+    (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
+    takes the plain maps ``b1 = F(b0)`` and ``b2 = F(b1)``, the steplength
+    ``alpha = min(-|r|/|v|, -1)`` with ``r = b1 - b0`` and
+    ``v = b2 - 2 b1 + b0`` (-1 when ``v = 0``), and one map at
+    ``b0 - 2 alpha r + alpha^2 v``, kept only when its objective is at
+    most ``f(b2)``; otherwise the step ends at ``b2``.  With fewer than
+    three maps left in ``cfg.max_iters`` the loop takes plain maps.
+    ``iters`` counts maps (DP solves), and the trace holds ``iters + 1``
+    non-increasing values, a rejected extrapolation repeating its step's
+    plain value.  The loop converges when the relative objective change
+    over a whole step (or plain map) falls to ``cfg.tol``.
+    ``aux["run"]`` holds the ``maps``, the SQUAREM ``steps`` and the
+    ``rejected`` extrapolations.
+
     The loop, the objective and ``df`` (:func:`distinct_levels`) run in
     one call of the compiled kernel (``_fldp.c``).  When the kernel did
-    not load, :func:`mm_driver` runs the same cycles in Python, with
-    :func:`weighted_fused_lasso` as the solve.  The caller validates the
-    inputs: ``y`` (and ``m``) contiguous, finite and, for the logit,
-    ``0 <= y <= m`` with ``m >= 1``; ``u`` from :func:`_edge_weights`; a
+    not load, :func:`_envelope_mm_python` runs the same maps in Python.
+    The caller validates the inputs: ``y`` (and ``m``) contiguous, finite
+    and, for the logit, ``0 <= y <= m`` with ``m >= 1``; ``u`` from
+    :func:`_edge_weights`; ``a`` positive and finite for ``"fdp"``; a
     start ``beta`` from :func:`_mm_start`, which the loop overwrites.  A
-    rise of the objective raises :class:`MonotonicityError` naming the
-    solve, and a value that is not finite :class:`ValidationError`.
+    plain map that raises the objective raises :class:`MonotonicityError`
+    naming the solve, and a value that is not finite
+    :class:`ValidationError`.
     """
     lib = _kernel()
     if lib is None:
-        return _envelope_mm_python(kind, y, m, u, beta, cfg)
+        return _envelope_mm_python(kind, y, m, u, beta, cfg, a)
     code, solve_name = _ENVELOPES[kind]
     n = y.shape[0]
     trace = np.empty(cfg.max_iters + 1 if cfg.record_trace else 1)
-    shift = np.empty(n) if kind == "huber" else None
-    info = np.empty(5)
+    envvar = np.empty(n) if kind == "huber" else np.empty(n - 1) if kind == "fdp" else None
+    info = np.empty(7)
     status = lib.envelope_fused_lasso_mm(
-        code, y.ctypes.data, None if m is None else m.ctypes.data, u.ctypes.data,
+        code, y.ctypes.data, None if m is None else m.ctypes.data, u.ctypes.data, a,
         n, cfg.tol, cfg.max_iters, cfg.record_trace, beta.ctypes.data,
-        trace.ctypes.data, None if shift is None else shift.ctypes.data,
+        trace.ctypes.data, None if envvar is None else envvar.ctypes.data,
         info.ctypes.data)
     if status == 1:
         raise MemoryError("envelope MM could not allocate its work arrays")
@@ -663,46 +699,141 @@ def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig) -> FitR
     iters = int(info[0])
     if cfg.record_trace:
         trace = trace[:iters + 1].copy()  # a view would pin the whole buffer
+    aux = {"run": {"maps": iters, "steps": int(info[5]), "rejected": int(info[6])}}
+    if envvar is not None:
+        aux["u"] = envvar
     return FitResult(beta=beta, objective=float(info[2]), trace=trace,
-                     iters=iters, converged=bool(info[1]), df=int(info[4]),
-                     aux={} if shift is None else {"u": shift})
+                     iters=iters, converged=bool(info[1]), df=int(info[4]), aux=aux)
 
 
-def _envelope_mm_python(kind, y, m, u, beta, cfg) -> FitResult:
-    """:func:`envelope_fused_lasso_mm` in Python: the fallback of the
-    compiled loop and its test oracle."""
-    loss = LossSpec(kind, y=y, m=m)
+def _in_order_sum(x) -> float:
+    """``x[0] + x[1] + ...`` left to right, as the C loops sum."""
+    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+
+
+def _softplus(b):
+    """``log(1 + e^b)`` per entry, as ``_fldp.c`` evaluates it with the C
+    library's ``exp`` and ``log1p``."""
+    return np.array([math.log(2.0) if x == 0.0 else math.log1p(math.exp(x)) if x < 0.0
+                     else x + math.log1p(math.exp(-x)) for x in b.tolist()])
+
+
+def _envelope_mm_python(kind, y, m, u, beta, cfg, a=1.0) -> FitResult:
+    """:func:`envelope_fused_lasso_mm` in Python, map for map: the
+    fallback of the compiled loop and its test oracle.
+
+    It repeats the arithmetic of ``_fldp.c`` operation for operation: the
+    transcendental functions come from the C library (:mod:`math`), sums
+    run left to right, and the DP is :func:`_fused_lasso_dp`.  It returns
+    the compiled loop's bits wherever the two share a C library."""
+    solve_name = _ENVELOPES[kind][1]
     n = y.shape[0]
     ones = np.ones(n)
+    huber = LossSpec("huber", y=y) if kind == "huber" else None
 
-    def objective(beta):
-        return loss_value(loss, beta) + float(np.sum(u * np.abs(np.diff(beta))))
+    def edge_weights(b):
+        return u / (a + np.abs(np.diff(b))) if kind == "fdp" else u
 
+    def objective(b):
+        if kind == "huber":
+            r = np.abs(y - b)
+            loss = np.where(r < 1.0, 0.5 * r * r, r - 0.5)
+        elif kind == "gaussian":
+            r = y - b
+            loss = 0.5 * r * r
+        else:
+            loss = m * _softplus(b) - y * b
+        d = np.abs(np.diff(b))
+        if kind == "fdp":
+            d = np.array([math.log1p(x) for x in (d / a).tolist()])
+        return _in_order_sum(loss) + _in_order_sum(u * d)
+
+    def update(b):
+        """The weights and working responses at ``b``, or None when one is
+        not finite."""
+        if kind == "huber":
+            return ones, y - location_envelope_update(huber, b)
+        if kind == "gaussian":
+            return ones, y
+        h = 0.5 * b
+        ratio = np.array([1.0 - x * x / 3.0 if abs(x) < 1e-6 else math.tanh(x) / x
+                          for x in h.tolist()])
+        w = 0.25 * m * ratio
+        with np.errstate(all="ignore"):
+            z = (y - m / 2.0) / w
+        if not (np.all(w > 0.0) and np.all(np.abs(w) < np.inf)
+                and np.all(np.abs(z) < np.inf)):
+            return None
+        return w, z
+
+    def envelope_map(b):
+        """``F(b)`` and its objective, or None when a value is not finite."""
+        weights = update(b)
+        if weights is None:
+            return None
+        w, z = weights
+        ue = edge_weights(b)
+        new = _fused_lasso_dp(z, w, ue) if n > 1 and ue.max() > 0 else z.copy()
+        value = objective(new)
+        return (new, value) if abs(value) < np.inf else None
+
+    def plain_map(b, obj):
+        out = envelope_map(b)
+        if out is None:
+            raise ValidationError("an MM cycle met a value that is not finite")
+        if out[1] > obj + 1e-10 * max(1.0, abs(obj)):
+            raise MonotonicityError(solve_name, obj, out[1])
+        trace.append(out[1])
+        return out
+
+    def extrapolated_map(b0, b1, b2):
+        """The step's third map, or None when it is not finite."""
+        with np.errstate(all="ignore"):
+            r = b1 - b0
+            v = b2 - 2.0 * b1 + b0
+            rr, vv = _in_order_sum(r * r), _in_order_sum(v * v)
+            bx = b2  # alpha = -1
+            if vv > 0.0 and rr > vv:
+                alpha = -math.sqrt(rr / vv)
+                bx = b0 - 2.0 * alpha * r + alpha * alpha * v
+            if not np.all(np.abs(bx) < np.inf):
+                return None
+            return envelope_map(bx)
+
+    steps = rejected = 0
+    trace = []
     if kind == "gaussian":
-        beta = weighted_fused_lasso(y, ones, u)
+        beta, obj = plain_map(beta, np.inf)
+        converged = True
+    else:
         obj = _finite(objective(beta))
-        return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]), iters=1,
-                         converged=True, df=distinct_levels(beta))
-
+        trace.append(obj)
+        converged = False
+    while not converged and len(trace) - 1 < cfg.max_iters:
+        start = obj
+        if cfg.max_iters - (len(trace) - 1) >= 3:
+            steps += 1
+            b1, f1 = plain_map(beta, obj)
+            b2, f2 = plain_map(b1, f1)
+            third = extrapolated_map(beta, b1, b2)
+            if third is not None and third[1] <= f2:
+                beta, obj = third
+            else:
+                rejected += 1
+                beta, obj = b2, f2
+            trace.append(obj)
+        else:
+            beta, obj = plain_map(beta, obj)
+        converged = abs(start - obj) <= cfg.tol * max(1.0, abs(start))
+    iters = 1 if kind == "gaussian" else len(trace) - 1
+    aux = {"run": {"maps": iters, "steps": steps, "rejected": rejected}}
     if kind == "huber":
-        def huber_shift(beta):
-            return location_envelope_update(loss, beta)
-
-        def fused_lasso(shift, beta):
-            return weighted_fused_lasso(y - shift, ones, u)
-
-        fit = mm_driver(objective, huber_shift, fused_lasso, beta, cfg)
-        fit.aux["u"] = location_envelope_update(loss, fit.beta)
-        return fit
-
-    def polya_gamma_weights(beta):
-        return logit_scale_update(loss, beta)
-
-    def polya_gamma_fused_lasso(weights, beta):
-        omega, z = weights
-        return weighted_fused_lasso(z, omega, u)
-
-    return mm_driver(objective, polya_gamma_weights, polya_gamma_fused_lasso, beta, cfg)
+        aux["u"] = location_envelope_update(huber, beta)
+    elif kind == "fdp":
+        aux["u"] = edge_weights(beta)
+    return FitResult(beta=beta, objective=obj,
+                     trace=np.asarray(trace if cfg.record_trace else trace[:1]),
+                     iters=iters, converged=converged, df=distinct_levels(beta), aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +866,9 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     ``z_i = (y_i - m_i/2)/omega_i``, which touches the loss there.  The
     resulting weighted fused lasso is solved exactly, so the objective is
     monotone.  The inputs are validated here, and the loop runs as
-    :func:`envelope_fused_lasso_mm`.  Returns the MM run record: ``iters``
-    cycles, their ``trace`` and whether the loop met ``cfg.tol`` within
-    ``cfg.max_iters``.
+    :func:`envelope_fused_lasso_mm`, extrapolated by SQUAREM.  Returns the
+    MM run record: ``iters`` maps, their ``trace``, whether the loop met
+    ``cfg.tol`` within ``cfg.max_iters`` and ``aux["run"]``.
     """
     cfg = cfg or SolverConfig()
     loss = _logit_loss(y, m)

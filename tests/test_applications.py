@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from envopt import applications
+from envopt import applications, solvers
 from envopt.applications import (
     AppSpec,
     FDP_TRUE_LEVELS,
@@ -18,9 +18,10 @@ from envopt.applications import (
     solution_path,
 )
 from envopt.errors import ValidationError
-from envopt.losses import huber
+from envopt.losses import LossSpec, huber, location_envelope_update, loss_value
 from envopt.operators import diff_matrix
-from envopt.solvers import FitResult, SolverConfig, envelope_fused_lasso_mm
+from envopt.solvers import (FitResult, SolverConfig, envelope_fused_lasso_mm, mm_driver,
+                            weighted_fused_lasso)
 
 
 def _trace_monotone(fit):
@@ -129,7 +130,7 @@ def test_qrtf_self_consistency_at_fixed_point():
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_qrtf_admm_totals_count_every_inner_call(monkeypatch, warm):
-    from envopt import applications
+    from envopt import applications, solvers
 
     solve = applications.weighted_trend_filter
     runs = []
@@ -158,7 +159,7 @@ def test_qrtf_admm_totals_count_every_inner_call(monkeypatch, warm):
 
 @pytest.mark.parametrize("lam", [2.0, 1e4])
 def test_qrtf_evaluates_objective_once_per_cycle(monkeypatch, lam):
-    from envopt import applications
+    from envopt import applications, solvers
     from envopt.losses import LossSpec
 
     loss_value = applications.loss_value
@@ -212,6 +213,45 @@ def test_fdp_monotone_and_local_minimizer():
     assert fit.objective <= fl.objective + 1e-9  # same objective family at u
 
 
+def test_rfl_extrapolated_fits_no_worse_than_plain_loop():
+    # criterion-5 paths: each SQUAREM fit against the plain MM loop (one
+    # Huber shift and one DP per cycle) from the same warm start
+    lams = np.geomspace(300.0, 1.0, 100)
+    worst = -np.inf
+    for seed in (1, 2, 3, 4):
+        y = simulate("rfl", 250, seed=seed).y
+        loss, ones, init = LossSpec("huber", y=y), np.ones(250), None
+        for lam in lams:
+            fit = fit_rfl(y, lam, init=init)
+            u = np.full(249, lam)
+            plain = mm_driver(
+                lambda b: loss_value(loss, b) + lam * float(np.sum(np.abs(np.diff(b)))),
+                lambda b: location_envelope_update(loss, b),
+                lambda shift, b: weighted_fused_lasso(y - shift, ones, u),
+                y.copy() if init is None else init.copy(), SolverConfig())
+            worst = max(worst, (fit.objective - plain.objective)
+                        / max(1.0, abs(plain.objective)))
+            init = fit.beta
+    assert worst <= 1e-12
+
+
+def test_fdp_fits_near_tight_tolerance_fits():
+    # criterion-7 workload: each default fit against a tol-1e-13 run from
+    # the same binomial fused-lasso start
+    tight = SolverConfig(max_iters=100_000, tol=1e-13)
+    worst = -np.inf
+    for seed in range(1, 11):
+        ds = simulate("fdp", 500, seed=seed, m=25)
+        start = None
+        for lam in np.geomspace(300.0, 12.0, 25):
+            start = binomial_fused_lasso(ds.y, ds.m, lam, init=start).beta
+            fit = fit_fdp(ds.y, ds.m, lam, init=start)
+            ref = fit_fdp(ds.y, ds.m, lam, init=start, cfg=tight)
+            assert ref.converged
+            worst = max(worst, (fit.objective - ref.objective) / max(1.0, abs(ref.objective)))
+    assert worst <= 2e-9
+
+
 def test_binomial_fused_lasso_reports_inner_convergence():
     ds = simulate("fdp", 30, seed=10)
     fl = binomial_fused_lasso(ds.y, ds.m, 5.0, cfg=SolverConfig(max_iters=3))
@@ -222,26 +262,28 @@ def test_binomial_fused_lasso_reports_inner_convergence():
     assert done.objective == done.trace[-1]
 
 
-def test_fdp_converged_requires_every_inner_solve(monkeypatch):
+def test_fdp_is_one_envelope_loop(monkeypatch):
     ds = simulate("fdp", 30, seed=10)
-    capped = fit_fdp(ds.y, ds.m, 5.0, cfg=SolverConfig(inner_max_iters=2))
-    assert capped.aux["inner"]["capped"] > 0
-    assert not capped.converged
-    inner_iters = []
+    start = binomial_fused_lasso(ds.y, ds.m, 5.0).beta
+    capped = fit_fdp(ds.y, ds.m, 5.0, init=start, cfg=SolverConfig(max_iters=4))
+    assert (capped.iters, capped.converged) == (4, False)
+    assert capped.aux["run"]["maps"] == 4 and capped.aux["run"]["steps"] == 1
+    # one validated call of the envelope loop, whose maps are its DP calls
+    loops, dp_calls = [], []
+    dp = solvers._fused_lasso_dp
 
     def recorded(*args, **kwargs):
-        sub = envelope_fused_lasso_mm(*args, **kwargs)
-        inner_iters.append(sub.iters)
-        return sub
+        loops.append(args[0])
+        return envelope_fused_lasso_mm(*args, **kwargs)
 
-    # the beta-steps run the envelope loop bound in applications; the
-    # binomial fused-lasso start runs it through solvers.logistic_fused_lasso
     monkeypatch.setattr(applications, "envelope_fused_lasso_mm", recorded)
-    full = fit_fdp(ds.y, ds.m, 5.0)
-    assert len(inner_iters) == full.iters  # one beta-step per outer cycle
-    assert full.aux["inner"] == {"calls": full.iters, "capped": 0,
-                                 "cycles": sum(inner_iters)}
-    assert full.converged
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_fused_lasso_dp", lambda *a: dp_calls.append(1) or dp(*a))
+    fit = fit_fdp(ds.y, ds.m, 5.0, init=start)
+    assert loops == ["fdp"] and fit.converged
+    assert fit.iters == len(dp_calls) == fit.aux["run"]["maps"]
+    assert fit.aux.keys() == {"u", "run"}
+    assert fit.aux["run"].keys() == {"maps", "steps", "rejected"}
 
 
 @pytest.mark.parametrize("kwargs, msg", [

@@ -172,13 +172,13 @@ def test_strict_convergence_failure(tmp_path):
     assert relaxed == 0
 
 
-def test_strict_fdp_fit_fails_when_inner_solves_cap(tmp_path):
+def test_strict_fdp_fit_fails_when_max_iters_caps(tmp_path):
     data = tmp_path / "f.csv"
     run(["simulate", "--app", "fdp", "--n", 30, "--m", 25, "--seed", 10,
          "--out", data])
     out = tmp_path / "fit.json"
     assert run(["fit", "--app", "fdp", "--data", data, "--lam", 5.0,
-                "--out", out, "--inner-max-iters", 2, "--strict"]) == 4
+                "--out", out, "--max-iters", 4, "--strict"]) == 4
     assert json.loads(out.read_text())["converged"] is False
 
 

@@ -572,64 +572,116 @@ def test_logistic_fused_lasso_two_point_grid_oracle():
 
 
 def _envelope_instances(rng, count):
-    """Random rfl (Huber shift) and binomial (Polya-Gamma) MM problems as
-    ``(fit, args, kwargs)``, cold and warm, converging and capped."""
-    from envopt.applications import fit_rfl
+    """Random rfl (Huber shift), binomial (Polya-Gamma) and fdp (Polya-Gamma
+    weights with the log penalty's edge weights) MM problems as ``(fit,
+    args, kwargs)``, cold and warm, converging and capped."""
+    from envopt.applications import fit_fdp, fit_rfl
 
     for i in range(count):
-        n = int(rng.integers(1 if i % 2 else 2, 80))
+        kind = i % 3
+        n = int(rng.integers(2 if kind == 0 else 1, 80))
         cfg = SolverConfig(max_iters=int(rng.choice([3, 40, 2000])),
                            tol=float(rng.choice([1e-6, 1e-8, 1e-11])))
-        if i % 2 == 0:
+        if kind == 0:
             levels = rng.normal(scale=3.0, size=4)[rng.integers(0, 4, size=n)]
             y = levels + rng.standard_t(3, size=n)
-            lam = 0.0 if i % 10 == 0 else float(10.0 ** rng.uniform(-2, 2))
+            lam = 0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-2, 2))
             init = None if i % 4 == 0 else y + rng.normal(size=n)
             yield fit_rfl, (y, lam), dict(cfg=cfg, init=init)
-        else:
-            m = rng.integers(1, 30, size=n).astype(float)
-            y = rng.binomial(m.astype(int), rng.uniform(0.05, 0.95)).astype(float)
+            continue
+        m = rng.integers(1, 30, size=n).astype(float)
+        y = rng.binomial(m.astype(int), rng.uniform(0.05, 0.95)).astype(float)
+        init = None if i % 4 == 1 else rng.normal(scale=2.0, size=n)
+        if kind == 1:
             u = rng.uniform(0.0, 1.0, size=n - 1) * 10.0 ** rng.uniform(-2, 2)
             u[rng.random(n - 1) < 0.2] = 0.0
             if i % 9 == 1:
                 u[:] = 0.0
-            init = None if i % 4 == 1 else rng.normal(scale=2.0, size=n)
             yield logistic_fused_lasso, (y, m, u), dict(cfg=cfg, init=init)
+        else:
+            lam = float(10.0 ** rng.uniform(-1, 2))
+            a = float(rng.choice([0.5, 1.0, 3.0]))
+            yield fit_fdp, (y, m, lam), dict(a=a, cfg=cfg, init=init)
 
 
-def _stops_within_rounding(trace, t, tol):
-    """Whether the relative change of cycle t lies within rounding of tol."""
-    scale = max(1.0, abs(trace[t - 1]))
-    return abs(abs(trace[t - 1] - trace[t]) - tol * scale) <= 1e-12 * scale
+def _non_increasing(trace):
+    d = np.diff(trace)
+    return bool(np.all(d <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1]))))
+
+
+def _assert_run_record(fit, cfg):
+    """The documented record of an iterative envelope run: ``iters`` maps,
+    SQUAREM steps of three maps while three remain in ``max_iters`` and
+    then plain maps, a trace of ``iters + 1`` non-increasing values in
+    which each rejected step repeats its plain value, and ``converged``
+    exactly when the relative change of the last step fell to ``tol``."""
+    run = fit.aux["run"]
+    steps, t = run["steps"], fit.trace
+    assert run["maps"] == fit.iters <= cfg.max_iters
+    assert steps == min(fit.iters, cfg.max_iters - cfg.max_iters % 3) // 3
+    assert 0 <= run["rejected"] <= steps
+    assert t.shape == (fit.iters + 1,) and fit.objective == t[-1]
+    assert _non_increasing(t)
+    assert sum(t[3 * k] == t[3 * k - 1] for k in range(1, steps + 1)) >= run["rejected"]
+    ends = [*range(0, 3 * steps + 1, 3), *range(3 * steps + 1, fit.iters + 1)]
+    stops = [abs(t[i] - t[j]) <= cfg.tol * max(1.0, abs(t[i])) for i, j in zip(ends, ends[1:])]
+    assert not any(stops[:-1]) and stops[-1] == fit.converged
+    assert fit.converged or fit.iters == cfg.max_iters
+
+
+def _c_and_python(monkeypatch, fit, args, kwargs):
+    """One fit by the compiled loop and by its Python mirror."""
+    c = fit(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_kernel", lambda: None)
+        return c, fit(*args, **kwargs)
+
+
+def _assert_same_fit(c, py, where):
+    """The two loops return the same bits: iterate, trace, record, df and
+    final envelope variables."""
+    assert c.beta.tobytes() == py.beta.tobytes(), where
+    assert c.trace.tobytes() == py.trace.tobytes(), where
+    assert (c.objective, c.iters, c.converged, c.df) == (py.objective, py.iters,
+                                                         py.converged, py.df), where
+    assert c.aux.keys() == py.aux.keys() and c.aux["run"] == py.aux["run"], where
+    if "u" in c.aux:  # equal up to the sign of a zero shift
+        assert np.array_equal(c.aux["u"], py.aux["u"]), where
 
 
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_envelope_mm_c_loop_matches_mm_driver(monkeypatch):
+    # the Python mirror repeats the C loop's arithmetic map for map, so
+    # whole runs agree to the bit, SQUAREM's steplength and accept test
+    # included
     rng = np.random.Generator(np.random.PCG64(1205))
     cases = list(_envelope_instances(rng, 120))
-    c_fits = [fit(*args, **kwargs) for fit, args, kwargs in cases]
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    near_tol = 0
-    for (fit, args, kwargs), c in zip(cases, c_fits):
-        py = fit(*args, **kwargs)
+    c_fits = []
+    for fit, args, kwargs in cases:
+        c, py = _c_and_python(monkeypatch, fit, args, kwargs)
         where = (fit.__name__, args[0].size, kwargs["init"] is None, c.iters, py.iters)
-        if (c.iters, c.converged) != (py.iters, py.converged):
-            # the two objectives sum in different orders, so the stop test
-            # may decide differently where the change is within rounding of tol
-            near_tol += 1
-            t = min(c.iters, py.iters)
-            assert _stops_within_rounding(py.trace, t, kwargs["cfg"].tol), where
-            continue
-        scale = max(np.max(np.abs(py.beta)), 1e-300)
-        assert np.max(np.abs(c.beta - py.beta)) <= 1e-9 * scale, where
-        assert c.trace.shape == py.trace.shape == (c.iters + 1,), where
-        np.testing.assert_allclose(c.trace, py.trace, rtol=1e-12, atol=1e-12)
-        assert c.objective == c.trace[-1] and c.df == py.df, where
-        if fit is not logistic_fused_lasso and args[1] == 0.0:
-            assert np.array_equal(c.beta, py.beta), where  # y itself, no DP
-    assert near_tol <= 3
+        _assert_same_fit(c, py, where)
+        _assert_run_record(c, kwargs["cfg"])
+        c_fits.append(c)
     assert {c.iters for c in c_fits} >= {3, 40}  # capped runs of both budgets
     assert sum(c.converged for c in c_fits) >= 60
+    assert sum(c.aux["run"]["rejected"] > 0 for c in c_fits) >= 10
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_envelope_mm_rejects_extrapolation_that_rises(monkeypatch, python):
+    from envopt.applications import fit_rfl, simulate
+
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = simulate("rfl", 30, seed=5).y
+    cfg = SolverConfig()
+    fit = fit_rfl(y, 5.0, cfg=cfg)
+    # extrapolated maps that would raise the objective are dropped, and
+    # their steps end at the plain value
+    assert fit.aux["run"]["rejected"] > 0
+    assert _non_increasing(fit.trace)
+    _assert_run_record(fit, cfg)
 
 
 def test_envelope_mm_trace_owns_its_memory():
@@ -701,15 +753,15 @@ class _FakeKernel:
     def __init__(self, status):
         self.status = status
 
-    def envelope_fused_lasso_mm(self, envelope, y, m, u, n, tol, max_iters, record,
-                                beta, trace, shift, info):
+    def envelope_fused_lasso_mm(self, envelope, y, m, u, a, n, tol, max_iters, record,
+                                beta, trace, envvar, info):
         import ctypes
-        (ctypes.c_double * 5).from_address(info)[:] = [1.0, 0.0, 1.0, 2.0, 1.0]
+        (ctypes.c_double * 7).from_address(info)[:] = [1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0]
         return self.status
 
 
 def test_envelope_mm_kernel_status_is_raised(monkeypatch):
-    from envopt.applications import fused_lasso_gaussian
+    from envopt.applications import fit_fdp, fused_lasso_gaussian
 
     y = np.array([1.0, 3.0, 2.0])
     for status, error in ((1, MemoryError), (2, ValidationError), (3, MonotonicityError)):
@@ -718,17 +770,19 @@ def test_envelope_mm_kernel_status_is_raised(monkeypatch):
             logistic_fused_lasso(y, 4.0, 0.5)
         with pytest.raises(error) as rfl_err:
             _rfl(y, 0.5)
+        with pytest.raises(error) as fdp_err:
+            fit_fdp(y, 4.0, 0.5, init=np.zeros(3))
         if status < 3:  # the one-solve squared loss has no rise to report
             with pytest.raises(error):
                 fused_lasso_gaussian(y, 0.5)
-    # named as mm_driver names the solve of the same loop
-    assert (logit_err.value.step, rfl_err.value.step) == ("polya_gamma_fused_lasso",
-                                                          "fused_lasso")
+    # named as the Python mirror names the solve of the same loop
+    assert (logit_err.value.step, rfl_err.value.step, fdp_err.value.step) == (
+        "polya_gamma_fused_lasso", "fused_lasso", "log_penalty_fused_lasso")
     assert (logit_err.value.before, logit_err.value.after) == (1.0, 2.0)
 
 
 def _envelope_edge_instances(rng, count):
-    """Inputs of the three fused-lasso envelope fits, as ``(y, lam, counts,
+    """Inputs of the four fused-lasso envelope fits, as ``(y, lam, counts,
     m)``: n = 2 in a quarter of them, ties in half, lam = 0 or a penalty
     far above the data's spread (a flat fit) in two fifths."""
     for i in range(count):
@@ -742,12 +796,12 @@ def _envelope_edge_instances(rng, count):
         yield y, lam, counts, m
 
 
-def _three_fits(y, lam, counts, m):
-    from envopt.applications import fit_rfl, fused_lasso_gaussian
+def _four_fits(y, lam, counts, m):
+    from envopt.applications import fit_fdp, fit_rfl, fused_lasso_gaussian
 
     cfg = SolverConfig(max_iters=2000)
     return (fit_rfl(y, lam, cfg=cfg), fused_lasso_gaussian(y, lam),
-            logistic_fused_lasso(counts, m, lam, cfg=cfg))
+            logistic_fused_lasso(counts, m, lam, cfg=cfg), fit_fdp(counts, m, lam, cfg=cfg))
 
 
 def test_envelope_fits_return_df_and_final_shift():
@@ -755,21 +809,25 @@ def test_envelope_fits_return_df_and_final_shift():
 
     rng = np.random.Generator(np.random.PCG64(909))
     flat = 0
+    cfg = SolverConfig(max_iters=2000)
     for y, lam, counts, m in _envelope_edge_instances(rng, 150):
         n = y.size
-        rfl, gauss, logit = _three_fits(y, lam, counts, m)
-        for fit in (rfl, gauss, logit):
+        rfl, gauss, logit, fdp = _four_fits(y, lam, counts, m)
+        for fit in (rfl, gauss, logit, fdp):
             assert fit.df == distinct_levels(fit.beta), (n, lam)
+        for fit in (rfl, logit, fdp) if lam > 0 else (rfl, logit):
+            _assert_run_record(fit, cfg)
         # equal up to the sign of a zero shift
         assert np.array_equal(rfl.aux["u"],
                               location_envelope_update(LossSpec("huber", y=y), rfl.beta))
+        assert np.array_equal(fdp.aux["u"], lam / (1.0 + np.abs(np.diff(fdp.beta))))
         assert np.array_equal(gauss.beta,
                               weighted_fused_lasso(y, np.ones(n), np.full(n - 1, lam)))
         ref = 0.5 * np.sum((y - gauss.beta) ** 2) + lam * np.sum(np.abs(np.diff(gauss.beta)))
         assert abs(gauss.objective - ref) <= 1e-13 * abs(ref), (n, lam)
         assert (gauss.iters, gauss.converged) == (1, True)
         assert gauss.trace.tolist() == [gauss.objective]
-        flat += n > 2 and rfl.df == gauss.df == logit.df == 1
+        flat += n > 2 and rfl.df == gauss.df == logit.df == fdp.df == 1
     assert flat >= 10
 
 
@@ -777,19 +835,11 @@ def test_envelope_fits_return_df_and_final_shift():
 def test_envelope_fits_same_record_without_kernel(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(910))
     cases = list(_envelope_edge_instances(rng, 60))
-    c_fits = [_three_fits(*case) for case in cases]
+    c_fits = [_four_fits(*case) for case in cases]
     monkeypatch.setattr(solvers, "_kernel", lambda: None)
     for case, fits in zip(cases, c_fits):
-        for c, py in zip(fits, _three_fits(*case)):
-            where = (case[0].size, case[1], c.iters)
-            assert (c.iters, c.converged, c.df) == (py.iters, py.converged, py.df), where
-            np.testing.assert_allclose(c.beta, py.beta, rtol=1e-9, atol=1e-12)
-            assert c.trace.shape == py.trace.shape, where
-            np.testing.assert_allclose(c.trace, py.trace, rtol=1e-12, atol=1e-12)
-            assert c.objective == c.trace[-1] and py.objective == py.trace[-1], where
-            assert c.aux.keys() == py.aux.keys(), where
-            if "u" in c.aux:
-                np.testing.assert_allclose(c.aux["u"], py.aux["u"], rtol=1e-9, atol=1e-12)
+        for c, py in zip(fits, _four_fits(*case)):
+            _assert_same_fit(c, py, (case[0].size, case[1], c.iters))
 
 
 def test_level_and_knot_counting():
