@@ -8,16 +8,18 @@
    caller validates the inputs (n >= 2, w > 0, u >= 0, all finite).
    Returns 0, or 1 when the work arrays cannot be allocated.
 
-   envelope_fused_lasso_mm runs a whole majorize/minimize loop whose
+   envelope_fused_lasso_path runs the whole majorize/minimize loop whose
    subproblem is that fused lasso, for one of four envelopes: the Huber
    location shift, the logit's Polya-Gamma weights, the Polya-Gamma
    weights together with the log penalty's edge weights (the fused
    double-Pareto fit), or the squared loss, which is exact in one map.
-   The iterative envelopes are extrapolated by safeguarded SQUAREM.
-   Besides the iterate and its objective trace it returns the fit's
-   distinct levels (df), the SQUAREM steps and rejected extrapolations,
-   and the final envelope variables (the Huber shift or the log-penalty
-   edge weights); see its comment below. */
+   The iterative envelopes are extrapolated by safeguarded SQUAREM.  One
+   call runs a warm-started path of such fits over a grid of penalty
+   scales, each fit starting at the previous fit's iterate; a single fit
+   is the path of one scale 1.  For each fit it returns the iterate and
+   its objective trace, the fit's distinct levels (df), the SQUAREM steps
+   and rejected extrapolations, and the final envelope variables (the
+   Huber shift or the log-penalty edge weights); see its comment below. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -105,7 +107,7 @@ int fused_lasso_dp(const double *z, const double *w, const double *u,
     return 0;
 }
 
-/* The envelopes of envelope_fused_lasso_mm. */
+/* The envelopes of envelope_fused_lasso_path. */
 enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3 };
 
 /* One envelope loop: its problem, the work arrays of a map and the run
@@ -319,15 +321,16 @@ static long distinct_levels(const double *beta, long n)
     return levels;
 }
 
-/* One majorize/minimize loop whose map F(beta) is the envelope update at
-   beta, then the exact weighted fused lasso, then the objective; it is
+/* One fit of a path: the majorize/minimize loop whose map F(beta) is the
+   envelope update at beta, then the exact weighted fused lasso, then the
+   objective, with the edge penalties s->u; it is
    envopt.solvers._envelope_mm_python map for map.  The envelopes are the
-   Huber location shift (u_i = lam, m and a unused), the Polya-Gamma
-   weights (a unused), the Polya-Gamma weights together with the log
-   penalty's edge weights u_i / (a + |b_{i+1} - b_i|) recomputed from beta
-   in each map (LOG_PENALTY, u_i = lam), and the squared loss (m and a
-   unused), which is exact in one map: it runs that map from no start,
-   and its record is that map's objective alone.
+   Huber location shift (m and a unused), the Polya-Gamma weights (a
+   unused), the Polya-Gamma weights together with the log penalty's edge
+   weights u_i / (a + |b_{i+1} - b_i|) recomputed from beta in each map
+   (LOG_PENALTY), and the squared loss (m and a unused), which is exact in
+   one map: it runs that map from no start, and its record is that map's
+   objective alone.
 
    The iterative envelopes run safeguarded SQUAREM steps of three maps
    each (squarem_step) while at least three maps remain in max_iters,
@@ -337,77 +340,119 @@ static long distinct_levels(const double *beta, long n)
    tol.
 
    beta holds the start on entry (unread for SQUARED) and the last
-   iterate on return.  trace[0] is the starting objective (for SQUARED
-   the objective of its one map) and, when record is nonzero, trace[t]
-   the objective after map t (room for max_iters + 1 values); a rejected
+   iterate on return; b1, b2 and bx are work vectors.  s->trace[0] is the
+   starting objective (for SQUARED the objective of its one map) and, when
+   s->record is nonzero, s->trace[t] the objective after map t; a rejected
    extrapolation repeats its step's plain value.  envvar receives the
    final envelope variables: for HUBER_SHIFT the shift soft(y - beta, 1)
    (n values), for LOG_PENALTY the edge weights at the last iterate
-   (n - 1 values); other envelopes leave it unread (it may be NULL).
-   info[0..6] are the maps run, converged (0/1), the last accepted
-   objective, after a rise the objective that rose, the distinct levels
-   of the last iterate (df), the SQUAREM steps and the rejected
-   extrapolations.  The caller validates the inputs (n >= 1, y finite,
-   0 <= y <= m with m >= 1 for the logit envelopes, u >= 0 and finite,
-   a > 0 and finite for LOG_PENALTY, beta finite, max_iters >= 1).
-   Returns 0; 1 when the work arrays cannot be allocated; 2 when a
-   weight, a working response or the objective of a plain map is not
-   finite; 3 when the objective of a plain map rises. */
-int envelope_fused_lasso_mm(int envelope, const double *y, const double *m,
-                            const double *u, double a, long n, double tol,
-                            long max_iters, int record, double *beta,
-                            double *trace, double *envvar, double *info)
+   (n - 1 values); other envelopes leave it unread.  info[0..6] are the
+   maps run, converged (0/1), the last accepted objective, after a rise
+   the objective that rose, the distinct levels of the last iterate (df),
+   the SQUAREM steps and the rejected extrapolations.  Returns 0, or the
+   status of a plain map. */
+static int fit(loop *s, double tol, long max_iters, double *beta, double *b1,
+               double *b2, double *bx, double *envvar, double *info)
 {
-    long i, steps = 0, rejected = 0;
+    long i, n = s->n, steps = 0, rejected = 0;
     int status = 0, converged = 0;
     double obj = 0.0, next = 0.0, start;
-    double *work = calloc((size_t)(14 * n), sizeof(double));
-    if (!work)
-        return 1;
-    double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n;
-    loop s = {envelope, 0, record, y, m, u, a, n, 0,
-              work, work + n, work + 2 * n, bx + n, trace};
 
+    s->maps = 0;
+    s->coupled = 0;
     for (i = 0; i < n - 1; i++)
-        s.coupled |= u[i] != 0.0;
-    if (!logit_loss(envelope))
-        for (i = 0; i < n; i++)
-            s.w[i] = 1.0;
-    if (envelope == SQUARED) {
-        s.maps = 1;
+        s->coupled |= s->u[i] != 0.0;
+    if (s->envelope == SQUARED) {
+        s->maps = 1;
         converged = 1;
-        status = map(&s, beta, beta, &obj);
+        status = map(s, beta, beta, &obj);
         next = obj;
-        trace[0] = obj;
+        s->trace[0] = obj;
     } else {
-        obj = objective(&s, beta);
+        obj = objective(s, beta);
         next = obj;
-        trace[0] = obj;
+        s->trace[0] = obj;
         if (!(fabs(obj) < HUGE_VAL))
             status = 2;
     }
-    while (!status && !converged && s.maps < max_iters) {
+    while (!status && !converged && s->maps < max_iters) {
         start = obj;
-        if (max_iters - s.maps >= 3) {
+        if (max_iters - s->maps >= 3) {
             steps++;
-            status = squarem_step(&s, beta, b1, b2, bx, &obj, &next, &rejected);
+            status = squarem_step(s, beta, b1, b2, bx, &obj, &next, &rejected);
         } else {
-            status = plain_map(&s, beta, beta, &obj, &next);
+            status = plain_map(s, beta, beta, &obj, &next);
         }
         converged = !status && fabs(start - obj) <= tol * fmax(1.0, fabs(start));
     }
-    if (envelope == HUBER_SHIFT)
+    if (s->envelope == HUBER_SHIFT)
         for (i = 0; i < n; i++)
-            envvar[i] = huber_shift(y[i], beta[i]);
-    if (envelope == LOG_PENALTY)
-        log_penalty_weights(&s, beta, envvar);
-    info[0] = (double)s.maps;
+            envvar[i] = huber_shift(s->y[i], beta[i]);
+    if (s->envelope == LOG_PENALTY)
+        log_penalty_weights(s, beta, envvar);
+    info[0] = (double)s->maps;
     info[1] = converged;
     info[2] = obj;
     info[3] = next;
     info[4] = (double)distinct_levels(beta, n);
     info[5] = (double)steps;
     info[6] = (double)rejected;
+    return status;
+}
+
+/* A warm-started path of fits: fit l (l = 0 .. fits - 1) is the loop of
+   fit() with the edge penalties lams[l] * u_i, started at the last
+   iterate of fit l - 1 (fit 0 at the given start).  A single fit is the
+   path of one fit with lams[0] = 1, since lam * 1 is exact.  The work
+   arrays are allocated once per path.
+
+   beta is a fits x n block whose row 0 holds the start on entry (unread
+   for SQUARED); row l receives fit l's last iterate.  trace receives the
+   fits' traces one after another: when record is nonzero, fit l's maps + 1
+   values (room for fits x (max_iters + 1) values), and otherwise the
+   first value of each fit (fits values); SQUARED, whose trace is its one
+   value, runs with record = 0.  envvar is a fits x n block
+   (HUBER_SHIFT) or a fits x (n - 1) block (LOG_PENALTY) of the final
+   envelope variables, unread by the other envelopes (it may be NULL).
+   info is fits x 7 values, row l the info of fit l (see fit()), then one
+   value: the index of the last fit run, which is the failing fit when the
+   return value is 2 or 3.  The caller validates the inputs (n >= 1, y
+   finite, 0 <= y <= m with m >= 1 for the logit envelopes, u >= 0 and
+   lams >= 0 with every product lams[l] * u_i finite, a > 0 and finite for
+   LOG_PENALTY, the start finite, max_iters >= 1, fits >= 1).  Returns 0;
+   1 when the work arrays cannot be allocated; 2 when a weight, a working
+   response or the objective of a plain map is not finite; 3 when the
+   objective of a plain map rises.  A fit that fails stops the path. */
+int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
+                              const double *u, const double *lams, long fits,
+                              double a, long n, double tol, long max_iters,
+                              int record, double *beta, double *trace,
+                              double *envvar, double *info)
+{
+    long i, l, nv = envelope == HUBER_SHIFT ? n : n - 1;
+    int status = 0;
+    double *work = calloc((size_t)(15 * n), sizeof(double));
+    if (!work)
+        return 1;
+    double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n, *pen = bx + 9 * n;
+    loop s = {envelope, 0, record, y, m, pen, a, n, 0,
+              work, work + n, work + 2 * n, bx + n, trace};
+
+    if (!logit_loss(envelope))
+        for (i = 0; i < n; i++)
+            s.w[i] = 1.0;
+    for (l = 0; l < fits && !status; l++) {
+        double *b = beta + l * n;
+        if (l > 0)
+            memcpy(b, b - n, (size_t)n * sizeof(double));
+        for (i = 0; i < n - 1; i++)
+            pen[i] = lams[l] * u[i];
+        s.trace = trace;
+        status = fit(&s, tol, max_iters, b, b1, b2, bx,
+                     envvar ? envvar + l * nv : NULL, info + 7 * l);
+        trace += record ? s.maps + 1 : 1;
+    }
+    info[7 * fits] = (double)(l - 1);
     free(work);
     return status;
 }

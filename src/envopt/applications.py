@@ -21,6 +21,7 @@ held-out predictions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,12 +41,14 @@ from .solvers import (
     FitResult,
     SolverConfig,
     _ONE_SOLVE,
+    _check_finite_minimizer,
     _edge_weights,
     _logit_loss,
     _mm_start,
     count_knots,
     distinct_levels,
     envelope_fused_lasso_mm,
+    envelope_fused_lasso_path,
     logistic_fused_lasso,
     mm_driver,
     weighted_trend_filter,
@@ -159,8 +162,10 @@ def _response(y, min_len: int) -> np.ndarray:
     y = np.ascontiguousarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] < min_len:
         raise ValidationError(f"y must be a vector of length >= {min_len}")
-    # min and max propagate NaN, and a NaN fails both comparisons
-    if not (-np.inf < y.min() and y.max() < np.inf):
+    # y.y is finite only when every entry is, and costs one BLAS call; it
+    # overflows from |y_i| ~ 1e154, where min and max decide (they
+    # propagate NaN, and a NaN fails both comparisons)
+    if not (math.isfinite(y.dot(y)) or (-np.inf < y.min() and y.max() < np.inf)):
         raise ValidationError("y must be finite")
     return y
 
@@ -174,7 +179,8 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
     exact minimization, so the objective trace is monotone.  The inputs
     are validated here, and the loop runs as
     ``solvers.envelope_fused_lasso_mm``, which also returns the final
-    shift as ``aux["u"]``.
+    shift as ``aux["u"]``.  A solution path runs its whole grid in one
+    kernel call instead (:func:`_rfl_path`).
     """
     cfg = cfg or SolverConfig()
     y = _response(y, 2)
@@ -185,14 +191,26 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
     return envelope_fused_lasso_mm("huber", y, None, u, _mm_start(init, y, n), cfg)
 
 
+def _rfl_path(spec, y, m, lams, cfg):
+    """The rfl fits along ``lams``, each started at the previous fit (the
+    first at ``y``), as the chain of :func:`fit_rfl` calls returns them:
+    ``y`` and the grid are validated once, and the whole path runs as one
+    ``solvers.envelope_fused_lasso_path`` call with base edge weights 1."""
+    y = _response(y, 2)
+    ok = (lams >= 0) & (lams < np.inf)
+    if not ok.all():  # the first bad lam, with fit_rfl's message
+        lam = lams[np.argmin(ok)]
+        raise ValidationError("lam must be nonnegative" if lam < 0 else "inputs must be finite")
+    return envelope_fused_lasso_path("huber", y, None, 1.0, lams, y, cfg or SolverConfig())
+
+
 def fused_lasso_gaussian(y, lam: float) -> FitResult:
     """Ordinary (squared-error) fused lasso; exact in one DP call, run as
     the one-cycle squared-loss envelope of
     ``solvers.envelope_fused_lasso_mm``."""
     y = _response(y, 1)
-    n = y.shape[0]
-    return envelope_fused_lasso_mm("gaussian", y, None, _edge_weights(lam, n),
-                                   np.empty(n), _ONE_SOLVE)
+    return envelope_fused_lasso_mm("gaussian", y, None, _edge_weights(lam, y.shape[0]),
+                                   None, _ONE_SOLVE)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +308,9 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     linearization, the edge weights ``u_i = lam / (a + |diff_i|)``.  Their
     sum majorizes the objective, so one exact weighted fused lasso per map
     keeps the trace monotone.  When ``init`` is None the fit starts at the
-    binomial fused-lasso solution at the same lam.  The inputs are
+    binomial fused-lasso solution at the same lam.  At ``lam > 0`` every
+    edge weight is positive, so counts that are all 0 (or all m) have no
+    finite minimizer and raise ``ValidationError`` before any map.  The inputs are
     validated here, and the loop runs as one
     ``solvers.envelope_fused_lasso_mm`` call (SQUAREM-extrapolated, to
     ``cfg.tol`` within ``cfg.max_iters`` maps).  ``aux["u"]`` holds the
@@ -316,6 +336,7 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
                          iters=1, converged=True, df=distinct_levels(beta),
                          aux={"u": np.zeros(n - 1),
                               "run": {"maps": 0, "steps": 0, "rejected": 0}})
+    _check_finite_minimizer(loss, lam)
     if init is None:
         init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
     else:
@@ -333,10 +354,12 @@ class AppEntry:
     """What fits, paths, CV and the CLI need to know about one app.
 
     ``fit(spec, y, m, cfg, init)`` runs the estimator; ``loss(spec, y,
-    beta, m)`` is its data loss (AIC, held-out CV loss); ``start(spec, y,
-    m, cfg, init, fit)`` is the next path fit's warm start, given the
-    previous start and fit (None at the first lam); ``columns`` are the
-    CLI input columns, ``truth(spec, data)`` the truth column of its
+    betas, m)`` is its data loss at each row of the stacked fits ``betas``
+    (AIC, held-out CV loss); ``path(spec, y, m, lams, cfg)`` returns the
+    warm-started fits along the float vector ``lams``: rfl runs the whole
+    grid in one kernel call (:func:`_rfl_path`), qrtf and fdp call ``fit``
+    once per lam from a warm start (:func:`_warm_path`).  ``columns`` are
+    the CLI input columns, ``truth(spec, data)`` the truth column of its
     selected fit (or None) and ``params`` the AppSpec fields written in
     its fit records.  The callables look estimators up as module globals
     at call time, so rebinding one rebinds the table too.
@@ -344,7 +367,7 @@ class AppEntry:
 
     fit: Callable
     loss: Callable
-    start: Callable
+    path: Callable
     columns: tuple
     truth: Callable
     params: tuple = ()
@@ -352,6 +375,25 @@ class AppEntry:
     @property
     def needs_m(self) -> bool:
         return "m" in self.columns
+
+
+def _warm_path(start):
+    """A path that calls its app's ``fit`` at each lam from the warm start
+    ``start(spec, y, m, cfg, init, fit)``, given the previous start and
+    fit (None at the first lam)."""
+
+    def path(spec, y, m, lams, cfg):
+        fit_app = APP_TABLE[spec.app].fit
+        init = fit = None
+        fits = []
+        for lam in lams:
+            spec_lam = spec.with_lam(lam)
+            init = start(spec_lam, y, m, cfg, init, fit)
+            fit = fit_app(spec_lam, y, m, cfg, init)
+            fits.append(fit)
+        return fits
+
+    return path
 
 
 def _previous_fit(spec, y, m, cfg, init, fit):
@@ -364,6 +406,12 @@ def _chained_fused_lasso(spec, y, m, cfg, init, fit):
     return binomial_fused_lasso(y, m, spec.lam, init=init, cfg=cfg).beta
 
 
+def _logit_losses(spec, y, betas, m):
+    loss = LossSpec("binomial-logit", y=y,
+                    m=np.broadcast_to(np.asarray(m, dtype=float), y.shape))
+    return np.array([loss_value(loss, beta) for beta in betas])
+
+
 def _qrtf_truth(spec, data):
     if "truth_mean" in data and "truth_sigma" in data:
         return data["truth_mean"] + ndtri(spec.q) * data["truth_sigma"]
@@ -373,22 +421,19 @@ def _qrtf_truth(spec, data):
 APP_TABLE = {
     "rfl": AppEntry(
         fit=lambda spec, y, m, cfg, init: fit_rfl(y, spec.lam, cfg=cfg, init=init),
-        loss=lambda spec, y, beta, m: float(np.sum(huber(y - beta))),
-        start=_previous_fit, columns=("x", "y"),
+        loss=lambda spec, y, betas, m: np.sum(huber(y - betas), axis=-1),
+        path=_rfl_path, columns=("x", "y"),
         truth=lambda spec, data: data.get("truth")),
     "qrtf": AppEntry(
         fit=lambda spec, y, m, cfg, init: fit_qrtf(y, spec.q, spec.k, spec.lam,
                                                    cfg=cfg, init=init),
-        loss=lambda spec, y, beta, m: float(np.sum(check_value(y - beta, spec.q))),
-        start=_previous_fit, columns=("x", "y"), truth=_qrtf_truth,
+        loss=lambda spec, y, betas, m: np.sum(check_value(y - betas, spec.q), axis=-1),
+        path=_warm_path(_previous_fit), columns=("x", "y"), truth=_qrtf_truth,
         params=("q", "k")),
     "fdp": AppEntry(
         fit=lambda spec, y, m, cfg, init: fit_fdp(y, m, spec.lam, a=spec.a,
                                                   init=init, cfg=cfg),
-        loss=lambda spec, y, beta, m: loss_value(LossSpec(
-            "binomial-logit", y=y,
-            m=np.broadcast_to(np.asarray(m, dtype=float), y.shape)), beta),
-        start=_chained_fused_lasso, columns=("x", "y", "m"),
+        loss=_logit_losses, path=_warm_path(_chained_fused_lasso), columns=("x", "y", "m"),
         truth=lambda spec, data: data.get("truth_logodds"), params=("a",)),
 }
 APPS = tuple(APP_TABLE)
@@ -408,20 +453,15 @@ def app_loss(app: AppSpec, y, beta, m=None) -> float:
     """The data-fit part of an application objective at a fitted vector."""
     y = np.asarray(y, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    return APP_TABLE[app.app].loss(app, y, beta, m)
+    return float(APP_TABLE[app.app].loss(app, y, beta[np.newaxis], m)[0])
 
 
-def _warm_fits(app: AppSpec, y, m, lam_arr, cfg):
-    """Yield the fits along ``lam_arr``, each from its app's warm start."""
+def _path_fits(app: AppSpec, y, m, lam_arr, cfg):
+    """The fits along ``lam_arr``, by the app's warm-started path."""
     entry = APP_TABLE[app.app]
     if m is None and entry.needs_m:
         raise ValidationError(f"{app.app} requires trial counts m")
-    init = fit = None
-    for lam in lam_arr:
-        spec = app.with_lam(lam)
-        init = entry.start(spec, y, m, cfg, init, fit)
-        fit = entry.fit(spec, y, m, cfg, init)
-        yield fit
+    return entry.path(app, y, m, lam_arr, cfg)
 
 
 def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
@@ -430,8 +470,11 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
 
     rfl and qrtf fits start at the previous solution; each fdp fit
     instead starts at the binomial fused-lasso solution for the same
-    lam, itself warm-started from the previous lam's.  ``criterion`` is
-    "aic" or "cv"; ties select the larger lam.
+    lam, itself warm-started from the previous lam's.  The fits come from
+    the app's ``AppEntry.path``: one kernel call for the whole rfl path,
+    one estimator call per lam for qrtf and fdp.  ``criterion`` is "aic"
+    or "cv"; the AIC losses come from one pass of the app's loss over the
+    stacked fits.  Ties select the larger lam.
     """
     lam_arr = np.asarray(lambdas, dtype=float)
     if lam_arr.ndim != 1 or lam_arr.size == 0:
@@ -442,10 +485,10 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
         raise ValidationError(f"unknown criterion {criterion!r}")
 
     y = np.asarray(y, dtype=float)
-    fits = list(_warm_fits(app, y, m, lam_arr, cfg))
+    fits = _path_fits(app, y, m, lam_arr, cfg)
     if criterion == "aic":
-        crit = np.asarray([
-            aic(f, app_loss(app, y, f.beta, m=m)) for f in fits])
+        losses = APP_TABLE[app.app].loss(app, y, np.stack([f.beta for f in fits]), m)
+        crit = np.asarray([aic(f, loss) for f, loss in zip(fits, losses)])
     else:
         _, crit = kfold_cv(app, y, lam_arr, folds, cfg=cfg, m=m)
     selected = int(np.argmin(crit))  # first minimum = largest lam on ties
@@ -473,6 +516,8 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     if K > n:
         raise ValidationError("K cannot exceed the number of observations")
     lam_arr = np.asarray(lambdas, dtype=float)
+    if lam_arr.ndim != 1 or lam_arr.size == 0:
+        raise ValidationError("lambdas must be a nonempty vector")
     m_arr = None if m is None else np.broadcast_to(np.asarray(m, dtype=float), y.shape)
     idx = np.arange(n)
     table = np.zeros(lam_arr.shape[0])
@@ -480,9 +525,10 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
         held = idx[idx % K == r]
         kept = idx[idx % K != r]
         m_kept, m_held = (None, None) if m_arr is None else (m_arr[kept], m_arr[held])
-        for j, fit in enumerate(_warm_fits(app, y[kept], m_kept, lam_arr, cfg)):
-            pred = np.interp(held.astype(float), kept.astype(float), fit.beta)
-            table[j] += app_loss(app, y[held], pred, m=m_held)
+        fits = _path_fits(app, y[kept], m_kept, lam_arr, cfg)
+        preds = np.stack([np.interp(held.astype(float), kept.astype(float), fit.beta)
+                          for fit in fits])
+        table += APP_TABLE[app.app].loss(app, y[held], preds, m_held)
     best = float(lam_arr[int(np.argmin(table))])
     return best, table
 

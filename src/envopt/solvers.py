@@ -18,23 +18,26 @@ Contents:
   a closed-form envelope update ``update(beta) -> aux`` followed by the
   subproblem solve ``solve(aux, beta) -> beta``, with one objective
   evaluation and a monotonicity check per cycle.
-* :func:`envelope_fused_lasso_mm` -- one MM loop for the fused-lasso
+* :func:`envelope_fused_lasso_path` -- one MM loop for the fused-lasso
   envelope fits (Huber shift, Polya-Gamma weights, Polya-Gamma weights
   with the log penalty's edge weights, squared loss), extrapolated by
-  safeguarded SQUAREM, that returns the whole run record, df and the
-  final envelope variables included.
+  safeguarded SQUAREM, run over a warm-started grid of penalty scales,
+  that returns each fit's whole run record, df and final envelope
+  variables included; :func:`envelope_fused_lasso_mm` is its one-fit
+  case.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
 Three loops are compiled: ``_fldp.c`` holds the DP and
-:func:`envelope_fused_lasso_mm`, the whole MM loop of the four envelope
-fits whose subproblem is the fused lasso (the Huber location shift of
+:func:`envelope_fused_lasso_path`, the whole MM loop of the four envelope
+fits whose subproblem is the fused lasso, for a whole warm-started path
+in one call (the Huber location shift of
 ``applications.fit_rfl``, the Polya-Gamma weights of
 :func:`logistic_fused_lasso`, the Polya-Gamma and log-penalty weights of
 ``applications.fit_fdp``, and the squared loss of
 ``applications.fused_lasso_gaussian``, exact in one map), which also
-returns the fit's ``df`` and its final envelope variables; ``_tfadmm.c``
+returns each fit's ``df`` and its final envelope variables; ``_tfadmm.c``
 holds the whole ADMM iteration.  They are
 built together into one library on first use with the
 system C compiler, cached per user and called through ctypes.  When no
@@ -277,10 +280,10 @@ def _kernel():
     lib.trend_filter_admm.argtypes = ([ptr] * 5 + [c_long, c_long, c_double, c_long]
                                       + [ptr] * 4)
     lib.trend_filter_admm.restype = ctypes.c_int
-    lib.envelope_fused_lasso_mm.argtypes = ([ctypes.c_int] + [ptr] * 3
-                                            + [c_double, c_long, c_double, c_long,
-                                               ctypes.c_int] + [ptr] * 4)
-    lib.envelope_fused_lasso_mm.restype = ctypes.c_int
+    lib.envelope_fused_lasso_path.argtypes = ([ctypes.c_int] + [ptr] * 4
+                                              + [c_long, c_double, c_long, c_double,
+                                                 c_long, ctypes.c_int] + [ptr] * 4)
+    lib.envelope_fused_lasso_path.restype = ctypes.c_int
     return lib
 
 
@@ -306,16 +309,17 @@ def _float_vector(x, n: int, name: str) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def _edge_weights(u_edges, n: int) -> np.ndarray:
-    """``u_edges`` as a contiguous float vector of ``n - 1`` edge weights,
-    rejected unless nonnegative and finite."""
+def _edge_weights(u_edges, n: int):
+    """``u_edges`` as ``n - 1`` edge weights, rejected unless nonnegative
+    and finite: a scalar as a float (every edge weight equal), anything
+    else as a contiguous float vector."""
     if isinstance(u_edges, (int, float)):  # a scalar lam, np.float64 included
         # a NaN fails both comparisons
         if u_edges < 0:
             raise ValidationError("edge weights must be nonnegative")
         if not u_edges < np.inf:
             raise ValidationError("inputs must be finite")
-        return np.full(n - 1, float(u_edges))
+        return float(u_edges)
     u = _float_vector(u_edges, n - 1, "edge weights")
     if n > 1:
         # min and max propagate NaN, and a NaN fails both comparisons
@@ -345,6 +349,8 @@ def weighted_fused_lasso(z, omega, u_edges):
     if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
     u = _edge_weights(u_edges, n)
+    if isinstance(u, float):
+        u = np.full(n - 1, u)
     if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf):
         raise ValidationError("inputs must be finite")
     if n == 1 or u.max() == 0:
@@ -571,7 +577,7 @@ def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
     """Plain majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
 
     It runs ``applications.fit_qrtf`` and :func:`proximal_gradient`; the
-    fused-lasso envelope fits run :func:`envelope_fused_lasso_mm`.
+    fused-lasso envelope fits run :func:`envelope_fused_lasso_path`.
 
     ``update(beta)`` is the envelope update: it returns only the
     auxiliary variables, so it cannot move ``beta`` or the objective.
@@ -615,32 +621,46 @@ def _mm_start(init, default, n: int) -> np.ndarray:
     return beta
 
 
-# The envelopes of envelope_fused_lasso_mm, by fit kind: the code of each
-# in _fldp.c and the name of its map's solve, which a MonotonicityError
-# reports.
-_ENVELOPES = {"huber": (0, "fused_lasso"),
-              "binomial-logit": (1, "polya_gamma_fused_lasso"),
-              "gaussian": (2, "fused_lasso"),
-              "fdp": (3, "log_penalty_fused_lasso")}
+# The envelopes of envelope_fused_lasso_path, by fit kind: the code of each
+# in _fldp.c, the name of its map's solve, which a MonotonicityError
+# reports, and whether its fits return final envelope variables (aux["u"]).
+_ENVELOPES = {"huber": (0, "fused_lasso", True),
+              "binomial-logit": (1, "polya_gamma_fused_lasso", False),
+              "gaussian": (2, "fused_lasso", False),
+              "fdp": (3, "log_penalty_fused_lasso", True)}
 
 # The run of an envelope that is exact in one map: one solve, whose
 # objective is the whole trace.
 _ONE_SOLVE = SolverConfig(max_iters=1, record_trace=False)
 
+# The penalty scales of a single fit: a path of one fit at scale 1, which
+# leaves every edge weight exactly as given.
+_UNIT_SCALE = np.ones(1)
+_UNIT_SCALE.setflags(write=False)
+
 
 def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
                             a: float = 1.0) -> FitResult:
-    """The MM loop of a fused-lasso envelope fit, and its whole run record.
+    """One fused-lasso envelope fit with edge weights ``u``: the path of
+    :func:`envelope_fused_lasso_path` with the single penalty scale 1."""
+    return envelope_fused_lasso_path(kind, y, m, u, _UNIT_SCALE, beta, cfg, a)[0]
 
-    The loop's map ``F(beta)`` is the closed-form envelope update of the
-    fit ``kind`` at ``beta`` and then an exact weighted fused lasso:
+
+def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
+                              a: float = 1.0) -> list:
+    """The MM loops of a warm-started path of fused-lasso envelope fits,
+    and the whole run record of each fit.
+
+    Fit ``l`` has the edge weights ``lams[l] * u``.  Fit 0 starts at
+    ``beta`` and each later fit at the previous fit's last iterate.  Each
+    fit's map ``F(beta)`` is the closed-form envelope update of the fit
+    ``kind`` at ``beta`` and then an exact weighted fused lasso:
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
-      on ``y - soft(y - beta, 1)`` with unit weights and edge weights
-      ``u``; ``aux["u"]`` is the shift at the last iterate.
+      on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
+      shift at the last iterate.
     * ``"binomial-logit"``: the logit's Polya-Gamma weights
-      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``
-      and edge weights ``u``.
+      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``.
     * ``"fdp"``: the Polya-Gamma weights together with the log penalty
       ``sum_i u_i log(1 + |beta_{i+1} - beta_i| / a)`` linearized at
       ``beta``, whose edge weights are ``u_i / (a + |beta_{i+1} -
@@ -649,7 +669,7 @@ def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
       last iterate.
     * ``"gaussian"``: the squared loss, exact in one solve on ``y``; the
       record is ``iters=1``, ``converged=True`` and ``trace=[objective]``
-      (run it with ``_ONE_SOLVE``; ``beta`` is not read).
+      (run it with ``_ONE_SOLVE``; ``beta`` is not read and may be None).
 
     The iterative envelopes are extrapolated by safeguarded SQUAREM
     (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
@@ -661,49 +681,88 @@ def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
     three maps left in ``cfg.max_iters`` the loop takes plain maps.
     ``iters`` counts maps (DP solves), and the trace holds ``iters + 1``
     non-increasing values, a rejected extrapolation repeating its step's
-    plain value.  The loop converges when the relative objective change
-    over a whole step (or plain map) falls to ``cfg.tol``.
-    ``aux["run"]`` holds the ``maps``, the SQUAREM ``steps`` and the
-    ``rejected`` extrapolations.
+    plain value.  A fit converges when the relative objective change over
+    a whole step (or plain map) falls to ``cfg.tol``.  ``aux["run"]``
+    holds the ``maps``, the SQUAREM ``steps`` and the ``rejected``
+    extrapolations.
 
-    The loop, the objective and ``df`` (:func:`distinct_levels`) run in
-    one call of the compiled kernel (``_fldp.c``).  When the kernel did
-    not load, :func:`_envelope_mm_python` runs the same maps in Python.
-    The caller validates the inputs: ``y`` (and ``m``) contiguous, finite
-    and, for the logit, ``0 <= y <= m`` with ``m >= 1``; ``u`` from
-    :func:`_edge_weights`; ``a`` positive and finite for ``"fdp"``; a
-    start ``beta`` from :func:`_mm_start`, which the loop overwrites.  A
-    plain map that raises the objective raises :class:`MonotonicityError`
-    naming the solve, and a value that is not finite
-    :class:`ValidationError`.
+    The whole path, the objectives and ``df`` (:func:`distinct_levels`)
+    included, runs in one call of the compiled kernel (``_fldp.c``).  When
+    the kernel did not load, :func:`_envelope_mm_python` runs the same
+    fits and maps in Python.  The caller validates the inputs: ``y`` (and
+    ``m``) contiguous, finite and, for the logit, ``0 <= y <= m`` with
+    ``m >= 1``; ``u`` a scalar or ``n - 1`` edge weights from
+    :func:`_edge_weights`; ``lams`` a float vector of nonnegative finite
+    scales; ``a`` positive and finite for ``"fdp"``; a start ``beta``
+    from :func:`_mm_start`, which is not changed.  A plain map that
+    raises the objective raises :class:`MonotonicityError` naming the
+    solve, and a value that is not finite :class:`ValidationError`, each
+    with the values of the fit where it happened, and no later fit runs.
+    Returns the fits in the order of ``lams``; the iterates and final
+    envelope variables of a path are views of one block.
     """
     lib = _kernel()
     if lib is None:
-        return _envelope_mm_python(kind, y, m, u, beta, cfg, a)
-    code, solve_name = _ENVELOPES[kind]
-    n = y.shape[0]
-    trace = np.empty(cfg.max_iters + 1 if cfg.record_trace else 1)
-    envvar = np.empty(n) if kind == "huber" else np.empty(n - 1) if kind == "fdp" else None
-    info = np.empty(7)
-    status = lib.envelope_fused_lasso_mm(
-        code, y.ctypes.data, None if m is None else m.ctypes.data, u.ctypes.data, a,
-        n, cfg.tol, cfg.max_iters, cfg.record_trace, beta.ctypes.data,
-        trace.ctypes.data, None if envvar is None else envvar.ctypes.data,
-        info.ctypes.data)
+        return _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a)
+    code, solve_name, has_envvar = _ENVELOPES[kind]
+    n, fits = y.shape[0], lams.shape[0]
+    nv = (n if kind == "huber" else n - 1) if has_envvar else 0
+    record = cfg.record_trace and kind != "gaussian"  # its one map's trace is one value
+    # One block holds the inputs, the iterates, the envelope variables, the
+    # info rows and, unrecorded, the one-value traces, so one address serves
+    # every pointer.  Recorded traces are written one after another into
+    # their own buffer, which the fits copy from, so they do not keep it
+    # alive and the pages past the written part are never touched.
+    o_m = n
+    o_u = o_m + (0 if m is None else n)
+    o_lam = o_u + n - 1
+    o_beta = o_lam + fits
+    o_env = o_beta + fits * n
+    o_info = o_env + fits * nv
+    o_trace = o_info + 7 * fits + 1
+    block = np.empty(o_trace + (0 if record else fits))
+    block[:o_m] = y
+    if m is not None:
+        block[o_m:o_u] = m
+    block[o_u:o_lam] = u
+    block[o_lam:o_beta] = lams
+    if beta is not None:
+        block[o_beta:o_beta + n] = beta
+    at = ctypes.addressof(ctypes.c_char.from_buffer(block))  # cheaper than .ctypes.data
+    if record:
+        traces = np.empty(fits * (cfg.max_iters + 1))
+        trace_at = ctypes.addressof(ctypes.c_char.from_buffer(traces))
+    else:
+        traces, trace_at = block[o_trace:], at + 8 * o_trace
+    status = lib.envelope_fused_lasso_path(
+        code, at, None if m is None else at + 8 * o_m, at + 8 * o_u,
+        at + 8 * o_lam, fits, a, n, cfg.tol, cfg.max_iters, record, at + 8 * o_beta,
+        trace_at, at + 8 * o_env if has_envvar else None, at + 8 * o_info)
+    info = block[o_info:o_trace].tolist()
     if status == 1:
         raise MemoryError("envelope MM could not allocate its work arrays")
     if status == 2:
         raise ValidationError("an MM cycle met a value that is not finite")
     if status == 3:
-        raise MonotonicityError(solve_name, float(info[2]), float(info[3]))
-    iters = int(info[0])
-    if cfg.record_trace:
-        trace = trace[:iters + 1].copy()  # a view would pin the whole buffer
-    aux = {"run": {"maps": iters, "steps": int(info[5]), "rejected": int(info[6])}}
-    if envvar is not None:
-        aux["u"] = envvar
-    return FitResult(beta=beta, objective=float(info[2]), trace=trace,
-                     iters=iters, converged=bool(info[1]), df=int(info[4]), aux=aux)
+        failed = 7 * int(info[-1])
+        raise MonotonicityError(solve_name, info[failed + 2], info[failed + 3])
+    out, t = [], 0
+    for l in range(fits):
+        maps, converged, obj, _, df, steps, rejected = info[7 * l:7 * l + 7]
+        iters = int(maps)
+        if record:  # a copy: a view would pin the whole buffer
+            trace = traces[t:t + iters + 1].copy()
+            t += iters + 1
+        else:
+            trace = traces[l:l + 1]
+        aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected)}}
+        if has_envvar:
+            aux["u"] = block[o_env + l * nv:o_env + (l + 1) * nv]
+        # beta, objective, trace, iters, converged, df, aux: passed by
+        # position, which costs about 1 us less per fit than by keyword
+        out.append(FitResult(block[o_beta + l * n:o_beta + (l + 1) * n], obj, trace, iters,
+                             bool(converged), int(df), aux))
+    return out
 
 
 def _in_order_sum(x) -> float:
@@ -718,9 +777,19 @@ def _softplus(b):
                      else x + math.log1p(math.exp(-x)) for x in b.tolist()])
 
 
-def _envelope_mm_python(kind, y, m, u, beta, cfg, a=1.0) -> FitResult:
-    """:func:`envelope_fused_lasso_mm` in Python, map for map: the
-    fallback of the compiled loop and its test oracle.
+def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0) -> list:
+    """:func:`envelope_fused_lasso_path` in Python, fit for fit: the
+    fallback of the compiled path and its test oracle."""
+    u = np.broadcast_to(u, (y.shape[0] - 1,))
+    fits = []
+    for lam in lams:
+        fits.append(_envelope_fit_python(kind, y, m, lam * u, beta, cfg, a))
+        beta = fits[-1].beta
+    return fits
+
+
+def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
+    """One fit of :func:`_envelope_mm_python`, map for map.
 
     It repeats the arithmetic of ``_fldp.c`` operation for operation: the
     transcendental functions come from the C library (:mod:`math`), sums
@@ -853,6 +922,26 @@ def _logit_loss(y, m) -> LossSpec:
     return loss
 
 
+def _check_finite_minimizer(loss: LossSpec, u) -> None:
+    """Reject counts whose logit fit has no finite minimizer.
+
+    The coefficients joined by positive edge weights ``u`` form runs.  When
+    every count of a run is 0 (or every count is m), moving the run's
+    common log odds toward -inf (or +inf) lowers the loss and leaves the
+    penalty unchanged, so no finite point attains the infimum.  Any other
+    run pays either loss or penalty to leave every bounded set."""
+    y, m = loss.y, loss.m
+    starts = np.flatnonzero(np.concatenate(([True], np.broadcast_to(u, (loss.n - 1,)) == 0)))
+    for ok, bound in ((np.logical_or.reduceat(y > 0, starts), "0"),
+                      (np.logical_or.reduceat(y < m, starts), "m")):
+        if not ok.all():
+            first = int(np.argmin(ok))
+            last = (starts[first + 1] if first + 1 < starts.size else loss.n) - 1
+            raise ValidationError(
+                f"no finite minimizer: the counts {starts[first]}..{last}, a run of "
+                f"coefficients joined by positive edge weights, are all {bound}")
+
+
 def logistic_fused_lasso(y, m, u_edges, init=None,
                          cfg: Optional[SolverConfig] = None) -> FitResult:
     """Stationary point of ``sum_i [m_i log(1+e^{b_i}) - y_i b_i] +
@@ -865,15 +954,17 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     Polson, Scott & Windle 2013) and working responses
     ``z_i = (y_i - m_i/2)/omega_i``, which touches the loss there.  The
     resulting weighted fused lasso is solved exactly, so the objective is
-    monotone.  The inputs are validated here, and the loop runs as
-    :func:`envelope_fused_lasso_mm`, extrapolated by SQUAREM.  Returns the
-    MM run record: ``iters`` maps, their ``trace``, whether the loop met
-    ``cfg.tol`` within ``cfg.max_iters`` and ``aux["run"]``.
+    monotone.  The inputs are validated here, counts with no finite
+    minimizer included (:func:`_check_finite_minimizer`), and the loop runs
+    as :func:`envelope_fused_lasso_mm`, extrapolated by SQUAREM.  Returns
+    the MM run record: ``iters`` maps, their ``trace``, whether the loop
+    met ``cfg.tol`` within ``cfg.max_iters`` and ``aux["run"]``.
     """
     cfg = cfg or SolverConfig()
     loss = _logit_loss(y, m)
     n = loss.n
     u = _edge_weights(u_edges, n)
+    _check_finite_minimizer(loss, u)
     beta = _mm_start(init, np.zeros(n), n)
     return envelope_fused_lasso_mm("binomial-logit", loss.y, loss.m, u, beta, cfg)
 

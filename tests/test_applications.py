@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -397,22 +398,137 @@ def test_warm_start_policy_bitwise(monkeypatch, app):
     path = solution_path(AppSpec(app), ds.y, lams, m=ds.m, cfg=cfg)
     _assert_same_fits(path.fits, _policy_fits(app, ds.y, ds.m, lams, cfg))
 
-    # the fits of the first CV fold (held out: i mod 3 == 0)
-    name = {"rfl": "fit_rfl", "qrtf": "fit_qrtf", "fdp": "fit_fdp"}[app]
-    estimator = getattr(applications, name)
+    # the fits of the first CV fold (held out: i mod 3 == 0), as the app's
+    # path returns them
+    entry = applications.APP_TABLE[app]
     fold_fits = []
 
-    def recorded(*args, **kwargs):
-        fold_fits.append(estimator(*args, **kwargs))
-        return fold_fits[-1]
+    def recorded(*args):
+        fits = entry.path(*args)
+        fold_fits.extend(fits)
+        return fits
 
-    monkeypatch.setattr(applications, name, recorded)
+    monkeypatch.setitem(applications.APP_TABLE, app, dataclasses.replace(entry, path=recorded))
     kfold_cv(AppSpec(app), ds.y, lams, K=3, cfg=cfg, m=ds.m)
     assert len(fold_fits) == 3 * len(lams)
     kept = np.arange(30) % 3 != 0
     m_kept = None if ds.m is None else ds.m[kept]
     _assert_same_fits(fold_fits[:len(lams)],
                       _policy_fits(app, ds.y[kept], m_kept, lams, cfg))
+
+
+def _assert_same_fit_record(got, expected, where):
+    """Every field of two fits, aux included, to the bit."""
+    assert got.beta.tobytes() == expected.beta.tobytes(), where
+    assert got.trace.tobytes() == expected.trace.tobytes(), where
+    assert (got.objective, got.iters, got.converged, got.df) == (
+        expected.objective, expected.iters, expected.converged, expected.df), where
+    assert got.aux.keys() == expected.aux.keys() == {"u", "run"}, where
+    assert got.aux["u"].tobytes() == expected.aux["u"].tobytes(), where
+    assert got.aux["run"] == expected.aux["run"], where
+
+
+def _rfl_chain(y, lams):
+    """The rfl fits along ``lams`` as separate fit_rfl calls, each started at
+    the previous fit."""
+    fits = []
+    for lam in lams:
+        fits.append(fit_rfl(y, lam, init=fits[-1].beta if fits else None))
+    return fits
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_rfl_path_is_the_chain_of_fits(monkeypatch, python):
+    # criterion-5 data: the one-call path against fit_rfl started at the
+    # previous fit, and its AIC values against per-fit losses
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = simulate("rfl", 250, seed=1).y
+    lams = np.geomspace(300.0, 1.0, 100)
+    app = AppSpec("rfl")
+    path = solution_path(app, y, lams, criterion="aic")
+    chain = _rfl_chain(y, lams)
+    for lam, got, expected in zip(lams, path.fits, chain):
+        _assert_same_fit_record(got, expected, lam)
+    crit = np.array([aic(f, float(np.sum(huber(y - f.beta)))) for f in chain])
+    assert path.criterion_values.tobytes() == crit.tobytes()
+    assert path.selected == int(np.argmin(crit))
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_rfl_cv_is_the_chain_of_fits(monkeypatch, python):
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = simulate("rfl", 250, seed=2).y
+    lams = np.geomspace(300.0, 1.0, 100)
+    if python:
+        lams = lams[::10]  # the Python DP is slow: every tenth lam
+    K = 5
+    idx = np.arange(y.size)
+    table = np.zeros(lams.size)
+    chains = []
+    for r in range(K):
+        held, kept = idx[idx % K == r], idx[idx % K != r]
+        chains.append(_rfl_chain(y[kept], lams))
+        for j, fit in enumerate(chains[-1]):
+            pred = np.interp(held.astype(float), kept.astype(float), fit.beta)
+            table[j] += float(np.sum(huber(y[held] - pred)))
+    entry, fold_paths = applications.APP_TABLE["rfl"], []
+    monkeypatch.setitem(applications.APP_TABLE, "rfl", dataclasses.replace(
+        entry, path=lambda *args: fold_paths.append(entry.path(*args)) or fold_paths[-1]))
+    best, cv = kfold_cv(AppSpec("rfl"), y, lams, K)
+    assert cv.tobytes() == table.tobytes() and best == lams[np.argmin(table)]
+    for r, (fits, chain) in enumerate(zip(fold_paths, chains, strict=True)):
+        for got, expected in zip(fits, chain, strict=True):
+            _assert_same_fit_record(got, expected, r)
+    monkeypatch.setitem(applications.APP_TABLE, "rfl", entry)
+    path = solution_path(AppSpec("rfl"), y, lams, criterion="cv", folds=K)
+    assert path.criterion_values.tobytes() == table.tobytes()
+    assert path.selected == int(np.argmin(table))
+    for got, expected in zip(path.fits, _rfl_chain(y, lams)):
+        _assert_same_fit_record(got, expected, got.objective)
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_rfl_path_stops_at_the_failing_fit(monkeypatch, python):
+    # the objective at the second scale overflows: the path raises the
+    # error that fit_rfl raises at that lam, and no later fit runs
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = np.array([0.0, 4.0, 0.0, 4.0])
+    lams = np.array([1.0, 1e308, 1.0])
+    first = fit_rfl(y, 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError, match="not finite") as path_err:
+            solvers.envelope_fused_lasso_path("huber", y, None, 1.0, lams, y, SolverConfig())
+        with pytest.raises(ValidationError) as chain_err:
+            fit_rfl(y, 1e308, init=first.beta)
+    assert str(path_err.value) == str(chain_err.value)
+    # the one-fit path is the single fit
+    single = solvers.envelope_fused_lasso_path("huber", y, None, 1.0, lams[:1], y,
+                                               SolverConfig())
+    _assert_same_fit_record(single[0], first, "single")
+    # the squared loss records its one map's objective alone, recorded or not
+    for cfg in (SolverConfig(), solvers._ONE_SOLVE):
+        gauss = solvers.envelope_fused_lasso_mm("gaussian", y, None, 1.0, None, cfg)
+        assert gauss.trace.tolist() == [gauss.objective] and gauss.iters == 1
+
+
+def test_rfl_path_rejects_bad_input_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(applications, "envelope_fused_lasso_path",
+                        lambda *args: calls.append(args))
+    y = simulate("rfl", 20, seed=3).y
+    for lams, msg in (([3.0, 1.0, -1.0], "lam must be nonnegative"),
+                      ([np.inf, 1.0], "finite"), ([3.0, np.nan], "finite")):
+        with pytest.raises(ValidationError, match=msg):
+            applications._rfl_path(AppSpec("rfl"), y, None, np.array(lams), None)
+        with pytest.raises(ValidationError, match=msg):
+            kfold_cv(AppSpec("rfl"), y, np.array(lams), K=2)
+    for bad in (np.r_[y[:5], np.nan], y[:1]):
+        with pytest.raises(ValidationError, match="y must be"):
+            solution_path(AppSpec("rfl"), bad, np.array([2.0, 1.0]))
+    assert calls == []
 
 
 def test_kfold_leave_one_out_mechanics():
@@ -437,6 +553,9 @@ def test_kfold_validation():
         kfold_cv(AppSpec("rfl"), ds.y, np.array([1.0]), K=1)
     with pytest.raises(ValidationError):
         kfold_cv(AppSpec("fdp"), ds.y, np.array([1.0]), K=2)  # missing m
+    for lams in ([], [[2.0, 1.0]]):
+        with pytest.raises(ValidationError, match="nonempty vector"):
+            kfold_cv(AppSpec("rfl"), ds.y, lams, K=2)
 
 
 # ---------------------------------------------------------------------------

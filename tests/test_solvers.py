@@ -571,11 +571,86 @@ def test_logistic_fused_lasso_two_point_grid_oracle():
     np.testing.assert_allclose(beta, [grid[i], grid[j]], atol=6e-3)
 
 
+def test_counts_with_no_finite_minimizer_are_rejected_before_any_map(monkeypatch):
+    from envopt import applications
+    from envopt.applications import binomial_fused_lasso, fit_fdp
+
+    calls = []
+    for module in (solvers, applications):
+        for loop in ("envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
+            monkeypatch.setattr(module, loop, lambda *args, **kw: calls.append(args))
+    cases = [
+        (logistic_fused_lasso, ([0, 0, 3], [5, 5, 5], [0, 1]), {}),  # {0} all 0
+        (logistic_fused_lasso, ([5, 5, 3], 5, [1, 0]), {}),  # {0, 1} all m
+        (logistic_fused_lasso, ([1, 4, 0], 4, 0.0), {}),  # every coefficient alone
+        (binomial_fused_lasso, ([0] * 6, 5, 1.0), {}),
+        (fit_fdp, ([0] * 6, 5, 1.0), {}),
+        (fit_fdp, ([5] * 6, 5, 1.0), {"init": np.zeros(6)}),
+    ]
+    for fit, args, kwargs in cases:
+        with pytest.raises(ValidationError, match="no finite minimizer"):
+            fit(*args, **kwargs)
+    assert calls == []
+    monkeypatch.undo()
+    # joined to a positive count by positive edge weights, zero counts
+    # have a finite fit: the stationary point of the 3-point problem
+    fit = logistic_fused_lasso([0, 0, 3], [5, 5, 5], [1, 1],
+                               cfg=SolverConfig(max_iters=5000, tol=1e-14))
+    assert fit.converged and np.all(np.abs(fit.beta) < 5.0)
+    # stationarity: beta_0 = beta_1 < beta_2, so the block {0, 1} and the
+    # last coefficient each meet the +-1 of the edge between them, and the
+    # edge inside the block takes the subgradient grad_0 in [-1, 1]
+    grad = 5.0 * expit(fit.beta) - np.array([0.0, 0.0, 3.0])
+    assert fit.beta[0] == fit.beta[1] < fit.beta[2]
+    np.testing.assert_allclose([grad[0] + grad[1], grad[2]], [1.0, -1.0], atol=1e-8)
+    assert abs(grad[0]) <= 1.0
+    assert binomial_fused_lasso([0, 0, 1, 0, 0, 0], 5, 1.0).converged
+
+
+def _has_finite_minimizer(y, m, u):
+    """Whether every run of coefficients joined by positive edge weights
+    ``u`` (a scalar or a vector) has a count above 0 and a count below m."""
+    u = np.broadcast_to(u, (y.size - 1,))
+    start = 0
+    for i in range(y.size):
+        if i == y.size - 1 or u[i] == 0:
+            run = slice(start, i + 1)
+            if not (any(y[run] > 0) and any(y[run] < m[run])):
+                return False
+            start = i + 1
+    return True
+
+
+def _logit_fit(y, m, u, cfg, init=None):
+    """``logistic_fused_lasso``; for counts with no finite minimizer, which
+    it rejects, the same envelope loop run without that check."""
+    if _has_finite_minimizer(y, m, u):
+        return logistic_fused_lasso(y, m, u, init=init, cfg=cfg)
+    with pytest.raises(ValidationError, match="no finite minimizer"):
+        logistic_fused_lasso(y, m, u, init=init, cfg=cfg)
+    start = np.zeros(y.size) if init is None else np.array(init, dtype=float)
+    return solvers.envelope_fused_lasso_mm("binomial-logit", y, m, u, start, cfg)
+
+
+def _fdp_fit(y, m, lam, cfg, a=1.0, init=None):
+    """``fit_fdp``; for counts with no finite minimizer, which it rejects at
+    lam > 0, the same envelope loops run without that check."""
+    from envopt.applications import fit_fdp
+
+    if lam == 0 or _has_finite_minimizer(y, m, lam):
+        return fit_fdp(y, m, lam, a=a, init=init, cfg=cfg)
+    with pytest.raises(ValidationError, match="no finite minimizer"):
+        fit_fdp(y, m, lam, a=a, init=init, cfg=cfg)
+    start = _logit_fit(y, m, lam, cfg).beta if init is None else np.array(init, dtype=float)
+    return solvers.envelope_fused_lasso_mm("fdp", y, m, lam, start, cfg, a=a)
+
+
 def _envelope_instances(rng, count):
     """Random rfl (Huber shift), binomial (Polya-Gamma) and fdp (Polya-Gamma
     weights with the log penalty's edge weights) MM problems as ``(fit,
-    args, kwargs)``, cold and warm, converging and capped."""
-    from envopt.applications import fit_fdp, fit_rfl
+    args, kwargs)``, cold and warm, converging and capped.  Some counts
+    have no finite minimizer; their loops run past the fits' check."""
+    from envopt.applications import fit_rfl
 
     for i in range(count):
         kind = i % 3
@@ -597,11 +672,11 @@ def _envelope_instances(rng, count):
             u[rng.random(n - 1) < 0.2] = 0.0
             if i % 9 == 1:
                 u[:] = 0.0
-            yield logistic_fused_lasso, (y, m, u), dict(cfg=cfg, init=init)
+            yield _logit_fit, (y, m, u), dict(cfg=cfg, init=init)
         else:
             lam = float(10.0 ** rng.uniform(-1, 2))
             a = float(rng.choice([0.5, 1.0, 3.0]))
-            yield fit_fdp, (y, m, lam), dict(a=a, cfg=cfg, init=init)
+            yield _fdp_fit, (y, m, lam), dict(a=a, cfg=cfg, init=init)
 
 
 def _non_increasing(trace):
@@ -731,7 +806,7 @@ def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for module in (solvers, applications):
-            for loop in ("mm_driver", "envelope_fused_lasso_mm"):
+            for loop in ("mm_driver", "envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
                 mp.setattr(module, loop, lambda *args: calls.append(args))
         for fit, args, kwargs, msg in _ENVELOPE_BAD:
             with pytest.raises(ValidationError, match=msg):
@@ -747,21 +822,37 @@ def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
 
 class _FakeKernel:
     """Stands in for the compiled library, with the signature of
-    ``envelope_fused_lasso_mm``: returns ``status`` with the objectives
-    1.0 -> 2.0 in ``info``."""
+    ``envelope_fused_lasso_path``.  Fit l with first edge weight
+    ``w = lams[l] * u[0]`` at least 1 returns its start after no map; the
+    first fit with ``w < 1`` stops the path with ``status`` and the
+    objectives ``w -> 2 w`` in its info row."""
 
     def __init__(self, status):
         self.status = status
 
-    def envelope_fused_lasso_mm(self, envelope, y, m, u, a, n, tol, max_iters, record,
-                                beta, trace, envvar, info):
+    def envelope_fused_lasso_path(self, envelope, y, m, u, lams, fits, a, n, tol,
+                                  max_iters, record, beta, trace, envvar, info):
         import ctypes
-        (ctypes.c_double * 7).from_address(info)[:] = [1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0]
-        return self.status
+
+        def doubles(address, count):
+            return (ctypes.c_double * count).from_address(address)
+
+        rows, out = doubles(beta, fits * n), doubles(info, 7 * fits + 1)
+        for l in range(fits):
+            w = doubles(lams, fits)[l] * doubles(u, 1)[0]
+            rows[l * n:(l + 1) * n] = rows[:n]
+            doubles(trace, fits)[l] = 0.0  # the fits before l ran no map
+            out[7 * fits] = l
+            if w < 1.0:
+                out[7 * l:7 * l + 7] = [1.0, 0.0, w, 2.0 * w, 1.0, 0.0, 0.0]
+                return self.status
+            out[7 * l:7 * l + 7] = [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        return 0
 
 
 def test_envelope_mm_kernel_status_is_raised(monkeypatch):
-    from envopt.applications import fit_fdp, fused_lasso_gaussian
+    from envopt.applications import (AppSpec, fit_fdp, fit_rfl, fused_lasso_gaussian,
+                                     kfold_cv, solution_path)
 
     y = np.array([1.0, 3.0, 2.0])
     for status, error in ((1, MemoryError), (2, ValidationError), (3, MonotonicityError)):
@@ -775,10 +866,24 @@ def test_envelope_mm_kernel_status_is_raised(monkeypatch):
         if status < 3:  # the one-solve squared loss has no rise to report
             with pytest.raises(error):
                 fused_lasso_gaussian(y, 0.5)
+        # a path stops at its first failing fit (lam = 0.5) with the error
+        # that the chain of single fits raises at that lam
+        y6, lams = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 0.0]), np.array([4.0, 2.0, 0.5, 0.25])
+        with pytest.raises(error) as path_err:
+            solution_path(AppSpec("rfl"), y6, lams)
+        with pytest.raises(error) as cv_err:
+            kfold_cv(AppSpec("rfl"), y6, lams, K=2)
+        with pytest.raises(error) as chain_err:
+            init = None
+            for lam in lams:
+                init = fit_rfl(y6, lam, init=init).beta
+        for err in (path_err, cv_err):
+            assert str(err.value) == str(chain_err.value)
     # named as the Python mirror names the solve of the same loop
     assert (logit_err.value.step, rfl_err.value.step, fdp_err.value.step) == (
         "polya_gamma_fused_lasso", "fused_lasso", "log_penalty_fused_lasso")
-    assert (logit_err.value.before, logit_err.value.after) == (1.0, 2.0)
+    assert (logit_err.value.before, logit_err.value.after) == (0.5, 1.0)
+    assert (path_err.value.before, path_err.value.after) == (0.5, 1.0)
 
 
 def _envelope_edge_instances(rng, count):
@@ -797,11 +902,11 @@ def _envelope_edge_instances(rng, count):
 
 
 def _four_fits(y, lam, counts, m):
-    from envopt.applications import fit_fdp, fit_rfl, fused_lasso_gaussian
+    from envopt.applications import fit_rfl, fused_lasso_gaussian
 
     cfg = SolverConfig(max_iters=2000)
     return (fit_rfl(y, lam, cfg=cfg), fused_lasso_gaussian(y, lam),
-            logistic_fused_lasso(counts, m, lam, cfg=cfg), fit_fdp(counts, m, lam, cfg=cfg))
+            _logit_fit(counts, m, lam, cfg), _fdp_fit(counts, m, lam, cfg))
 
 
 def test_envelope_fits_return_df_and_final_shift():
