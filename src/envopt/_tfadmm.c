@@ -8,7 +8,10 @@
    ascent on w, the stopping test on the primal and dual residual norms,
    and rho rebalancing by factors of 2 at most every 20 iterations.  Only
    the rounding differs from the Python loop: sums run in another order
-   and the triangular solves multiply by precomputed reciprocals.
+   and the triangular solves multiply by precomputed reciprocals.  Unlike
+   the Python loop, it forms the dual residual and its tolerance (two D'
+   products and two norms) only in the iterations that read them: when the primal test
+   passes, when a rebalance is due and in the last one.
 
    gram holds the upper bands of D'D as scipy's cholesky_banded takes
    them, row-major (k+2) x n: gram[(k+1-lag)*n + j] = (D'D)[j-lag, j].
@@ -209,14 +212,22 @@ INLINE int admm(const double *z, const double *omega, const double *lam,
         }
         double db_norm = sqrt(db_sq), a_norm = sqrt(a_sq);
         r_norm = sqrt(r_sq);
-        apply_dt(stencil, p, m, rho, vm, vn);
-        apply_dt(stencil, p, m, rho, w, vw);
-        s_norm = norm2(vn, n);
         double eps_pri = sqrt((double)m) * tol + tol * (db_norm > a_norm ? db_norm : a_norm);
-        double eps_dual = sqrt((double)n) * tol + tol * norm2(vw, n);
-        if (r_norm <= eps_pri && s_norm <= eps_dual) {
-            converged = 1;
-            break;
+        /* the dual residual is read only by the stopping test once the
+           primal one passes, by a rebalance and by the last iteration's
+           record, and its tolerance by the stopping test alone */
+        int primal_ok = r_norm <= eps_pri;
+        if (primal_ok || it - last_balance >= 20 || it == max_iters) {
+            apply_dt(stencil, p, m, rho, vm, vn);
+            s_norm = norm2(vn, n);
+        }
+        if (primal_ok) {
+            apply_dt(stencil, p, m, rho, w, vw);
+            double eps_dual = sqrt((double)n) * tol + tol * norm2(vw, n);
+            if (s_norm <= eps_dual) {
+                converged = 1;
+                break;
+            }
         }
         /* residual balancing with a dwell period so rho cannot flap */
         if (it - last_balance >= 20) {

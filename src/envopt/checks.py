@@ -224,11 +224,7 @@ def conjugate_suite(tol: float = 1e-6):
         inner = GridSpec(-14.0, 14.0, 201, 3)
         outer = GridSpec(-8.0, 8.0, 201, 3)
 
-        def theta_star(lam, theta=theta, inner=inner):
-            lam = np.asarray(lam, dtype=float)
-            if lam.ndim == 2 and lam.shape[0] > 1 and (lam == lam[0]).all():
-                row = conjugate_numeric(theta, lam[0], inner, sense="convex")
-                return np.broadcast_to(row, lam.shape)
+        def theta_star(lam):
             return conjugate_numeric(theta, lam, inner, sense="convex")
 
         twice = conjugate_numeric(theta_star, x_test, outer, sense="convex")
@@ -243,10 +239,11 @@ def _prox_oracle(p: PenaltySpec, u: float, s: float):
     lo = np.array([-abs(u) - 5.0])
     hi = np.array([abs(u) + 5.0])
 
-    def values_at(x):
-        return 0.5 * s * (x - u) ** 2 + penalty_value(p, x)
+    def couple(x, phi):
+        return 0.5 * s * (x - u) ** 2 + phi
 
-    vals, args, _ = duality._refined_min(values_at, lo, hi, 5000, 3)
+    vals, args, _ = duality._refined_min(lambda x: penalty_value(p, x), couple, lo, hi,
+                                         5000, 3)
     return float(args[0]), float(vals[0])
 
 

@@ -103,7 +103,11 @@ class GridSpec:
 
     Each refinement round shrinks the bracket to the 4 grid cells around
     the incumbent and re-grids, giving roughly ``count**rounds`` effective
-    resolution at ``(rounds+1) * count`` evaluations.
+    resolution in ``rounds + 1`` grids of ``count`` points per point
+    searched.  The part of the objective that depends on the grid point
+    alone is evaluated once per distinct grid: points that share a
+    bracket share the first grid, and those whose incumbents fall in the
+    same cell share the next.
     """
 
     lo: float
@@ -126,29 +130,66 @@ def _float_if_scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _refined_min(values_at, lo, hi, count, rounds):
-    """Row-wise grid minimization with zoom refinement.
+def _reject_nan(points, what):
+    """``points`` unchanged, or ValidationError if one is NaN: its every
+    grid value would be NaN, which the search skips, and it would report
+    an infinite minimum."""
+    if np.isnan(points).any():
+        raise ValidationError(f"{what} must not be NaN")
+    return points
 
-    ``values_at`` maps a (B, count) grid matrix to same-shape values;
-    non-finite entries are skipped.  Returns (min values, argmin
-    locations, final grid spacing), each of shape (B,).
+
+def _refined_min(f, couple, lo, hi, count, rounds):
+    """Row-wise grid minimization of ``couple(grid, f(grid))`` with zoom
+    refinement.
+
+    ``f`` maps a (groups, count) grid matrix to same-shape values and
+    must act elementwise: it is the part of the objective that depends
+    on the grid point alone.  ``couple(grid, fvals)`` adds each row's own
+    term and returns (B, count) values; it gets the grid and ``f``'s
+    values either gathered to one row per row or, when every row shares
+    one grid, as a single broadcasting row.  Rows whose brackets are
+    equal bit for bit search the same grid, so ``f`` is evaluated once
+    per distinct grid row: rows start in one group when all share
+    ``(lo, hi)``, and after each round a row's group is (its old group,
+    its argmin index), which fixes its next bracket.  Non-finite values
+    are skipped.  Returns (min values, argmin locations, final grid
+    spacing), each of shape (B,).
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     t = np.linspace(0.0, 1.0, count)
-    rows = np.arange(lo.shape[0])
+    nrows = lo.shape[0]
+    rows = np.arange(nrows)
+    if nrows and (lo == lo[0]).all() and (hi == hi[0]).all():
+        group, lo, hi = np.zeros(nrows, dtype=np.intp), lo[:1], hi[:1]
+    else:
+        group = rows
     for r in range(rounds + 1):
         grid = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        vals = np.asarray(values_at(grid), dtype=float)
-        vals = np.where(np.isfinite(vals), vals, np.inf)
+        fvals = np.asarray(f(grid), dtype=float)
+        if lo.shape[0] == 1:
+            vals = couple(grid, fvals)
+        else:
+            vals = couple(grid[group], fvals[group])
         idx = np.argmin(vals, axis=1)
+        # a row holding NaN or -inf selects one, so masking can only move
+        # the argmin of a row whose selected minimum is non-finite
+        if not np.isfinite(vals[rows, idx]).all():
+            vals = np.where(np.isfinite(vals), vals, np.inf)
+            idx = np.argmin(vals, axis=1)
         if r == rounds:
             break
+        if lo.shape[0] == nrows:  # one row per group; groups never merge
+            parent, cell, group = group, idx, rows
+        else:
+            pairs, group = np.unique(group * count + idx, return_inverse=True)
+            parent, cell = np.divmod(pairs, count)
         h = (hi - lo) / (count - 1)
-        center = grid[rows, idx]
-        lo = np.maximum(lo, center - 2.0 * h)
-        hi = np.minimum(hi, center + 2.0 * h)
-    return vals[rows, idx], grid[rows, idx], (hi - lo) / (count - 1)
+        center = grid[parent, cell]
+        lo = np.maximum(lo[parent], center - 2.0 * h[parent])
+        hi = np.minimum(hi[parent], center + 2.0 * h[parent])
+    return vals[rows, idx], grid[group, idx], ((hi - lo) / (count - 1))[group]
 
 
 # Rows per block keep each grid temporary at 8192 floats (64 KiB), under the
@@ -157,15 +198,16 @@ def _refined_min(values_at, lo, hi, count, rounds):
 _BLOCK_ELEMS = 8192
 
 
-def _blocked_min(values_at, lo, hi, count, rounds):
+def _blocked_min(f, couple, lo, hi, count, rounds):
     """:func:`_refined_min` over blocks of rows, which are independent, so
-    no result changes; ``values_at(rows, grid)`` gets the block's slice."""
+    no result changes; ``couple(rows, grid, fvals)`` gets the block's
+    slice."""
     out = np.empty((3, lo.shape[0]))
     step = max(1, _BLOCK_ELEMS // count)
     for start in range(0, lo.shape[0], step):
         rows = slice(start, start + step)
-        out[:, rows] = _refined_min(lambda g: values_at(rows, g), lo[rows], hi[rows],
-                                    count, rounds)
+        out[:, rows] = _refined_min(f, lambda g, fg: couple(rows, g, fg), lo[rows],
+                                    hi[rows], count, rounds)
     return out
 
 
@@ -201,15 +243,16 @@ def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concav
 def _conjugate_rows(f, lam_flat, lo, hi, count, rounds, sense):
     """Row-wise grid conjugate of ``f`` at each entry of ``lam_flat`` over
     ``[lo, hi]`` (scalars or one bracket per entry)."""
+    _reject_nan(lam_flat, "lam")
     lo = np.broadcast_to(np.asarray(lo, dtype=float).ravel(), lam_flat.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float).ravel(), lam_flat.shape)
     if sense == "convex":
-        def values_at(rows, g):
-            return np.asarray(f(g), dtype=float) - lam_flat[rows, None] * g
+        def couple(rows, g, fg):
+            return fg - lam_flat[rows, None] * g
     else:
-        def values_at(rows, g):
-            return lam_flat[rows, None] * g - np.asarray(f(g), dtype=float)
-    vals, _, _ = _blocked_min(values_at, lo, hi, count, rounds)
+        def couple(rows, g, fg):
+            return lam_flat[rows, None] * g - fg
+    vals, _, _ = _blocked_min(f, couple, lo, hi, count, rounds)
     return -vals if sense == "convex" else vals
 
 
@@ -232,17 +275,28 @@ def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
     x = np.asarray(x, dtype=float)
     if tag in _NONNEG_TAGS and np.any(lam < 0):
         raise ValidationError(f"family {tag!r} requires lam >= 0")
+    return _float_if_scalar(_coupled(family, x, lam, _dual_values(dual, lam)))
+
+
+def _dual_values(dual, lam):
+    """``dual(lam)`` without warnings where it is infinite or undefined:
+    the integrand is then non-finite, which the grid search skips."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return dual(lam)
+
+
+def _coupled(family, x, lam, dual_vals):
+    """The integrand of ``family`` from the dual's values at ``lam``."""
+    tag = family.tag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if tag == "exponential":
-            out = lam * np.abs(x) - dual(lam)
-        elif tag == "gaussian-scale":
-            out = 0.5 * lam * x**2 - dual(lam)
-        elif tag == "gaussian-location":
-            out = 0.5 * (x - lam) ** 2 + dual(lam)
-        else:  # variance-mean
-            kappa = family.drift
-            out = 0.5 * lam * (x - kappa / lam) ** 2 - dual(lam)
-    return _float_if_scalar(out)
+            return lam * np.abs(x) - dual_vals
+        if tag == "gaussian-scale":
+            return 0.5 * lam * x**2 - dual_vals
+        if tag == "gaussian-location":
+            return 0.5 * (x - lam) ** 2 + dual_vals
+        kappa = family.drift  # variance-mean
+        return 0.5 * lam * (x - kappa / lam) ** 2 - dual_vals
 
 
 def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
@@ -272,24 +326,28 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
 
     Independent of any closed-form update rule; used to validate them.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = np.full(x_arr.shape, float(grid.lo))
-    hi = np.full(x_arr.shape, float(grid.hi))
-
-    def values_at(rows, g):
-        return _integrand_matrix(family, dual, x_arr[rows], g)
-
-    _, arg, _ = _blocked_min(values_at, lo, hi, grid.count, grid.refinement_rounds)
+    x_arr = _reject_nan(np.atleast_1d(np.asarray(x, dtype=float)), "x")
+    _, arg, _ = _envelope_min(family, dual, x_arr, grid)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(arg[0])
     return arg
 
 
-def _integrand_matrix(family, dual, x_col, lam_grid):
-    """Integrand over a (B, count) lam grid for the column of x values."""
+def _envelope_min(family, dual, x_arr, grid):
+    """:func:`_blocked_min` of the integrand over ``grid`` for each x: the
+    dual is the part that depends on lam alone."""
     if family.tag == "multivariate-location":
         raise ValidationError("grid checks support scalar families only")
-    return envelope_integrand(family, dual, x_col[:, None], lam_grid)
+    if family.tag in _NONNEG_TAGS and grid.lo < 0:
+        raise ValidationError(f"family {family.tag!r} requires lam >= 0")
+    lo = np.full(x_arr.shape, float(grid.lo))
+    hi = np.full(x_arr.shape, float(grid.hi))
+
+    def couple(rows, g, dual_vals):
+        return _coupled(family, x_arr[rows, None], g, dual_vals)
+
+    return _blocked_min(lambda g: _dual_values(dual, g), couple, lo, hi, grid.count,
+                        grid.refinement_rounds)
 
 
 @dataclass(frozen=True)
@@ -314,17 +372,10 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
     matches the numeric argmin within the final grid spacing at every x.
     Failures are reported, never raised: the caller judges the gap.
     """
-    x_arr = np.asarray(x_grid, dtype=float)
+    x_arr = _reject_nan(np.asarray(x_grid, dtype=float), "x")
     if grid is None:
         grid = default_lambda_grid(family, x_arr, lambda_hat)
-    lo = np.full(x_arr.shape, float(grid.lo))
-    hi = np.full(x_arr.shape, float(grid.hi))
-
-    def values_at(rows, g):
-        return _integrand_matrix(family, dual, x_arr[rows], g)
-
-    vals, args, spacing = _blocked_min(values_at, lo, hi, grid.count,
-                                       grid.refinement_rounds)
+    vals, args, spacing = _envelope_min(family, dual, x_arr, grid)
     gaps = np.abs(np.asarray(target(x_arr), dtype=float) - vals)
     worst = int(np.argmax(gaps))
     agrees = None

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import GridSpec, _float_if_scalar, _refined_min
+from .duality import GridSpec, _float_if_scalar, _refined_min, _reject_nan
 from .errors import ValidationError
 
 __all__ = [
@@ -124,14 +124,14 @@ def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):
     """
     if not gamma > 0:
         raise ValidationError("gamma must be positive")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _reject_nan(np.atleast_1d(np.asarray(x, dtype=float)), "x")
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
 
-    def values_at(z):
-        return np.asarray(f(z), dtype=float) + (z - x_arr[:, None]) ** 2 / (2.0 * gamma)
+    def couple(z, fz):
+        return fz + (z - x_arr[:, None]) ** 2 / (2.0 * gamma)
 
-    vals, _, _ = _refined_min(values_at, lo, hi, grid.count, grid.refinement_rounds)
+    vals, _, _ = _refined_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(vals[0])
     return vals

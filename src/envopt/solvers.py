@@ -389,7 +389,9 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
 
     ``lam`` may be a scalar or a per-row vector.  ``state``, if given, is
     read for warm-start values (alpha, w, rho) and updated in place with
-    those plus iters/converged/residuals.
+    those plus iters/converged/residuals; it also keeps the difference
+    operator and the bands of ``D'D`` under ``"gram"``, keyed by
+    ``(n, k)``, for the next solve on the same state.
     """
     cfg = cfg or SolverConfig()
     z = np.ascontiguousarray(z, dtype=float)
@@ -418,7 +420,12 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         state.update(iters=0, converged=True, primal_res=0.0, dual_res=0.0)
         return z.copy()
 
-    D = diff_matrix(n, k)
+    gram = state.get("gram")
+    if gram is None or gram[0] != (n, k):
+        D = diff_matrix(n, k)
+        gram = state["gram"] = ((n, k), D, np.ascontiguousarray(D.stencil),
+                                np.ascontiguousarray(D.gram_bands()))
+    _, D, stencil, gram_ab = gram
     rho = float(state.get("rho") or max(float(np.mean(lam_v)), 1e-8))
     # copies of the warm start: the C loop overwrites alpha and w in place
     alpha, w = state.get("alpha"), state.get("w")
@@ -435,8 +442,6 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         return beta
     beta = np.empty(n)
     info = np.array([rho, 0.0, 0.0, 0.0, 0.0, 0.0])
-    gram_ab = np.ascontiguousarray(D.gram_bands())
-    stencil = np.ascontiguousarray(D.stencil)
     status = lib.trend_filter_admm(
         z.ctypes.data, omega.ctypes.data, lam_v.ctypes.data, stencil.ctypes.data,
         gram_ab.ctypes.data, n, k, cfg.inner_tol, cfg.inner_max_iters,

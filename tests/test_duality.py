@@ -8,6 +8,7 @@ from envopt.duality import (
     GridSpec,
     check_envelope_identity,
     conjugate_numeric,
+    conjugate_numeric_rowwise,
     envelope_argmin_numeric,
     envelope_integrand,
     variance_mean,
@@ -19,6 +20,7 @@ from envopt.losses import (
     huber_location_dual,
     logcosh_scale_dual,
 )
+from envopt.operators import moreau_envelope_numeric
 from envopt.penalties import PenaltySpec, location_dual, penalty_dual, penalty_value
 
 
@@ -208,3 +210,95 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     conj_whole, reports_whole = run()
     assert np.array_equal(conj, conj_whole)
     assert reports == reports_whole
+
+
+def _per_row_min(f, couple, lo, hi, count, rounds):
+    """The zoom search one row at a time, on the row's own grid:
+    ``couple(i, grid, f(grid))`` gives row i's values."""
+    t = np.linspace(0.0, 1.0, count)
+    out = np.empty((3, lo.shape[0]))
+    for i in range(lo.shape[0]):
+        a, b = lo[i], hi[i]
+        for r in range(rounds + 1):
+            g = (a + (b - a) * t)[None, :]
+            v = couple(i, g, f(g))[0]
+            v = np.where(np.isfinite(v), v, np.inf)
+            j = int(np.argmin(v))
+            if r == rounds:
+                break
+            h = (b - a) / (count - 1)
+            a, b = max(a, g[0, j] - 2.0 * h), min(b, g[0, j] + 2.0 * h)
+        out[:, i] = v[j], g[0, j], (b - a) / (count - 1)
+    return out
+
+
+def _grid_problem(rng, rows):
+    """A separable objective with NaN, -inf or only +inf values in some
+    rows, and slopes from a short list so that rows share grids."""
+    slope = rng.choice([-1.5, -0.25, 0.0, 0.5, 2.0], size=rows)
+    kind = rng.integers(0, 4, size=rows)
+
+    def f(g):
+        with np.errstate(invalid="ignore"):
+            return (g - 0.3) ** 2 + np.sqrt(g + 1.0)  # NaN below -1
+
+    def couple(rows, g, fg):
+        v = fg - slope[rows, None] * g
+        v = np.where((kind[rows, None] == 1) & (g > 0.6), np.nan, v)
+        v = np.where((kind[rows, None] == 2) & (np.abs(g - 0.2) < 0.05), -np.inf, v)
+        return np.where(kind[rows, None] == 3, np.inf, v)
+
+    return f, couple
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 200])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_grouped_search_matches_per_row_search(rows, shared):
+    from envopt import duality
+
+    rng = np.random.Generator(np.random.PCG64(rows + 1000 * shared))
+    f, couple = _grid_problem(rng, rows)
+    if shared:
+        lo, hi = np.full(rows, -2.0), np.full(rows, 2.0)
+    else:
+        lo = rng.uniform(-2.0, 0.0, size=rows)
+        hi = lo + rng.uniform(0.5, 3.0, size=rows)
+    got = duality._blocked_min(f, couple, lo, hi, 101, 3)  # 81 rows a block
+    want = _per_row_min(f, couple, lo, hi, 101, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grouped_search_evaluates_each_shared_grid_once():
+    from envopt import duality
+
+    rng = np.random.Generator(np.random.PCG64(5))
+    f, couple = _grid_problem(rng, 40)
+    seen = []
+
+    def counting_f(g):
+        seen.append(g.shape[0])
+        return f(g)
+
+    duality._refined_min(counting_f, lambda g, fg: couple(slice(None), g, fg),
+                         np.zeros(40), np.ones(40), 101, 3)
+    # one row in round 0; later rows are the distinct (group, argmin) pairs,
+    # at most one per slope and kind
+    assert seen[0] == 1
+    assert len(seen) == 4 and max(seen) <= 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conjugate_numeric(lambda x: x**2, [1.0, np.nan], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, np.nan], -5.0, 5.0),
+    lambda: moreau_envelope_numeric(np.abs, 1.0, [0.5, np.nan], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: penalty_value(PenaltySpec("psi-specified"), [1.0, np.nan]),
+    lambda: location_dual(PenaltySpec("limited-translation", weight=0.5))([0.0, np.nan]),
+    lambda: check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber,
+                                    [0.5, np.nan], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: envelope_argmin_numeric(GAUSSIAN_LOCATION, huber_location_dual(1.0), np.nan,
+                                    GridSpec(-5.0, 5.0, 101, 3)),
+], ids=["conjugate", "conjugate-rowwise", "moreau", "psi-specified-value",
+        "limited-translation-dual", "envelope-identity", "envelope-argmin"])
+def test_grid_oracles_reject_nan_points(call):
+    with pytest.raises(ValidationError, match="must not be NaN"):
+        call()

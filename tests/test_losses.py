@@ -215,14 +215,13 @@ def test_huber_location_envelope_numeric_dual():
 
     def psi_numeric(lam):
         lam = np.asarray(lam, dtype=float)
-        # the identity check asks for the same lam rows many times over
-        flat, rows = np.unique(lam, return_inverse=True)
+        flat = lam.ravel()
 
-        def values_at(t):
-            return 0.5 * (t - flat[:, None]) ** 2 - huber(t)
+        def couple(t, huber_t):
+            return 0.5 * (t - flat[:, None]) ** 2 - huber_t
 
-        vals, _, _ = _refined_min(values_at, flat - 8.0, flat + 8.0, 201, 3)
-        return (-vals)[rows].reshape(lam.shape)
+        vals, _, _ = _refined_min(huber, couple, flat - 8.0, flat + 8.0, 201, 3)
+        return -vals.reshape(lam.shape)
 
     xg = np.linspace(-5.0, 5.0, 101)
     report = check_envelope_identity(GAUSSIAN_LOCATION, psi_numeric,
@@ -250,8 +249,9 @@ def test_logcosh_duals_match_grid_conjugate(m):
     # grid search over x, never through the stationarity conditions
     from envopt.duality import _refined_min
 
-    def grid_inf(integrand, lam, lo, hi):
-        vals, _, _ = _refined_min(lambda x: integrand(x, lam[:, None]),
+    def grid_inf(coupling, lam, lo, hi):
+        vals, _, _ = _refined_min(lambda x: logcosh(x, m),
+                                  lambda x, lc: coupling(x, lam[:, None]) - lc,
                                   lo, hi, 201, 8)
         return vals
 
@@ -264,9 +264,9 @@ def test_logcosh_duals_match_grid_conjugate(m):
         scale_at_zero = logcosh_scale_dual(m)(0.0)
         loc = logcosh_location_dual(m)(lam_l)
     # the scale minimizer lies below m/(2 lam), since tanh(u) < 1
-    oracle_s = grid_inf(lambda x, lam: 0.5 * lam * x**2 - logcosh(x, m), lam_s,
+    oracle_s = grid_inf(lambda x, lam: 0.5 * lam * x**2, lam_s,
                         np.zeros_like(lam_s), np.maximum(m / (2.0 * lam_s), 4.0))
-    oracle_l = -grid_inf(lambda x, lam: 0.5 * (x - lam) ** 2 - logcosh(x, m),
+    oracle_l = -grid_inf(lambda x, lam: 0.5 * (x - lam) ** 2,
                          lam_l, lam_l - 0.5 * m - 1.0, lam_l + 0.5 * m + 1.0)
     assert scale_at_zero == -np.inf
     assert np.all(scale[lam_s >= 0.25 * m] == 0.0)

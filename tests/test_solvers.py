@@ -275,14 +275,14 @@ def _tf_instances(rng, count):
         yield z, omega, k, lam, state
 
 
-def _tf_run(args, python):
+def _tf_run(args, python, cfg=_TF_BUDGET):
     z, omega, k, lam, state = args
     state = None if state is None else dict(state)  # each run reads a copy
     out = {} if state is None else state
     with pytest.MonkeyPatch.context() as mp:
         if python:
             mp.setattr(solvers, "_kernel", lambda: None)
-        beta = weighted_trend_filter(z, omega, k, lam, _TF_BUDGET, out)
+        beta = weighted_trend_filter(z, omega, k, lam, cfg, out)
     return beta, out
 
 
@@ -320,6 +320,27 @@ def test_trend_filter_c_loop_matches_python_loop():
     assert at_floor <= 15
     # the warm starts include rho values the balancing moved up and down
     assert min(warm_rhos) < 1.0 < max(warm_rhos)
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("cap, tol", [(1, 1e-30), (19, 1e-30), (20, 1e-30), (21, 1e-30),
+                                      (5000, 1e-4)])
+def test_trend_filter_c_loop_record_matches_python_loop(cap, tol):
+    """The C loop forms the dual residual only in the iterations that read
+    it; the record must still match the Python loop's after one
+    iteration, on both sides of the first rebalance (iteration 20), and
+    at convergence."""
+    cfg = SolverConfig(inner_max_iters=cap, inner_tol=tol)
+    rng = np.random.Generator(np.random.PCG64(1406))
+    for args in _tf_instances(rng, 24):
+        beta_c, c = _tf_run(args, python=False, cfg=cfg)
+        beta_py, py = _tf_run(args, python=True, cfg=cfg)
+        where = (args[0].size, args[2], args[4] is not None)
+        assert _rel_close(beta_c, beta_py), where
+        assert (c["rho"], c["iters"], c["converged"]) == \
+            (py["rho"], py["iters"], py["converged"]), where
+        assert c["converged"] == (cap == 5000), where
+        assert _rel_close(c["dual_res"], py["dual_res"]), where
 
 
 _TF_BAD = [
