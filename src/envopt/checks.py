@@ -239,11 +239,10 @@ def _prox_oracle(p: PenaltySpec, u: float, s: float):
     lo = np.array([-abs(u) - 5.0])
     hi = np.array([abs(u) + 5.0])
 
-    def couple(x, phi):
+    def couple(rows, x, phi):
         return 0.5 * s * (x - u) ** 2 + phi
 
-    vals, args, _ = duality._refined_min(lambda x: penalty_value(p, x), couple, lo, hi,
-                                         5000, 3)
+    vals, args, _ = duality._zoom_min(lambda x: penalty_value(p, x), couple, lo, hi, 5000, 3)
     return float(args[0]), float(vals[0])
 
 

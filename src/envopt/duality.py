@@ -105,9 +105,11 @@ class GridSpec:
     the incumbent and re-grids, giving roughly ``count**rounds`` effective
     resolution in ``rounds + 1`` grids of ``count`` points per point
     searched.  The part of the objective that depends on the grid point
-    alone is evaluated once per distinct grid: points that share a
-    bracket share the first grid, and those whose incumbents fall in the
-    same cell share the next.
+    alone is evaluated once per distinct grid row of the whole search:
+    points that share a bracket share the first grid, and those whose
+    incumbents fall in the same cell share the next.  Grids, values and
+    couplings are formed in blocks of at most 8192 floats (64 KiB), so
+    memory does not grow with the number of points.
     """
 
     lo: float
@@ -139,75 +141,102 @@ def _reject_nan(points, what):
     return points
 
 
-def _refined_min(f, couple, lo, hi, count, rounds):
-    """Row-wise grid minimization of ``couple(grid, f(grid))`` with zoom
-    refinement.
-
-    ``f`` maps a (groups, count) grid matrix to same-shape values and
-    must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  ``couple(grid, fvals)`` adds each row's own
-    term and returns (B, count) values; it gets the grid and ``f``'s
-    values either gathered to one row per row or, when every row shares
-    one grid, as a single broadcasting row.  Rows whose brackets are
-    equal bit for bit search the same grid, so ``f`` is evaluated once
-    per distinct grid row: rows start in one group when all share
-    ``(lo, hi)``, and after each round a row's group is (its old group,
-    its argmin index), which fixes its next bracket.  Non-finite values
-    are skipped.  Returns (min values, argmin locations, final grid
-    spacing), each of shape (B,).
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    t = np.linspace(0.0, 1.0, count)
-    nrows = lo.shape[0]
-    rows = np.arange(nrows)
-    if nrows and (lo == lo[0]).all() and (hi == hi[0]).all():
-        group, lo, hi = np.zeros(nrows, dtype=np.intp), lo[:1], hi[:1]
-    else:
-        group = rows
-    for r in range(rounds + 1):
-        grid = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        fvals = np.asarray(f(grid), dtype=float)
-        if lo.shape[0] == 1:
-            vals = couple(grid, fvals)
-        else:
-            vals = couple(grid[group], fvals[group])
-        idx = np.argmin(vals, axis=1)
-        # a row holding NaN or -inf selects one, so masking can only move
-        # the argmin of a row whose selected minimum is non-finite
-        if not np.isfinite(vals[rows, idx]).all():
-            vals = np.where(np.isfinite(vals), vals, np.inf)
-            idx = np.argmin(vals, axis=1)
-        if r == rounds:
-            break
-        if lo.shape[0] == nrows:  # one row per group; groups never merge
-            parent, cell, group = group, idx, rows
-        else:
-            pairs, group = np.unique(group * count + idx, return_inverse=True)
-            parent, cell = np.divmod(pairs, count)
-        h = (hi - lo) / (count - 1)
-        center = grid[parent, cell]
-        lo = np.maximum(lo[parent], center - 2.0 * h[parent])
-        hi = np.minimum(hi[parent], center + 2.0 * h[parent])
-    return vals[rows, idx], grid[group, idx], ((hi - lo) / (count - 1))[group]
-
-
-# Rows per block keep each grid temporary at 8192 floats (64 KiB), under the
-# 128 KiB from which glibc's malloc maps every array afresh: one (5025, 201)
-# grid spent a quarter of the conjugate suite in page faults.
+# Each grid, f-value or coupling temporary holds at most 8192 floats (64 KiB),
+# under the 128 KiB from which glibc's malloc maps every array afresh: one
+# (5025, 201) grid spent a quarter of the conjugate suite in page faults.
 _BLOCK_ELEMS = 8192
 
 
-def _blocked_min(f, couple, lo, hi, count, rounds):
-    """:func:`_refined_min` over blocks of rows, which are independent, so
-    no result changes; ``couple(rows, grid, fvals)`` gets the block's
-    slice."""
-    out = np.empty((3, lo.shape[0]))
+def _zoom_min(f, couple, lo, hi, count, rounds):
+    """Row-wise grid minimization of ``couple(rows, grid, f(grid))`` with
+    zoom refinement over the brackets ``[lo, hi]`` (one per row).
+
+    ``f`` maps a (groups, count) grid matrix to same-shape values and
+    must act elementwise: it is the part of the objective that depends
+    on the grid point alone.  ``couple(rows, grid, fvals)`` adds the own
+    term of the rows ``rows`` (an index array) and returns
+    ``(len(rows), count)`` values; it gets the grid and ``f``'s values
+    either gathered to one row per row or, when the rows share one grid,
+    as a single broadcasting row.
+
+    Rows whose brackets are equal bit for bit search the same grid, so
+    ``f`` is evaluated once per distinct grid row of the whole call: rows
+    start in one group when all share ``(lo, hi)``, else one group per
+    row, and after each round a row's group is (its old group, its
+    argmin index), which fixes its next bracket.  Rows are kept in group
+    order; each round evaluates ``f`` on blocks of groups and ``couple``
+    on blocks of those groups' rows, each of at most ``_BLOCK_ELEMS``
+    floats (one row when ``count`` is larger).  Grid points are ``lo + (hi - lo) * t[cell]`` of their group,
+    the same bits as the grid row.  Non-finite values are skipped.
+    Returns a (3, B) array: min values, argmin locations and final grid
+    spacing.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    nrows = lo.shape[0]
+    if nrows == 0:
+        return np.empty((3, 0))
+    t = np.linspace(0.0, 1.0, count)
     step = max(1, _BLOCK_ELEMS // count)
-    for start in range(0, lo.shape[0], step):
-        rows = slice(start, start + step)
-        out[:, rows] = _refined_min(f, lambda g, fg: couple(rows, g, fg), lo[rows],
-                                    hi[rows], count, rounds)
+    if (lo == lo[0]).all() and (hi == hi[0]).all():
+        lo, hi = lo[:1], hi[:1]
+        group = np.zeros(nrows, dtype=np.intp)
+    else:
+        group = np.arange(nrows)
+    order = np.arange(nrows)  # rows in group order; group[i] is order[i]'s
+    at_row = np.arange(step)
+    idx = np.empty(nrows, dtype=np.intp)
+    vals = np.empty(nrows)
+    for r in range(rounds + 1):
+        width = hi - lo
+        ngroups = lo.shape[0]
+        singles = ngroups == nrows  # one row per group: no gather
+        edges = np.searchsorted(group, np.arange(0, ngroups + step, step))
+        for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
+            grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
+            fvals = np.asarray(f(grid), dtype=float)
+            for a in range(start, stop, step):
+                b = min(a + step, stop)
+                if singles:
+                    g, fg = grid[a - start:b - start], fvals[a - start:b - start]
+                elif group[a] == group[b - 1]:
+                    at = slice(group[a] - g0, group[a] - g0 + 1)
+                    g, fg = grid[at], fvals[at]
+                else:
+                    at = group[a:b] - g0
+                    g, fg = grid[at], fvals[at]
+                v = couple(order[a:b], g, fg)
+                j = np.argmin(v, axis=1)
+                best = v[at_row[:b - a], j]
+                # a row holding NaN or -inf selects one, so masking can only
+                # move the argmin of a row whose selected minimum is non-finite
+                if not np.isfinite(best).all():
+                    v = np.where(np.isfinite(v), v, np.inf)
+                    j = np.argmin(v, axis=1)
+                    best = v[at_row[:b - a], j]
+                idx[a:b] = j
+                vals[a:b] = best
+        if r == rounds:
+            break
+        if singles:  # groups never merge
+            parent, cell = group, idx
+        else:
+            key = group * count + idx
+            perm = np.argsort(key, kind="stable")
+            key, order = key[perm], order[perm]
+            first = np.empty(nrows, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            group = np.cumsum(first) - 1
+            parent, cell = np.divmod(key[first], count)
+        h = width[parent] / (count - 1)
+        center = lo[parent] + width[parent] * t[cell]
+        lo = np.maximum(lo[parent], center - 2.0 * h)
+        hi = np.minimum(hi[parent], center + 2.0 * h)
+    out = np.empty((3, nrows))
+    out[0, order] = vals
+    out[1, order] = lo[group] + width[group] * t[idx]
+    out[2, order] = (width / (count - 1))[group]
     return out
 
 
@@ -252,7 +281,7 @@ def _conjugate_rows(f, lam_flat, lo, hi, count, rounds, sense):
     else:
         def couple(rows, g, fg):
             return lam_flat[rows, None] * g - fg
-    vals, _, _ = _blocked_min(f, couple, lo, hi, count, rounds)
+    vals, _, _ = _zoom_min(f, couple, lo, hi, count, rounds)
     return -vals if sense == "convex" else vals
 
 
@@ -334,7 +363,7 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
 
 
 def _envelope_min(family, dual, x_arr, grid):
-    """:func:`_blocked_min` of the integrand over ``grid`` for each x: the
+    """:func:`_zoom_min` of the integrand over ``grid`` for each x: the
     dual is the part that depends on lam alone."""
     if family.tag == "multivariate-location":
         raise ValidationError("grid checks support scalar families only")
@@ -346,8 +375,8 @@ def _envelope_min(family, dual, x_arr, grid):
     def couple(rows, g, dual_vals):
         return _coupled(family, x_arr[rows, None], g, dual_vals)
 
-    return _blocked_min(lambda g: _dual_values(dual, g), couple, lo, hi, grid.count,
-                        grid.refinement_rounds)
+    return _zoom_min(lambda g: _dual_values(dual, g), couple, lo, hi, grid.count,
+                     grid.refinement_rounds)
 
 
 @dataclass(frozen=True)
@@ -370,9 +399,12 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
     between the target and ``min_lam integrand``.  When ``lambda_hat``
     is supplied, the report also says whether the closed-form update
     matches the numeric argmin within the final grid spacing at every x.
-    Failures are reported, never raised: the caller judges the gap.
+    Failures are reported, never raised: the caller judges the gap.  An
+    empty ``x_grid``, or one holding NaN, raises ValidationError.
     """
     x_arr = _reject_nan(np.asarray(x_grid, dtype=float), "x")
+    if x_arr.size == 0:
+        raise ValidationError("x_grid must not be empty")
     if grid is None:
         grid = default_lambda_grid(family, x_arr, lambda_hat)
     vals, args, spacing = _envelope_min(family, dual, x_arr, grid)

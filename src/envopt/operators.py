@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import GridSpec, _float_if_scalar, _refined_min, _reject_nan
+from .duality import GridSpec, _float_if_scalar, _reject_nan, _zoom_min
 from .errors import ValidationError
 
 __all__ = [
@@ -128,10 +128,10 @@ def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
 
-    def couple(z, fz):
-        return fz + (z - x_arr[:, None]) ** 2 / (2.0 * gamma)
+    def couple(rows, z, fz):
+        return fz + (z - x_arr[rows, None]) ** 2 / (2.0 * gamma)
 
-    vals, _, _ = _refined_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
+    vals, _, _ = _zoom_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(vals[0])
     return vals

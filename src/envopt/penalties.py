@@ -102,15 +102,15 @@ def penalty_value(p: PenaltySpec, x):
         out = p.weight * np.minimum(1.0, 0.5 * x_arr**2)
     else:  # psi-specified
         x_signed = duality._reject_nan(np.asarray(x, dtype=float), "x")
-        hi = max(4.0, float(np.max(x_arr)) + 4.0)
+        hi = max(4.0, float(np.max(x_arr, initial=0.0)) + 4.0)
         flat = np.atleast_1d(x_signed).ravel()
         lo_b = np.zeros(flat.shape)
         hi_b = np.full(flat.shape, hi)
 
-        def couple(lam, psi):
-            return 0.5 * (flat[:, None] - lam) ** 2 + psi
+        def couple(rows, lam, psi):
+            return 0.5 * (flat[rows, None] - lam) ** 2 + psi
 
-        vals, _, _ = duality._refined_min(psi_specified_dual, couple, lo_b, hi_b, 401, 3)
+        vals, _, _ = duality._zoom_min(psi_specified_dual, couple, lo_b, hi_b, 401, 3)
         out = vals.reshape(np.asarray(x_signed).shape)
     if np.ndim(out) == 0:
         return float(out)
@@ -376,10 +376,10 @@ def location_dual(p: PenaltySpec):
             def phi(t):
                 return w * np.minimum(1.0, 0.5 * t**2)
 
-            def couple(t, phi_t):
-                return 0.5 * (t - flat[:, None]) ** 2 - phi_t
+            def couple(rows, t, phi_t):
+                return 0.5 * (t - flat[rows, None]) ** 2 - phi_t
 
-            vals, _, _ = duality._refined_min(phi, couple, flat - 6.0, flat + 6.0, 161, 3)
+            vals, _, _ = duality._zoom_min(phi, couple, flat - 6.0, flat + 6.0, 161, 3)
             return -vals.reshape(lam.shape)
         return dual
     raise CapabilityError(f"kind {p.kind!r} has no location envelope")

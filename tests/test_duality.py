@@ -185,10 +185,10 @@ def test_oracle_determinism():
 
 
 def test_row_blocks_do_not_change_results(monkeypatch):
-    """The grid oracles split their rows into blocks; one block of all rows
-    must give the same bits."""
+    """The grid oracles split their grids and rows into blocks; one block
+    of all rows must give the same bits."""
     from envopt import duality
-    from envopt.checks import acceptance_x_grid, envelope_catalog
+    from envopt.checks import acceptance_x_grid, conjugate_suite, envelope_catalog
 
     lam = np.linspace(0.01, 2.0, 200)
     dp = PenaltySpec("double-pareto", gamma=1.0, a=1.0)
@@ -202,25 +202,34 @@ def test_row_blocks_do_not_change_results(monkeypatch):
             grid = duality.default_lambda_grid(family, x_grid, lam_hat, count=count)
             reports.append(check_envelope_identity(family, dual, target, x_grid,
                                                    grid=grid, lambda_hat=lam_hat))
-        return conj, reports
+        # the inner conjugates search 25 * 201 lam rows over 201 points
+        double = [row for row in conjugate_suite()
+                  if row["name"].startswith("double conjugation")]
+        return conj, reports, double
 
-    conj, reports = run()
+    conj, reports, double = run()
+    assert len(double) == 4
     assert 200 * 801 > duality._BLOCK_ELEMS and 240 * 241 > duality._BLOCK_ELEMS
     monkeypatch.setattr(duality, "_BLOCK_ELEMS", 10**9)
-    conj_whole, reports_whole = run()
+    conj_whole, reports_whole, double_whole = run()
     assert np.array_equal(conj, conj_whole)
     assert reports == reports_whole
+    assert double == double_whole
 
 
-def _per_row_min(f, couple, lo, hi, count, rounds):
+def _per_row_min(f, couple, lo, hi, count, rounds, grids=None):
     """The zoom search one row at a time, on the row's own grid:
-    ``couple(i, grid, f(grid))`` gives row i's values."""
+    ``couple(i, grid, f(grid))`` gives row i's values.  ``grids``, when
+    given, is a list of one set per round that collects the bytes of the
+    grid rows searched."""
     t = np.linspace(0.0, 1.0, count)
     out = np.empty((3, lo.shape[0]))
     for i in range(lo.shape[0]):
         a, b = lo[i], hi[i]
         for r in range(rounds + 1):
             g = (a + (b - a) * t)[None, :]
+            if grids is not None:
+                grids[r].add(g.tobytes())
             v = couple(i, g, f(g))[0]
             v = np.where(np.isfinite(v), v, np.inf)
             j = int(np.argmin(v))
@@ -251,6 +260,13 @@ def _grid_problem(rng, rows):
     return f, couple
 
 
+def _brackets(rng, rows, shared):
+    if shared:
+        return np.full(rows, -2.0), np.full(rows, 2.0)
+    lo = rng.uniform(-2.0, 0.0, size=rows)
+    return lo, lo + rng.uniform(0.5, 3.0, size=rows)
+
+
 @pytest.mark.parametrize("rows", [0, 1, 7, 200])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 def test_grouped_search_matches_per_row_search(rows, shared):
@@ -258,33 +274,101 @@ def test_grouped_search_matches_per_row_search(rows, shared):
 
     rng = np.random.Generator(np.random.PCG64(rows + 1000 * shared))
     f, couple = _grid_problem(rng, rows)
-    if shared:
-        lo, hi = np.full(rows, -2.0), np.full(rows, 2.0)
-    else:
-        lo = rng.uniform(-2.0, 0.0, size=rows)
-        hi = lo + rng.uniform(0.5, 3.0, size=rows)
-    got = duality._blocked_min(f, couple, lo, hi, 101, 3)  # 81 rows a block
+    lo, hi = _brackets(rng, rows, shared)
+    got = duality._zoom_min(f, couple, lo, hi, 101, 3)  # 81 rows a block
     want = _per_row_min(f, couple, lo, hi, 101, 3)
     assert got.tobytes() == want.tobytes()
 
 
-def test_grouped_search_evaluates_each_shared_grid_once():
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_grouped_search_in_small_blocks_matches_per_row_search(monkeypatch, shared):
+    # 5 grid rows or 5 searched rows a block: in the shared case the groups
+    # of a round span several blocks of groups, a group's rows span
+    # several row blocks, and a row block spans several groups
     from envopt import duality
 
-    rng = np.random.Generator(np.random.PCG64(5))
-    f, couple = _grid_problem(rng, 40)
-    seen = []
+    monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
+    rng = np.random.Generator(np.random.PCG64(7 + shared))
+    f, couple = _grid_problem(rng, 200)
+    lo, hi = _brackets(rng, 200, shared)
+    f_rows = []
 
     def counting_f(g):
-        seen.append(g.shape[0])
+        f_rows.append(g.shape[0])
         return f(g)
 
-    duality._refined_min(counting_f, lambda g, fg: couple(slice(None), g, fg),
-                         np.zeros(40), np.ones(40), 101, 3)
-    # one row in round 0; later rows are the distinct (group, argmin) pairs,
-    # at most one per slope and kind
-    assert seen[0] == 1
-    assert len(seen) == 4 and max(seen) <= 20
+    got = duality._zoom_min(counting_f, couple, lo, hi, 101, 3)
+    want = _per_row_min(f, couple, lo, hi, 101, 3)
+    assert got.tobytes() == want.tobytes()
+    assert max(f_rows) == 5 and len(f_rows) > 4  # more calls than rounds
+
+
+def test_grouped_search_bounds_blocks_and_evaluates_each_grid_once():
+    """At double-conjugation size (5025 lam rows of one bracket, 201 points)
+    no call of f or couple gets more than _BLOCK_ELEMS floats, and f sees
+    each distinct grid row of a round once: one row in round 0, then one
+    per (group, argmin) pair."""
+    from envopt import duality
+
+    count, rounds = 201, 3
+    lam = np.linspace(-8.0, 8.0, 5025)
+    lo, hi = np.full(lam.shape, -14.0), np.full(lam.shape, 14.0)
+
+    def theta(x):
+        return 0.5 * x**2 - huber(x, 1.0)
+
+    def couple(rows, g, fg):
+        return fg - lam[rows, None] * g
+
+    f_calls = []
+
+    def recording_f(g):
+        assert g.size <= duality._BLOCK_ELEMS
+        f_calls.append(g.copy())
+        return theta(g)
+
+    def recording_couple(rows, g, fg):
+        assert rows.size * count <= duality._BLOCK_ELEMS
+        assert g.size <= duality._BLOCK_ELEMS and fg.shape == g.shape
+        return couple(rows, g, fg)
+
+    got = duality._zoom_min(recording_f, recording_couple, lo, hi, count, rounds)
+    grids = [set() for _ in range(rounds + 1)]
+    want = _per_row_min(theta, couple, lo, hi, count, rounds, grids)
+    assert got.tobytes() == want.tobytes()
+
+    assert len(grids[0]) == 1 and f_calls[0].shape == (1, count)
+    seen = [[] for _ in range(rounds + 1)]
+    for g in f_calls:
+        rnd = [r for r in range(rounds + 1) if g[0].tobytes() in grids[r]]
+        assert len(rnd) == 1
+        seen[rnd[0]].extend(row.tobytes() for row in g)
+    assert len(seen[0]) == 1
+    for r in range(1, rounds + 1):
+        assert sorted(seen[r]) == sorted(grids[r])  # each grid row once
+    assert len(grids[rounds]) > 1000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conjugate_numeric(lambda x: x**2, [], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [], -5.0, 5.0),
+    lambda: moreau_envelope_numeric(np.abs, 1.0, [], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: penalty_value(PenaltySpec("psi-specified"), []),
+    lambda: location_dual(PenaltySpec("limited-translation", weight=0.5))([]),
+    lambda: envelope_argmin_numeric(GAUSSIAN_LOCATION, huber_location_dual(1.0), [],
+                                    GridSpec(-5.0, 5.0, 101, 3)),
+], ids=["conjugate", "conjugate-rowwise", "moreau", "psi-specified-value",
+        "limited-translation-dual", "envelope-argmin"])
+def test_grid_oracles_map_no_points_to_no_values(call):
+    out = call()
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("grid", [None, GridSpec(-5.0, 5.0, 101, 3)], ids=["default", "given"])
+def test_envelope_identity_rejects_empty_x_grid(grid):
+    with pytest.raises(ValidationError, match="x_grid must not be empty"):
+        check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber, [],
+                                grid=grid)
 
 
 @pytest.mark.parametrize("call", [

@@ -211,16 +211,16 @@ def test_polya_gamma_quadratic_majorizes_logit_on_grid():
 def test_huber_location_envelope_numeric_dual():
     # psi recovered numerically from the sup definition, then the
     # envelope must reproduce the loss
-    from envopt.duality import _refined_min
+    from envopt.duality import _zoom_min
 
     def psi_numeric(lam):
         lam = np.asarray(lam, dtype=float)
         flat = lam.ravel()
 
-        def couple(t, huber_t):
-            return 0.5 * (t - flat[:, None]) ** 2 - huber_t
+        def couple(rows, t, huber_t):
+            return 0.5 * (t - flat[rows, None]) ** 2 - huber_t
 
-        vals, _, _ = _refined_min(huber, couple, flat - 8.0, flat + 8.0, 201, 3)
+        vals, _, _ = _zoom_min(huber, couple, flat - 8.0, flat + 8.0, 201, 3)
         return -vals.reshape(lam.shape)
 
     xg = np.linspace(-5.0, 5.0, 101)
@@ -247,12 +247,12 @@ def test_logcosh_envelopes(m):
 def test_logcosh_duals_match_grid_conjugate(m):
     # second oracle: each dual recomputed from its definition by a zoomed
     # grid search over x, never through the stationarity conditions
-    from envopt.duality import _refined_min
+    from envopt.duality import _zoom_min
 
     def grid_inf(coupling, lam, lo, hi):
-        vals, _, _ = _refined_min(lambda x: logcosh(x, m),
-                                  lambda x, lc: coupling(x, lam[:, None]) - lc,
-                                  lo, hi, 201, 8)
+        vals, _, _ = _zoom_min(lambda x: logcosh(x, m),
+                               lambda rows, x, lc: coupling(x, lam[rows, None]) - lc,
+                               lo, hi, 201, 8)
         return vals
 
     lam_s = np.concatenate([[1e-6], 0.25 * m * np.linspace(0.01, 1.0, 34),
