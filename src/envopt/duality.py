@@ -334,17 +334,18 @@ def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
 
     Nonnegative families search ``[0, lam_max]`` with ``lam_max``
     covering ten times the closed-form update at the smallest \\|x\\|
-    tested (the update can blow up near 0); duals that are -inf at 0
-    make the integrand +inf there, which the search skips.  Location
+    tested (the update can blow up near 0), or ``[0, 10]`` when no x is
+    nonzero; duals that are -inf at 0 make the integrand +inf there,
+    which the search skips.  Location
     families use a symmetric bracket wide enough for ``x - phi'(x)``.
     Both zoom in three refinement rounds.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if family.tag in _NONNEG_TAGS:
         hi = 10.0
-        if lambda_hat is not None:
-            xmin = float(np.min(np.abs(x_grid[x_grid != 0])))
-            hi = max(10.0, 10.0 * abs(float(lambda_hat(xmin))))
+        nonzero = np.abs(x_grid[x_grid != 0])
+        if lambda_hat is not None and nonzero.size:
+            hi = max(10.0, 10.0 * abs(float(lambda_hat(float(np.min(nonzero))))))
         return GridSpec(0.0, hi, count, 3)
     span = max(1.0, float(np.max(np.abs(x_grid))))
     return GridSpec(-(span + 10.0), span + 10.0, count, 3)

@@ -41,11 +41,12 @@ returns each fit's ``df`` and its final envelope variables; ``_tfadmm.c``
 holds the whole ADMM iteration.  They are
 built together into one library on first use with the
 system C compiler, cached per user and called through ctypes.  When no
-compiler or cache is available, or the build or load fails, all three run
-in pure Python (:func:`_fused_lasso_dp`, :func:`_envelope_mm_python`, which
-repeats the C loop's arithmetic, and :func:`_trend_filter_admm`), which
-stay as the test oracles.  :data:`FUSED_LASSO_KERNEL` (``"c"`` or
-``"python"``) says which implementation of all three loops runs.
+compiler or cache is available, or the build or load fails (which warns),
+all three run in pure Python (:func:`_fused_lasso_dp`,
+:func:`_envelope_mm_python`, which repeats the C loop's arithmetic, and
+:func:`_trend_filter_admm`), which stay as the test oracles.
+:data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
+implementation of all three loops runs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -214,7 +216,10 @@ def _fused_lasso_dp(z, w, u):
 
 _KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
                         for name in ("_fldp.c", "_tfadmm.c"))
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")  # no contraction: same bits
+# -O3 for speed.  With no contraction (fma) and no fast-math it may not
+# change an IEEE result, so the loops keep the bits they have at -O2.  No
+# -march: the cache is keyed per user and compiler, not per CPU.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _cache_dir() -> Path:
@@ -246,9 +251,11 @@ def _kernel():
     C or all in Python.  It is cached per user under
     ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``), named by a hash
     of the sources, the flags and the compiler, so each machine compiles
-    each version once; a file lock
-    lets exactly one of several concurrent processes build it.  It is
-    loaded only from a directory that no other user can write to.
+    each version once (the first use spends about 3 s compiling); a file
+    lock lets exactly one of several concurrent processes build it.  It
+    is loaded only from a directory that no other user can write to.
+    When a compiler exists but the build or load fails, one
+    RuntimeWarning names the compiler and the end of its error output.
     """
     cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
     if cc is None:
@@ -272,7 +279,12 @@ def _kernel():
                 if not lib.exists():
                     _build_kernel(cc, lib)
         lib = ctypes.CDLL(str(lib))
-    except (ImportError, OSError, subprocess.SubprocessError):
+    except (ImportError, OSError, subprocess.SubprocessError) as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        detail = "\n".join(stderr.strip().splitlines()[-5:]) or str(exc)
+        warnings.warn(f"envopt: building or loading the C kernels with {cc} failed; "
+                      f"using the Python loops, about 10x slower:\n{detail}",
+                      RuntimeWarning, stacklevel=2)
         return None
     ptr, c_long, c_double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.fused_lasso_dp.argtypes = [ptr] * 3 + [c_long, ptr]

@@ -9,6 +9,7 @@ from envopt.duality import (
     check_envelope_identity,
     conjugate_numeric,
     conjugate_numeric_rowwise,
+    default_lambda_grid,
     envelope_argmin_numeric,
     envelope_integrand,
     variance_mean,
@@ -143,6 +144,20 @@ def test_check_identity_l1_exact():
         lambda_hat=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     assert report.max_gap <= 1e-12
     assert report.lambda_agrees
+
+
+def test_default_lambda_grid_without_nonzero_x():
+    # lambda_hat is read at the smallest nonzero |x|; with none, the
+    # bracket is the one used without lambda_hat
+    bracket = default_lambda_grid(EXPONENTIAL, [0.0, 0.0], lambda x: 1 / abs(x))
+    assert bracket == default_lambda_grid(EXPONENTIAL, [0.0, 0.0])
+    assert bracket == GridSpec(0.0, 10.0, 401, 3)
+    l1 = PenaltySpec("l1", weight=1.0)
+    report = check_envelope_identity(
+        EXPONENTIAL, lambda lam: penalty_dual(l1, lam),
+        lambda x: penalty_value(l1, x), [0.0],
+        lambda_hat=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    assert report.max_gap <= 1e-12
 
 
 def test_check_identity_check_loss():

@@ -170,18 +170,43 @@ def test_fused_lasso_kernel_compiled_once_then_cached(tmp_path):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     log = tmp_path / "cc.log"
-    wrapper = bin_dir / "cc"  # counts compiler runs
-    wrapper.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{real_cc}" "$@"\n')
+    wrapper = bin_dir / "cc"  # logs each compiler run with its arguments
+    wrapper.write_text(f'#!/bin/sh\necho run "$@" >> "{log}"\nexec "{real_cc}" "$@"\n')
     wrapper.chmod(0o755)
     env = _probe_env(tmp_path, f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
     # cold cache, three processes at once: exactly one compiles
     assert _kernel_probe(env, 3) == ["c"] * 3
-    assert log.read_text().splitlines() == ["run"]
+    runs = log.read_text().splitlines()
+    assert len(runs) == 1
+    args = runs[0].split()[1:]
+    # no contraction and no fast-math, so -O3 keeps the bits of -O2; no
+    # -march, since the cache is not keyed per CPU
+    assert {"-O3", "-ffp-contract=off"} <= set(args)
+    assert not {"-ffast-math", "-Ofast", "-fassociative-math",
+                "-funsafe-math-optimizations", "-march=native"} & set(args)
     # a later process reuses the cached library
     assert _kernel_probe(env, 1) == ["c"]
-    assert log.read_text().splitlines() == ["run"]
+    assert log.read_text().splitlines() == runs
     libs = list((tmp_path / "cache" / "envopt").glob("fldp-*.so"))
     assert len(libs) == 1
+
+
+def test_failed_kernel_build_warns_and_falls_back(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    wrapper = bin_dir / "cc"  # a compiler that always fails
+    wrapper.write_text('#!/bin/sh\necho "fatal error: no can do" >&2\nexit 1\n')
+    wrapper.chmod(0o755)
+    env = _probe_env(tmp_path, f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    code = ("from envopt import solvers; "
+            "print(solvers.FUSED_LASSO_KERNEL, solvers.FUSED_LASSO_KERNEL)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert proc.stdout.split() == ["python", "python"]
+    assert proc.stderr.count("RuntimeWarning") == 1
+    assert str(wrapper) in proc.stderr
+    assert "fatal error: no can do" in proc.stderr
+    assert list((tmp_path / "cache" / "envopt").glob("*.so")) == []
 
 
 def test_fused_lasso_kernel_falls_back_to_python(tmp_path):
