@@ -14,7 +14,8 @@ Three estimators, all run as alternating envelope updates:
   into a weighted fused lasso.
 
 Model selection is by the operational AIC (2*loss + 2*df with df the
-count of distinct fitted levels, or knots + k + 1 for trend filtering)
+count of distinct fitted levels, or for trend filtering k + 1 plus the
+knots, the dual rows at a bound)
 or by K-fold cross validation with interleaved folds and interpolated
 held-out predictions.
 """
@@ -29,13 +30,11 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .errors import ValidationError
-from .operators import diff_matrix
 from .losses import (
     LossSpec,
     check_value,
     huber,
     loss_value,
-    variance_mean_update,
 )
 from .solvers import (
     FitResult,
@@ -45,13 +44,12 @@ from .solvers import (
     _edge_weights,
     _logit_loss,
     _mm_start,
-    count_knots,
+    _run_record,
     distinct_levels,
     envelope_fused_lasso_mm,
     envelope_fused_lasso_path,
     logistic_fused_lasso,
-    mm_driver,
-    weighted_trend_filter,
+    mm_driver,  # no estimator here runs it; the name stays bound for callers
 )
 
 __all__ = [
@@ -197,10 +195,7 @@ def _rfl_path(spec, y, m, lams, cfg):
     ``y`` and the grid are validated once, and the whole path runs as one
     ``solvers.envelope_fused_lasso_path`` call with base edge weights 1."""
     y = _response(y, 2)
-    ok = (lams >= 0) & (lams < np.inf)
-    if not ok.all():  # the first bad lam, with fit_rfl's message
-        lam = lams[np.argmin(ok)]
-        raise ValidationError("lam must be nonnegative" if lam < 0 else "inputs must be finite")
+    _check_lams(lams)
     return envelope_fused_lasso_path("huber", y, None, 1.0, lams, y, cfg or SolverConfig())
 
 
@@ -217,73 +212,82 @@ def fused_lasso_gaussian(y, lam: float) -> FitResult:
 # Quantile trend filtering
 
 
+def _qrtf_response(y, q: float, k: int) -> np.ndarray:
+    """``y`` for a quantile trend filter of order ``k`` at quantile ``q``,
+    rejected unless ``0 < q < 1``, ``k >= 0`` and ``y`` is a finite
+    vector of length >= k + 2."""
+    if not 0.0 < q < 1.0:
+        raise ValidationError("check loss requires q in (0, 1)")
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValidationError("order k must be a nonnegative integer")
+    return _response(y, k + 2)
+
+
+def _check_lams(lams) -> None:
+    """Reject a penalty grid unless every lam is nonnegative and finite,
+    naming the first bad lam as a single fit would."""
+    ok = (lams >= 0) & (lams < np.inf)
+    if not ok.all():
+        lam = lams[np.argmin(ok)]
+        raise ValidationError("lam must be nonnegative" if lam < 0 else "inputs must be finite")
+
+
 def fit_qrtf(y, q: float, k: int, lam: float,
              cfg: Optional[SolverConfig] = None, init=None) -> FitResult:
     """Check-loss trend filtering at quantile ``q``, order ``k``.
 
-    Each cycle forms the variance-mean weights/working responses and
-    solves a weighted trend filter by ADMM (warm-started across cycles).
-    The beta-step is safeguarded: a candidate that fails to decrease the
-    true objective (possible from inexact inner solves or clamped
-    weights at near-exact fits) is rejected, which simply freezes the
-    iterate and triggers convergence.
+    Each map forms the variance-mean weights ``omega = min(1/|y - beta|,
+    1e6)`` and working responses ``z = y - (1 - 2q)/omega``, whose
+    quadratic majorizes the check loss, and solves the weighted trend
+    filter on them exactly, by the dual active-set method of
+    ``solvers.weighted_trend_filter`` warm-started at the previous map's
+    dual.  The loop is extrapolated by safeguarded SQUAREM, as the
+    fused-lasso envelope fits are.  When ``init`` is None the fit starts
+    at the trend filter of ``y`` with unit weights.  ``init`` may be a
+    start vector, whose first trend filter starts at the dual 0, or a
+    qrtf fit of the same ``y`` length and order to continue from: its
+    ``beta``, and its final dual ``aux["v"]`` scaled into the new box, as
+    a solution path carries it from one lam to the next.  The inputs are
+    validated here, and the loop runs as one
+    ``solvers.envelope_fused_lasso_mm`` call.
 
-    ``aux["admm"]`` holds the run record of the last inner solve and,
-    under ``"total"``, the ADMM ``calls``, summed ``iters`` and
-    ``capped`` calls (stopped at ``inner_max_iters``) of the whole fit.
+    ``converged`` holds only when the loop met ``cfg.tol`` within
+    ``cfg.max_iters`` maps and every trend filter met ``cfg.inner_tol``
+    within ``cfg.inner_max_iters`` iterations.  The weight clamp keeps the
+    quadratic from majorizing ``|r|`` where ``|r| < 1e-6``, so a map may
+    raise the objective: the fit then ends at its last accepted iterate,
+    converged only when the rise is within ``cfg.tol`` relative, and
+    ``aux["run"]["rises"]`` is 1.  ``df`` is the count of dual rows at a
+    bound (the knots of an exact solve) plus ``k + 1``; ``aux["omega"]``
+    and ``aux["z"]`` hold the weights and working responses at the fit,
+    ``aux["v"]`` the dual of its last trend filter and ``aux["run"]`` the
+    run record of ``solvers._run_record``.  A solution path runs its whole
+    grid in one kernel call instead (:func:`_qrtf_path`).
     """
     cfg = cfg or SolverConfig()
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] < k + 2:
-        raise ValidationError("y must be a vector of length >= k + 2")
-    loss = LossSpec("check", y=y, q=q)
-    D = diff_matrix(y.shape[0], k)
-    # (iterate, value) of the current iterate and the latest candidate: the
-    # safeguard and mm_driver ask for both, and no iterate is changed in place
-    known = []
+    y = _qrtf_response(y, q, k)
+    _check_lams(np.array([lam], dtype=float))
+    n, dual = y.shape[0], None
+    if isinstance(init, FitResult):
+        dual = init.aux.get("v")
+        if dual is None or np.shape(dual) != (n - k - 1,):
+            raise ValidationError(f"init must be a qrtf fit of length {n} and order {k}")
+        init = init.beta
+    start = None if init is None else _mm_start(init, None, n)
+    return envelope_fused_lasso_mm("check", y, None, float(lam), start, cfg,
+                                   q=float(q), k=int(k), v=dual)
 
-    def objective(beta):
-        for b, value in known:
-            if b is beta:
-                return value
-        value = loss_value(loss, beta) + lam * float(np.sum(np.abs(D.apply(beta))))
-        known[:] = [*known[-1:], (beta, value)]
-        return value
 
-    admm_state: dict = {}
-    totals = {"calls": 0, "iters": 0, "capped": 0}
-
-    def solve(z, omega, admm):
-        beta = weighted_trend_filter(z, omega, k, lam, cfg, state=admm)
-        totals["calls"] += 1
-        totals["iters"] += admm["iters"]
-        totals["capped"] += not admm["converged"]  # stopped at inner_max_iters
-        return beta
-
-    def variance_mean_weights(beta):
-        return variance_mean_update(loss, beta)
-
-    def safeguarded_trend_filter(weights, beta):
-        omega, z = weights
-        cand = solve(z, omega, admm_state)
-        return cand if objective(cand) <= objective(beta) else beta
-
-    if init is None:
-        init_beta = solve(y, np.ones_like(y), {})
-    else:
-        init_beta = np.array(init, dtype=float).copy()
-    fit = mm_driver(objective, variance_mean_weights, safeguarded_trend_filter,
-                    init_beta, cfg)
-    # knots are resolved only down to the inner solver's primal residual
-    scale = max(1.0, float(np.max(np.abs(fit.beta))))
-    knot_tol = max(1e-6 * scale, 3.0 * admm_state.get("primal_res_inf", 0.0))
-    fit.df = count_knots(fit.beta, k, rtol=knot_tol / scale) + k + 1
-    fit.aux["knot_tol"] = knot_tol
-    fit.aux["omega"], fit.aux["z"] = variance_mean_update(loss, fit.beta)
-    fit.aux["admm"] = {kk: admm_state.get(kk) for kk in
-                       ("iters", "converged", "primal_res", "dual_res", "rho")}
-    fit.aux["admm"]["total"] = totals
-    return fit
+def _qrtf_path(spec, y, m, lams, cfg):
+    """The qrtf fits along ``lams``, each started at the previous fit (the
+    first as :func:`fit_qrtf` starts with no ``init``), as the chain of
+    :func:`fit_qrtf` calls with ``init`` the previous fit returns them:
+    ``y`` and the grid are validated once, and the whole path runs as one
+    ``solvers.envelope_fused_lasso_path`` call with base row penalties 1."""
+    y = _qrtf_response(y, spec.q, spec.k)
+    _check_lams(lams)
+    return envelope_fused_lasso_path("check", y, None, 1.0, lams, None,
+                                     cfg or SolverConfig(), q=spec.q, k=spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +338,7 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
         obj = loss_value(loss, beta)
         return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
                          iters=1, converged=True, df=distinct_levels(beta),
-                         aux={"u": np.zeros(n - 1),
-                              "run": {"maps": 0, "steps": 0, "rejected": 0}})
+                         aux={"u": np.zeros(n - 1), "run": _run_record(0, 0, 0)})
     _check_finite_minimizer(loss, lam)
     if init is None:
         init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
@@ -356,13 +359,13 @@ class AppEntry:
     ``fit(spec, y, m, cfg, init)`` runs the estimator; ``loss(spec, y,
     betas, m)`` is its data loss at each row of the stacked fits ``betas``
     (AIC, held-out CV loss); ``path(spec, y, m, lams, cfg)`` returns the
-    warm-started fits along the float vector ``lams``: rfl runs the whole
-    grid in one kernel call (:func:`_rfl_path`), qrtf and fdp call ``fit``
-    once per lam from a warm start (:func:`_warm_path`).  ``columns`` are
-    the CLI input columns, ``truth(spec, data)`` the truth column of its
-    selected fit (or None) and ``params`` the AppSpec fields written in
-    its fit records.  The callables look estimators up as module globals
-    at call time, so rebinding one rebinds the table too.
+    warm-started fits along the float vector ``lams``: rfl and qrtf run the
+    whole grid in one kernel call (:func:`_rfl_path`, :func:`_qrtf_path`),
+    fdp calls ``fit`` once per lam from a warm start (:func:`_warm_path`).
+    ``columns`` are the CLI input columns, ``truth(spec, data)`` the truth
+    column of its selected fit (or None) and ``params`` the AppSpec fields
+    written in its fit records.  The callables look estimators up as
+    module globals at call time, so rebinding one rebinds the table too.
     """
 
     fit: Callable
@@ -396,10 +399,6 @@ def _warm_path(start):
     return path
 
 
-def _previous_fit(spec, y, m, cfg, init, fit):
-    return None if fit is None else fit.beta
-
-
 def _chained_fused_lasso(spec, y, m, cfg, init, fit):
     # the convex fit, warm-started along the path, guards the nonconvex
     # path against propagating poor local optima
@@ -428,7 +427,7 @@ APP_TABLE = {
         fit=lambda spec, y, m, cfg, init: fit_qrtf(y, spec.q, spec.k, spec.lam,
                                                    cfg=cfg, init=init),
         loss=lambda spec, y, betas, m: np.sum(check_value(y - betas, spec.q), axis=-1),
-        path=_warm_path(_previous_fit), columns=("x", "y"), truth=_qrtf_truth,
+        path=_qrtf_path, columns=("x", "y"), truth=_qrtf_truth,
         params=("q", "k")),
     "fdp": AppEntry(
         fit=lambda spec, y, m, cfg, init: fit_fdp(y, m, spec.lam, a=spec.a,
@@ -471,8 +470,8 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
     rfl and qrtf fits start at the previous solution; each fdp fit
     instead starts at the binomial fused-lasso solution for the same
     lam, itself warm-started from the previous lam's.  The fits come from
-    the app's ``AppEntry.path``: one kernel call for the whole rfl path,
-    one estimator call per lam for qrtf and fdp.  ``criterion`` is "aic"
+    the app's ``AppEntry.path``: one kernel call for the whole rfl or qrtf
+    path, one estimator call per lam for fdp.  ``criterion`` is "aic"
     or "cv"; the AIC losses come from one pass of the app's loss over the
     stacked fits.  Ties select the larger lam.
     """

@@ -284,31 +284,30 @@ def prox_suite(n_draws: int = 200, seed: int = 20240613):
 
 
 def fused_lasso_dp_check(rng, n_instances: int) -> dict:
-    """Fused-lasso DP vs a long-run ADMM reference (the k = 0 trend filter)."""
+    """Fused-lasso DP vs the exact trend filter at k = 0 (the dual
+    active-set solve of the same problem)."""
     worst = 0.0
-    ref_cfg = SolverConfig(inner_max_iters=100_000, inner_tol=1e-13)
     for _ in range(n_instances):
         n = int(rng.integers(2, 51))
         z = rng.normal(0.0, 2.0, size=n)
         omega = rng.uniform(0.2, 3.0, size=n)
         u = rng.uniform(0.0, 2.0, size=n - 1)
         beta_dp = weighted_fused_lasso(z, omega, u)
-        beta_admm = weighted_trend_filter(z, omega, 0, u, cfg=ref_cfg)
-        worst = max(worst, float(np.max(np.abs(beta_dp - beta_admm))))
-    return {"name": f"fused-lasso DP vs long-run ADMM ({n_instances})",
+        beta_tf = weighted_trend_filter(z, omega, 0, u)
+        worst = max(worst, float(np.max(np.abs(beta_dp - beta_tf))))
+    return {"name": f"fused-lasso DP vs exact trend filter at k=0 ({n_instances})",
             "max_gap": worst, "tol": 1e-6, "passed": worst <= 1e-6}
 
 
 def trend_filter_kkt_check(rng) -> dict:
     """Trend-filter KKT residuals, five random instances each of k = 1, 2."""
     worst_kkt = 0.0
-    kkt_cfg = SolverConfig(inner_max_iters=50_000, inner_tol=1e-11)
     for k in (1, 2):
         for _ in range(5):
             n = int(rng.integers(k + 5, 60))
             z = rng.normal(0.0, 1.0, size=n)
             lam = float(rng.uniform(0.2, 3.0))
-            beta = weighted_trend_filter(z, np.ones(n), k, lam, cfg=kkt_cfg)
+            beta = weighted_trend_filter(z, np.ones(n), k, lam)
             worst_kkt = max(worst_kkt,
                             trend_filter_kkt_residual(beta, z, np.ones(n), k, lam))
     return {"name": "trend-filter KKT residual (k in {1,2})",

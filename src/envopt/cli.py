@@ -52,9 +52,9 @@ class RunManifest:
     """Provenance block attached to every output file.
 
     ``to_dict`` also records which implementation of the compiled loops
-    (the fused-lasso DP and the trend-filter ADMM) ran, ``"c"`` or
-    ``"python"``, so a fallback to the Python loops shows in every
-    artifact.
+    (the fused-lasso DP, the trend filter and the envelope loop around
+    them) ran, ``"c"`` or ``"python"``, so a fallback to the Python loops
+    shows in every artifact.
     """
 
     command: str
@@ -301,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=defaults.tol)
         sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
         sp.add_argument("--inner-tol", type=float, default=defaults.inner_tol,
-                        help="ADMM tolerance of the inner trend-filter solves (qrtf)")
+                        help="relative slack of the stop test of the inner "
+                             "trend-filter solves (qrtf)")
         sp.add_argument("--inner-max-iters", type=int,
                         default=defaults.inner_max_iters,
-                        help="ADMM iteration cap of the inner trend-filter solves (qrtf)")
+                        help="iteration cap of the inner trend-filter solves, one "
+                             "banded factorization each (qrtf)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 4 when a fit fails to converge")
 

@@ -6,47 +6,48 @@ Contents:
   ``sum_i (w_i/2)(z_i - b_i)^2 + sum_i u_i |b_{i+1} - b_i|`` via
   forward-backward message passing over piecewise-linear derivatives
   (clipping at +-u_i per edge).
-* :func:`weighted_trend_filter` -- ADMM with a banded Cholesky beta-step
-  for ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|`` where D is
-  the difference operator of order k+1.
+* :func:`weighted_trend_filter` -- the exact minimizer of
+  ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|``, D the
+  difference operator of order k+1, by a feasible active-set method on
+  its dual box QP, one banded Cholesky per iteration.
 * :func:`proximal_gradient` -- fixed-step forward-backward iteration for
   separable penalized likelihoods: the gradient step is the location
   envelope's update and the penalty's prox its solve, run by
   :func:`mm_driver`.
 * :func:`mm_driver` -- the plain majorize/minimize loop of
-  ``applications.fit_qrtf`` and :func:`proximal_gradient`: each cycle is
-  a closed-form envelope update ``update(beta) -> aux`` followed by the
-  subproblem solve ``solve(aux, beta) -> beta``, with one objective
-  evaluation and a monotonicity check per cycle.
-* :func:`envelope_fused_lasso_path` -- one MM loop for the fused-lasso
-  envelope fits (Huber shift, Polya-Gamma weights, Polya-Gamma weights
-  with the log penalty's edge weights, squared loss), extrapolated by
-  safeguarded SQUAREM, run over a warm-started grid of penalty scales,
-  that returns each fit's whole run record, df and final envelope
-  variables included; :func:`envelope_fused_lasso_mm` is its one-fit
-  case.
+  :func:`proximal_gradient`: each cycle is a closed-form envelope update
+  ``update(beta) -> aux`` followed by the subproblem solve
+  ``solve(aux, beta) -> beta``, with one objective evaluation and a
+  monotonicity check per cycle.
+* :func:`envelope_fused_lasso_path` -- one MM loop for the envelope fits
+  whose subproblem is an exact fused lasso (Huber shift, Polya-Gamma
+  weights, Polya-Gamma weights with the log penalty's edge weights,
+  squared loss) or an exact trend filter (the check loss's variance-mean
+  weights), extrapolated by safeguarded SQUAREM, run over a warm-started
+  grid of penalty scales, that returns each fit's whole run record, df
+  and final envelope variables included; :func:`envelope_fused_lasso_mm`
+  is its one-fit case.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
-Three loops are compiled: ``_fldp.c`` holds the DP and
-:func:`envelope_fused_lasso_path`, the whole MM loop of the four envelope
-fits whose subproblem is the fused lasso, for a whole warm-started path
-in one call (the Huber location shift of
-``applications.fit_rfl``, the Polya-Gamma weights of
-:func:`logistic_fused_lasso`, the Polya-Gamma and log-penalty weights of
-``applications.fit_fdp``, and the squared loss of
-``applications.fused_lasso_gaussian``, exact in one map), which also
-returns each fit's ``df`` and its final envelope variables; ``_tfadmm.c``
-holds the whole ADMM iteration.  They are
-built together into one library on first use with the
-system C compiler, cached per user and called through ctypes.  When no
-compiler or cache is available, or the build or load fails (which warns),
-all three run in pure Python (:func:`_fused_lasso_dp`,
-:func:`_envelope_mm_python`, which repeats the C loop's arithmetic, and
-:func:`_trend_filter_admm`), which stay as the test oracles.
+The loops are compiled from one source, ``_fldp.c``: the DP, the trend
+filter's dual active-set solve and :func:`envelope_fused_lasso_path`,
+the whole MM loop of the five envelope fits for a whole warm-started
+path in one call (the Huber location shift of ``applications.fit_rfl``,
+the Polya-Gamma weights of :func:`logistic_fused_lasso`, the
+Polya-Gamma and log-penalty weights of ``applications.fit_fdp``, the
+squared loss of ``applications.fused_lasso_gaussian``, exact in one map,
+and the variance-mean weights of ``applications.fit_qrtf``), which also
+returns each fit's ``df`` and its final envelope variables.  The library
+is built on first use with the system C compiler, cached per user and
+called through ctypes.  When no compiler or cache is available, or the
+build or load fails (which warns), the same loops run in pure Python
+(:func:`_fused_lasso_dp`, :func:`_tf_solve` and
+:func:`_envelope_mm_python`, which repeat the C arithmetic and return
+the same bits), which stay as the test oracles.
 :data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
-implementation of all three loops runs.
+implementation of the loops runs.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import MonotonicityError, ValidationError
-from .losses import LossSpec, location_envelope_update, loss_grad, loss_value, lipschitz_bound
-from .operators import diff_matrix, soft_threshold
+from .losses import (_WEIGHT_CLAMP, LossSpec, lipschitz_bound, location_envelope_update,
+                     loss_grad, loss_value)
+from .operators import diff_matrix
 from .penalties import PenaltySpec, penalty_value, prox
 
 __all__ = [
@@ -92,10 +94,12 @@ class SolverConfig:
     """Iteration budgets and tolerances shared by the drivers.
 
     ``tol`` is relative objective change |f_t - f_{t+1}| / max(1, |f_t|)
-    of an MM cycle (of a whole SQUAREM step in the fused-lasso envelope
-    loops, where ``max_iters`` counts maps).  ``inner_max_iters`` and
-    ``inner_tol`` bound the ADMM of :func:`weighted_trend_filter`, the only
-    inner solver; of the estimators, only ``fit_qrtf`` reads them.
+    of an MM cycle (of a whole SQUAREM step in the envelope loops, where
+    ``max_iters`` counts maps).  ``inner_max_iters`` and ``inner_tol``
+    bound the dual active-set solve of :func:`weighted_trend_filter`, the
+    only inner solver: the cap on its iterations (one banded Cholesky
+    each) and the relative slack of its stop test on the signs of the
+    bound multipliers; of the estimators, only ``fit_qrtf`` reads them.
     """
 
     max_iters: int = 500
@@ -115,9 +119,10 @@ class SolverConfig:
 class FitResult:
     """Fitted vector plus the run record.
 
-    ``df`` counts distinct fitted levels (or knots + k + 1 for trend
-    filtering); ``aux`` holds the final envelope variables of the run
-    (auxiliary lambda/u/omega vectors, solver diagnostics).
+    ``df`` counts distinct fitted levels (for trend filtering, k + 1 plus
+    the knots: the dual rows at a bound); ``aux`` holds the final envelope
+    variables of the run (auxiliary lambda/u/omega vectors, solver
+    diagnostics).
     """
 
     beta: np.ndarray
@@ -214,8 +219,7 @@ def _fused_lasso_dp(z, w, u):
     return beta
 
 
-_KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
-                        for name in ("_fldp.c", "_tfadmm.c"))
+_KERNEL_SOURCES = (Path(__file__).with_name("_fldp.c"),)
 # -O3 for speed.  With no contraction (fma) and no fast-math it may not
 # change an IEEE result, so the loops keep the bits they have at -O2.  No
 # -march: the cache is keyed per user and compiler, not per CPU.
@@ -246,9 +250,9 @@ def _build_kernel(cc: str, lib: Path):
 def _kernel():
     """The compiled kernel library (ctypes), or None for the Python loops.
 
-    One library holds the three compiled loops, the fused-lasso DP, the
-    envelope MM around it and the trend-filter ADMM, so either all run in
-    C or all in Python.  It is cached per user under
+    One library holds the compiled loops, the fused-lasso DP, the
+    trend filter's dual solve and the envelope MM around them, so either
+    all run in C or all in Python.  It is cached per user under
     ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``), named by a hash
     of the sources, the flags and the compiler, so each machine compiles
     each version once (the first use spends about 3 s compiling); a file
@@ -289,12 +293,12 @@ def _kernel():
     ptr, c_long, c_double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.fused_lasso_dp.argtypes = [ptr] * 3 + [c_long, ptr]
     lib.fused_lasso_dp.restype = ctypes.c_int
-    lib.trend_filter_admm.argtypes = ([ptr] * 5 + [c_long, c_long, c_double, c_long]
-                                      + [ptr] * 4)
-    lib.trend_filter_admm.restype = ctypes.c_int
+    lib.trend_filter_dual.argtypes = ([ptr] * 3 + [c_long, c_long, c_double, c_long]
+                                      + [ptr] * 3)
+    lib.trend_filter_dual.restype = ctypes.c_int
     lib.envelope_fused_lasso_path.argtypes = ([ctypes.c_int] + [ptr] * 4
                                               + [c_long, c_double, c_long, c_double,
-                                                 c_long, ctypes.c_int] + [ptr] * 4)
+                                                 c_long, ctypes.c_int] + [ptr] * 5)
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
     return lib
 
@@ -302,8 +306,8 @@ def _kernel():
 def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
     # module never starts the compiler.  It names the implementation of
-    # the three compiled loops: the fused-lasso DP, the envelope MM around
-    # it and the trend-filter ADMM.
+    # the compiled loops: the fused-lasso DP, the trend filter's dual
+    # solve and the envelope MM around them.
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -378,32 +382,31 @@ def weighted_fused_lasso(z, omega, u_edges):
 
 
 # ---------------------------------------------------------------------------
-# Weighted trend filtering via ADMM with banded factorizations
-
-
-def _factor(omega, gram_ab, rho):
-    ab = rho * gram_ab
-    ab[-1, :] += omega
-    return cholesky_banded(ab, lower=False)
+# Weighted trend filtering by a dual active-set method
 
 
 def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = None,
                           state: Optional[dict] = None):
-    """Weighted trend filtering: ADMM on the split ``alpha = D beta``.
+    """Exact weighted trend filter of order ``k``.
 
-    The beta-step solves the banded SPD system
-    ``(diag(omega) + rho D.T D) beta = omega*z + rho D.T (alpha - w)``;
-    the alpha-step is soft thresholding at ``lam/rho``; dual ascent on w.
-    rho starts at the penalty level and is rebalanced by factors of 2
-    when the primal/dual residual ratio exceeds 10.  The loop runs in the
-    C kernel ``_tfadmm.c`` when the compiled library loads, and as
-    :func:`_trend_filter_admm` in Python otherwise.
+    Minimizes ``sum_i (omega_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|``,
+    D the difference operator of order k+1, through its dual box QP
+    ``min v'Av/2 - b'v`` subject to ``|v_j| <= lam_j``, with
+    ``A = D diag(1/omega) D'`` (bandwidth k+1) and ``b = D z``; the primal is
+    ``beta = z - D'v / omega``.  The dual is solved by a feasible
+    active-set method (:func:`_tf_solve`): each iteration is one banded
+    Cholesky of A on the free rows, and the solve ends after a step to the
+    face minimum that leaves no bound with a wrong-signed multiplier
+    beyond ``cfg.inner_tol`` relative.  ``cfg.inner_max_iters`` caps the
+    iterations.  The solve runs in the C kernel (``_fldp.c``) when the
+    compiled library loads and as its Python mirror otherwise, with the
+    same bits.
 
-    ``lam`` may be a scalar or a per-row vector.  ``state``, if given, is
-    read for warm-start values (alpha, w, rho) and updated in place with
-    those plus iters/converged/residuals; it also keeps the difference
-    operator and the bands of ``D'D`` under ``"gram"``, keyed by
-    ``(n, k)``, for the next solve on the same state.
+    ``lam`` may be a scalar or a per-row vector; a row with ``lam_j = 0``
+    is left free in the primal (its dual stays 0).  ``state``, if given,
+    is read for the warm-start dual ``v`` and updated in place with the
+    last dual ``v``, the ``iters`` run and whether the solve ``converged``
+    (met its stop test within the cap).
     """
     cfg = cfg or SolverConfig()
     z = np.ascontiguousarray(z, dtype=float)
@@ -428,88 +431,193 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         raise ValidationError("inputs must be finite")
     if state is None:
         state = {}
-    if lam_max == 0.0:
-        state.update(iters=0, converged=True, primal_res=0.0, dual_res=0.0)
-        return z.copy()
-
-    gram = state.get("gram")
-    if gram is None or gram[0] != (n, k):
-        D = diff_matrix(n, k)
-        gram = state["gram"] = ((n, k), D, np.ascontiguousarray(D.stencil),
-                                np.ascontiguousarray(D.gram_bands()))
-    _, D, stencil, gram_ab = gram
-    rho = float(state.get("rho") or max(float(np.mean(lam_v)), 1e-8))
-    # copies of the warm start: the C loop overwrites alpha and w in place
-    alpha, w = state.get("alpha"), state.get("w")
-    if alpha is None or alpha.shape != (m,):
-        alpha = D.apply(z)
-    else:
-        alpha = np.array(alpha, dtype=float)
-    w = np.zeros(m) if w is None or w.shape != (m,) else np.array(w, dtype=float)
+    # a copy of the warm start: the solve overwrites it
+    v = state.get("v")
+    v = np.zeros(m) if v is None or v.shape != (m,) else np.array(v, dtype=float)
     lib = _kernel()
     if lib is None:
-        beta, run = _trend_filter_admm(z, omega, lam_v, D, rho, alpha, w,
-                                       cfg.inner_tol, cfg.inner_max_iters)
-        state.update(run)
-        return beta
-    beta = np.empty(n)
-    info = np.array([rho, 0.0, 0.0, 0.0, 0.0, 0.0])
-    status = lib.trend_filter_admm(
-        z.ctypes.data, omega.ctypes.data, lam_v.ctypes.data, stencil.ctypes.data,
-        gram_ab.ctypes.data, n, k, cfg.inner_tol, cfg.inner_max_iters,
-        beta.ctypes.data, alpha.ctypes.data, w.ctypes.data, info.ctypes.data)
-    if status == 1:
-        raise MemoryError("trend-filter ADMM could not allocate its work arrays")
-    if status == 2:
-        raise np.linalg.LinAlgError("trend-filter system is not positive definite")
-    state.update(alpha=alpha, w=w, rho=float(info[0]), iters=int(info[1]),
-                 converged=bool(info[2]), primal_res=float(info[3]),
-                 dual_res=float(info[4]), primal_res_inf=float(info[5]))
+        winv, ab, b = _tf_bands(z, omega, k)
+        iters, done, _ = _tf_solve(ab, b, lam_v, cfg.inner_tol, cfg.inner_max_iters, v)
+        beta = _tf_primal(z, winv, v, k)
+    else:
+        beta, info = np.empty(n), np.empty(3)
+        if lib.trend_filter_dual(z.ctypes.data, omega.ctypes.data, lam_v.ctypes.data, n, k,
+                                 cfg.inner_tol, cfg.inner_max_iters, v.ctypes.data,
+                                 beta.ctypes.data, info.ctypes.data):
+            raise MemoryError("trend filter could not allocate its work arrays")
+        iters, done = info[0], info[1]
+    state.update(v=v, iters=int(iters), converged=bool(done))
     return beta
 
 
-def _trend_filter_admm(z, omega, lam_v, D, rho, alpha, w, tol, max_iters):
-    """Python ADMM loop: the fallback of the C kernel and its test oracle.
+# The Python mirror of the dual solve in _fldp.c: tf_bands, tf_solve and
+# tf_primal operation for operation.  Elementwise numpy arithmetic rounds
+# as C does, and every sum runs in the C loop's order.
 
-    Returns beta and the run record that :func:`weighted_trend_filter`
-    writes into ``state``.
+
+def _stencil(k: int) -> np.ndarray:
+    """The order-(k+1) difference stencil, as ``_fldp.c`` builds it."""
+    return diff_matrix(k + 2, k).stencil
+
+
+def _tf_bands(z, omega, k):
+    """``(1/omega, bands, D z)`` of the dual problem: ``bands[e, i]`` is
+    ``A[i, i + e]`` of ``A = D diag(1/omega) D'`` (0 past the last row)."""
+    s = _stencil(k)
+    n, p = z.shape[0], k + 2
+    m = n - p + 1
+    winv = 1.0 / omega
+    b = np.zeros(m)
+    for j in range(p):
+        b += s[j] * z[j:j + m]
+    ab = np.zeros((p, m))
+    for e in range(min(p, m)):
+        for j in range(e, p):
+            ab[e, :m - e] += (s[j] * s[j - e]) * winv[j:j + m - e]
+    return winv, ab, b
+
+
+def _band_matvec(c, y):
+    """``C y`` for the symmetric banded ``C`` (``c[e, a] = C[a, a + e]``),
+    each entry summed as ``band_matvec`` in ``_fldp.c`` sums it."""
+    nr = y.shape[0]
+    out = c[0, :nr] * y
+    for e in range(1, min(c.shape[0], nr)):
+        out[:nr - e] += c[e, :nr - e] * y[e:]
+    for e in range(1, min(c.shape[0], nr)):
+        out[e:] += c[e, :nr - e] * y[:nr - e]
+    return out
+
+
+# A pivot of the banded Cholesky at or below this fraction of its row's
+# diagonal marks the row as numerically dependent on the rows before it
+# (PIVOT_FLOOR in _fldp.c): a long run of free dual rows makes A
+# numerically singular, and rounding leaves such pivots near or below 0.
+_PIVOT_FLOOR = 1e-12
+
+
+def _band_cholesky_solve(c, x):
+    """``C^{-1} x`` by the banded Cholesky ``C = U'U`` of ``_fldp.c``
+    (``band_cholesky`` then ``band_solve``), with every dependent row
+    (see ``_PIVOT_FLOOR``) dropped from ``C`` and set to 0 in the
+    result."""
+    w = c.shape[0] - 1
+    nr = x.shape[0]
+    cols = c.T.tolist()
+    u = [[0.0] * (w + 1) for _ in range(nr)]
+    for a in range(nr):
+        row = u[a]
+        for e in range(min(w, nr - 1 - a) + 1):
+            val = cols[a][e]
+            for l in range(1, min(w - e, a) + 1):
+                val -= u[a - l][l] * u[a - l][l + e]
+            if e == 0:
+                row[0] = math.sqrt(val) if val > _PIVOT_FLOOR * cols[a][0] else 0.0
+            else:
+                row[e] = val / row[0] if row[0] > 0.0 else 0.0
+    x = x.tolist()
+    for a in range(nr):
+        val = x[a]
+        for l in range(1, min(w, a) + 1):
+            val -= u[a - l][l] * x[a - l]
+        x[a] = val / u[a][0] if u[a][0] > 0.0 else 0.0
+    for a in range(nr - 1, -1, -1):
+        val = x[a]
+        for l in range(1, min(w, nr - 1 - a) + 1):
+            val -= u[a][l] * x[a + l]
+        x[a] = val / u[a][0] if u[a][0] > 0.0 else 0.0
+    return np.array(x)
+
+
+def _tf_solve(ab, b, lam, tol, max_iters, v):
+    """The feasible active-set method on the dual ``min v'Av/2 - b'v``,
+    ``|v| <= lam``, of ``tf_solve`` in ``_fldp.c``, step for step.
+
+    Rows with ``lam_j = 0`` are fixed at 0 and rows where ``v`` is at (or
+    beyond) a bound on entry start at that bound.  Each iteration solves
+    for the step ``d`` to the minimum ``x = v + d`` over the free rows,
+    the bound rows (and any free row the factorization finds dependent)
+    held.  When ``x`` lies in the box, ``v`` moves there and every bound
+    whose multiplier ``(Av - b)_j`` has the wrong sign beyond
+    ``tol * max(|b|_inf, |Av|_inf)`` is freed; the solve ends when none
+    is.  Otherwise ``v`` takes whichever of two feasible steps lowers the
+    dual more, each change ``t g'd + t^2 d'Ad / 2`` computed exactly (``g``
+    the gradient on the free rows): the step ``t d`` cut at the first
+    blocking bound, after which that bound is held; or the projected full
+    step ``e = P(x) - v``, after which every row it clips is held.
+
+    ``v`` is updated in place.  Returns ``(iters, converged, active)``:
+    the iterations run, whether the solve ended on its test (not on
+    ``max_iters`` or a face minimum that is not finite) and the rows held
+    at a bound or fixed.
     """
-    n, m = D.n, D.rows
-    gram_ab = D.gram_bands()
-    chol = _factor(omega, gram_ab, rho)
-    wz = omega * z
-    converged = False
-    last_balance = 0
-    for it in range(1, max_iters + 1):
-        beta = cho_solve_banded((chol, False), wz + rho * D.transpose_apply(alpha - w))
-        Db = D.apply(beta)
-        alpha_old = alpha
-        alpha = soft_threshold(Db + w, lam_v / rho)
-        w = w + Db - alpha
-        r_pri = Db - alpha
-        s_dual = rho * D.transpose_apply(alpha - alpha_old)
-        r_norm = np.linalg.norm(r_pri)
-        s_norm = np.linalg.norm(s_dual)
-        eps_pri = np.sqrt(m) * tol + tol * max(np.linalg.norm(Db), np.linalg.norm(alpha))
-        eps_dual = np.sqrt(n) * tol + tol * np.linalg.norm(rho * D.transpose_apply(w))
-        if r_norm <= eps_pri and s_norm <= eps_dual:
-            converged = True
+    m = b.shape[0]
+    top = float(np.max(np.abs(b)))
+    st = np.zeros(m, dtype=np.int8)  # 1 or -1 at that bound, 0 free, 2 fixed
+    fixed = lam == 0.0
+    upper = ~fixed & (v >= lam)
+    lower = ~fixed & ~upper & (v <= -lam)
+    st[fixed], st[upper], st[lower] = 2, 1, -1
+    v[fixed], v[upper], v[lower] = 0.0, lam[upper], -lam[lower]
+    it, done = 0, False
+    while not done and it < max_iters:
+        it += 1
+        idx = np.flatnonzero(st == 0)
+        nf = idx.size
+        held = st != 0
+        r = b.copy()
+        for l in range(1, min(ab.shape[0], m)):
+            r[:m - l] -= np.where(held[l:], ab[l, :m - l] * v[l:], 0.0)
+        for l in range(1, min(ab.shape[0], m)):
+            r[l:] -= np.where(held[:m - l], ab[l, :m - l] * v[:m - l], 0.0)
+        c = np.zeros((ab.shape[0], nf))
+        c[0] = ab[0, idx]
+        for l in range(1, min(ab.shape[0], nf)):
+            gap = idx[l:] - idx[:-l]
+            near = gap < ab.shape[0]
+            c[l, :nf - l][near] = ab[gap[near], idx[:-l][near]]
+        lam_f, v_f = lam[idx], v[idx]
+        g = _band_matvec(c, v_f) - r[idx]
+        d = _band_cholesky_solve(c, -g)
+        x = v_f + d
+        if not np.all(np.abs(x) < np.inf):
             break
-        # residual balancing with a dwell period so rho cannot flap
-        if it - last_balance >= 20:
-            if r_norm > 10.0 * s_norm and rho < 1e12:
-                rho *= 2.0
-                w = w / 2.0
-                chol = _factor(omega, gram_ab, rho)
-                last_balance = it
-            elif s_norm > 10.0 * r_norm and rho > 1e-10:
-                rho /= 2.0
-                w = w * 2.0
-                chol = _factor(omega, gram_ab, rho)
-                last_balance = it
-    return beta, dict(alpha=alpha, w=w, rho=rho, iters=it, converged=converged,
-                      primal_res=float(r_norm), dual_res=float(s_norm),
-                      primal_res_inf=float(np.max(np.abs(r_pri))))
+        if np.all(np.abs(x) <= lam_f):
+            v[idx] = x
+            g = _band_matvec(ab, v)
+            thr = max(top, float(np.max(np.abs(g)))) * tol
+            grad = g - b
+            wrong = ((st == 1) & (grad > thr)) | ((st == -1) & (grad < -thr))
+            st[wrong] = 0
+            done = not wrong.any()
+            continue
+        e = np.clip(x, -lam_f, lam_f) - v_f
+        above, below = x > lam_f, x < -lam_f
+        out = np.flatnonzero(above | below)
+        ratio = (np.where(above[out], lam_f[out], -lam_f[out]) - v_f[out]) / d[out]
+        blk = out[np.argmin(ratio)]
+        t = min(max(float(np.min(ratio)), 0.0), 1.0)
+        dcut = t * _in_order_sum(g * d) + 0.5 * t * t * _in_order_sum(d * _band_matvec(c, d))
+        dproj = _in_order_sum(g * e) + 0.5 * _in_order_sum(e * _band_matvec(c, e))
+        if dproj < dcut:
+            v[idx] = np.where(above, lam_f, np.where(below, -lam_f, x))
+            st[idx[above]], st[idx[below]] = 1, -1
+        else:
+            v[idx] = np.minimum(np.maximum(v_f + t * d, -lam_f), lam_f)
+            i = idx[blk]
+            st[i] = 1 if d[blk] > 0.0 else -1
+            v[i] = st[i] * lam[i]
+    return it, done, int(np.count_nonzero(st))
+
+
+def _tf_primal(z, winv, v, k):
+    """The primal ``z - D'v / omega`` of a dual ``v``, as ``tf_primal``."""
+    s = _stencil(k)
+    m = v.shape[0]
+    dtv = np.zeros(z.shape[0])
+    for j in range(k + 2):
+        dtv[j:j + m] += s[j] * v
+    return z - winv * dtv
 
 
 def trend_filter_kkt_residual(beta, z, omega, k: int, lam) -> float:
@@ -593,8 +701,8 @@ def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
               cfg: Optional[SolverConfig] = None) -> FitResult:
     """Plain majorize/minimize loop: each cycle is ``solve(update(beta), beta)``.
 
-    It runs ``applications.fit_qrtf`` and :func:`proximal_gradient`; the
-    fused-lasso envelope fits run :func:`envelope_fused_lasso_path`.
+    It runs :func:`proximal_gradient`; the envelope fits of the three
+    estimators run :func:`envelope_fused_lasso_path`.
 
     ``update(beta)`` is the envelope update: it returns only the
     auxiliary variables, so it cannot move ``beta`` or the objective.
@@ -640,11 +748,19 @@ def _mm_start(init, default, n: int) -> np.ndarray:
 
 # The envelopes of envelope_fused_lasso_path, by fit kind: the code of each
 # in _fldp.c, the name of its map's solve, which a MonotonicityError
-# reports, and whether its fits return final envelope variables (aux["u"]).
-_ENVELOPES = {"huber": (0, "fused_lasso", True),
-              "binomial-logit": (1, "polya_gamma_fused_lasso", False),
-              "gaussian": (2, "fused_lasso", False),
-              "fdp": (3, "log_penalty_fused_lasso", True)}
+# reports, and the final envelope variables its fits return in aux, each
+# with n values (True) or one per row of D (False): the Huber shift or the
+# log penalty's edge weights ("u"), or the check loss's variance-mean
+# weights and working responses ("omega", "z") with the dual of the last
+# trend filter ("v").
+_ENVELOPES = {"huber": (0, "fused_lasso", (("u", True),)),
+              "binomial-logit": (1, "polya_gamma_fused_lasso", ()),
+              "gaussian": (2, "fused_lasso", ()),
+              "fdp": (3, "log_penalty_fused_lasso", (("u", False),)),
+              "check": (4, "trend_filter", (("omega", True), ("z", True), ("v", False)))}
+
+# The values of a fit's info row in _fldp.c.
+_INFO = 10
 
 # The run of an envelope that is exact in one map: one solve, whose
 # objective is the whole trace.
@@ -657,21 +773,35 @@ _UNIT_SCALE.setflags(write=False)
 
 
 def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
-                            a: float = 1.0) -> FitResult:
-    """One fused-lasso envelope fit with edge weights ``u``: the path of
+                            a: float = 1.0, q: float = 0.5, k: int = 0,
+                            v=None) -> FitResult:
+    """One envelope fit with row penalties ``u``: the path of
     :func:`envelope_fused_lasso_path` with the single penalty scale 1."""
-    return envelope_fused_lasso_path(kind, y, m, u, _UNIT_SCALE, beta, cfg, a)[0]
+    return envelope_fused_lasso_path(kind, y, m, u, _UNIT_SCALE, beta, cfg, a, q, k, v)[0]
+
+
+def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0) -> dict:
+    """``aux["run"]`` of an envelope fit: its maps, SQUAREM steps, rejected
+    extrapolations, inner trend-filter iterations, inner solves that hit
+    their cap (0 and 0 for the fused-lasso envelopes, whose DP is exact)
+    and rising maps that ended it (check loss only)."""
+    return {"maps": maps, "steps": steps, "rejected": rejected,
+            "inner_iters": inner_iters, "capped": capped, "rises": rises}
 
 
 def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
-                              a: float = 1.0) -> list:
-    """The MM loops of a warm-started path of fused-lasso envelope fits,
-    and the whole run record of each fit.
+                              a: float = 1.0, q: float = 0.5, k: int = 0,
+                              v=None) -> list:
+    """The MM loops of a warm-started path of envelope fits, and the whole
+    run record of each fit.
 
-    Fit ``l`` has the edge weights ``lams[l] * u``.  Fit 0 starts at
+    Fit ``l`` has the row penalties ``lams[l] * u``.  Fit 0 starts at
     ``beta`` and each later fit at the previous fit's last iterate.  Each
     fit's map ``F(beta)`` is the closed-form envelope update of the fit
-    ``kind`` at ``beta`` and then an exact weighted fused lasso:
+    ``kind`` at ``beta`` and then an exact weighted fused lasso (the
+    penalties are on the ``n - 1`` edges) or, for ``"check"``, an exact
+    weighted trend filter of order ``k`` (on the ``n - k - 1`` rows of
+    its difference operator):
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
       on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
@@ -687,6 +817,25 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     * ``"gaussian"``: the squared loss, exact in one solve on ``y``; the
       record is ``iters=1``, ``converged=True`` and ``trace=[objective]``
       (run it with ``_ONE_SOLVE``; ``beta`` is not read and may be None).
+    * ``"check"``: the check loss at quantile ``q``, majorized by its
+      variance-mean quadratic with weights ``min(1/|y - beta|, 1e6)``
+      (:func:`~envopt.losses.variance_mean_update`); ``aux["omega"]`` and
+      ``aux["z"]`` are the weights and working responses at the last
+      iterate, and ``aux["v"]`` the dual of the fit's last trend filter.
+      With ``beta`` None, fit 0 starts at the trend filter of ``y`` with
+      unit weights.  The trend filters are solved by the dual active-set
+      method of :func:`weighted_trend_filter`, to ``cfg.inner_tol`` within
+      ``cfg.inner_max_iters`` iterations, each warm-started at the dual of
+      the solve before it.  That dual is carried from fit to fit, and the
+      dual ``v`` (0 when None) into fit 0; at the start of each fit it is
+      scaled into the fit's box (:func:`_scale_dual`), which along a
+      decreasing grid is the scaling by ``lam_new / lam_old``.  The clamped weights do not
+      majorize the loss where a residual is below 1e-6, so a plain map
+      may rise: that ends the fit at its last accepted iterate, converged
+      only when the rise is within ``cfg.tol`` relative, and the path goes
+      on.  A fit also reports ``converged=False`` when any of its trend
+      filters did not meet its stop test.
+      ``df`` is the count of dual rows at a bound plus ``k + 1``.
 
     The iterative envelopes are extrapolated by safeguarded SQUAREM
     (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
@@ -696,34 +845,39 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     ``b0 - 2 alpha r + alpha^2 v``, kept only when its objective is at
     most ``f(b2)``; otherwise the step ends at ``b2``.  With fewer than
     three maps left in ``cfg.max_iters`` the loop takes plain maps.
-    ``iters`` counts maps (DP solves), and the trace holds ``iters + 1``
+    ``iters`` counts maps, and the trace holds ``iters + 1``
     non-increasing values, a rejected extrapolation repeating its step's
     plain value.  A fit converges when the relative objective change over
-    a whole step (or plain map) falls to ``cfg.tol``.  ``aux["run"]``
-    holds the ``maps``, the SQUAREM ``steps`` and the ``rejected``
-    extrapolations.
+    a whole step (or plain map) falls to ``cfg.tol``.  ``aux["run"]`` is
+    the record of :func:`_run_record`.  ``df`` is
+    :func:`distinct_levels` for the fused-lasso envelopes.
 
-    The whole path, the objectives and ``df`` (:func:`distinct_levels`)
-    included, runs in one call of the compiled kernel (``_fldp.c``).  When
-    the kernel did not load, :func:`_envelope_mm_python` runs the same
-    fits and maps in Python.  The caller validates the inputs: ``y`` (and
-    ``m``) contiguous, finite and, for the logit, ``0 <= y <= m`` with
-    ``m >= 1``; ``u`` a scalar or ``n - 1`` edge weights from
-    :func:`_edge_weights`; ``lams`` a float vector of nonnegative finite
-    scales; ``a`` positive and finite for ``"fdp"``; a start ``beta``
-    from :func:`_mm_start`, which is not changed.  A plain map that
-    raises the objective raises :class:`MonotonicityError` naming the
-    solve, and a value that is not finite :class:`ValidationError`, each
-    with the values of the fit where it happened, and no later fit runs.
-    Returns the fits in the order of ``lams``; the iterates and final
-    envelope variables of a path are views of one block.
+    The whole path, the objectives and ``df`` included, runs in one call
+    of the compiled kernel (``_fldp.c``).  When the kernel did not load,
+    :func:`_envelope_mm_python` runs the same fits and maps in Python.
+    The caller validates the inputs: ``y`` (and ``m``) contiguous, finite
+    and, for the logit, ``0 <= y <= m`` with ``m >= 1``; ``u`` a scalar or
+    one nonnegative finite penalty per row; ``lams`` a float vector of
+    nonnegative finite scales; ``a`` positive and finite for ``"fdp"``;
+    ``0 < q < 1``, ``k >= 0`` and ``n >= k + 2`` for ``"check"``; a start
+    ``beta`` from :func:`_mm_start`, which is not changed.  Outside the
+    check loss, a plain map that raises the objective raises
+    :class:`MonotonicityError` naming the solve; a value that is not
+    finite raises :class:`ValidationError`; each with the values of the
+    fit where it happened, and no later fit runs.  Returns the fits in the
+    order of ``lams``; the iterates and final envelope variables of a path
+    are views of one block.
     """
     lib = _kernel()
     if lib is None:
-        return _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a)
-    code, solve_name, has_envvar = _ENVELOPES[kind]
+        return _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a, q, k, v)
+    code, solve_name, envvars = _ENVELOPES[kind]
     n, fits = y.shape[0], lams.shape[0]
-    nv = (n if kind == "huber" else n - 1) if has_envvar else 0
+    rows, check = n - k - 1, kind == "check"
+    slots, width = [], 0  # (name, first, end) of each envelope variable in a fit's row
+    for name, full in envvars:
+        slots.append((name, width, width + (n if full else rows)))
+        width = slots[-1][2]
     record = cfg.record_trace and kind != "gaussian"  # its one map's trace is one value
     # One block holds the inputs, the iterates, the envelope variables, the
     # info rows and, unrecorded, the one-value traces, so one address serves
@@ -732,17 +886,21 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     # alive and the pages past the written part are never touched.
     o_m = n
     o_u = o_m + (0 if m is None else n)
-    o_lam = o_u + n - 1
-    o_beta = o_lam + fits
+    o_lam = o_u + rows
+    o_check = o_lam + fits
+    o_beta = o_check + (5 + rows if check else 0)
     o_env = o_beta + fits * n
-    o_info = o_env + fits * nv
-    o_trace = o_info + 7 * fits + 1
+    o_info = o_env + fits * width
+    o_trace = o_info + _INFO * fits + 1
     block = np.empty(o_trace + (0 if record else fits))
     block[:o_m] = y
     if m is not None:
         block[o_m:o_u] = m
     block[o_u:o_lam] = u
-    block[o_lam:o_beta] = lams
+    block[o_lam:o_check] = lams
+    if check:  # the check envelope's parameters, then the dual of its first solve
+        block[o_check:o_check + 5] = (q, k, cfg.inner_tol, cfg.inner_max_iters, beta is None)
+        block[o_check + 5:o_beta] = 0.0 if v is None else v
     if beta is not None:
         block[o_beta:o_beta + n] = beta
     at = ctypes.addressof(ctypes.c_char.from_buffer(block))  # cheaper than .ctypes.data
@@ -754,27 +912,32 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     status = lib.envelope_fused_lasso_path(
         code, at, None if m is None else at + 8 * o_m, at + 8 * o_u,
         at + 8 * o_lam, fits, a, n, cfg.tol, cfg.max_iters, record, at + 8 * o_beta,
-        trace_at, at + 8 * o_env if has_envvar else None, at + 8 * o_info)
+        trace_at, at + 8 * o_env if envvars else None, at + 8 * o_info,
+        at + 8 * o_check if check else None)
     info = block[o_info:o_trace].tolist()
     if status == 1:
         raise MemoryError("envelope MM could not allocate its work arrays")
     if status == 2:
         raise ValidationError("an MM cycle met a value that is not finite")
     if status == 3:
-        failed = 7 * int(info[-1])
+        failed = _INFO * int(info[-1])
         raise MonotonicityError(solve_name, info[failed + 2], info[failed + 3])
     out, t = [], 0
     for l in range(fits):
-        maps, converged, obj, _, df, steps, rejected = info[7 * l:7 * l + 7]
+        maps, converged, obj, _, df, steps, rejected, inner, capped, rises = \
+            info[_INFO * l:_INFO * (l + 1)]
         iters = int(maps)
         if record:  # a copy: a view would pin the whole buffer
             trace = traces[t:t + iters + 1].copy()
             t += iters + 1
         else:
             trace = traces[l:l + 1]
-        aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected)}}
-        if has_envvar:
-            aux["u"] = block[o_env + l * nv:o_env + (l + 1) * nv]
+        # the record of _run_record, written out: a call costs about 0.5 us
+        aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected),
+                       "inner_iters": int(inner), "capped": int(capped), "rises": int(rises)}}
+        base = o_env + l * width
+        for name, first, end in slots:
+            aux[name] = block[base + first:base + end]
         # beta, objective, trace, iters, converged, df, aux: passed by
         # position, which costs about 1 us less per fit than by keyword
         out.append(FitResult(block[o_beta + l * n:o_beta + (l + 1) * n], obj, trace, iters,
@@ -794,28 +957,50 @@ def _softplus(b):
                      else x + math.log1p(math.exp(-x)) for x in b.tolist()])
 
 
-def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0) -> list:
+def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0, q=0.5, k=0,
+                        v=None) -> list:
     """:func:`envelope_fused_lasso_path` in Python, fit for fit: the
     fallback of the compiled path and its test oracle."""
-    u = np.broadcast_to(u, (y.shape[0] - 1,))
+    u = np.broadcast_to(u, (y.shape[0] - k - 1,))
+    v = np.zeros(u.shape) if v is None else v
     fits = []
     for lam in lams:
-        fits.append(_envelope_fit_python(kind, y, m, lam * u, beta, cfg, a))
+        fits.append(_envelope_fit_python(kind, y, m, lam * u, beta, cfg, a, q, k, v))
         beta = fits[-1].beta
+        v = fits[-1].aux.get("v")
     return fits
 
 
-def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
+def _scale_dual(v, pen):
+    """``v`` scaled into the box ``|v_j| <= pen_j`` by the largest
+    ``t <= 1`` that fits it there, as ``scale_dual`` in ``_fldp.c``: over
+    the rows with ``pen_j > 0`` (the rest go to 0), ``t`` is the least
+    ``pen_j / |v_j|``, and a row that attains it lands on its bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((pen > 0.0) & (v != 0.0), pen / np.abs(v), np.inf)
+    t = min(1.0, float(np.min(ratio, initial=np.inf)))
+    return np.where(pen > 0.0, np.where(ratio <= t, np.copysign(pen, v), v * t), 0.0)
+
+
+class _Rise(Exception):
+    """A plain map of the check-loss envelope raised the objective."""
+
+
+def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> FitResult:
     """One fit of :func:`_envelope_mm_python`, map for map.
 
     It repeats the arithmetic of ``_fldp.c`` operation for operation: the
     transcendental functions come from the C library (:mod:`math`), sums
-    run left to right, and the DP is :func:`_fused_lasso_dp`.  It returns
-    the compiled loop's bits wherever the two share a C library."""
+    run left to right, the DP is :func:`_fused_lasso_dp` and the trend
+    filter :func:`_tf_solve`.  It returns the compiled loop's bits
+    wherever the two share a C library."""
     solve_name = _ENVELOPES[kind][1]
     n = y.shape[0]
     ones = np.ones(n)
     huber = LossSpec("huber", y=y) if kind == "huber" else None
+    stencil = _stencil(k)
+    dual = {"v": _scale_dual(v, u) if kind == "check" else None,
+            "iters": 0, "capped": 0, "act": 0}
 
     def edge_weights(b):
         return u / (a + np.abs(np.diff(b))) if kind == "fdp" else u
@@ -827,9 +1012,18 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
         elif kind == "gaussian":
             r = y - b
             loss = 0.5 * r * r
+        elif kind == "check":
+            r = y - b
+            loss = np.abs(r) + (2.0 * q - 1.0) * r
         else:
             loss = m * _softplus(b) - y * b
-        d = np.abs(np.diff(b))
+        if kind == "check":
+            d = np.zeros(n - k - 1)
+            for j in range(k + 2):
+                d += stencil[j] * b[j:j + n - k - 1]
+            d = np.abs(d)
+        else:
+            d = np.abs(np.diff(b))
         if kind == "fdp":
             d = np.array([math.log1p(x) for x in (d / a).tolist()])
         return _in_order_sum(loss) + _in_order_sum(u * d)
@@ -841,16 +1035,29 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
             return ones, y - location_envelope_update(huber, b)
         if kind == "gaussian":
             return ones, y
-        h = 0.5 * b
-        ratio = np.array([1.0 - x * x / 3.0 if abs(x) < 1e-6 else math.tanh(x) / x
-                          for x in h.tolist()])
-        w = 0.25 * m * ratio
         with np.errstate(all="ignore"):
-            z = (y - m / 2.0) / w
+            if kind == "check":
+                w = 1.0 / np.abs(y - b)
+                w = np.where(w < _WEIGHT_CLAMP, w, _WEIGHT_CLAMP)
+                z = y - (1.0 - 2.0 * q) / w
+            else:
+                h = 0.5 * b
+                ratio = np.array([1.0 - x * x / 3.0 if abs(x) < 1e-6 else math.tanh(x) / x
+                                  for x in h.tolist()])
+                w = 0.25 * m * ratio
+                z = (y - m / 2.0) / w
         if not (np.all(w > 0.0) and np.all(np.abs(w) < np.inf)
                 and np.all(np.abs(z) < np.inf)):
             return None
         return w, z
+
+    def trend_filter(z, w):
+        winv, ab, bz = _tf_bands(z, w, k)
+        iters, done, dual["act"] = _tf_solve(ab, bz, u, cfg.inner_tol, cfg.inner_max_iters,
+                                             dual["v"])
+        dual["iters"] += iters
+        dual["capped"] += not done
+        return _tf_primal(z, winv, dual["v"], k)
 
     def envelope_map(b):
         """``F(b)`` and its objective, or None when a value is not finite."""
@@ -858,8 +1065,11 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
         if weights is None:
             return None
         w, z = weights
-        ue = edge_weights(b)
-        new = _fused_lasso_dp(z, w, ue) if n > 1 and ue.max() > 0 else z.copy()
+        if kind == "check":
+            new = trend_filter(z, w)
+        else:
+            ue = edge_weights(b)
+            new = _fused_lasso_dp(z, w, ue) if n > 1 and ue.max() > 0 else z.copy()
         value = objective(new)
         return (new, value) if abs(value) < np.inf else None
 
@@ -868,6 +1078,8 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
         if out is None:
             raise ValidationError("an MM cycle met a value that is not finite")
         if out[1] > obj + 1e-10 * max(1.0, abs(obj)):
+            if kind == "check":
+                raise _Rise(obj, out[1])
             raise MonotonicityError(solve_name, obj, out[1])
         trace.append(out[1])
         return out
@@ -886,8 +1098,13 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
                 return None
             return envelope_map(bx)
 
-    steps = rejected = 0
+    steps = rejected = rises = 0
+    # until a solve gives beta, df counts the bounds of the start dual
+    act = int(np.count_nonzero(~(np.abs(dual["v"]) < u))) if kind == "check" else 0
     trace = []
+    if kind == "check" and beta is None:
+        beta = trend_filter(y, ones)
+        act = dual["act"]
     if kind == "gaussian":
         beta, obj = plain_map(beta, np.inf)
         converged = True
@@ -895,31 +1112,49 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a) -> FitResult:
         obj = _finite(objective(beta))
         trace.append(obj)
         converged = False
-    while not converged and len(trace) - 1 < cfg.max_iters:
-        start = obj
-        if cfg.max_iters - (len(trace) - 1) >= 3:
-            steps += 1
-            b1, f1 = plain_map(beta, obj)
-            b2, f2 = plain_map(b1, f1)
-            third = extrapolated_map(beta, b1, b2)
-            if third is not None and third[1] <= f2:
-                beta, obj = third
+    try:
+        while not converged and len(trace) - 1 < cfg.max_iters:
+            start = obj
+            if cfg.max_iters - (len(trace) - 1) >= 3:
+                steps += 1
+                b1, f1 = plain_map(beta, obj)
+                act1 = dual["act"]
+                try:
+                    b2, f2 = plain_map(b1, f1)
+                except _Rise:
+                    beta, obj, act = b1, f1, act1
+                    raise
+                act = dual["act"]
+                third = extrapolated_map(beta, b1, b2)
+                if third is not None and third[1] <= f2:
+                    beta, obj = third
+                    act = dual["act"]
+                else:
+                    rejected += 1
+                    beta, obj = b2, f2
+                trace.append(obj)
             else:
-                rejected += 1
-                beta, obj = b2, f2
-            trace.append(obj)
-        else:
-            beta, obj = plain_map(beta, obj)
-        converged = abs(start - obj) <= cfg.tol * max(1.0, abs(start))
+                beta, obj = plain_map(beta, obj)
+                act = dual["act"]
+            converged = abs(start - obj) <= cfg.tol * max(1.0, abs(start))
+    except _Rise as rise:
+        before, after = rise.args
+        rises = 1
+        converged = after - before <= cfg.tol * max(1.0, abs(before))
     iters = 1 if kind == "gaussian" else len(trace) - 1
-    aux = {"run": {"maps": iters, "steps": steps, "rejected": rejected}}
+    aux = {"run": _run_record(iters, steps, rejected, dual["iters"], dual["capped"], rises)}
     if kind == "huber":
         aux["u"] = location_envelope_update(huber, beta)
     elif kind == "fdp":
         aux["u"] = edge_weights(beta)
+    elif kind == "check":
+        aux["omega"], aux["z"] = update(beta)
+        aux["v"] = dual["v"]
+        converged = converged and not dual["capped"]
+    df = act + k + 1 if kind == "check" else distinct_levels(beta)
     return FitResult(beta=beta, objective=obj,
                      trace=np.asarray(trace if cfg.record_trace else trace[:1]),
-                     iters=iters, converged=converged, df=distinct_levels(beta), aux=aux)
+                     iters=iters, converged=converged, df=df, aux=aux)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,6 @@ def test_criterion_9_structured_solver_cross_validation():
     kkt_row = trend_filter_kkt_check(rng)
     ok = dp_row["passed"] and kkt_row["passed"]
     _report(9, ok,
-            f"structured solvers: DP vs long-run ADMM max gap "
+            f"structured solvers: DP vs exact trend filter at k=0 max gap "
             f"{dp_row['max_gap']:.2e} on 50 instances (<= 1e-6); trend-filter "
             f"KKT residual {kkt_row['max_gap']:.2e} (<= 1e-6)")

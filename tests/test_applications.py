@@ -130,55 +130,136 @@ def test_qrtf_self_consistency_at_fixed_point():
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_qrtf_admm_totals_count_every_inner_call(monkeypatch, warm):
-    from envopt import applications, solvers
-
-    solve = applications.weighted_trend_filter
-    runs = []
-
-    def counting(*args, state=None, **kwargs):
-        state = {} if state is None else state
-        out = solve(*args, state=state, **kwargs)
-        runs.append((state["iters"], state["converged"]))
-        return out
-
+def test_qrtf_run_record_counts_every_inner_solve(monkeypatch, warm):
+    """``aux["run"]`` sums the iterations and capped solves of every trend
+    filter of the fit, the cold start's included; the Python loop, whose
+    solves can be watched, returns the compiled loop's record."""
     y = simulate("qrtf", 150, seed=5).y
     # a budget some inner solves hit and others do not
-    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=600, inner_tol=1e-6)
-    init = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg).beta if warm else None
-    monkeypatch.setattr(applications, "weighted_trend_filter", counting)
+    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=40, inner_tol=1e-6)
+    init = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg) if warm else None
     fit = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
-    admm = fit.aux["admm"]
-    assert admm["total"] == {"calls": len(runs),
-                             "iters": sum(it for it, _ in runs),
-                             "capped": sum(not conv for _, conv in runs)}
-    assert 0 < admm["total"]["capped"] < admm["total"]["calls"]
-    # the last call's record is kept as before
-    assert (admm["iters"], admm["converged"]) == runs[-1]
-    assert {"primal_res", "dual_res", "rho"} <= admm.keys()
+    solve = solvers._tf_solve
+    runs = []
+
+    def counting(*args):
+        runs.append(solve(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_tf_solve", counting)
+    py = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
+    run = fit.aux["run"]
+    assert run == py.aux["run"]
+    # a solve per map, per map that rose and for the cold start
+    assert len(runs) == run["maps"] + run["rises"] + (not warm)
+    assert run["inner_iters"] == sum(it for it, _, _ in runs)
+    assert run["capped"] == sum(not done for _, done, _ in runs)
+    assert 0 < run["capped"] < len(runs) and not fit.converged
+    # df counts the dual rows at a bound of the solve that gave beta
+    assert fit.df == py.df and fit.df - 3 in {active for _, _, active in runs}
 
 
 @pytest.mark.parametrize("lam", [2.0, 1e4])
-def test_qrtf_evaluates_objective_once_per_cycle(monkeypatch, lam):
-    from envopt import applications, solvers
-    from envopt.losses import LossSpec
-
-    loss_value = applications.loss_value
-    values = []
-
-    def counting(*args):
-        values.append(loss_value(*args))
-        return values[-1]
-
+def test_qrtf_evaluates_objective_once_per_cycle(lam):
+    """The loop evaluates the objective once per map, into the trace, and
+    reports the last accepted value, which is the objective of beta."""
     y = simulate("qrtf", 150, seed=5).y
     cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=600, inner_tol=1e-6)
-    monkeypatch.setattr(applications, "loss_value", counting)
     fit = fit_qrtf(y, 0.9, 2, lam, cfg=cfg)
-    assert fit.iters > 1  # at lam=1e4 the safeguard rejects the last candidate
-    assert len(values) == fit.iters + 1
-    # the remembered value is the objective of the iterate it is returned for
+    assert fit.iters > 1 and fit.trace.shape == (fit.iters + 1,)
+    assert fit.objective == fit.trace[-1]
     penalty = lam * float(np.sum(np.abs(diff_matrix(150, 2).apply(fit.beta))))
-    assert fit.objective == loss_value(LossSpec("check", y=y, q=0.9), fit.beta) + penalty
+    ref = loss_value(LossSpec("check", y=y, q=0.9), fit.beta) + penalty
+    assert abs(fit.objective - ref) <= 1e-12 * ref
+
+
+def _qrtf_lp_optimum(y, q, k, lam):
+    """The HiGHS optimum of ``sum_i check_q(y_i - b_i) + lam |D b|_1`` as
+    a linear program in ``b`` (free), ``r+, r- >= 0`` with
+    ``y - b = r+ - r-`` and ``t+, t- >= 0`` with ``D b = t+ - t-``."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n = y.shape[0]
+    D = sparse.csr_matrix(diff_matrix(n, k).dense())
+    m = D.shape[0]
+    cost = np.concatenate([np.zeros(n), np.full(n, 2.0 * q), np.full(n, 2.0 * (1.0 - q)),
+                           np.full(2 * m, lam)])
+    eye_n, eye_m = sparse.eye(n), sparse.eye(m)
+    rows = sparse.vstack([sparse.hstack([eye_n, eye_n, -eye_n, sparse.csr_matrix((n, 2 * m))]),
+                          sparse.hstack([D, sparse.csr_matrix((m, 2 * n)), -eye_m, eye_m])])
+    res = linprog(cost, A_eq=rows.tocsc(), b_eq=np.concatenate([y, np.zeros(m)]),
+                  bounds=[(None, None)] * n + [(0.0, None)] * (2 * n + 2 * m), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_qrtf_reaches_the_lp_optimum(k, q):
+    y = simulate("qrtf", 60, seed=1).y
+    lams = np.array([30.0, 3.0, 0.3])
+    path = solution_path(AppSpec("qrtf", q=q, k=k), y, lams)
+    for lam, warm in zip(lams, path.fits):
+        optimum = _qrtf_lp_optimum(y, q, k, lam)
+        for fit in (fit_qrtf(y, q, k, lam), warm):
+            assert fit.converged, (lam, fit.aux["run"])
+            assert (fit.objective - optimum) / max(1.0, abs(optimum)) <= 1e-4, lam
+
+
+def test_qrtf_capped_inner_solves_are_not_converged():
+    y = simulate("qrtf", 60, seed=1).y
+    fit = fit_qrtf(y, 0.9, 2, 3.0, cfg=SolverConfig(inner_max_iters=1))
+    assert not fit.converged and fit.aux["run"]["capped"] > 0
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_qrtf_rising_map_ends_the_fit(monkeypatch, python):
+    """Where the clamped weights do not majorize the loss, a map may rise:
+    the fit ends at the last iterate it accepted, its trace stays
+    non-increasing, and it converges only when the rise is within tol."""
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = simulate("qrtf", 60, seed=1).y
+    fit = fit_qrtf(y, 0.9, 2, 3.0, cfg=SolverConfig(tol=1e-8))
+    assert fit.aux["run"]["rises"] == 1 and fit.iters < 500
+    assert _trace_monotone(fit) and fit.objective == fit.trace[-1]
+    assert fit.converged  # it rose by less than 1e-8 relative
+    strict = fit_qrtf(y, 0.9, 2, 3.0, cfg=SolverConfig(tol=1e-12))
+    assert strict.aux["run"]["rises"] == 1 and not strict.converged
+    assert _trace_monotone(strict)
+
+
+def test_qrtf_init_fit_carries_its_dual(monkeypatch):
+    """A fit given as ``init`` passes its iterate and its final dual, which
+    the first trend filter starts from scaled into the new box: by
+    lam_new / lam_old, its rows at a bound landing on the new bound."""
+    y = simulate("qrtf", 60, seed=1).y
+    first = fit_qrtf(y, 0.9, 2, 30.0)
+    v = first.aux["v"]
+    assert v.shape == (57,) and np.max(np.abs(v)) == 30.0
+    starts = []
+    solve = solvers._tf_solve
+
+    def recorded(ab, b, lam, tol, max_iters, dual):
+        starts.append(dual.copy())
+        return solve(ab, b, lam, tol, max_iters, dual)
+
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_tf_solve", recorded)
+    chained = fit_qrtf(y, 0.9, 2, 3.0, init=first)
+    bound = np.abs(v) == 30.0
+    assert np.array_equal(starts[0][bound], np.sign(v[bound]) * 3.0)
+    np.testing.assert_allclose(starts[0], v * 0.1, rtol=1e-15, atol=0.0)
+    assert chained.converged and np.array_equal(chained.beta, chained.beta)
+    starts.clear()
+    fit_qrtf(y, 0.9, 2, 3.0, init=first.beta)
+    assert not starts[0].any()  # a start vector alone: the dual starts at 0
+    with pytest.raises(ValidationError, match="init must be a qrtf fit of length 60"):
+        fit_qrtf(y, 0.9, 1, 3.0, init=first)
+    with pytest.raises(ValidationError, match="init must be a qrtf fit"):
+        fit_qrtf(y, 0.9, 2, 3.0, init=fit_rfl(y, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +365,9 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
     assert loops == ["fdp"] and fit.converged
     assert fit.iters == len(dp_calls) == fit.aux["run"]["maps"]
     assert fit.aux.keys() == {"u", "run"}
-    assert fit.aux["run"].keys() == {"maps", "steps", "rejected"}
+    assert fit.aux["run"].keys() == {"maps", "steps", "rejected", "inner_iters", "capped",
+                                     "rises"}
+    assert fit.aux["run"]["inner_iters"] == fit.aux["run"]["capped"] == 0
 
 
 @pytest.mark.parametrize("kwargs, msg", [
@@ -366,16 +449,17 @@ def test_fdp_path_bit_exact_reproducible():
 
 
 def _policy_fits(app, y, m, lams, cfg):
-    """The documented warm starts, by direct estimator calls: each rfl or
-    qrtf fit starts at the previous fit, each fdp fit at the binomial
-    fused-lasso fit at its lam, itself started at the previous one."""
+    """The documented warm starts, by direct estimator calls: each rfl fit
+    starts at the previous fit's iterate, each qrtf fit at the previous fit
+    (its iterate and its dual), each fdp fit at the binomial fused-lasso
+    fit at its lam, itself started at the previous one."""
     fits, start = [], None
     for lam in lams:
         prev = fits[-1].beta if fits else None
         if app == "rfl":
             fits.append(fit_rfl(y, lam, cfg=cfg, init=prev))
-        elif app == "qrtf":
-            fits.append(fit_qrtf(y, 0.9, 2, lam, cfg=cfg, init=prev))
+        elif app == "qrtf":  # the previous fit: its iterate and its dual
+            fits.append(fit_qrtf(y, 0.9, 2, lam, cfg=cfg, init=fits[-1] if fits else None))
         else:
             start = binomial_fused_lasso(y, m, lam, init=start, cfg=cfg).beta
             fits.append(fit_fdp(y, m, lam, a=1.0, init=start, cfg=cfg))

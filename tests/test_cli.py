@@ -249,7 +249,7 @@ CHECK_ROWS = [
     *[f"double conjugation: {m}" for m in ("huber", "limited-translation",
                                            "logcosh(m=1)", "logcosh(m=4)")],
     "prox vs grid oracle (200 draws)",
-    "fused-lasso DP vs long-run ADMM (50)",
+    "fused-lasso DP vs exact trend filter at k=0 (50)",
     "trend-filter KKT residual (k in {1,2})",
     "proximal gradient vs long-run oracle (5)",
     "proximal gradient fixed-point residual",
