@@ -27,6 +27,7 @@ All functions are pure; results are deterministic for a fixed
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +49,7 @@ __all__ = [
     "check_envelope_identity",
     "default_lambda_grid",
     "EnvelopeReport",
+    "Coupling",
 ]
 
 _TAGS = (
@@ -107,9 +109,13 @@ class GridSpec:
     searched.  The part of the objective that depends on the grid point
     alone is evaluated once per distinct grid row of the whole search:
     points that share a bracket share the first grid, and those whose
-    incumbents fall in the same cell share the next.  Grids, values and
-    couplings are formed in blocks of at most 8192 floats (64 KiB), so
-    memory does not grow with the number of points.
+    incumbents fall in the same cell share the next.  Grids and values are
+    formed in blocks of at most 8192 floats (64 KiB), so memory does not
+    grow with the number of points.  Each point's own term is a
+    :class:`Coupling`, scanned with the grid row by the compiled
+    ``grid_scan`` of ``_fldp.c`` when the kernel library loads, else by
+    the numpy expression in the same blocks; both give the same bits.
+    ``lo`` and ``hi`` must be finite.
     """
 
     lo: float
@@ -118,12 +124,21 @@ class GridSpec:
     refinement_rounds: int = 3
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValidationError("GridSpec requires lo < hi")
-        if self.count < 3:
-            raise ValidationError("GridSpec requires count >= 3")
-        if self.refinement_rounds < 0:
-            raise ValidationError("GridSpec requires refinement_rounds >= 0")
+        _check_brackets(self.lo, self.hi, self.count, self.refinement_rounds, "GridSpec")
+
+
+def _check_brackets(lo, hi, count, rounds, what):
+    """ValidationError unless every bracket ``[lo, hi]`` is finite with
+    ``lo < hi``, ``count >= 3`` and ``rounds >= 0``."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValidationError(f"{what} requires finite lo and hi")
+    if not (lo < hi).all():
+        raise ValidationError(f"{what} requires lo < hi")
+    if count < 3:
+        raise ValidationError(f"{what} requires count >= 3")
+    if rounds < 0:
+        raise ValidationError(f"{what} requires refinement_rounds >= 0")
 
 
 def _float_if_scalar(out):
@@ -132,13 +147,94 @@ def _float_if_scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _reject_nan(points, what):
-    """``points`` unchanged, or ValidationError if one is NaN: its every
-    grid value would be NaN, which the search skips, and it would report
-    an infinite minimum."""
-    if np.isnan(points).any():
-        raise ValidationError(f"{what} must not be NaN")
+def _reject_nonfinite(points, what):
+    """``points`` unchanged, or ValidationError if one is NaN or infinite:
+    its grid values would be non-finite, which the search skips, and it
+    would report an infinite minimum (or a NaN gap, or a bracket end)."""
+    if not np.isfinite(points).all():
+        raise ValidationError(f"{what} must not be NaN or infinite")
     return points
+
+
+# The coupling kinds of grid_scan in _fldp.c, in its order.
+_KINDS = ("f-ag", "ag-f", "g/2*a-f", "b*(a-g)^2+f", "b*(a-g)^2-f", "f+(a-g)^2/b",
+          "g/2*(a-b/g)^2-f")
+
+
+@dataclass(frozen=True, eq=False)
+class Coupling:
+    """The own term of the rows of a grid search, as data.
+
+    ``kind`` names the expression of the grid point ``g``, the point-only
+    value ``f`` there and the row's ``a`` and ``b`` (arrays of one entry
+    per row, or scalars):
+
+    ===================== ============================
+    ``f-ag``              ``f - a*g``
+    ``ag-f``              ``a*g - f``
+    ``g/2*a-f``           ``0.5*g*a - f``
+    ``b*(a-g)^2+f``       ``b*(a - g)**2 + f``
+    ``b*(a-g)^2-f``       ``b*(a - g)**2 - f``
+    ``f+(a-g)^2/b``       ``f + (a - g)**2 / b``
+    ``g/2*(a-b/g)^2-f``   ``0.5*g*(a - b/g)**2 - f``
+    ===================== ============================
+
+    Calling it as ``couple(rows, g, f)`` evaluates the expression in
+    numpy for the rows ``rows`` (an index array), and ``values(g, f)``
+    for all of ``a`` and ``b``, broadcast; :func:`_zoom_min` scans it in
+    C instead when the kernel library loads, with the same bits.
+    """
+
+    kind: str
+    a: np.ndarray
+    b: np.ndarray = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown coupling kind {self.kind!r}")
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+
+    def __call__(self, rows, g, f):
+        a = self.a[rows, None] if self.a.ndim else self.a
+        b = self.b[rows, None] if self.b.ndim else self.b
+        return _coupled(self.kind, a, b, g, f)
+
+    def values(self, g, f):
+        return _coupled(self.kind, self.a, self.b, g, f)
+
+
+def _coupled(kind, a, b, g, f):
+    """The expression ``kind`` of :class:`Coupling`, in numpy."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "f-ag":
+            return f - a * g
+        if kind == "ag-f":
+            return a * g - f
+        if kind == "g/2*a-f":
+            return 0.5 * g * a - f
+        if kind == "b*(a-g)^2+f":
+            return b * (a - g) ** 2 + f
+        if kind == "b*(a-g)^2-f":
+            return b * (a - g) ** 2 - f
+        if kind == "f+(a-g)^2/b":
+            return f + (a - g) ** 2 / b
+        return 0.5 * g * (a - b / g) ** 2 - f
+
+
+def _address(x):
+    """The address of the writable contiguous array ``x``: cheaper than
+    ``x.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(x))
+
+
+def _scan_kernel(couple):
+    """The kernel library when ``couple`` is a :class:`Coupling` and the
+    library loads, else None (the numpy expression)."""
+    if not isinstance(couple, Coupling):
+        return None
+    from . import solvers  # solvers imports this module
+    return solvers._kernel()
 
 
 # Each grid, f-value or coupling temporary holds at most 8192 floats (64 KiB),
@@ -153,21 +249,26 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
 
     ``f`` maps a (groups, count) grid matrix to same-shape values and
     must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  ``couple(rows, grid, fvals)`` adds the own
-    term of the rows ``rows`` (an index array) and returns
-    ``(len(rows), count)`` values; it gets the grid and ``f``'s values
-    either gathered to one row per row or, when the rows share one grid,
-    as a single broadcasting row.
+    on the grid point alone.  ``couple`` is a :class:`Coupling`, or any
+    ``couple(rows, grid, fvals)`` that adds the own term of the rows
+    ``rows`` (an index array) and returns ``(len(rows), count)`` values;
+    it gets the grid and ``f``'s values either gathered to one row per
+    row or, when the rows share one grid, as a single broadcasting row.
 
     Rows whose brackets are equal bit for bit search the same grid, so
     ``f`` is evaluated once per distinct grid row of the whole call: rows
     start in one group when all share ``(lo, hi)``, else one group per
     row, and after each round a row's group is (its old group, its
     argmin index), which fixes its next bracket.  Rows are kept in group
-    order; each round evaluates ``f`` on blocks of groups and ``couple``
-    on blocks of those groups' rows, each of at most ``_BLOCK_ELEMS``
-    floats (one row when ``count`` is larger).  Grid points are ``lo + (hi - lo) * t[cell]`` of their group,
-    the same bits as the grid row.  Non-finite values are skipped.
+    order; each round evaluates ``f`` on blocks of groups of at most
+    ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger) and
+    scans those groups' rows: a :class:`Coupling` in one call of the
+    compiled ``grid_scan`` when the kernel library loads, anything else
+    (or with no library) by :func:`_scan`, with the same bits.  Grid
+    points are ``lo + (hi - lo) * t[cell]`` of their group, the same bits
+    as the grid row.  Non-finite values are skipped.  The caller
+    validates the brackets (finite, ``lo < hi``), ``count >= 3`` and
+    ``rounds >= 0``.
     Returns a (3, B) array: min values, argmin locations and final grid
     spacing.
     """
@@ -178,47 +279,43 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
         return np.empty((3, 0))
     t = np.linspace(0.0, 1.0, count)
     step = max(1, _BLOCK_ELEMS // count)
+    lib = _scan_kernel(couple)
     if (lo == lo[0]).all() and (hi == hi[0]).all():
         lo, hi = lo[:1], hi[:1]
         group = np.zeros(nrows, dtype=np.intp)
     else:
-        group = np.arange(nrows)
-    order = np.arange(nrows)  # rows in group order; group[i] is order[i]'s
-    at_row = np.arange(step)
+        group = np.arange(nrows, dtype=np.intp)
+    order = np.arange(nrows, dtype=np.intp)  # rows in group order; group[i] is order[i]'s
     idx = np.empty(nrows, dtype=np.intp)
     vals = np.empty(nrows)
+    if lib is not None:  # grid_scan's arguments that hold for the whole call
+        kind = _KINDS.index(couple.kind)
+        # one entry per row, in new arrays (ValueError unless a scalar or nrows long)
+        ab = [np.array(np.broadcast_to(x, (nrows,))) for x in (couple.a, couple.b)]
+        fixed = [_address(x) for x in ab]
+        at_vals, at_idx = _address(vals), _address(idx)
     for r in range(rounds + 1):
         width = hi - lo
         ngroups = lo.shape[0]
-        singles = ngroups == nrows  # one row per group: no gather
-        edges = np.searchsorted(group, np.arange(0, ngroups + step, step))
+        edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
+        if lib is not None:
+            at_order, at_group = _address(order), _address(group)
         for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
             grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
             fvals = np.asarray(f(grid), dtype=float)
-            for a in range(start, stop, step):
-                b = min(a + step, stop)
-                if singles:
-                    g, fg = grid[a - start:b - start], fvals[a - start:b - start]
-                elif group[a] == group[b - 1]:
-                    at = slice(group[a] - g0, group[a] - g0 + 1)
-                    g, fg = grid[at], fvals[at]
-                else:
-                    at = group[a:b] - g0
-                    g, fg = grid[at], fvals[at]
-                v = couple(order[a:b], g, fg)
-                j = np.argmin(v, axis=1)
-                best = v[at_row[:b - a], j]
-                # a row holding NaN or -inf selects one, so masking can only
-                # move the argmin of a row whose selected minimum is non-finite
-                if not np.isfinite(best).all():
-                    v = np.where(np.isfinite(v), v, np.inf)
-                    j = np.argmin(v, axis=1)
-                    best = v[at_row[:b - a], j]
-                idx[a:b] = j
-                vals[a:b] = best
+            if lib is None:
+                at = slice(start, stop)
+                _scan(couple, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
+                continue
+            if (fvals.shape != grid.shape or not fvals.flags.c_contiguous
+                    or not fvals.flags.writeable):
+                fvals = np.array(np.broadcast_to(fvals, grid.shape))
+            i0, v0 = idx.itemsize * start, vals.itemsize * start  # byte offsets
+            lib.grid_scan(kind, _address(grid), _address(fvals), count, stop - start,
+                          at_order + i0, at_group + i0, g0, *fixed, at_vals + v0, at_idx + i0)
         if r == rounds:
             break
-        if singles:  # groups never merge
+        if ngroups == nrows:  # one row per group: groups never merge
             parent, cell = group, idx
         else:
             key = group * count + idx
@@ -227,7 +324,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
             first = np.empty(nrows, dtype=bool)
             first[0] = True
             np.not_equal(key[1:], key[:-1], out=first[1:])
-            group = np.cumsum(first) - 1
+            group = np.cumsum(first, dtype=np.intp) - 1
             parent, cell = np.divmod(key[first], count)
         h = width[parent] / (count - 1)
         center = lo[parent] + width[parent] * t[cell]
@@ -238,6 +335,40 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
     out[1, order] = lo[group] + width[group] * t[idx]
     out[2, order] = (width / (count - 1))[group]
     return out
+
+
+def _scan(couple, rows, grp, grid, fvals, vals, idx):
+    """Numpy scan of one block: writes to ``vals[i]`` and ``idx[i]`` the
+    first minimum over the finite values of ``couple(rows[i], grid[grp[i]],
+    fvals[grp[i]])`` and its index, or +inf and 0 when none is finite.
+
+    ``grp`` is non-decreasing and names every grid row.  The coupled
+    values are formed for at most ``_BLOCK_ELEMS`` floats of rows at a
+    time (one row when ``count`` is larger).
+    """
+    nrows, count = rows.shape[0], grid.shape[1]
+    step = max(1, _BLOCK_ELEMS // count)
+    singles = nrows == grid.shape[0]  # one row per grid row: no gather
+    at_row = np.arange(min(step, nrows))
+    for a in range(0, nrows, step):
+        b = min(a + step, nrows)
+        if singles:
+            at = slice(a, b)
+        elif grp[a] == grp[b - 1]:
+            at = slice(grp[a], grp[a] + 1)
+        else:
+            at = grp[a:b]
+        v = couple(rows[a:b], grid[at], fvals[at])
+        j = np.argmin(v, axis=1)
+        best = v[at_row[:b - a], j]
+        # a row holding NaN or -inf selects one, so masking can only
+        # move the argmin of a row whose selected minimum is non-finite
+        if not np.isfinite(best).all():
+            v = np.where(np.isfinite(v), v, np.inf)
+            j = np.argmin(v, axis=1)
+            best = v[at_row[:b - a], j]
+        idx[a:b] = j
+        vals[a:b] = best
 
 
 def conjugate_numeric(f, lam, grid: GridSpec, sense: str = "convex"):
@@ -263,8 +394,14 @@ def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concav
 
     Used for duals whose conjugate argmin location varies strongly with
     ``lam`` (the bracket must cover it for the result to be exact).
+    ``lo`` and ``hi`` are scalars or hold one entry per ``lam``.  Every
+    bracket must be finite with ``lo < hi``, as in a :class:`GridSpec`,
+    and ``count >= 3``, ``rounds >= 0``.
     """
     lam_arr = np.asarray(lam, dtype=float)
+    if {np.size(lo), np.size(hi)} - {1, lam_arr.size}:
+        raise ValidationError("conjugate_numeric_rowwise needs one bracket or one per lam")
+    _check_brackets(lo, hi, count, rounds, "conjugate_numeric_rowwise")
     return _conjugate_rows(f, lam_arr.ravel(), lo, hi, count, rounds,
                            sense).reshape(lam_arr.shape)
 
@@ -272,15 +409,10 @@ def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concav
 def _conjugate_rows(f, lam_flat, lo, hi, count, rounds, sense):
     """Row-wise grid conjugate of ``f`` at each entry of ``lam_flat`` over
     ``[lo, hi]`` (scalars or one bracket per entry)."""
-    _reject_nan(lam_flat, "lam")
+    _reject_nonfinite(lam_flat, "lam")
     lo = np.broadcast_to(np.asarray(lo, dtype=float).ravel(), lam_flat.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float).ravel(), lam_flat.shape)
-    if sense == "convex":
-        def couple(rows, g, fg):
-            return fg - lam_flat[rows, None] * g
-    else:
-        def couple(rows, g, fg):
-            return lam_flat[rows, None] * g - fg
+    couple = Coupling("f-ag" if sense == "convex" else "ag-f", lam_flat)
     vals, _, _ = _zoom_min(f, couple, lo, hi, count, rounds)
     return -vals if sense == "convex" else vals
 
@@ -304,7 +436,7 @@ def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
     x = np.asarray(x, dtype=float)
     if tag in _NONNEG_TAGS and np.any(lam < 0):
         raise ValidationError(f"family {tag!r} requires lam >= 0")
-    return _float_if_scalar(_coupled(family, x, lam, _dual_values(dual, lam)))
+    return _float_if_scalar(_family_coupling(family, x).values(lam, _dual_values(dual, lam)))
 
 
 def _dual_values(dual, lam):
@@ -314,18 +446,17 @@ def _dual_values(dual, lam):
         return dual(lam)
 
 
-def _coupled(family, x, lam, dual_vals):
-    """The integrand of ``family`` from the dual's values at ``lam``."""
+def _family_coupling(family, x):
+    """The integrand of a scalar ``family`` at ``x``, as the
+    :class:`Coupling` of ``g = lam`` and ``f = dual(lam)``."""
     tag = family.tag
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if tag == "exponential":
-            return lam * np.abs(x) - dual_vals
-        if tag == "gaussian-scale":
-            return 0.5 * lam * x**2 - dual_vals
-        if tag == "gaussian-location":
-            return 0.5 * (x - lam) ** 2 + dual_vals
-        kappa = family.drift  # variance-mean
-        return 0.5 * lam * (x - kappa / lam) ** 2 - dual_vals
+    if tag == "exponential":
+        return Coupling("ag-f", np.abs(x))
+    if tag == "gaussian-scale":
+        return Coupling("g/2*a-f", x**2)
+    if tag == "gaussian-location":
+        return Coupling("b*(a-g)^2+f", x, 0.5)
+    return Coupling("g/2*(a-b/g)^2-f", x, family.drift)  # variance-mean
 
 
 def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
@@ -356,7 +487,7 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
 
     Independent of any closed-form update rule; used to validate them.
     """
-    x_arr = _reject_nan(np.atleast_1d(np.asarray(x, dtype=float)), "x")
+    x_arr = _reject_nonfinite(np.atleast_1d(np.asarray(x, dtype=float)), "x")
     _, arg, _ = _envelope_min(family, dual, x_arr, grid)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(arg[0])
@@ -372,12 +503,8 @@ def _envelope_min(family, dual, x_arr, grid):
         raise ValidationError(f"family {family.tag!r} requires lam >= 0")
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
-
-    def couple(rows, g, dual_vals):
-        return _coupled(family, x_arr[rows, None], g, dual_vals)
-
-    return _zoom_min(lambda g: _dual_values(dual, g), couple, lo, hi, grid.count,
-                     grid.refinement_rounds)
+    return _zoom_min(lambda g: _dual_values(dual, g), _family_coupling(family, x_arr),
+                     lo, hi, grid.count, grid.refinement_rounds)
 
 
 @dataclass(frozen=True)
@@ -401,9 +528,10 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
     is supplied, the report also says whether the closed-form update
     matches the numeric argmin within the final grid spacing at every x.
     Failures are reported, never raised: the caller judges the gap.  An
-    empty ``x_grid``, or one holding NaN, raises ValidationError.
+    empty ``x_grid``, or one holding NaN or an infinity, raises
+    ValidationError.
     """
-    x_arr = _reject_nan(np.asarray(x_grid, dtype=float), "x")
+    x_arr = _reject_nonfinite(np.asarray(x_grid, dtype=float), "x")
     if x_arr.size == 0:
         raise ValidationError("x_grid must not be empty")
     if grid is None:

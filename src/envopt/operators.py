@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import GridSpec, _float_if_scalar, _reject_nan, _zoom_min
+from .duality import Coupling, GridSpec, _float_if_scalar, _reject_nonfinite, _zoom_min
 from .errors import ValidationError
 
 __all__ = [
@@ -124,13 +124,10 @@ def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):
     """
     if not gamma > 0:
         raise ValidationError("gamma must be positive")
-    x_arr = _reject_nan(np.atleast_1d(np.asarray(x, dtype=float)), "x")
+    x_arr = _reject_nonfinite(np.atleast_1d(np.asarray(x, dtype=float)), "x")
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
-
-    def couple(rows, z, fz):
-        return fz + (z - x_arr[rows, None]) ** 2 / (2.0 * gamma)
-
+    couple = Coupling("f+(a-g)^2/b", x_arr, 2.0 * gamma)  # f(z) + (z - x)^2/(2 gamma)
     vals, _, _ = _zoom_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(vals[0])

@@ -101,15 +101,12 @@ def penalty_value(p: PenaltySpec, x):
     elif p.kind == "limited-translation":
         out = p.weight * np.minimum(1.0, 0.5 * x_arr**2)
     else:  # psi-specified
-        x_signed = duality._reject_nan(np.asarray(x, dtype=float), "x")
+        x_signed = duality._reject_nonfinite(np.asarray(x, dtype=float), "x")
         hi = max(4.0, float(np.max(x_arr, initial=0.0)) + 4.0)
         flat = np.atleast_1d(x_signed).ravel()
         lo_b = np.zeros(flat.shape)
         hi_b = np.full(flat.shape, hi)
-
-        def couple(rows, lam, psi):
-            return 0.5 * (flat[rows, None] - lam) ** 2 + psi
-
+        couple = duality.Coupling("b*(a-g)^2+f", flat, 0.5)  # (x - lam)^2/2 + psi(lam)
         vals, _, _ = duality._zoom_min(psi_specified_dual, couple, lo_b, hi_b, 401, 3)
         out = vals.reshape(np.asarray(x_signed).shape)
     if np.ndim(out) == 0:
@@ -370,15 +367,13 @@ def location_dual(p: PenaltySpec):
 
         def dual(lam):
             # sup_x {-(x-lam)^2/2 + w*min(1, x^2/2)}, numeric for w != 1
-            lam = duality._reject_nan(np.asarray(lam, dtype=float), "lam")
+            lam = duality._reject_nonfinite(np.asarray(lam, dtype=float), "lam")
             flat = lam.ravel()
 
             def phi(t):
                 return w * np.minimum(1.0, 0.5 * t**2)
 
-            def couple(rows, t, phi_t):
-                return 0.5 * (t - flat[rows, None]) ** 2 - phi_t
-
+            couple = duality.Coupling("b*(a-g)^2-f", flat, 0.5)  # (t - lam)^2/2 - phi(t)
             vals, _, _ = duality._zoom_min(phi, couple, flat - 6.0, flat + 6.0, 161, 3)
             return -vals.reshape(lam.shape)
         return dual

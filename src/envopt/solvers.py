@@ -252,14 +252,18 @@ def _kernel():
 
     One library holds the compiled loops, the fused-lasso DP, the
     trend filter's dual solve and the envelope MM around them, so either
-    all run in C or all in Python.  It is cached per user under
-    ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``), named by a hash
-    of the sources, the flags and the compiler, so each machine compiles
-    each version once (the first use spends about 3 s compiling); a file
-    lock lets exactly one of several concurrent processes build it.  It
-    is loaded only from a directory that no other user can write to.
-    When a compiler exists but the build or load fails, one
-    RuntimeWarning names the compiler and the end of its error output.
+    all run in C or all in Python.  It also holds ``grid_scan``, the
+    coupled-objective scan of the grid oracles' zoom search
+    (``duality._zoom_min``), whose fallback is the numpy expression of
+    ``duality.Coupling``; both give the same bits.  It is cached per
+    user under ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``),
+    named by a hash of the sources, the flags and the compiler, so each
+    machine compiles each version once (the first use spends about 3 s
+    compiling); a file lock lets exactly one of several concurrent
+    processes build it.  It is loaded only from a directory that no
+    other user can write to.  When a compiler exists but the build or
+    load fails, one RuntimeWarning names the compiler and the end of its
+    error output.
     """
     cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
     if cc is None:
@@ -300,6 +304,8 @@ def _kernel():
                                               + [c_long, c_double, c_long, c_double,
                                                  c_long, ctypes.c_int] + [ptr] * 5)
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
+    lib.grid_scan.argtypes = [ctypes.c_int] + [ptr] * 2 + [c_long] * 2 + [ptr] * 2 + [c_long] + [ptr] * 4
+    lib.grid_scan.restype = None
     return lib
 
 
@@ -307,7 +313,8 @@ def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
     # module never starts the compiler.  It names the implementation of
     # the compiled loops: the fused-lasso DP, the trend filter's dual
-    # solve and the envelope MM around them.
+    # solve and the envelope MM around them, and the grid oracles'
+    # coupled-objective scan ("python": its numpy expression).
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

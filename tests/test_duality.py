@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from envopt import duality, solvers
 from envopt.duality import (
     EXPONENTIAL,
     GAUSSIAN_LOCATION,
+    GAUSSIAN_SCALE,
     EnvelopeFamily,
     GridSpec,
     check_envelope_identity,
@@ -401,3 +405,192 @@ def test_envelope_identity_rejects_empty_x_grid(grid):
 def test_grid_oracles_reject_nan_points(call):
     with pytest.raises(ValidationError, match="must not be NaN"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conjugate_numeric(lambda x: 0.5 * x**2, np.inf, GridSpec(-1.0, 1.0)),
+    lambda: check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber,
+                                    [0.5, np.inf]),
+    lambda: envelope_argmin_numeric(GAUSSIAN_LOCATION, huber_location_dual(1.0), np.inf,
+                                    GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], [0.0, 3.0], [1.0, 2.0]),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], [0.0, np.nan], 5.0),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, [5.0, np.inf]),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, count=1),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, count=2),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, rounds=-1),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0, 3.0], [0.0, -1.0], 5.0),
+    lambda: GridSpec(-np.inf, 1.0),
+    lambda: GridSpec(0.0, np.inf),
+], ids=["conjugate-inf-lam", "envelope-identity-inf-x", "envelope-argmin-inf-x",
+        "rowwise-lo-above-hi", "rowwise-nan-bracket", "rowwise-inf-bracket",
+        "rowwise-count-1", "rowwise-count-2", "rowwise-negative-rounds",
+        "rowwise-bracket-length", "gridspec-infinite-lo", "gridspec-infinite-hi"])
+def test_grid_oracles_reject_bad_input(call):
+    # unchecked, an infinite point reports -inf, NaN or a bracket end, and a
+    # bad bracket searches an empty or degenerate grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moreau_envelope_numeric(np.abs, 1.0, [0.5, -np.inf], GridSpec(-5.0, 5.0, 101, 3)),
+    lambda: penalty_value(PenaltySpec("psi-specified"), [1.0, np.inf]),
+    lambda: location_dual(PenaltySpec("limited-translation", weight=0.5))([0.0, -np.inf]),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, np.inf], -5.0, 5.0),
+], ids=["moreau", "psi-specified-value", "limited-translation-dual", "conjugate-rowwise"])
+def test_grid_oracles_reject_infinite_points(call):
+    with pytest.raises(ValidationError, match="must not be NaN or infinite"):
+        call()
+
+
+@pytest.mark.parametrize("family", [
+    EXPONENTIAL, GAUSSIAN_SCALE, GAUSSIAN_LOCATION, variance_mean(-0.8)], ids=lambda f: f.tag)
+def test_integrand_is_the_family_expression(family):
+    # the Coupling of each family evaluates the integrand of the table in
+    # the module docstring, bit for bit (lam = 0 included)
+    x = np.array([-2.5, -0.0, 0.3, 4.0])[:, None]
+    lam = np.array([0.0, 0.25, 1.0, 7.5])[None, :]
+    dual = lambda lam: np.log1p(np.asarray(lam, dtype=float))  # noqa: E731
+    d = dual(lam)
+    want = {"exponential": lambda: lam * np.abs(x) - d,
+            "gaussian-scale": lambda: 0.5 * lam * x**2 - d,
+            "gaussian-location": lambda: 0.5 * (x - lam) ** 2 + d,
+            "variance-mean": lambda: 0.5 * lam * (x - family.drift / lam) ** 2 - d}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = want[family.tag]()
+    got = envelope_integrand(family, dual, x, lam)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_coupling_rejects_unknown_kind():
+    from envopt.duality import Coupling
+
+    with pytest.raises(ValidationError, match="unknown coupling kind"):
+        Coupling("f+ag", 1.0)
+
+
+_POOL = np.array([0.0, -0.0, 1.5, -2.0, 0.75, 1e300, -1e300, np.nan, np.inf, -np.inf])
+
+
+def _both_paths(monkeypatch, f, couple, lo, hi, count, rounds):
+    """``_zoom_min`` through the compiled scan, then through the numpy
+    expression of the same Coupling."""
+    from envopt import duality, solvers
+
+    c_out = duality._zoom_min(f, couple, lo, hi, count, rounds)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_kernel", lambda: None)
+        np_out = duality._zoom_min(f, couple, lo, hi, count, rounds)
+    return c_out, np_out
+
+
+def _table_f(table, lo):
+    """An f that returns row i of ``table`` on the grid row that starts at
+    ``lo[i]``: the values of each searched grid row are chosen outright."""
+    by_start = {float(start): row for start, row in zip(lo, table)}
+
+    def f(g):
+        return np.array([by_start[float(row[0])] for row in g])
+
+    return f
+
+
+def _special_table(rng, rows, count):
+    """Values from a short pool of specials and random numbers, so that rows
+    hold NaN, +-inf, equal minima and -0.0/+0.0 ties; row 0 has no finite
+    value, row 1 ties its minimum across lanes and the tail, row 2 puts
+    -0.0 before +0.0 and row 3 +0.0 before -0.0."""
+    table = np.where(rng.random((rows, count)) < 0.6,
+                     rng.choice(_POOL, size=(rows, count)),
+                     rng.normal(size=(rows, count)))
+    table[0] = rng.choice([np.nan, np.inf, -np.inf], size=count)
+    if rows > 3:
+        table[1:4] = 5.0
+        table[1, [count - 1, 2, 5] if count > 5 else [count - 1, 0]] = -3.0
+        table[2, [1, count - 2]] = [-0.0, 0.0]
+        table[3, [1, count - 2]] = [0.0, -0.0]
+    return table
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("count", [3, 4, 7, 13, 101, 9001])
+@pytest.mark.parametrize("kind", duality._KINDS)
+def test_compiled_scan_matches_numpy_coupling(monkeypatch, kind, count):
+    # one round on chosen values: the compiled scan keeps the numpy path's
+    # first minimum over finite values, bit for bit, with one row per grid
+    # row (per-row brackets) and with many rows on one grid (a shared one)
+    rng = np.random.Generator(np.random.PCG64(count))
+    rows = 1 if count > duality._BLOCK_ELEMS else 40
+    a = rng.choice(np.array([0.0, -0.0, 0.5, -1.25, 3.0]), size=rows)
+    b = np.where(rng.random(rows) < 0.3, rng.normal(size=rows),
+                 rng.choice(np.array([-0.0, 0.5, 2.0, 1e-300]), size=rows))
+    couple = duality.Coupling(kind, a, b)
+    table = _special_table(rng, rows, count)
+    # grids start at 0 (variance-mean's b/g is infinite there) or above it
+    lo = np.arange(rows) * 0.5
+    hi = lo + 1.0
+    c_out, np_out = _both_paths(monkeypatch, _table_f(table, lo), couple, lo, hi, count, 0)
+    assert c_out.tobytes() == np_out.tobytes()
+    shared = np.zeros(rows), np.ones(rows)
+    for i in range(min(rows, 4)):
+        f = _table_f(table[i:i + 1], [0.0])
+        c_out, np_out = _both_paths(monkeypatch, f, couple, *shared, count, 0)
+        assert c_out.tobytes() == np_out.tobytes()
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("count", [7, 13])
+def test_compiled_scan_first_minimum_semantics(monkeypatch, count):
+    # with a = 0 on a positive grid, "f-ag" gives v = f exactly, so the
+    # selected value and index can be read off the table
+    rng = np.random.Generator(np.random.PCG64(5))
+    table = _special_table(rng, 30, count)
+    lo = 1.0 + np.arange(30)
+    couple = duality.Coupling("f-ag", np.zeros(30))
+    c_out, np_out = _both_paths(monkeypatch, _table_f(table, lo), couple, lo, lo + 1.0, count, 0)
+    assert c_out.tobytes() == np_out.tobytes()
+    t = np.linspace(0.0, 1.0, count)
+    for i, row in enumerate(table):
+        finite = np.flatnonzero(np.isfinite(row))
+        j = finite[np.argmin(row[finite])] if finite.size else 0
+        want = row[j] if finite.size else np.inf
+        assert np.float64(c_out[0, i]).tobytes() == np.float64(want).tobytes(), i
+        assert c_out[1, i] == lo[i] + 1.0 * t[j], i
+    assert (c_out[0, 0], c_out[1, 0]) == (np.inf, lo[0])
+    assert c_out[1, 1] == lo[1] + t[2 if count > 5 else 0]
+    assert np.signbit(c_out[0, 2]) and not np.signbit(c_out[0, 3])
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("kind", duality._KINDS)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_compiled_zoom_search_matches_numpy_search(monkeypatch, kind, shared):
+    # the whole zoom search, whose later rounds scan blocks that mix groups
+    # of several rows and of one row, in blocks of 5 grid rows
+    monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
+    rng = np.random.Generator(np.random.PCG64(11 + shared))
+    rows = 120
+    a = rng.choice([-1.5, -0.25, 0.0, 0.5, 2.0], size=rows)
+    couple = duality.Coupling(kind, a, rng.choice([0.5, 1.0, 2.0], size=rows))
+
+    def f(g):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v = (g - 0.3) ** 2 + np.sqrt(g + 1.0)  # NaN below -1
+        return np.where(np.abs(g - 1.2) < 0.05, -np.inf, v)
+
+    lo, hi = _brackets(rng, rows, shared)
+    c_out, np_out = _both_paths(monkeypatch, f, couple, lo, hi, 101, 3)
+    assert c_out.tobytes() == np_out.tobytes()
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_check_suites_same_rows_without_kernel(monkeypatch):
+    from envopt.checks import run_suite
+
+    rows = run_suite("all")
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    assert repr(run_suite("all")) == repr(rows)  # repr keeps every bit of a float
+    assert len(rows) == 24

@@ -142,6 +142,11 @@ def test_prox_matches_brute_force():
     from envopt.checks import prox_suite
     (res,) = prox_suite(n_draws=200)
     assert res["passed"], res
+    # the row reports the argument gap its pass rule reads: every draw's
+    # argument agrees within the rule's 1e-4, so no draw needed the
+    # objective fallback
+    assert set(res) == {"name", "failures", "max_gap", "max_arg_gap", "tol", "passed"}
+    assert 0.0 < res["max_arg_gap"] <= 1e-4
 
 
 def test_prox_monotone_shrinkage():

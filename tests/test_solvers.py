@@ -1037,3 +1037,15 @@ def test_level_and_knot_counting():
     assert distinct_levels(np.array([1.0, 1.0, 2.0, 2.0, 2.0])) == 2
     assert distinct_levels(np.array([5.0])) == 1
     assert count_knots(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), 1) == 1
+
+
+_CC = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+
+
+@pytest.mark.skipif(_CC is None, reason="no C compiler here")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    src = Path(solvers.__file__).with_name("_fldp.c")
+    proc = subprocess.run([_CC, "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-c",
+                           str(src), "-o", str(tmp_path / "fldp.o")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
