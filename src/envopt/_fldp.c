@@ -485,8 +485,8 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
    inner_tol and inner_max; inner_iters and capped count its iterations
    and the solves that ended without meeting their test, and act receives
    the rows at a bound of the last map's solve.  maps counts the maps run
-   and, when record is nonzero, trace[t] receives the objective after map
-   t. */
+   and, when record is nonzero (for every envelope but SQUARED), trace[t]
+   receives the objective after map t. */
 typedef struct {
     int envelope, coupled, record;
     const double *y, *m, *u;
@@ -909,10 +909,9 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
    k + 1 (the n - 1 edges for k = 0).  beta is a fits x n block whose row
    0 holds the start on entry (unread for SQUARED and for a cold CHECK
    start); row l receives fit l's last iterate.  trace receives the fits'
-   traces one after another: when record is nonzero, fit l's maps + 1
-   values (room for fits x (max_iters + 1) values), and otherwise the
-   first value of each fit (fits values); SQUARED, whose trace is its one
-   value, runs with record = 0.  envvar is a fits x n block
+   traces one after another: fit l's maps + 1 values (room for fits x
+   (max_iters + 1) values), except for SQUARED, whose trace is its one
+   value (fits values).  envvar is a fits x n block
    (HUBER_SHIFT), a fits x (n - 1) block (LOG_PENALTY) or a fits x
    (3n - k - 1) block (CHECK: w, z and the last dual) of the final
    envelope variables, unread by the other envelopes (it may be NULL).
@@ -930,10 +929,11 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
 int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
                               const double *u, const double *lams, long fits,
                               double a, long n, double tol, long max_iters,
-                              int record, double *beta, double *trace,
+                              double *beta, double *trace,
                               double *envvar, double *info, const double *check)
 {
     int chk = envelope == CHECK, cold = chk && check[4] != 0.0, status = 0;
+    int record = envelope != SQUARED;
     long i, l, k = chk ? (long)check[1] : 0, rows = n - k - 1;
     long nv = envelope == HUBER_SHIFT ? n : chk ? 2 * n + rows : n - 1;
     tfdual tf;

@@ -13,6 +13,10 @@ Three estimators, all run as alternating envelope updates:
   concave penalty's per-edge weights, updated together, turn each step
   into a weighted fused lasso.
 
+Each app has one path function, which validates its inputs once and
+returns the warm-started fits along a penalty grid; a single fit is its
+app's path on the one-lam grid ``[lam]``.
+
 Model selection is by the operational AIC (2*loss + 2*df with df the
 count of distinct fitted levels, or for trend filtering k + 1 plus the
 knots, the dual rows at a bound)
@@ -49,7 +53,9 @@ from .solvers import (
     envelope_fused_lasso_mm,
     envelope_fused_lasso_path,
     logistic_fused_lasso,
-    mm_driver,  # no estimator here runs it; the name stays bound for callers
+    # no estimator here runs it, but perfbench/tracing.py times the outer MM
+    # loop through this binding (applications.mm_driver), so it stays
+    mm_driver,
 )
 
 __all__ = [
@@ -88,7 +94,14 @@ LOGIT_CAP = 36.0
 
 @dataclass(frozen=True)
 class AppSpec:
-    """Which estimator to run and with what hyperparameters."""
+    """Which estimator to run and with what hyperparameters.
+
+    The hyperparameters' rules live here alone, and ``fit_qrtf``,
+    ``fit_fdp`` and the CLI build an AppSpec to check theirs: ``0 < q <
+    1`` and an integer order ``k >= 0`` for qrtf, ``0 < a < inf`` for
+    fdp.  ``lam`` is the penalty of a single fit; a path reads its grid
+    instead.
+    """
 
     app: str
     lam: float = 1.0
@@ -104,10 +117,11 @@ class AppSpec:
         if self.app == "qrtf":
             if not 0.0 < self.q < 1.0:
                 raise ValidationError("q must lie in (0, 1)")
-            if self.k < 1:
-                raise ValidationError("qrtf order k must be >= 1")
-        if self.app == "fdp" and not self.a > 0:
-            raise ValidationError("fdp scale a must be positive")
+            if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
+                raise ValidationError("qrtf order k must be a nonnegative integer")
+        # a NaN fails every comparison
+        if self.app == "fdp" and not 0.0 < self.a < np.inf:
+            raise ValidationError("fdp scale a must be positive and finite")
 
     def with_lam(self, lam: float) -> "AppSpec":
         return AppSpec(self.app, float(lam), self.q, self.k, self.a)
@@ -168,35 +182,36 @@ def _response(y, min_len: int) -> np.ndarray:
     return y
 
 
+def _check_lams(lams) -> None:
+    """Reject a penalty grid unless every lam is nonnegative and finite."""
+    # a NaN fails every comparison
+    if not ((lams >= 0) & (lams < np.inf)).all():
+        raise ValidationError("lam must be nonnegative and finite")
+
+
+def _rfl_path(spec, y, m, lams, cfg, init=None):
+    """The rfl fits along ``lams``, fit 0 started at ``init`` (``y`` when
+    None) and each later fit at the previous fit's iterate: ``y``, the
+    grid and ``init`` are validated once, and the whole path runs as one
+    ``solvers.envelope_fused_lasso_path`` call with base edge weights 1.
+    ``spec`` and ``m`` are not read."""
+    y = _response(y, 2)
+    _check_lams(lams)
+    start = y if init is None else _mm_start(init, None, y.shape[0])
+    return envelope_fused_lasso_path("huber", y, None, 1.0, lams, start, cfg or SolverConfig())
+
+
 def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
             init=None) -> FitResult:
     """Huber-loss fused lasso on an identity design.
 
     Alternates the location shift u = soft-threshold(y - beta, 1) with an
     ordinary fused lasso on the working response y - u; each step is an
-    exact minimization, so the objective trace is monotone.  The inputs
-    are validated here, and the loop runs as
-    ``solvers.envelope_fused_lasso_mm``, which also returns the final
-    shift as ``aux["u"]``.  A solution path runs its whole grid in one
-    kernel call instead (:func:`_rfl_path`).
+    exact minimization, so the objective trace is monotone.  The fit is
+    the rfl path (:func:`_rfl_path`) on the one-lam grid ``[lam]``, started
+    at ``init`` (``y`` when None); ``aux["u"]`` is the final shift.
     """
-    cfg = cfg or SolverConfig()
-    y = _response(y, 2)
-    if lam < 0:
-        raise ValidationError("lam must be nonnegative")
-    n = y.shape[0]
-    u = _edge_weights(lam, n)
-    return envelope_fused_lasso_mm("huber", y, None, u, _mm_start(init, y, n), cfg)
-
-
-def _rfl_path(spec, y, m, lams, cfg):
-    """The rfl fits along ``lams``, each started at the previous fit (the
-    first at ``y``), as the chain of :func:`fit_rfl` calls returns them:
-    ``y`` and the grid are validated once, and the whole path runs as one
-    ``solvers.envelope_fused_lasso_path`` call with base edge weights 1."""
-    y = _response(y, 2)
-    _check_lams(lams)
-    return envelope_fused_lasso_path("huber", y, None, 1.0, lams, y, cfg or SolverConfig())
+    return _rfl_path(None, y, None, np.array([lam], dtype=float), cfg, init)[0]
 
 
 def fused_lasso_gaussian(y, lam: float) -> FitResult:
@@ -212,29 +227,31 @@ def fused_lasso_gaussian(y, lam: float) -> FitResult:
 # Quantile trend filtering
 
 
-def _qrtf_response(y, q: float, k: int) -> np.ndarray:
-    """``y`` for a quantile trend filter of order ``k`` at quantile ``q``,
-    rejected unless ``0 < q < 1``, ``k >= 0`` and ``y`` is a finite
-    vector of length >= k + 2."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError("check loss requires q in (0, 1)")
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValidationError("order k must be a nonnegative integer")
-    return _response(y, k + 2)
-
-
-def _check_lams(lams) -> None:
-    """Reject a penalty grid unless every lam is nonnegative and finite,
-    naming the first bad lam as a single fit would."""
-    ok = (lams >= 0) & (lams < np.inf)
-    if not ok.all():
-        lam = lams[np.argmin(ok)]
-        raise ValidationError("lam must be nonnegative" if lam < 0 else "inputs must be finite")
+def _qrtf_path(spec, y, m, lams, cfg, init=None):
+    """The qrtf fits along ``lams`` at quantile ``spec.q`` and order
+    ``spec.k``, each later fit started at the previous fit: its iterate and
+    its final dual, scaled into the new box.  Fit 0 starts as ``init``
+    says (see :func:`fit_qrtf`).  ``y``, the grid and ``init`` are
+    validated once, and the whole path runs as one
+    ``solvers.envelope_fused_lasso_path`` call with base row penalties 1.
+    ``m`` is not read."""
+    k = int(spec.k)
+    y = _response(y, k + 2)
+    _check_lams(lams)
+    n, dual = y.shape[0], None
+    if isinstance(init, FitResult):
+        dual = init.aux.get("v")
+        if dual is None or np.shape(dual) != (n - k - 1,):
+            raise ValidationError(f"init must be a qrtf fit of length {n} and order {k}")
+        init = init.beta
+    start = None if init is None else _mm_start(init, None, n)
+    return envelope_fused_lasso_path("check", y, None, 1.0, lams, start, cfg or SolverConfig(),
+                                     q=float(spec.q), k=k, v=dual)
 
 
 def fit_qrtf(y, q: float, k: int, lam: float,
              cfg: Optional[SolverConfig] = None, init=None) -> FitResult:
-    """Check-loss trend filtering at quantile ``q``, order ``k``.
+    """Check-loss trend filtering at quantile ``q``, order ``k >= 0``.
 
     Each map forms the variance-mean weights ``omega = min(1/|y - beta|,
     1e6)`` and working responses ``z = y - (1 - 2q)/omega``, whose
@@ -247,9 +264,10 @@ def fit_qrtf(y, q: float, k: int, lam: float,
     start vector, whose first trend filter starts at the dual 0, or a
     qrtf fit of the same ``y`` length and order to continue from: its
     ``beta``, and its final dual ``aux["v"]`` scaled into the new box, as
-    a solution path carries it from one lam to the next.  The inputs are
-    validated here, and the loop runs as one
-    ``solvers.envelope_fused_lasso_mm`` call.
+    a solution path carries it from one lam to the next.  The fit is the
+    qrtf path (:func:`_qrtf_path`) on the one-lam grid ``[lam]``, so ``q``
+    and ``k`` follow :class:`AppSpec`'s rules and the rest is validated
+    once, by the path.
 
     ``converged`` holds only when the loop met ``cfg.tol`` within
     ``cfg.max_iters`` maps and every trend filter met ``cfg.inner_tol``
@@ -261,33 +279,10 @@ def fit_qrtf(y, q: float, k: int, lam: float,
     bound (the knots of an exact solve) plus ``k + 1``; ``aux["omega"]``
     and ``aux["z"]`` hold the weights and working responses at the fit,
     ``aux["v"]`` the dual of its last trend filter and ``aux["run"]`` the
-    run record of ``solvers._run_record``.  A solution path runs its whole
-    grid in one kernel call instead (:func:`_qrtf_path`).
+    run record of ``solvers._run_record``.
     """
-    cfg = cfg or SolverConfig()
-    y = _qrtf_response(y, q, k)
-    _check_lams(np.array([lam], dtype=float))
-    n, dual = y.shape[0], None
-    if isinstance(init, FitResult):
-        dual = init.aux.get("v")
-        if dual is None or np.shape(dual) != (n - k - 1,):
-            raise ValidationError(f"init must be a qrtf fit of length {n} and order {k}")
-        init = init.beta
-    start = None if init is None else _mm_start(init, None, n)
-    return envelope_fused_lasso_mm("check", y, None, float(lam), start, cfg,
-                                   q=float(q), k=int(k), v=dual)
-
-
-def _qrtf_path(spec, y, m, lams, cfg):
-    """The qrtf fits along ``lams``, each started at the previous fit (the
-    first as :func:`fit_qrtf` starts with no ``init``), as the chain of
-    :func:`fit_qrtf` calls with ``init`` the previous fit returns them:
-    ``y`` and the grid are validated once, and the whole path runs as one
-    ``solvers.envelope_fused_lasso_path`` call with base row penalties 1."""
-    y = _qrtf_response(y, spec.q, spec.k)
-    _check_lams(lams)
-    return envelope_fused_lasso_path("check", y, None, 1.0, lams, None,
-                                     cfg or SolverConfig(), q=spec.q, k=spec.k)
+    return _qrtf_path(AppSpec("qrtf", q=q, k=k), y, None, np.array([lam], dtype=float),
+                      cfg, init)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,55 @@ def binomial_fused_lasso(y, m, lam: float, init=None,
     return logistic_fused_lasso(y, m, lam, init=init, cfg=cfg)
 
 
+def _logit_mle(loss: LossSpec) -> FitResult:
+    """The fdp fit at lam = 0: the decoupled pointwise logit MLE, capped
+    where y/m hits {0, 1}; no map runs."""
+    y, m = loss.y, loss.m
+    with np.errstate(divide="ignore"):
+        beta = np.log(y) - np.log(m - y)
+    beta = np.clip(beta, -LOGIT_CAP, LOGIT_CAP)
+    obj = loss_value(loss, beta)
+    return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
+                     iters=1, converged=True, df=distinct_levels(beta),
+                     aux={"u": np.zeros(loss.n - 1), "run": _run_record(0, 0, 0)})
+
+
+def _fdp_path(spec, y, m, lams, cfg, init=None):
+    """The fdp fits along ``lams`` with the log-penalty scale ``spec.a``.
+
+    Each fit at ``lam > 0`` is one ``"fdp"`` envelope loop started at the
+    binomial fused-lasso fit at its lam, a start that guards the nonconvex
+    path against propagating poor local optima.  Those starts are one
+    ``solvers.envelope_fused_lasso_path("binomial-logit", ...)`` call over
+    the positive lams, fit 0 from zeros and each later one from the
+    previous; ``init``, when given, replaces fit 0's start, and the chain
+    then begins at fit 1.  A fit at ``lam = 0`` (the last of a decreasing
+    grid) is the pointwise MLE (:func:`_logit_mle`) and needs no start.
+    ``y``, ``m``, the grid and ``init`` are validated once, and counts with
+    no finite minimizer are rejected before any map when some lam is
+    positive.
+    """
+    cfg = cfg or SolverConfig()
+    loss = _logit_loss(y, m)
+    y, m, n = loss.y, loss.m, loss.n
+    _check_lams(lams)
+    starts = [] if init is None else [_mm_start(init, None, n)]
+    positive = lams[lams > 0.0]
+    fits = []
+    if positive.size:
+        _check_finite_minimizer(loss, 1.0)
+        chain = positive[len(starts):]
+        if chain.size:
+            starts += [fit.beta for fit in envelope_fused_lasso_path(
+                "binomial-logit", y, m, 1.0, chain, np.zeros(n), cfg)]
+        for l, start in enumerate(starts):
+            fits += envelope_fused_lasso_path("fdp", y, m, 1.0, positive[l:l + 1], start, cfg,
+                                              a=float(spec.a))
+    if positive.size < lams.size:
+        fits.append(_logit_mle(loss))
+    return fits
+
+
 def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
             cfg: Optional[SolverConfig] = None) -> FitResult:
     """Binomial smoothing with a log penalty on first differences.
@@ -311,41 +355,18 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
     by its Polya-Gamma quadratic and the concave penalty by its
     linearization, the edge weights ``u_i = lam / (a + |diff_i|)``.  Their
     sum majorizes the objective, so one exact weighted fused lasso per map
-    keeps the trace monotone.  When ``init`` is None the fit starts at the
-    binomial fused-lasso solution at the same lam.  At ``lam > 0`` every
-    edge weight is positive, so counts that are all 0 (or all m) have no
-    finite minimizer and raise ``ValidationError`` before any map.  The inputs are
-    validated here, and the loop runs as one
-    ``solvers.envelope_fused_lasso_mm`` call (SQUAREM-extrapolated, to
-    ``cfg.tol`` within ``cfg.max_iters`` maps).  ``aux["u"]`` holds the
+    keeps the trace monotone.  The fit is the fdp path (:func:`_fdp_path`)
+    on the one-lam grid ``[lam]``: when ``init`` is None it starts at the
+    binomial fused-lasso solution at the same lam, and otherwise at
+    ``init``.  At ``lam > 0`` every edge weight is positive, so counts that
+    are all 0 (or all m) have no finite minimizer and raise
+    ``ValidationError`` before any map.  The loop is SQUAREM-extrapolated,
+    to ``cfg.tol`` within ``cfg.max_iters`` maps.  ``aux["u"]`` holds the
     edge weights at the fit and ``aux["run"]`` the loop's ``maps``,
     SQUAREM ``steps`` and ``rejected`` extrapolations.  At ``lam = 0`` the
     fit is the closed-form pointwise MLE, and no map runs.
     """
-    cfg = cfg or SolverConfig()
-    # a NaN fails every comparison
-    if not 0.0 <= lam < np.inf:
-        raise ValidationError("lam must be nonnegative and finite")
-    if not 0.0 < a < np.inf:
-        raise ValidationError("fdp scale a must be positive and finite")
-    loss = _logit_loss(y, m)
-    y, m_arr, n = loss.y, loss.m, loss.n
-    if lam == 0.0:
-        # decoupled pointwise logit MLE, capped where y/m hits {0, 1}
-        with np.errstate(divide="ignore"):
-            beta = np.log(y) - np.log(m_arr - y)
-        beta = np.clip(beta, -LOGIT_CAP, LOGIT_CAP)
-        obj = loss_value(loss, beta)
-        return FitResult(beta=beta, objective=obj, trace=np.asarray([obj]),
-                         iters=1, converged=True, df=distinct_levels(beta),
-                         aux={"u": np.zeros(n - 1), "run": _run_record(0, 0, 0)})
-    _check_finite_minimizer(loss, lam)
-    if init is None:
-        init_beta = binomial_fused_lasso(y, m_arr, lam, cfg=cfg).beta
-    else:
-        init_beta = _mm_start(init, None, n)
-    return envelope_fused_lasso_mm("fdp", y, m_arr, _edge_weights(lam, n), init_beta,
-                                   cfg, a=float(a))
+    return _fdp_path(AppSpec("fdp", a=a), y, m, np.array([lam], dtype=float), cfg, init)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +375,19 @@ def fit_fdp(y, m, lam: float, a: float = 1.0, init=None,
 
 @dataclass(frozen=True)
 class AppEntry:
-    """What fits, paths, CV and the CLI need to know about one app.
+    """What paths, CV and the CLI need to know about one app.
 
-    ``fit(spec, y, m, cfg, init)`` runs the estimator; ``loss(spec, y,
-    betas, m)`` is its data loss at each row of the stacked fits ``betas``
-    (AIC, held-out CV loss); ``path(spec, y, m, lams, cfg)`` returns the
-    warm-started fits along the float vector ``lams``: rfl and qrtf run the
-    whole grid in one kernel call (:func:`_rfl_path`, :func:`_qrtf_path`),
-    fdp calls ``fit`` once per lam from a warm start (:func:`_warm_path`).
-    ``columns`` are the CLI input columns, ``truth(spec, data)`` the truth
-    column of its selected fit (or None) and ``params`` the AppSpec fields
-    written in its fit records.  The callables look estimators up as
-    module globals at call time, so rebinding one rebinds the table too.
+    ``path(spec, y, m, lams, cfg)`` validates its inputs once and returns
+    the warm-started fits along the float vector ``lams``
+    (:func:`_rfl_path`, :func:`_qrtf_path`, :func:`_fdp_path`); a single
+    fit, the CLI's ``fit`` included, is the path on a one-lam grid.
+    ``loss(spec, y, betas, m)`` is the app's data loss at each row of the
+    stacked fits ``betas`` (AIC, held-out CV loss).  ``columns`` are the
+    CLI input columns, ``truth(spec, data)`` the truth column of its
+    selected fit (or None) and ``params`` the AppSpec fields written in
+    its fit records.
     """
 
-    fit: Callable
     loss: Callable
     path: Callable
     columns: tuple
@@ -378,31 +397,6 @@ class AppEntry:
     @property
     def needs_m(self) -> bool:
         return "m" in self.columns
-
-
-def _warm_path(start):
-    """A path that calls its app's ``fit`` at each lam from the warm start
-    ``start(spec, y, m, cfg, init, fit)``, given the previous start and
-    fit (None at the first lam)."""
-
-    def path(spec, y, m, lams, cfg):
-        fit_app = APP_TABLE[spec.app].fit
-        init = fit = None
-        fits = []
-        for lam in lams:
-            spec_lam = spec.with_lam(lam)
-            init = start(spec_lam, y, m, cfg, init, fit)
-            fit = fit_app(spec_lam, y, m, cfg, init)
-            fits.append(fit)
-        return fits
-
-    return path
-
-
-def _chained_fused_lasso(spec, y, m, cfg, init, fit):
-    # the convex fit, warm-started along the path, guards the nonconvex
-    # path against propagating poor local optima
-    return binomial_fused_lasso(y, m, spec.lam, init=init, cfg=cfg).beta
 
 
 def _logit_losses(spec, y, betas, m):
@@ -419,20 +413,15 @@ def _qrtf_truth(spec, data):
 
 APP_TABLE = {
     "rfl": AppEntry(
-        fit=lambda spec, y, m, cfg, init: fit_rfl(y, spec.lam, cfg=cfg, init=init),
         loss=lambda spec, y, betas, m: np.sum(huber(y - betas), axis=-1),
         path=_rfl_path, columns=("x", "y"),
         truth=lambda spec, data: data.get("truth")),
     "qrtf": AppEntry(
-        fit=lambda spec, y, m, cfg, init: fit_qrtf(y, spec.q, spec.k, spec.lam,
-                                                   cfg=cfg, init=init),
         loss=lambda spec, y, betas, m: np.sum(check_value(y - betas, spec.q), axis=-1),
         path=_qrtf_path, columns=("x", "y"), truth=_qrtf_truth,
         params=("q", "k")),
     "fdp": AppEntry(
-        fit=lambda spec, y, m, cfg, init: fit_fdp(y, m, spec.lam, a=spec.a,
-                                                  init=init, cfg=cfg),
-        loss=_logit_losses, path=_warm_path(_chained_fused_lasso), columns=("x", "y", "m"),
+        loss=_logit_losses, path=_fdp_path, columns=("x", "y", "m"),
         truth=lambda spec, data: data.get("truth_logodds"), params=("a",)),
 }
 APPS = tuple(APP_TABLE)
@@ -467,13 +456,15 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
                   folds: int = 5, cfg: Optional[SolverConfig] = None) -> SolutionPath:
     """Warm-started fits along a strictly decreasing penalty grid.
 
-    rfl and qrtf fits start at the previous solution; each fdp fit
-    instead starts at the binomial fused-lasso solution for the same
-    lam, itself warm-started from the previous lam's.  The fits come from
-    the app's ``AppEntry.path``: one kernel call for the whole rfl or qrtf
-    path, one estimator call per lam for fdp.  ``criterion`` is "aic"
-    or "cv"; the AIC losses come from one pass of the app's loss over the
-    stacked fits.  Ties select the larger lam.
+    rfl and qrtf fits start at the previous solution; each fdp fit at
+    ``lam > 0`` instead starts at the binomial fused-lasso solution for the
+    same lam, itself warm-started from the previous lam's, and an fdp fit
+    at ``lam = 0`` is the pointwise MLE.  The fits come from the app's
+    ``AppEntry.path``, which validates the inputs once: one kernel call
+    for the whole rfl or qrtf path; for fdp, one for all the fused-lasso
+    starts and then one log-penalty loop per positive lam.  ``criterion``
+    is "aic" or "cv"; the AIC losses come from one pass of the app's loss
+    over the stacked fits.  Ties select the larger lam.
     """
     lam_arr = np.asarray(lambdas, dtype=float)
     if lam_arr.ndim != 1 or lam_arr.size == 0:

@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
     data = _read_csv(args.data, APP_TABLE[args.app].columns)
     app = AppSpec(args.app, lam=args.lam, q=args.q, k=args.k, a=args.a)
     cfg = _solver_config(args)
-    fit = APP_TABLE[app.app].fit(app, data["y"], data.get("m"), cfg, None)
+    fit = APP_TABLE[app.app].path(app, data["y"], data.get("m"), np.array([app.lam]), cfg)[0]
     manifest = RunManifest(command=" ".join(sys.argv),
                            config={"lam": args.lam, "q": args.q, "k": args.k,
                                    "a": args.a, "tol": cfg.tol,

@@ -54,28 +54,6 @@ class DifferenceOperator:
             out[i, i:i + width] = self.stencil
         return out
 
-    def gram_bands(self) -> np.ndarray:
-        """Upper banded form of ``D.T @ D`` for scipy's banded Cholesky.
-
-        Shape (k+2, n); ``ab[-1]`` is the main diagonal.  Entries are
-        truncated stencil autocorrelations near the boundary.
-        """
-        s = self.stencil
-        p = s.shape[0]
-        n = self.n
-        m = self.rows
-        ab = np.zeros((p, n))
-        for lag in range(p):
-            prod = s[: p - lag] * s[lag:]
-            csum = np.concatenate(([0.0], np.cumsum(prod)))
-            pidx = np.arange(n - lag)
-            jhi = np.minimum(p - 1 - lag, pidx)
-            jlo = np.maximum(0, pidx - m + 1)
-            vals = csum[jhi + 1] - csum[jlo]
-            vals[jlo > jhi] = 0.0
-            ab[p - 1 - lag, lag:] = vals
-        return ab
-
     def gram_transpose_bands(self) -> np.ndarray:
         """Upper banded form of ``D @ D.T`` (m x m, full autocorrelation)."""
         s = self.stencil

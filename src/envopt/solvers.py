@@ -34,12 +34,14 @@ Contents:
 The loops are compiled from one source, ``_fldp.c``: the DP, the trend
 filter's dual active-set solve and :func:`envelope_fused_lasso_path`,
 the whole MM loop of the five envelope fits for a whole warm-started
-path in one call (the Huber location shift of ``applications.fit_rfl``,
-the Polya-Gamma weights of :func:`logistic_fused_lasso`, the
-Polya-Gamma and log-penalty weights of ``applications.fit_fdp``, the
-squared loss of ``applications.fused_lasso_gaussian``, exact in one map,
-and the variance-mean weights of ``applications.fit_qrtf``), which also
-returns each fit's ``df`` and its final envelope variables.  The library
+path in one call (the Huber location shift of the rfl path, the
+Polya-Gamma weights of :func:`logistic_fused_lasso` and of the fdp
+path's fused-lasso starts, the Polya-Gamma and log-penalty weights of
+the fdp path, the squared loss of ``applications.fused_lasso_gaussian``,
+exact in one map, and the variance-mean weights of the qrtf path; the
+fits ``applications.fit_rfl``, ``fit_qrtf`` and ``fit_fdp`` are their
+app's path on one lam), which also returns each fit's ``df`` and its
+final envelope variables.  The library
 is built on first use with the system C compiler, cached per user and
 called through ctypes.  When no compiler or cache is available, or the
 build or load fails (which warns), the same loops run in pure Python
@@ -99,14 +101,14 @@ class SolverConfig:
     bound the dual active-set solve of :func:`weighted_trend_filter`, the
     only inner solver: the cap on its iterations (one banded Cholesky
     each) and the relative slack of its stop test on the signs of the
-    bound multipliers; of the estimators, only ``fit_qrtf`` reads them.
+    bound multipliers; of the estimators, only qrtf's (its path and
+    ``fit_qrtf``) read them.
     """
 
     max_iters: int = 500
     tol: float = 1e-8
     inner_max_iters: int = 2000
     inner_tol: float = 1e-10
-    record_trace: bool = True
 
     def __post_init__(self):
         if not self.tol > 0 or not self.inner_tol > 0:
@@ -302,7 +304,7 @@ def _kernel():
     lib.trend_filter_dual.restype = ctypes.c_int
     lib.envelope_fused_lasso_path.argtypes = ([ctypes.c_int] + [ptr] * 4
                                               + [c_long, c_double, c_long, c_double,
-                                                 c_long, ctypes.c_int] + [ptr] * 5)
+                                                 c_long] + [ptr] * 5)
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
     lib.grid_scan.argtypes = [ctypes.c_int] + [ptr] * 2 + [c_long] * 2 + [ptr] * 2 + [c_long] + [ptr] * 4
     lib.grid_scan.restype = None
@@ -731,8 +733,7 @@ def mm_driver(objective: Callable, update: Callable, solve: Callable, beta,
         new = _finite(objective(beta))
         if new > obj + 1e-10 * max(1.0, abs(obj)):
             raise MonotonicityError(getattr(solve, "__name__", repr(solve)), obj, new)
-        if cfg.record_trace:
-            trace.append(new)
+        trace.append(new)
         done = abs(obj - new) <= cfg.tol * max(1.0, abs(obj))
         obj = new
         if done:
@@ -771,7 +772,7 @@ _INFO = 10
 
 # The run of an envelope that is exact in one map: one solve, whose
 # objective is the whole trace.
-_ONE_SOLVE = SolverConfig(max_iters=1, record_trace=False)
+_ONE_SOLVE = SolverConfig(max_iters=1)
 
 # The penalty scales of a single fit: a path of one fit at scale 1, which
 # leaves every edge weight exactly as given.
@@ -885,7 +886,7 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     for name, full in envvars:
         slots.append((name, width, width + (n if full else rows)))
         width = slots[-1][2]
-    record = cfg.record_trace and kind != "gaussian"  # its one map's trace is one value
+    record = kind != "gaussian"  # as _fldp.c decides: the squared loss's trace is one value
     # One block holds the inputs, the iterates, the envelope variables, the
     # info rows and, unrecorded, the one-value traces, so one address serves
     # every pointer.  Recorded traces are written one after another into
@@ -918,7 +919,7 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         traces, trace_at = block[o_trace:], at + 8 * o_trace
     status = lib.envelope_fused_lasso_path(
         code, at, None if m is None else at + 8 * o_m, at + 8 * o_u,
-        at + 8 * o_lam, fits, a, n, cfg.tol, cfg.max_iters, record, at + 8 * o_beta,
+        at + 8 * o_lam, fits, a, n, cfg.tol, cfg.max_iters, at + 8 * o_beta,
         trace_at, at + 8 * o_env if envvars else None, at + 8 * o_info,
         at + 8 * o_check if check else None)
     info = block[o_info:o_trace].tolist()
@@ -1160,7 +1161,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
         converged = converged and not dual["capped"]
     df = act + k + 1 if kind == "check" else distinct_levels(beta)
     return FitResult(beta=beta, objective=obj,
-                     trace=np.asarray(trace if cfg.record_trace else trace[:1]),
+                     trace=np.asarray(trace),
                      iters=iters, converged=converged, df=df, aux=aux)
 
 

@@ -21,7 +21,7 @@ from envopt.applications import (
 from envopt.errors import ValidationError
 from envopt.losses import LossSpec, huber, location_envelope_update, loss_value
 from envopt.operators import diff_matrix
-from envopt.solvers import (FitResult, SolverConfig, envelope_fused_lasso_mm, mm_driver,
+from envopt.solvers import (FitResult, SolverConfig, envelope_fused_lasso_path, mm_driver,
                             weighted_fused_lasso)
 
 
@@ -356,9 +356,9 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
 
     def recorded(*args, **kwargs):
         loops.append(args[0])
-        return envelope_fused_lasso_mm(*args, **kwargs)
+        return envelope_fused_lasso_path(*args, **kwargs)
 
-    monkeypatch.setattr(applications, "envelope_fused_lasso_mm", recorded)
+    monkeypatch.setattr(applications, "envelope_fused_lasso_path", recorded)
     monkeypatch.setattr(solvers, "_kernel", lambda: None)
     monkeypatch.setattr(solvers, "_fused_lasso_dp", lambda *a: dp_calls.append(1) or dp(*a))
     fit = fit_fdp(ds.y, ds.m, 5.0, init=start)
@@ -368,6 +368,30 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
     assert fit.aux["run"].keys() == {"maps", "steps", "rejected", "inner_iters", "capped",
                                      "rises"}
     assert fit.aux["run"]["inner_iters"] == fit.aux["run"]["capped"] == 0
+
+
+def test_fdp_path_at_zero_penalty_is_the_mle(monkeypatch):
+    # counts at 0 or m have no finite minimizer once an edge weight joins
+    # them, but at lam = 0 none does: the path's lam = 0 fit is fit_fdp's
+    # pointwise MLE, and needs no binomial fused-lasso start
+    ds = simulate("fdp", 60, 1, m=25)
+    assert np.any(ds.y == 0) or np.any(ds.y == ds.m)
+    mle = fit_fdp(ds.y, ds.m, 0.0)
+    path = solution_path(AppSpec("fdp"), ds.y, [30.0, 3.0, 0.0], m=ds.m)
+    _assert_same_fit_record(path.fits[-1], mle, "path")
+    loops = []
+
+    def recorded(*args, **kwargs):
+        loops.append(args[0])
+        return envelope_fused_lasso_path(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "envelope_fused_lasso_path", recorded)
+    only = solution_path(AppSpec("fdp"), ds.y, [0.0], m=ds.m)
+    assert loops == []
+    _assert_same_fit_record(only.fits[0], mle, "grid [0]")
+    # one call for the fused-lasso starts, then one log-penalty loop per lam > 0
+    solution_path(AppSpec("fdp"), ds.y, [30.0, 3.0, 0.0], m=ds.m)
+    assert loops == ["binomial-logit", "fdp", "fdp"]
 
 
 @pytest.mark.parametrize("kwargs, msg", [
@@ -383,7 +407,7 @@ def test_fdp_rejects_bad_scale_and_penalty_before_any_work(monkeypatch, kwargs, 
     ds = simulate("fdp", 20, seed=3)
     args = {"lam": 2.0, **kwargs}
     calls = []
-    for loop in ("mm_driver", "envelope_fused_lasso_mm", "binomial_fused_lasso"):
+    for loop in ("mm_driver", "envelope_fused_lasso_path", "binomial_fused_lasso"):
         monkeypatch.setattr(applications, loop, lambda *a, **k: calls.append(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -592,7 +616,7 @@ def test_rfl_path_stops_at_the_failing_fit(monkeypatch, python):
     single = solvers.envelope_fused_lasso_path("huber", y, None, 1.0, lams[:1], y,
                                                SolverConfig())
     _assert_same_fit_record(single[0], first, "single")
-    # the squared loss records its one map's objective alone, recorded or not
+    # the squared loss records its one map's objective alone, at any budget
     for cfg in (SolverConfig(), solvers._ONE_SOLVE):
         gauss = solvers.envelope_fused_lasso_mm("gaussian", y, None, 1.0, None, cfg)
         assert gauss.trace.tolist() == [gauss.objective] and gauss.iters == 1

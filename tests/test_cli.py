@@ -84,6 +84,23 @@ def test_fit_qrtf_df_consistency(tmp_path):
     assert d["q"] == 0.9 and d["k"] == 2
 
 
+def test_fit_qrtf_order_zero_matches_the_estimator(tmp_path):
+    # one rule for the qrtf order, k >= 0: the CLI fits k = 0 as fit_qrtf does
+    from envopt.applications import fit_qrtf, simulate
+
+    data = tmp_path / "q.csv"
+    run(["simulate", "--app", "qrtf", "--n", 40, "--seed", 3, "--out", data])
+    out = tmp_path / "f.json"
+    assert run(["fit", "--app", "qrtf", "--data", data, "--lam", 2.0,
+                "--q", 0.5, "--k", 0, "--out", out]) == 0
+    d = json.loads(out.read_text())
+    fit = fit_qrtf(simulate("qrtf", 40, 3).y, 0.5, 0, 2.0)
+    assert d["k"] == 0 and d["beta"] == fit.beta.tolist()
+    assert (d["objective"], d["iters"], d["df"]) == (fit.objective, fit.iters, fit.df)
+    assert run(["fit", "--app", "qrtf", "--data", data, "--lam", 2.0,
+                "--k", -1, "--out", out]) == 2
+
+
 def test_fit_fdp_trace_monotone(tmp_path):
     data = tmp_path / "f.csv"
     run(["simulate", "--app", "fdp", "--n", 50, "--m", 25, "--seed", 6,

@@ -849,10 +849,6 @@ def test_envelope_mm_trace_owns_its_memory():
     cfg = SolverConfig(max_iters=1000)
     fit = logistic_fused_lasso(y, 6.0, 0.5, cfg=cfg)
     assert fit.trace.base is None and fit.trace.shape == (fit.iters + 1,)
-    quiet = logistic_fused_lasso(y, 6.0, 0.5,
-                                 cfg=SolverConfig(max_iters=1000, record_trace=False))
-    assert quiet.trace.shape == (1,) and quiet.trace[0] == fit.trace[0]
-    np.testing.assert_array_equal(quiet.beta, fit.beta)
 
 
 def _rfl(y, u, init=None):
@@ -916,7 +912,7 @@ class _FakeKernel:
         self.status = status
 
     def envelope_fused_lasso_path(self, envelope, y, m, u, lams, fits, a, n, tol,
-                                  max_iters, record, beta, trace, envvar, info, check):
+                                  max_iters, beta, trace, envvar, info, check):
         import ctypes
 
         def doubles(address, count):
