@@ -1,40 +1,37 @@
-/* Exact weighted 1-d fused lasso by message passing (Johnson 2013, JCGS),
-   the exact weighted trend filter by a dual active-set method, and the
-   envelope MM loops built on them.
+/* The envelope majorize/minimize loops of envopt.solvers, and their two
+   exact subproblems: the weighted 1-d fused lasso by message passing
+   (Johnson 2013, JCGS) and the weighted trend filter by a dual active-set
+   method.
 
-   fused_lasso_dp minimizes sum_i (w_i/2)(z_i - b_i)^2 +
-   sum_i u_i |b_{i+1} - b_i| and writes the minimizer to beta[0..n-1].
-   This is envopt.solvers._fused_lasso_dp operation for operation; built
-   without floating-point contraction, it returns the same bits.  The
-   caller validates the inputs (n >= 2, w > 0, u >= 0, all finite).
-   Returns 0, or 1 when the work arrays cannot be allocated.
-
-   trend_filter_dual minimizes sum_i (w_i/2)(z_i - b_i)^2 +
-   sum_j lam_j |(D b)_j|, D the difference operator of order k + 1,
-   through its dual box QP (see tf_solve); envopt.solvers._tf_solve and
-   _tf_primal repeat its arithmetic operation for operation.
-
-   envelope_fused_lasso_path runs the whole majorize/minimize loop whose
-   subproblem is one of those two, for one of five envelopes: the Huber
-   location shift, the logit's Polya-Gamma weights, the Polya-Gamma
-   weights together with the log penalty's edge weights (the fused
-   double-Pareto fit) and the squared loss, which is exact in one map, all
-   with the fused lasso; and the check loss's variance-mean weights (the
-   quantile trend filter), with the trend filter of order k + 1.  The
-   iterative envelopes are extrapolated by safeguarded SQUAREM.  One
-   call runs a warm-started path of such fits over a grid of penalty
-   scales, each fit starting at the previous fit's iterate; a single fit
-   is the path of one scale 1.  For each fit it returns the iterate and
-   its objective trace, the fit's df, the run record (maps, SQUAREM steps,
+   envelope_fused_lasso_path runs the whole loop for one of five
+   envelopes: the Huber location shift, the logit's Polya-Gamma weights,
+   the Polya-Gamma weights together with the log penalty's edge weights
+   (the fused double-Pareto fit), the squared loss with per-point
+   weights, which is exact in one map, and the check loss's variance-mean
+   weights (the quantile trend filter).  Each map's subproblem is the
+   weighted trend filter with the difference operator of order k + 1 when
+   the caller passes a check block, and the fused lasso otherwise; the
+   squared loss with either subproblem is the one-solve fit behind
+   envopt.solvers.weighted_fused_lasso and weighted_trend_filter.  The
+   iterative envelopes are extrapolated by safeguarded SQUAREM.  One call
+   runs a warm-started path of such fits over a grid of penalty scales,
+   each fit starting at the previous fit's iterate; a single fit is the
+   path of one scale 1.  For each fit it returns the iterate and its
+   objective trace, the fit's df, the run record (maps, SQUAREM steps,
    rejected extrapolations, inner iterations, capped inner solves and
-   rising maps) and the final envelope variables; see its comment
-   below. */
+   rising maps) and the final envelope variables; see its comment below.
+   envopt.solvers._envelope_mm_python repeats the loops operation for
+   operation; built without floating-point contraction, the two return
+   the same bits. */
 
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* The DP on the caller's work array x of 8n - 2 doubles. */
+/* The fused-lasso DP: the minimizer of sum_i (w_i/2)(z_i - b_i)^2 +
+   sum_i u_i |b_{i+1} - b_i| into beta[0..n-1], on the caller's work array
+   x of 8n - 2 doubles, for n >= 2, w > 0 and u >= 0, all finite.  This is
+   envopt.solvers._fused_lasso_dp operation for operation. */
 static void dp(const double *z, const double *w, const double *u, long n,
                double *beta, double *x)
 {
@@ -103,17 +100,6 @@ static void dp(const double *z, const double *w, const double *u, long n,
         else
             beta[k] = nxt;
     }
-}
-
-int fused_lasso_dp(const double *z, const double *w, const double *u,
-                   long n, double *beta)
-{
-    double *x = calloc((size_t)(8 * n - 2), sizeof(double));
-    if (!x)
-        return 1;
-    dp(z, w, u, n, beta, x);
-    free(x);
-    return 0;
 }
 
 /* The work arrays of the dual trend-filter solve for n points and order
@@ -443,31 +429,6 @@ static void tf_primal(tfdual *t, const double *z, const double *v, double *beta)
     }
 }
 
-/* One weighted trend filter (n >= k + 2, omega > 0, lam >= 0, all
-   finite, max_iters >= 1, as the caller validates), warm-started from the
-   dual v (m = n - k - 1 values), which receives the last dual iterate;
-   beta receives the primal and info[0..2] the iterations, whether the
-   solve ended on its test (0/1) and the rows at a bound.  Returns 0, or 1
-   when the work arrays cannot be allocated. */
-int trend_filter_dual(const double *z, const double *omega, const double *lam,
-                      long n, long k, double tol, long max_iters, double *v,
-                      double *beta, double *info)
-{
-    tfdual t;
-    long iters, active;
-    int done;
-    if (tf_alloc(&t, n, k))
-        return 1;
-    tf_bands(&t, z, omega);
-    done = tf_solve(&t, lam, tol, max_iters, v, &iters, &active);
-    tf_primal(&t, z, v, beta);
-    tf_free(&t);
-    info[0] = (double)iters;
-    info[1] = done;
-    info[2] = (double)active;
-    return 0;
-}
-
 /* The envelopes of envelope_fused_lasso_path. */
 enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4 };
 
@@ -476,15 +437,17 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
 #define WEIGHT_CLAMP 1e6
 
 /* One envelope loop: its problem, the work arrays of a map and the run
-   record.  The problem is the data y (and trial counts m), the penalties
-   u of the rows of D (n - 1 edges; n - k - 1 rows of the order-(k + 1)
-   operator for CHECK), for LOG_PENALTY the scale a and for CHECK the
-   quantile q.  A map writes the weights w, the working responses z and,
-   for LOG_PENALTY, the DP's edge weights ue; x is the DP's work array.
-   CHECK solves the trend filter on tf, warm-started from the dual v, with
-   inner_tol and inner_max; inner_iters and capped count its iterations
-   and the solves that ended without meeting their test, and act receives
-   the rows at a bound of the last map's solve.  maps counts the maps run
+   record.  The problem is the data y (and trial counts m, or for SQUARED
+   per-point weights), the penalties u of the rows of D (n - 1 edges;
+   n - k - 1 rows of the order-(k + 1) operator with a trend filter), for
+   LOG_PENALTY the scale a and for CHECK the quantile q.  A map writes the
+   weights w, the working responses z and, for LOG_PENALTY, the DP's edge
+   weights ue; x is the DP's work array.  When tf is not NULL, each map
+   solves the trend filter on tf instead of the DP, warm-started from the
+   dual v, with inner_tol and inner_max; inner_iters and capped count its
+   iterations and the solves that ended without meeting their test, and
+   act receives the rows at a bound of the last map's solve (tf is NULL
+   when the caller passed no check block).  maps counts the maps run
    and, when record is nonzero (for every envelope but SQUARED), trace[t]
    receives the objective after map t. */
 typedef struct {
@@ -505,10 +468,11 @@ static int logit_loss(int envelope)
 
 /* Data loss plus penalty: the Huber loss (threshold 1) of y - b, the
    binomial logit loss m log(1 + e^b) - y b with log(1 + e^b) evaluated as
-   numpy's logaddexp(0, b), the squared loss (1/2)(y - b)^2 or the check
-   loss |r| + (2q - 1) r of r = y - b; plus sum_i u_i |d_i| on the
+   numpy's logaddexp(0, b), the weighted squared loss (w/2)(y - b)^2 or the
+   check loss |r| + (2q - 1) r of r = y - b; plus sum_i u_i |d_i| on the
    differences d_i = b_{i+1} - b_i, for LOG_PENALTY the log penalty
-   sum_i u_i log(1 + |d_i|/a), and for CHECK sum_j u_j |(D b)_j|. */
+   sum_i u_i log(1 + |d_i|/a), and with a trend filter
+   sum_j u_j |(D b)_j|. */
 static double objective(const loop *s, const double *beta)
 {
     const double *y = s->y, *m = s->m, *u = s->u;
@@ -521,7 +485,7 @@ static double objective(const loop *s, const double *beta)
             loss += r < 1.0 ? 0.5 * r * r : r - 0.5;
         } else if (s->envelope == SQUARED) {
             double r = y[i] - b;
-            loss += 0.5 * r * r;
+            loss += 0.5 * s->w[i] * r * r;
         } else if (s->envelope == CHECK) {
             double r = y[i] - b;
             loss += fabs(r) + (2.0 * s->q - 1.0) * r;
@@ -536,7 +500,7 @@ static double objective(const loop *s, const double *beta)
             loss += m[i] * softplus - y[i] * b;
         }
     }
-    if (s->envelope == CHECK) {
+    if (s->tf) {
         for (i = 0; i < s->rows; i++) {
             double acc = 0.0;
             for (j = 0; j < s->tf->p; j++)
@@ -570,8 +534,8 @@ static void log_penalty_weights(const loop *s, const double *beta, double *ue)
         ue[i] = s->u[i] / (s->a + fabs(beta[i + 1] - beta[i]));
 }
 
-/* The closed-form envelope update at beta: the weights w (constant 1 for
-   the Huber shift and the squared loss, set by the caller) and the
+/* The closed-form envelope update at beta: the weights w (constant, set
+   by the caller, for the Huber shift and the squared loss) and the
    working responses z, and for LOG_PENALTY the edge weights ue.  Huber
    shift: z = y - soft(y - b, 1).  Squared loss: z = y.  Polya-Gamma (and
    LOG_PENALTY): w = (m/2b) tanh(b/2), the mean of the Polya-Gamma mixing
@@ -624,7 +588,7 @@ static void trend_filter(loop *s, const double *z, double *to)
 }
 
 /* One MM map: the envelope update at from, then the exact weighted fused
-   lasso on (z, w) with the edge weights (or for CHECK the trend filter)
+   lasso on (z, w) with the edge weights (or, with tf, the trend filter)
    into to (which may be from) and its objective into *obj.  When no u_i
    couples two coefficients the fused lasso returns z itself, as the
    Python wrapper of the DP does.  Returns 0, or 2 when the update or the
@@ -634,7 +598,7 @@ static int map(loop *s, const double *from, double *to, double *obj)
     int status = update(s, from);
     if (status)
         return status;
-    if (s->envelope == CHECK)
+    if (s->tf)
         trend_filter(s, s->z, to);
     else if (s->coupled)
         dp(s->z, s->w, s->envelope == LOG_PENALTY ? s->ue : s->u, s->n, to, s->x);
@@ -678,7 +642,7 @@ static int plain_map(loop *s, const double *from, double *to, double *obj,
    objective is at most f(b2); otherwise, or when bx or the map is not
    finite, the step ends at b2, the third map's record repeats f(b2) and
    *rejected counts it.  b1, b2 and bx are work vectors; *act receives the
-   rows at a bound of the map that gave beta (CHECK).  When the second
+   rows at a bound of the map that gave beta (trend filter).  When the second
    plain map rises, beta becomes b1, the last iterate accepted.  Returns 0
    or the status of a plain map. */
 static int squarem_step(loop *s, double *beta, double *b1, double *b2,
@@ -767,19 +731,19 @@ static void scale_dual(double *v, const double *pen, long rows)
 enum { INFO = 10 };
 
 /* One fit of a path: the majorize/minimize loop whose map F(beta) is the
-   envelope update at beta, then the exact weighted fused lasso (or for
-   CHECK the trend filter), then the objective, with the row penalties
-   s->u; it is envopt.solvers._envelope_mm_python map for map.  The
-   envelopes are the Huber location shift (m, a and q unused), the
+   envelope update at beta, then the exact weighted fused lasso (or, when
+   s->tf is set, the trend filter), then the objective, with the row
+   penalties s->u; it is envopt.solvers._envelope_mm_python map for map.
+   The envelopes are the Huber location shift (m, a and q unused), the
    Polya-Gamma weights (a and q unused), the Polya-Gamma weights together
    with the log penalty's edge weights u_i / (a + |b_{i+1} - b_i|)
-   recomputed from beta in each map (LOG_PENALTY), the squared loss (m, a
-   and q unused), which is exact in one map: it runs that map from no
-   start, and its record is that map's objective alone; and the check
-   loss's variance-mean weights (CHECK, m and a unused).  A CHECK fit with
-   cold set starts at the trend filter of y with unit weights (not a map;
-   its solve is counted with the others), and every CHECK solve starts at
-   the dual of the one before it.
+   recomputed from beta in each map (LOG_PENALTY), the squared loss with
+   the weights s->w (a and q unused), which is exact in one map: it runs
+   that map from no start, and its record is that map's objective alone;
+   and the check loss's variance-mean weights (CHECK, m and a unused).  A
+   CHECK fit with cold set starts at the trend filter of y with unit
+   weights (not a map; its solve is counted with the others), and every
+   trend filter starts at the dual of the one before it.
 
    The iterative envelopes run safeguarded SQUAREM steps of three maps
    each (squarem_step) while at least three maps remain in max_iters,
@@ -789,8 +753,8 @@ enum { INFO = 10 };
    last iterate accepted and counts the rise.  The loop converges when
    the relative change |f_0 - f_1| / max(1, |f_0|) over a whole step (or
    plain map) falls to tol, or for CHECK when the map that rose did so by
-   at most tol relative; a CHECK fit converges only when, besides, each of
-   its trend-filter solves met its test.
+   at most tol relative; a fit with trend filters converges only when,
+   besides, each of its solves met its test.
 
    beta holds the start on entry (unread for SQUARED and for CHECK with
    cold set) and the last iterate on return; b1, b2 and bx are work
@@ -799,13 +763,13 @@ enum { INFO = 10 };
    the objective after map t; a rejected extrapolation repeats its step's
    plain value.  envvar receives the final envelope variables: for
    HUBER_SHIFT the shift soft(y - beta, 1) (n values), for LOG_PENALTY
-   the edge weights at the last iterate (n - 1 values), for CHECK the
-   weights w and then the working responses z at the last iterate (2n
-   values); other envelopes leave it unread.  info[0..9] are the maps
-   run, converged (0/1), the last accepted objective, after a rise the
-   objective that rose, the df of the last iterate (its distinct levels,
-   or for CHECK k + 1 plus the rows at a bound of the dual that gave it,
-   or of the start dual when no solve did),
+   the edge weights at the last iterate (n - 1 values), with a trend
+   filter the weights w, the working responses z at the last iterate and
+   the last dual (2n + rows values); otherwise it is unread.  info[0..9]
+   are the maps run, converged (0/1), the last accepted objective, after
+   a rise the objective that rose, the df of the last iterate (its
+   distinct levels, or with a trend filter k + 1 plus the rows at a bound
+   of the dual that gave it, or of the start dual when no solve did),
    the SQUAREM steps, the rejected extrapolations, the trend-filter
    iterations, the trend-filter solves that did not meet their test and
    the rising maps (0 or 1).  Returns 0, or the status of a plain map. */
@@ -822,7 +786,7 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
     s->coupled = 0;
     for (i = 0; i < s->rows; i++)
         s->coupled |= s->u[i] != 0.0;
-    if (s->envelope == CHECK) {
+    if (s->tf) {
         /* until a solve gives beta, df counts the bounds of the start dual */
         for (i = 0; i < s->rows; i++)
             act += !(fabs(s->v[i]) < s->u[i]);
@@ -837,6 +801,7 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
         s->maps = 1;
         converged = 1;
         status = map(s, beta, beta, &obj);
+        act = s->act;
         next = obj;
         s->trace[0] = obj;
     } else {
@@ -861,12 +826,12 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
         }
         converged = !status && fabs(start - obj) <= tol * fmax(1.0, fabs(start));
     }
-    if (s->envelope == CHECK) {
-        if (status == 3) {
-            status = 0;
-            rises = 1;
-            converged = next - obj <= tol * fmax(1.0, fabs(obj));
-        }
+    if (s->envelope == CHECK && status == 3) {
+        status = 0;
+        rises = 1;
+        converged = next - obj <= tol * fmax(1.0, fabs(obj));
+    }
+    if (s->tf) {
         converged &= !s->capped;
         if (!status) {
             update(s, beta);
@@ -884,7 +849,7 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
     info[1] = converged;
     info[2] = obj;
     info[3] = next;
-    info[4] = (double)(s->envelope == CHECK ? act + s->tf->w : distinct_levels(beta, n));
+    info[4] = (double)(s->tf ? act + s->tf->w : distinct_levels(beta, n));
     info[5] = (double)steps;
     info[6] = (double)rejected;
     info[7] = (double)s->inner_iters;
@@ -899,28 +864,32 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
    at that).  A single fit is the path of one fit with lams[0] = 1, since
    lam * 1 is exact.  The work arrays are allocated once per path.
 
-   check holds the parameters of the CHECK envelope: q, the order k, the
-   trend filter's inner_tol and inner_max_iters, 1 for the cold start (0
-   for the given start), then the dual of fit 0's first trend filter
-   (n - k - 1 values), which each fit scales into its box (scale_dual)
-   before it runs, and which is carried from fit to fit; other envelopes
-   do not read it (it may be NULL), and for them k is 0.  u holds the
-   penalties of the n - k - 1 rows of the difference operator of order
-   k + 1 (the n - 1 edges for k = 0).  beta is a fits x n block whose row
-   0 holds the start on entry (unread for SQUARED and for a cold CHECK
-   start); row l receives fit l's last iterate.  trace receives the fits'
-   traces one after another: fit l's maps + 1 values (room for fits x
-   (max_iters + 1) values), except for SQUARED, whose trace is its one
-   value (fits values).  envvar is a fits x n block
-   (HUBER_SHIFT), a fits x (n - 1) block (LOG_PENALTY) or a fits x
-   (3n - k - 1) block (CHECK: w, z and the last dual) of the final
-   envelope variables, unread by the other envelopes (it may be NULL).
-   info is fits x INFO values, row l the info of fit l (see fit()), then
-   one value: the index of the last fit run, which is the failing fit when
-   the return value is 2 or 3.  The caller validates the inputs (n >= 1,
-   y finite, 0 <= y <= m with m >= 1 for the logit envelopes, u >= 0 and
-   lams >= 0 with every product lams[l] * u_j finite, a > 0 and finite for
-   LOG_PENALTY, 0 < q < 1, k >= 0 and n >= k + 2 for CHECK, the start
+   m holds the trial counts of the logit envelopes and, for SQUARED, the
+   per-point weights of its loss (1 when m is NULL); the other envelopes
+   do not read it (it may be NULL).  check, when not NULL, makes every
+   subproblem the trend filter of order k (difference operator of order
+   k + 1) and holds q (read by CHECK alone), k, the trend filter's
+   inner_tol and inner_max_iters, 1 for CHECK's cold start (0 for the
+   given start), then the dual of fit 0's first trend filter (n - k - 1
+   values), which each fit scales into its box (scale_dual) before it
+   runs, and which is carried from fit to fit; when check is NULL the
+   subproblem is the fused-lasso DP and k is 0.  u holds the penalties of
+   the n - k - 1 rows of the difference operator of order k + 1 (the n - 1
+   edges for k = 0).  beta is a fits x n block whose row 0 holds the start
+   on entry (unread for SQUARED and for a cold CHECK start); row l
+   receives fit l's last iterate.  trace receives the fits' traces one
+   after another: fit l's maps + 1 values (room for fits x (max_iters + 1)
+   values), except for SQUARED, whose trace is its one value (fits
+   values).  envvar is a fits x n block (HUBER_SHIFT), a fits x (n - 1)
+   block (LOG_PENALTY) or, with check, a fits x (3n - k - 1) block (w, z
+   and the last dual) of the final envelope variables, unread otherwise
+   (it may be NULL).  info is fits x INFO values, row l the info of fit l
+   (see fit()), then one value: the index of the last fit run, which is
+   the failing fit when the return value is 2 or 3.  The caller validates
+   the inputs (n >= 1, y finite, 0 <= y <= m with m >= 1 for the logit
+   envelopes, m > 0 and finite for SQUARED, u >= 0 and lams >= 0 with
+   every product lams[l] * u_j finite, a > 0 and finite for LOG_PENALTY,
+   0 < q < 1 for CHECK, k >= 0 and n >= k + 2 with check, the start
    finite, max_iters >= 1, inner_max_iters >= 1, fits >= 1).  Returns 0;
    1 when the work arrays cannot be allocated; 2 when a weight, a working
    response or the objective of a plain map is not finite; 3 when the
@@ -932,27 +901,29 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
                               double *beta, double *trace,
                               double *envvar, double *info, const double *check)
 {
-    int chk = envelope == CHECK, cold = chk && check[4] != 0.0, status = 0;
+    int cold = envelope == CHECK && check[4] != 0.0, status = 0;
     int record = envelope != SQUARED;
-    long i, l, k = chk ? (long)check[1] : 0, rows = n - k - 1;
-    long nv = envelope == HUBER_SHIFT ? n : chk ? 2 * n + rows : n - 1;
+    long i, l, k = check ? (long)check[1] : 0, rows = n - k - 1;
+    long nv = envelope == HUBER_SHIFT ? n : check ? 2 * n + rows : n - 1;
     tfdual tf;
-    double *work = calloc((size_t)(15 * n + (chk ? rows : 0)), sizeof(double));
+    double *work = calloc((size_t)(15 * n + (check ? rows : 0)), sizeof(double));
     if (!work)
         return 1;
-    if (chk && tf_alloc(&tf, n, k)) {
+    if (check && tf_alloc(&tf, n, k)) {
         free(work);
         return 1;
     }
     double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n, *pen = bx + 9 * n;
-    loop s = {envelope, 0, record, y, m, pen, a, chk ? check[0] : 0.0, n, rows, 0,
+    loop s = {envelope, 0, record, y, m, pen, a, check ? check[0] : 0.0, n, rows, 0,
               work, work + n, work + 2 * n, bx + n, trace,
-              &tf, pen + n, chk ? check[2] : 0.0, chk ? (long)check[3] : 0, 0, 0, 0};
+              check ? &tf : NULL, pen + n, check ? check[2] : 0.0,
+              check ? (long)check[3] : 0, 0, 0, 0};
 
-    if (!logit_loss(envelope) && !chk)
+    /* the weights of the envelopes that do not update them */
+    if (!logit_loss(envelope) && envelope != CHECK)
         for (i = 0; i < n; i++)
-            s.w[i] = 1.0;
-    if (chk)
+            s.w[i] = envelope == SQUARED && m ? m[i] : 1.0;
+    if (check)
         memcpy(s.v, check + 5, (size_t)rows * sizeof(double));
     for (l = 0; l < fits && !status; l++) {
         double *b = beta + l * n;
@@ -960,7 +931,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
             memcpy(b, b - n, (size_t)n * sizeof(double));
         for (i = 0; i < rows; i++)
             pen[i] = lams[l] * u[i];
-        if (chk)
+        if (check)
             scale_dual(s.v, pen, rows);
         s.trace = trace;
         status = fit(&s, tol, max_iters, cold && l == 0, b, b1, b2, bx,
@@ -968,7 +939,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         trace += record ? s.maps + 1 : 1;
     }
     info[INFO * fits] = (double)(l - 1);
-    if (chk)
+    if (check)
         tf_free(&tf);
     free(work);
     return status;

@@ -99,7 +99,8 @@ class AppSpec:
     The hyperparameters' rules live here alone, and ``fit_qrtf``,
     ``fit_fdp`` and the CLI build an AppSpec to check theirs: ``0 < q <
     1`` and an integer order ``k >= 0`` for qrtf, ``0 < a < inf`` for
-    fdp.  ``lam`` is the penalty of a single fit; a path reads its grid
+    fdp.  ``lam`` is the penalty of a single fit, nonnegative and finite
+    as every lam of a path (:func:`_check_lams`); a path reads its grid
     instead.
     """
 
@@ -112,8 +113,7 @@ class AppSpec:
     def __post_init__(self):
         if self.app not in APPS:
             raise ValidationError(f"unknown application {self.app!r}")
-        if self.lam < 0:
-            raise ValidationError("lam must be nonnegative")
+        _check_lams(np.asarray(self.lam, dtype=float))
         if self.app == "qrtf":
             if not 0.0 < self.q < 1.0:
                 raise ValidationError("q must lie in (0, 1)")
@@ -187,6 +187,19 @@ def _check_lams(lams) -> None:
     # a NaN fails every comparison
     if not ((lams >= 0) & (lams < np.inf)).all():
         raise ValidationError("lam must be nonnegative and finite")
+
+
+def _lambda_grid(lambdas) -> np.ndarray:
+    """``lambdas`` as a float vector, rejected unless it is nonempty, every
+    lam is nonnegative and finite (tested first) and the grid strictly
+    decreases: the grid of :func:`solution_path` and :func:`kfold_cv`."""
+    lam_arr = np.asarray(lambdas, dtype=float)
+    if lam_arr.ndim != 1 or lam_arr.size == 0:
+        raise ValidationError("lambdas must be a nonempty vector")
+    _check_lams(lam_arr)
+    if not np.all(np.diff(lam_arr) < 0):
+        raise ValidationError("lambdas must be strictly decreasing")
+    return lam_arr
 
 
 def _rfl_path(spec, y, m, lams, cfg, init=None):
@@ -466,11 +479,7 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
     is "aic" or "cv"; the AIC losses come from one pass of the app's loss
     over the stacked fits.  Ties select the larger lam.
     """
-    lam_arr = np.asarray(lambdas, dtype=float)
-    if lam_arr.ndim != 1 or lam_arr.size == 0:
-        raise ValidationError("lambdas must be a nonempty vector")
-    if lam_arr.shape[0] > 1 and not np.all(np.diff(lam_arr) < 0):
-        raise ValidationError("lambdas must be strictly decreasing")
+    lam_arr = _lambda_grid(lambdas)
     if criterion not in ("aic", "cv"):
         raise ValidationError(f"unknown criterion {criterion!r}")
 
@@ -496,8 +505,9 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     a solution path, and held-out points are predicted by linear
     interpolation of the fitted vector between the nearest retained
     indices (constant beyond the ends).  The CV loss is the
-    application's data loss summed over held-out points.  Returns
-    ``(best_lambda, cv_table)`` with ties going to the larger lam.
+    application's data loss summed over held-out points.  The grid must
+    strictly decrease, as a solution path's.  Returns ``(best_lambda,
+    cv_table)`` with ties going to the larger lam.
     """
     if K < 2:
         raise ValidationError("K must be >= 2")
@@ -505,9 +515,7 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     n = y.shape[0]
     if K > n:
         raise ValidationError("K cannot exceed the number of observations")
-    lam_arr = np.asarray(lambdas, dtype=float)
-    if lam_arr.ndim != 1 or lam_arr.size == 0:
-        raise ValidationError("lambdas must be a nonempty vector")
+    lam_arr = _lambda_grid(lambdas)
     m_arr = None if m is None else np.broadcast_to(np.asarray(m, dtype=float), y.shape)
     idx = np.arange(n)
     table = np.zeros(lam_arr.shape[0])

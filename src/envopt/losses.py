@@ -49,10 +49,6 @@ __all__ = [
 
 LOSS_KINDS = ("gaussian", "huber", "check", "binomial-logit")
 
-# Seed for the power-iteration start vector; fixed so bounds are
-# deterministic for fixed inputs.
-_POWER_SEED = 0x5EED
-
 # Cap on the variance-mean weights 1/|r|, reached at (near-)exact fits.
 _WEIGHT_CLAMP = 1e6
 
@@ -179,34 +175,14 @@ def loss_grad(l: LossSpec, beta) -> np.ndarray:
     return l.design.T @ r
 
 
-def _top_eig_gram(A: np.ndarray, tol: float = 1e-12, max_iters: int = 100_000) -> float:
-    """Largest eigenvalue of A.T A by power iteration (fixed seed start)."""
-    d = A.shape[1]
-    rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    eig = 0.0
-    for _ in range(max_iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new = float(v @ w)
-        v = w / nw
-        if abs(new - eig) <= tol * max(1.0, abs(new)):
-            eig = new
-            break
-        eig = new
-    return eig
-
-
 def lipschitz_bound(l: LossSpec) -> float:
     """Gradient Lipschitz constant: l_d for gaussian/huber (with threshold
     <= 1 curvature), (max m) * l_d / 4 for the logit; l_d is the top
-    eigenvalue of A.T A (1 for the identity design)."""
+    eigenvalue of A.T A, the squared spectral norm of A, computed exactly
+    by the SVD (1 for the identity design)."""
     if l.kind == "check":
         raise CapabilityError("check loss has no Lipschitz gradient")
-    ld = 1.0 if l.design is None else _top_eig_gram(l.design)
+    ld = 1.0 if l.design is None else float(np.linalg.norm(l.design, 2)) ** 2
     if l.kind == "binomial-logit":
         return float(np.max(l.m)) * ld / 4.0
     return ld

@@ -19,35 +19,39 @@ Contents:
   ``update(beta) -> aux`` followed by the subproblem solve
   ``solve(aux, beta) -> beta``, with one objective evaluation and a
   monotonicity check per cycle.
-* :func:`envelope_fused_lasso_path` -- one MM loop for the envelope fits
-  whose subproblem is an exact fused lasso (Huber shift, Polya-Gamma
-  weights, Polya-Gamma weights with the log penalty's edge weights,
-  squared loss) or an exact trend filter (the check loss's variance-mean
-  weights), extrapolated by safeguarded SQUAREM, run over a warm-started
-  grid of penalty scales, that returns each fit's whole run record, df
-  and final envelope variables included; :func:`envelope_fused_lasso_mm`
-  is its one-fit case.
+* :func:`envelope_fused_lasso_path` -- one MM loop for the envelope fits,
+  whose subproblem is an exact fused lasso or, given an order ``k``, an
+  exact trend filter (the Huber shift, Polya-Gamma weights, Polya-Gamma
+  weights with the log penalty's edge weights, the weighted squared loss
+  and the check loss's variance-mean weights), extrapolated by
+  safeguarded SQUAREM, run over a warm-started grid of penalty scales,
+  that returns each fit's whole run record, df and final envelope
+  variables included; :func:`envelope_fused_lasso_mm` is its one-fit
+  case.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
-The loops are compiled from one source, ``_fldp.c``: the DP, the trend
-filter's dual active-set solve and :func:`envelope_fused_lasso_path`,
-the whole MM loop of the five envelope fits for a whole warm-started
-path in one call (the Huber location shift of the rfl path, the
-Polya-Gamma weights of :func:`logistic_fused_lasso` and of the fdp
-path's fused-lasso starts, the Polya-Gamma and log-penalty weights of
-the fdp path, the squared loss of ``applications.fused_lasso_gaussian``,
-exact in one map, and the variance-mean weights of the qrtf path; the
-fits ``applications.fit_rfl``, ``fit_qrtf`` and ``fit_fdp`` are their
-app's path on one lam), which also returns each fit's ``df`` and its
-final envelope variables.  The library
-is built on first use with the system C compiler, cached per user and
-called through ctypes.  When no compiler or cache is available, or the
-build or load fails (which warns), the same loops run in pure Python
-(:func:`_fused_lasso_dp`, :func:`_tf_solve` and
-:func:`_envelope_mm_python`, which repeat the C arithmetic and return
-the same bits), which stay as the test oracles.
+The loops are compiled from one source, ``_fldp.c``, whose one fit entry
+is :func:`envelope_fused_lasso_path`: the whole MM loop of the five
+envelope fits for a whole warm-started path in one call (the Huber
+location shift of the rfl path, the Polya-Gamma weights of
+:func:`logistic_fused_lasso` and of the fdp path's fused-lasso starts,
+the Polya-Gamma and log-penalty weights of the fdp path, the squared loss
+of ``applications.fused_lasso_gaussian``, exact in one map, and the
+variance-mean weights of the qrtf path; the fits ``applications.fit_rfl``,
+``fit_qrtf`` and ``fit_fdp`` are their app's path on one lam), which also
+returns each fit's ``df`` and its final envelope variables.  Its two
+subproblems, the DP and the trend filter's dual solve, have no entry of
+their own: :func:`weighted_fused_lasso` and :func:`weighted_trend_filter`
+validate their inputs and run the weighted squared loss as a one-solve
+fit of that loop.  The library is built on first use with the system C
+compiler, cached per user and called through ctypes.  When no compiler or
+cache is available, or the build or load fails (which warns), the same
+loops run in pure Python (:func:`_envelope_mm_python`, with the DP
+:func:`_fused_lasso_dp` and the dual solve :func:`_tf_solve`, which repeat
+the C arithmetic and return the same bits), which stay as the test
+oracles.  The choice is made once, in :func:`envelope_fused_lasso_path`.
 :data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
 implementation of the loops runs.
 """
@@ -102,7 +106,8 @@ class SolverConfig:
     only inner solver: the cap on its iterations (one banded Cholesky
     each) and the relative slack of its stop test on the signs of the
     bound multipliers; of the estimators, only qrtf's (its path and
-    ``fit_qrtf``) read them.
+    ``fit_qrtf``) read them.  The budgets must be integers >= 1 and the
+    tolerances positive and finite.
     """
 
     max_iters: int = 500
@@ -111,10 +116,14 @@ class SolverConfig:
     inner_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.tol > 0 or not self.inner_tol > 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_iters < 1 or self.inner_max_iters < 1:
-            raise ValidationError("iteration budgets must be positive")
+        # a NaN fails every comparison
+        if not (0 < self.tol < np.inf and 0 < self.inner_tol < np.inf):
+            raise ValidationError("tolerances must be positive and finite")
+        for budget in (self.max_iters, self.inner_max_iters):
+            # bool is an int subclass, but True is no budget
+            if not (isinstance(budget, (int, np.integer)) and not isinstance(budget, bool)
+                    and budget >= 1):
+                raise ValidationError("iteration budgets must be integers >= 1")
 
 
 @dataclass
@@ -141,7 +150,8 @@ class FitResult:
 
 
 def _fused_lasso_dp(z, w, u):
-    """Pure-Python DP: the fallback of the C kernel and its test oracle."""
+    """Pure-Python DP: the map's solve in :func:`_envelope_fit_python`,
+    the fallback of the compiled DP and its test oracle."""
     n = z.shape[0]
     beta = np.empty(n)
     if n == 1:
@@ -252,12 +262,15 @@ def _build_kernel(cc: str, lib: Path):
 def _kernel():
     """The compiled kernel library (ctypes), or None for the Python loops.
 
-    One library holds the compiled loops, the fused-lasso DP, the
-    trend filter's dual solve and the envelope MM around them, so either
-    all run in C or all in Python.  It also holds ``grid_scan``, the
-    coupled-objective scan of the grid oracles' zoom search
-    (``duality._zoom_min``), whose fallback is the numpy expression of
-    ``duality.Coupling``; both give the same bits.  It is cached per
+    It declares two entries.  ``envelope_fused_lasso_path`` is the
+    envelope MM with its two subproblems, the fused-lasso DP and the trend
+    filter's dual solve, and the only way into them
+    (:func:`weighted_fused_lasso` and :func:`weighted_trend_filter` are
+    its one-solve fits), so either all run in C or all in Python.
+    ``grid_scan`` is the coupled-objective scan of the grid oracles' zoom
+    search (``duality._zoom_min``), whose fallback is the numpy
+    expression of ``duality.Coupling``; both give the same bits.  The
+    library is cached per
     user under ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``),
     named by a hash of the sources, the flags and the compiler, so each
     machine compiles each version once (the first use spends about 3 s
@@ -297,11 +310,6 @@ def _kernel():
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, c_long, c_double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.fused_lasso_dp.argtypes = [ptr] * 3 + [c_long, ptr]
-    lib.fused_lasso_dp.restype = ctypes.c_int
-    lib.trend_filter_dual.argtypes = ([ptr] * 3 + [c_long, c_long, c_double, c_long]
-                                      + [ptr] * 3)
-    lib.trend_filter_dual.restype = ctypes.c_int
     lib.envelope_fused_lasso_path.argtypes = ([ctypes.c_int] + [ptr] * 4
                                               + [c_long, c_double, c_long, c_double,
                                                  c_long] + [ptr] * 5)
@@ -314,9 +322,9 @@ def _kernel():
 def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
     # module never starts the compiler.  It names the implementation of
-    # the compiled loops: the fused-lasso DP, the trend filter's dual
-    # solve and the envelope MM around them, and the grid oracles'
-    # coupled-objective scan ("python": its numpy expression).
+    # the compiled loops: the envelope MM with its two subproblems, the
+    # fused-lasso DP and the trend filter's dual solve, and the grid
+    # oracles' coupled-objective scan ("python": its numpy expression).
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -360,8 +368,11 @@ def weighted_fused_lasso(z, omega, u_edges):
 
     Minimizes ``sum_i (omega_i/2)(z_i - beta_i)^2 +
     sum_i u_i |beta_{i+1} - beta_i|``.  The problem is strictly convex,
-    so the dynamic program returns the unique solution.  The C kernel
-    and the Python DP return the same bits.
+    so the dynamic program returns the unique solution.  The inputs are
+    validated here, and the solve is the one-solve squared-loss fit of
+    :func:`envelope_fused_lasso_mm` with weights ``omega``, whose map is
+    the DP (the compiled loop, or :func:`_fused_lasso_dp` in its Python
+    mirror, with the same bits).
     """
     z = np.ascontiguousarray(z, dtype=float)
     n = z.shape[0]
@@ -374,20 +385,9 @@ def weighted_fused_lasso(z, omega, u_edges):
     if not omega.min() > 0:
         raise ValidationError("omega must be strictly positive")
     u = _edge_weights(u_edges, n)
-    if isinstance(u, float):
-        u = np.full(n - 1, u)
     if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf):
         raise ValidationError("inputs must be finite")
-    if n == 1 or u.max() == 0:
-        return z.copy()  # decoupled: exact without the dp arithmetic
-    lib = _kernel()
-    if lib is None:
-        return _fused_lasso_dp(z, omega, u)
-    beta = np.empty(n)
-    if lib.fused_lasso_dp(z.ctypes.data, omega.ctypes.data, u.ctypes.data, n,
-                          beta.ctypes.data):
-        raise MemoryError("fused-lasso DP could not allocate its work arrays")
-    return beta
+    return envelope_fused_lasso_mm("gaussian", z, omega, u, None, _ONE_SOLVE).beta
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +407,20 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     Cholesky of A on the free rows, and the solve ends after a step to the
     face minimum that leaves no bound with a wrong-signed multiplier
     beyond ``cfg.inner_tol`` relative.  ``cfg.inner_max_iters`` caps the
-    iterations.  The solve runs in the C kernel (``_fldp.c``) when the
-    compiled library loads and as its Python mirror otherwise, with the
-    same bits.
+    iterations.  The inputs are validated here, and the solve is the
+    one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
+    weights ``omega`` and order ``k`` (the compiled loop, or its Python
+    mirror, with the same bits).
 
     ``lam`` may be a scalar or a per-row vector; a row with ``lam_j = 0``
     is left free in the primal (its dual stays 0).  ``state``, if given,
     is read for the warm-start dual ``v`` and updated in place with the
     last dual ``v``, the ``iters`` run and whether the solve ``converged``
-    (met its stop test within the cap).
+    (met its stop test within the cap).  The warm start is scaled into the
+    box ``|v_j| <= lam_j`` by the largest factor ``t <= 1`` that fits it
+    there (:func:`_scale_dual`), which leaves a start inside the box as it
+    is; a start outside the box is scaled as a whole, not clipped row by
+    row.
     """
     cfg = cfg or SolverConfig()
     z = np.ascontiguousarray(z, dtype=float)
@@ -440,23 +445,12 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
         raise ValidationError("inputs must be finite")
     if state is None:
         state = {}
-    # a copy of the warm start: the solve overwrites it
-    v = state.get("v")
-    v = np.zeros(m) if v is None or v.shape != (m,) else np.array(v, dtype=float)
-    lib = _kernel()
-    if lib is None:
-        winv, ab, b = _tf_bands(z, omega, k)
-        iters, done, _ = _tf_solve(ab, b, lam_v, cfg.inner_tol, cfg.inner_max_iters, v)
-        beta = _tf_primal(z, winv, v, k)
-    else:
-        beta, info = np.empty(n), np.empty(3)
-        if lib.trend_filter_dual(z.ctypes.data, omega.ctypes.data, lam_v.ctypes.data, n, k,
-                                 cfg.inner_tol, cfg.inner_max_iters, v.ctypes.data,
-                                 beta.ctypes.data, info.ctypes.data):
-            raise MemoryError("trend filter could not allocate its work arrays")
-        iters, done = info[0], info[1]
-    state.update(v=v, iters=int(iters), converged=bool(done))
-    return beta
+    v = state.get("v")  # a warm start of another length is ignored
+    fit = envelope_fused_lasso_mm("gaussian", z, omega, lam_v, None, cfg, k=k,
+                                  v=None if np.shape(v) != (m,) else v)
+    state.update(v=fit.aux["v"], iters=fit.aux["run"]["inner_iters"],
+                 converged=fit.converged)
+    return fit.beta
 
 
 # The Python mirror of the dual solve in _fldp.c: tf_bands, tf_solve and
@@ -756,16 +750,19 @@ def _mm_start(init, default, n: int) -> np.ndarray:
 
 # The envelopes of envelope_fused_lasso_path, by fit kind: the code of each
 # in _fldp.c, the name of its map's solve, which a MonotonicityError
-# reports, and the final envelope variables its fits return in aux, each
-# with n values (True) or one per row of D (False): the Huber shift or the
-# log penalty's edge weights ("u"), or the check loss's variance-mean
-# weights and working responses ("omega", "z") with the dual of the last
-# trend filter ("v").
+# reports, and the final envelope variables its fused-lasso fits return in
+# aux, each with n values (True) or one per row of D (False): the Huber
+# shift or the log penalty's edge weights ("u").
 _ENVELOPES = {"huber": (0, "fused_lasso", (("u", True),)),
               "binomial-logit": (1, "polya_gamma_fused_lasso", ()),
               "gaussian": (2, "fused_lasso", ()),
               "fdp": (3, "log_penalty_fused_lasso", (("u", False),)),
-              "check": (4, "trend_filter", (("omega", True), ("z", True), ("v", False)))}
+              "check": (4, "trend_filter", ())}
+
+# The final envelope variables of a fit whose subproblem is the trend
+# filter: the weights and working responses at the last iterate ("omega",
+# "z") and the dual of the last trend filter ("v").
+_TF_VARS = (("omega", True), ("z", True), ("v", False))
 
 # The values of a fit's info row in _fldp.c.
 _INFO = 10
@@ -781,7 +778,7 @@ _UNIT_SCALE.setflags(write=False)
 
 
 def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
-                            a: float = 1.0, q: float = 0.5, k: int = 0,
+                            a: float = 1.0, q: float = 0.5, k: Optional[int] = None,
                             v=None) -> FitResult:
     """One envelope fit with row penalties ``u``: the path of
     :func:`envelope_fused_lasso_path` with the single penalty scale 1."""
@@ -798,7 +795,7 @@ def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0) -> dict
 
 
 def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
-                              a: float = 1.0, q: float = 0.5, k: int = 0,
+                              a: float = 1.0, q: float = 0.5, k: Optional[int] = None,
                               v=None) -> list:
     """The MM loops of a warm-started path of envelope fits, and the whole
     run record of each fit.
@@ -806,10 +803,22 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     Fit ``l`` has the row penalties ``lams[l] * u``.  Fit 0 starts at
     ``beta`` and each later fit at the previous fit's last iterate.  Each
     fit's map ``F(beta)`` is the closed-form envelope update of the fit
-    ``kind`` at ``beta`` and then an exact weighted fused lasso (the
-    penalties are on the ``n - 1`` edges) or, for ``"check"``, an exact
-    weighted trend filter of order ``k`` (on the ``n - k - 1`` rows of
-    its difference operator):
+    ``kind`` at ``beta`` and then the subproblem that ``k`` picks: with
+    ``k`` None an exact weighted fused lasso by the DP (the penalties are
+    on the ``n - 1`` edges), and with an order ``k`` an exact weighted
+    trend filter of that order (on the ``n - k - 1`` rows of its
+    difference operator), solved by the dual active-set method to
+    ``cfg.inner_tol`` within ``cfg.inner_max_iters`` iterations, each
+    solve warm-started at the dual of the solve before it.  That dual is
+    carried from fit to fit, and the dual ``v`` (0 when None) into fit 0;
+    at the start of each fit it is scaled into the fit's box
+    (:func:`_scale_dual`), which along a decreasing grid is the scaling by
+    ``lam_new / lam_old``.  A trend-filter fit also reports
+    ``converged=False`` when any of its solves did not meet its stop test;
+    its ``aux["omega"]`` and ``aux["z"]`` are the weights and working
+    responses at the last iterate, ``aux["v"]`` the dual of its last solve,
+    and ``df`` is the count of dual rows at a bound plus ``k + 1``.  The
+    envelopes:
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
       on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
@@ -822,28 +831,20 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
       beta_i|)``.  Each bound touches its own term at ``beta``, so their
       sum majorizes the objective; ``aux["u"]`` is the edge weights at the
       last iterate.
-    * ``"gaussian"``: the squared loss, exact in one solve on ``y``; the
-      record is ``iters=1``, ``converged=True`` and ``trace=[objective]``
-      (run it with ``_ONE_SOLVE``; ``beta`` is not read and may be None).
+    * ``"gaussian"``: the squared loss ``sum_i (m_i/2)(y_i - beta_i)^2``
+      with per-point weights ``m`` (1 when None), exact in one solve on
+      ``y``; the record is ``iters=1``, ``converged=True`` and
+      ``trace=[objective]`` (run it with ``_ONE_SOLVE``; ``beta`` is not
+      read and may be None).  :func:`weighted_fused_lasso` and
+      :func:`weighted_trend_filter` are this fit.
     * ``"check"``: the check loss at quantile ``q``, majorized by its
       variance-mean quadratic with weights ``min(1/|y - beta|, 1e6)``
-      (:func:`~envopt.losses.variance_mean_update`); ``aux["omega"]`` and
-      ``aux["z"]`` are the weights and working responses at the last
-      iterate, and ``aux["v"]`` the dual of the fit's last trend filter.
-      With ``beta`` None, fit 0 starts at the trend filter of ``y`` with
-      unit weights.  The trend filters are solved by the dual active-set
-      method of :func:`weighted_trend_filter`, to ``cfg.inner_tol`` within
-      ``cfg.inner_max_iters`` iterations, each warm-started at the dual of
-      the solve before it.  That dual is carried from fit to fit, and the
-      dual ``v`` (0 when None) into fit 0; at the start of each fit it is
-      scaled into the fit's box (:func:`_scale_dual`), which along a
-      decreasing grid is the scaling by ``lam_new / lam_old``.  The clamped weights do not
-      majorize the loss where a residual is below 1e-6, so a plain map
-      may rise: that ends the fit at its last accepted iterate, converged
-      only when the rise is within ``cfg.tol`` relative, and the path goes
-      on.  A fit also reports ``converged=False`` when any of its trend
-      filters did not meet its stop test.
-      ``df`` is the count of dual rows at a bound plus ``k + 1``.
+      (:func:`~envopt.losses.variance_mean_update`), with the trend filter
+      of order ``k``.  With ``beta`` None, fit 0 starts at the trend filter
+      of ``y`` with unit weights.  The clamped weights do not majorize the
+      loss where a residual is below 1e-6, so a plain map may rise: that
+      ends the fit at its last accepted iterate, converged only when the
+      rise is within ``cfg.tol`` relative, and the path goes on.
 
     The iterative envelopes are extrapolated by safeguarded SQUAREM
     (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
@@ -864,10 +865,12 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     of the compiled kernel (``_fldp.c``).  When the kernel did not load,
     :func:`_envelope_mm_python` runs the same fits and maps in Python.
     The caller validates the inputs: ``y`` (and ``m``) contiguous, finite
-    and, for the logit, ``0 <= y <= m`` with ``m >= 1``; ``u`` a scalar or
-    one nonnegative finite penalty per row; ``lams`` a float vector of
+    and, for the logit, ``0 <= y <= m`` with ``m >= 1``, for
+    ``"gaussian"`` ``m`` None or positive; ``u`` a scalar or one
+    nonnegative finite penalty per row; ``lams`` a float vector of
     nonnegative finite scales; ``a`` positive and finite for ``"fdp"``;
-    ``0 < q < 1``, ``k >= 0`` and ``n >= k + 2`` for ``"check"``; a start
+    ``0 < q < 1`` and an order ``k`` for ``"check"``; ``k >= 0`` and
+    ``n >= k + 2`` when ``k`` is given; a start
     ``beta`` from :func:`_mm_start`, which is not changed.  Outside the
     check loss, a plain map that raises the objective raises
     :class:`MonotonicityError` naming the solve; a value that is not
@@ -881,7 +884,11 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         return _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a, q, k, v)
     code, solve_name, envvars = _ENVELOPES[kind]
     n, fits = y.shape[0], lams.shape[0]
-    rows, check = n - k - 1, kind == "check"
+    check = k is not None  # the trend filter's parameters go to _fldp.c
+    if check:
+        envvars, rows = _TF_VARS, n - k - 1
+    else:
+        rows = n - 1
     slots, width = [], 0  # (name, first, end) of each envelope variable in a fit's row
     for name, full in envvars:
         slots.append((name, width, width + (n if full else rows)))
@@ -906,8 +913,9 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         block[o_m:o_u] = m
     block[o_u:o_lam] = u
     block[o_lam:o_check] = lams
-    if check:  # the check envelope's parameters, then the dual of its first solve
-        block[o_check:o_check + 5] = (q, k, cfg.inner_tol, cfg.inner_max_iters, beta is None)
+    if check:  # the trend filter's parameters, then the dual of its first solve
+        block[o_check:o_check + 5] = (q, k, cfg.inner_tol, cfg.inner_max_iters,
+                                      kind == "check" and beta is None)
         block[o_check + 5:o_beta] = 0.0 if v is None else v
     if beta is not None:
         block[o_beta:o_beta + n] = beta
@@ -965,12 +973,13 @@ def _softplus(b):
                      else x + math.log1p(math.exp(-x)) for x in b.tolist()])
 
 
-def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0, q=0.5, k=0,
+def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0, q=0.5, k=None,
                         v=None) -> list:
     """:func:`envelope_fused_lasso_path` in Python, fit for fit: the
     fallback of the compiled path and its test oracle."""
-    u = np.broadcast_to(u, (y.shape[0] - k - 1,))
-    v = np.zeros(u.shape) if v is None else v
+    u = np.broadcast_to(u, (y.shape[0] - (0 if k is None else k) - 1,))
+    if k is not None and v is None:
+        v = np.zeros(u.shape)
     fits = []
     for lam in lams:
         fits.append(_envelope_fit_python(kind, y, m, lam * u, beta, cfg, a, q, k, v))
@@ -994,7 +1003,7 @@ class _Rise(Exception):
     """A plain map of the check-loss envelope raised the objective."""
 
 
-def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> FitResult:
+def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> FitResult:
     """One fit of :func:`_envelope_mm_python`, map for map.
 
     It repeats the arithmetic of ``_fldp.c`` operation for operation: the
@@ -1005,10 +1014,11 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
     solve_name = _ENVELOPES[kind][1]
     n = y.shape[0]
     ones = np.ones(n)
+    weights = m if kind == "gaussian" and m is not None else ones  # of the squared loss
     huber = LossSpec("huber", y=y) if kind == "huber" else None
-    stencil = _stencil(k)
-    dual = {"v": _scale_dual(v, u) if kind == "check" else None,
-            "iters": 0, "capped": 0, "act": 0}
+    tf = k is not None  # the subproblem: the trend filter, or else the DP
+    stencil = _stencil(k) if tf else None
+    dual = {"v": _scale_dual(v, u) if tf else None, "iters": 0, "capped": 0, "act": 0}
 
     def edge_weights(b):
         return u / (a + np.abs(np.diff(b))) if kind == "fdp" else u
@@ -1019,13 +1029,13 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
             loss = np.where(r < 1.0, 0.5 * r * r, r - 0.5)
         elif kind == "gaussian":
             r = y - b
-            loss = 0.5 * r * r
+            loss = 0.5 * weights * r * r
         elif kind == "check":
             r = y - b
             loss = np.abs(r) + (2.0 * q - 1.0) * r
         else:
             loss = m * _softplus(b) - y * b
-        if kind == "check":
+        if tf:
             d = np.zeros(n - k - 1)
             for j in range(k + 2):
                 d += stencil[j] * b[j:j + n - k - 1]
@@ -1042,7 +1052,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
         if kind == "huber":
             return ones, y - location_envelope_update(huber, b)
         if kind == "gaussian":
-            return ones, y
+            return weights, y
         with np.errstate(all="ignore"):
             if kind == "check":
                 w = 1.0 / np.abs(y - b)
@@ -1069,11 +1079,11 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
 
     def envelope_map(b):
         """``F(b)`` and its objective, or None when a value is not finite."""
-        weights = update(b)
-        if weights is None:
+        wz = update(b)
+        if wz is None:
             return None
-        w, z = weights
-        if kind == "check":
+        w, z = wz
+        if tf:
             new = trend_filter(z, w)
         else:
             ue = edge_weights(b)
@@ -1108,13 +1118,14 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
 
     steps = rejected = rises = 0
     # until a solve gives beta, df counts the bounds of the start dual
-    act = int(np.count_nonzero(~(np.abs(dual["v"]) < u))) if kind == "check" else 0
+    act = int(np.count_nonzero(~(np.abs(dual["v"]) < u))) if tf else 0
     trace = []
     if kind == "check" and beta is None:
         beta = trend_filter(y, ones)
         act = dual["act"]
     if kind == "gaussian":
         beta, obj = plain_map(beta, np.inf)
+        act = dual["act"]
         converged = True
     else:
         obj = _finite(objective(beta))
@@ -1155,11 +1166,12 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=0, v=None) -> Fit
         aux["u"] = location_envelope_update(huber, beta)
     elif kind == "fdp":
         aux["u"] = edge_weights(beta)
-    elif kind == "check":
-        aux["omega"], aux["z"] = update(beta)
+    if tf:
+        # copies: the squared loss's weights and responses are the inputs
+        aux["omega"], aux["z"] = map(np.array, update(beta))
         aux["v"] = dual["v"]
         converged = converged and not dual["capped"]
-    df = act + k + 1 if kind == "check" else distinct_levels(beta)
+    df = act + k + 1 if tf else distinct_levels(beta)
     return FitResult(beta=beta, objective=obj,
                      trace=np.asarray(trace),
                      iters=iters, converged=converged, df=df, aux=aux)

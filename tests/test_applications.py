@@ -666,6 +666,28 @@ def test_kfold_validation():
             kfold_cv(AppSpec("rfl"), ds.y, lams, K=2)
 
 
+def test_paths_and_cv_share_one_grid_rule(monkeypatch):
+    # an increasing grid let CV ties go to the smaller lam, and a repeated
+    # one ran; finiteness is tested before order
+    calls = []
+    monkeypatch.setattr(applications, "envelope_fused_lasso_path",
+                        lambda *args: calls.append(args))
+    y = simulate("rfl", 40, seed=1).y
+    cases = (([1.0, 10.0, 100.0], "strictly decreasing"), ([5.0, 5.0], "strictly decreasing"),
+             ([3.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
+             ([2.0, -1.0], "nonnegative"), ([], "nonempty vector"))
+    for lams, msg in cases:
+        with pytest.raises(ValidationError, match=msg):
+            kfold_cv(AppSpec("rfl"), y, lams, 4)
+        with pytest.raises(ValidationError, match=msg):
+            solution_path(AppSpec("rfl"), y, lams)
+    assert calls == []
+    # a single fit's lam follows the rule of a path's lams
+    for lam in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="lam must be nonnegative and finite"):
+            AppSpec("rfl", lam=lam)
+
+
 # ---------------------------------------------------------------------------
 # simulators
 

@@ -119,6 +119,11 @@ def test_lipschitz_bounds():
     A = np.diag([3.0, 3.0])
     g2 = LossSpec("gaussian", y=np.zeros(2), design=A)
     assert lipschitz_bound(g2) == pytest.approx(9.0, rel=1e-8)
+    # near-tied top singular values: a power iteration's Rayleigh quotient
+    # stops below the top eigenvalue, so the step 1/L would be too long
+    A = np.array([[1.0, 0.0], [0.0, 1.0 - 1e-5], [0.0, 0.0]])
+    g3 = LossSpec("gaussian", y=np.zeros(3), design=A)
+    assert lipschitz_bound(g3) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_logit_hessian_never_exceeds_bound():

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -413,6 +414,59 @@ def test_trend_filter_forced_python_fallback(monkeypatch):
     for (z, omega, k, lam), msg in _TF_BAD:
         with pytest.raises(ValidationError, match=msg):
             weighted_trend_filter(z, omega, k, lam)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
+    """A warm start outside the box is scaled into it as a whole (the
+    largest t <= 1 that fits it there), by the C loop and the Python
+    mirror alike, and the solve still ends at the solution."""
+    rng = np.random.Generator(np.random.PCG64(90 + k))
+    n, lam = 120, 1.5
+    z = np.cumsum(rng.normal(size=n))
+    omega = 10.0 ** rng.uniform(-1, 1, size=n)
+    v = rng.normal(scale=3.0 * lam, size=n - k - 1)
+    assert np.max(np.abs(v)) > lam
+    args = (z, omega, k, lam, {"v": v})
+    c = _tf_run(args, python=False, cfg=SolverConfig())
+    _assert_same_solve(c, _tf_run(args, python=True, cfg=SolverConfig()), k)
+    beta, state = c
+    assert state["converged"]
+    assert trend_filter_kkt_residual(beta, z, omega, k, lam) <= 1e-6
+    starts = []
+    solve = solvers._tf_solve
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_tf_solve",
+                        lambda ab, b, lam, *rest: starts.append(rest[-1].copy())
+                        or solve(ab, b, lam, *rest))
+    weighted_trend_filter(z, omega, k, lam, state={"v": v})
+    t = lam / np.max(np.abs(v))
+    np.testing.assert_allclose(starts[0], v * t, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(starts[0])) == lam
+
+
+def test_kernel_has_one_fit_entry(monkeypatch):
+    """The compiled library exports the envelope loop and the grid scan
+    alone: the fused lasso and the trend filter are one-solve fits of the
+    loop, one call each."""
+    src = Path(solvers.__file__).with_name("_fldp.c").read_text()
+    exported = re.findall(r"^(?:int|void|long|double)\s+(\w+)\(", src, re.MULTILINE)
+    assert exported == ["envelope_fused_lasso_path", "grid_scan"]
+    calls = []
+    path = solvers.envelope_fused_lasso_path
+    monkeypatch.setattr(solvers, "envelope_fused_lasso_path",
+                        lambda *a, **kw: calls.append(a[0]) or path(*a, **kw))
+    z = np.array([1.0, 3.0, 2.0, 5.0])
+    weighted_fused_lasso(z, 1.0, 0.5)
+    weighted_trend_filter(z, 1.0, 1, 0.5)
+    assert calls == ["gaussian", "gaussian"]
+    if solvers.FUSED_LASSO_KERNEL != "c":
+        pytest.skip("no C kernel here")
+    lib = solvers._kernel()
+    for gone in ("fused_lasso_dp", "trend_filter_dual"):
+        assert not hasattr(lib, gone)
+    declared = {name for name in vars(lib) if not name.startswith("_")}
+    assert declared == {"envelope_fused_lasso_path", "grid_scan"}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
@@ -1027,6 +1081,20 @@ def test_envelope_fits_same_record_without_kernel(monkeypatch):
     for case, fits in zip(cases, c_fits):
         for c, py in zip(fits, _four_fits(*case)):
             _assert_same_fit(c, py, (case[0].size, case[1], c.iters))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"inner_max_iters": np.nan}, {"inner_max_iters": 2.5}, {"max_iters": np.inf},
+    {"max_iters": 2.5}, {"max_iters": 0}, {"inner_max_iters": -1}, {"max_iters": True},
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"inner_tol": np.inf},
+    {"inner_tol": -1e-8},
+])
+def test_solver_config_rejects_bad_settings(kwargs):
+    # a NaN budget used to run no map and no inner iteration and return
+    # the start, and 2.5 was cut to 2
+    with pytest.raises(ValidationError, match="budgets must be integers|tolerances must be"):
+        SolverConfig(**kwargs)
+    assert SolverConfig(max_iters=np.int64(3), inner_max_iters=1).max_iters == 3
 
 
 def test_level_and_knot_counting():
