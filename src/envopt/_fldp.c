@@ -1,7 +1,8 @@
 /* The envelope majorize/minimize loops of envopt.solvers, and their two
    exact subproblems: the weighted 1-d fused lasso by message passing
    (Johnson 2013, JCGS) and the weighted trend filter by a dual active-set
-   method.
+   method, whose face solves keep the factor and forward values of the
+   free rows before the least row whose status changed (tf_solve).
 
    envelope_fused_lasso_path runs the whole loop for one of five
    envelopes: the Huber location shift, the logit's Polya-Gamma weights,
@@ -21,8 +22,10 @@
    rejected extrapolations, inner iterations, capped inner solves and
    rising maps) and the final envelope variables; see its comment below.
    envopt.solvers._envelope_mm_python repeats the loops operation for
-   operation; built without floating-point contraction, the two return
-   the same bits. */
+   operation, except that its trend filter refactors every free row in
+   each face solve, where tf_solve keeps rows that a fresh factorization
+   would give the same bits; built without floating-point contraction,
+   the two return the same bits. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -104,7 +107,9 @@ static void dp(const double *z, const double *w, const double *u, long n,
 
 /* The work arrays of the dual trend-filter solve for n points and order
    k: m = n - k - 1 dual rows, half-bandwidth w = k + 1 and the stencil of
-   D, p = k + 2 entries, row j of D being s[0..p-1] from column j on. */
+   D, p = k + 2 entries, row j of D being s[0..p-1] from column j on.  The
+   face arrays (c, u, r, y, indexed by position in the free list idx) are
+   kept from one iteration of tf_solve to the next. */
 typedef struct {
     long n, m, w, p;
     double *s;       /* the stencil */
@@ -114,8 +119,9 @@ typedef struct {
     double *c;       /* the same bands of A restricted to the free rows */
     double *u;       /* the banded Cholesky factor of c */
     double *b;       /* D z */
-    double *x, *d, *e, *h, *g;  /* face minimum, step, projected step,
-                                   scratch, gradient */
+    double *r;       /* the face's right-hand side */
+    double *y;       /* its forward values, U'y = r */
+    double *x, *d, *h, *g;  /* face minimum, step, scratch, gradient */
     long *idx;       /* the free rows */
     signed char *st; /* 1 or -1 at that bound, 0 free, 2 fixed at 0 (lam = 0) */
 } tfdual;
@@ -124,7 +130,7 @@ typedef struct {
 static int tf_alloc(tfdual *t, long n, long k)
 {
     long m = n - k - 1, w = k + 1, p = k + 2, i, j, e;
-    size_t doubles = (size_t)(p + (w + 1) * p + n + 3 * m * (w + 1) + 6 * m);
+    size_t doubles = (size_t)(p + (w + 1) * p + n + 3 * m * (w + 1) + 7 * m);
     t->n = n;
     t->m = m;
     t->w = w;
@@ -143,10 +149,11 @@ static int tf_alloc(tfdual *t, long n, long k)
     t->c = t->ab + m * (w + 1);
     t->u = t->c + m * (w + 1);
     t->b = t->u + m * (w + 1);
-    t->x = t->b + m;
+    t->r = t->b + m;
+    t->y = t->r + m;
+    t->x = t->y + m;
     t->d = t->x + m;
-    t->e = t->d + m;
-    t->h = t->e + m;
+    t->h = t->d + m;
     t->g = t->h + m;
     /* (k + 1) times: s <- s * (1, -1), from s = (1) */
     t->s[0] = 1.0;
@@ -211,41 +218,87 @@ static void band_matvec(const double *c, long nr, long w, const double *y, doubl
    then leaves pivots near or below zero. */
 #define PIVOT_FLOOR 1e-12
 
-/* The banded Cholesky factor U (C = U'U, same layout) of the banded C of
-   nr rows, with every dependent row (see PIVOT_FLOOR) dropped: its row of
-   U is 0, so that U'U is the factorization of C without that row and
-   column. */
-static void band_cholesky(const double *c, double *u, long nr, long w)
+/* Whether face row a was found dependent: its row of U is 0. */
+static int dependent(const tfdual *t, long a)
 {
-    long a, e, l;
-    for (a = 0; a < nr; a++)
-        for (e = 0; e <= w && a + e < nr; e++) {
-            double val = c[a * (w + 1) + e];
-            for (l = 1; l <= w - e && l <= a; l++)
-                val -= u[(a - l) * (w + 1) + l] * u[(a - l) * (w + 1) + l + e];
-            if (e == 0)
-                u[a * (w + 1)] = val > PIVOT_FLOOR * c[a * (w + 1)] ? sqrt(val) : 0.0;
-            else
-                u[a * (w + 1) + e] = u[a * (w + 1)] > 0.0 ? val / u[a * (w + 1)] : 0.0;
-        }
+    return !(t->u[a * (t->w + 1)] > 0.0);
 }
 
-/* Solves U'U x = r in place (x holds r on entry), with x = 0 in the
-   dropped rows of U. */
-static void band_solve(const double *u, long nr, long w, double *x)
+/* Face rows from .. nf - 1 of the free rows idx: the right-hand side r,
+   b minus the terms of the rows at a bound or fixed within w of the row,
+   and the bands c of A on the free rows.  The dependent rows among the w
+   before from then move their terms into these right-hand sides, as
+   tf_factor moved them when it met them. */
+static void tf_face(tfdual *t, long from, long nf, const double *v)
 {
-    long a, l;
-    for (a = 0; a < nr; a++) {
-        double val = x[a];
-        for (l = 1; l <= w && l <= a; l++)
-            val -= u[(a - l) * (w + 1) + l] * x[a - l];
-        x[a] = u[a * (w + 1)] > 0.0 ? val / u[a * (w + 1)] : 0.0;
+    long m = t->m, w = t->w, W = w + 1, a, i, l;
+    const double *ab = t->ab;
+    for (a = from; a < nf; a++) {
+        double r;
+        i = t->idx[a];
+        r = t->b[i];
+        for (l = 1; l <= w; l++)
+            if (i + l < m && t->st[i + l])
+                r -= ab[i * W + l] * v[i + l];
+        for (l = 1; l <= w; l++)
+            if (i - l >= 0 && t->st[i - l])
+                r -= ab[(i - l) * W + l] * v[i - l];
+        t->r[a] = r;
+        t->c[a * W] = ab[i * W];
+        for (l = 1; l <= w; l++) {
+            long o = a + l < nf ? t->idx[a + l] - i : W;
+            t->c[a * W + l] = o <= w ? ab[i * W + o] : 0.0;
+        }
     }
-    for (a = nr - 1; a >= 0; a--) {
-        double val = x[a];
-        for (l = 1; l <= w && a + l < nr; l++)
-            val -= u[a * (w + 1) + l] * x[a + l];
-        x[a] = u[a * (w + 1)] > 0.0 ? val / u[a * (w + 1)] : 0.0;
+    for (a = from > w ? from - w : 0; a < from; a++)
+        if (dependent(t, a))
+            for (l = from - a; l <= w && a + l < nf; l++)
+                t->r[a + l] -= t->c[a * W + l] * v[t->idx[a]];
+}
+
+/* The forward value of face row a, from r and the rows before it: row a
+   of U'y = r, and 0 in a dependent row. */
+static double tf_forward(const tfdual *t, long a)
+{
+    long W = t->w + 1, l;
+    double val = t->r[a];
+    for (l = 1; l <= t->w && l <= a; l++)
+        val -= t->u[(a - l) * W + l] * t->y[a - l];
+    return dependent(t, a) ? 0.0 : val / t->u[a * W];
+}
+
+/* Factors face rows from .. nf - 1 by the banded Cholesky C = U'U, each
+   row then forward-substituted, given rows 0 .. from - 1 of U and y.  A
+   dependent row (see PIVOT_FLOOR) gets a row of U of 0, which factors C
+   without that row and column, and is held at its value v: its column
+   times that value moves into the right-hand sides of the w rows before
+   it and the w after it, and the rows before it take new forward
+   values. */
+static void tf_factor(tfdual *t, long from, long nf, const double *v)
+{
+    long w = t->w, W = w + 1, a, e, l;
+    const double *c = t->c;
+    double *u = t->u;
+    for (a = from; a < nf; a++) {
+        for (e = 0; e <= w && a + e < nf; e++) {
+            double val = c[a * W + e];
+            for (l = 1; l <= w - e && l <= a; l++)
+                val -= u[(a - l) * W + l] * u[(a - l) * W + l + e];
+            if (e == 0)
+                u[a * W] = val > PIVOT_FLOOR * c[a * W] ? sqrt(val) : 0.0;
+            else
+                u[a * W + e] = u[a * W] > 0.0 ? val / u[a * W] : 0.0;
+        }
+        if (dependent(t, a)) {
+            double va = v[t->idx[a]];
+            for (l = 1; l <= w && l <= a; l++)
+                t->r[a - l] -= c[(a - l) * W + l] * va;
+            for (l = 1; l <= w && a + l < nf; l++)
+                t->r[a + l] -= c[a * W + l] * va;
+            for (l = a < w ? a : w; l >= 1; l--)
+                t->y[a - l] = tf_forward(t, a - l);
+        }
+        t->y[a] = tf_forward(t, a);
     }
 }
 
@@ -262,30 +315,43 @@ static double dot(const double *x, const double *y, long len)
    minimize q(v) = v'Av/2 - b'v subject to |v_j| <= lam_j, by a feasible
    active-set method.  Row j is fixed at 0 when lam_j = 0, held at a bound
    when v_j is there on entry (v is clipped into the box) and free
-   otherwise.  Each iteration factors A on the free rows, a banded matrix
-   of half-bandwidth at most w, and solves A_FF d = -g for the step d to
-   the face minimum x = v + d, g = Av - b on the free rows and the bound
-   rows held (a free row that the factorization finds dependent, see
-   PIVOT_FLOOR, is held too).  When x lies in the box, v moves there, and
-   every bound whose multiplier (the gradient Av - b) has the wrong sign
-   beyond tol * max(|b|_inf, |Av|_inf) is freed; the solve ends when none
-   is.  Otherwise v takes whichever of two feasible steps lowers q more,
-   each change t g'd + t^2 d'Ad/2 computed exactly: the step t d cut at
-   the first blocking bound, after which that bound is held; or the
-   projected full step e = P(x) - v, after which every row it clips is
-   held.
+   otherwise.  Each iteration solves for the face minimum x, the minimum
+   over the free rows with the bound rows held, directly from the face's
+   own right-hand side: x = A_FF^-1 r_F by the banded Cholesky of A on the
+   free rows (half-bandwidth at most w) and a forward and a back
+   substitution (tf_factor), and the step is d = x - v.  A free row that
+   the factorization finds dependent (see PIVOT_FLOOR) is held at its
+   value.  When x lies in the box, v moves there, and every bound whose
+   multiplier (the gradient Av - b) has the wrong sign beyond
+   tol * max(|b|_inf, |Av|_inf) is freed; the solve ends when none is.
+   Otherwise v takes whichever of two feasible steps lowers q more, each
+   change t g'd + t^2 d'Ad/2 computed exactly from the gradient g at v:
+   the step t d cut at the first blocking bound, after which that bound
+   is held; or the projected full step e = P(x) - v, after which every
+   row it clips is held.
+
+   A step changes the status of few rows, and the face rows whose index
+   is more than w below the least of them keep their bands, right-hand
+   side, row of U and forward value.  So an iteration keeps that prefix of
+   the free list from the last one and rebuilds, refactors and
+   forward-substitutes only the rows after it; the back substitution runs
+   over the whole face.  The prefix ends w rows before the old end of the
+   free list when its length changed (the entries of U past the old end
+   were never formed), and w rows before a dependent row that follows it
+   (that row moved its term into the prefix's right-hand sides).  The kept
+   rows have the bits a fresh factorization would give them.
 
    v holds the start on entry and the last iterate on return; *iters
-   receives the iterations run (factorizations) and *active the rows at a
+   receives the iterations run (face solves) and *active the rows at a
    bound or fixed.  Returns 1 when the solve ended as above, or 0 when it
    reached max_iters or a face minimum that is not finite (then v is the
    last feasible iterate). */
 static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
                     double *v, long *iters, long *active)
 {
-    long m = t->m, w = t->w, W = w + 1, i, a, l, nf, blk, it = 0;
-    const double *ab = t->ab, *b = t->b;
-    double *c = t->c, *x = t->x, *d = t->d, *e = t->e, *h = t->h, *g = t->g;
+    long m = t->m, w = t->w, i, a, l, nf = 0, old, keep, lo = 0, blk, first, it = 0;
+    const double *b = t->b, *c = t->c, *u = t->u, *y = t->y;
+    double *r = t->r, *x = t->x, *d = t->d, *h = t->h, *g = t->g;
     long *idx = t->idx;
     signed char *st = t->st;
     double top = 0.0;
@@ -309,43 +375,38 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
     while (!done && it < max_iters) {
         int inside = 1;
         it++;
-        /* the face: the free rows, their bands and b minus the bound terms */
+        /* the face: the kept prefix (lo is the least row whose status
+           changed), then the free list and the rows after the prefix */
+        for (keep = 0; keep < nf && idx[keep] < lo - w; keep++)
+            ;
+        old = nf;
         nf = 0;
         for (i = 0; i < m; i++)
             if (!st[i])
                 idx[nf++] = i;
+        if (nf != old && keep > old - w)
+            keep = old > w ? old - w : 0;
+        for (a = (keep + w < old ? keep + w : old) - 1; a >= keep; a--)
+            if (dependent(t, a))
+                keep = a > w ? a - w : 0;
+        tf_face(t, keep, nf, v);
+        tf_factor(t, keep, nf, v);
+        /* the back substitution U x = y, with x = 0 in the dependent rows,
+           which then take their held value */
+        for (a = nf - 1; a >= 0; a--) {
+            double val = y[a];
+            for (l = 1; l <= w && a + l < nf; l++)
+                val -= u[a * (w + 1) + l] * x[a + l];
+            x[a] = dependent(t, a) ? 0.0 : val / u[a * (w + 1)];
+        }
         for (a = 0; a < nf; a++) {
-            double r;
             i = idx[a];
-            r = b[i];
-            for (l = 1; l <= w; l++)
-                if (i + l < m && st[i + l])
-                    r -= ab[i * W + l] * v[i + l];
-            for (l = 1; l <= w; l++)
-                if (i - l >= 0 && st[i - l])
-                    r -= ab[(i - l) * W + l] * v[i - l];
-            x[a] = r;
-            h[a] = v[i];
-            c[a * W] = ab[i * W];
-            for (l = 1; l <= w; l++) {
-                long o = a + l < nf ? idx[a + l] - i : W;
-                c[a * W + l] = o <= w ? ab[i * W + o] : 0.0;
-            }
-        }
-        /* the face gradient g = A v - b and the step d to the face minimum
-           x, from v_F = h */
-        band_matvec(c, nf, w, h, g);
-        for (a = 0; a < nf; a++) {
-            g[a] -= x[a];
-            d[a] = -g[a];
-        }
-        band_cholesky(c, t->u, nf, w);
-        band_solve(t->u, nf, w, d);
-        for (a = 0; a < nf; a++) {
-            x[a] = h[a] + d[a];
+            if (dependent(t, a))
+                x[a] = v[i];
+            d[a] = x[a] - v[i];
             if (!(fabs(x[a]) < HUGE_VAL))
                 break;
-            inside &= fabs(x[a]) <= lam[idx[a]];
+            inside &= fabs(x[a]) <= lam[i];
         }
         if (a < nf)
             break;
@@ -353,7 +414,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
             double thr = top;
             for (a = 0; a < nf; a++)
                 v[idx[a]] = x[a];
-            band_matvec(ab, m, w, v, g);
+            band_matvec(t->ab, m, w, v, g);
             for (i = 0; i < m; i++)
                 thr = fmax(thr, fabs(g[i]));
             thr *= tol;
@@ -361,6 +422,8 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
             for (i = 0; i < m; i++) {
                 double grad = g[i] - b[i];
                 if ((st[i] == 1 && grad > thr) || (st[i] == -1 && grad < -thr)) {
+                    if (done)
+                        lo = i;
                     st[i] = 0;
                     done = 0;
                 }
@@ -369,23 +432,39 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
         }
         /* the face minimum leaves the box: the cut and the projected step */
         double tcut = 1.0, dcut, dproj;
-        blk = -1;
+        blk = first = -1;
         for (a = 0; a < nf; a++) {
             i = idx[a];
-            e[a] = (x[a] > lam[i] ? lam[i] : x[a] < -lam[i] ? -lam[i] : x[a]) - v[i];
             if (x[a] > lam[i] || x[a] < -lam[i]) {
-                double r = ((x[a] > lam[i] ? lam[i] : -lam[i]) - v[i]) / d[a];
-                if (blk < 0 || r < tcut) {
-                    tcut = r;
+                double ratio = ((x[a] > lam[i] ? lam[i] : -lam[i]) - v[i]) / d[a];
+                if (blk < 0 || ratio < tcut) {
+                    tcut = ratio;
                     blk = a;
                 }
+                if (first < 0)
+                    first = a;
             }
         }
         tcut = fmin(fmax(tcut, 0.0), 1.0);
+        /* the face gradient g = A v - b at v, from r, which carries the
+           terms of the dependent rows (0 in h) */
+        for (a = 0; a < nf; a++)
+            h[a] = dependent(t, a) ? 0.0 : v[idx[a]];
+        band_matvec(c, nf, w, h, g);
+        for (a = 0; a < nf; a++)
+            g[a] -= r[a];
         band_matvec(c, nf, w, d, h);
         dcut = tcut * dot(g, d, nf) + 0.5 * tcut * tcut * dot(d, h, nf);
-        band_matvec(c, nf, w, e, h);
-        dproj = dot(g, e, nf) + 0.5 * dot(e, h, nf);
+        /* e = P(x) - v into h, then A e into g */
+        for (a = 0; a < nf; a++) {
+            i = idx[a];
+            h[a] = (x[a] > lam[i] ? lam[i] : x[a] < -lam[i] ? -lam[i] : x[a]) - v[i];
+        }
+        dproj = dot(g, h, nf);
+        band_matvec(c, nf, w, h, g);
+        dproj = dproj + 0.5 * dot(h, g, nf);
+        /* the least row the step holds: the first it clips, or the cut's */
+        lo = idx[dproj < dcut ? first : blk];
         if (dproj < dcut) {
             for (a = 0; a < nf; a++) {
                 i = idx[a];

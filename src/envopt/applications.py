@@ -117,7 +117,9 @@ class AppSpec:
         if self.app == "qrtf":
             if not 0.0 < self.q < 1.0:
                 raise ValidationError("q must lie in (0, 1)")
-            if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
+            # bool is an int subclass, but True is no order
+            if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
+                    and self.k >= 0):
                 raise ValidationError("qrtf order k must be a nonnegative integer")
         # a NaN fails every comparison
         if self.app == "fdp" and not 0.0 < self.a < np.inf:

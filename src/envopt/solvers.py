@@ -9,7 +9,7 @@ Contents:
 * :func:`weighted_trend_filter` -- the exact minimizer of
   ``sum_i (w_i/2)(z_i - b_i)^2 + sum_j lam_j |(D b)_j|``, D the
   difference operator of order k+1, by a feasible active-set method on
-  its dual box QP, one banded Cholesky per iteration.
+  its dual box QP, one banded Cholesky face solve per iteration.
 * :func:`proximal_gradient` -- fixed-step forward-backward iteration for
   separable penalized likelihoods: the gradient step is the location
   envelope's update and the penalty's prox its solve, run by
@@ -103,11 +103,13 @@ class SolverConfig:
     of an MM cycle (of a whole SQUAREM step in the envelope loops, where
     ``max_iters`` counts maps).  ``inner_max_iters`` and ``inner_tol``
     bound the dual active-set solve of :func:`weighted_trend_filter`, the
-    only inner solver: the cap on its iterations (one banded Cholesky
-    each) and the relative slack of its stop test on the signs of the
-    bound multipliers; of the estimators, only qrtf's (its path and
-    ``fit_qrtf``) read them.  The budgets must be integers >= 1 and the
-    tolerances positive and finite.
+    only inner solver: the cap on its iterations (one face solve each: the
+    banded Cholesky of the free rows and its two substitutions, of which
+    the compiled solve redoes only the rows after those it keeps, see
+    :func:`_tf_solve`) and the relative slack of its stop test on the
+    signs of the bound multipliers; of the estimators, only qrtf's (its
+    path and ``fit_qrtf``) read them.  The budgets must be integers >= 1
+    and the tolerances positive and finite.
     """
 
     max_iters: int = 500
@@ -403,14 +405,14 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     ``min v'Av/2 - b'v`` subject to ``|v_j| <= lam_j``, with
     ``A = D diag(1/omega) D'`` (bandwidth k+1) and ``b = D z``; the primal is
     ``beta = z - D'v / omega``.  The dual is solved by a feasible
-    active-set method (:func:`_tf_solve`): each iteration is one banded
-    Cholesky of A on the free rows, and the solve ends after a step to the
-    face minimum that leaves no bound with a wrong-signed multiplier
-    beyond ``cfg.inner_tol`` relative.  ``cfg.inner_max_iters`` caps the
-    iterations.  The inputs are validated here, and the solve is the
-    one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
-    weights ``omega`` and order ``k`` (the compiled loop, or its Python
-    mirror, with the same bits).
+    active-set method (:func:`_tf_solve`): each iteration solves for the
+    minimum over the free rows by the banded Cholesky of A there, and the
+    solve ends after a step to the face minimum that leaves no bound with
+    a wrong-signed multiplier beyond ``cfg.inner_tol`` relative.
+    ``cfg.inner_max_iters`` caps the iterations.  The inputs are validated
+    here, and the solve is the one-solve squared-loss fit of
+    :func:`envelope_fused_lasso_mm` with weights ``omega`` and order ``k``
+    (the compiled loop, or its Python mirror, with the same bits).
 
     ``lam`` may be a scalar or a per-row vector; a row with ``lam_j = 0``
     is left free in the primal (its dual stays 0).  ``state``, if given,
@@ -499,18 +501,32 @@ def _band_matvec(c, y):
 _PIVOT_FLOOR = 1e-12
 
 
-def _band_cholesky_solve(c, x):
-    """``C^{-1} x`` by the banded Cholesky ``C = U'U`` of ``_fldp.c``
-    (``band_cholesky`` then ``band_solve``), with every dependent row
-    (see ``_PIVOT_FLOOR``) dropped from ``C`` and set to 0 in the
-    result."""
+def _face_solve(c, r, v_f):
+    """The face minimum ``C^{-1} r`` of ``tf_solve`` in ``_fldp.c``: the
+    banded Cholesky ``C = U'U`` row by row, each row forward-substituted
+    as it is factored (``tf_factor``), then the back substitution.  A
+    dependent row (see ``_PIVOT_FLOOR``) is dropped from ``C`` and held at
+    its value in ``v_f``: its column times that value moves into the
+    right-hand sides of the ``w`` rows before it and the ``w`` after it,
+    and the rows before it take new forward values.  Returns the face
+    minimum, the right-hand side after those moves and the dependent
+    rows."""
     w = c.shape[0] - 1
-    nr = x.shape[0]
+    nf = r.shape[0]
     cols = c.T.tolist()
-    u = [[0.0] * (w + 1) for _ in range(nr)]
-    for a in range(nr):
+    r = r.tolist()
+    u = [[0.0] * (w + 1) for _ in range(nf)]
+    y = [0.0] * nf
+
+    def forward(a):
+        val = r[a]
+        for l in range(1, min(w, a) + 1):
+            val -= u[a - l][l] * y[a - l]
+        return val / u[a][0] if u[a][0] > 0.0 else 0.0
+
+    for a in range(nf):
         row = u[a]
-        for e in range(min(w, nr - 1 - a) + 1):
+        for e in range(min(w, nf - 1 - a) + 1):
             val = cols[a][e]
             for l in range(1, min(w - e, a) + 1):
                 val -= u[a - l][l] * u[a - l][l + e]
@@ -518,18 +534,26 @@ def _band_cholesky_solve(c, x):
                 row[0] = math.sqrt(val) if val > _PIVOT_FLOOR * cols[a][0] else 0.0
             else:
                 row[e] = val / row[0] if row[0] > 0.0 else 0.0
-    x = x.tolist()
-    for a in range(nr):
-        val = x[a]
+        if row[0] > 0.0:
+            y[a] = forward(a)
+            continue
+        va = float(v_f[a])
         for l in range(1, min(w, a) + 1):
-            val -= u[a - l][l] * x[a - l]
-        x[a] = val / u[a][0] if u[a][0] > 0.0 else 0.0
-    for a in range(nr - 1, -1, -1):
+            r[a - l] -= cols[a - l][l] * va
+        for l in range(1, min(w, nf - 1 - a) + 1):
+            r[a + l] -= cols[a][l] * va
+        for l in range(min(w, a), 0, -1):
+            y[a - l] = forward(a - l)
+    x = y
+    for a in range(nf - 1, -1, -1):
         val = x[a]
-        for l in range(1, min(w, nr - 1 - a) + 1):
+        for l in range(1, min(w, nf - 1 - a) + 1):
             val -= u[a][l] * x[a + l]
         x[a] = val / u[a][0] if u[a][0] > 0.0 else 0.0
-    return np.array(x)
+    dependent = np.array([not row[0] > 0.0 for row in u], dtype=bool)
+    x = np.array(x)
+    x[dependent] = v_f[dependent]
+    return x, np.array(r), dependent
 
 
 def _tf_solve(ab, b, lam, tol, max_iters, v):
@@ -538,16 +562,20 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
 
     Rows with ``lam_j = 0`` are fixed at 0 and rows where ``v`` is at (or
     beyond) a bound on entry start at that bound.  Each iteration solves
-    for the step ``d`` to the minimum ``x = v + d`` over the free rows,
-    the bound rows (and any free row the factorization finds dependent)
-    held.  When ``x`` lies in the box, ``v`` moves there and every bound
-    whose multiplier ``(Av - b)_j`` has the wrong sign beyond
+    for the minimum ``x`` over the free rows, the bound rows (and any free
+    row the factorization finds dependent) held, directly from the face's
+    right-hand side (:func:`_face_solve`), and steps by ``d = x - v``.
+    When ``x`` lies in the box, ``v`` moves there and every bound whose
+    multiplier ``(Av - b)_j`` has the wrong sign beyond
     ``tol * max(|b|_inf, |Av|_inf)`` is freed; the solve ends when none
     is.  Otherwise ``v`` takes whichever of two feasible steps lowers the
     dual more, each change ``t g'd + t^2 d'Ad / 2`` computed exactly (``g``
-    the gradient on the free rows): the step ``t d`` cut at the first
-    blocking bound, after which that bound is held; or the projected full
-    step ``e = P(x) - v``, after which every row it clips is held.
+    the gradient at ``v`` on the free rows): the step ``t d`` cut at the
+    first blocking bound, after which that bound is held; or the projected
+    full step ``e = P(x) - v``, after which every row it clips is held.
+    The compiled solve keeps the face rows before the rows whose status
+    changed from one iteration to the next; this mirror refactors every
+    row, and the two agree bit for bit.
 
     ``v`` is updated in place.  Returns ``(iters, converged, active)``:
     the iterations run, whether the solve ended on its test (not on
@@ -580,9 +608,8 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
             near = gap < ab.shape[0]
             c[l, :nf - l][near] = ab[gap[near], idx[:-l][near]]
         lam_f, v_f = lam[idx], v[idx]
-        g = _band_matvec(c, v_f) - r[idx]
-        d = _band_cholesky_solve(c, -g)
-        x = v_f + d
+        x, r_f, dependent = _face_solve(c, r[idx], v_f)
+        d = x - v_f
         if not np.all(np.abs(x) < np.inf):
             break
         if np.all(np.abs(x) <= lam_f):
@@ -600,6 +627,8 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
         ratio = (np.where(above[out], lam_f[out], -lam_f[out]) - v_f[out]) / d[out]
         blk = out[np.argmin(ratio)]
         t = min(max(float(np.min(ratio)), 0.0), 1.0)
+        # the gradient at v from r_f, which carries the dependent rows' terms
+        g = _band_matvec(c, np.where(dependent, 0.0, v_f)) - r_f
         dcut = t * _in_order_sum(g * d) + 0.5 * t * t * _in_order_sum(d * _band_matvec(c, d))
         dproj = _in_order_sum(g * e) + 0.5 * _in_order_sum(e * _band_matvec(c, e))
         if dproj < dcut:

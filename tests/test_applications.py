@@ -214,6 +214,15 @@ def test_qrtf_capped_inner_solves_are_not_converged():
     assert not fit.converged and fit.aux["run"]["capped"] > 0
 
 
+def test_qrtf_rejects_bool_order():
+    """``True`` is an int, but no order: the spec and the fit reject it."""
+    msg = "qrtf order k must be a nonnegative integer"
+    with pytest.raises(ValidationError, match=msg):
+        AppSpec("qrtf", k=True)
+    with pytest.raises(ValidationError, match=msg):
+        fit_qrtf(simulate("qrtf", 60, seed=1).y, 0.9, True, 3.0)
+
+
 @pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
 def test_qrtf_rising_map_ends_the_fit(monkeypatch, python):
     """Where the clamped weights do not majorize the loss, a map may rise:

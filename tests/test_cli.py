@@ -268,7 +268,7 @@ CHECK_ROWS = [
     "prox vs grid oracle (200 draws)",
     "fused-lasso DP vs exact trend filter at k=0 (50)",
     "trend-filter KKT residual (k in {1,2})",
-    "proximal gradient vs long-run oracle (5)",
+    "proximal gradient vs exact lasso on its support (5)",
     "proximal gradient fixed-point residual",
 ]
 

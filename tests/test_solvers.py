@@ -11,6 +11,7 @@ from scipy.special import expit
 
 import envopt
 from envopt import solvers
+from envopt.checks import _lasso_on_support
 from envopt.errors import CapabilityError, MonotonicityError, ValidationError
 from envopt.losses import LossSpec, loss_grad
 from envopt.operators import soft_threshold
@@ -355,6 +356,97 @@ def test_trend_filter_c_loop_record_matches_python_loop(cap, tol):
         assert c[1]["converged"] or (cap < 5000 and c[1]["iters"] == cap), where
 
 
+def _long_free_runs(rng):
+    """Trend filters whose faces are long free runs: n from 600 to 1,000,
+    k = 2, lam from 1e4 to 1e6, unit weights or weights over six decades
+    with a tenth at fit_qrtf's 1e6 clamp (where the factorization finds
+    dependent rows), cold and warm starts."""
+    for i in range(4):
+        n = int(rng.integers(600, 1001))
+        z = np.cumsum(rng.normal(size=n))
+        omega = np.ones(n)
+        if i % 2:
+            omega = 10.0 ** rng.uniform(-3, 3, size=n)
+            omega[rng.random(n) < 0.1] = 1e6
+        lam = 10.0 ** rng.uniform(4, 6)
+        state = None
+        if i >= 2:
+            state = {}
+            weighted_trend_filter(z + rng.normal(scale=0.1, size=n), omega, 2, lam,
+                                  SolverConfig(inner_max_iters=300, inner_tol=1e-7), state)
+        yield z, omega, 2, lam, state
+
+
+def _mirror_iterate(z, omega, lam, v, iters):
+    """The dual after ``iters`` iterations of the mirror's solve from ``v``."""
+    _, ab, b = solvers._tf_bands(z, omega, 2)
+    v = v.copy()
+    solvers._tf_solve(ab, b, lam, 1e-7, iters, v)
+    return v
+
+
+def _bound_rows(lam, v):
+    return list(np.flatnonzero((np.abs(v) == lam) & (lam > 0.0)))
+
+
+def _kept_prefix_instances():
+    """Edge cases of the compiled solve's kept prefix (k = 2, w = 3).  The
+    first cut lands on row 0 (nothing kept); on the row just after a
+    dependent row (the prefix stops w rows before that row); and w + 2
+    rows after one (that row moves its term into the rebuilt rows).  Last,
+    the bound last row, past three rows fixed at 0, is freed while every
+    other row is free (all but w rows of the free list kept)."""
+    rng = np.random.Generator(np.random.PCG64(44))
+    n = 800
+    z = np.cumsum(rng.normal(size=n))
+    omega = 10.0 ** rng.uniform(-3, 3, size=n)
+    omega[rng.random(n) < 0.1] = 1e6
+    _, ab, b = solvers._tf_bands(z, omega, 2)
+    m = b.size
+    x, _, dependent = solvers._face_solve(ab, b, np.zeros(m))
+    first = int(np.flatnonzero(dependent)[0])
+    for row in (0, first + 1, first + 5):
+        lam = np.full(m, 10.0 * np.max(np.abs(x)))
+        lam[row] = abs(x[row]) / 2.0
+        v = 1e-3 * lam * rng.uniform(-1.0, 1.0, size=m)
+        assert _bound_rows(lam, _mirror_iterate(z, omega, lam, v, 1)) == [row]
+        yield z, omega, 2, lam, {"v": v}
+    lam = np.full(m, 10.0 * np.max(np.abs(x)))
+    lam[m - 4:m - 1] = 0.0
+    lam[-1] = abs(b[-1]) / (2.0 * ab[0, -1])
+    v = np.zeros(m)
+    v[-1] = -np.sign(b[-1]) * lam[-1]  # its multiplier has the wrong sign
+    assert _bound_rows(lam, _mirror_iterate(z, omega, lam, v, 1)) == [m - 1]
+    assert _mirror_iterate(z, omega, lam, v, 2)[-1] != v[-1]  # freed by the first
+    yield z, omega, 2, lam, {"v": v}
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_trend_filter_long_free_runs_match_python_loop(monkeypatch):
+    """On long free runs, where the factorization drops dependent rows,
+    and on the edge cases of the compiled solve's kept prefix, the C solve
+    and the Python mirror (which refactors every row) agree bit for bit
+    after a few iterations and at a cap of 40."""
+    dropped = []
+    face = solvers._face_solve
+
+    def counting(*args):
+        out = face(*args)
+        dropped.append(int(np.sum(out[2])))
+        return out
+
+    cases = [*_long_free_runs(np.random.Generator(np.random.PCG64(2020))),
+             *_kept_prefix_instances()]
+    monkeypatch.setattr(solvers, "_face_solve", counting)
+    for args in cases:
+        for cap in (1, 2, 5, 40):
+            cfg = SolverConfig(inner_max_iters=cap, inner_tol=1e-7)
+            where = (args[0].size, np.size(args[3]), args[4] is not None, cap)
+            c = _tf_run(args, python=False, cfg=cfg)
+            _assert_same_solve(c, _tf_run(args, python=True, cfg=cfg), where)
+    assert sum(dropped) > 0
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_trend_filter_cold_start_far_from_solution(k):
     """A dual start at the wrong bound on every row ends within the
@@ -495,7 +587,10 @@ def test_proximal_gradient_first_step_is_soft_threshold():
     np.testing.assert_allclose(fit.beta, soft_threshold(y, 1.0))
 
 
-def test_proximal_gradient_matches_long_run_oracle():
+def test_proximal_gradient_matches_exact_lasso_solution():
+    """The fit's support and signs give the exact lasso solution, which
+    meets the KKT conditions: the fit has the right support, and its
+    objective and coefficients are that solution's."""
     rng = np.random.Generator(np.random.PCG64(12))
     for _ in range(3):
         A = rng.normal(size=(20, 10))
@@ -504,12 +599,29 @@ def test_proximal_gradient_matches_long_run_oracle():
         pen = PenaltySpec("l1", weight=1.5)
         fit = proximal_gradient(loss, pen, np.zeros(10),
                                 SolverConfig(max_iters=20_000, tol=1e-16))
-        ref = proximal_gradient(loss, pen, np.zeros(10),
-                                SolverConfig(max_iters=100_000, tol=1e-16))
-        assert fit.objective == pytest.approx(ref.objective, abs=1e-6)
+        exact, kkt = _lasso_on_support(A, y, 1.5, fit.beta)
+        assert kkt
+        r = y - A @ exact
+        assert fit.objective == pytest.approx(0.5 * r @ r + 1.5 * np.sum(np.abs(exact)),
+                                              rel=0.0, abs=1e-12)
+        np.testing.assert_allclose(fit.beta, exact, rtol=0.0, atol=1e-6)
         a = fit.aux["step"]
         fp = prox(pen, fit.beta - a * loss_grad(loss, fit.beta), 1.0 / a)
         assert np.max(np.abs(fp - fit.beta)) <= 1e-8
+
+
+def test_lasso_support_oracle_rejects_a_wrong_support():
+    """A fit with one coefficient dropped from its support fails the KKT
+    conditions of the exact solution on that support."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    A = rng.normal(size=(20, 10))
+    y = rng.normal(size=20)
+    fit = proximal_gradient(LossSpec("gaussian", y=y, design=A), PenaltySpec("l1", weight=1.5),
+                            np.zeros(10), SolverConfig(max_iters=20_000, tol=1e-16))
+    wrong = fit.beta.copy()
+    wrong[np.argmax(np.abs(wrong))] = 0.0
+    assert _lasso_on_support(A, y, 1.5, fit.beta)[1]
+    assert not _lasso_on_support(A, y, 1.5, wrong)[1]
 
 
 def test_proximal_gradient_trace_monotone():
