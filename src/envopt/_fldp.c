@@ -2,7 +2,8 @@
    exact subproblems: the weighted 1-d fused lasso by message passing
    (Johnson 2013, JCGS) and the weighted trend filter by a dual active-set
    method, whose face solves keep the factor and forward values of the
-   free rows before the least row whose status changed (tf_solve).
+   free rows before the least row whose status changed, and whose steps
+   out of the box are projected searches (tf_solve).
 
    envelope_fused_lasso_path runs the whole loop for one of five
    envelopes: the Huber location shift, the logit's Polya-Gamma weights,
@@ -14,7 +15,9 @@
    the caller passes a check block, and the fused lasso otherwise; the
    squared loss with either subproblem is the one-solve fit behind
    envopt.solvers.weighted_fused_lasso and weighted_trend_filter.  The
-   iterative envelopes are extrapolated by safeguarded SQUAREM.  One call
+   iterative envelopes are extrapolated by safeguarded SQUAREM, which with
+   a trend filter also hands a rejected extrapolation's successor the dual
+   of the iterate it keeps.  One call
    runs a warm-started path of such fits over a grid of penalty scales,
    each fit starting at the previous fit's iterate; a single fit is the
    path of one scale 1.  For each fit it returns the iterate and its
@@ -105,6 +108,13 @@ static void dp(const double *z, const double *w, const double *u, long n,
     }
 }
 
+/* A breakpoint of the projected search in tf_solve: the step t at which
+   face row a reaches its bound. */
+typedef struct {
+    double t;
+    long a;
+} breakpoint;
+
 /* The work arrays of the dual trend-filter solve for n points and order
    k: m = n - k - 1 dual rows, half-bandwidth w = k + 1 and the stencil of
    D, p = k + 2 entries, row j of D being s[0..p-1] from column j on.  The
@@ -121,25 +131,34 @@ typedef struct {
     double *b;       /* D z */
     double *r;       /* the face's right-hand side */
     double *y;       /* its forward values, U'y = r */
-    double *x, *d, *h, *g;  /* face minimum, step, scratch, gradient */
+    double *x, *d, *h, *g;  /* face minimum, step, scratch (C D in the search), gradient */
+    double *ch;      /* C H of the projected search (see tf_solve) */
+    breakpoint *br;  /* the search's breakpoints */
     long *idx;       /* the free rows */
     signed char *st; /* 1 or -1 at that bound, 0 free, 2 fixed at 0 (lam = 0) */
 } tfdual;
+
+static void tf_free(tfdual *t)
+{
+    free(t->s);
+    free(t->idx);
+    free(t->br);
+}
 
 /* Allocates the work arrays; returns 0, or 1 when they cannot be. */
 static int tf_alloc(tfdual *t, long n, long k)
 {
     long m = n - k - 1, w = k + 1, p = k + 2, i, j, e;
-    size_t doubles = (size_t)(p + (w + 1) * p + n + 3 * m * (w + 1) + 7 * m);
+    size_t doubles = (size_t)(p + (w + 1) * p + n + 3 * m * (w + 1) + 8 * m);
     t->n = n;
     t->m = m;
     t->w = w;
     t->p = p;
     t->s = calloc(doubles, sizeof(double));
     t->idx = calloc((size_t)m, sizeof(long) + 1);
-    if (!t->s || !t->idx) {
-        free(t->s);
-        free(t->idx);
+    t->br = calloc((size_t)m, sizeof(breakpoint));
+    if (!t->s || !t->idx || !t->br) {
+        tf_free(t);
         return 1;
     }
     t->st = (signed char *)(t->idx + m);
@@ -155,6 +174,7 @@ static int tf_alloc(tfdual *t, long n, long k)
     t->d = t->x + m;
     t->h = t->d + m;
     t->g = t->h + m;
+    t->ch = t->g + m;
     /* (k + 1) times: s <- s * (1, -1), from s = (1) */
     t->s[0] = 1.0;
     for (i = 1; i < p; i++)
@@ -164,12 +184,6 @@ static int tf_alloc(tfdual *t, long n, long k)
         for (j = e; j < p; j++)
             t->ss[e * p + j] = t->s[j] * t->s[j - e];
     return 0;
-}
-
-static void tf_free(tfdual *t)
-{
-    free(t->s);
-    free(t->idx);
 }
 
 /* The problem of one solve: 1/omega, the bands of A = D diag(1/omega) D'
@@ -302,6 +316,16 @@ static void tf_factor(tfdual *t, long from, long nf, const double *v)
     }
 }
 
+/* The order of the projected search's breakpoints: by t, ties to the
+   lower face position. */
+static int by_breakpoint(const void *p, const void *q)
+{
+    const breakpoint *e = p, *f = q;
+    if (e->t != f->t)
+        return e->t < f->t ? -1 : 1;
+    return (e->a > f->a) - (e->a < f->a);
+}
+
 static double dot(const double *x, const double *y, long len)
 {
     double acc = 0.0;
@@ -324,14 +348,28 @@ static double dot(const double *x, const double *y, long len)
    value.  When x lies in the box, v moves there, and every bound whose
    multiplier (the gradient Av - b) has the wrong sign beyond
    tol * max(|b|_inf, |Av|_inf) is freed; the solve ends when none is.
-   Otherwise v takes whichever of two feasible steps lowers q more, each
-   change t g'd + t^2 d'Ad/2 computed exactly from the gradient g at v:
-   the step t d cut at the first blocking bound, after which that bound
-   is held; or the projected full step e = P(x) - v, after which every
-   row it clips is held.
 
-   A step changes the status of few rows, and the face rows whose index
-   is more than w below the least of them keep their bands, right-hand
+   Otherwise v takes a projected search along the arc P(v + t d), P the
+   projection onto the box (More & Toraldo 1991, SIAM J. Optim.
+   1:93-113).  Each free row a that x leaves the box on has the
+   breakpoint t_a = (+-lam_a - v_a) / d_a at which it reaches its bound;
+   they are taken in the order (t_a, position).  The search holds the
+   first one's row, as a cut at the first blocking bound would, then goes
+   on while the slope of q along the arc is negative, holding each row it
+   passes.  With the rows held so far, the arc is p(t) = t D + H on the
+   face (D is d with those rows zeroed, H holds t_b d_b in each held row
+   b), so q'(t) = g'D + t D'CD + D'CH, C the face's bands and g the
+   gradient at v computed directly (not -C d, which assumes x is the
+   exact face minimum; on long ill-conditioned faces it is not).  Holding
+   row a updates g'D, D'CD and D'CH from (CD)_a, (CH)_a and C_aa, and the
+   vectors CD and CH in the 2w + 1 rows of column a.  The search stops at
+   the first root of q', at most t = 1 (which is P(x)); the free rows move
+   to clip(v + t d) and the passed rows to their bounds.  It lowers q at
+   least as much as the cut, and costs two banded products: the gradient
+   and C d.
+
+   A step changes the status of some rows, and the face rows whose index
+   is more than w below the least of them (lo) keep their bands, right-hand
    side, row of U and forward value.  So an iteration keeps that prefix of
    the free list from the last one and rebuilds, refactors and
    forward-substitutes only the rows after it; the back substitution runs
@@ -349,12 +387,13 @@ static double dot(const double *x, const double *y, long len)
 static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
                     double *v, long *iters, long *active)
 {
-    long m = t->m, w = t->w, i, a, l, nf = 0, old, keep, lo = 0, blk, first, it = 0;
+    long m = t->m, w = t->w, W = w + 1, i, a, l, nf = 0, old, keep, lo = 0, nb, held, it = 0;
     const double *b = t->b, *c = t->c, *u = t->u, *y = t->y;
-    double *r = t->r, *x = t->x, *d = t->d, *h = t->h, *g = t->g;
+    double *r = t->r, *x = t->x, *d = t->d, *h = t->h, *g = t->g, *ch = t->ch;
+    breakpoint *br = t->br;
     long *idx = t->idx;
     signed char *st = t->st;
-    double top = 0.0;
+    double top = 0.0, gd, dcd, dch, step;
     int done = 0;
 
     for (i = 0; i < m; i++) {
@@ -430,62 +469,87 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
             }
             continue;
         }
-        /* the face minimum leaves the box: the cut and the projected step */
-        double tcut = 1.0, dcut, dproj;
-        blk = first = -1;
+        /* the face minimum leaves the box: the projected search along
+           P(v + t d), its breakpoints in the order (t, position) */
+        nb = 0;
         for (a = 0; a < nf; a++) {
             i = idx[a];
             if (x[a] > lam[i] || x[a] < -lam[i]) {
-                double ratio = ((x[a] > lam[i] ? lam[i] : -lam[i]) - v[i]) / d[a];
-                if (blk < 0 || ratio < tcut) {
-                    tcut = ratio;
-                    blk = a;
-                }
-                if (first < 0)
-                    first = a;
+                br[nb].t = ((x[a] > lam[i] ? lam[i] : -lam[i]) - v[i]) / d[a];
+                br[nb++].a = a;
             }
         }
-        tcut = fmin(fmax(tcut, 0.0), 1.0);
+        qsort(br, (size_t)nb, sizeof *br, by_breakpoint);
         /* the face gradient g = A v - b at v, from r, which carries the
-           terms of the dependent rows (0 in h) */
+           terms of the dependent rows (0 in h); then C D into h, with
+           D = d and H = 0 before any row is held */
         for (a = 0; a < nf; a++)
             h[a] = dependent(t, a) ? 0.0 : v[idx[a]];
         band_matvec(c, nf, w, h, g);
-        for (a = 0; a < nf; a++)
-            g[a] -= r[a];
-        band_matvec(c, nf, w, d, h);
-        dcut = tcut * dot(g, d, nf) + 0.5 * tcut * tcut * dot(d, h, nf);
-        /* e = P(x) - v into h, then A e into g */
         for (a = 0; a < nf; a++) {
-            i = idx[a];
-            h[a] = (x[a] > lam[i] ? lam[i] : x[a] < -lam[i] ? -lam[i] : x[a]) - v[i];
+            g[a] -= r[a];
+            ch[a] = 0.0;
         }
-        dproj = dot(g, h, nf);
-        band_matvec(c, nf, w, h, g);
-        dproj = dproj + 0.5 * dot(h, g, nf);
-        /* the least row the step holds: the first it clips, or the cut's */
-        lo = idx[dproj < dcut ? first : blk];
-        if (dproj < dcut) {
-            for (a = 0; a < nf; a++) {
-                i = idx[a];
-                if (x[a] > lam[i]) {
-                    v[i] = lam[i];
-                    st[i] = 1;
-                } else if (x[a] < -lam[i]) {
-                    v[i] = -lam[i];
-                    st[i] = -1;
-                } else {
-                    v[i] = x[a];
+        band_matvec(c, nf, w, d, h);
+        gd = dot(g, d, nf);
+        dcd = dot(d, h, nf);
+        dch = 0.0;
+        for (held = 0;;) {
+            /* hold row a at its breakpoint: D_a becomes 0 and H_a t_a d_a */
+            double ta = br[held].t, da, ha, caa, slope, next;
+            a = br[held++].a;
+            da = d[a];
+            ha = ta * da;
+            caa = c[a * W];
+            gd -= g[a] * da;
+            dch = dch + ha * h[a] - da * ch[a] - ha * da * caa;
+            dcd = dcd - 2.0 * da * h[a] + da * da * caa;
+            h[a] -= da * caa;
+            ch[a] += ha * caa;
+            for (l = 1; l <= w; l++) {
+                if (a + l < nf) {
+                    h[a + l] -= da * c[a * W + l];
+                    ch[a + l] += ha * c[a * W + l];
+                }
+                if (a - l >= 0) {
+                    h[a - l] -= da * c[(a - l) * W + l];
+                    ch[a - l] += ha * c[(a - l) * W + l];
                 }
             }
-        } else {
-            for (a = 0; a < nf; a++) {
-                i = idx[a];
-                v[i] = fmin(fmax(v[i] + tcut * d[a], -lam[i]), lam[i]);
+            /* q'(t) = g'D + t D'CD + D'CH on the segment up to the next
+               breakpoint (or t = 1, P(x)): stop where it is not negative
+               or at its root */
+            step = ta;
+            next = held < nb ? br[held].t : 1.0;
+            slope = gd + step * dcd + dch;
+            if (!(slope < 0.0))
+                break;
+            if (dcd > 0.0) {
+                double root = -(gd + dch) / dcd;
+                if (root < next) {
+                    if (root > step)
+                        step = root;
+                    break;
+                }
             }
-            i = idx[blk];
-            st[i] = d[blk] > 0.0 ? 1 : -1;
+            if (held == nb) {
+                step = 1.0;
+                break;
+            }
+        }
+        for (a = 0; a < nf; a++) {
+            i = idx[a];
+            v[i] = fmin(fmax(v[i] + step * d[a], -lam[i]), lam[i]);
+        }
+        /* the passed rows at their bounds; lo is the least of them */
+        lo = m;
+        for (l = 0; l < held; l++) {
+            a = br[l].a;
+            i = idx[a];
+            st[i] = d[a] > 0.0 ? 1 : -1;
             v[i] = st[i] * lam[i];
+            if (i < lo)
+                lo = i;
         }
     }
     *iters = it;
@@ -523,7 +587,8 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
    weights w, the working responses z and, for LOG_PENALTY, the DP's edge
    weights ue; x is the DP's work array.  When tf is not NULL, each map
    solves the trend filter on tf instead of the DP, warm-started from the
-   dual v, with inner_tol and inner_max; inner_iters and capped count its
+   dual v, with inner_tol and inner_max (v2 holds the dual of a SQUAREM
+   step's second map, see squarem_step); inner_iters and capped count its
    iterations and the solves that ended without meeting their test, and
    act receives the rows at a bound of the last map's solve (tf is NULL
    when the caller passed no check block).  maps counts the maps run
@@ -536,7 +601,7 @@ typedef struct {
     long n, rows, maps;
     double *w, *z, *ue, *x, *trace;
     tfdual *tf;
-    double *v, inner_tol;
+    double *v, *v2, inner_tol;
     long inner_max, inner_iters, capped, act;
 } loop;
 
@@ -721,9 +786,12 @@ static int plain_map(loop *s, const double *from, double *to, double *obj,
    objective is at most f(b2); otherwise, or when bx or the map is not
    finite, the step ends at b2, the third map's record repeats f(b2) and
    *rejected counts it.  b1, b2 and bx are work vectors; *act receives the
-   rows at a bound of the map that gave beta (trend filter).  When the second
-   plain map rises, beta becomes b1, the last iterate accepted.  Returns 0
-   or the status of a plain map. */
+   rows at a bound of the map that gave beta (trend filter).  With a trend
+   filter the dual after b2's solve is saved in s->v2, and a rejected
+   third map puts it back, so that the next solve starts from the dual
+   that gave the kept iterate b2, not from the rejected map's.  When the
+   second plain map rises, beta becomes b1, the last iterate accepted.
+   Returns 0 or the status of a plain map. */
 static int squarem_step(loop *s, double *beta, double *b1, double *b2,
                         double *bx, double *obj, double *next, long *rejected,
                         long *act)
@@ -742,6 +810,8 @@ static int squarem_step(loop *s, double *beta, double *b1, double *b2,
     if (status)
         return status;
     *act = s->act;
+    if (s->tf)
+        memcpy(s->v2, s->v, (size_t)s->rows * sizeof(double));
     for (i = 0; i < n; i++) {
         double r = b1[i] - beta[i], v = b2[i] - 2.0 * b1[i] + beta[i];
         rr += r * r;
@@ -765,6 +835,8 @@ static int squarem_step(loop *s, double *beta, double *b1, double *b2,
     } else {
         ++*rejected;
         memcpy(beta, b2, (size_t)n * sizeof(double));
+        if (s->tf)
+            memcpy(s->v, s->v2, (size_t)s->rows * sizeof(double));
     }
     count_map(s, *obj);
     return 0;
@@ -844,7 +916,7 @@ enum { INFO = 10 };
    HUBER_SHIFT the shift soft(y - beta, 1) (n values), for LOG_PENALTY
    the edge weights at the last iterate (n - 1 values), with a trend
    filter the weights w, the working responses z at the last iterate and
-   the last dual (2n + rows values); otherwise it is unread.  info[0..9]
+   the last dual, s->v (2n + rows values); otherwise it is unread.  info[0..9]
    are the maps run, converged (0/1), the last accepted objective, after
    a rise the objective that rose, the df of the last iterate (its
    distinct levels, or with a trend filter k + 1 plus the rows at a bound
@@ -985,7 +1057,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
     long i, l, k = check ? (long)check[1] : 0, rows = n - k - 1;
     long nv = envelope == HUBER_SHIFT ? n : check ? 2 * n + rows : n - 1;
     tfdual tf;
-    double *work = calloc((size_t)(15 * n + (check ? rows : 0)), sizeof(double));
+    double *work = calloc((size_t)(15 * n + (check ? 2 * rows : 0)), sizeof(double));
     if (!work)
         return 1;
     if (check && tf_alloc(&tf, n, k)) {
@@ -995,7 +1067,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
     double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n, *pen = bx + 9 * n;
     loop s = {envelope, 0, record, y, m, pen, a, check ? check[0] : 0.0, n, rows, 0,
               work, work + n, work + 2 * n, bx + n, trace,
-              check ? &tf : NULL, pen + n, check ? check[2] : 0.0,
+              check ? &tf : NULL, pen + n, pen + n + rows, check ? check[2] : 0.0,
               check ? (long)check[3] : 0, 0, 0, 0};
 
     /* the weights of the envelopes that do not update them */

@@ -46,6 +46,7 @@ from .solvers import (
     _ONE_SOLVE,
     _check_finite_minimizer,
     _edge_weights,
+    _is_integer,
     _logit_loss,
     _mm_start,
     _run_record,
@@ -117,9 +118,7 @@ class AppSpec:
         if self.app == "qrtf":
             if not 0.0 < self.q < 1.0:
                 raise ValidationError("q must lie in (0, 1)")
-            # bool is an int subclass, but True is no order
-            if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
-                    and self.k >= 0):
+            if not (_is_integer(self.k) and self.k >= 0):
                 raise ValidationError("qrtf order k must be a nonnegative integer")
         # a NaN fails every comparison
         if self.app == "fdp" and not 0.0 < self.a < np.inf:
@@ -550,12 +549,17 @@ def simulate(app: str, n: int, seed: int, m: Optional[int] = None) -> Dataset:
     ``0.5 + exp(1.5 sin(4 pi x))``.  fdp: binomial counts with a
     piecewise-constant log-odds truth.  The generator is PCG64 with the
     given 64-bit seed, recorded in the metadata; the same seed
-    reproduces the dataset bit for bit.
+    reproduces the dataset bit for bit.  ``n``, ``seed`` and ``m`` must
+    be integers (not bool), with ``n >= 5``, ``seed >= 0`` and ``m >= 1``.
     """
     if app not in APPS:
         raise ValidationError(f"unknown application {app!r}")
-    if n < 5:
-        raise ValidationError("n must be at least 5")
+    if not (_is_integer(n) and n >= 5):
+        raise ValidationError("n must be an integer of at least 5")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValidationError("seed must be a nonnegative integer")
+    if not (m is None or _is_integer(m) and m >= 1):
+        raise ValidationError("m must be a positive integer trial count")
     rng = np.random.Generator(np.random.PCG64(seed))
     meta = {"generator": "pcg64", "seed": int(seed), "n": int(n)}
     if app == "rfl":
@@ -572,8 +576,6 @@ def simulate(app: str, n: int, seed: int, m: Optional[int] = None) -> Dataset:
                        truth={"truth_mean": mean, "truth_sigma": sigma},
                        meta=meta)
     m_val = 25 if m is None else int(m)
-    if m_val < 1:
-        raise ValidationError("m must be a positive trial count")
     x = (np.arange(n) + 0.5) / n
     logodds = _piecewise_levels(x, FDP_TRUE_LEVELS)
     y = rng.binomial(m_val, expit(logodds), size=n).astype(float)

@@ -95,6 +95,12 @@ __all__ = [
 ]
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; bool is an int
+    subclass, but True is no count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class SolverConfig:
     """Iteration budgets and tolerances shared by the drivers.
@@ -122,9 +128,7 @@ class SolverConfig:
         if not (0 < self.tol < np.inf and 0 < self.inner_tol < np.inf):
             raise ValidationError("tolerances must be positive and finite")
         for budget in (self.max_iters, self.inner_max_iters):
-            # bool is an int subclass, but True is no budget
-            if not (isinstance(budget, (int, np.integer)) and not isinstance(budget, bool)
-                    and budget >= 1):
+            if not (_is_integer(budget) and budget >= 1):
                 raise ValidationError("iteration budgets must be integers >= 1")
 
 
@@ -568,11 +572,13 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
     When ``x`` lies in the box, ``v`` moves there and every bound whose
     multiplier ``(Av - b)_j`` has the wrong sign beyond
     ``tol * max(|b|_inf, |Av|_inf)`` is freed; the solve ends when none
-    is.  Otherwise ``v`` takes whichever of two feasible steps lowers the
-    dual more, each change ``t g'd + t^2 d'Ad / 2`` computed exactly (``g``
-    the gradient at ``v`` on the free rows): the step ``t d`` cut at the
-    first blocking bound, after which that bound is held; or the projected
-    full step ``e = P(x) - v``, after which every row it clips is held.
+    is.  Otherwise ``v`` takes a projected search along ``P(v + t d)``
+    (:func:`_projected_search`; Moré & Toraldo 1991, *SIAM J. Optim.*
+    1:93-113): it holds the row of the first breakpoint, as the cut at
+    the first blocking bound would, then each row it passes while the
+    dual's slope along the arc, from the gradient at ``v`` computed
+    directly, stays negative, and stops at the slope's root, at most at
+    ``P(x)``.  It lowers the dual at least as much as the cut.
     The compiled solve keeps the face rows before the rows whose status
     changed from one iteration to the next; this mirror refactors every
     row, and the two agree bit for bit.
@@ -609,7 +615,6 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
             c[l, :nf - l][near] = ab[gap[near], idx[:-l][near]]
         lam_f, v_f = lam[idx], v[idx]
         x, r_f, dependent = _face_solve(c, r[idx], v_f)
-        d = x - v_f
         if not np.all(np.abs(x) < np.inf):
             break
         if np.all(np.abs(x) <= lam_f):
@@ -621,25 +626,79 @@ def _tf_solve(ab, b, lam, tol, max_iters, v):
             st[wrong] = 0
             done = not wrong.any()
             continue
-        e = np.clip(x, -lam_f, lam_f) - v_f
-        above, below = x > lam_f, x < -lam_f
-        out = np.flatnonzero(above | below)
-        ratio = (np.where(above[out], lam_f[out], -lam_f[out]) - v_f[out]) / d[out]
-        blk = out[np.argmin(ratio)]
-        t = min(max(float(np.min(ratio)), 0.0), 1.0)
         # the gradient at v from r_f, which carries the dependent rows' terms
         g = _band_matvec(c, np.where(dependent, 0.0, v_f)) - r_f
-        dcut = t * _in_order_sum(g * d) + 0.5 * t * t * _in_order_sum(d * _band_matvec(c, d))
-        dproj = _in_order_sum(g * e) + 0.5 * _in_order_sum(e * _band_matvec(c, e))
-        if dproj < dcut:
-            v[idx] = np.where(above, lam_f, np.where(below, -lam_f, x))
-            st[idx[above]], st[idx[below]] = 1, -1
-        else:
-            v[idx] = np.minimum(np.maximum(v_f + t * d, -lam_f), lam_f)
-            i = idx[blk]
-            st[i] = 1 if d[blk] > 0.0 else -1
-            v[i] = st[i] * lam[i]
+        _projected_search(c, g, x, v, st, idx, lam)
     return it, done, int(np.count_nonzero(st))
+
+
+def _projected_search(c, g, x, v, st, idx, lam):
+    """The step of :func:`_tf_solve` when the face minimum ``x`` leaves
+    the box, as ``tf_solve`` in ``_fldp.c`` takes it: a projected search
+    along ``P(v + t d)``, ``d = x - v`` on the free rows ``idx`` (face
+    bands ``c``, gradient ``g`` at ``v``).  It holds the row of the first
+    breakpoint (breakpoints in the order ``(t, position)``) and then every
+    row it passes while the slope of the dual stays negative, and stops at
+    the slope's root (at most ``t = 1``).  With the rows held so far the
+    arc is ``t D + H`` (``D`` is ``d`` with those rows zeroed, ``H`` holds
+    ``t_b d_b`` in each held row ``b``), whose slope is
+    ``g'D + t D'CD + D'CH``; holding a row updates the three scalars and
+    the vectors ``CD`` and ``CH`` in its band only.  ``v`` and the
+    statuses ``st`` are updated in place."""
+    nf = idx.size
+    lam_f, v_f = lam[idx], v[idx]
+    d = x - v_f
+    # the breakpoints in the order (t, position)
+    above = x > lam_f
+    out = np.flatnonzero(above | (x < -lam_f))
+    ratio = (np.where(above[out], lam_f[out], -lam_f[out]) - v_f[out]) / d[out]
+    breaks = sorted(zip(ratio.tolist(), out.tolist()))
+    # C D, with D = d and H = 0 before any row is held
+    cd = _band_matvec(c, d)
+    gd, dcd, dch = _in_order_sum(g * d), _in_order_sum(d * cd), 0.0
+    g, dl, cd, ch, cols = g.tolist(), d.tolist(), cd.tolist(), [0.0] * nf, c.T.tolist()
+    w = c.shape[0] - 1
+    held = 0
+    while True:
+        # hold row a at its breakpoint: D_a becomes 0 and H_a t_a d_a
+        ta, a = breaks[held]
+        held += 1
+        da = dl[a]
+        ha = ta * da
+        caa = cols[a][0]
+        gd -= g[a] * da
+        dch = dch + ha * cd[a] - da * ch[a] - ha * da * caa
+        dcd = dcd - 2.0 * da * cd[a] + da * da * caa
+        cd[a] -= da * caa
+        ch[a] += ha * caa
+        for l in range(1, w + 1):
+            if a + l < nf:
+                cd[a + l] -= da * cols[a][l]
+                ch[a + l] += ha * cols[a][l]
+            if a - l >= 0:
+                cd[a - l] -= da * cols[a - l][l]
+                ch[a - l] += ha * cols[a - l][l]
+        # q'(t) = g'D + t D'CD + D'CH up to the next breakpoint (or
+        # t = 1, P(x)): stop where it is not negative or at its root
+        step = ta
+        nxt = breaks[held][0] if held < len(breaks) else 1.0
+        slope = gd + step * dcd + dch
+        if not slope < 0.0:
+            break
+        if dcd > 0.0:
+            root = -(gd + dch) / dcd
+            if root < nxt:
+                if root > step:
+                    step = root
+                break
+        if held == len(breaks):
+            step = 1.0
+            break
+    v[idx] = np.minimum(np.maximum(v_f + step * d, -lam_f), lam_f)
+    passed = np.array([a for _, a in breaks[:held]])
+    sign = np.where(d[passed] > 0.0, 1, -1)
+    st[idx[passed]] = sign
+    v[idx[passed]] = sign * lam_f[passed]
 
 
 def _tf_primal(z, winv, v, k):
@@ -838,15 +897,18 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     trend filter of that order (on the ``n - k - 1`` rows of its
     difference operator), solved by the dual active-set method to
     ``cfg.inner_tol`` within ``cfg.inner_max_iters`` iterations, each
-    solve warm-started at the dual of the solve before it.  That dual is
+    solve warm-started at the dual of the solve before it (after a
+    rejected SQUAREM extrapolation, at the dual of the step's second plain
+    map, which gave the iterate the loop kept).  That dual is
     carried from fit to fit, and the dual ``v`` (0 when None) into fit 0;
     at the start of each fit it is scaled into the fit's box
     (:func:`_scale_dual`), which along a decreasing grid is the scaling by
     ``lam_new / lam_old``.  A trend-filter fit also reports
     ``converged=False`` when any of its solves did not meet its stop test;
     its ``aux["omega"]`` and ``aux["z"]`` are the weights and working
-    responses at the last iterate, ``aux["v"]`` the dual of its last solve,
-    and ``df`` is the count of dual rows at a bound plus ``k + 1``.  The
+    responses at the last iterate, ``aux["v"]`` the dual of its last solve
+    (of the step's second plain map when the last extrapolation was
+    rejected), and ``df`` is the count of dual rows at a bound plus ``k + 1``.  The
     envelopes:
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
@@ -1173,6 +1235,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
                     beta, obj, act = b1, f1, act1
                     raise
                 act = dual["act"]
+                v2 = dual["v"].copy() if tf else None  # the dual that gave b2
                 third = extrapolated_map(beta, b1, b2)
                 if third is not None and third[1] <= f2:
                     beta, obj = third
@@ -1180,6 +1243,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
                 else:
                     rejected += 1
                     beta, obj = b2, f2
+                    dual["v"] = v2
                 trace.append(obj)
             else:
                 beta, obj = plain_map(beta, obj)

@@ -135,8 +135,9 @@ def test_qrtf_run_record_counts_every_inner_solve(monkeypatch, warm):
     filter of the fit, the cold start's included; the Python loop, whose
     solves can be watched, returns the compiled loop's record."""
     y = simulate("qrtf", 150, seed=5).y
-    # a budget some inner solves hit and others do not
-    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=40, inner_tol=1e-6)
+    # a budget some inner solves hit and others do not (at 40 none of
+    # either fit's solves does)
+    cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=20, inner_tol=1e-6)
     init = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg) if warm else None
     fit = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
     solve = solvers._tf_solve
@@ -158,6 +159,41 @@ def test_qrtf_run_record_counts_every_inner_solve(monkeypatch, warm):
     assert 0 < run["capped"] < len(runs) and not fit.converged
     # df counts the dual rows at a bound of the solve that gave beta
     assert fit.df == py.df and fit.df - 3 in {active for _, _, active in runs}
+
+
+def test_qrtf_rejected_extrapolation_restores_the_dual(monkeypatch):
+    """After a SQUAREM step whose extrapolated map is rejected, the next
+    trend filter (or the fit's last dual) starts at the dual of the step's
+    second map, which gave the iterate the loop kept, not at the dual of
+    the rejected map; the compiled loop returns the mirror's record."""
+    y = simulate("qrtf", 150, seed=5).y
+    cfg = SolverConfig(max_iters=30, tol=1e-9)
+    fit = fit_qrtf(y, 0.9, 2, 50.0, cfg=cfg)
+    solve = solvers._tf_solve
+    duals = []  # the start and the end of each solve
+
+    def watched(ab, b, lam, tol, max_iters, v):
+        start = v.copy()
+        out = solve(ab, b, lam, tol, max_iters, v)
+        duals.append((start, v.copy()))
+        return out
+
+    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_tf_solve", watched)
+    py = fit_qrtf(y, 0.9, 2, 50.0, cfg=cfg)
+    run, t = py.aux["run"], py.trace
+    assert fit.aux["run"] == run and np.array_equal(fit.aux["v"], py.aux["v"])
+    assert len(duals) == 1 + run["maps"] and run["rises"] == 0  # the cold start first
+    restored = 0
+    for s in range(run["steps"]):
+        second, third = duals[3 * s + 2][1], duals[3 * s + 3][1]
+        after = duals[3 * s + 4][0] if 3 * s + 4 < len(duals) else py.aux["v"]
+        if t[3 * s + 3] == t[3 * s + 2]:  # the step's plain value: rejected
+            assert np.array_equal(after, second), s
+            restored += not np.array_equal(second, third)
+        else:
+            assert np.array_equal(after, third), s
+    assert restored >= 3
 
 
 @pytest.mark.parametrize("lam", [2.0, 1e4])
@@ -722,6 +758,27 @@ def test_simulate_fdp_support():
 def test_simulate_rfl_truth_levels():
     ds = simulate("rfl", 250, seed=1)
     assert sorted(set(ds.truth["truth"])) == sorted({0.0, 4.0, 1.0, -3.0})
+
+
+@pytest.mark.parametrize("args, kwargs, msg", [
+    (("rfl", 10, -1), {}, "seed must be a nonnegative integer"),
+    (("rfl", 10, 1.5), {}, "seed must be a nonnegative integer"),
+    (("rfl", 10, True), {}, "seed must be a nonnegative integer"),
+    (("rfl", 5.5, 1), {}, "n must be an integer"),
+    (("rfl", 10.0, 1), {}, "n must be an integer"),
+    (("rfl", True, 1), {}, "n must be an integer"),
+    (("rfl", 4, 1), {}, "n must be an integer of at least 5"),
+    (("fdp", 10, 1), {"m": 2.5}, "m must be a positive integer"),
+    (("fdp", 10, 1), {"m": True}, "m must be a positive integer"),
+    (("fdp", 10, 1), {"m": 0}, "m must be a positive integer"),
+])
+def test_simulate_rejects_bad_integers(args, kwargs, msg):
+    # -1 used to escape as numpy's ValueError and 5.5 or 1.5 as a
+    # TypeError; m=2.5 simulated m=2 and m=True m=1
+    with pytest.raises(ValidationError, match=msg):
+        simulate(*args, **kwargs)
+    ds = simulate("fdp", np.int64(10), np.uint64(3), m=np.int32(4))
+    assert ds.meta["m"] == 4 and ds.y.shape == (10,)
 
 
 def test_simulate_deterministic():

@@ -24,6 +24,14 @@ def test_simulate_schema_rfl(tmp_path):
     assert os.path.exists(str(out) + ".manifest.json")
 
 
+def test_simulate_bad_seed_is_validation_failure(tmp_path, capsys):
+    # a negative seed used to end in a numpy traceback and exit 1
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--app", "rfl", "--n", 10, "--seed", -1, "--out", out]) == 2
+    assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_schema_qrtf_and_fdp(tmp_path):
     q = tmp_path / "q.csv"
     assert run(["simulate", "--app", "qrtf", "--n", 50, "--seed", 7,

@@ -279,8 +279,9 @@ def test_trend_filter_per_row_lambda():
 
 
 # a tolerance at which a multiplier of the wrong sign by rounding alone is
-# freed, so that some solves run to the cap
-_TF_BUDGET = SolverConfig(inner_max_iters=150, inner_tol=1e-30)
+# freed, and a budget below the iterations of the longest solves, so that
+# some solves run to the cap
+_TF_BUDGET = SolverConfig(inner_max_iters=40, inner_tol=1e-30)
 
 
 def _tf_instances(rng, count):
@@ -391,9 +392,11 @@ def _bound_rows(lam, v):
 
 def _kept_prefix_instances():
     """Edge cases of the compiled solve's kept prefix (k = 2, w = 3).  The
-    first cut lands on row 0 (nothing kept); on the row just after a
-    dependent row (the prefix stops w rows before that row); and w + 2
-    rows after one (that row moves its term into the rebuilt rows).  Last,
+    first step holds row 0 alone (nothing kept); the row just after a
+    dependent row (the prefix stops w rows before that row); and the row
+    w + 2 rows after one (that row moves its term into the rebuilt rows).
+    There the face minimum at the warm start, whose dependent rows are
+    held at their start values, leaves the box on that row alone.  Last,
     the bound last row, past three rows fixed at 0, is freed while every
     other row is free (all but w rows of the free list kept)."""
     rng = np.random.Generator(np.random.PCG64(44))
@@ -406,9 +409,12 @@ def _kept_prefix_instances():
     x, _, dependent = solvers._face_solve(ab, b, np.zeros(m))
     first = int(np.flatnonzero(dependent)[0])
     for row in (0, first + 1, first + 5):
-        lam = np.full(m, 10.0 * np.max(np.abs(x)))
-        lam[row] = abs(x[row]) / 2.0
-        v = 1e-3 * lam * rng.uniform(-1.0, 1.0, size=m)
+        start = rng.uniform(-1.0, 1.0, size=m)
+        v = 1e-2 * np.max(np.abs(x)) * start
+        at_v = solvers._face_solve(ab, b, v)[0]
+        lam = np.full(m, 10.0 * np.max(np.abs(at_v)))
+        lam[row] = abs(at_v[row]) / 2.0
+        v[row] = 1e-3 * lam[row] * start[row]
         assert _bound_rows(lam, _mirror_iterate(z, omega, lam, v, 1)) == [row]
         yield z, omega, 2, lam, {"v": v}
     lam = np.full(m, 10.0 * np.max(np.abs(x)))
@@ -445,6 +451,148 @@ def test_trend_filter_long_free_runs_match_python_loop(monkeypatch):
             c = _tf_run(args, python=False, cfg=cfg)
             _assert_same_solve(c, _tf_run(args, python=True, cfg=cfg), where)
     assert sum(dropped) > 0
+
+
+def _search_instances(rng, count):
+    """Random dual solves for the projected search: k from 0 to 3, n from
+    20 to 200, lognormal weights with a twentieth at fit_qrtf's 1e6 clamp,
+    lam from 1e-2 to 1e3, and every other one warm-started from the dual
+    of a solve on nearby data.  Yields ``(ab, b, lam, v)``."""
+    for i in range(count):
+        k = i % 4
+        n = int(rng.integers(20, 201))
+        z = np.cumsum(rng.normal(size=n))
+        omega = rng.lognormal(sigma=2.0, size=n)
+        omega[rng.random(n) < 0.05] = 1e6
+        lam = np.full(n - k - 1, 10.0 ** rng.uniform(-2, 3))
+        v = np.zeros(n - k - 1)
+        if i % 2:
+            _, ab, b = solvers._tf_bands(z + rng.normal(scale=0.3, size=n), omega, k)
+            solvers._tf_solve(ab, b, lam, 1e-9, 300, v)
+        _, ab, b = solvers._tf_bands(z, omega, k)
+        yield ab, b, lam, v
+
+
+def _dense(ab):
+    """The dense matrix of the symmetric bands ``ab`` (``ab[e, i] =
+    A[i, i + e]``)."""
+    m = ab.shape[1]
+    A = np.diag(ab[0])
+    for e in range(1, min(ab.shape[0], m)):
+        A += np.diag(ab[e, :m - e], e) + np.diag(ab[e, :m - e], -e)
+    return A
+
+
+def test_projected_search_lowers_the_dual_more_than_the_cut(monkeypatch):
+    """Each step of the mirror's solve that leaves the box holds at least
+    one row and lowers q(v) = v'Av/2 - b'v, evaluated densely, at least as
+    much as the one-row cut from the same v would: the step t d cut at
+    the first breakpoint (ties to the lower row), that row held."""
+    search = solvers._projected_search
+    steps = []
+    rng = np.random.Generator(np.random.PCG64(2121))
+    for ab, b, lam, v in list(_search_instances(rng, 24)):
+        A = _dense(ab)
+
+        def watched(c, g, x, v, st, idx, lam):
+            grad = A @ v - b
+            lam_f, v_f = lam[idx], v[idx]
+            d = x - v_f
+            out = np.flatnonzero(np.abs(x) > lam_f)
+            ratio = (np.copysign(lam_f[out], x[out]) - v_f[out]) / d[out]
+            blk, t = out[np.argmin(ratio)], np.min(ratio)
+            cut = v.copy()
+            cut[idx] = np.clip(v_f + t * d, -lam_f, lam_f)
+            cut[idx[blk]] = np.copysign(lam_f[blk], d[blk])
+            before = v.copy()
+            search(c, g, x, v, st, idx, lam)
+            changes = []
+            for p in (v - before, cut - before):
+                value = grad @ p + 0.5 * p @ A @ p
+                size = np.abs(grad) @ np.abs(p) + 0.5 * np.abs(p) @ np.abs(A) @ np.abs(p)
+                changes.append((value, size))
+            steps.append((*changes, int(np.count_nonzero(st[idx]))))
+
+        monkeypatch.setattr(solvers, "_projected_search", watched)
+        solvers._tf_solve(ab, b, lam, 1e-9, 300, v)
+    assert len(steps) >= 100
+    further = 0
+    for (found, size), (cut, cut_size), held in steps:
+        assert held >= 1
+        assert found <= cut + 1e-12 * (size + cut_size)
+        further += found < cut - 1e-12 * (size + cut_size)
+    assert further >= len(steps) // 2  # the search mostly goes past the cut
+
+
+def _search_edge_instances():
+    """Trend filters whose projected searches meet the edge cases of the
+    search: two violators with the same breakpoint (lam at half the face
+    minimum on two rows of a cold start, where every breakpoint is
+    exactly 1/2); several rows next to a dependent row passed in one
+    search (k = 2, clamped weights, a warm start); and random solves,
+    among them searches that pass every violator and end at P(x) and
+    searches whose first breakpoint is t = 0 (a row freed at its bound
+    that the face minimum takes out again)."""
+    rng = np.random.Generator(np.random.PCG64(45))
+    n = 80
+    z = np.cumsum(rng.normal(size=n))
+    omega = 10.0 ** rng.uniform(-1, 1, size=n)
+    _, ab, b = solvers._tf_bands(z, omega, 1)
+    x = solvers._face_solve(ab, b, np.zeros(b.size))[0]
+    lam = np.full(b.size, 10.0 * np.max(np.abs(x)))
+    lam[[20, 50]] = np.abs(x[[20, 50]]) / 2.0
+    yield z, omega, 1, lam, None
+    rng = np.random.Generator(np.random.PCG64(44))
+    n = 800
+    z = np.cumsum(rng.normal(size=n))
+    omega = 10.0 ** rng.uniform(-3, 3, size=n)
+    omega[rng.random(n) < 0.1] = 1e6
+    _, ab, b = solvers._tf_bands(z, omega, 2)
+    x, _, dependent = solvers._face_solve(ab, b, np.zeros(b.size))
+    first = int(np.flatnonzero(dependent)[0])
+    v = 1e-2 * np.max(np.abs(x)) * rng.uniform(-1.0, 1.0, size=b.size)
+    at_v = solvers._face_solve(ab, b, v)[0]
+    lam = np.full(b.size, 10.0 * np.max(np.abs(at_v)))
+    rows = [first - 2, first - 1, first + 1, first + 2]
+    lam[rows] = np.abs(at_v[rows]) / 2.0
+    yield z, omega, 2, lam, {"v": v}
+    yield from _tf_instances(np.random.Generator(np.random.PCG64(1406)), 21)
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_trend_filter_projected_search_edge_cases_match_python_loop(monkeypatch):
+    """The C solve and the Python mirror agree bit for bit on the edge
+    cases of the projected search, after one iteration, after a few and
+    at a cap of 40."""
+    search = solvers._projected_search
+    seen = {"tie": 0, "full": 0, "dependent": 0, "zero": 0}
+
+    def watched(c, g, x, v, st, idx, lam):
+        lam_f, v_f = lam[idx], v[idx]
+        out = np.flatnonzero(np.abs(x) > lam_f)
+        ratio = (np.copysign(lam_f[out], x[out]) - v_f[out]) / (x[out] - v_f[out])
+        free = st[idx] == 0
+        search(c, g, x, v, st, idx, lam)
+        held = np.flatnonzero(free & (st[idx] != 0))
+        rest = np.flatnonzero(st[idx] == 0)
+        dependent = solvers._face_solve(c, np.zeros(idx.size), np.zeros(idx.size))[2]
+        w = c.shape[0] - 1
+        seen["tie"] += int(np.sum(ratio == np.min(ratio)) > 1)
+        seen["zero"] += int(np.min(ratio) == 0.0)
+        seen["full"] += int(held.size == out.size and np.array_equal(
+            v[idx[rest]], np.clip(x[rest], -lam_f[rest], lam_f[rest])))
+        seen["dependent"] += int(held.size > 1 and any(
+            dependent[max(a - w, 0):a + w + 1].any() for a in held))
+
+    cases = list(_search_edge_instances())
+    monkeypatch.setattr(solvers, "_projected_search", watched)
+    for args in cases:
+        for cap in (1, 2, 5, 40):
+            cfg = SolverConfig(inner_max_iters=cap, inner_tol=1e-7)
+            where = (args[0].size, args[2], args[4] is not None, cap)
+            c = _tf_run(args, python=False, cfg=cfg)
+            _assert_same_solve(c, _tf_run(args, python=True, cfg=cfg), where)
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
