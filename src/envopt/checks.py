@@ -234,13 +234,40 @@ def conjugate_suite(tol: float = 1e-6):
     return results
 
 
-def _prox_oracle(p: PenaltySpec, u: float, s: float):
-    """Brute-force grid argmin of (s/2)(x-u)^2 + phi(x)."""
-    lo = np.array([-abs(u) - 5.0])
-    hi = np.array([abs(u) + 5.0])
+def _prox_draws(n_draws: int, seed: int):
+    """The prox suite's random ``(penalty, u, s)`` draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kinds = ("l1", "ridge", "double-pareto", "mcp", "limited-translation")
+    draws = []
+    for _ in range(n_draws):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        u = float(rng.uniform(-8.0, 8.0))
+        s = float(rng.uniform(0.1, 5.0))
+        p = PenaltySpec(kind, gamma=float(rng.uniform(0.2, 3.0)),
+                        a=float(rng.uniform(0.3, 4.0)),
+                        weight=float(rng.uniform(0.2, 3.0)))
+        draws.append((p, u, s))
+    return draws
+
+
+def _prox_oracle(draws):
+    """Brute-force grid argmins and minima of (s/2)(x-u)^2 + phi(x), one
+    row per draw ``(p, u, s)`` over ``[-|u| - 5, |u| + 5]``, in one
+    search whose point term is each row's own penalty."""
+    pens = [p for p, _, _ in draws]
+    u = np.array([u for _, u, _ in draws])
+    s = np.array([s for _, _, s in draws])
+
+    def phi(grid, rows):
+        out = np.empty_like(grid)
+        for at, row in enumerate(rows):
+            out[at] = penalty_value(pens[row], grid[at])
+        return out
+
     couple = duality.Coupling("b*(a-g)^2+f", u, 0.5 * s)  # (s/2)(x - u)^2 + phi(x)
-    vals, args, _ = duality._zoom_min(lambda x: penalty_value(p, x), couple, lo, hi, 5000, 3)
-    return float(args[0]), float(vals[0])
+    vals, args, _ = duality._zoom_min(phi, couple, -np.abs(u) - 5.0, np.abs(u) + 5.0,
+                                      5000, 3, by_row=True)
+    return args, vals
 
 
 def prox_suite(n_draws: int = 200, seed: int = 20240613):
@@ -249,27 +276,20 @@ def prox_suite(n_draws: int = 200, seed: int = 20240613):
     A draw passes when the argument agrees within 1e-4 or the objective
     within 1e-8 (covers nonconvex ties).
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    kinds = ("l1", "ridge", "double-pareto", "mcp", "limited-translation")
+    draws = _prox_draws(n_draws, seed)
+    x_star, f_star = _prox_oracle(draws)
     worst_arg = 0.0
     worst_obj = 0.0
     failures = 0
-    for i in range(n_draws):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        u = float(rng.uniform(-8.0, 8.0))
-        s = float(rng.uniform(0.1, 5.0))
-        p = PenaltySpec(kind, gamma=float(rng.uniform(0.2, 3.0)),
-                        a=float(rng.uniform(0.3, 4.0)),
-                        weight=float(rng.uniform(0.2, 3.0)))
+    for (p, u, s), xs, fs in zip(draws, x_star.tolist(), f_star.tolist()):
         x_hat = prox(p, u, s)
-        x_star, f_star = _prox_oracle(p, u, s)
         f_hat = 0.5 * s * (x_hat - u) ** 2 + penalty_value(p, x_hat)
-        arg_err = abs(x_hat - x_star)
-        obj_err = abs(f_hat - f_star)
+        arg_err = abs(x_hat - xs)
+        obj_err = abs(f_hat - fs)
         ok = arg_err <= 1e-4 or obj_err <= 1e-8
         # the oracle objective may exceed the closed form's (grid slack),
         # but must never beat it beyond tolerance
-        if f_hat > f_star + 1e-8:
+        if f_hat > fs + 1e-8:
             ok = False
         if not ok:
             failures += 1

@@ -243,13 +243,16 @@ def _scan_kernel(couple):
 _BLOCK_ELEMS = 8192
 
 
-def _zoom_min(f, couple, lo, hi, count, rounds):
+def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     """Row-wise grid minimization of ``couple(rows, grid, f(grid))`` with
     zoom refinement over the brackets ``[lo, hi]`` (one per row).
 
     ``f`` maps a (groups, count) grid matrix to same-shape values and
     must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  ``couple`` is a :class:`Coupling`, or any
+    on the grid point alone.  With ``by_row`` true, ``f(grid, rows)`` is
+    instead a point term of the rows: ``rows[i]`` is the row whose grid
+    is ``grid[i]``, so each row may carry its own parameters.
+    ``couple`` is a :class:`Coupling`, or any
     ``couple(rows, grid, fvals)`` that adds the own term of the rows
     ``rows`` (an index array) and returns ``(len(rows), count)`` values;
     it gets the grid and ``f``'s values either gathered to one row per
@@ -259,7 +262,8 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
     ``f`` is evaluated once per distinct grid row of the whole call: rows
     start in one group when all share ``(lo, hi)``, else one group per
     row, and after each round a row's group is (its old group, its
-    argmin index), which fixes its next bracket.  Rows are kept in group
+    argmin index), which fixes its next bracket.  A point term of the
+    rows keeps one group per row throughout.  Rows are kept in group
     order; each round evaluates ``f`` on blocks of groups of at most
     ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger) and
     scans those groups' rows: a :class:`Coupling` in one call of the
@@ -280,7 +284,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
     t = np.linspace(0.0, 1.0, count)
     step = max(1, _BLOCK_ELEMS // count)
     lib = _scan_kernel(couple)
-    if (lo == lo[0]).all() and (hi == hi[0]).all():
+    if not by_row and (lo == lo[0]).all() and (hi == hi[0]).all():
         lo, hi = lo[:1], hi[:1]
         group = np.zeros(nrows, dtype=np.intp)
     else:
@@ -302,7 +306,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds):
             at_order, at_group = _address(order), _address(group)
         for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
             grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
-            fvals = np.asarray(f(grid), dtype=float)
+            fvals = np.asarray(f(grid, order[start:stop]) if by_row else f(grid), dtype=float)
             if lib is None:
                 at = slice(start, stop)
                 _scan(couple, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])

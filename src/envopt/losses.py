@@ -265,70 +265,77 @@ def huber_location_dual(delta: float = 1.0):
     return dual
 
 
-def _sech2(u):
-    """sech(u)^2 as 4e/(1+e)^2 with e = exp(-2|u|), so large |u| cannot
-    overflow."""
-    e = np.exp(-2.0 * np.abs(u))
-    return 4.0 * e / (1.0 + e) ** 2
+def _reject_nan(lam):
+    """``lam`` as a float array, or ValidationError if an entry is NaN."""
+    lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise ValidationError("lam must not be NaN")
+    return lam
 
 
-def _bracketed_newton(g, dg, x, lo, hi, c):
-    """Elementwise root in ``[lo, hi]`` of ``g(x, c)``, which increases
-    through its root, by Newton steps from ``x`` (arrays of one shape).
-
-    Each step narrows an element's bracket by the sign of ``g``; a step
-    that leaves the bracket becomes a bisection.  An element stops when
-    its iterate stops moving, and every element after 100 steps.
+def _newton_from_above(x, newton):
+    """Iterates ``x <- newton(x)`` from ``x``, elementwise on the whole
+    array, where ``x`` is an upper bound of the root of a function that
+    is convex above its root and increases through it, and ``newton``
+    is its Newton step.  From above the root each iterate falls to it
+    monotonically, so an element stops at the first step that does not
+    lower it (a NaN step included), and every element after 100 steps.
     """
-    shape = np.shape(x)
-    x, lo, hi, c = (np.array(np.broadcast_to(v, shape), dtype=float).ravel()
-                    for v in (x, lo, hi, c))
-    act = np.arange(x.size)
-    for _ in range(100):
-        if act.size == 0:
-            break
-        xa, ca = x[act], c[act]
-        gx = g(xa, ca)
-        la = np.where(gx <= 0.0, xa, lo[act])
-        ha = np.where(gx >= 0.0, xa, hi[act])
-        lo[act], hi[act] = la, ha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = xa - gx / dg(xa, ca)
-        new = np.where((la <= step) & (step <= ha), step, 0.5 * (la + ha))
-        x[act] = new
-        # a step back onto an end of the bracket returns to a point
-        # already tried: the iterate has stopped moving (or cycles in
-        # the last bits)
-        act = act[(la < new) & (new < ha)]
-    return x.reshape(shape)
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            new = newton(x)
+            live &= new < x
+            if not live.any():
+                break
+            x = np.where(live, new, x)
+    return x
+
+
+def _scale_root(r):
+    """The root ``u > 0`` of ``r u = tanh(u)`` for each ``0 < r < 1``.
+
+    Newton starts at an upper bound of the root: ``1/r``, since
+    ``tanh(u) < 1``, and for ``r > 1/6`` also ``sqrt(15(1-r)/(6r-1))``,
+    which follows from the Pade bound
+    ``tanh(u) <= (u + u^3/15)/(1 + 2u^2/5)`` on ``u >= 0``.
+    ``r u - tanh(u)`` is convex on ``u >= 0`` and vanishes at 0 and at
+    the root (:func:`_newton_from_above`).  Each step takes tanh and
+    sech^2 from one ``expm1(-2u)``.
+    """
+    with np.errstate(divide="ignore"):
+        pade = np.sqrt(15.0 * (1.0 - r) / np.maximum(6.0 * r - 1.0, 0.0))
+
+    def newton(u):
+        em = np.expm1(-2.0 * u)  # e - 1 for e = exp(-2u)
+        den = 2.0 + em  # 1 + e
+        return u - (r * u + em / den) / (r - 4.0 * (1.0 + em) / (den * den))
+
+    return _newton_from_above(np.minimum(1.0 / r, pade), newton)
 
 
 def logcosh_scale_dual(m: float = 1.0):
     """Concave dual of theta(z) = m log cosh(sqrt(2z)/2):
     ``lam x^2/2 - logcosh(x, m)`` at the stationary point, where
-    ``u = x/2`` solves ``tanh(u)/u = 4 lam/m``; 0 for lam >= m/4 and
-    -inf for lam <= 0."""
+    ``u = x/2`` solves ``tanh(u)/u = 4 lam/m`` (:func:`_scale_root`);
+    0 for lam >= m/4 and -inf for lam <= 0.  A NaN lam raises
+    ValidationError."""
     if not m > 0:
         raise ValidationError("logcosh scale dual requires m > 0")
 
     def dual(lam):
-        lam = np.asarray(lam, dtype=float)
+        lam = _reject_nan(lam)
         out = np.where(lam > 0, 0.0, -np.inf)
         r = 4.0 * lam / m
         # x = 2/r overflows near r = 1e-308; below r = 1e-300, tanh(1/r)
         # is 1 in floating point, so the root is u = 1/r and the value
-        # its limit -m^2/(8 lam) + m log 2
+        # its limit -m^2/(8 lam) + m log 2 (-inf below lam = m^2/1.4e309)
         far = (lam > 0) & (r < 1e-300)
-        out[far] = -(0.125 * m * m) / lam[far] + m * np.log(2.0)
+        with np.errstate(over="ignore"):
+            out[far] = -(0.125 * m * m) / lam[far] + m * np.log(2.0)
         inner = (r >= 1e-300) & (lam < 0.25 * m)
-        lam_in, r = lam[inner], r[inner]
-        # r u - tanh(u) is convex on u >= 0 and vanishes at 0 and at the
-        # root, so Newton from u = 1/r (tanh < 1) falls to the root
-        # monotonically
-        u = _bracketed_newton(lambda u, r: r * u - np.tanh(u),
-                              lambda u, r: r - _sech2(u), 1.0 / r, 0.0, 1.0 / r, r)
-        x = 2.0 * u
-        out[inner] = 0.5 * lam_in * x * x - logcosh(x, m)
+        x = 2.0 * _scale_root(r[inner])
+        out[inner] = 0.5 * lam[inner] * x * x - logcosh(x, m)
         return _float_if_scalar(out)
 
     return dual
@@ -338,20 +345,37 @@ def logcosh_location_dual(m: float = 1.0):
     """Half-quadratic dual psi(lam) = sup_x {-(x-lam)^2/2 + logcosh(x, m)},
     evaluated at the root of ``x - lam = (m/2) tanh(x/2)``.  That root
     lies in ``[lam - m/2, lam + m/2]`` and is unique only for
-    ``0 < m <= 4``, the range where the envelope is tight."""
+    ``0 < m <= 4``, the range where the envelope is tight.  psi is +inf
+    at lam = +-inf, and a NaN lam raises ValidationError."""
     if not 0 < m <= 4:
         raise ValidationError("logcosh location dual requires 0 < m <= 4")
     half = 0.5 * m
 
     def dual(lam):
-        lam = np.asarray(lam, dtype=float)
-        # the root has the sign of lam, and x - lam - (m/2) tanh(x/2) is
-        # convex for x > 0 and concave for x < 0, so Newton from the
-        # bracket end on that side approaches the root monotonically
-        x = _bracketed_newton(lambda x, lam: x - lam - half * np.tanh(0.5 * x),
-                              lambda x, lam: 1.0 - 0.5 * half * _sech2(0.5 * x),
-                              lam + half * np.sign(lam), lam - half, lam + half, lam)
-        out = logcosh(x, m) - 0.5 * (x - lam) ** 2
+        lam = _reject_nan(lam)
+        out = np.full(lam.shape, np.inf)
+        fin = np.isfinite(lam)
+        lam_f = lam[fin]
+        # the root has the sign of lam and is odd in it, so Newton solves
+        # x - |lam| - (m/2) tanh(x/2) = 0 for x = |root|, from an upper
+        # bound: that function is convex for x > 0.  With v = x/2,
+        # tanh(v) < 1 gives |x| <= |lam| + m/2 and tanh(v) <= v gives
+        # |x| <= |lam|/(1 - m/4); at m = 4 the root at lam = 0 is triple,
+        # and v - tanh(v) >= v^3/6 for v <= 1.58, >= v/2.4 beyond, give
+        # |x| <= 2 max(cbrt(3|lam|), 1.2|lam|) instead
+        al = np.abs(lam_f)
+        if m < 4:
+            bound = al / (1.0 - 0.25 * m)
+        else:
+            bound = 2.0 * np.maximum(np.cbrt(3.0 * al), 1.2 * al)
+
+        def newton(x):  # on |x|, with tanh(x/2) and sech(x/2)^2 from one expm1(-x)
+            em = np.expm1(-x)
+            den = 2.0 + em
+            return x - (x - al + half * em / den) / (1.0 - 2.0 * half * (1.0 + em) / (den * den))
+
+        x = np.copysign(_newton_from_above(np.minimum(al + half, bound), newton), lam_f)
+        out[fin] = logcosh(x, m) - 0.5 * (x - lam_f) ** 2
         return _float_if_scalar(out)
 
     return dual
@@ -361,13 +385,15 @@ def check_variance_mean_dual(q: float):
     """psi(lam) = kappa^2/(2 lam) - 1/(2 lam) with kappa = 1 - 2q.
 
     The second term is the concave dual of theta(z) = sqrt(2z); the grid
-    oracle confirms this form makes the check-loss envelope tight.
+    oracle confirms this form makes the check-loss envelope tight.  A NaN
+    lam raises ValidationError.
     """
     kappa = 1.0 - 2.0 * q
 
     def dual(lam):
-        lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore"):
+        lam = _reject_nan(lam)
+        # -inf also where (kappa^2 - 1)/(2 lam) passes -1.8e308 (subnormal lam)
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(lam > 0, (kappa**2 - 1.0) / (2.0 * lam), -np.inf)
         return _float_if_scalar(out)
 

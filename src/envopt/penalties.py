@@ -233,14 +233,17 @@ def prox(p: PenaltySpec, u, s):
     Exact closed forms throughout; for the nonconvex kinds the minimizer
     is selected among the stationary points and 0 by objective value
     (larger magnitude on ties, which keeps the concave kinds nearly
-    unbiased at the threshold).
+    unbiased at the threshold).  A NaN or infinite ``u`` or ``s``, or an
+    ``s <= 0``, raises ValidationError.
     """
-    if not np.all(np.asarray(s) > 0):
-        raise ValidationError("prox requires s > 0")
-    if p.kind == "psi-specified":
-        raise CapabilityError("psi-specified penalty has no prox")
     u_arr = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
+    if not np.isfinite(u_arr).all():
+        raise ValidationError("prox requires a finite u")
+    if not ((s > 0.0) & (s < np.inf)).all():
+        raise ValidationError("prox requires a finite s > 0")
+    if p.kind == "psi-specified":
+        raise CapabilityError("psi-specified penalty has no prox")
     if s.ndim:  # a step per element
         u_arr, s = np.broadcast_arrays(u_arr, s)
         s = s.ravel()

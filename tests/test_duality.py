@@ -362,6 +362,42 @@ def test_grouped_search_bounds_blocks_and_evaluates_each_grid_once():
     assert len(grids[rounds]) > 1000
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "numpy"])
+def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, kernel):
+    # f(grid, rows) with a center per row: every row gets its own grid and
+    # its own term, even where all brackets are equal, with the bits of a
+    # one-row search per row; 5 rows a block, so blocks hold several rows
+    from envopt import duality
+
+    if not kernel:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
+    rng = np.random.Generator(np.random.PCG64(11 + shared))
+    rows = 23
+    center = rng.uniform(-1.0, 1.0, size=rows)
+    slope = rng.uniform(-0.5, 0.5, size=rows)
+    lo, hi = _brackets(rng, rows, shared)
+    calls = []
+
+    def f(g, at):
+        assert g.shape == (at.size, 101)
+        calls.append(at.size)
+        return (g - center[at, None]) ** 2
+
+    got = duality._zoom_min(f, duality.Coupling("f-ag", slope), lo, hi, 101, 3, by_row=True)
+    assert calls == [5, 5, 5, 5, 3] * 4
+    for i in range(rows):
+        one = duality._zoom_min(lambda g: (g - center[i]) ** 2,
+                                duality.Coupling("f-ag", slope[i]), lo[i:i + 1], hi[i:i + 1],
+                                101, 3)
+        assert got[:, i].tobytes() == one[:, 0].tobytes()
+    # the minimizer of (g - c)^2 - slope g is c + slope/2, inside [-2, 2]:
+    # the search lands within a final grid step of it
+    if shared:
+        assert np.all(np.abs(got[1] - (center + 0.5 * slope)) <= got[2])
+
+
 @pytest.mark.parametrize("call", [
     lambda: conjugate_numeric(lambda x: x**2, [], GridSpec(-5.0, 5.0, 101, 3)),
     lambda: conjugate_numeric_rowwise(lambda x: x**2, [], -5.0, 5.0),

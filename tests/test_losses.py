@@ -260,9 +260,15 @@ def test_logcosh_duals_match_grid_conjugate(m):
                                lo, hi, 201, 8)
         return vals
 
-    lam_s = np.concatenate([[1e-6], 0.25 * m * np.linspace(0.01, 1.0, 34),
+    # r = 4 lam/m on both sides of 1/6, where the Pade start takes over,
+    # and within 1e-9 of 1, where the root tends to 0
+    r_edge = np.array([1.0 / 6.0 * (1.0 - 1e-9), 1.0 / 6.0, 1.0 / 6.0 * (1.0 + 1e-9),
+                       1.0 / 6.0 - 1e-3, 1.0 / 6.0 + 1e-3, 1.0 - 1e-9, 1.0 - 3e-10])
+    lam_s = np.concatenate([[1e-6], 0.25 * m * np.linspace(0.01, 1.0, 34), 0.25 * m * r_edge,
                             0.25 * m * np.array([1.0 + 1e-9, 1.5, 2.0, 10.0])])
-    lam_l = np.linspace(-50.0, 50.0, 401)
+    # |lam| near 0, where the root at m = 4 is triple at lam = 0
+    tiny = np.array([1e-300, 1e-12, 1e-6])
+    lam_l = np.concatenate([np.linspace(-50.0, 50.0, 401), tiny, -tiny])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scale = logcosh_scale_dual(m)(lam_s)
@@ -288,6 +294,30 @@ def test_logcosh_scale_dual_tiny_lam_is_finite_limit(lam):
         val = logcosh_scale_dual(1.0)(lam)
     assert np.isfinite(val)
     assert val == pytest.approx(-1.0 / (8.0 * lam) + np.log(2.0), rel=1e-12)
+
+
+def test_duals_reject_nan_lam():
+    duals = (logcosh_scale_dual(1.0), logcosh_location_dual(4.0), check_variance_mean_dual(0.3))
+    for dual in duals:
+        for lam in (np.nan, np.array([0.1, np.nan])):
+            with pytest.raises(ValidationError, match="NaN"):
+                dual(lam)
+
+
+def test_duals_at_infinite_and_subnormal_lam():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1.0, 4.0):
+            loc = logcosh_location_dual(m)
+            assert loc(np.inf) == np.inf and loc(-np.inf) == np.inf
+            np.testing.assert_array_equal(loc(np.array([-np.inf, 0.0, np.inf])),
+                                          [np.inf, 0.0, np.inf])
+            assert logcosh_scale_dual(m)(np.inf) == 0.0
+            assert logcosh_scale_dual(m)(-np.inf) == -np.inf
+            # -m^2/(8 lam) is below -1.8e308 at a subnormal lam
+            assert logcosh_scale_dual(m)(1e-320) == -np.inf
+        for q in (0.1, 0.5):
+            assert check_variance_mean_dual(q)(1e-320) == -np.inf
 
 
 def test_logcosh_duals_reject_bad_m():

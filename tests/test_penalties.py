@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,37 @@ def test_prox_matches_brute_force():
     # objective fallback
     assert set(res) == {"name", "failures", "max_gap", "max_arg_gap", "tol", "passed"}
     assert 0.0 < res["max_arg_gap"] <= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["l1", "ridge", "double-pareto", "mcp",
+                                  "limited-translation"])
+def test_prox_rejects_nonfinite_u_and_s(kind):
+    p = PenaltySpec(kind, gamma=1.3, a=2.5, weight=0.9)
+    bad = [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.inf), (1.0, np.nan),
+           (np.array([1.0, np.nan]), 1.0), (np.array([1.0, 2.0]), np.array([1.0, np.inf]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, s in bad:
+            with pytest.raises(ValidationError):
+                prox(p, u, s)
+        assert np.isfinite(prox(p, np.array([-2.0, 3.0]), np.array([0.5, 2.0]))).all()
+
+
+def test_prox_oracle_one_search_matches_one_row_searches():
+    # the suite's 200 draws: the one search with a point term per row
+    # gives the bits of a one-row search per draw
+    from envopt import duality
+    from envopt.checks import _prox_draws, _prox_oracle
+
+    draws = _prox_draws(200, 20240613)
+    args, vals = _prox_oracle(draws)
+    assert len({p.kind for p, _, _ in draws}) == 5
+    for (p, u, s), arg, val in zip(draws, args, vals):
+        couple = duality.Coupling("b*(a-g)^2+f", u, 0.5 * s)
+        one = duality._zoom_min(lambda x: penalty_value(p, x), couple,
+                                np.array([-abs(u) - 5.0]), np.array([abs(u) + 5.0]), 5000, 3)
+        assert one[1, 0].tobytes() == arg.tobytes()
+        assert one[0, 0].tobytes() == val.tobytes()
 
 
 def test_prox_monotone_shrinkage():
