@@ -28,7 +28,15 @@
    operation, except that its trend filter refactors every free row in
    each face solve, where tf_solve keeps rows that a fresh factorization
    would give the same bits; built without floating-point contraction,
-   the two return the same bits. */
+   the two return the same bits.  The trend filter's functions take the
+   half-bandwidth w = k + 1 as a parameter, and trend_filter passes a
+   literal for k = 0, 1 and 2, which gives one copy of the solve per
+   order with constant loop bounds; k >= 3 reads w at run time.
+
+   grid_fill and grid_scan are the inner steps of the grid oracles' zoom
+   search, envopt.duality._zoom_min: the grid rows of a block, then each
+   searched row's coupled objective there and its first minimum, with
+   the bits of the numpy expressions they replace. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -117,11 +125,11 @@ typedef struct {
 
 /* The work arrays of the dual trend-filter solve for n points and order
    k: m = n - k - 1 dual rows, half-bandwidth w = k + 1 and the stencil of
-   D, p = k + 2 entries, row j of D being s[0..p-1] from column j on.  The
+   D, p = w + 1 entries, row j of D being s[0..p-1] from column j on.  The
    face arrays (c, u, r, y, indexed by position in the free list idx) are
    kept from one iteration of tf_solve to the next. */
 typedef struct {
-    long n, m, w, p;
+    long n, m, w;
     double *s;       /* the stencil */
     double *ss;      /* ss[e * p + j] = s[j] s[j - e], e = 0..w, j = e..p-1 */
     double *winv;    /* 1 / omega (n) */
@@ -153,7 +161,6 @@ static int tf_alloc(tfdual *t, long n, long k)
     t->n = n;
     t->m = m;
     t->w = w;
-    t->p = p;
     t->s = calloc(doubles, sizeof(double));
     t->idx = calloc((size_t)m, sizeof(long) + 1);
     t->br = calloc((size_t)m, sizeof(breakpoint));
@@ -188,9 +195,9 @@ static int tf_alloc(tfdual *t, long n, long k)
 
 /* The problem of one solve: 1/omega, the bands of A = D diag(1/omega) D'
    and b = D z. */
-static void tf_bands(tfdual *t, const double *z, const double *omega)
+static void tf_bands(tfdual *t, const double *z, const double *omega, long w)
 {
-    long i, j, e, m = t->m, w = t->w, p = t->p;
+    long i, j, e, m = t->m, p = w + 1;
     for (i = 0; i < t->n; i++)
         t->winv[i] = 1.0 / omega[i];
     for (i = 0; i < m; i++) {
@@ -233,9 +240,9 @@ static void band_matvec(const double *c, long nr, long w, const double *y, doubl
 #define PIVOT_FLOOR 1e-12
 
 /* Whether face row a was found dependent: its row of U is 0. */
-static int dependent(const tfdual *t, long a)
+static int dependent(const tfdual *t, long a, long w)
 {
-    return !(t->u[a * (t->w + 1)] > 0.0);
+    return !(t->u[a * (w + 1)] > 0.0);
 }
 
 /* Face rows from .. nf - 1 of the free rows idx: the right-hand side r,
@@ -243,9 +250,9 @@ static int dependent(const tfdual *t, long a)
    and the bands c of A on the free rows.  The dependent rows among the w
    before from then move their terms into these right-hand sides, as
    tf_factor moved them when it met them. */
-static void tf_face(tfdual *t, long from, long nf, const double *v)
+static void tf_face(tfdual *t, long from, long nf, const double *v, long w)
 {
-    long m = t->m, w = t->w, W = w + 1, a, i, l;
+    long m = t->m, W = w + 1, a, i, l;
     const double *ab = t->ab;
     for (a = from; a < nf; a++) {
         double r;
@@ -265,20 +272,20 @@ static void tf_face(tfdual *t, long from, long nf, const double *v)
         }
     }
     for (a = from > w ? from - w : 0; a < from; a++)
-        if (dependent(t, a))
+        if (dependent(t, a, w))
             for (l = from - a; l <= w && a + l < nf; l++)
                 t->r[a + l] -= t->c[a * W + l] * v[t->idx[a]];
 }
 
 /* The forward value of face row a, from r and the rows before it: row a
    of U'y = r, and 0 in a dependent row. */
-static double tf_forward(const tfdual *t, long a)
+static double tf_forward(const tfdual *t, long a, long w)
 {
-    long W = t->w + 1, l;
+    long W = w + 1, l;
     double val = t->r[a];
-    for (l = 1; l <= t->w && l <= a; l++)
+    for (l = 1; l <= w && l <= a; l++)
         val -= t->u[(a - l) * W + l] * t->y[a - l];
-    return dependent(t, a) ? 0.0 : val / t->u[a * W];
+    return dependent(t, a, w) ? 0.0 : val / t->u[a * W];
 }
 
 /* Factors face rows from .. nf - 1 by the banded Cholesky C = U'U, each
@@ -288,9 +295,9 @@ static double tf_forward(const tfdual *t, long a)
    times that value moves into the right-hand sides of the w rows before
    it and the w after it, and the rows before it take new forward
    values. */
-static void tf_factor(tfdual *t, long from, long nf, const double *v)
+static void tf_factor(tfdual *t, long from, long nf, const double *v, long w)
 {
-    long w = t->w, W = w + 1, a, e, l;
+    long W = w + 1, a, e, l;
     const double *c = t->c;
     double *u = t->u;
     for (a = from; a < nf; a++) {
@@ -303,16 +310,16 @@ static void tf_factor(tfdual *t, long from, long nf, const double *v)
             else
                 u[a * W + e] = u[a * W] > 0.0 ? val / u[a * W] : 0.0;
         }
-        if (dependent(t, a)) {
+        if (dependent(t, a, w)) {
             double va = v[t->idx[a]];
             for (l = 1; l <= w && l <= a; l++)
                 t->r[a - l] -= c[(a - l) * W + l] * va;
             for (l = 1; l <= w && a + l < nf; l++)
                 t->r[a + l] -= c[a * W + l] * va;
             for (l = a < w ? a : w; l >= 1; l--)
-                t->y[a - l] = tf_forward(t, a - l);
+                t->y[a - l] = tf_forward(t, a - l, w);
         }
-        t->y[a] = tf_forward(t, a);
+        t->y[a] = tf_forward(t, a, w);
     }
 }
 
@@ -385,9 +392,9 @@ static double dot(const double *x, const double *y, long len)
    reached max_iters or a face minimum that is not finite (then v is the
    last feasible iterate). */
 static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
-                    double *v, long *iters, long *active)
+                    double *v, long *iters, long *active, long w)
 {
-    long m = t->m, w = t->w, W = w + 1, i, a, l, nf = 0, old, keep, lo = 0, nb, held, it = 0;
+    long m = t->m, W = w + 1, i, a, l, nf = 0, old, keep, lo = 0, nb, held, it = 0;
     const double *b = t->b, *c = t->c, *u = t->u, *y = t->y;
     double *r = t->r, *x = t->x, *d = t->d, *h = t->h, *g = t->g, *ch = t->ch;
     breakpoint *br = t->br;
@@ -426,21 +433,21 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
         if (nf != old && keep > old - w)
             keep = old > w ? old - w : 0;
         for (a = (keep + w < old ? keep + w : old) - 1; a >= keep; a--)
-            if (dependent(t, a))
+            if (dependent(t, a, w))
                 keep = a > w ? a - w : 0;
-        tf_face(t, keep, nf, v);
-        tf_factor(t, keep, nf, v);
+        tf_face(t, keep, nf, v, w);
+        tf_factor(t, keep, nf, v, w);
         /* the back substitution U x = y, with x = 0 in the dependent rows,
            which then take their held value */
         for (a = nf - 1; a >= 0; a--) {
             double val = y[a];
             for (l = 1; l <= w && a + l < nf; l++)
                 val -= u[a * (w + 1) + l] * x[a + l];
-            x[a] = dependent(t, a) ? 0.0 : val / u[a * (w + 1)];
+            x[a] = dependent(t, a, w) ? 0.0 : val / u[a * (w + 1)];
         }
         for (a = 0; a < nf; a++) {
             i = idx[a];
-            if (dependent(t, a))
+            if (dependent(t, a, w))
                 x[a] = v[i];
             d[a] = x[a] - v[i];
             if (!(fabs(x[a]) < HUGE_VAL))
@@ -484,7 +491,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
            terms of the dependent rows (0 in h); then C D into h, with
            D = d and H = 0 before any row is held */
         for (a = 0; a < nf; a++)
-            h[a] = dependent(t, a) ? 0.0 : v[idx[a]];
+            h[a] = dependent(t, a, w) ? 0.0 : v[idx[a]];
         band_matvec(c, nf, w, h, g);
         for (a = 0; a < nf; a++) {
             g[a] -= r[a];
@@ -560,9 +567,9 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
 }
 
 /* The primal of a dual v: beta = z - diag(1/omega) D'v. */
-static void tf_primal(tfdual *t, const double *z, const double *v, double *beta)
+static void tf_primal(tfdual *t, const double *z, const double *v, double *beta, long w)
 {
-    long i, j, m = t->m, p = t->p;
+    long i, j, m = t->m, p = w + 1;
     for (i = 0; i < t->n; i++) {
         double acc = 0.0;
         for (j = 0; j < p; j++)
@@ -647,7 +654,7 @@ static double objective(const loop *s, const double *beta)
     if (s->tf) {
         for (i = 0; i < s->rows; i++) {
             double acc = 0.0;
-            for (j = 0; j < s->tf->p; j++)
+            for (j = 0; j <= s->tf->w; j++)
                 acc += s->tf->s[j] * beta[i + j];
             pen += u[i] * fabs(acc);
         }
@@ -721,14 +728,39 @@ static int update(loop *s, const double *beta)
 }
 
 /* The trend filter on (z, s->w) with the row penalties s->u into to,
-   warm-started from s->v, counted in the run record. */
-static void trend_filter(loop *s, const double *z, double *to)
+   warm-started from s->v, counted in the run record, for the
+   half-bandwidth w = k + 1. */
+static void tf_run(loop *s, const double *z, double *to, long w)
 {
     long iters;
-    tf_bands(s->tf, z, s->w);
-    s->capped += !tf_solve(s->tf, s->u, s->inner_tol, s->inner_max, s->v, &iters, &s->act);
+    tf_bands(s->tf, z, s->w, w);
+    s->capped += !tf_solve(s->tf, s->u, s->inner_tol, s->inner_max, s->v, &iters, &s->act, w);
     s->inner_iters += iters;
-    tf_primal(s->tf, z, s->v, to);
+    tf_primal(s->tf, z, s->v, to, w);
+}
+
+/* tf_run with w a literal for k = 0, 1 and 2, so that the compiler
+   builds one copy of the solve per order with constant loop bounds (GCC
+   12 at -O3 inlines the k = 0 and k = 1 copies here and makes the k = 2
+   copy the clone tf_solve.constprop.0, which nm lists); k >= 3 runs the
+   solve with w read at run time.  The copies do the same operations in
+   the same order, so the bits do not depend on which one runs. */
+static void trend_filter(loop *s, const double *z, double *to)
+{
+    switch (s->tf->w) {
+    case 1:
+        tf_run(s, z, to, 1);
+        break;
+    case 2:
+        tf_run(s, z, to, 2);
+        break;
+    case 3:
+        tf_run(s, z, to, 3);
+        break;
+    default:
+        tf_run(s, z, to, s->tf->w);
+        break;
+    }
 }
 
 /* One MM map: the envelope update at from, then the exact weighted fused
@@ -1188,5 +1220,23 @@ void grid_scan(int kind, const double *grid, const double *fvals, long count,
     default:
         SCAN_ROWS(0.5 * gv * ((ar - br / gv) * (ar - br / gv)) - fv)
         break;
+    }
+}
+
+/* grid_fill forms the grid rows of one block of envopt.duality._zoom_min:
+   for the groups g0 .. g0 + ngroups - 1 of the brackets lo[g] and widths
+   width[g], row i of out (count points) is lo[g0 + i] + width[g0 + i] *
+   t[j], the product rounded before the sum as numpy forms
+   lo[:, None] + width[:, None] * t; built without contraction it has
+   the same bits. */
+void grid_fill(const double *lo, const double *width, const double *t, long count,
+               long g0, long ngroups, double *out)
+{
+    long i, j;
+    for (i = 0; i < ngroups; i++) {
+        const double l = lo[g0 + i], wd = width[g0 + i];
+        double *row = out + i * count;
+        for (j = 0; j < count; j++)
+            row[j] = l + wd * t[j];
     }
 }

@@ -112,10 +112,11 @@ class GridSpec:
     incumbents fall in the same cell share the next.  Grids and values are
     formed in blocks of at most 8192 floats (64 KiB), so memory does not
     grow with the number of points.  Each point's own term is a
-    :class:`Coupling`, scanned with the grid row by the compiled
-    ``grid_scan`` of ``_fldp.c`` when the kernel library loads, else by
-    the numpy expression in the same blocks; both give the same bits.
-    ``lo`` and ``hi`` must be finite.
+    :class:`Coupling`.  When the kernel library loads, the compiled
+    ``grid_fill`` of ``_fldp.c`` forms each block's grid rows in one
+    array that the search reuses, and ``grid_scan`` scans the coupling
+    with them; else numpy forms both in the same blocks.  Both give the
+    same bits.  ``lo`` and ``hi`` must be finite.
     """
 
     lo: float
@@ -249,7 +250,10 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
 
     ``f`` maps a (groups, count) grid matrix to same-shape values and
     must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  With ``by_row`` true, ``f(grid, rows)`` is
+    on the grid point alone.  It may return its grid or write to it, but
+    may not keep it past the call: with a :class:`Coupling` and the
+    kernel library, every block's grid is a view of one array that the
+    next block refills.  With ``by_row`` true, ``f(grid, rows)`` is
     instead a point term of the rows: ``rows[i]`` is the row whose grid
     is ``grid[i]``, so each row may carry its own parameters.
     ``couple`` is a :class:`Coupling`, or any
@@ -268,15 +272,17 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger) and
     scans those groups' rows: a :class:`Coupling` in one call of the
     compiled ``grid_scan`` when the kernel library loads, anything else
-    (or with no library) by :func:`_scan`, with the same bits.  Grid
-    points are ``lo + (hi - lo) * t[cell]`` of their group, the same bits
-    as the grid row.  Non-finite values are skipped.  The caller
-    validates the brackets (finite, ``lo < hi``), ``count >= 3`` and
-    ``rounds >= 0``.
+    (or with no library) by :func:`_scan`, with the same bits.  A grid
+    row is ``lo + (hi - lo) * t`` of its group, formed for a block by one
+    call of the compiled ``grid_fill`` wherever ``grid_scan`` scans it
+    and by numpy elsewhere, with the same bits; the argmin locations
+    returned, ``lo + (hi - lo) * t[cell]``, have the bits of their grid
+    points.  Non-finite values are skipped.  The caller validates the
+    brackets (finite, ``lo < hi``), ``count >= 3`` and ``rounds >= 0``.
     Returns a (3, B) array: min values, argmin locations and final grid
     spacing.
     """
-    lo = np.asarray(lo, dtype=float)
+    lo = np.array(lo, dtype=float)  # a contiguous copy: grid_fill reads it by address
     hi = np.asarray(hi, dtype=float)
     nrows = lo.shape[0]
     if nrows == 0:
@@ -298,14 +304,22 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
         ab = [np.array(np.broadcast_to(x, (nrows,))) for x in (couple.a, couple.b)]
         fixed = [_address(x) for x in ab]
         at_vals, at_idx = _address(vals), _address(idx)
+        block = np.empty(min(step, nrows) * count)  # every block's grid rows, in turn
+        at_block, at_t = _address(block), _address(t)
     for r in range(rounds + 1):
         width = hi - lo
         ngroups = lo.shape[0]
         edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
         if lib is not None:
             at_order, at_group = _address(order), _address(group)
+            at_lo, at_width = _address(lo), _address(width)
         for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
-            grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
+            if lib is None:
+                grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
+            else:
+                ng = min(step, ngroups - g0)
+                grid = block[:ng * count].reshape(ng, count)
+                lib.grid_fill(at_lo, at_width, at_t, count, g0, ng, at_block)
             fvals = np.asarray(f(grid, order[start:stop]) if by_row else f(grid), dtype=float)
             if lib is None:
                 at = slice(start, stop)

@@ -268,15 +268,16 @@ def _build_kernel(cc: str, lib: Path):
 def _kernel():
     """The compiled kernel library (ctypes), or None for the Python loops.
 
-    It declares two entries.  ``envelope_fused_lasso_path`` is the
+    It declares three entries.  ``envelope_fused_lasso_path`` is the
     envelope MM with its two subproblems, the fused-lasso DP and the trend
     filter's dual solve, and the only way into them
     (:func:`weighted_fused_lasso` and :func:`weighted_trend_filter` are
     its one-solve fits), so either all run in C or all in Python.
-    ``grid_scan`` is the coupled-objective scan of the grid oracles' zoom
-    search (``duality._zoom_min``), whose fallback is the numpy
-    expression of ``duality.Coupling``; both give the same bits.  The
-    library is cached per
+    ``grid_fill`` and ``grid_scan`` are the grid rows of a block and the
+    coupled-objective scan of the grid oracles' zoom search
+    (``duality._zoom_min``), whose fallbacks are the numpy expressions of
+    the grid rows and of ``duality.Coupling``; both give the same bits.
+    The library is cached per
     user under ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``),
     named by a hash of the sources, the flags and the compiler, so each
     machine compiles each version once (the first use spends about 3 s
@@ -322,6 +323,8 @@ def _kernel():
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
     lib.grid_scan.argtypes = [ctypes.c_int] + [ptr] * 2 + [c_long] * 2 + [ptr] * 2 + [c_long] + [ptr] * 4
     lib.grid_scan.restype = None
+    lib.grid_fill.argtypes = [ptr] * 3 + [c_long] * 3 + [ptr]
+    lib.grid_fill.restype = None
     return lib
 
 

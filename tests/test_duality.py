@@ -616,6 +616,61 @@ def test_compiled_zoom_search_matches_numpy_search(monkeypatch, kind, shared):
     assert c_out.tobytes() == np_out.tobytes()
 
 
+def _grid_values(form, center):
+    """An f of the reused-block test: its value on a grid is the grid
+    itself, a view of it, a read-only broadcast, or a new array after it
+    has shifted the grid in place."""
+    def f(g, at=None):
+        c = center[at, None] if at is not None else center[0]
+        if form == "itself":
+            return g
+        if form == "view":
+            return g[:, :]
+        if form == "broadcast":
+            return np.broadcast_to(c, g.shape)
+        v = (g - c) ** 2
+        g += 1.0
+        return v
+    return f
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("by_row", [False, True], ids=["point", "row-term"])
+@pytest.mark.parametrize("form", ["itself", "view", "broadcast", "in-place"])
+def test_reused_grid_block_matches_numpy_grids(monkeypatch, form, by_row):
+    # the compiled search fills one block with each block's grid rows in
+    # turn; f may return that block, a view of it or a read-only broadcast,
+    # or write to it, and the search keeps the bytes of the numpy path,
+    # whose every block is a new array.  23 rows of their own brackets
+    # make blocks of 5 grid rows, the last of 3.
+    monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
+    rng = np.random.Generator(np.random.PCG64(23))
+    rows = 23
+    center = rng.uniform(-1.0, 1.0, size=rows)
+    couple = duality.Coupling("b*(a-g)^2+f", rng.uniform(-1.0, 1.0, size=rows),
+                              rng.uniform(0.5, 2.0, size=rows))
+    lo, hi = _brackets(rng, rows, shared=False)
+    value = _grid_values(form, center)
+    outs, starts, sizes = [], [], []
+
+    def f(g, at=None):
+        starts.append(g.__array_interface__["data"][0])
+        sizes.append(g.shape[0])
+        return value(g, at)
+
+    for kernel in (True, False):
+        with monkeypatch.context() as m:
+            if not kernel:
+                m.setattr(solvers, "_kernel", lambda: None)
+            outs.append(duality._zoom_min(f, couple, lo, hi, 101, 3, by_row=by_row))
+        if kernel:  # one block for the whole search
+            assert len(set(starts)) == 1
+        assert sizes == [5, 5, 5, 5, 3] * 4
+        starts, sizes = [], []
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert np.isfinite(outs[0]).all()
+
+
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_check_suites_same_rows_without_kernel(monkeypatch):
     from envopt.checks import run_suite

@@ -357,6 +357,61 @@ def test_trend_filter_c_loop_record_matches_python_loop(cap, tol):
         assert c[1]["converged"] or (cap < 5000 and c[1]["iters"] == cap), where
 
 
+def _tf_draw(rng, k, n, per_row, warm):
+    """One trend-filter input as _tf_instances draws them, for the given
+    order, length, lam kind and start."""
+    z = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-2, 2)
+    omega = 10.0 ** rng.uniform(-3, 3, size=n)
+    omega[rng.random(n) < 0.1] = 1e6
+    lam = 10.0 ** rng.uniform(-2, 2)
+    if per_row:
+        lam = lam * rng.uniform(0.0, 1.0, size=n - k - 1)
+        lam[rng.random(n - k - 1) < 0.2] = 0.0
+    state = None
+    if warm:
+        state = {}
+        weighted_trend_filter(z + rng.normal(scale=0.1, size=n), omega, k, lam, _TF_BUDGET,
+                              state)
+    return z, omega, k, lam, state
+
+
+def _tf_other_orders(rng):
+    """The trend filters beside _tf_instances' draws.  k = 3 and 4, whose
+    solve reads the half-bandwidth at run time where k <= 2 runs a copy
+    built for its order: n from k + 30 to 300, weights with at least one
+    row at the 1e6 clamp and per-row lam with at least one row 0, cold and
+    warm.  Then n = k + 2 and k + 3 for k = 0, 1, 2: one or two dual rows,
+    so every face row is within w of an end, cold and warm, scalar and
+    per-row lam."""
+    for i in range(16):
+        k, n = 3 + i % 2, int(rng.integers(35, 301))
+        z, omega, k, lam, state = _tf_draw(rng, k, n, i % 4 >= 2, i % 8 >= 4)
+        omega[rng.integers(n)] = 1e6
+        if i % 4 >= 2:
+            lam[rng.integers(lam.size)] = 0.0
+        yield z, omega, k, lam, state
+    for k in (0, 1, 2):
+        for n in (k + 2, k + 3):
+            for i in range(4):
+                yield _tf_draw(rng, k, n, i >= 2, i % 2)
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+def test_trend_filter_other_orders_match_python_loop():
+    # the solve for k >= 3 and the per-order copies on their shortest
+    # inputs give the Python loop's bits, run to the end and to the cap
+    rng = np.random.Generator(np.random.PCG64(2303))
+    capped = converged = 0
+    for args in _tf_other_orders(rng):
+        where = (args[0].size, args[2], args[4] is not None)
+        for cfg in (SolverConfig(), _TF_BUDGET):
+            c = _tf_run(args, python=False, cfg=cfg)
+            _assert_same_solve(c, _tf_run(args, python=True, cfg=cfg), where)
+            converged += cfg is not _TF_BUDGET and c[1]["converged"]
+            capped += not c[1]["converged"]
+    assert converged == 40 and capped >= 3
+
+
 def _long_free_runs(rng):
     """Trend filters whose faces are long free runs: n from 600 to 1,000,
     k = 2, lam from 1e4 to 1e6, unit weights or weights over six decades
@@ -686,12 +741,12 @@ def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
 
 
 def test_kernel_has_one_fit_entry(monkeypatch):
-    """The compiled library exports the envelope loop and the grid scan
-    alone: the fused lasso and the trend filter are one-solve fits of the
-    loop, one call each."""
+    """The compiled library exports the envelope loop and the grid
+    oracles' scan and fill alone: the fused lasso and the trend filter are
+    one-solve fits of the loop, one call each."""
     src = Path(solvers.__file__).with_name("_fldp.c").read_text()
     exported = re.findall(r"^(?:int|void|long|double)\s+(\w+)\(", src, re.MULTILINE)
-    assert exported == ["envelope_fused_lasso_path", "grid_scan"]
+    assert exported == ["envelope_fused_lasso_path", "grid_scan", "grid_fill"]
     calls = []
     path = solvers.envelope_fused_lasso_path
     monkeypatch.setattr(solvers, "envelope_fused_lasso_path",
@@ -706,7 +761,7 @@ def test_kernel_has_one_fit_entry(monkeypatch):
     for gone in ("fused_lasso_dp", "trend_filter_dual"):
         assert not hasattr(lib, gone)
     declared = {name for name in vars(lib) if not name.startswith("_")}
-    assert declared == {"envelope_fused_lasso_path", "grid_scan"}
+    assert declared == {"envelope_fused_lasso_path", "grid_scan", "grid_fill"}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
@@ -1368,8 +1423,11 @@ _CC = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 @pytest.mark.skipif(_CC is None, reason="no C compiler here")
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    src = Path(solvers.__file__).with_name("_fldp.c")
-    proc = subprocess.run([_CC, "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-c",
-                           str(src), "-o", str(tmp_path / "fldp.o")],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    # as C99 at -O2, and with the build's own flags, whose -O3 makes the
+    # per-order copies of the trend-filter solve
+    src = str(Path(solvers.__file__).with_name("_fldp.c"))
+    warn = ["-Wall", "-Wextra", "-Werror"]
+    for cmd in ([_CC, "-std=c99", "-O2", *warn, "-c", src, "-o", str(tmp_path / "fldp.o")],
+                [_CC, *solvers._CFLAGS, *warn, "-o", str(tmp_path / "fldp.so"), src, "-lm"]):
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
