@@ -15,7 +15,7 @@ from envopt.penalties import PenaltySpec, lambda_hat, penalty_dual
 print("=" * 72)
 print("Envelope identity report (gap = |target - min over the grid|)")
 print("=" * 72)
-for r in envelope_suite(tol=1e-6):
+for r in envelope_suite():
     flag = "ok " if r["passed"] else "BAD"
     print(f"[{flag}] {r['name']:42s} max gap {r['max_gap']:.2e}   "
           f"update-rule deviation {r['max_lambda_dev']:.2e}")

@@ -404,7 +404,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
     int done = 0;
 
     for (i = 0; i < m; i++) {
-        top = fmax(top, fabs(b[i]));
+        top = fabs(b[i]) > top ? fabs(b[i]) : top;
         if (lam[i] == 0.0) {
             st[i] = 2;
             v[i] = 0.0;
@@ -462,7 +462,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
                 v[idx[a]] = x[a];
             band_matvec(t->ab, m, w, v, g);
             for (i = 0; i < m; i++)
-                thr = fmax(thr, fabs(g[i]));
+                thr = fabs(g[i]) > thr ? fabs(g[i]) : thr;
             thr *= tol;
             done = 1;
             for (i = 0; i < m; i++) {
@@ -545,8 +545,8 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
             }
         }
         for (a = 0; a < nf; a++) {
-            i = idx[a];
-            v[i] = fmin(fmax(v[i] + step * d[a], -lam[i]), lam[i]);
+            const double vi = v[idx[a]] + step * d[a], hi = lam[idx[a]];
+            v[idx[a]] = vi < -hi ? -hi : vi > hi ? hi : vi;
         }
         /* the passed rows at their bounds; lo is the least of them */
         lo = m;
@@ -1137,9 +1137,8 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
    The coupling kinds are envopt.duality.Coupling's, in the order of its
    _KINDS, with a = a[rows[i]] and b = b[rows[i]]:
 
-     0  f - a*g                  3  b*(a-g)^2 + f     6  (0.5*g)*(a-b/g)^2 - f
-     1  a*g - f                  4  b*(a-g)^2 - f
-     2  (0.5*g)*a - f            5  f + (a-g)^2/b
+     0  f - a*g                  2  b*(a-g)^2 + f
+     1  a*g - f                  3  (0.5*g)*(a-b/g)^2 - f
 
    Each value is that expression operation for operation, as numpy forms
    it; built without contraction it has the same bits.  Four lanes keep
@@ -1206,16 +1205,7 @@ void grid_scan(int kind, const double *grid, const double *fvals, long count,
         SCAN_ROWS(ar * gv - fv)
         break;
     case 2:
-        SCAN_ROWS(0.5 * gv * ar - fv)
-        break;
-    case 3:
         SCAN_ROWS(br * ((ar - gv) * (ar - gv)) + fv)
-        break;
-    case 4:
-        SCAN_ROWS(br * ((ar - gv) * (ar - gv)) - fv)
-        break;
-    case 5:
-        SCAN_ROWS(fv + (ar - gv) * (ar - gv) / br)
         break;
     default:
         SCAN_ROWS(0.5 * gv * ((ar - br / gv) * (ar - br / gv)) - fv)

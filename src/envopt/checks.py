@@ -158,7 +158,7 @@ def envelope_catalog():
     return entries
 
 
-def envelope_suite(tol: float = 1e-6):
+def envelope_suite():
     results = []
     x_grid = acceptance_x_grid()
     for name, family, dual, target, lam_hat, count in envelope_catalog():
@@ -172,57 +172,41 @@ def envelope_suite(tol: float = 1e-6):
             "lambda_agrees": report.lambda_agrees,
             "max_lambda_dev": report.max_lambda_dev,
             "final_spacing": report.final_spacing,
-            "tol": tol,
-            "passed": report.max_gap <= tol and bool(report.lambda_agrees),
+            "tol": 1e-6,
+            "passed": report.max_gap <= 1e-6 and bool(report.lambda_agrees),
         })
     return results
 
 
-def conjugate_suite(tol: float = 1e-6):
+def conjugate_suite():
     """Closed-form duals vs the grid conjugate; double conjugation."""
     results = []
-
-    # double-Pareto: gamma*log(lam) - lam*a + C on (0, gamma/a], 0 beyond.
-    dp = PenaltySpec("double-pareto", gamma=1.0, a=1.0)
-    lams = np.linspace(0.01, 2.0 * dp.gamma, 200)
-    closed = penalty_dual(dp, lams)
-    numeric = conjugate_numeric(lambda x: penalty_value(dp, x), lams,
-                                GridSpec(0.0, 250.0, 801, 3), sense="concave")
-    err = float(np.max(np.abs(closed - numeric)))
-    results.append({"name": "double-pareto dual vs grid (lam in [0.01, 2g])",
-                    "max_gap": err, "tol": tol, "passed": err <= tol})
-
-    # MCP: -(a/2)(lam-gamma)^2 on [0, gamma], 0 beyond.
-    mcp = PenaltySpec("mcp", gamma=1.0, a=3.0)
-    lams = np.linspace(0.0, 2.0 * mcp.gamma, 201)
-    closed = penalty_dual(mcp, lams)
-    numeric = conjugate_numeric(lambda x: penalty_value(mcp, x), lams,
-                                GridSpec(0.0, 40.0, 801, 3), sense="concave")
-    err = float(np.max(np.abs(closed - numeric)))
-    results.append({"name": "mcp corrected dual vs grid (lam in [0, 2g])",
-                    "max_gap": err, "tol": tol, "passed": err <= tol})
+    # double-Pareto: gamma*log(lam) - lam*a + C on (0, gamma/a], 0 beyond;
+    # MCP: -(a/2)(lam-gamma)^2 on [0, gamma], 0 beyond (gamma = 1 both)
+    for name, p, lams, hi in [
+            ("double-pareto dual vs grid (lam in [0.01, 2g])",
+             PenaltySpec("double-pareto", gamma=1.0, a=1.0), np.linspace(0.01, 2.0, 200), 250.0),
+            ("mcp corrected dual vs grid (lam in [0, 2g])",
+             PenaltySpec("mcp", gamma=1.0, a=3.0), np.linspace(0.0, 2.0, 201), 40.0)]:
+        numeric = conjugate_numeric(lambda x: penalty_value(p, x), lams,
+                                    GridSpec(0.0, hi, 801, 3), sense="concave")
+        err = float(np.max(np.abs(penalty_dual(p, lams) - numeric)))
+        results.append({"name": name, "max_gap": err, "tol": 1e-6, "passed": err <= 1e-6})
 
     # Fenchel double conjugation for the location-family catalog:
     # theta(x) = x^2/2 - phi(x) is closed convex; theta** == theta.
-    def theta_huber(x):
-        return 0.5 * np.asarray(x, dtype=float) ** 2 - huber(x, 1.0)
-
     lt = PenaltySpec("limited-translation")
-
-    def theta_lt(x):
-        return 0.5 * np.asarray(x, dtype=float) ** 2 - penalty_value(lt, x)
-
-    members = [("huber", theta_huber), ("limited-translation", theta_lt)]
-    for m in (1, 4):
-        members.append((f"logcosh(m={m})",
-                        lambda x, m=m: 0.5 * np.asarray(x, dtype=float) ** 2
-                        - logcosh(x, m)))
+    phis = [("huber", lambda x: huber(x, 1.0)),
+            ("limited-translation", lambda x: penalty_value(lt, x)),
+            *[(f"logcosh(m={m})", lambda x, m=m: logcosh(x, m)) for m in (1, 4)]]
     x_test = np.linspace(-3.0, 3.0, 25)
-    for name, theta in members:
-        # smooth interior extrema: modest grids already give second-order
-        # accuracy far below the 1e-5 tolerance
-        inner = GridSpec(-14.0, 14.0, 201, 3)
-        outer = GridSpec(-8.0, 8.0, 201, 3)
+    # smooth interior extrema: modest grids already give second-order
+    # accuracy far below the 1e-5 tolerance
+    inner = GridSpec(-14.0, 14.0, 201, 3)
+    outer = GridSpec(-8.0, 8.0, 201, 3)
+    for name, phi in phis:
+        def theta(x, phi=phi):
+            return 0.5 * np.asarray(x, dtype=float) ** 2 - phi(x)
 
         def theta_star(lam):
             return conjugate_numeric(theta, lam, inner, sense="convex")
@@ -234,12 +218,12 @@ def conjugate_suite(tol: float = 1e-6):
     return results
 
 
-def _prox_draws(n_draws: int, seed: int):
-    """The prox suite's random ``(penalty, u, s)`` draws."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _prox_draws():
+    """The prox suite's 200 random ``(penalty, u, s)`` draws."""
+    rng = np.random.Generator(np.random.PCG64(20240613))
     kinds = ("l1", "ridge", "double-pareto", "mcp", "limited-translation")
     draws = []
-    for _ in range(n_draws):
+    for _ in range(200):
         kind = kinds[int(rng.integers(len(kinds)))]
         u = float(rng.uniform(-8.0, 8.0))
         s = float(rng.uniform(0.1, 5.0))
@@ -270,13 +254,13 @@ def _prox_oracle(draws):
     return args, vals
 
 
-def prox_suite(n_draws: int = 200, seed: int = 20240613):
+def prox_suite():
     """Randomized prox evaluations vs the brute-force oracle.
 
     A draw passes when the argument agrees within 1e-4 or the objective
     within 1e-8 (covers nonconvex ties).
     """
-    draws = _prox_draws(n_draws, seed)
+    draws = _prox_draws()
     x_star, f_star = _prox_oracle(draws)
     worst_arg = 0.0
     worst_obj = 0.0
@@ -295,7 +279,7 @@ def prox_suite(n_draws: int = 200, seed: int = 20240613):
             failures += 1
         worst_arg = max(worst_arg, min(arg_err, 1e9))
         worst_obj = max(worst_obj, obj_err if arg_err > 1e-4 else 0.0)
-    return [{"name": f"prox vs grid oracle ({n_draws} draws)",
+    return [{"name": f"prox vs grid oracle ({len(draws)} draws)",
              "failures": failures, "max_gap": worst_obj, "max_arg_gap": worst_arg,
              "tol": 1e-8, "passed": failures == 0}]
 
@@ -378,10 +362,10 @@ def proximal_gradient_checks(rng, n_instances: int) -> list:
              "max_gap": worst_fix, "tol": 1e-8, "passed": worst_fix <= 1e-8}]
 
 
-def solver_suite(n_instances: int = 50, seed: int = 77):
+def solver_suite():
     """Structured-solver cross checks: the three checks above on one generator."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return [fused_lasso_dp_check(rng, n_instances), trend_filter_kkt_check(rng),
+    rng = np.random.Generator(np.random.PCG64(77))
+    return [fused_lasso_dp_check(rng, 50), trend_filter_kkt_check(rng),
             *proximal_gradient_checks(rng, 5)]
 
 
@@ -393,16 +377,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, tol: float | None = None):
+def run_suite(name: str):
     """Run one suite (or 'all'); returns the flat result list."""
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(run_suite(key, tol))
+            out.extend(run_suite(key))
         return out
     if name not in SUITES:
         raise ValidationError(f"unknown check suite {name!r}")
-    fn = SUITES[name]
-    if name in ("envelope", "conjugate") and tol is not None:
-        return fn(tol=tol)
-    return fn()
+    return SUITES[name]()

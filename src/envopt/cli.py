@@ -263,7 +263,7 @@ def cmd_path(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    results = run_suite(args.suite, args.tol)
+    results = run_suite(args.suite)
     all_pass = all(r["passed"] for r in results)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
@@ -271,7 +271,7 @@ def cmd_check(args) -> int:
         extra = f" max_gap={gap:.3e}" if gap is not None else ""
         print(f"[{status}] {r['name']}{extra} (tol {r.get('tol')})")
     manifest = RunManifest(command=" ".join(sys.argv),
-                           config={"suite": args.suite, "tol": args.tol})
+                           config={"suite": args.suite})
     manifest.timings["check"] = time.perf_counter() - t0
     if args.out:
         _write_json(args.out, {"suite": args.suite, "results": results,
@@ -342,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run the validation suites")
     sp.add_argument("--suite", default="all",
                     choices=("envelope", "prox", "conjugate", "solver", "all"))
-    sp.add_argument("--tol", type=float, default=None,
-                    help="gap tolerance for the envelope/conjugate suites")
     sp.add_argument("--out", default=None, help="optional JSON report path")
     sp.set_defaults(fn=cmd_check)
     return p

@@ -158,8 +158,7 @@ def _reject_nonfinite(points, what):
 
 
 # The coupling kinds of grid_scan in _fldp.c, in its order.
-_KINDS = ("f-ag", "ag-f", "g/2*a-f", "b*(a-g)^2+f", "b*(a-g)^2-f", "f+(a-g)^2/b",
-          "g/2*(a-b/g)^2-f")
+_KINDS = ("f-ag", "ag-f", "b*(a-g)^2+f", "g/2*(a-b/g)^2-f")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +172,14 @@ class Coupling:
     ===================== ============================
     ``f-ag``              ``f - a*g``
     ``ag-f``              ``a*g - f``
-    ``g/2*a-f``           ``0.5*g*a - f``
     ``b*(a-g)^2+f``       ``b*(a - g)**2 + f``
-    ``b*(a-g)^2-f``       ``b*(a - g)**2 - f``
-    ``f+(a-g)^2/b``       ``f + (a - g)**2 / b``
     ``g/2*(a-b/g)^2-f``   ``0.5*g*(a - b/g)**2 - f``
     ===================== ============================
+
+    These give other terms their bits: ``0.5*g*x**2 - f`` is ``ag-f`` at
+    ``a = 0.5*x**2``, ``b*(a - g)**2 - f`` is ``b*(a-g)^2+f`` of ``-f``,
+    and ``f + (a - g)**2 / c`` is ``b*(a-g)^2+f`` at ``b = 1/c`` when ``c``
+    is a power of two.
 
     Calling it as ``couple(rows, g, f)`` evaluates the expression in
     numpy for the rows ``rows`` (an index array), and ``values(g, f)``
@@ -212,14 +213,8 @@ def _coupled(kind, a, b, g, f):
             return f - a * g
         if kind == "ag-f":
             return a * g - f
-        if kind == "g/2*a-f":
-            return 0.5 * g * a - f
         if kind == "b*(a-g)^2+f":
             return b * (a - g) ** 2 + f
-        if kind == "b*(a-g)^2-f":
-            return b * (a - g) ** 2 - f
-        if kind == "f+(a-g)^2/b":
-            return f + (a - g) ** 2 / b
         return 0.5 * g * (a - b / g) ** 2 - f
 
 
@@ -256,7 +251,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     next block refills.  With ``by_row`` true, ``f(grid, rows)`` is
     instead a point term of the rows: ``rows[i]`` is the row whose grid
     is ``grid[i]``, so each row may carry its own parameters.
-    ``couple`` is a :class:`Coupling`, or any
+    ``couple`` is a :class:`Coupling` (one of its four kinds), or any
     ``couple(rows, grid, fvals)`` that adds the own term of the rows
     ``rows`` (an index array) and returns ``(len(rows), count)`` values;
     it gets the grid and ``f``'s values either gathered to one row per
@@ -471,7 +466,7 @@ def _family_coupling(family, x):
     if tag == "exponential":
         return Coupling("ag-f", np.abs(x))
     if tag == "gaussian-scale":
-        return Coupling("g/2*a-f", x**2)
+        return Coupling("ag-f", 0.5 * x**2)
     if tag == "gaussian-location":
         return Coupling("b*(a-g)^2+f", x, 0.5)
     return Coupling("g/2*(a-b/g)^2-f", x, family.drift)  # variance-mean

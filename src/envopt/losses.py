@@ -374,8 +374,20 @@ def logcosh_location_dual(m: float = 1.0):
             den = 2.0 + em
             return x - (x - al + half * em / den) / (1.0 - 2.0 * half * (1.0 + em) / (den * den))
 
-        x = np.copysign(_newton_from_above(np.minimum(al + half, bound), newton), lam_f)
-        out[fin] = logcosh(x, m) - 0.5 * (x - lam_f) ** 2
+        x = _newton_from_above(np.minimum(al + half, bound), newton)
+        # below x = 1e-3 rounding swamps psi, O(x^2) (O(x^4) at m = 4), in
+        # the difference below: there psi is the series of m log cosh(x/2)
+        # - (m^2/8) tanh(x/2)^2, its value at the root, and the m = 4 root
+        # is that of the root function's series x^3/12 - |lam|
+        if m == 4:
+            tiny = al < 1e-9 / 12.0
+            x[tiny] = np.cbrt(12.0 * al[tiny])
+        x = np.copysign(x, lam_f)
+        psi = logcosh(x, m) - 0.5 * (x - lam_f) ** 2
+        small = np.abs(x) < 1e-3
+        x2 = x[small] ** 2
+        psi[small] = x2 * (m * (4.0 - m) / 32.0 + m * (m - 1.0) / 192.0 * x2)
+        out[fin] = psi
         return _float_if_scalar(out)
 
     return dual

@@ -105,7 +105,7 @@ def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):
     x_arr = _reject_nonfinite(np.atleast_1d(np.asarray(x, dtype=float)), "x")
     lo = np.full(x_arr.shape, float(grid.lo))
     hi = np.full(x_arr.shape, float(grid.hi))
-    couple = Coupling("f+(a-g)^2/b", x_arr, 2.0 * gamma)  # f(z) + (z - x)^2/(2 gamma)
+    couple = Coupling("b*(a-g)^2+f", x_arr, 1.0 / (2.0 * gamma))  # (z - x)^2/(2 gamma) + f(z)
     vals, _, _ = _zoom_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(vals[0])

@@ -303,11 +303,12 @@ def prox(p: PenaltySpec, u, s):
 
 
 def scale_dual(p: PenaltySpec):
-    """Concave dual of theta(z) = phi(sqrt(2z)) for the scale envelope.
-
-    Closed forms for ridge, l1 and limited-translation; the concave kinds
-    fall back to the numeric conjugate with a lam-dependent bracket.
-    """
+    """Concave dual ``inf_z {lam z - theta(z)}`` of theta(z) = phi(sqrt(2z))
+    for the scale envelope, in closed form.  With G = weight*gamma,
+    double-Pareto's is ``lam s^2/2 - G log1p(s/a)`` at the root s of
+    ``lam s (a + s) = G`` (-inf for lam <= 0 and where G/lam overflows),
+    MCP's ``-ae G^2 / (2 (1 + ae lam))`` with ``ae = a/weight`` (-inf for
+    lam < 0); both are 0 on lam >= 0 when G = 0."""
     if p.kind == "psi-specified":
         raise CapabilityError("psi-specified penalty has no scale dual")
     if p.kind == "ridge":
@@ -333,15 +334,28 @@ def scale_dual(p: PenaltySpec):
             return np.minimum(0.0, lam - w)
         return dual
 
-    def theta(z):
-        return penalty_value(p, np.sqrt(2.0 * np.maximum(z, 0.0)))
+    g = _strength(p)
+    if g == 0.0:  # no penalty: theta = 0
+        def dual(lam):
+            return np.where(np.asarray(lam, dtype=float) >= 0, 0.0, -np.inf)
+        return dual
+    if p.kind == "mcp":
+        ae = p.a / p.weight
 
-    def dual(lam):
+        def dual(lam):
+            lam = np.asarray(lam, dtype=float)
+            return np.where(lam >= 0, -ae * g * g / (2.0 * (1.0 + ae * np.maximum(lam, 0.0))),
+                            -np.inf)
+        return dual
+
+    def dual(lam):  # double-pareto
         lam = np.asarray(lam, dtype=float)
-        hi = np.maximum(200.0, np.minimum(_strength(p) ** 2 / (2.0 * lam**2 + 1e-300), 1e10))
-        return duality.conjugate_numeric_rowwise(
-            theta, lam, np.zeros_like(lam).ravel(), hi.ravel(), count=161, rounds=3,
-            sense="concave").reshape(lam.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = g / lam
+            q = p.a + np.sqrt(p.a * p.a + 4.0 * r)
+            s = 2.0 * r / q  # the root, without cancellation; lam s = 2G/q
+            out = g * (s / q - np.log1p(s / p.a))
+        return np.where((lam > 0) & np.isfinite(out), out, -np.inf)
 
     return dual
 
@@ -373,11 +387,11 @@ def location_dual(p: PenaltySpec):
             lam = duality._reject_nonfinite(np.asarray(lam, dtype=float), "lam")
             flat = lam.ravel()
 
-            def phi(t):
-                return w * np.minimum(1.0, 0.5 * t**2)
+            def minus_phi(t):
+                return -w * np.minimum(1.0, 0.5 * t**2)
 
-            couple = duality.Coupling("b*(a-g)^2-f", flat, 0.5)  # (t - lam)^2/2 - phi(t)
-            vals, _, _ = duality._zoom_min(phi, couple, flat - 6.0, flat + 6.0, 161, 3)
+            couple = duality.Coupling("b*(a-g)^2+f", flat, 0.5)  # (t - lam)^2/2 - phi(t)
+            vals, _, _ = duality._zoom_min(minus_phi, couple, flat - 6.0, flat + 6.0, 161, 3)
             return -vals.reshape(lam.shape)
         return dual
     raise CapabilityError(f"kind {p.kind!r} has no location envelope")

@@ -49,7 +49,7 @@ def _monotone(trace, slack=1e-10):
 
 def test_criterion_1_envelope_identities():
     t0 = time.perf_counter()
-    results = envelope_suite(tol=1e-6)
+    results = envelope_suite()
     elapsed = time.perf_counter() - t0
     worst = max(r["max_gap"] for r in results)
     agree = all(r["lambda_agrees"] for r in results)
@@ -61,7 +61,7 @@ def test_criterion_1_envelope_identities():
 
 
 def test_criterion_2_conjugates():
-    results = conjugate_suite(tol=1e-6)
+    results = conjugate_suite()
     worst = max(r["max_gap"] for r in results)
     ok = all(r["passed"] for r in results)
     _report(2, ok,
@@ -70,7 +70,7 @@ def test_criterion_2_conjugates():
 
 
 def test_criterion_3_prox_oracle():
-    (res,) = prox_suite(n_draws=200)
+    (res,) = prox_suite()
     dp = PenaltySpec("double-pareto", gamma=1.0, a=1.0)
     closed = prox(dp, 3.0, 1.0)
     exact = abs(closed - (1.0 + np.sqrt(3.0))) <= 1e-10

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from envopt.cli import _solver_config, build_parser, main
 from envopt.solvers import SolverConfig
@@ -243,6 +244,14 @@ def test_check_prox_suite_cli(capsys):
     assert run(["check", "--suite", "prox"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_check_has_no_tol_flag(capsys):
+    # each check row carries its own tolerance
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--suite", "prox", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_non_numeric_extra_column_is_skipped(tmp_path):

@@ -131,11 +131,13 @@ def test_argmin_logcosh_scale():
 
 
 def test_check_identity_limited_translation():
-    lt = PenaltySpec("limited-translation")
-    report = check_envelope_identity(
-        GAUSSIAN_LOCATION, location_dual(lt),
-        lambda x: penalty_value(lt, x), np.linspace(-3.0, 3.0, 121))
-    assert report.max_gap <= 1e-6
+    # weight 1 has a closed-form dual, 0.5 the grid one; both are tight
+    for weight in (1.0, 0.5):
+        lt = PenaltySpec("limited-translation", weight=weight)
+        report = check_envelope_identity(
+            GAUSSIAN_LOCATION, location_dual(lt),
+            lambda x: penalty_value(lt, x), np.linspace(-3.0, 3.0, 121))
+        assert report.max_gap <= 1e-6, weight
 
 
 def test_check_identity_l1_exact():
@@ -517,6 +519,58 @@ def _both_paths(monkeypatch, f, couple, lo, hi, count, rounds):
     return c_out, np_out
 
 
+def _pow2(b):
+    """``b`` with each nonzero entry rounded to a power of two of its sign."""
+    mant, exp = np.frexp(b)
+    return np.where(b == 0.0, b, np.ldexp(np.copysign(0.5, mant), exp))
+
+
+# The own terms of the grid oracles by their former coupling kinds, each
+# with its expression of (a, b, g, f) and the Coupling of duality._KINDS
+# that its callers pass instead, as (a, b) -> (kind, a, b, sign of f).
+# Halving is exact, y - f is y + (-f), and f + y/b is (1/b)*y + f when b
+# is a power of two, so each gives the bits of its expression.
+_FORMS = {
+    "f-ag": (lambda a, b, g, f: f - a * g, lambda a, b: ("f-ag", a, b, 1.0)),
+    "ag-f": (lambda a, b, g, f: a * g - f, lambda a, b: ("ag-f", a, b, 1.0)),
+    "g/2*a-f": (lambda a, b, g, f: 0.5 * g * a - f,
+                lambda a, b: ("ag-f", 0.5 * a, b, 1.0)),
+    "b*(a-g)^2+f": (lambda a, b, g, f: b * (a - g) ** 2 + f,
+                    lambda a, b: ("b*(a-g)^2+f", a, b, 1.0)),
+    "b*(a-g)^2-f": (lambda a, b, g, f: b * (a - g) ** 2 - f,
+                    lambda a, b: ("b*(a-g)^2+f", a, b, -1.0)),
+    "f+(a-g)^2/b": (lambda a, b, g, f: f + (a - g) ** 2 / b,
+                    lambda a, b: ("b*(a-g)^2+f", a, 1.0 / b, 1.0)),
+    "g/2*(a-b/g)^2-f": (lambda a, b, g, f: 0.5 * g * (a - b / g) ** 2 - f,
+                        lambda a, b: ("g/2*(a-b/g)^2-f", a, b, 1.0)),
+}
+
+
+def test_forms_cover_the_coupling_kinds():
+    assert {coupling(1.0, 1.0)[0] for _, coupling in _FORMS.values()} == set(duality._KINDS)
+    assert len(duality._KINDS) == 4
+
+
+def _form_paths(monkeypatch, form, f, a, b, lo, hi, count, rounds):
+    """``_zoom_min`` of the Coupling that stands for ``form`` through the
+    compiled scan and through numpy, and of the form's expression (a plain
+    callable) through numpy.  The division form takes ``b`` rounded to a
+    power of two."""
+    expr, coupling = _FORMS[form]
+    if form == "f+(a-g)^2/b":
+        b = _pow2(b)
+    with np.errstate(divide="ignore"):
+        kind, ca, cb, sign = coupling(a, b)
+
+    def former(rows, g, fv):
+        with np.errstate(all="ignore"):
+            return expr(a[rows, None], b[rows, None], g, fv)
+
+    c_out, np_out = _both_paths(monkeypatch, lambda g: sign * f(g),
+                                duality.Coupling(kind, ca, cb), lo, hi, count, rounds)
+    return c_out, np_out, duality._zoom_min(f, former, lo, hi, count, rounds)
+
+
 def _table_f(table, lo):
     """An f that returns row i of ``table`` on the grid row that starts at
     ``lo[i]``: the values of each searched grid row are chosen outright."""
@@ -547,28 +601,28 @@ def _special_table(rng, rows, count):
 
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("count", [3, 4, 7, 13, 101, 9001])
-@pytest.mark.parametrize("kind", duality._KINDS)
-def test_compiled_scan_matches_numpy_coupling(monkeypatch, kind, count):
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_compiled_scan_matches_numpy_coupling(monkeypatch, form, count):
     # one round on chosen values: the compiled scan keeps the numpy path's
     # first minimum over finite values, bit for bit, with one row per grid
-    # row (per-row brackets) and with many rows on one grid (a shared one)
+    # row (per-row brackets) and with many rows on one grid (a shared one),
+    # and both keep the first minimum of the form's own expression
     rng = np.random.Generator(np.random.PCG64(count))
     rows = 1 if count > duality._BLOCK_ELEMS else 40
     a = rng.choice(np.array([0.0, -0.0, 0.5, -1.25, 3.0]), size=rows)
     b = np.where(rng.random(rows) < 0.3, rng.normal(size=rows),
                  rng.choice(np.array([-0.0, 0.5, 2.0, 1e-300]), size=rows))
-    couple = duality.Coupling(kind, a, b)
     table = _special_table(rng, rows, count)
     # grids start at 0 (variance-mean's b/g is infinite there) or above it
     lo = np.arange(rows) * 0.5
     hi = lo + 1.0
-    c_out, np_out = _both_paths(monkeypatch, _table_f(table, lo), couple, lo, hi, count, 0)
-    assert c_out.tobytes() == np_out.tobytes()
+    outs = _form_paths(monkeypatch, form, _table_f(table, lo), a, b, lo, hi, count, 0)
+    assert len({out.tobytes() for out in outs}) == 1
     shared = np.zeros(rows), np.ones(rows)
     for i in range(min(rows, 4)):
         f = _table_f(table[i:i + 1], [0.0])
-        c_out, np_out = _both_paths(monkeypatch, f, couple, *shared, count, 0)
-        assert c_out.tobytes() == np_out.tobytes()
+        outs = _form_paths(monkeypatch, form, f, a, b, *shared, count, 0)
+        assert len({out.tobytes() for out in outs}) == 1
 
 
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
@@ -595,16 +649,16 @@ def test_compiled_scan_first_minimum_semantics(monkeypatch, count):
 
 
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
-@pytest.mark.parametrize("kind", duality._KINDS)
+@pytest.mark.parametrize("form", list(_FORMS))
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-def test_compiled_zoom_search_matches_numpy_search(monkeypatch, kind, shared):
+def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
     # the whole zoom search, whose later rounds scan blocks that mix groups
     # of several rows and of one row, in blocks of 5 grid rows
     monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
     rng = np.random.Generator(np.random.PCG64(11 + shared))
     rows = 120
     a = rng.choice([-1.5, -0.25, 0.0, 0.5, 2.0], size=rows)
-    couple = duality.Coupling(kind, a, rng.choice([0.5, 1.0, 2.0], size=rows))
+    b = rng.choice([0.5, 1.0, 2.0], size=rows)
 
     def f(g):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -612,8 +666,8 @@ def test_compiled_zoom_search_matches_numpy_search(monkeypatch, kind, shared):
         return np.where(np.abs(g - 1.2) < 0.05, -np.inf, v)
 
     lo, hi = _brackets(rng, rows, shared)
-    c_out, np_out = _both_paths(monkeypatch, f, couple, lo, hi, 101, 3)
-    assert c_out.tobytes() == np_out.tobytes()
+    outs = _form_paths(monkeypatch, form, f, a, b, lo, hi, 101, 3)
+    assert len({out.tobytes() for out in outs}) == 1
 
 
 def _grid_values(form, center):

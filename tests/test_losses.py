@@ -296,6 +296,34 @@ def test_logcosh_scale_dual_tiny_lam_is_finite_limit(lam):
     assert val == pytest.approx(-1.0 / (8.0 * lam) + np.log(2.0), rel=1e-12)
 
 
+def _logcosh_location_psi(lam, m):
+    """psi(lam) at 800 digits: the root of x - |lam| = (m/2) tanh(x/2) by
+    mpmath's Newton from the root's leading term, then
+    m log cosh(x/2) - (x - lam)^2/2."""
+    import mpmath
+
+    with mpmath.workdps(800):
+        lam, half = mpmath.mpf(lam), mpmath.mpf(m) / 2
+        al = abs(lam)
+        start = mpmath.cbrt(12 * al) if m == 4 else al / (1 - half / 2)
+        x = mpmath.findroot(lambda x: x - al - half * mpmath.tanh(x / 2), start)
+        x = mpmath.sign(lam) * x
+        return m * mpmath.log(mpmath.cosh(x / 2)) - (x - lam) ** 2 / 2
+
+
+@pytest.mark.parametrize("m", [1.0, 4.0])
+@pytest.mark.parametrize("lam", [1e-300, -1e-300, 1e-320, 1e-12, -1e-12])
+def test_logcosh_location_dual_tiny_lam(lam, m):
+    # psi >= logcosh(lam, m) >= 0, where the direct form loses psi to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = logcosh_location_dual(m)(lam)
+    assert psi >= 0.0
+    # within 1e-15, and to six digits where psi does not underflow
+    err = abs(psi - float(_logcosh_location_psi(lam, m)))
+    assert err <= 1e-15 and err <= 1e-6 * psi + 1e-300
+
+
 def test_duals_reject_nan_lam():
     duals = (logcosh_scale_dual(1.0), logcosh_location_dual(4.0), check_variance_mean_dual(0.3))
     for dual in duals:

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 import envopt
-from envopt import solvers
+from envopt import duality, solvers
 from envopt.checks import _lasso_on_support
 from envopt.errors import CapabilityError, MonotonicityError, ValidationError
 from envopt.losses import LossSpec, loss_grad
@@ -291,20 +291,7 @@ def _tf_instances(rng, count):
     dual comes from an earlier run on nearby data."""
     for i in range(count):
         k = i % 3
-        n = int(rng.integers(k + 2, 301))
-        z = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-2, 2)
-        omega = 10.0 ** rng.uniform(-3, 3, size=n)
-        omega[rng.random(n) < 0.1] = 1e6
-        lam = 10.0 ** rng.uniform(-2, 2)
-        if i % 4 >= 2:
-            lam = lam * rng.uniform(0.0, 1.0, size=n - k - 1)
-            lam[rng.random(n - k - 1) < 0.2] = 0.0
-        state = None
-        if i % 2:
-            state = {}
-            weighted_trend_filter(z + rng.normal(scale=0.1, size=n), omega, k,
-                                  lam, _TF_BUDGET, state)
-        yield z, omega, k, lam, state
+        yield _tf_draw(rng, k, int(rng.integers(k + 2, 301)), i % 4 >= 2, i % 2)
 
 
 def _tf_run(args, python, cfg=_TF_BUDGET):
@@ -762,6 +749,16 @@ def test_kernel_has_one_fit_entry(monkeypatch):
         assert not hasattr(lib, gone)
     declared = {name for name in vars(lib) if not name.startswith("_")}
     assert declared == {"envelope_fused_lasso_path", "grid_scan", "grid_fill"}
+
+
+def test_grid_scan_has_one_case_per_coupling_kind():
+    # grid_scan's switch evaluates the kinds of duality._KINDS in order,
+    # the last one as its default
+    src = Path(solvers.__file__).with_name("_fldp.c").read_text()
+    body = re.search(r"^void grid_scan\(.*?^}", src, re.MULTILINE | re.DOTALL).group(0)
+    labels = re.findall(r"^\s*(case \d+|default):", body, re.MULTILINE)
+    kinds = len(duality._KINDS)
+    assert labels == [f"case {i}" for i in range(kinds - 1)] + ["default"]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
