@@ -26,14 +26,14 @@ held-out predictions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .errors import ValidationError
+from .errors import (ValidationError, _count, _float_vector, _lambda_grid, _penalties,
+                     _response)
 from .losses import (
     LossSpec,
     check_value,
@@ -45,9 +45,6 @@ from .solvers import (
     SolverConfig,
     _ONE_SOLVE,
     _check_finite_minimizer,
-    _edge_weights,
-    _is_integer,
-    _logit_loss,
     _mm_start,
     _run_record,
     distinct_levels,
@@ -101,7 +98,7 @@ class AppSpec:
     ``fit_fdp`` and the CLI build an AppSpec to check theirs: ``0 < q <
     1`` and an integer order ``k >= 0`` for qrtf, ``0 < a < inf`` for
     fdp.  ``lam`` is the penalty of a single fit, nonnegative and finite
-    as every lam of a path (:func:`_check_lams`); a path reads its grid
+    as every lam of a path (``errors._penalties``); a path reads its grid
     instead.
     """
 
@@ -114,12 +111,11 @@ class AppSpec:
     def __post_init__(self):
         if self.app not in APPS:
             raise ValidationError(f"unknown application {self.app!r}")
-        _check_lams(np.asarray(self.lam, dtype=float))
+        _penalties(self.lam, 1, "lam")
         if self.app == "qrtf":
             if not 0.0 < self.q < 1.0:
                 raise ValidationError("q must lie in (0, 1)")
-            if not (_is_integer(self.k) and self.k >= 0):
-                raise ValidationError("qrtf order k must be a nonnegative integer")
+            _count(self.k, "qrtf order k", 0)
         # a NaN fails every comparison
         if self.app == "fdp" and not 0.0 < self.a < np.inf:
             raise ValidationError("fdp scale a must be positive and finite")
@@ -130,7 +126,8 @@ class AppSpec:
 
 @dataclass
 class SolutionPath:
-    """Warm-started fits over a decreasing penalty grid."""
+    """Warm-started fits over a penalty grid, one fit per lam; the grid
+    follows the rule of ``errors._lambda_grid``."""
 
     lambdas: np.ndarray
     fits: list
@@ -138,11 +135,9 @@ class SolutionPath:
     selected: int
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or len(self.fits) != lam.shape[0]:
+        self.lambdas = _lambda_grid(self.lambdas)
+        if len(self.fits) != self.lambdas.shape[0]:
             raise ValidationError("lambdas and fits must align")
-        if lam.shape[0] > 1 and not np.all(np.diff(lam) < 0):
-            raise ValidationError("lambdas must be strictly decreasing")
 
     @property
     def best_lambda(self) -> float:
@@ -169,40 +164,6 @@ class Dataset:
 # Robust fused lasso
 
 
-def _response(y, min_len: int) -> np.ndarray:
-    """``y`` as a contiguous float vector, rejected unless it has at least
-    ``min_len`` entries, all finite."""
-    y = np.ascontiguousarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] < min_len:
-        raise ValidationError(f"y must be a vector of length >= {min_len}")
-    # y.y is finite only when every entry is, and costs one BLAS call; it
-    # overflows from |y_i| ~ 1e154, where min and max decide (they
-    # propagate NaN, and a NaN fails both comparisons)
-    if not (math.isfinite(y.dot(y)) or (-np.inf < y.min() and y.max() < np.inf)):
-        raise ValidationError("y must be finite")
-    return y
-
-
-def _check_lams(lams) -> None:
-    """Reject a penalty grid unless every lam is nonnegative and finite."""
-    # a NaN fails every comparison
-    if not ((lams >= 0) & (lams < np.inf)).all():
-        raise ValidationError("lam must be nonnegative and finite")
-
-
-def _lambda_grid(lambdas) -> np.ndarray:
-    """``lambdas`` as a float vector, rejected unless it is nonempty, every
-    lam is nonnegative and finite (tested first) and the grid strictly
-    decreases: the grid of :func:`solution_path` and :func:`kfold_cv`."""
-    lam_arr = np.asarray(lambdas, dtype=float)
-    if lam_arr.ndim != 1 or lam_arr.size == 0:
-        raise ValidationError("lambdas must be a nonempty vector")
-    _check_lams(lam_arr)
-    if not np.all(np.diff(lam_arr) < 0):
-        raise ValidationError("lambdas must be strictly decreasing")
-    return lam_arr
-
-
 def _rfl_path(spec, y, m, lams, cfg, init=None):
     """The rfl fits along ``lams``, fit 0 started at ``init`` (``y`` when
     None) and each later fit at the previous fit's iterate: ``y``, the
@@ -210,7 +171,7 @@ def _rfl_path(spec, y, m, lams, cfg, init=None):
     ``solvers.envelope_fused_lasso_path`` call with base edge weights 1.
     ``spec`` and ``m`` are not read."""
     y = _response(y, 2)
-    _check_lams(lams)
+    _penalties(lams, lams.shape[0], "lam")
     start = y if init is None else _mm_start(init, None, y.shape[0])
     return envelope_fused_lasso_path("huber", y, None, 1.0, lams, start, cfg or SolverConfig())
 
@@ -233,7 +194,7 @@ def fused_lasso_gaussian(y, lam: float) -> FitResult:
     the one-cycle squared-loss envelope of
     ``solvers.envelope_fused_lasso_mm``."""
     y = _response(y, 1)
-    return envelope_fused_lasso_mm("gaussian", y, None, _edge_weights(lam, y.shape[0]),
+    return envelope_fused_lasso_mm("gaussian", y, None, _penalties(lam, y.shape[0] - 1, "lam"),
                                    None, _ONE_SOLVE)
 
 
@@ -251,7 +212,7 @@ def _qrtf_path(spec, y, m, lams, cfg, init=None):
     ``m`` is not read."""
     k = int(spec.k)
     y = _response(y, k + 2)
-    _check_lams(lams)
+    _penalties(lams, lams.shape[0], "lam")
     n, dual = y.shape[0], None
     if isinstance(init, FitResult):
         dual = init.aux.get("v")
@@ -339,9 +300,9 @@ def _fdp_path(spec, y, m, lams, cfg, init=None):
     positive.
     """
     cfg = cfg or SolverConfig()
-    loss = _logit_loss(y, m)
+    loss = LossSpec("binomial-logit", y=y, m=m)
     y, m, n = loss.y, loss.m, loss.n
-    _check_lams(lams)
+    _penalties(lams, lams.shape[0], "lam")
     starts = [] if init is None else [_mm_start(init, None, n)]
     positive = lams[lams > 0.0]
     fits = []
@@ -414,8 +375,7 @@ class AppEntry:
 
 
 def _logit_losses(spec, y, betas, m):
-    loss = LossSpec("binomial-logit", y=y,
-                    m=np.broadcast_to(np.asarray(m, dtype=float), y.shape))
+    loss = LossSpec("binomial-logit", y=y, m=m)
     return np.array([loss_value(loss, beta) for beta in betas])
 
 
@@ -452,9 +412,10 @@ def aic(fit: FitResult, loss_value_at_fit: float) -> float:
 
 
 def app_loss(app: AppSpec, y, beta, m=None) -> float:
-    """The data-fit part of an application objective at a fitted vector."""
-    y = np.asarray(y, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    """The data-fit part of an application objective at a fitted vector
+    ``beta``, a scalar or one value per entry of ``y``."""
+    y = _response(y, 1)
+    beta = _float_vector(beta, y.shape[0], "beta")
     return float(APP_TABLE[app.app].loss(app, y, beta[np.newaxis], m)[0])
 
 
@@ -483,6 +444,8 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
     lam_arr = _lambda_grid(lambdas)
     if criterion not in ("aic", "cv"):
         raise ValidationError(f"unknown criterion {criterion!r}")
+    if criterion == "cv":  # as kfold_cv checks them, before the path
+        y = _response(y, _count(folds, "folds", 2))
 
     y = np.asarray(y, dtype=float)
     fits = _path_fits(app, y, m, lam_arr, cfg)
@@ -507,17 +470,15 @@ def kfold_cv(app: AppSpec, y, lambdas, K: int,
     interpolation of the fitted vector between the nearest retained
     indices (constant beyond the ends).  The CV loss is the
     application's data loss summed over held-out points.  The grid must
-    strictly decrease, as a solution path's.  Returns ``(best_lambda,
-    cv_table)`` with ties going to the larger lam.
+    strictly decrease, as a solution path's, and ``y`` needs at least
+    ``K >= 2`` entries.  Returns ``(best_lambda, cv_table)`` with ties
+    going to the larger lam.
     """
-    if K < 2:
-        raise ValidationError("K must be >= 2")
-    y = np.asarray(y, dtype=float)
+    K = _count(K, "K", 2)
+    y = _response(y, K)
     n = y.shape[0]
-    if K > n:
-        raise ValidationError("K cannot exceed the number of observations")
     lam_arr = _lambda_grid(lambdas)
-    m_arr = None if m is None else np.broadcast_to(np.asarray(m, dtype=float), y.shape)
+    m_arr = None if m is None else _float_vector(m, n, "m")
     idx = np.arange(n)
     table = np.zeros(lam_arr.shape[0])
     for r in range(K):
@@ -554,12 +515,10 @@ def simulate(app: str, n: int, seed: int, m: Optional[int] = None) -> Dataset:
     """
     if app not in APPS:
         raise ValidationError(f"unknown application {app!r}")
-    if not (_is_integer(n) and n >= 5):
-        raise ValidationError("n must be an integer of at least 5")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValidationError("seed must be a nonnegative integer")
-    if not (m is None or _is_integer(m) and m >= 1):
-        raise ValidationError("m must be a positive integer trial count")
+    _count(n, "n", 5)
+    _count(seed, "seed", 0)
+    if m is not None:
+        _count(m, "m", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     meta = {"generator": "pcg64", "seed": int(seed), "n": int(n)}
     if app == "rfl":

@@ -41,7 +41,7 @@ from .applications import (
     solution_path,
 )
 from .checks import run_suite
-from .errors import ConvergenceError, EnvoptError, ValidationError
+from .errors import ConvergenceError, EnvoptError, ValidationError, _lambda_grid
 from .solvers import SolverConfig
 
 __all__ = ["main", "RunManifest"]
@@ -131,7 +131,8 @@ def _read_csv(path: str, required):
 
 
 def _parse_lambda_grid(spec: str) -> np.ndarray:
-    """`logspace:<lo>:<hi>:<count>` (log10 endpoints) or a comma list."""
+    """`logspace:<lo>:<hi>:<count>` (log10 endpoints) or a comma list,
+    under the grid rule of ``errors._lambda_grid``."""
     if spec.startswith("logspace:"):
         parts = spec.split(":")
         if len(parts) != 4:
@@ -142,16 +143,13 @@ def _parse_lambda_grid(spec: str) -> np.ndarray:
             raise ValidationError(f"bad grid spec {spec!r}")
         if count < 1 or not lo < hi:
             raise ValidationError(f"bad grid spec {spec!r}")
-        return np.logspace(hi, lo, count)  # decreasing
-    try:
-        vals = np.array([float(t) for t in spec.split(",") if t.strip() != ""])
-    except ValueError:
-        raise ValidationError(f"bad lambda list {spec!r}")
-    if vals.size == 0:
-        raise ValidationError("empty lambda grid")
-    if vals.size > 1 and not np.all(np.diff(vals) < 0):
-        raise ValidationError("lambda list must be strictly decreasing")
-    return vals
+        vals = np.logspace(hi, lo, count)  # decreasing
+    else:
+        try:
+            vals = np.array([float(t) for t in spec.split(",") if t.strip() != ""])
+        except ValueError:
+            raise ValidationError(f"bad lambda list {spec!r}")
+    return _lambda_grid(vals)
 
 
 def _solver_config(args) -> SolverConfig:

@@ -148,6 +148,14 @@ def _float_if_scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
+def _reject_nan(lam):
+    """``lam`` as a float array, or ValidationError if an entry is NaN."""
+    lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise ValidationError("lam must not be NaN")
+    return lam
+
+
 def _reject_nonfinite(points, what):
     """``points`` unchanged, or ValidationError if one is NaN or infinite:
     its grid values would be non-finite, which the search skips, and it

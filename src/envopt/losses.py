@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .duality import _float_if_scalar
-from .errors import CapabilityError, ValidationError
+from .duality import _float_if_scalar, _reject_nan
+from .errors import CapabilityError, ValidationError, _float_vector, _response
 from .operators import soft_threshold
 
 __all__ = [
@@ -57,8 +57,9 @@ _WEIGHT_CLAMP = 1e6
 class LossSpec:
     """Loss tag, responses, and optional design matrix.
 
-    ``m`` (trial counts) is required for binomial-logit, ``q`` for the
-    check loss.  The variance-mean drift is derived, never set: it is
+    ``y`` is a nonempty finite vector.  ``m`` (trial counts, a scalar or
+    one per entry, all at least 1 and finite, with ``0 <= y <= m``) is
+    required for binomial-logit, ``q`` for the check loss.  The variance-mean drift is derived, never set: it is
     ``1 - 2q`` for the check loss and ``y - m/2`` per observation for the
     logit.  The Huber threshold is 1, as in the compiled fused-lasso loop.
     """
@@ -72,18 +73,17 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1 or not np.all(np.isfinite(y)):
-            raise ValidationError("y must be a finite 1-d vector")
+        y = _response(self.y, 1)
         object.__setattr__(self, "y", y)
         if self.kind == "binomial-logit":
             if self.m is None:
                 raise ValidationError("binomial-logit requires trial counts m")
-            m = np.asarray(self.m, dtype=float)
-            if m.shape != y.shape or not np.all((m >= 1) & (m < np.inf)):
-                raise ValidationError("m must be positive counts matching y")
+            m = _float_vector(self.m, y.shape[0], "m")
+            # a NaN m passes this test and fails the next
             if np.any(y < 0) or np.any(y > m):
-                raise ValidationError("binomial-logit requires 0 <= y <= m")
+                raise ValidationError("need 0 <= y <= m")
+            if not np.all((m >= 1) & (m < np.inf)):
+                raise ValidationError("m must be positive counts")
             object.__setattr__(self, "m", m)
         if self.kind == "check":
             if self.q is None or not 0.0 < self.q < 1.0:
@@ -139,11 +139,17 @@ def check_value(x, q: float):
 
 
 def logcosh(x, m: float = 1.0):
-    """m * log cosh(x/2), computed stably for large |x|."""
-    x = np.asarray(x, dtype=float)
-    au = np.abs(0.5 * x)
-    out = m * (au + np.log1p(np.exp(-2.0 * au)) - np.log(2.0))
-    return _float_if_scalar(out)
+    """m * log cosh(u), u = |x|/2: for u < 1 as ``log1p(2 sinh(u/2)^2)``,
+    which keeps its digits at small u, and beyond as ``u + log1p(e^{-2u})
+    - log 2``, which does not overflow."""
+    au = np.abs(0.5 * np.asarray(x, dtype=float))
+    out = np.empty(au.shape)
+    small = au < 1.0
+    u = au[small]
+    out[small] = np.log1p(2.0 * np.sinh(0.5 * u) ** 2)
+    u = au[~small]
+    out[~small] = u + np.log1p(np.exp(-2.0 * u)) - np.log(2.0)
+    return _float_if_scalar(m * out)
 
 
 def loss_value(l: LossSpec, beta) -> float:
@@ -265,14 +271,6 @@ def huber_location_dual(delta: float = 1.0):
     return dual
 
 
-def _reject_nan(lam):
-    """``lam`` as a float array, or ValidationError if an entry is NaN."""
-    lam = np.asarray(lam, dtype=float)
-    if np.isnan(lam).any():
-        raise ValidationError("lam must not be NaN")
-    return lam
-
-
 def _newton_from_above(x, newton):
     """Iterates ``x <- newton(x)`` from ``x``, elementwise on the whole
     array, where ``x`` is an upper bound of the root of a function that
@@ -364,10 +362,13 @@ def logcosh_location_dual(m: float = 1.0):
         # and v - tanh(v) >= v^3/6 for v <= 1.58, >= v/2.4 beyond, give
         # |x| <= 2 max(cbrt(3|lam|), 1.2|lam|) instead
         al = np.abs(lam_f)
-        if m < 4:
-            bound = al / (1.0 - 0.25 * m)
-        else:
-            bound = 2.0 * np.maximum(np.cbrt(3.0 * al), 1.2 * al)
+        # near the end of the float range the bound overflows to inf, and
+        # al + half below is the start
+        with np.errstate(over="ignore"):
+            if m < 4:
+                bound = al / (1.0 - 0.25 * m)
+            else:
+                bound = 2.0 * np.maximum(np.cbrt(3.0 * al), 1.2 * al)
 
         def newton(x):  # on |x|, with tanh(x/2) and sech(x/2)^2 from one expm1(-x)
             em = np.expm1(-x)
@@ -383,7 +384,8 @@ def logcosh_location_dual(m: float = 1.0):
             tiny = al < 1e-9 / 12.0
             x[tiny] = np.cbrt(12.0 * al[tiny])
         x = np.copysign(x, lam_f)
-        psi = logcosh(x, m) - 0.5 * (x - lam_f) ** 2
+        with np.errstate(over="ignore"):  # psi ~ m |lam| / 2 is inf past the float range
+            psi = logcosh(x, m) - 0.5 * (x - lam_f) ** 2
         small = np.abs(x) < 1e-3
         x2 = x[small] ** 2
         psi[small] = x2 * (m * (4.0 - m) / 32.0 + m * (m - 1.0) / 192.0 * x2)

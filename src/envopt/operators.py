@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import Coupling, GridSpec, _float_if_scalar, _reject_nonfinite, _zoom_min
-from .errors import ValidationError
+from .errors import ValidationError, _count
 
 __all__ = [
     "DifferenceOperator",
@@ -71,8 +71,7 @@ def diff_matrix(n: int, k: int) -> DifferenceOperator:
     ``k = 0`` gives the first-difference matrix (fused lasso), ``k = 1``
     second differences, and so on.  Requires ``n >= k + 2``.
     """
-    if k < 0:
-        raise ValidationError("order k must be nonnegative")
+    k = _count(k, "order k", 0)
     if n < k + 2:
         raise ValidationError(f"need n >= k + 2, got n={n}, k={k}")
     stencil = np.array([1.0])

@@ -361,7 +361,8 @@ def scale_dual(p: PenaltySpec):
 
 
 def location_dual(p: PenaltySpec):
-    """Half-quadratic dual psi(lam) = sup_x {-(x-lam)^2/2 + phi(x)}."""
+    """Half-quadratic dual psi(lam) = sup_x {-(x-lam)^2/2 + phi(x)}, in
+    closed form; for limited translation a NaN lam raises ValidationError."""
     if p.kind == "ridge":
         if not p.weight < 1:
             raise CapabilityError("ridge location dual needs weight < 1")
@@ -371,28 +372,25 @@ def location_dual(p: PenaltySpec):
             lam = np.asarray(lam, dtype=float)
             return 0.5 * (w / (1.0 - w)) * lam**2
         return dual
-    if p.kind == "limited-translation" and p.weight == 1.0:
-        def dual(lam):
-            lam = np.asarray(lam, dtype=float)
-            al = np.abs(lam)
-            return np.where(al <= np.sqrt(2.0), np.sqrt(2.0) * al - 0.5 * lam**2, 1.0)
-        return dual
     if p.kind == "psi-specified":
         return psi_specified_dual
     if p.kind == "limited-translation":
         w = p.weight
+        root2 = np.sqrt(2.0)
 
         def dual(lam):
-            # sup_x {-(x-lam)^2/2 + w*min(1, x^2/2)}, numeric for w != 1
-            lam = duality._reject_nonfinite(np.asarray(lam, dtype=float), "lam")
-            flat = lam.ravel()
-
-            def minus_phi(t):
-                return -w * np.minimum(1.0, 0.5 * t**2)
-
-            couple = duality.Coupling("b*(a-g)^2+f", flat, 0.5)  # (t - lam)^2/2 - phi(t)
-            vals, _, _ = duality._zoom_min(minus_phi, couple, flat - 6.0, flat + 6.0, 161, 3)
-            return -vals.reshape(lam.shape)
+            # With a = |lam|: on |x| <= sqrt(2), where phi = w x^2/2, the sup
+            # is at x = lam/(1-w) when w < 1 and a < sqrt(2)(1-w), and else
+            # at the kink x = sqrt(2) sgn(lam); beyond, phi = w and the sup
+            # is at x = lam once a > sqrt(2).  Each branch reads a only
+            # where it holds (min(a, sqrt 2)), so lam = +-inf gives w.
+            lam = duality._reject_nan(lam)
+            al = np.abs(lam)
+            a = np.minimum(al, root2)
+            out = np.where(al <= root2, (w - 1.0) + (root2 * a - 0.5 * a**2), w)
+            if w < 1.0:
+                out = np.where(al < root2 * (1.0 - w), 0.5 * (w / (1.0 - w)) * a**2, out)
+            return out
         return dual
     raise CapabilityError(f"kind {p.kind!r} has no location envelope")
 

@@ -74,7 +74,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
-from .errors import MonotonicityError, ValidationError
+from .errors import (MonotonicityError, ValidationError, _count, _float_vector, _penalties,
+                     _response, _weights)
 from .losses import (_WEIGHT_CLAMP, LossSpec, lipschitz_bound, location_envelope_update,
                      loss_grad, loss_value)
 from .operators import diff_matrix
@@ -93,12 +94,6 @@ __all__ = [
     "distinct_levels",
     "count_knots",
 ]
-
-
-def _is_integer(x) -> bool:
-    """Whether ``x`` is a Python or numpy integer; bool is an int
-    subclass, but True is no count."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -127,9 +122,8 @@ class SolverConfig:
         # a NaN fails every comparison
         if not (0 < self.tol < np.inf and 0 < self.inner_tol < np.inf):
             raise ValidationError("tolerances must be positive and finite")
-        for budget in (self.max_iters, self.inner_max_iters):
-            if not (_is_integer(budget) and budget >= 1):
-                raise ValidationError("iteration budgets must be integers >= 1")
+        _count(self.max_iters, "max_iters", 1)
+        _count(self.inner_max_iters, "inner_max_iters", 1)
 
 
 @dataclass
@@ -339,63 +333,21 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _float_vector(x, n: int, name: str) -> np.ndarray:
-    """``x`` broadcast to a contiguous float vector of length ``n``,
-    rejected unless it is a scalar or already has that length."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        if x.size != 1:
-            raise ValidationError(
-                f"{name} must be a scalar or a vector of length {n}, got shape {x.shape}")
-        x = np.broadcast_to(x.reshape(()), (n,))
-    return np.ascontiguousarray(x)
-
-
-def _edge_weights(u_edges, n: int):
-    """``u_edges`` as ``n - 1`` edge weights, rejected unless nonnegative
-    and finite: a scalar as a float (every edge weight equal), anything
-    else as a contiguous float vector."""
-    if isinstance(u_edges, (int, float)):  # a scalar lam, np.float64 included
-        # a NaN fails both comparisons
-        if u_edges < 0:
-            raise ValidationError("edge weights must be nonnegative")
-        if not u_edges < np.inf:
-            raise ValidationError("inputs must be finite")
-        return float(u_edges)
-    u = _float_vector(u_edges, n - 1, "edge weights")
-    if n > 1:
-        # min and max propagate NaN, and a NaN fails both comparisons
-        if u.min() < 0:
-            raise ValidationError("edge weights must be nonnegative")
-        if not u.max() < np.inf:
-            raise ValidationError("inputs must be finite")
-    return u
-
-
 def weighted_fused_lasso(z, omega, u_edges):
     """Exact global minimizer of the weighted 1-d fused lasso.
 
     Minimizes ``sum_i (omega_i/2)(z_i - beta_i)^2 +
     sum_i u_i |beta_{i+1} - beta_i|``.  The problem is strictly convex,
-    so the dynamic program returns the unique solution.  The inputs are
-    validated here, and the solve is the one-solve squared-loss fit of
-    :func:`envelope_fused_lasso_mm` with weights ``omega``, whose map is
-    the DP (the compiled loop, or :func:`_fused_lasso_dp` in its Python
-    mirror, with the same bits).
+    so the dynamic program returns the unique solution.  The inputs follow
+    the package's input rules (README, "Input rules"), and the solve is
+    the one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
+    weights ``omega``, whose map is the DP (the compiled loop, or
+    :func:`_fused_lasso_dp` in its Python mirror, with the same bits).
     """
-    z = np.ascontiguousarray(z, dtype=float)
+    z = _response(z, 1, "z")
     n = z.shape[0]
-    if n == 0:
-        raise ValidationError("z must be nonempty")
-    if z.ndim != 1:
-        raise ValidationError("z must be one-dimensional")
-    omega = _float_vector(omega, n, "omega")
-    # min and max propagate NaN, and a NaN fails every comparison below
-    if not omega.min() > 0:
-        raise ValidationError("omega must be strictly positive")
-    u = _edge_weights(u_edges, n)
-    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf):
-        raise ValidationError("inputs must be finite")
+    omega = _weights(omega, n)
+    u = _penalties(u_edges, n - 1)
     return envelope_fused_lasso_mm("gaussian", z, omega, u, None, _ONE_SOLVE).beta
 
 
@@ -416,10 +368,11 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     minimum over the free rows by the banded Cholesky of A there, and the
     solve ends after a step to the face minimum that leaves no bound with
     a wrong-signed multiplier beyond ``cfg.inner_tol`` relative.
-    ``cfg.inner_max_iters`` caps the iterations.  The inputs are validated
-    here, and the solve is the one-solve squared-loss fit of
-    :func:`envelope_fused_lasso_mm` with weights ``omega`` and order ``k``
-    (the compiled loop, or its Python mirror, with the same bits).
+    ``cfg.inner_max_iters`` caps the iterations.  The inputs follow the
+    package's input rules (README, "Input rules"), and the solve is the
+    one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
+    weights ``omega`` and order ``k`` (the compiled loop, or its Python
+    mirror, with the same bits).
 
     ``lam`` may be a scalar or a per-row vector; a row with ``lam_j = 0``
     is left free in the primal (its dual stays 0).  ``state``, if given,
@@ -432,30 +385,16 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     row.
     """
     cfg = cfg or SolverConfig()
-    z = np.ascontiguousarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValidationError("z must be one-dimensional")
+    k = _count(k, "order k", 0)
+    z = _response(z, k + 2, "z")
     n = z.shape[0]
-    if k < 0:
-        raise ValidationError("order k must be >= 0")
-    if n < k + 2:
-        raise ValidationError(f"need len(z) >= k + 2, got {n}")
-    omega = _float_vector(omega, n, "omega")
+    omega = _weights(omega, n)
     m = n - k - 1
-    lam_v = _float_vector(lam, m, "lam")
-    # min and max propagate NaN, and a NaN fails every comparison below
-    if not omega.min() > 0:
-        raise ValidationError("omega must be strictly positive")
-    lam_min, lam_max = lam_v.min(), lam_v.max()
-    if lam_min < 0:
-        raise ValidationError("lam must be nonnegative")
-    if not (-np.inf < z.min() and z.max() < np.inf and omega.max() < np.inf
-            and lam_min >= 0 and lam_max < np.inf):
-        raise ValidationError("inputs must be finite")
+    lam = _penalties(lam, m, "lam")
     if state is None:
         state = {}
     v = state.get("v")  # a warm start of another length is ignored
-    fit = envelope_fused_lasso_mm("gaussian", z, omega, lam_v, None, cfg, k=k,
+    fit = envelope_fused_lasso_mm("gaussian", z, omega, lam, None, cfg, k=k,
                                   v=None if np.shape(v) != (m,) else v)
     state.update(v=fit.aux["v"], iters=fit.aux["run"]["inner_iters"],
                  converged=fit.converged)
@@ -722,13 +661,14 @@ def trend_filter_kkt_residual(beta, z, omega, k: int, lam) -> float:
     the equality residual, the box |v| <= lam, and the active-edge sign
     condition v = lam * sgn(D beta).
     """
-    z = np.asarray(z, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    k = _count(k, "order k", 0)
+    z = _response(z, k + 2, "z")
     n = z.shape[0]
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+    beta = _float_vector(beta, n, "beta")
+    omega = _weights(omega, n)
     D = diff_matrix(n, k)
     m = D.rows
-    lam_v = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
+    lam_v = np.broadcast_to(_penalties(lam, m, "lam"), (m,))
     g = omega * (beta - z)
     chol = cholesky_banded(D.gram_transpose_bands(), lower=False)
     v = cho_solve_banded((chol, False), -D.apply(g))
@@ -1277,19 +1217,6 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
 # Logistic fused lasso by the Polya-Gamma envelope
 
 
-def _logit_loss(y, m) -> LossSpec:
-    """The validated binomial-logit loss of counts ``y`` out of ``m``
-    (a scalar or one count per entry), with contiguous ``y`` and ``m``."""
-    y = np.ascontiguousarray(y, dtype=float)
-    m_arr = np.broadcast_to(np.asarray(m, dtype=float), y.shape).copy()
-    if np.any(y < 0) or np.any(y > m_arr):
-        raise ValidationError("need 0 <= y <= m")
-    loss = LossSpec("binomial-logit", y=y, m=m_arr)
-    if loss.n == 0:
-        raise ValidationError("y must be nonempty")
-    return loss
-
-
 def _check_finite_minimizer(loss: LossSpec, u) -> None:
     """Reject counts whose logit fit has no finite minimizer.
 
@@ -1329,9 +1256,9 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     met ``cfg.tol`` within ``cfg.max_iters`` and ``aux["run"]``.
     """
     cfg = cfg or SolverConfig()
-    loss = _logit_loss(y, m)
+    loss = LossSpec("binomial-logit", y=y, m=m)
     n = loss.n
-    u = _edge_weights(u_edges, n)
+    u = _penalties(u_edges, n - 1)
     _check_finite_minimizer(loss, u)
     beta = _mm_start(init, np.zeros(n), n)
     return envelope_fused_lasso_mm("binomial-logit", loss.y, loss.m, u, beta, cfg)

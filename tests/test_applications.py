@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from envopt.applications import (
     AppSpec,
     FDP_TRUE_LEVELS,
     aic,
+    app_loss,
     binomial_fused_lasso,
     fit_fdp,
     fit_qrtf,
@@ -21,8 +24,9 @@ from envopt.applications import (
 from envopt.errors import ValidationError
 from envopt.losses import LossSpec, huber, location_envelope_update, loss_value
 from envopt.operators import diff_matrix
-from envopt.solvers import (FitResult, SolverConfig, envelope_fused_lasso_path, mm_driver,
-                            weighted_fused_lasso)
+from envopt.solvers import (FitResult, SolverConfig, count_knots, envelope_fused_lasso_path,
+                            mm_driver, trend_filter_kkt_residual, weighted_fused_lasso,
+                            weighted_trend_filter)
 
 
 def _trace_monotone(fit):
@@ -731,6 +735,86 @@ def test_paths_and_cv_share_one_grid_rule(monkeypatch):
     for lam in (np.nan, np.inf, -1.0):
         with pytest.raises(ValidationError, match="lam must be nonnegative and finite"):
             AppSpec("rfl", lam=lam)
+
+
+# ---------------------------------------------------------------------------
+# input rules
+
+# Inputs that escaped as a ctypes, numpy or Python error (or, a bool order,
+# ran), each with the message of the rule in errors.py that now rejects it.
+_RULE_BAD = [
+    (weighted_trend_filter, (np.arange(6.0), 1.0, 1.5, 1.0), "order k must be a nonnegative integer"),
+    (weighted_trend_filter, (np.arange(6.0), 1.0, True, 1.0), "order k must be a nonnegative integer"),
+    (count_knots, (np.arange(6.0), 1.5), "order k must be a nonnegative integer"),
+    (kfold_cv, (AppSpec("rfl"), np.arange(10.0), [2.0, 1.0], 2.5),
+     "K must be an integer of at least 2"),
+    (solution_path, (AppSpec("rfl"), np.arange(10.0), [2.0, 1.0], None, "cv", 2.5),
+     "folds must be an integer of at least 2"),
+    (solution_path, (AppSpec("rfl"), np.arange(10.0), [2.0, 1.0], None, "cv", 11),
+     "y must be a vector of length >= 11"),
+    (kfold_cv, (AppSpec("rfl"), 3.0, [2.0, 1.0], 2), "y must be a vector of length >= 2"),
+    (app_loss, (AppSpec("rfl"), np.arange(10.0), np.zeros(9)),
+     "beta must be a scalar or a vector of length 10"),
+    (app_loss, (AppSpec("fdp"), np.arange(10.0), np.zeros(11), 10.0),
+     "beta must be a scalar or a vector of length 10"),
+    (trend_filter_kkt_residual, (np.zeros(6), np.arange(6.0), [1.0, 2.0], 1, 1.0),
+     "omega must be a scalar or a vector of length 6"),
+    (trend_filter_kkt_residual, (np.zeros(5), np.arange(6.0), 1.0, 1, 1.0),
+     "beta must be a scalar or a vector of length 6"),
+]
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_input_rules_reject_what_used_to_crash(monkeypatch, python):
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    for fn, args, msg in _RULE_BAD:
+        if fn is weighted_trend_filter:
+            state = {}
+            with pytest.raises(ValidationError, match=msg):
+                fn(*args, state=state)
+            assert state == {}
+        else:
+            with pytest.raises(ValidationError, match=msg):
+                fn(*args)
+    # a numpy-integer order is the same order as a Python int
+    rng = np.random.Generator(np.random.PCG64(25))
+    z, omega = rng.standard_normal(12), rng.uniform(0.5, 2.0, 12)
+    for k in (np.int64(2), np.int32(1)):
+        for lam in (0.7, rng.uniform(0.1, 1.0, 12 - int(k) - 1)):
+            expected = weighted_trend_filter(z, omega, int(k), lam)
+            assert weighted_trend_filter(z, omega, k, lam).tobytes() == expected.tobytes()
+        assert count_knots(z, k) == count_knots(z, int(k))
+
+
+# The messages of the shared input rules, each raised from one place: the
+# module that holds the rule.
+_RULE_MESSAGES = {
+    "nonnegative integer": "errors.py", "positive integer": "errors.py",
+    "integer of at least": "errors.py", "must be a vector of length >=": "errors.py",
+    "must be a scalar or a vector of length": "errors.py",
+    "strictly positive and finite": "errors.py", "nonnegative and finite": "errors.py",
+    "nonempty vector": "errors.py", "strictly decreasing": "errors.py",
+    "0 <= y <= m": "losses.py",
+}
+
+
+def test_each_input_rule_is_raised_from_one_place():
+    # every string in the package's code, docstrings left out, that holds
+    # a rule's message
+    found = {msg: [] for msg in _RULE_MESSAGES}
+    for path in sorted(Path(applications.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docs:
+                for msg in found:
+                    if msg in node.value:
+                        found[msg].append((path.name, node.lineno))
+    for msg, where in found.items():
+        assert [name for name, _ in where] == [_RULE_MESSAGES[msg]], (msg, where)
 
 
 # ---------------------------------------------------------------------------

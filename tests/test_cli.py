@@ -164,6 +164,16 @@ def test_path_comma_list_order_enforced(tmp_path):
                 "0.1,0.5", "--out", out]) == 2
 
 
+def test_path_lambda_list_is_finite_before_ordered(tmp_path, capsys):
+    # a NaN used to be reported as a grid out of order
+    data = tmp_path / "r.csv"
+    run(["simulate", "--app", "rfl", "--n", 30, "--seed", 9, "--out", data])
+    capsys.readouterr()
+    assert run(["path", "--app", "rfl", "--data", data, "--lambdas", "1,nan",
+                "--out", tmp_path / "p.json"]) == 2
+    assert "error: lam must be nonnegative and finite" in capsys.readouterr().err
+
+
 def test_missing_column_is_validation_failure(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("x,y\n0.1,1.0\n0.2,2.0\n")

@@ -373,3 +373,25 @@ def test_huber_dual_is_absolute_value():
     psi = huber_location_dual(1.0)
     lam = np.linspace(-4, 4, 17)
     np.testing.assert_allclose(psi(lam), np.abs(lam))
+
+
+def test_logcosh_matches_mpmath():
+    # the form u + log1p(e^{-2u}) - log 2 alone lost every digit below
+    # |x| ~ 1e-8, where it rounds to a multiple of an ulp of log 2
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-12, 1e5, 300)
+    x = np.concatenate([x, [1.999999, 2.0, 2.000001], -x])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.log(mpmath.cosh(mpmath.mpf(v) / 2))) for v in x])
+    for m in (1.0, 4.0):
+        assert np.max(np.abs(logcosh(x, m) - m * ref) / (m * ref)) <= 1e-15
+
+
+def test_logcosh_location_dual_is_quiet_at_the_end_of_the_float_range():
+    # the m = 4 root bound overflowed, and warned, above |lam| ~ 6e307;
+    # psi ~ m |lam| / 2 itself passes the float range above |lam| ~ 9e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert logcosh_location_dual(4.0)(np.array([1e308, -1e308])).tolist() == [np.inf] * 2
+        assert logcosh_location_dual(4.0)(-7e307) == pytest.approx(1.4e308, rel=1e-15)
+        assert logcosh_location_dual(1.0)(1e308) == pytest.approx(5e307, rel=1e-15)

@@ -17,6 +17,7 @@ from envopt.penalties import (
     PENALTY_KINDS,
     PenaltySpec,
     lambda_hat,
+    location_dual,
     penalty_deriv,
     penalty_dual,
     penalty_value,
@@ -272,3 +273,20 @@ def test_psi_specified_value_only():
     lam = np.linspace(0.0, 5.0, 400001)
     ref = float(np.min(0.5 * (x - lam) ** 2 + lam / (2 * (1 + lam))))
     assert penalty_value(p, x) == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3, 0.7, 1.0, 1.5, 3.0])
+def test_limited_translation_location_dual_matches_brute_force(weight):
+    # the zoom search that the closed form replaced took the wrong one of
+    # the near-tied kinks x = +-sqrt(2) at weight 1.5 and |lam| <= 0.01,
+    # off by 2 sqrt(2) |lam|
+    lt = PenaltySpec("limited-translation", weight=weight)
+    lams = np.concatenate([np.linspace(-5.0, 5.0, 21), [-0.01, -0.005, 0.005, 0.01]])
+    x = np.linspace(-12.0, 12.0, 1_200_001)  # step 2e-5; the kinks are off the grid
+    phi = penalty_value(lt, x)
+    brute = np.array([np.max(phi - 0.5 * (x - lam) ** 2) for lam in lams])
+    got = location_dual(lt)(lams)
+    # the grid misses the sup by at most its slope (below 11) times half a step
+    assert np.all(got >= brute - 1e-12)
+    assert np.all(got - brute <= 1.2e-4)
+    assert location_dual(lt)(np.array([np.inf, -np.inf])).tolist() == [weight, weight]

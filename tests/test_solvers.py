@@ -137,14 +137,14 @@ def test_fused_lasso_forced_python_fallback(monkeypatch):
     for c, e in zip(cases, expected):
         assert np.array_equal(weighted_fused_lasso(*c), e)
     bad = [
-        (([], [], []), "nonempty"),
-        ((np.ones((3, 2)), 1.0, 1.0), "one-dimensional"),
+        (([], [], []), "z must be a vector of length >= 1"),
+        ((np.ones((3, 2)), 1.0, 1.0), "z must be a vector of length >= 1"),
         (([1.0, 2.0], [1.0, -1.0], [0.5]), "omega must be strictly positive"),
         (([1.0, 2.0], [1.0, np.nan], [0.5]), "omega must be strictly positive"),
         (([1.0, 2.0], [1.0, 1.0], [-0.5]), "edge weights must be nonnegative"),
-        (([1.0, np.inf], [1.0, 1.0], [0.5]), "inputs must be finite"),
-        (([1.0, 2.0], [1.0, np.inf], [0.5]), "inputs must be finite"),
-        (([1.0, 2.0], [1.0, 1.0], [np.nan]), "inputs must be finite"),
+        (([1.0, np.inf], [1.0, 1.0], [0.5]), "z must be finite"),
+        (([1.0, 2.0], [1.0, np.inf], [0.5]), "omega must be strictly positive and finite"),
+        (([1.0, 2.0], [1.0, 1.0], [np.nan]), "edge weights must be nonnegative and finite"),
         ((np.ones(4), [1.0, 2.0], 1.0), "omega must be a scalar or a vector of length 4"),
         ((np.ones(4), 1.0, np.ones(4)), "edge weights must be a scalar or a vector of length 3"),
     ]
@@ -656,21 +656,21 @@ def test_trend_filter_cold_start_far_from_solution(k):
 
 
 _TF_BAD = [
-    ((np.ones((3, 2)), 1.0, 0, 1.0), "one-dimensional"),
-    ((np.ones(4), 1.0, -1, 1.0), "order k must be >= 0"),
-    ((np.ones(3), 1.0, 2, 1.0), "need len"),
+    ((np.ones((3, 2)), 1.0, 0, 1.0), "z must be a vector of length >= 2"),
+    ((np.ones(4), 1.0, -1, 1.0), "order k must be a nonnegative integer"),
+    ((np.ones(3), 1.0, 2, 1.0), "z must be a vector of length >= 4"),
     ((np.ones(4), [1.0, -1.0, 1.0, 1.0], 1, 1.0), "omega must be strictly positive"),
     ((np.ones(4), [1.0, np.nan, 1.0, 1.0], 1, 1.0), "omega must be strictly positive"),
-    ((np.ones(4), [1.0, np.inf, 1.0, 1.0], 1, 1.0), "inputs must be finite"),
+    ((np.ones(4), [1.0, np.inf, 1.0, 1.0], 1, 1.0), "omega must be strictly positive and finite"),
     ((np.ones(4), 1.0, 1, [1.0, -1.0]), "lam must be nonnegative"),
-    ((np.ones(4), 1.0, 1, [1.0, np.nan]), "inputs must be finite"),
-    ((np.ones(4), 1.0, 1, np.inf), "inputs must be finite"),
+    ((np.ones(4), 1.0, 1, [1.0, np.nan]), "lam must be nonnegative and finite"),
+    ((np.ones(4), 1.0, 1, np.inf), "lam must be nonnegative and finite"),
     ((np.ones(4), [1.0, 2.0], 1, 1.0), "omega must be a scalar or a vector of length 4"),
     ((np.ones(5), 1.0, 1, [1.0, 2.0]), "lam must be a scalar or a vector of length 3"),
-    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
-    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 0.0), "inputs must be finite"),
-    (([1.0, np.inf, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
-    (([1.0, -np.inf, 1.0, 1.0], 1.0, 1, 1.0), "inputs must be finite"),
+    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 1.0), "z must be finite"),
+    (([1.0, np.nan, 1.0, 1.0], 1.0, 1, 0.0), "z must be finite"),
+    (([1.0, np.inf, 1.0, 1.0], 1.0, 1, 1.0), "z must be finite"),
+    (([1.0, -np.inf, 1.0, 1.0], 1.0, 1, 1.0), "z must be finite"),
 ]
 
 
@@ -1404,7 +1404,7 @@ def test_envelope_fits_same_record_without_kernel(monkeypatch):
 def test_solver_config_rejects_bad_settings(kwargs):
     # a NaN budget used to run no map and no inner iteration and return
     # the start, and 2.5 was cut to 2
-    with pytest.raises(ValidationError, match="budgets must be integers|tolerances must be"):
+    with pytest.raises(ValidationError, match="max_iters must be a positive integer|tolerances must be"):
         SolverConfig(**kwargs)
     assert SolverConfig(max_iters=np.int64(3), inner_max_iters=1).max_iters == 3
 
