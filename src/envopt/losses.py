@@ -59,9 +59,10 @@ class LossSpec:
 
     ``y`` is a nonempty finite vector.  ``m`` (trial counts, a scalar or
     one per entry, all at least 1 and finite, with ``0 <= y <= m``) is
-    required for binomial-logit, ``q`` for the check loss.  The variance-mean drift is derived, never set: it is
-    ``1 - 2q`` for the check loss and ``y - m/2`` per observation for the
-    logit.  The Huber threshold is 1, as in the compiled fused-lasso loop.
+    required for binomial-logit, ``q`` for the check loss.  The
+    variance-mean drift is derived, never set: it is ``1 - 2q`` for the
+    check loss and ``y - m/2`` per observation for the logit.  The Huber
+    threshold is 1, as in the compiled fused-lasso loop.
     """
 
     kind: str
