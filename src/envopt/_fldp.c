@@ -31,12 +31,7 @@
    the two return the same bits.  The trend filter's functions take the
    half-bandwidth w = k + 1 as a parameter, and trend_filter passes a
    literal for k = 0, 1 and 2, which gives one copy of the solve per
-   order with constant loop bounds; k >= 3 reads w at run time.
-
-   grid_fill and grid_scan are the inner steps of the grid oracles' zoom
-   search, envopt.duality._zoom_min: the grid rows of a block, then each
-   searched row's coupled objective there and its first minimum, with
-   the bits of the numpy expressions they replace. */
+   order with constant loop bounds; k >= 3 reads w at run time. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -1126,107 +1121,4 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         tf_free(&tf);
     free(work);
     return status;
-}
-
-/* grid_scan is the inner step of envopt.duality._zoom_min, the grid
-   search behind every grid oracle.  For each of the rows i < nrows it
-   forms the coupled values v_j of row rows[i] on grid row grp[i] - g0
-   (the grid g and the values f of a point-only function there, count
-   points each) and writes the first minimum over the finite v_j to
-   vals[i] and its index to idx[i], or +inf and 0 when no v_j is finite.
-   The coupling kinds are envopt.duality.Coupling's, in the order of its
-   _KINDS, with a = a[rows[i]] and b = b[rows[i]]:
-
-     0  f - a*g                  2  b*(a-g)^2 + f
-     1  a*g - f                  3  (0.5*g)*(a-b/g)^2 - f
-
-   Each value is that expression operation for operation, as numpy forms
-   it; built without contraction it has the same bits.  Four lanes keep
-   their own first minimum, lane l the indices l, l+4, ... of the body and
-   lane 0 the tail; merged by (value, index) they give the sequential
-   scan's first minimum, -0.0 and +0.0 counting as equal.  A comparison
-   v < best already skips NaN and +inf, so the scan tests for -inf only
-   when a row's minimum is -inf, and then scans that row again.  The
-   caller validates every index (rows[i] < the length of a and b,
-   0 <= grp[i] - g0 < the number of grid rows). */
-#define SCAN(EXPR, FINITE)                                              \
-    do {                                                                \
-        for (l = 0; l < 4; l++) {                                       \
-            best[l] = INFINITY;                                         \
-            at[l] = 0;                                                  \
-        }                                                               \
-        for (j = 0; j + 4 <= count; j += 4)                             \
-            for (l = 0; l < 4; l++) {                                   \
-                const double gv = g[j + l], fv = f[j + l], v = (EXPR);  \
-                if (v < best[l] && (!(FINITE) || v > -INFINITY)) {      \
-                    best[l] = v;                                        \
-                    at[l] = j + l;                                      \
-                }                                                       \
-            }                                                           \
-        for (; j < count; j++) {                                        \
-            const double gv = g[j], fv = f[j], v = (EXPR);              \
-            if (v < best[0] && (!(FINITE) || v > -INFINITY)) {         \
-                best[0] = v;                                            \
-                at[0] = j;                                              \
-            }                                                           \
-        }                                                               \
-        for (l = 1; l < 4; l++)                                         \
-            if (best[l] < best[0] || (best[l] == best[0] && at[l] < at[0])) { \
-                best[0] = best[l];                                      \
-                at[0] = at[l];                                          \
-            }                                                           \
-    } while (0)
-
-#define SCAN_ROWS(EXPR)                                                 \
-    for (i = 0; i < nrows; i++) {                                       \
-        const double *g = grid + (grp[i] - g0) * count;                 \
-        const double *f = fvals + (grp[i] - g0) * count;                \
-        const double ar = a[rows[i]], br = b[rows[i]];                  \
-        (void)ar;                                                       \
-        (void)br;                                                       \
-        SCAN(EXPR, 0);                                                  \
-        if (best[0] == -INFINITY)                                       \
-            SCAN(EXPR, 1);                                              \
-        vals[i] = best[0];                                              \
-        idx[i] = at[0]; /* 0 when no value is finite */                 \
-    }
-
-void grid_scan(int kind, const double *grid, const double *fvals, long count,
-               long nrows, const long *rows, const long *grp, long g0,
-               const double *a, const double *b, double *vals, long *idx)
-{
-    double best[4];
-    long at[4], i, j, l;
-    switch (kind) {
-    case 0:
-        SCAN_ROWS(fv - ar * gv)
-        break;
-    case 1:
-        SCAN_ROWS(ar * gv - fv)
-        break;
-    case 2:
-        SCAN_ROWS(br * ((ar - gv) * (ar - gv)) + fv)
-        break;
-    default:
-        SCAN_ROWS(0.5 * gv * ((ar - br / gv) * (ar - br / gv)) - fv)
-        break;
-    }
-}
-
-/* grid_fill forms the grid rows of one block of envopt.duality._zoom_min:
-   for the groups g0 .. g0 + ngroups - 1 of the brackets lo[g] and widths
-   width[g], row i of out (count points) is lo[g0 + i] + width[g0 + i] *
-   t[j], the product rounded before the sum as numpy forms
-   lo[:, None] + width[:, None] * t; built without contraction it has
-   the same bits. */
-void grid_fill(const double *lo, const double *width, const double *t, long count,
-               long g0, long ngroups, double *out)
-{
-    long i, j;
-    for (i = 0; i < ngroups; i++) {
-        const double l = lo[g0 + i], wd = width[g0 + i];
-        double *row = out + i * count;
-        for (j = 0; j < count; j++)
-            row[j] = l + wd * t[j];
-    }
 }

@@ -27,13 +27,12 @@ All functions are pure; results are deterministic for a fixed
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count
 
 __all__ = [
     "EnvelopeFamily",
@@ -112,11 +111,9 @@ class GridSpec:
     incumbents fall in the same cell share the next.  Grids and values are
     formed in blocks of at most 8192 floats (64 KiB), so memory does not
     grow with the number of points.  Each point's own term is a
-    :class:`Coupling`.  When the kernel library loads, the compiled
-    ``grid_fill`` of ``_fldp.c`` forms each block's grid rows in one
-    array that the search reuses, and ``grid_scan`` scans the coupling
-    with them; else numpy forms both in the same blocks.  Both give the
-    same bits.  ``lo`` and ``hi`` must be finite.
+    :class:`Coupling`.  ``lo`` and ``hi`` must be finite, ``count`` an
+    integer of at least 3 and ``refinement_rounds`` a nonnegative
+    integer.
     """
 
     lo: float
@@ -130,16 +127,15 @@ class GridSpec:
 
 def _check_brackets(lo, hi, count, rounds, what):
     """ValidationError unless every bracket ``[lo, hi]`` is finite with
-    ``lo < hi``, ``count >= 3`` and ``rounds >= 0``."""
+    ``lo < hi``, ``count`` is an integer of at least 3 and ``rounds`` a
+    nonnegative integer (:func:`errors._count`)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValidationError(f"{what} requires finite lo and hi")
     if not (lo < hi).all():
         raise ValidationError(f"{what} requires lo < hi")
-    if count < 3:
-        raise ValidationError(f"{what} requires count >= 3")
-    if rounds < 0:
-        raise ValidationError(f"{what} requires refinement_rounds >= 0")
+    _count(count, f"{what} count", 3)
+    _count(rounds, f"{what} refinement rounds", 0)
 
 
 def _float_if_scalar(out):
@@ -165,7 +161,7 @@ def _reject_nonfinite(points, what):
     return points
 
 
-# The coupling kinds of grid_scan in _fldp.c, in its order.
+# The coupling kinds of Coupling, one expression of _coupled each.
 _KINDS = ("f-ag", "ag-f", "b*(a-g)^2+f", "g/2*(a-b/g)^2-f")
 
 
@@ -191,8 +187,7 @@ class Coupling:
 
     Calling it as ``couple(rows, g, f)`` evaluates the expression in
     numpy for the rows ``rows`` (an index array), and ``values(g, f)``
-    for all of ``a`` and ``b``, broadcast; :func:`_zoom_min` scans it in
-    C instead when the kernel library loads, with the same bits.
+    for all of ``a`` and ``b``, broadcast.
     """
 
     kind: str
@@ -226,24 +221,9 @@ def _coupled(kind, a, b, g, f):
         return 0.5 * g * (a - b / g) ** 2 - f
 
 
-def _address(x):
-    """The address of the writable contiguous array ``x``: cheaper than
-    ``x.ctypes.data``."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(x))
-
-
-def _scan_kernel(couple):
-    """The kernel library when ``couple`` is a :class:`Coupling` and the
-    library loads, else None (the numpy expression)."""
-    if not isinstance(couple, Coupling):
-        return None
-    from . import solvers  # solvers imports this module
-    return solvers._kernel()
-
-
 # Each grid, f-value or coupling temporary holds at most 8192 floats (64 KiB),
-# under the 128 KiB from which glibc's malloc maps every array afresh: one
-# (5025, 201) grid spent a quarter of the conjugate suite in page faults.
+# under the 128 KiB from which glibc's malloc maps every array afresh, so
+# that the search does not page-fault on each new temporary.
 _BLOCK_ELEMS = 8192
 
 
@@ -253,10 +233,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
 
     ``f`` maps a (groups, count) grid matrix to same-shape values and
     must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  It may return its grid or write to it, but
-    may not keep it past the call: with a :class:`Coupling` and the
-    kernel library, every block's grid is a view of one array that the
-    next block refills.  With ``by_row`` true, ``f(grid, rows)`` is
+    on the grid point alone.  With ``by_row`` true, ``f(grid, rows)`` is
     instead a point term of the rows: ``rows[i]`` is the row whose grid
     is ``grid[i]``, so each row may carry its own parameters.
     ``couple`` is a :class:`Coupling` (one of its four kinds), or any
@@ -272,27 +249,22 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     argmin index), which fixes its next bracket.  A point term of the
     rows keeps one group per row throughout.  Rows are kept in group
     order; each round evaluates ``f`` on blocks of groups of at most
-    ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger) and
-    scans those groups' rows: a :class:`Coupling` in one call of the
-    compiled ``grid_scan`` when the kernel library loads, anything else
-    (or with no library) by :func:`_scan`, with the same bits.  A grid
-    row is ``lo + (hi - lo) * t`` of its group, formed for a block by one
-    call of the compiled ``grid_fill`` wherever ``grid_scan`` scans it
-    and by numpy elsewhere, with the same bits; the argmin locations
-    returned, ``lo + (hi - lo) * t[cell]``, have the bits of their grid
-    points.  Non-finite values are skipped.  The caller validates the
-    brackets (finite, ``lo < hi``), ``count >= 3`` and ``rounds >= 0``.
-    Returns a (3, B) array: min values, argmin locations and final grid
-    spacing.
+    ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger), whose
+    grid rows are ``lo + (hi - lo) * t`` of their groups, and scans
+    those groups' rows by :func:`_scan`.  The argmin locations returned,
+    ``lo + (hi - lo) * t[cell]``, have the bits of their grid points.
+    Non-finite values are skipped.  The caller validates the brackets
+    (finite, ``lo < hi``), ``count`` (an integer of at least 3) and
+    ``rounds`` (a nonnegative integer).  Returns a (3, B) array: min
+    values, argmin locations and final grid spacing.
     """
-    lo = np.array(lo, dtype=float)  # a contiguous copy: grid_fill reads it by address
+    lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     nrows = lo.shape[0]
     if nrows == 0:
         return np.empty((3, 0))
     t = np.linspace(0.0, 1.0, count)
     step = max(1, _BLOCK_ELEMS // count)
-    lib = _scan_kernel(couple)
     if not by_row and (lo == lo[0]).all() and (hi == hi[0]).all():
         lo, hi = lo[:1], hi[:1]
         group = np.zeros(nrows, dtype=np.intp)
@@ -301,39 +273,15 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     order = np.arange(nrows, dtype=np.intp)  # rows in group order; group[i] is order[i]'s
     idx = np.empty(nrows, dtype=np.intp)
     vals = np.empty(nrows)
-    if lib is not None:  # grid_scan's arguments that hold for the whole call
-        kind = _KINDS.index(couple.kind)
-        # one entry per row, in new arrays (ValueError unless a scalar or nrows long)
-        ab = [np.array(np.broadcast_to(x, (nrows,))) for x in (couple.a, couple.b)]
-        fixed = [_address(x) for x in ab]
-        at_vals, at_idx = _address(vals), _address(idx)
-        block = np.empty(min(step, nrows) * count)  # every block's grid rows, in turn
-        at_block, at_t = _address(block), _address(t)
     for r in range(rounds + 1):
         width = hi - lo
         ngroups = lo.shape[0]
         edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
-        if lib is not None:
-            at_order, at_group = _address(order), _address(group)
-            at_lo, at_width = _address(lo), _address(width)
         for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
-            if lib is None:
-                grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
-            else:
-                ng = min(step, ngroups - g0)
-                grid = block[:ng * count].reshape(ng, count)
-                lib.grid_fill(at_lo, at_width, at_t, count, g0, ng, at_block)
+            grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
             fvals = np.asarray(f(grid, order[start:stop]) if by_row else f(grid), dtype=float)
-            if lib is None:
-                at = slice(start, stop)
-                _scan(couple, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
-                continue
-            if (fvals.shape != grid.shape or not fvals.flags.c_contiguous
-                    or not fvals.flags.writeable):
-                fvals = np.array(np.broadcast_to(fvals, grid.shape))
-            i0, v0 = idx.itemsize * start, vals.itemsize * start  # byte offsets
-            lib.grid_scan(kind, _address(grid), _address(fvals), count, stop - start,
-                          at_order + i0, at_group + i0, g0, *fixed, at_vals + v0, at_idx + i0)
+            at = slice(start, stop)
+            _scan(couple, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
         if r == rounds:
             break
         if ngroups == nrows:  # one row per group: groups never merge
@@ -417,7 +365,8 @@ def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concav
     ``lam`` (the bracket must cover it for the result to be exact).
     ``lo`` and ``hi`` are scalars or hold one entry per ``lam``.  Every
     bracket must be finite with ``lo < hi``, as in a :class:`GridSpec`,
-    and ``count >= 3``, ``rounds >= 0``.
+    ``count`` an integer of at least 3 and ``rounds`` a nonnegative
+    integer.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if {np.size(lo), np.size(hi)} - {1, lam_arr.size}:

@@ -32,8 +32,8 @@ Contents:
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
-The loops are compiled from one source, ``_fldp.c``, whose one fit entry
-is :func:`envelope_fused_lasso_path`: the whole MM loop of the five
+The loops are compiled from one source, ``_fldp.c``, whose one entry is
+:func:`envelope_fused_lasso_path`: the whole MM loop of the five
 envelope fits for a whole warm-started path in one call (the Huber
 location shift of the rfl path, the Polya-Gamma weights of
 :func:`logistic_fused_lasso` and of the fdp path's fused-lasso starts,
@@ -262,15 +262,11 @@ def _build_kernel(cc: str, lib: Path):
 def _kernel():
     """The compiled kernel library (ctypes), or None for the Python loops.
 
-    It declares three entries.  ``envelope_fused_lasso_path`` is the
-    envelope MM with its two subproblems, the fused-lasso DP and the trend
+    It declares one entry, ``envelope_fused_lasso_path``: the envelope
+    MM with its two subproblems, the fused-lasso DP and the trend
     filter's dual solve, and the only way into them
     (:func:`weighted_fused_lasso` and :func:`weighted_trend_filter` are
     its one-solve fits), so either all run in C or all in Python.
-    ``grid_fill`` and ``grid_scan`` are the grid rows of a block and the
-    coupled-objective scan of the grid oracles' zoom search
-    (``duality._zoom_min``), whose fallbacks are the numpy expressions of
-    the grid rows and of ``duality.Coupling``; both give the same bits.
     The library is cached per
     user under ``$XDG_CACHE_HOME/envopt`` (or ``~/.cache/envopt``),
     named by a hash of the sources, the flags and the compiler, so each
@@ -315,10 +311,6 @@ def _kernel():
                                               + [c_long, c_double, c_long, c_double,
                                                  c_long] + [ptr] * 5)
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
-    lib.grid_scan.argtypes = [ctypes.c_int] + [ptr] * 2 + [c_long] * 2 + [ptr] * 2 + [c_long] + [ptr] * 4
-    lib.grid_scan.restype = None
-    lib.grid_fill.argtypes = [ptr] * 3 + [c_long] * 3 + [ptr]
-    lib.grid_fill.restype = None
     return lib
 
 
@@ -326,8 +318,7 @@ def __getattr__(name):
     # FUSED_LASSO_KERNEL is resolved on first use, so importing the
     # module never starts the compiler.  It names the implementation of
     # the compiled loops: the envelope MM with its two subproblems, the
-    # fused-lasso DP and the trend filter's dual solve, and the grid
-    # oracles' coupled-objective scan ("python": its numpy expression).
+    # fused-lasso DP and the trend filter's dual solve.
     if name == "FUSED_LASSO_KERNEL":
         return "python" if _kernel() is None else "c"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

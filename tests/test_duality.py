@@ -218,7 +218,6 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     def run():
         conj = conjugate_numeric(lambda x: penalty_value(dp, x), lam,
                                  GridSpec(0.0, 250.0, 801, 3), sense="concave")
-        # the inner conjugates search 25 * 201 lam rows over 201 points
         double = [row for row in conjugate_suite()
                   if row["name"].startswith("double conjugation")]
         return conj, envelope_suite(), double
@@ -320,10 +319,10 @@ def test_grouped_search_in_small_blocks_matches_per_row_search(monkeypatch, shar
 
 
 def test_grouped_search_bounds_blocks_and_evaluates_each_grid_once():
-    """At double-conjugation size (5025 lam rows of one bracket, 201 points)
-    no call of f or couple gets more than _BLOCK_ELEMS floats, and f sees
-    each distinct grid row of a round once: one row in round 0, then one
-    per (group, argmin) pair."""
+    """With 5025 lam rows of one bracket and 201 points, no call of f or
+    couple gets more than _BLOCK_ELEMS floats, and f sees each distinct
+    grid row of a round once: one row in round 0, then one per (group,
+    argmin) pair."""
     from envopt import duality
 
     count, rounds = 201, 3
@@ -370,7 +369,9 @@ def test_grouped_search_bounds_blocks_and_evaluates_each_grid_once():
 def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, kernel):
     # f(grid, rows) with a center per row: every row gets its own grid and
     # its own term, even where all brackets are equal, with the bits of a
-    # one-row search per row; 5 rows a block, so blocks hold several rows
+    # one-row search per row; 5 rows a block, so blocks hold several rows.
+    # The search runs in numpy alone, so it gives these bits whether or
+    # not the kernel library loads.
     from envopt import duality
 
     if not kernel:
@@ -453,15 +454,24 @@ def test_grid_oracles_reject_nan_points(call):
     lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, count=2),
     lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, rounds=-1),
     lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0, 3.0], [0.0, -1.0], 5.0),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, count=11.0),
+    lambda: conjugate_numeric_rowwise(lambda x: x**2, [1.0, 2.0], -5.0, 5.0, rounds=1.5),
     lambda: GridSpec(-np.inf, 1.0),
     lambda: GridSpec(0.0, np.inf),
+    lambda: GridSpec(-1.0, 1.0, 401.0),
+    lambda: GridSpec(-1.0, 1.0, 11, 2.5),
+    lambda: GridSpec(-1.0, 1.0, 11, True),
 ], ids=["conjugate-inf-lam", "envelope-identity-inf-x", "envelope-argmin-inf-x",
         "rowwise-lo-above-hi", "rowwise-nan-bracket", "rowwise-inf-bracket",
         "rowwise-count-1", "rowwise-count-2", "rowwise-negative-rounds",
-        "rowwise-bracket-length", "gridspec-infinite-lo", "gridspec-infinite-hi"])
+        "rowwise-bracket-length", "rowwise-float-count", "rowwise-float-rounds",
+        "gridspec-infinite-lo", "gridspec-infinite-hi", "gridspec-float-count",
+        "gridspec-float-rounds", "gridspec-bool-rounds"])
 def test_grid_oracles_reject_bad_input(call):
-    # unchecked, an infinite point reports -inf, NaN or a bracket end, and a
-    # bad bracket searches an empty or degenerate grid
+    # unchecked, an infinite point reports -inf, NaN or a bracket end, a
+    # bad bracket searches an empty or degenerate grid, a float count or
+    # rounds fails in the first search with a TypeError, and a bool rounds
+    # runs as one round
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
@@ -507,18 +517,6 @@ def test_coupling_rejects_unknown_kind():
 _POOL = np.array([0.0, -0.0, 1.5, -2.0, 0.75, 1e300, -1e300, np.nan, np.inf, -np.inf])
 
 
-def _both_paths(monkeypatch, f, couple, lo, hi, count, rounds):
-    """``_zoom_min`` through the compiled scan, then through the numpy
-    expression of the same Coupling."""
-    from envopt import duality, solvers
-
-    c_out = duality._zoom_min(f, couple, lo, hi, count, rounds)
-    with monkeypatch.context() as m:
-        m.setattr(solvers, "_kernel", lambda: None)
-        np_out = duality._zoom_min(f, couple, lo, hi, count, rounds)
-    return c_out, np_out
-
-
 def _pow2(b):
     """``b`` with each nonzero entry rounded to a power of two of its sign."""
     mant, exp = np.frexp(b)
@@ -551,11 +549,10 @@ def test_forms_cover_the_coupling_kinds():
     assert len(duality._KINDS) == 4
 
 
-def _form_paths(monkeypatch, form, f, a, b, lo, hi, count, rounds):
-    """``_zoom_min`` of the Coupling that stands for ``form`` through the
-    compiled scan and through numpy, and of the form's expression (a plain
-    callable) through numpy.  The division form takes ``b`` rounded to a
-    power of two."""
+def _form_paths(form, f, a, b, lo, hi, count, rounds):
+    """``_zoom_min`` of the Coupling that stands for ``form``, and of the
+    form's expression (a plain callable).  The division form takes ``b``
+    rounded to a power of two."""
     expr, coupling = _FORMS[form]
     if form == "f+(a-g)^2/b":
         b = _pow2(b)
@@ -566,9 +563,9 @@ def _form_paths(monkeypatch, form, f, a, b, lo, hi, count, rounds):
         with np.errstate(all="ignore"):
             return expr(a[rows, None], b[rows, None], g, fv)
 
-    c_out, np_out = _both_paths(monkeypatch, lambda g: sign * f(g),
-                                duality.Coupling(kind, ca, cb), lo, hi, count, rounds)
-    return c_out, np_out, duality._zoom_min(f, former, lo, hi, count, rounds)
+    return (duality._zoom_min(lambda g: sign * f(g), duality.Coupling(kind, ca, cb),
+                              lo, hi, count, rounds),
+            duality._zoom_min(f, former, lo, hi, count, rounds))
 
 
 def _table_f(table, lo):
@@ -599,14 +596,13 @@ def _special_table(rng, rows, count):
     return table
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("count", [3, 4, 7, 13, 101, 9001])
 @pytest.mark.parametrize("form", list(_FORMS))
-def test_compiled_scan_matches_numpy_coupling(monkeypatch, form, count):
-    # one round on chosen values: the compiled scan keeps the numpy path's
-    # first minimum over finite values, bit for bit, with one row per grid
-    # row (per-row brackets) and with many rows on one grid (a shared one),
-    # and both keep the first minimum of the form's own expression
+def test_compiled_scan_matches_numpy_coupling(form, count):
+    # one round on chosen values: the Coupling that stands for each form
+    # keeps the first minimum over finite values of the form's own
+    # expression, bit for bit, with one row per grid row (per-row
+    # brackets) and with many rows on one grid (a shared one)
     rng = np.random.Generator(np.random.PCG64(count))
     rows = 1 if count > duality._BLOCK_ELEMS else 40
     a = rng.choice(np.array([0.0, -0.0, 0.5, -1.25, 3.0]), size=rows)
@@ -616,44 +612,43 @@ def test_compiled_scan_matches_numpy_coupling(monkeypatch, form, count):
     # grids start at 0 (variance-mean's b/g is infinite there) or above it
     lo = np.arange(rows) * 0.5
     hi = lo + 1.0
-    outs = _form_paths(monkeypatch, form, _table_f(table, lo), a, b, lo, hi, count, 0)
-    assert len({out.tobytes() for out in outs}) == 1
+    outs = _form_paths(form, _table_f(table, lo), a, b, lo, hi, count, 0)
+    assert outs[0].tobytes() == outs[1].tobytes()
     shared = np.zeros(rows), np.ones(rows)
     for i in range(min(rows, 4)):
         f = _table_f(table[i:i + 1], [0.0])
-        outs = _form_paths(monkeypatch, form, f, a, b, *shared, count, 0)
-        assert len({out.tobytes() for out in outs}) == 1
+        outs = _form_paths(form, f, a, b, *shared, count, 0)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("count", [7, 13])
-def test_compiled_scan_first_minimum_semantics(monkeypatch, count):
+def test_compiled_scan_first_minimum_semantics(count):
     # with a = 0 on a positive grid, "f-ag" gives v = f exactly, so the
     # selected value and index can be read off the table
     rng = np.random.Generator(np.random.PCG64(5))
     table = _special_table(rng, 30, count)
     lo = 1.0 + np.arange(30)
     couple = duality.Coupling("f-ag", np.zeros(30))
-    c_out, np_out = _both_paths(monkeypatch, _table_f(table, lo), couple, lo, lo + 1.0, count, 0)
-    assert c_out.tobytes() == np_out.tobytes()
+    out = duality._zoom_min(_table_f(table, lo), couple, lo, lo + 1.0, count, 0)
     t = np.linspace(0.0, 1.0, count)
     for i, row in enumerate(table):
         finite = np.flatnonzero(np.isfinite(row))
         j = finite[np.argmin(row[finite])] if finite.size else 0
         want = row[j] if finite.size else np.inf
-        assert np.float64(c_out[0, i]).tobytes() == np.float64(want).tobytes(), i
-        assert c_out[1, i] == lo[i] + 1.0 * t[j], i
-    assert (c_out[0, 0], c_out[1, 0]) == (np.inf, lo[0])
-    assert c_out[1, 1] == lo[1] + t[2 if count > 5 else 0]
-    assert np.signbit(c_out[0, 2]) and not np.signbit(c_out[0, 3])
+        assert np.float64(out[0, i]).tobytes() == np.float64(want).tobytes(), i
+        assert out[1, i] == lo[i] + 1.0 * t[j], i
+    assert (out[0, 0], out[1, 0]) == (np.inf, lo[0])
+    assert out[1, 1] == lo[1] + t[2 if count > 5 else 0]
+    assert np.signbit(out[0, 2]) and not np.signbit(out[0, 3])
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("form", list(_FORMS))
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
     # the whole zoom search, whose later rounds scan blocks that mix groups
-    # of several rows and of one row, in blocks of 5 grid rows
+    # of several rows and of one row, in blocks of 5 grid rows: the
+    # Coupling that stands for each form keeps the bits of the form's own
+    # expression
     monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
     rng = np.random.Generator(np.random.PCG64(11 + shared))
     rows = 120
@@ -666,63 +661,21 @@ def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
         return np.where(np.abs(g - 1.2) < 0.05, -np.inf, v)
 
     lo, hi = _brackets(rng, rows, shared)
-    outs = _form_paths(monkeypatch, form, f, a, b, lo, hi, 101, 3)
-    assert len({out.tobytes() for out in outs}) == 1
-
-
-def _grid_values(form, center):
-    """An f of the reused-block test: its value on a grid is the grid
-    itself, a view of it, a read-only broadcast, or a new array after it
-    has shifted the grid in place."""
-    def f(g, at=None):
-        c = center[at, None] if at is not None else center[0]
-        if form == "itself":
-            return g
-        if form == "view":
-            return g[:, :]
-        if form == "broadcast":
-            return np.broadcast_to(c, g.shape)
-        v = (g - c) ** 2
-        g += 1.0
-        return v
-    return f
-
-
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
-@pytest.mark.parametrize("by_row", [False, True], ids=["point", "row-term"])
-@pytest.mark.parametrize("form", ["itself", "view", "broadcast", "in-place"])
-def test_reused_grid_block_matches_numpy_grids(monkeypatch, form, by_row):
-    # the compiled search fills one block with each block's grid rows in
-    # turn; f may return that block, a view of it or a read-only broadcast,
-    # or write to it, and the search keeps the bytes of the numpy path,
-    # whose every block is a new array.  23 rows of their own brackets
-    # make blocks of 5 grid rows, the last of 3.
-    monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
-    rng = np.random.Generator(np.random.PCG64(23))
-    rows = 23
-    center = rng.uniform(-1.0, 1.0, size=rows)
-    couple = duality.Coupling("b*(a-g)^2+f", rng.uniform(-1.0, 1.0, size=rows),
-                              rng.uniform(0.5, 2.0, size=rows))
-    lo, hi = _brackets(rng, rows, shared=False)
-    value = _grid_values(form, center)
-    outs, starts, sizes = [], [], []
-
-    def f(g, at=None):
-        starts.append(g.__array_interface__["data"][0])
-        sizes.append(g.shape[0])
-        return value(g, at)
-
-    for kernel in (True, False):
-        with monkeypatch.context() as m:
-            if not kernel:
-                m.setattr(solvers, "_kernel", lambda: None)
-            outs.append(duality._zoom_min(f, couple, lo, hi, 101, 3, by_row=by_row))
-        if kernel:  # one block for the whole search
-            assert len(set(starts)) == 1
-        assert sizes == [5, 5, 5, 5, 3] * 4
-        starts, sizes = [], []
+    outs = _form_paths(form, f, a, b, lo, hi, 101, 3)
     assert outs[0].tobytes() == outs[1].tobytes()
-    assert np.isfinite(outs[0]).all()
+
+
+def test_double_conjugation_gap_is_the_hull_depth():
+    # a convex theta = x^2/2 - phi reproduces its samples, so the four
+    # catalog rows read rounding alone; at 1.2*huber theta is concave on
+    # [-1, 1], and its convex hull lies 0.12 below theta(0) = 0 (the hull
+    # joins the minima theta(+-1.2) = -0.12)
+    from envopt.checks import _double_conjugation_gap, conjugate_suite
+
+    rows = [row for row in conjugate_suite() if row["name"].startswith("double conjugation")]
+    assert len(rows) == 4
+    assert all(row["max_gap"] <= 1e-12 for row in rows)
+    assert abs(_double_conjugation_gap(lambda x: 1.2 * huber(x, 1.0)) - 0.12) <= 1e-3
 
 
 @pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")

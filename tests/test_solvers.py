@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 import envopt
-from envopt import duality, solvers
+from envopt import solvers
 from envopt.checks import _lasso_on_support
 from envopt.errors import CapabilityError, MonotonicityError, ValidationError
 from envopt.losses import LossSpec, loss_grad
@@ -728,12 +728,12 @@ def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
 
 
 def test_kernel_has_one_fit_entry(monkeypatch):
-    """The compiled library exports the envelope loop and the grid
-    oracles' scan and fill alone: the fused lasso and the trend filter are
-    one-solve fits of the loop, one call each."""
+    """The compiled library exports the envelope loop alone: the fused
+    lasso and the trend filter are one-solve fits of the loop, one call
+    each."""
     src = Path(solvers.__file__).with_name("_fldp.c").read_text()
     exported = re.findall(r"^(?:int|void|long|double)\s+(\w+)\(", src, re.MULTILINE)
-    assert exported == ["envelope_fused_lasso_path", "grid_scan", "grid_fill"]
+    assert exported == ["envelope_fused_lasso_path"]
     calls = []
     path = solvers.envelope_fused_lasso_path
     monkeypatch.setattr(solvers, "envelope_fused_lasso_path",
@@ -748,17 +748,7 @@ def test_kernel_has_one_fit_entry(monkeypatch):
     for gone in ("fused_lasso_dp", "trend_filter_dual"):
         assert not hasattr(lib, gone)
     declared = {name for name in vars(lib) if not name.startswith("_")}
-    assert declared == {"envelope_fused_lasso_path", "grid_scan", "grid_fill"}
-
-
-def test_grid_scan_has_one_case_per_coupling_kind():
-    # grid_scan's switch evaluates the kinds of duality._KINDS in order,
-    # the last one as its default
-    src = Path(solvers.__file__).with_name("_fldp.c").read_text()
-    body = re.search(r"^void grid_scan\(.*?^}", src, re.MULTILINE | re.DOTALL).group(0)
-    labels = re.findall(r"^\s*(case \d+|default):", body, re.MULTILINE)
-    kinds = len(duality._KINDS)
-    assert labels == [f"case {i}" for i in range(kinds - 1)] + ["default"]
+    assert declared == {"envelope_fused_lasso_path"}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
