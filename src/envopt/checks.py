@@ -273,20 +273,19 @@ def _prox_draws():
 def _prox_oracle(draws):
     """Brute-force grid argmins and minima of (s/2)(x-u)^2 + phi(x), one
     row per draw ``(p, u, s)`` over ``[-|u| - 5, |u| + 5]``, in one
-    search whose point term is each row's own penalty."""
+    search whose term holds each row's own penalty."""
     pens = [p for p, _, _ in draws]
     u = np.array([u for _, u, _ in draws])
-    s = np.array([s for _, _, s in draws])
+    half_s = 0.5 * np.array([s for _, _, s in draws])
 
-    def phi(grid, rows):
-        out = np.empty_like(grid)
+    def term(rows, x, _):
+        out = half_s[rows, None] * (u[rows, None] - x) ** 2
         for at, row in enumerate(rows):
-            out[at] = penalty_value(pens[row], grid[at])
+            out[at] += penalty_value(pens[row], x[at % x.shape[0]])  # x may be one shared row
         return out
 
-    couple = duality.Coupling("b*(a-g)^2+f", u, 0.5 * s)  # (s/2)(x - u)^2 + phi(x)
-    vals, args, _ = duality._zoom_min(phi, couple, -np.abs(u) - 5.0, np.abs(u) + 5.0,
-                                      5000, 3, by_row=True)
+    vals, args, _ = duality._zoom_min(np.zeros_like, term, -np.abs(u) - 5.0, np.abs(u) + 5.0,
+                                      5000, 3)
     return args, vals
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "check_envelope_identity",
     "default_lambda_grid",
     "EnvelopeReport",
-    "Coupling",
 ]
 
 _TAGS = (
@@ -81,8 +80,10 @@ class EnvelopeFamily:
             raise ValidationError("drift is required iff tag == 'variance-mean'")
         if (self.tag == "multivariate-location") != (self.step is not None):
             raise ValidationError("step is required iff tag == 'multivariate-location'")
-        if self.step is not None and not self.step > 0:
-            raise ValidationError("step must be positive")
+        if self.drift is not None and not np.isfinite(self.drift):
+            raise ValidationError("drift must be finite")
+        if self.step is not None and not 0 < self.step < np.inf:
+            raise ValidationError("step must be positive and finite")
 
 
 EXPONENTIAL = EnvelopeFamily("exponential")
@@ -110,10 +111,10 @@ class GridSpec:
     points that share a bracket share the first grid, and those whose
     incumbents fall in the same cell share the next.  Grids and values are
     formed in blocks of at most 8192 floats (64 KiB), so memory does not
-    grow with the number of points.  Each point's own term is a
-    :class:`Coupling`.  ``lo`` and ``hi`` must be finite, ``count`` an
-    integer of at least 3 and ``refinement_rounds`` a nonnegative
-    integer.
+    grow with the number of points.  Each point's own term (its ``x`` or
+    ``lam``) is added by a plain function of the caller, in the caller's
+    arithmetic.  ``lo`` and ``hi`` must be finite, ``count`` an integer of
+    at least 3 and ``refinement_rounds`` a nonnegative integer.
     """
 
     lo: float
@@ -152,6 +153,15 @@ def _reject_nan(lam):
     return lam
 
 
+def _x_grid(x_grid):
+    """``x_grid`` flattened to a float vector, or ValidationError unless it
+    is nonempty and every x is finite."""
+    x = _reject_nonfinite(np.asarray(x_grid, dtype=float).ravel(), "x")
+    if x.size == 0:
+        raise ValidationError("x_grid must not be empty")
+    return x
+
+
 def _reject_nonfinite(points, what):
     """``points`` unchanged, or ValidationError if one is NaN or infinite:
     its grid values would be non-finite, which the search skips, and it
@@ -161,102 +171,41 @@ def _reject_nonfinite(points, what):
     return points
 
 
-# The coupling kinds of Coupling, one expression of _coupled each.
-_KINDS = ("f-ag", "ag-f", "b*(a-g)^2+f", "g/2*(a-b/g)^2-f")
-
-
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """The own term of the rows of a grid search, as data.
-
-    ``kind`` names the expression of the grid point ``g``, the point-only
-    value ``f`` there and the row's ``a`` and ``b`` (arrays of one entry
-    per row, or scalars):
-
-    ===================== ============================
-    ``f-ag``              ``f - a*g``
-    ``ag-f``              ``a*g - f``
-    ``b*(a-g)^2+f``       ``b*(a - g)**2 + f``
-    ``g/2*(a-b/g)^2-f``   ``0.5*g*(a - b/g)**2 - f``
-    ===================== ============================
-
-    These give other terms their bits: ``0.5*g*x**2 - f`` is ``ag-f`` at
-    ``a = 0.5*x**2``, ``b*(a - g)**2 - f`` is ``b*(a-g)^2+f`` of ``-f``,
-    and ``f + (a - g)**2 / c`` is ``b*(a-g)^2+f`` at ``b = 1/c`` when ``c``
-    is a power of two.
-
-    Calling it as ``couple(rows, g, f)`` evaluates the expression in
-    numpy for the rows ``rows`` (an index array), and ``values(g, f)``
-    for all of ``a`` and ``b``, broadcast.
-    """
-
-    kind: str
-    a: np.ndarray
-    b: np.ndarray = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown coupling kind {self.kind!r}")
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-
-    def __call__(self, rows, g, f):
-        a = self.a[rows, None] if self.a.ndim else self.a
-        b = self.b[rows, None] if self.b.ndim else self.b
-        return _coupled(self.kind, a, b, g, f)
-
-    def values(self, g, f):
-        return _coupled(self.kind, self.a, self.b, g, f)
-
-
-def _coupled(kind, a, b, g, f):
-    """The expression ``kind`` of :class:`Coupling`, in numpy."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "f-ag":
-            return f - a * g
-        if kind == "ag-f":
-            return a * g - f
-        if kind == "b*(a-g)^2+f":
-            return b * (a - g) ** 2 + f
-        return 0.5 * g * (a - b / g) ** 2 - f
-
-
-# Each grid, f-value or coupling temporary holds at most 8192 floats (64 KiB),
+# Each grid, f-value or term temporary holds at most 8192 floats (64 KiB),
 # under the 128 KiB from which glibc's malloc maps every array afresh, so
 # that the search does not page-fault on each new temporary.
 _BLOCK_ELEMS = 8192
 
 
-def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
-    """Row-wise grid minimization of ``couple(rows, grid, f(grid))`` with
+def _zoom_min(f, term, lo, hi, count, rounds):
+    """Row-wise grid minimization of ``term(rows, grid, f(grid))`` with
     zoom refinement over the brackets ``[lo, hi]`` (one per row).
 
     ``f`` maps a (groups, count) grid matrix to same-shape values and
     must act elementwise: it is the part of the objective that depends
-    on the grid point alone.  With ``by_row`` true, ``f(grid, rows)`` is
-    instead a point term of the rows: ``rows[i]`` is the row whose grid
-    is ``grid[i]``, so each row may carry its own parameters.
-    ``couple`` is a :class:`Coupling` (one of its four kinds), or any
-    ``couple(rows, grid, fvals)`` that adds the own term of the rows
-    ``rows`` (an index array) and returns ``(len(rows), count)`` values;
-    it gets the grid and ``f``'s values either gathered to one row per
-    row or, when the rows share one grid, as a single broadcasting row.
+    on the grid point alone.  ``term(rows, grid, fvals)`` adds the own
+    term of the rows ``rows`` (an index array) and returns
+    ``(len(rows), count)`` values; it gets the grid and ``f``'s values
+    either gathered to one row per row or, when the rows share one grid,
+    as a single broadcasting row.  A term that depends on the row in more
+    than a cheap expression (each row's own penalty, say) evaluates all
+    of it from ``rows``, and ``f`` returns zeros.
 
     Rows whose brackets are equal bit for bit search the same grid, so
     ``f`` is evaluated once per distinct grid row of the whole call: rows
     start in one group when all share ``(lo, hi)``, else one group per
     row, and after each round a row's group is (its old group, its
-    argmin index), which fixes its next bracket.  A point term of the
-    rows keeps one group per row throughout.  Rows are kept in group
+    argmin index), which fixes its next bracket.  Rows are kept in group
     order; each round evaluates ``f`` on blocks of groups of at most
     ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger), whose
     grid rows are ``lo + (hi - lo) * t`` of their groups, and scans
     those groups' rows by :func:`_scan`.  The argmin locations returned,
     ``lo + (hi - lo) * t[cell]``, have the bits of their grid points.
-    Non-finite values are skipped.  The caller validates the brackets
-    (finite, ``lo < hi``), ``count`` (an integer of at least 3) and
-    ``rounds`` (a nonnegative integer).  Returns a (3, B) array: min
-    values, argmin locations and final grid spacing.
+    Non-finite values are skipped, and ``term`` runs with numpy's
+    division, invalid and overflow warnings off.  The caller validates
+    the brackets (finite, ``lo < hi``), ``count`` (an integer of at
+    least 3) and ``rounds`` (a nonnegative integer).  Returns a (3, B)
+    array: min values, argmin locations and final grid spacing.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -265,7 +214,7 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
         return np.empty((3, 0))
     t = np.linspace(0.0, 1.0, count)
     step = max(1, _BLOCK_ELEMS // count)
-    if not by_row and (lo == lo[0]).all() and (hi == hi[0]).all():
+    if (lo == lo[0]).all() and (hi == hi[0]).all():
         lo, hi = lo[:1], hi[:1]
         group = np.zeros(nrows, dtype=np.intp)
     else:
@@ -279,9 +228,9 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
         edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
         for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
             grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
-            fvals = np.asarray(f(grid, order[start:stop]) if by_row else f(grid), dtype=float)
+            fvals = np.asarray(f(grid), dtype=float)
             at = slice(start, stop)
-            _scan(couple, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
+            _scan(term, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
         if r == rounds:
             break
         if ngroups == nrows:  # one row per group: groups never merge
@@ -306,12 +255,12 @@ def _zoom_min(f, couple, lo, hi, count, rounds, by_row=False):
     return out
 
 
-def _scan(couple, rows, grp, grid, fvals, vals, idx):
+def _scan(term, rows, grp, grid, fvals, vals, idx):
     """Numpy scan of one block: writes to ``vals[i]`` and ``idx[i]`` the
-    first minimum over the finite values of ``couple(rows[i], grid[grp[i]],
+    first minimum over the finite values of ``term(rows[i], grid[grp[i]],
     fvals[grp[i]])`` and its index, or +inf and 0 when none is finite.
 
-    ``grp`` is non-decreasing and names every grid row.  The coupled
+    ``grp`` is non-decreasing and names every grid row.  The term's
     values are formed for at most ``_BLOCK_ELEMS`` floats of rows at a
     time (one row when ``count`` is larger).
     """
@@ -327,7 +276,8 @@ def _scan(couple, rows, grp, grid, fvals, vals, idx):
             at = slice(grp[a], grp[a] + 1)
         else:
             at = grp[a:b]
-        v = couple(rows[a:b], grid[at], fvals[at])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = term(rows[a:b], grid[at], fvals[at])
         j = np.argmin(v, axis=1)
         best = v[at_row[:b - a], j]
         # a row holding NaN or -inf selects one, so masking can only
@@ -350,12 +300,9 @@ def conjugate_numeric(f, lam, grid: GridSpec, sense: str = "convex"):
     """
     if sense not in ("convex", "concave"):
         raise ValidationError(f"unknown conjugate sense {sense!r}")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = _conjugate_rows(f, lam_arr.ravel(), grid.lo, grid.hi, grid.count,
-                          grid.refinement_rounds, sense).reshape(lam_arr.shape)
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-        return float(out[0])
-    return out
+    out = _conjugate_rows(f, np.asarray(lam, dtype=float).ravel(), grid.lo, grid.hi,
+                          grid.count, grid.refinement_rounds, sense)
+    return _float_if_scalar(out.reshape(np.shape(lam)))
 
 
 def conjugate_numeric_rowwise(f, lam, lo, hi, count=101, rounds=3, sense="concave"):
@@ -382,8 +329,13 @@ def _conjugate_rows(f, lam_flat, lo, hi, count, rounds, sense):
     _reject_nonfinite(lam_flat, "lam")
     lo = np.broadcast_to(np.asarray(lo, dtype=float).ravel(), lam_flat.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float).ravel(), lam_flat.shape)
-    couple = Coupling("f-ag" if sense == "convex" else "ag-f", lam_flat)
-    vals, _, _ = _zoom_min(f, couple, lo, hi, count, rounds)
+    if sense == "convex":
+        def term(rows, x, fx):
+            return fx - lam_flat[rows, None] * x
+    else:
+        def term(rows, x, fx):
+            return lam_flat[rows, None] * x - fx
+    vals, _, _ = _zoom_min(f, term, lo, hi, count, rounds)
     return -vals if sense == "convex" else vals
 
 
@@ -406,7 +358,8 @@ def envelope_integrand(family: EnvelopeFamily, dual, x, lam):
     x = np.asarray(x, dtype=float)
     if tag in _NONNEG_TAGS and np.any(lam < 0):
         raise ValidationError(f"family {tag!r} requires lam >= 0")
-    return _float_if_scalar(_family_coupling(family, x).values(lam, _dual_values(dual, lam)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _float_if_scalar(_integrand(family, x, lam, dual(lam)))
 
 
 def _dual_values(dual, lam):
@@ -416,17 +369,18 @@ def _dual_values(dual, lam):
         return dual(lam)
 
 
-def _family_coupling(family, x):
-    """The integrand of a scalar ``family`` at ``x``, as the
-    :class:`Coupling` of ``g = lam`` and ``f = dual(lam)``."""
+def _integrand(family, x, lam, d):
+    """The integrand of a scalar ``family`` at ``x`` and ``lam`` (they
+    broadcast), where the dual's values are ``d``: the table of the
+    module docstring."""
     tag = family.tag
     if tag == "exponential":
-        return Coupling("ag-f", np.abs(x))
+        return np.abs(x) * lam - d
     if tag == "gaussian-scale":
-        return Coupling("ag-f", 0.5 * x**2)
+        return 0.5 * x**2 * lam - d
     if tag == "gaussian-location":
-        return Coupling("b*(a-g)^2+f", x, 0.5)
-    return Coupling("g/2*(a-b/g)^2-f", x, family.drift)  # variance-mean
+        return 0.5 * (x - lam) ** 2 + d
+    return 0.5 * lam * (x - family.drift / lam) ** 2 - d  # variance-mean
 
 
 def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
@@ -439,9 +393,10 @@ def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
     nonzero; duals that are -inf at 0 make the integrand +inf there,
     which the search skips.  Location
     families use a symmetric bracket wide enough for ``x - phi'(x)``.
-    Both zoom in three refinement rounds.
+    Both zoom in three refinement rounds.  An empty ``x_grid``, or one
+    holding NaN or an infinity, raises ValidationError.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = _x_grid(x_grid)
     if family.tag in _NONNEG_TAGS:
         hi = 10.0
         nonzero = np.abs(x_grid[x_grid != 0])
@@ -457,23 +412,23 @@ def envelope_argmin_numeric(family: EnvelopeFamily, dual, x, grid: GridSpec):
 
     Independent of any closed-form update rule; used to validate them.
     """
-    x_arr = _reject_nonfinite(np.atleast_1d(np.asarray(x, dtype=float)), "x")
-    _, arg, _ = _envelope_min(family, dual, x_arr, grid)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(arg[0])
-    return arg
+    x_flat = _reject_nonfinite(np.asarray(x, dtype=float).ravel(), "x")
+    _, arg, _ = _envelope_min(family, dual, x_flat, grid)
+    return _float_if_scalar(arg.reshape(np.shape(x)))
 
 
-def _envelope_min(family, dual, x_arr, grid):
-    """:func:`_zoom_min` of the integrand over ``grid`` for each x: the
-    dual is the part that depends on lam alone."""
+def _envelope_min(family, dual, x_flat, grid):
+    """:func:`_zoom_min` of the integrand over ``grid`` for each entry of
+    the vector ``x_flat``: the dual is the part that depends on lam
+    alone."""
     if family.tag == "multivariate-location":
         raise ValidationError("grid checks support scalar families only")
     if family.tag in _NONNEG_TAGS and grid.lo < 0:
         raise ValidationError(f"family {family.tag!r} requires lam >= 0")
-    lo = np.full(x_arr.shape, float(grid.lo))
-    hi = np.full(x_arr.shape, float(grid.hi))
-    return _zoom_min(lambda g: _dual_values(dual, g), _family_coupling(family, x_arr),
+    lo = np.full(x_flat.shape, float(grid.lo))
+    hi = np.full(x_flat.shape, float(grid.hi))
+    return _zoom_min(lambda lam: _dual_values(dual, lam),
+                     lambda rows, lam, d: _integrand(family, x_flat[rows, None], lam, d),
                      lo, hi, grid.count, grid.refinement_rounds)
 
 
@@ -501,9 +456,7 @@ def check_envelope_identity(family: EnvelopeFamily, dual, target, x_grid,
     empty ``x_grid``, or one holding NaN or an infinity, raises
     ValidationError.
     """
-    x_arr = _reject_nonfinite(np.asarray(x_grid, dtype=float), "x")
-    if x_arr.size == 0:
-        raise ValidationError("x_grid must not be empty")
+    x_arr = _x_grid(x_grid)
     if grid is None:
         grid = default_lambda_grid(family, x_arr, lambda_hat)
     vals, args, spacing = _envelope_min(family, dual, x_arr, grid)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import Coupling, GridSpec, _float_if_scalar, _reject_nonfinite, _zoom_min
+from .duality import GridSpec, _float_if_scalar, _reject_nonfinite, _zoom_min
 from .errors import ValidationError, _count
 
 __all__ = [
@@ -101,11 +101,13 @@ def moreau_envelope_numeric(f, gamma: float, x, grid: GridSpec):
     """
     if not gamma > 0:
         raise ValidationError("gamma must be positive")
-    x_arr = _reject_nonfinite(np.atleast_1d(np.asarray(x, dtype=float)), "x")
-    lo = np.full(x_arr.shape, float(grid.lo))
-    hi = np.full(x_arr.shape, float(grid.hi))
-    couple = Coupling("b*(a-g)^2+f", x_arr, 1.0 / (2.0 * gamma))  # (z - x)^2/(2 gamma) + f(z)
-    vals, _, _ = _zoom_min(f, couple, lo, hi, grid.count, grid.refinement_rounds)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals[0])
-    return vals
+    x_flat = _reject_nonfinite(np.asarray(x, dtype=float).ravel(), "x")
+    lo = np.full(x_flat.shape, float(grid.lo))
+    hi = np.full(x_flat.shape, float(grid.hi))
+    b = 1.0 / (2.0 * gamma)
+
+    def term(rows, z, fz):
+        return b * (x_flat[rows, None] - z) ** 2 + fz
+
+    vals, _, _ = _zoom_min(f, term, lo, hi, grid.count, grid.refinement_rounds)
+    return _float_if_scalar(vals.reshape(np.shape(x)))

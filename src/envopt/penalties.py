@@ -106,8 +106,9 @@ def penalty_value(p: PenaltySpec, x):
         flat = np.atleast_1d(x_signed).ravel()
         lo_b = np.zeros(flat.shape)
         hi_b = np.full(flat.shape, hi)
-        couple = duality.Coupling("b*(a-g)^2+f", flat, 0.5)  # (x - lam)^2/2 + psi(lam)
-        vals, _, _ = duality._zoom_min(psi_specified_dual, couple, lo_b, hi_b, 401, 3)
+        vals, _, _ = duality._zoom_min(
+            psi_specified_dual, lambda rows, lam, psi: 0.5 * (flat[rows, None] - lam) ** 2 + psi,
+            lo_b, hi_b, 401, 3)
         out = vals.reshape(np.asarray(x_signed).shape)
     if np.ndim(out) == 0:
         return float(out)

@@ -234,7 +234,8 @@ def test_row_blocks_do_not_change_results(monkeypatch):
 
 def _per_row_min(f, couple, lo, hi, count, rounds, grids=None):
     """The zoom search one row at a time, on the row's own grid:
-    ``couple(i, grid, f(grid))`` gives row i's values.  ``grids``, when
+    ``couple(i, grid, f(grid))`` gives row i's values, and non-finite
+    ones warn no more than in the search.  ``grids``, when
     given, is a list of one set per round that collects the bytes of the
     grid rows searched."""
     t = np.linspace(0.0, 1.0, count)
@@ -245,7 +246,8 @@ def _per_row_min(f, couple, lo, hi, count, rounds, grids=None):
             g = (a + (b - a) * t)[None, :]
             if grids is not None:
                 grids[r].add(g.tobytes())
-            v = couple(i, g, f(g))[0]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                v = couple(i, g, f(g))[0]
             v = np.where(np.isfinite(v), v, np.inf)
             j = int(np.argmin(v))
             if r == rounds:
@@ -364,11 +366,20 @@ def test_grouped_search_bounds_blocks_and_evaluates_each_grid_once():
     assert len(grids[rounds]) > 1000
 
 
+def _row_term(center, slope):
+    """A term that holds each row's own function of the grid point,
+    ``(g - center)**2 - slope*g``, with ``f`` returning zeros."""
+    def term(rows, g, _):
+        return (g - center[rows, None]) ** 2 - slope[rows, None] * g
+
+    return term
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "numpy"])
 def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, kernel):
-    # f(grid, rows) with a center per row: every row gets its own grid and
-    # its own term, even where all brackets are equal, with the bits of a
+    # a term with a center per row: every row gets its own objective, even
+    # where all brackets are equal and rows share grids, with the bits of a
     # one-row search per row; 5 rows a block, so blocks hold several rows.
     # The search runs in numpy alone, so it gives these bits whether or
     # not the kernel library loads.
@@ -382,19 +393,19 @@ def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, k
     center = rng.uniform(-1.0, 1.0, size=rows)
     slope = rng.uniform(-0.5, 0.5, size=rows)
     lo, hi = _brackets(rng, rows, shared)
+    term = _row_term(center, slope)
     calls = []
 
-    def f(g, at):
-        assert g.shape == (at.size, 101)
+    def counting_term(at, g, fg):
+        assert g.shape[1] == 101 and g.shape[0] in (1, at.size) and not fg.any()
         calls.append(at.size)
-        return (g - center[at, None]) ** 2
+        return term(at, g, fg)
 
-    got = duality._zoom_min(f, duality.Coupling("f-ag", slope), lo, hi, 101, 3, by_row=True)
-    assert calls == [5, 5, 5, 5, 3] * 4
+    got = duality._zoom_min(np.zeros_like, counting_term, lo, hi, 101, 3)
+    assert max(calls) == 5 and sum(calls) == rows * 4  # each row once a round
     for i in range(rows):
-        one = duality._zoom_min(lambda g: (g - center[i]) ** 2,
-                                duality.Coupling("f-ag", slope[i]), lo[i:i + 1], hi[i:i + 1],
-                                101, 3)
+        one = duality._zoom_min(np.zeros_like, _row_term(center[i:i + 1], slope[i:i + 1]),
+                                lo[i:i + 1], hi[i:i + 1], 101, 3)
         assert got[:, i].tobytes() == one[:, 0].tobytes()
     # the minimizer of (g - c)^2 - slope g is c + slope/2, inside [-2, 2]:
     # the search lands within a final grid step of it
@@ -422,6 +433,59 @@ def test_envelope_identity_rejects_empty_x_grid(grid):
     with pytest.raises(ValidationError, match="x_grid must not be empty"):
         check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber, [],
                                 grid=grid)
+
+
+_X = np.array([[-1.5, 0.25, 2.0], [0.5, -0.75, 3.0]])
+_LOC = GridSpec(-8.0, 8.0, 101, 3)
+
+
+@pytest.mark.parametrize("x", [_X, _X[0, 1], _X[:1]], ids=["2-d", "scalar", "1-row"])
+@pytest.mark.parametrize("oracle", [
+    lambda x: envelope_argmin_numeric(GAUSSIAN_LOCATION, huber_location_dual(1.0), x, _LOC),
+    lambda x: moreau_envelope_numeric(np.abs, 0.7, x, _LOC),
+    lambda x: conjugate_numeric(lambda t: 0.5 * t**2, x, _LOC),
+], ids=["envelope-argmin", "moreau", "conjugate"])
+def test_grid_oracles_keep_the_shape_of_x(oracle, x):
+    # one value per point, in the shape of x, with the bits of the flat
+    # search; a scalar gives a float
+    got = oracle(x)
+    flat = oracle(np.ravel(x))
+    if np.ndim(x) == 0:
+        assert isinstance(got, float) and got == flat[0]
+    else:
+        assert got.shape == np.shape(x) and got.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("x_grid", [_X, _X[0, 1], [_X[0, 1]]], ids=["2-d", "scalar", "one"])
+def test_envelope_identity_takes_any_shape_of_x_grid(x_grid):
+    report = check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber,
+                                     x_grid, lambda_hat=lambda x: x - np.clip(x, -1.0, 1.0))
+    want = check_envelope_identity(GAUSSIAN_LOCATION, huber_location_dual(1.0), huber,
+                                   np.ravel(x_grid),
+                                   lambda_hat=lambda x: x - np.clip(x, -1.0, 1.0))
+    assert report == want and report.max_gap <= 1e-6 and report.lambda_agrees
+
+
+@pytest.mark.parametrize("make", [
+    lambda: variance_mean(np.nan), lambda: variance_mean(np.inf),
+    lambda: variance_mean(-np.inf), lambda: EnvelopeFamily("multivariate-location", step=np.inf),
+    lambda: EnvelopeFamily("multivariate-location", step=np.nan),
+], ids=["drift-nan", "drift-inf", "drift-minus-inf", "step-inf", "step-nan"])
+def test_family_constants_must_be_finite(make):
+    # unchecked, the integrand is NaN everywhere and the identity check
+    # reports an infinite gap
+    with pytest.raises(ValidationError):
+        make()
+
+
+@pytest.mark.parametrize("family", [EXPONENTIAL, GAUSSIAN_LOCATION], ids=lambda f: f.tag)
+@pytest.mark.parametrize("x_grid", [[], [1.0, np.nan], [np.inf, 1.0]],
+                         ids=["empty", "nan", "inf"])
+def test_default_lambda_grid_rejects_bad_x_grid(family, x_grid):
+    # the rule of check_envelope_identity: before, an empty grid raised a
+    # bare numpy error for the location families and a NaN was ignored
+    with pytest.raises(ValidationError, match="x_grid must not be empty|must not be NaN"):
+        default_lambda_grid(family, x_grid)
 
 
 @pytest.mark.parametrize("call", [
@@ -491,8 +555,8 @@ def test_grid_oracles_reject_infinite_points(call):
 @pytest.mark.parametrize("family", [
     EXPONENTIAL, GAUSSIAN_SCALE, GAUSSIAN_LOCATION, variance_mean(-0.8)], ids=lambda f: f.tag)
 def test_integrand_is_the_family_expression(family):
-    # the Coupling of each family evaluates the integrand of the table in
-    # the module docstring, bit for bit (lam = 0 included)
+    # each family's integrand is the expression of the table in the
+    # module docstring, bit for bit (lam = 0 included)
     x = np.array([-2.5, -0.0, 0.3, 4.0])[:, None]
     lam = np.array([0.0, 0.25, 1.0, 7.5])[None, :]
     dual = lambda lam: np.log1p(np.asarray(lam, dtype=float))  # noqa: E731
@@ -507,65 +571,43 @@ def test_integrand_is_the_family_expression(family):
     assert got.tobytes() == want.tobytes()
 
 
-def test_coupling_rejects_unknown_kind():
-    from envopt.duality import Coupling
-
-    with pytest.raises(ValidationError, match="unknown coupling kind"):
-        Coupling("f+ag", 1.0)
-
-
 _POOL = np.array([0.0, -0.0, 1.5, -2.0, 0.75, 1e300, -1e300, np.nan, np.inf, -np.inf])
 
 
-def _pow2(b):
-    """``b`` with each nonzero entry rounded to a power of two of its sign."""
-    mant, exp = np.frexp(b)
-    return np.where(b == 0.0, b, np.ldexp(np.copysign(0.5, mant), exp))
-
-
-# The own terms of the grid oracles by their former coupling kinds, each
-# with its expression of (a, b, g, f) and the Coupling of duality._KINDS
-# that its callers pass instead, as (a, b) -> (kind, a, b, sign of f).
-# Halving is exact, y - f is y + (-f), and f + y/b is (1/b)*y + f when b
-# is a power of two, so each gives the bits of its expression.
+# The shapes of the grid oracles' own terms, as expressions of the row's
+# a and b, the grid point g and the grid function's value f there: the
+# conjugates (the first two), the scale, location and variance-mean
+# integrands, the Moreau envelope and the prox oracle.  On the values
+# below, the terms themselves make NaN and infinities (b/g at g = 0,
+# 0*inf, overflow).
 _FORMS = {
-    "f-ag": (lambda a, b, g, f: f - a * g, lambda a, b: ("f-ag", a, b, 1.0)),
-    "ag-f": (lambda a, b, g, f: a * g - f, lambda a, b: ("ag-f", a, b, 1.0)),
-    "g/2*a-f": (lambda a, b, g, f: 0.5 * g * a - f,
-                lambda a, b: ("ag-f", 0.5 * a, b, 1.0)),
-    "b*(a-g)^2+f": (lambda a, b, g, f: b * (a - g) ** 2 + f,
-                    lambda a, b: ("b*(a-g)^2+f", a, b, 1.0)),
-    "b*(a-g)^2-f": (lambda a, b, g, f: b * (a - g) ** 2 - f,
-                    lambda a, b: ("b*(a-g)^2+f", a, b, -1.0)),
-    "f+(a-g)^2/b": (lambda a, b, g, f: f + (a - g) ** 2 / b,
-                    lambda a, b: ("b*(a-g)^2+f", a, 1.0 / b, 1.0)),
-    "g/2*(a-b/g)^2-f": (lambda a, b, g, f: 0.5 * g * (a - b / g) ** 2 - f,
-                        lambda a, b: ("g/2*(a-b/g)^2-f", a, b, 1.0)),
+    "f-ag": lambda a, b, g, f: f - a * g,
+    "ag-f": lambda a, b, g, f: a * g - f,
+    "g/2*a-f": lambda a, b, g, f: 0.5 * g * a - f,
+    "b*(a-g)^2+f": lambda a, b, g, f: b * (a - g) ** 2 + f,
+    "b*(a-g)^2-f": lambda a, b, g, f: b * (a - g) ** 2 - f,
+    "f+(a-g)^2/b": lambda a, b, g, f: f + (a - g) ** 2 / b,
+    "g/2*(a-b/g)^2-f": lambda a, b, g, f: 0.5 * g * (a - b / g) ** 2 - f,
 }
 
 
-def test_forms_cover_the_coupling_kinds():
-    assert {coupling(1.0, 1.0)[0] for _, coupling in _FORMS.values()} == set(duality._KINDS)
-    assert len(duality._KINDS) == 4
+def _form_term(form, a, b):
+    """The expression ``form`` with each row's own ``a`` and ``b``, as the
+    plain term of a search."""
+    expr = _FORMS[form]
+
+    def term(rows, g, f):
+        return expr(a[rows, None], b[rows, None], g, f)
+
+    return term
 
 
-def _form_paths(form, f, a, b, lo, hi, count, rounds):
-    """``_zoom_min`` of the Coupling that stands for ``form``, and of the
-    form's expression (a plain callable).  The division form takes ``b``
-    rounded to a power of two."""
-    expr, coupling = _FORMS[form]
-    if form == "f+(a-g)^2/b":
-        b = _pow2(b)
-    with np.errstate(divide="ignore"):
-        kind, ca, cb, sign = coupling(a, b)
-
-    def former(rows, g, fv):
-        with np.errstate(all="ignore"):
-            return expr(a[rows, None], b[rows, None], g, fv)
-
-    return (duality._zoom_min(lambda g: sign * f(g), duality.Coupling(kind, ca, cb),
-                              lo, hi, count, rounds),
-            duality._zoom_min(f, former, lo, hi, count, rounds))
+def _search_and_reference(form, f, a, b, lo, hi, count, rounds):
+    """``_zoom_min`` of the term ``form`` and the one-row-at-a-time search
+    of the same term."""
+    term = _form_term(form, a, b)
+    return (duality._zoom_min(f, term, lo, hi, count, rounds),
+            _per_row_min(f, term, lo, hi, count, rounds))
 
 
 def _table_f(table, lo):
@@ -599,10 +641,10 @@ def _special_table(rng, rows, count):
 @pytest.mark.parametrize("count", [3, 4, 7, 13, 101, 9001])
 @pytest.mark.parametrize("form", list(_FORMS))
 def test_compiled_scan_matches_numpy_coupling(form, count):
-    # one round on chosen values: the Coupling that stands for each form
-    # keeps the first minimum over finite values of the form's own
-    # expression, bit for bit, with one row per grid row (per-row
-    # brackets) and with many rows on one grid (a shared one)
+    # one round on chosen values: the search of each term shape keeps the
+    # bits of the one-row-at-a-time search, with one row per grid row
+    # (per-row brackets) and with many rows on one grid (a shared one);
+    # at 9001 points one row is more than a block
     rng = np.random.Generator(np.random.PCG64(count))
     rows = 1 if count > duality._BLOCK_ELEMS else 40
     a = rng.choice(np.array([0.0, -0.0, 0.5, -1.25, 3.0]), size=rows)
@@ -612,43 +654,51 @@ def test_compiled_scan_matches_numpy_coupling(form, count):
     # grids start at 0 (variance-mean's b/g is infinite there) or above it
     lo = np.arange(rows) * 0.5
     hi = lo + 1.0
-    outs = _form_paths(form, _table_f(table, lo), a, b, lo, hi, count, 0)
-    assert outs[0].tobytes() == outs[1].tobytes()
+    got, want = _search_and_reference(form, _table_f(table, lo), a, b, lo, hi, count, 0)
+    assert got.tobytes() == want.tobytes()
     shared = np.zeros(rows), np.ones(rows)
     for i in range(min(rows, 4)):
         f = _table_f(table[i:i + 1], [0.0])
-        outs = _form_paths(form, f, a, b, *shared, count, 0)
-        assert outs[0].tobytes() == outs[1].tobytes()
+        got, want = _search_and_reference(form, f, a, b, *shared, count, 0)
+        assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("count", [7, 13])
+@pytest.mark.parametrize("count", [3, 7, 13, 9001])
 def test_compiled_scan_first_minimum_semantics(count):
-    # with a = 0 on a positive grid, "f-ag" gives v = f exactly, so the
-    # selected value and index can be read off the table
+    # a term that returns each row's values outright, so the selected
+    # value and index can be read off the table: the first minimum over
+    # the finite values, +inf at index 0 when none is finite, and -0.0 or
+    # +0.0 as it comes first; with per-row brackets and with one shared
+    # bracket (one grid, whose values differ by row)
     rng = np.random.Generator(np.random.PCG64(5))
-    table = _special_table(rng, 30, count)
-    lo = 1.0 + np.arange(30)
-    couple = duality.Coupling("f-ag", np.zeros(30))
-    out = duality._zoom_min(_table_f(table, lo), couple, lo, lo + 1.0, count, 0)
+    rows = 4 if count > duality._BLOCK_ELEMS else 30
+    table = _special_table(rng, rows, count)
+
+    def term(at, g, fg):
+        return table[at]
+
     t = np.linspace(0.0, 1.0, count)
-    for i, row in enumerate(table):
-        finite = np.flatnonzero(np.isfinite(row))
-        j = finite[np.argmin(row[finite])] if finite.size else 0
-        want = row[j] if finite.size else np.inf
-        assert np.float64(out[0, i]).tobytes() == np.float64(want).tobytes(), i
-        assert out[1, i] == lo[i] + 1.0 * t[j], i
-    assert (out[0, 0], out[1, 0]) == (np.inf, lo[0])
-    assert out[1, 1] == lo[1] + t[2 if count > 5 else 0]
-    assert np.signbit(out[0, 2]) and not np.signbit(out[0, 3])
+    first = 2 if count > 5 else 0
+    for lo in (1.0 + np.arange(rows), np.ones(rows)):
+        out = duality._zoom_min(np.zeros_like, term, lo, lo + 1.0, count, 0)
+        for i, row in enumerate(table):
+            finite = np.flatnonzero(np.isfinite(row))
+            j = finite[np.argmin(row[finite])] if finite.size else 0
+            want = row[j] if finite.size else np.inf
+            assert np.float64(out[0, i]).tobytes() == np.float64(want).tobytes(), i
+            assert out[1, i] == lo[i] + 1.0 * t[j], i
+        assert (out[0, 0], out[1, 0]) == (np.inf, lo[0])
+        assert out[1, 1] == lo[1] + t[first]
+        if count > 3:  # at 3 points the two zeros share an index
+            assert np.signbit(out[0, 2]) and not np.signbit(out[0, 3])
 
 
 @pytest.mark.parametrize("form", list(_FORMS))
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
-    # the whole zoom search, whose later rounds scan blocks that mix groups
-    # of several rows and of one row, in blocks of 5 grid rows: the
-    # Coupling that stands for each form keeps the bits of the form's own
-    # expression
+    # the whole zoom search of each term shape, whose later rounds scan
+    # blocks that mix groups of several rows and of one row, in blocks of
+    # 5 grid rows, keeps the bits of the one-row-at-a-time search
     monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
     rng = np.random.Generator(np.random.PCG64(11 + shared))
     rows = 120
@@ -661,8 +711,8 @@ def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
         return np.where(np.abs(g - 1.2) < 0.05, -np.inf, v)
 
     lo, hi = _brackets(rng, rows, shared)
-    outs = _form_paths(form, f, a, b, lo, hi, 101, 3)
-    assert outs[0].tobytes() == outs[1].tobytes()
+    got, want = _search_and_reference(form, f, a, b, lo, hi, 101, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_double_conjugation_gap_is_the_hull_depth():

@@ -204,8 +204,8 @@ def test_prox_rejects_nonfinite_u_and_s(kind):
 
 
 def test_prox_oracle_one_search_matches_one_row_searches():
-    # the suite's 200 draws: the one search with a point term per row
-    # gives the bits of a one-row search per draw
+    # the suite's 200 draws: the one search whose term holds each row's
+    # own penalty gives the bits of a one-row search per draw
     from envopt import duality
     from envopt.checks import _prox_draws, _prox_oracle
 
@@ -213,8 +213,10 @@ def test_prox_oracle_one_search_matches_one_row_searches():
     args, vals = _prox_oracle(draws)
     assert len({p.kind for p, _, _ in draws}) == 5
     for (p, u, s), arg, val in zip(draws, args, vals):
-        couple = duality.Coupling("b*(a-g)^2+f", u, 0.5 * s)
-        one = duality._zoom_min(lambda x: penalty_value(p, x), couple,
+        def term(rows, x, _):
+            return 0.5 * s * (u - x) ** 2 + penalty_value(p, x)
+
+        one = duality._zoom_min(np.zeros_like, term,
                                 np.array([-abs(u) - 5.0]), np.array([abs(u) + 5.0]), 5000, 3)
         assert one[1, 0].tobytes() == arg.tobytes()
         assert one[0, 0].tobytes() == val.tobytes()
