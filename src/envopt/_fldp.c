@@ -134,7 +134,7 @@ typedef struct {
     double *b;       /* D z */
     double *r;       /* the face's right-hand side */
     double *y;       /* its forward values, U'y = r */
-    double *x, *d, *h, *g;  /* face minimum, step, scratch (C D in the search), gradient */
+    double *x, *d, *h, *g;  /* face minimum (then the search's v), step, C D, gradient */
     double *ch;      /* C H of the projected search (see tf_solve) */
     breakpoint *br;  /* the search's breakpoints */
     long *idx;       /* the free rows */
@@ -318,23 +318,29 @@ static void tf_factor(tfdual *t, long from, long nf, const double *v, long w)
     }
 }
 
-/* The order of the projected search's breakpoints: by t, ties to the
-   lower face position. */
-static int by_breakpoint(const void *p, const void *q)
+/* Whether breakpoint e comes before f in the order (t, position): by t,
+   ties to the lower face position. */
+static int before(const breakpoint *e, const breakpoint *f)
 {
-    const breakpoint *e = p, *f = q;
-    if (e->t != f->t)
-        return e->t < f->t ? -1 : 1;
-    return (e->a > f->a) - (e->a < f->a);
+    return e->t < f->t || (e->t == f->t && e->a < f->a);
 }
 
-static double dot(const double *x, const double *y, long len)
+/* Moves br[at] down the binary heap br[0 .. n - 1] (each entry before
+   its two children, br[2 at + 1] and br[2 at + 2]) until neither child
+   comes before it. */
+static void sift_down(breakpoint *br, long at, long n)
 {
-    double acc = 0.0;
-    long i;
-    for (i = 0; i < len; i++)
-        acc += x[i] * y[i];
-    return acc;
+    const breakpoint e = br[at];
+    long child;
+    while ((child = 2 * at + 1) < n) {
+        if (child + 1 < n && before(&br[child + 1], &br[child]))
+            child++;
+        if (!before(&br[child], &e))
+            break;
+        br[at] = br[child];
+        at = child;
+    }
+    br[at] = e;
 }
 
 /* The dual of the weighted trend filter on the problem of tf_bands:
@@ -355,20 +361,24 @@ static double dot(const double *x, const double *y, long len)
    projection onto the box (More & Toraldo 1991, SIAM J. Optim.
    1:93-113).  Each free row a that x leaves the box on has the
    breakpoint t_a = (+-lam_a - v_a) / d_a at which it reaches its bound;
-   they are taken in the order (t_a, position).  The search holds the
-   first one's row, as a cut at the first blocking bound would, then goes
-   on while the slope of q along the arc is negative, holding each row it
-   passes.  With the rows held so far, the arc is p(t) = t D + H on the
-   face (D is d with those rows zeroed, H holds t_b d_b in each held row
-   b), so q'(t) = g'D + t D'CD + D'CH, C the face's bands and g the
-   gradient at v computed directly (not -C d, which assumes x is the
-   exact face minimum; on long ill-conditioned faces it is not).  Holding
-   row a updates g'D, D'CD and D'CH from (CD)_a, (CH)_a and C_aa, and the
-   vectors CD and CH in the 2w + 1 rows of column a.  The search stops at
-   the first root of q', at most t = 1 (which is P(x)); the free rows move
-   to clip(v + t d) and the passed rows to their bounds.  It lowers q at
-   least as much as the cut, and costs two banded products: the gradient
-   and C d.
+   they are taken in the order (t_a, position), ties to the lower face
+   position, from a binary heap built in one pass: the search usually
+   holds a few of them, and a sort would order them all.  The search
+   holds the first one's row, as a cut at the first blocking bound
+   would, then goes on while the slope of q along the arc is negative,
+   holding each row it passes.  With the rows held so far, the arc is
+   p(t) = t D + H on the face (D is d with those rows zeroed, H holds
+   t_b d_b in each held row b), so q'(t) = g'D + t D'CD + D'CH, C the
+   face's bands and g the gradient at v computed directly (not -C d,
+   which assumes x is the exact face minimum; on long ill-conditioned
+   faces it is not).  Holding row a updates g'D, D'CD and D'CH from
+   (CD)_a, (CH)_a and C_aa, and the vectors CD and CH in the 2w + 1 rows
+   of column a.  The search stops at the first root of q', at most t = 1
+   (which is P(x)); the free rows move to clip(v + t d) and the passed
+   rows to their bounds.  It lowers q at least as much as the cut, and
+   costs one pass over the face, which forms the gradient, C d, g'd and
+   d'Cd together, each sum in the order of a banded product (band_matvec)
+   or a dot product over the rows.
 
    A step changes the status of some rows, and the face rows whose index
    is more than w below the least of them (lo) keep their bands, right-hand
@@ -472,7 +482,9 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
             continue;
         }
         /* the face minimum leaves the box: the projected search along
-           P(v + t d), its breakpoints in the order (t, position) */
+           P(v + t d), its breakpoints a binary heap in the order
+           (t, position); x, read for the last time, takes each row's
+           value in the face gradient: v, or 0 in a dependent row */
         nb = 0;
         for (a = 0; a < nf; a++) {
             i = idx[a];
@@ -480,26 +492,47 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
                 br[nb].t = ((x[a] > lam[i] ? lam[i] : -lam[i]) - v[i]) / d[a];
                 br[nb++].a = a;
             }
+            x[a] = dependent(t, a, w) ? 0.0 : v[i];
         }
-        qsort(br, (size_t)nb, sizeof *br, by_breakpoint);
-        /* the face gradient g = A v - b at v, from r, which carries the
-           terms of the dependent rows (0 in h); then C D into h, with
-           D = d and H = 0 before any row is held */
-        for (a = 0; a < nf; a++)
-            h[a] = dependent(t, a, w) ? 0.0 : v[idx[a]];
-        band_matvec(c, nf, w, h, g);
+        for (a = nb / 2 - 1; a >= 0; a--)
+            sift_down(br, a, nb);
+        /* in one pass over the face, each sum in the order of
+           band_matvec and of rows: the face gradient g = A v - b at v,
+           from r, which carries the terms of the dependent rows; C D
+           into h, with D = d and H = 0 before any row is held; g'D and
+           D'CD */
+        gd = 0.0;
+        dcd = 0.0;
         for (a = 0; a < nf; a++) {
-            g[a] -= r[a];
+            double cv = c[a * W] * x[a], cd = c[a * W] * d[a];
+            for (l = 1; l <= w; l++)
+                if (a + l < nf) {
+                    cv += c[a * W + l] * x[a + l];
+                    cd += c[a * W + l] * d[a + l];
+                }
+            for (l = 1; l <= w; l++)
+                if (a - l >= 0) {
+                    cv += c[(a - l) * W + l] * x[a - l];
+                    cd += c[(a - l) * W + l] * d[a - l];
+                }
+            g[a] = cv - r[a];
+            h[a] = cd;
             ch[a] = 0.0;
+            gd += g[a] * d[a];
+            dcd += d[a] * cd;
         }
-        band_matvec(c, nf, w, d, h);
-        gd = dot(g, d, nf);
-        dcd = dot(d, h, nf);
         dch = 0.0;
         for (held = 0;;) {
-            /* hold row a at its breakpoint: D_a becomes 0 and H_a t_a d_a */
-            double ta = br[held].t, da, ha, caa, slope, next;
-            a = br[held++].a;
+            /* hold the row a of the first breakpoint, which leaves the
+               heap for its end, so that the held rows are
+               br[nb - held .. nb - 1]: D_a becomes 0 and H_a t_a d_a */
+            breakpoint first = br[0];
+            double ta = first.t, da, ha, caa, slope, next;
+            held++;
+            br[0] = br[nb - held];
+            br[nb - held] = first;
+            sift_down(br, 0, nb - held);
+            a = first.a;
             da = d[a];
             ha = ta * da;
             caa = c[a * W];
@@ -522,7 +555,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
                breakpoint (or t = 1, P(x)): stop where it is not negative
                or at its root */
             step = ta;
-            next = held < nb ? br[held].t : 1.0;
+            next = held < nb ? br[0].t : 1.0;
             slope = gd + step * dcd + dch;
             if (!(slope < 0.0))
                 break;
@@ -545,7 +578,7 @@ static int tf_solve(tfdual *t, const double *lam, double tol, long max_iters,
         }
         /* the passed rows at their bounds; lo is the least of them */
         lo = m;
-        for (l = 0; l < held; l++) {
+        for (l = nb - held; l < nb; l++) {
             a = br[l].a;
             i = idx[a];
             st[i] = d[a] > 0.0 ? 1 : -1;

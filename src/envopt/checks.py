@@ -178,22 +178,32 @@ def envelope_suite():
     return results
 
 
+def _lower_hull(x, y):
+    """Indices of the vertices of the lower convex hull of the points
+    ``(x_i, y_i)``, ``x`` increasing: each pass drops every vertex that
+    lies on or above the chord of its two neighbours, until a pass drops
+    none.  A dropped point lies on or above a chord between two points
+    of the set, so it is not a vertex; with none left to drop the chain
+    turns left at every vertex, which makes it the hull."""
+    keep = np.arange(x.shape[0])
+    while keep.shape[0] > 2:
+        hx, hy = x[keep], y[keep]
+        above = ((hy[1:-1] - hy[:-2]) * (hx[2:] - hx[:-2])
+                 >= (hy[2:] - hy[:-2]) * (hx[1:-1] - hx[:-2]))
+        if not above.any():
+            break
+        keep = keep[np.concatenate(([True], ~above, [True]))]
+    return keep
+
+
 def _discrete_conjugate(x, y):
     """The discrete Legendre transform of the samples ``(x_i, y_i)``, ``x``
     increasing: ``s -> max_i (s*x_i - y_i)``, the conjugate of the
     samples' lower convex hull (Lucet 1997, Numer. Algorithms 16).  Hull
     vertex k attains the max for the slopes ``s`` between the slopes of
     its two edges, so ``np.searchsorted`` on the edge slopes finds it."""
-    hx, hy = [], []
-    for xi, yi in zip(x.tolist(), y.tolist()):
-        # drop the last vertex while it lies on or above the chord to (xi, yi)
-        while len(hx) > 1 and ((hy[-1] - hy[-2]) * (xi - hx[-2])
-                               >= (yi - hy[-2]) * (hx[-1] - hx[-2])):
-            hx.pop()
-            hy.pop()
-        hx.append(xi)
-        hy.append(yi)
-    hx, hy = np.array(hx), np.array(hy)
+    keep = _lower_hull(x, y)
+    hx, hy = x[keep], y[keep]
     slopes = np.diff(hy) / np.diff(hx)
 
     def conjugate(s):
@@ -273,7 +283,8 @@ def _prox_draws():
 def _prox_oracle(draws):
     """Brute-force grid argmins and minima of (s/2)(x-u)^2 + phi(x), one
     row per draw ``(p, u, s)`` over ``[-|u| - 5, |u| + 5]``, in one
-    search whose term holds each row's own penalty."""
+    search whose term holds each row's own penalty, so that no part of
+    the objective is shared by the rows (``f`` is None)."""
     pens = [p for p, _, _ in draws]
     u = np.array([u for _, u, _ in draws])
     half_s = 0.5 * np.array([s for _, _, s in draws])
@@ -284,8 +295,7 @@ def _prox_oracle(draws):
             out[at] += penalty_value(pens[row], x[at % x.shape[0]])  # x may be one shared row
         return out
 
-    vals, args, _ = duality._zoom_min(np.zeros_like, term, -np.abs(u) - 5.0, np.abs(u) + 5.0,
-                                      5000, 3)
+    vals, args, _ = duality._zoom_min(None, term, -np.abs(u) - 5.0, np.abs(u) + 5.0, 5000, 3)
     return args, vals
 
 

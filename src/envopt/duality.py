@@ -186,10 +186,11 @@ def _zoom_min(f, term, lo, hi, count, rounds):
     on the grid point alone.  ``term(rows, grid, fvals)`` adds the own
     term of the rows ``rows`` (an index array) and returns
     ``(len(rows), count)`` values; it gets the grid and ``f``'s values
-    either gathered to one row per row or, when the rows share one grid,
-    as a single broadcasting row.  A term that depends on the row in more
+    either as one row per row or, when the rows share one grid, as a
+    single broadcasting row.  A term that depends on the row in more
     than a cheap expression (each row's own penalty, say) evaluates all
-    of it from ``rows``, and ``f`` returns zeros.
+    of it from ``rows``; with no part that depends on the grid point
+    alone, ``f`` is None and ``term`` gets None for ``fvals``.
 
     Rows whose brackets are equal bit for bit search the same grid, so
     ``f`` is evaluated once per distinct grid row of the whole call: rows
@@ -198,14 +199,18 @@ def _zoom_min(f, term, lo, hi, count, rounds):
     argmin index), which fixes its next bracket.  Rows are kept in group
     order; each round evaluates ``f`` on blocks of groups of at most
     ``_BLOCK_ELEMS`` floats (one group when ``count`` is larger), whose
-    grid rows are ``lo + (hi - lo) * t`` of their groups, and scans
-    those groups' rows by :func:`_scan`.  The argmin locations returned,
+    grid rows are ``lo + (hi - lo) * t`` of their groups, and ``term`` on
+    those groups' rows, at most ``_BLOCK_ELEMS`` floats of rows at a
+    time (one row when ``count`` is larger).  Each row takes the first
+    minimum over its finite values and its index, or +inf and 0 when
+    none is finite.  The argmin locations returned,
     ``lo + (hi - lo) * t[cell]``, have the bits of their grid points.
-    Non-finite values are skipped, and ``term`` runs with numpy's
-    division, invalid and overflow warnings off.  The caller validates
-    the brackets (finite, ``lo < hi``), ``count`` (an integer of at
-    least 3) and ``rounds`` (a nonnegative integer).  Returns a (3, B)
-    array: min values, argmin locations and final grid spacing.
+    ``f`` and ``term`` run with numpy's division, invalid and overflow
+    warnings off: a non-finite value is skipped, not warned of.  The
+    caller validates the brackets (finite, ``lo < hi``), ``count`` (an
+    integer of at least 3) and ``rounds`` (a nonnegative integer).
+    Returns a (3, B) array: min values, argmin locations and final grid
+    spacing.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -213,41 +218,53 @@ def _zoom_min(f, term, lo, hi, count, rounds):
     if nrows == 0:
         return np.empty((3, 0))
     t = np.linspace(0.0, 1.0, count)
-    step = max(1, _BLOCK_ELEMS // count)
+    step = max(1, _BLOCK_ELEMS // count)  # grid rows, or rows of values, in a block
     if (lo == lo[0]).all() and (hi == hi[0]).all():
         lo, hi = lo[:1], hi[:1]
         group = np.zeros(nrows, dtype=np.intp)
     else:
         group = np.arange(nrows, dtype=np.intp)
     order = np.arange(nrows, dtype=np.intp)  # rows in group order; group[i] is order[i]'s
+    at_row = np.arange(min(step, nrows))
     idx = np.empty(nrows, dtype=np.intp)
     vals = np.empty(nrows)
-    for r in range(rounds + 1):
-        width = hi - lo
-        ngroups = lo.shape[0]
-        edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
-        for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
-            grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
-            fvals = np.asarray(f(grid), dtype=float)
-            at = slice(start, stop)
-            _scan(term, order[at], group[at] - g0, grid, fvals, vals[at], idx[at])
-        if r == rounds:
-            break
-        if ngroups == nrows:  # one row per group: groups never merge
-            parent, cell = group, idx
-        else:
-            key = group * count + idx
-            perm = np.argsort(key, kind="stable")
-            key, order = key[perm], order[perm]
-            first = np.empty(nrows, dtype=bool)
-            first[0] = True
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            group = np.cumsum(first, dtype=np.intp) - 1
-            parent, cell = np.divmod(key[first], count)
-        h = width[parent] / (count - 1)
-        center = lo[parent] + width[parent] * t[cell]
-        lo = np.maximum(lo[parent], center - 2.0 * h)
-        hi = np.minimum(hi[parent], center + 2.0 * h)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r in range(rounds + 1):
+            width = hi - lo
+            ngroups = lo.shape[0]
+            singles = ngroups == nrows  # one row per group: the grid rows are the rows
+            edges = np.searchsorted(group, np.arange(0, ngroups + step, step)).tolist()
+            for g0, start, stop in zip(range(0, ngroups, step), edges[:-1], edges[1:]):
+                grid = lo[g0:g0 + step, None] + width[g0:g0 + step, None] * t
+                if f is not None:
+                    fvals = np.asarray(f(grid), dtype=float)
+                for a in range(start, stop, step):
+                    b = min(a + step, stop)
+                    if singles:
+                        at = slice(a - g0, b - g0)
+                    elif group[a] == group[b - 1]:
+                        at = slice(group[a] - g0, group[a] - g0 + 1)
+                    else:
+                        at = group[a:b] - g0
+                    v = term(order[a:b], grid[at], None if f is None else fvals[at])
+                    vals[a:b], idx[a:b] = _first_min(v, at_row[:b - a])
+            if r == rounds:
+                break
+            if singles:  # groups never merge
+                parent, cell = group, idx
+            else:
+                key = group * count + idx
+                perm = np.argsort(key, kind="stable")
+                key, order = key[perm], order[perm]
+                first = np.empty(nrows, dtype=bool)
+                first[0] = True
+                np.not_equal(key[1:], key[:-1], out=first[1:])
+                group = np.cumsum(first, dtype=np.intp) - 1
+                parent, cell = np.divmod(key[first], count)
+            h = width[parent] / (count - 1)
+            center = lo[parent] + width[parent] * t[cell]
+            lo = np.maximum(lo[parent], center - 2.0 * h)
+            hi = np.minimum(hi[parent], center + 2.0 * h)
     out = np.empty((3, nrows))
     out[0, order] = vals
     out[1, order] = lo[group] + width[group] * t[idx]
@@ -255,39 +272,19 @@ def _zoom_min(f, term, lo, hi, count, rounds):
     return out
 
 
-def _scan(term, rows, grp, grid, fvals, vals, idx):
-    """Numpy scan of one block: writes to ``vals[i]`` and ``idx[i]`` the
-    first minimum over the finite values of ``term(rows[i], grid[grp[i]],
-    fvals[grp[i]])`` and its index, or +inf and 0 when none is finite.
-
-    ``grp`` is non-decreasing and names every grid row.  The term's
-    values are formed for at most ``_BLOCK_ELEMS`` floats of rows at a
-    time (one row when ``count`` is larger).
-    """
-    nrows, count = rows.shape[0], grid.shape[1]
-    step = max(1, _BLOCK_ELEMS // count)
-    singles = nrows == grid.shape[0]  # one row per grid row: no gather
-    at_row = np.arange(min(step, nrows))
-    for a in range(0, nrows, step):
-        b = min(a + step, nrows)
-        if singles:
-            at = slice(a, b)
-        elif grp[a] == grp[b - 1]:
-            at = slice(grp[a], grp[a] + 1)
-        else:
-            at = grp[a:b]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = term(rows[a:b], grid[at], fvals[at])
-        j = np.argmin(v, axis=1)
-        best = v[at_row[:b - a], j]
-        # a row holding NaN or -inf selects one, so masking can only
-        # move the argmin of a row whose selected minimum is non-finite
-        if not np.isfinite(best).all():
-            v = np.where(np.isfinite(v), v, np.inf)
-            j = np.argmin(v, axis=1)
-            best = v[at_row[:b - a], j]
-        idx[a:b] = j
-        vals[a:b] = best
+def _first_min(v, rows):
+    """The first minimum over the finite values of each row of ``v`` and
+    its index, or +inf and 0 where none is finite; ``rows`` is
+    ``arange(len(v))``."""
+    j = v.argmin(axis=1)
+    best = v[rows, j]
+    # a row holding NaN or -inf selects one, so masking can only move the
+    # argmin of a row whose selected minimum is non-finite
+    if not np.isfinite(best).all():
+        v = np.where(np.isfinite(v), v, np.inf)
+        j = v.argmin(axis=1)
+        best = v[rows, j]
+    return best, j
 
 
 def conjugate_numeric(f, lam, grid: GridSpec, sense: str = "convex"):
@@ -394,14 +391,19 @@ def default_lambda_grid(family: EnvelopeFamily, x_grid, lambda_hat=None,
     which the search skips.  Location
     families use a symmetric bracket wide enough for ``x - phi'(x)``.
     Both zoom in three refinement rounds.  An empty ``x_grid``, or one
-    holding NaN or an infinity, raises ValidationError.
+    holding NaN or an infinity, raises ValidationError, as does a
+    ``lambda_hat`` that is NaN or infinite at the smallest nonzero |x|.
     """
     x_grid = _x_grid(x_grid)
     if family.tag in _NONNEG_TAGS:
         hi = 10.0
         nonzero = np.abs(x_grid[x_grid != 0])
         if lambda_hat is not None and nonzero.size:
-            hi = max(10.0, 10.0 * abs(float(lambda_hat(float(np.min(nonzero))))))
+            top = float(lambda_hat(float(np.min(nonzero))))
+            if not abs(top) < np.inf:
+                raise ValidationError(f"lambda_hat at the smallest nonzero |x| must be "
+                                      f"finite, got {top!r}")
+            hi = max(10.0, 10.0 * abs(top))
         return GridSpec(0.0, hi, count, 3)
     span = max(1.0, float(np.max(np.abs(x_grid))))
     return GridSpec(-(span + 10.0), span + 10.0, count, 3)

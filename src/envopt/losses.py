@@ -154,7 +154,11 @@ def logcosh(x, m: float = 1.0):
 
 
 def loss_value(l: LossSpec, beta) -> float:
-    eta = l.predict(beta)
+    return _loss_value_at(l, l.predict(beta))
+
+
+def _loss_value_at(l: LossSpec, eta) -> float:
+    """:func:`loss_value` at the linear predictor ``eta = A beta``."""
     if l.kind == "gaussian":
         r = l.y - eta
         return float(0.5 * np.dot(r, r))
@@ -170,7 +174,11 @@ def loss_grad(l: LossSpec, beta) -> np.ndarray:
     """Exact gradient ``A.T r(beta)``; the check loss has none."""
     if l.kind == "check":
         raise CapabilityError("check loss is nondifferentiable; no gradient")
-    eta = l.predict(beta)
+    return _loss_grad_at(l, l.predict(beta))
+
+
+def _loss_grad_at(l: LossSpec, eta) -> np.ndarray:
+    """:func:`loss_grad` at the linear predictor ``eta = A beta``."""
     if l.kind == "gaussian":
         r = eta - l.y
     elif l.kind == "huber":

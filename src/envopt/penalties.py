@@ -234,24 +234,43 @@ def prox(p: PenaltySpec, u, s):
     Exact closed forms throughout; for the nonconvex kinds the minimizer
     is selected among the stationary points and 0 by objective value
     (larger magnitude on ties, which keeps the concave kinds nearly
-    unbiased at the threshold).  A NaN or infinite ``u`` or ``s``, or an
-    ``s <= 0``, raises ValidationError.
+    unbiased at the threshold).  A NaN or infinite ``u`` or ``s``, an
+    ``s <= 0``, or a ``u`` and ``s`` whose shapes do not broadcast raise
+    ValidationError.
     """
     u_arr = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
     if not np.isfinite(u_arr).all():
         raise ValidationError("prox requires a finite u")
+    s = _prox_step(p, s)
+    if s.ndim:  # a step per element
+        try:
+            u_arr, s = np.broadcast_arrays(u_arr, s)
+        except ValueError:
+            raise ValidationError(f"prox needs u and s of shapes that broadcast, "
+                                  f"got {u_arr.shape} and {s.shape}") from None
+        s = s.ravel()
+    else:
+        s = float(s)
+    out = _prox_flat(p, np.atleast_1d(u_arr).ravel(), s)
+    if u_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(u_arr.shape)
+
+
+def _prox_step(p: PenaltySpec, s) -> np.ndarray:
+    """The prox step ``s`` as a float array, or ValidationError unless it
+    is finite and positive (CapabilityError for a kind with no prox)."""
+    s = np.asarray(s, dtype=float)
     if not ((s > 0.0) & (s < np.inf)).all():
         raise ValidationError("prox requires a finite s > 0")
     if p.kind == "psi-specified":
         raise CapabilityError("psi-specified penalty has no prox")
-    if s.ndim:  # a step per element
-        u_arr, s = np.broadcast_arrays(u_arr, s)
-        s = s.ravel()
-    else:
-        s = float(s)
-    scalar = u_arr.ndim == 0
-    u_flat = np.atleast_1d(u_arr).ravel()
+    return s
+
+
+def _prox_flat(p: PenaltySpec, u_flat, s):
+    """:func:`prox` of the float vector ``u_flat`` at the checked step
+    ``s``, a float or one per entry."""
     au = np.abs(u_flat)
     sgn = np.sign(u_flat)
 
@@ -297,10 +316,7 @@ def prox(p: PenaltySpec, u, s):
         cands = np.vstack([inner, np.full_like(au, r2), outer])
         objs = 0.5 * s * (cands - au) ** 2 + w * np.minimum(1.0, 0.5 * cands**2)
         out = sgn * _pick_candidates(cands, objs)
-
-    if scalar:
-        return float(out[0])
-    return out.reshape(u_arr.shape)
+    return out
 
 
 def scale_dual(p: PenaltySpec):

@@ -76,10 +76,10 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import (MonotonicityError, ValidationError, _count, _float_vector, _penalties,
                      _response, _weights)
-from .losses import (_WEIGHT_CLAMP, LossSpec, lipschitz_bound, location_envelope_update,
-                     loss_grad, loss_value)
+from .losses import (_WEIGHT_CLAMP, LossSpec, _loss_grad_at, _loss_value_at, lipschitz_bound,
+                     location_envelope_update)
 from .operators import diff_matrix
-from .penalties import PenaltySpec, penalty_value, prox
+from .penalties import PenaltySpec, _prox_flat, _prox_step, penalty_value
 
 __all__ = [
     "SolverConfig",
@@ -688,7 +688,11 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
     step, and leaves the separable problem that the penalty's prox at
     step ``a`` solves exactly: the objective trace is non-increasing.
     ``aux['lambda']`` records the location-envelope vector
-    ``a^{-1} x - grad l(x)`` at exit.
+    ``a^{-1} x - grad l(x)`` at exit.  Each iterate's ``A beta`` serves
+    both its objective and the gradient step from it, and the prox's
+    step and kind are checked once per fit; an iterate that is not
+    finite makes the objective non-finite, which :func:`mm_driver`
+    rejects.
     """
     cfg = cfg or SolverConfig()
     beta = _mm_start(init, None, loss.dim)
@@ -696,18 +700,27 @@ def proximal_gradient(loss: LossSpec, penalty: PenaltySpec, init,
     if L <= 0:
         raise ValidationError("loss curvature bound must be positive")
     a = 1.0 / L
+    s = float(_prox_step(penalty, 1.0 / a))
+    # the last iterate and its linear predictor A beta: mm_driver
+    # evaluates the objective at each iterate and then steps from it
+    last = [None, None]
+
+    def predict(b):
+        if b is not last[0]:
+            last[:] = b, loss.predict(b)
+        return last[1]
 
     def objective(b):
-        return loss_value(loss, b) + float(np.sum(penalty_value(penalty, b)))
+        return _loss_value_at(loss, predict(b)) + float(np.sum(penalty_value(penalty, b)))
 
     def gradient_step(b):
-        return b - a * loss_grad(loss, b)
+        return b - a * _loss_grad_at(loss, predict(b))
 
     def penalty_prox(z, b):
-        return prox(penalty, z, 1.0 / a)
+        return _prox_flat(penalty, z, s)
 
     fit = mm_driver(objective, gradient_step, penalty_prox, beta, cfg)
-    fit.aux = {"lambda": fit.beta / a - loss_grad(loss, fit.beta), "step": a}
+    fit.aux = {"lambda": fit.beta / a - _loss_grad_at(loss, predict(fit.beta)), "step": a}
     return fit
 
 

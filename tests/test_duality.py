@@ -413,6 +413,31 @@ def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, k
         assert np.all(np.abs(got[1] - (center + 0.5 * slope)) <= got[2])
 
 
+@pytest.mark.parametrize("block", [5 * 101, 8192], ids=["small-blocks", "default-blocks"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+def test_search_without_a_grid_function(monkeypatch, shared, block):
+    # f=None: the term gets None for the grid function's values, and the
+    # search gives the bits of a one-row search per row
+    from envopt import duality
+
+    monkeypatch.setattr(duality, "_BLOCK_ELEMS", block)
+    rng = np.random.Generator(np.random.PCG64(17 + shared))
+    rows = 23
+    center = rng.uniform(-1.0, 1.0, size=rows)
+    slope = rng.uniform(-0.5, 0.5, size=rows)
+    lo, hi = _brackets(rng, rows, shared)
+    term = _row_term(center, slope)
+    seen = []
+
+    def no_f_term(at, g, fg):
+        seen.append(fg)
+        return term(at, g, 0.0)
+
+    got = duality._zoom_min(None, no_f_term, lo, hi, 101, 3)
+    assert seen and all(fg is None for fg in seen)
+    assert got.tobytes() == _per_row_min(np.zeros_like, term, lo, hi, 101, 3).tobytes()
+
+
 @pytest.mark.parametrize("call", [
     lambda: conjugate_numeric(lambda x: x**2, [], GridSpec(-5.0, 5.0, 101, 3)),
     lambda: conjugate_numeric_rowwise(lambda x: x**2, [], -5.0, 5.0),
@@ -486,6 +511,14 @@ def test_default_lambda_grid_rejects_bad_x_grid(family, x_grid):
     # bare numpy error for the location families and a NaN was ignored
     with pytest.raises(ValidationError, match="x_grid must not be empty|must not be NaN"):
         default_lambda_grid(family, x_grid)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_default_lambda_grid_rejects_a_non_finite_lambda_hat(value):
+    # the bracket covers ten times lambda_hat at the smallest nonzero |x|:
+    # max(10.0, nan) is 10.0, so a NaN there used to give [0, 10] silently
+    with pytest.raises(ValidationError, match="lambda_hat at the smallest nonzero"):
+        default_lambda_grid(EXPONENTIAL, [1.0, 2.0], lambda x: value)
 
 
 @pytest.mark.parametrize("call", [
@@ -713,6 +746,54 @@ def test_compiled_zoom_search_matches_numpy_search(monkeypatch, form, shared):
     lo, hi = _brackets(rng, rows, shared)
     got, want = _search_and_reference(form, f, a, b, lo, hi, 101, 3)
     assert got.tobytes() == want.tobytes()
+
+
+def _monotone_chain(x, y):
+    """The lower hull's vertex indices by the sequential monotone chain:
+    each point pops the last vertex while that vertex lies on or above
+    the chord from the one before it to the point."""
+    hx, hy, at = [], [], []
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        while len(hx) > 1 and ((hy[-1] - hy[-2]) * (xi - hx[-2])
+                               >= (yi - hy[-2]) * (hx[-1] - hx[-2])):
+            hx.pop()
+            hy.pop()
+            at.pop()
+        hx.append(xi)
+        hy.append(yi)
+        at.append(i)
+    return np.array(at)
+
+
+def test_vectorized_hull_matches_the_monotone_chain():
+    # the passes that drop every vertex on or above its neighbours' chord
+    # keep the vertices of the sequential chain: on the four catalog theta,
+    # on 1.2*huber (a concave stretch on [-1, 1] between convex ones, whose
+    # bridge takes many passes) and on random nonconvex samples with
+    # collinear runs
+    from envopt.checks import _THETA_SAMPLES, _lower_hull
+    from envopt.losses import logcosh
+
+    lt = PenaltySpec("limited-translation")
+    phis = {"huber": lambda x: huber(x, 1.0), "limited-translation": lambda x: penalty_value(lt, x),
+            "logcosh(m=1)": lambda x: logcosh(x, 1), "logcosh(m=4)": lambda x: logcosh(x, 4),
+            "1.2*huber": lambda x: 1.2 * huber(x, 1.0)}
+    x = _THETA_SAMPLES
+    cases = {name: (x, 0.5 * x**2 - phi(x)) for name, phi in phis.items()}
+    rng = np.random.Generator(np.random.PCG64(28))
+    for n in (3, 50, 2000):
+        x = np.sort(rng.uniform(-5.0, 5.0, size=n))
+        y = rng.normal(size=n) + 0.1 * x**2
+        y[n // 3:n // 2] = 0.25 * x[n // 3:n // 2]  # a collinear run
+        cases[f"random({n})"] = (x, y)
+    for name, (x, y) in cases.items():
+        want = _monotone_chain(x, y)
+        got = _lower_hull(x, y)
+        assert np.array_equal(got, want), name
+    # the logcosh theta are strictly convex, so every sample is a vertex;
+    # 1.2*huber loses its concave stretch
+    assert _lower_hull(*cases["logcosh(m=1)"]).size == cases["logcosh(m=1)"][0].size
+    assert _lower_hull(*cases["1.2*huber"]).size < _lower_hull(*cases["huber"]).size
 
 
 def test_double_conjugation_gap_is_the_hull_depth():

@@ -203,6 +203,20 @@ def test_prox_rejects_nonfinite_u_and_s(kind):
         assert np.isfinite(prox(p, np.array([-2.0, 3.0]), np.array([0.5, 2.0]))).all()
 
 
+@pytest.mark.parametrize("kind", ["l1", "ridge", "double-pareto", "mcp",
+                                  "limited-translation"])
+def test_prox_rejects_shapes_that_do_not_broadcast(kind):
+    # a step per element must broadcast against u: numpy's own error was a
+    # bare ValueError
+    p = PenaltySpec(kind, gamma=1.3, a=2.5, weight=0.9)
+    for u, s in [(np.ones(2), np.ones(3)), (np.ones((2, 3)), np.ones(2))]:
+        with pytest.raises(ValidationError, match="broadcast"):
+            prox(p, u, s)
+    # shapes that broadcast give the broadcast shape
+    assert prox(p, np.ones(3), np.ones((2, 1))).shape == (2, 3)
+    assert prox(p, 1.0, np.ones(2)).shape == (2,)
+
+
 def test_prox_oracle_one_search_matches_one_row_searches():
     # the suite's 200 draws: the one search whose term holds each row's
     # own penalty gives the bits of a one-row search per draw

@@ -840,7 +840,7 @@ def test_proximal_gradient_rejects_non_finite_start(monkeypatch, bad):
     def no_iteration(*args):
         raise AssertionError("an iteration ran")
 
-    monkeypatch.setattr(solvers, "loss_grad", no_iteration)
+    monkeypatch.setattr(solvers, "_loss_grad_at", no_iteration)
     loss = LossSpec("gaussian", y=[1.0, 2.0, 3.0])
     with pytest.raises(ValidationError, match="finite vector of length 3"):
         proximal_gradient(loss, PenaltySpec("l1"), [bad, 0.0, 0.0])
