@@ -1,9 +1,16 @@
 /* The envelope majorize/minimize loops of envopt.solvers, and their two
-   exact subproblems: the weighted 1-d fused lasso by message passing
-   (Johnson 2013, JCGS) and the weighted trend filter by a dual active-set
-   method, whose face solves keep the factor and forward values of the
-   free rows before the least row whose status changed, and whose steps
-   out of the box are projected searches (tf_solve).
+   exact subproblems: the weighted 1-d fused lasso and the weighted trend
+   filter by a dual active-set method, whose face solves keep the factor
+   and forward values of the free rows before the least row whose status
+   changed, and whose steps out of the box are projected searches
+   (tf_solve).  Each map of an iterative envelope first solves its fused
+   lasso in closed form on the runs of the map's input, the fused groups
+   the solution keeps near convergence, and accepts the levels when they
+   pass the KKT conditions in one cumulative-sum pass (certified; Hoefling
+   2010, JCGS); otherwise, and for the squared loss's one solve, the
+   fused lasso is solved by message passing (dp; Johnson 2013, JCGS).
+   Both take edge penalties clamped at a bound they cannot bind
+   (solve_penalties), which keeps the DP exact at huge penalties.
 
    envelope_fused_lasso_path runs the whole loop for one of five
    envelopes: the Huber location shift, the logit's Polya-Gamma weights,
@@ -22,8 +29,9 @@
    each fit starting at the previous fit's iterate; a single fit is the
    path of one scale 1.  For each fit it returns the iterate and its
    objective trace, the fit's df, the run record (maps, SQUAREM steps,
-   rejected extrapolations, inner iterations, capped inner solves and
-   rising maps) and the final envelope variables; see its comment below.
+   rejected extrapolations, inner iterations, capped inner solves, rising
+   maps and the maps whose fused lasso ran the DP) and the final envelope
+   variables; see its comment below.
    envopt.solvers._envelope_mm_python repeats the loops operation for
    operation, except that its trend filter refactors every free row in
    each face solve, where tf_solve keeps rows that a fresh factorization
@@ -109,6 +117,50 @@ static void dp(const double *z, const double *w, const double *u, long n,
         else
             beta[k] = nxt;
     }
+}
+
+/* The certified solve of the fused lasso of dp: the solution when its
+   fused groups are the runs of hint (maximal stretches of bit-equal
+   values) and each jump between runs keeps its sign, into beta (which may
+   be hint), with x as the work array of dp.  Each run s..e takes the
+   level b = (sum_i w_i z_i - u_{s-1} sig_{s-1} + u_e sig_e) / sum_i w_i,
+   sig_j the sign of hint's jump on edge j, each sum taken in order; then
+   the KKT conditions (Hoefling 2010, JCGS 19:984-1006) are tested without
+   slack: every jump keeps its sign strictly, and the running sum
+   g_j = sum_{i <= j} w_i (z_i - b_i) has |g_j| <= u_j on every fused edge.
+   With w > 0 the minimizer is unique, so a level vector that passes is
+   it.  Returns 1 when the levels pass (beta holds them), 0 when a test
+   fails (beta is then overwritten by the caller's dp). */
+static int certified(const double *z, const double *w, const double *u, long n,
+                     const double *hint, double *beta, double *x)
+{
+    long i, s, e;
+    double g = 0.0, prev = 0.0;
+    /* the signs of hint's jumps, before beta (which may be hint) is written */
+    for (i = 0; i < n - 1; i++)
+        x[i] = hint[i + 1] > hint[i] ? 1.0 : hint[i + 1] < hint[i] ? -1.0 : 0.0;
+    for (s = 0; s < n; s = e + 1) {
+        double swz = w[s] * z[s], sw = w[s], b;
+        for (e = s; e < n - 1 && x[e] == 0.0; e++) {
+            swz += w[e + 1] * z[e + 1];
+            sw += w[e + 1];
+        }
+        if (s > 0)
+            swz -= u[s - 1] * x[s - 1];
+        if (e < n - 1)
+            swz += u[e] * x[e];
+        b = swz / sw;
+        if (s > 0 && !(x[s - 1] > 0.0 ? b > prev : b < prev))
+            return 0;
+        for (i = s; i <= e; i++) {
+            beta[i] = b;
+            g += w[i] * (z[i] - b);
+            if (i < e && !(fabs(g) <= u[i]))
+                return 0;
+        }
+        prev = b;
+    }
+    return 1;
 }
 
 /* A breakpoint of the projected search in tf_solve: the step t at which
@@ -618,9 +670,13 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
    record.  The problem is the data y (and trial counts m, or for SQUARED
    per-point weights), the penalties u of the rows of D (n - 1 edges;
    n - k - 1 rows of the order-(k + 1) operator with a trend filter), for
-   LOG_PENALTY the scale a and for CHECK the quantile q.  A map writes the
-   weights w, the working responses z and, for LOG_PENALTY, the DP's edge
-   weights ue; x is the DP's work array.  When tf is not NULL, each map
+   LOG_PENALTY the scale a and for CHECK the quantile q; umax is the
+   largest of u, set with them (fit() turns it into a bound on every edge
+   weight of a map).  A map writes the weights w, the working responses z
+   and, for LOG_PENALTY, the fused lasso's edge weights ue, which also
+   receives the clamped penalties of solve_penalties; x is the work array
+   of the fused-lasso solves, and dp_calls counts the maps whose solve ran
+   the DP.  When tf is not NULL, each map
    solves the trend filter on tf instead of the DP, warm-started from the
    dual v, with inner_tol and inner_max (v2 holds the dual of a SQUAREM
    step's second map, see squarem_step); inner_iters and capped count its
@@ -632,8 +688,8 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
 typedef struct {
     int envelope, coupled, record;
     const double *y, *m, *u;
-    double a, q;
-    long n, rows, maps;
+    double a, q, umax;
+    long n, rows, maps, dp_calls;
     double *w, *z, *ue, *x, *trace;
     tfdual *tf;
     double *v, *v2, inner_tol;
@@ -678,20 +734,20 @@ static double objective(const loop *s, const double *beta)
                 softplus = b + log1p(exp(-b));
             loss += m[i] * softplus - y[i] * b;
         }
+        /* the fused lasso's edge i in the same pass: the two sums are
+           independent, each still in order */
+        if (!s->tf && i < s->n - 1) {
+            double d = fabs(beta[i + 1] - b);
+            pen += u[i] * (s->envelope == LOG_PENALTY ? log1p(d / s->a) : d);
+        }
     }
-    if (s->tf) {
+    if (s->tf)
         for (i = 0; i < s->rows; i++) {
             double acc = 0.0;
             for (j = 0; j <= s->tf->w; j++)
                 acc += s->tf->s[j] * beta[i + j];
             pen += u[i] * fabs(acc);
         }
-        return loss + pen;
-    }
-    for (i = 0; i < s->n - 1; i++) {
-        double d = fabs(beta[i + 1] - beta[i]);
-        pen += u[i] * (s->envelope == LOG_PENALTY ? log1p(d / s->a) : d);
-    }
     return loss + pen;
 }
 
@@ -791,23 +847,66 @@ static void trend_filter(loop *s, const double *z, double *to)
     }
 }
 
+/* The edge penalties pen of a fused-lasso solve on (s->z, s->w), clamped
+   at G = 2 n max_i |z_i| max_i w_i when s->umax, a bound on every penalty
+   of the fit, exceeds G; the clamped copy goes to s->ue.  The solution
+   lies in [min z, max z], so the running sum g_j of certified is at most
+   min(sum_{i <= j} w_i, sum_{i > j} w_i) (max z - min z) <= max |z| sum w
+   <= G / 2 in size, and a penalty of G exceeds it by a margin at the
+   scale of the data, which rounding does not reach: the clamped solve
+   fuses the edges that the exact solution fuses.  It keeps the DP's knots
+   and messages at that scale; unclamped, a penalty of 1e12 cost the DP 7
+   of its digits and one of 1e18 all of them.  The two maxima do not
+   depend on the order of their terms, and four running maxima each keep
+   the pass off one chain of dependent comparisons. */
+static const double *solve_penalties(loop *s, const double *pen)
+{
+    const double *z = s->z, *w = s->w;
+    double top[4] = {0.0, 0.0, 0.0, 0.0}, wmax[4] = {0.0, 0.0, 0.0, 0.0}, cap;
+    long i, j, n = s->n;
+    for (i = 0; i < n; i += 4)
+        for (j = 0; j < 4 && i + j < n; j++) {
+            top[j] = fabs(z[i + j]) > top[j] ? fabs(z[i + j]) : top[j];
+            wmax[j] = w[i + j] > wmax[j] ? w[i + j] : wmax[j];
+        }
+    for (j = 1; j < 4; j++) {
+        top[0] = top[j] > top[0] ? top[j] : top[0];
+        wmax[0] = wmax[j] > wmax[0] ? wmax[j] : wmax[0];
+    }
+    cap = 2.0 * (double)n * top[0] * wmax[0];
+    if (!(s->umax > cap))
+        return pen;
+    for (i = 0; i < n - 1; i++)
+        s->ue[i] = pen[i] > cap ? cap : pen[i];
+    return s->ue;
+}
+
 /* One MM map: the envelope update at from, then the exact weighted fused
    lasso on (z, w) with the edge weights (or, with tf, the trend filter)
-   into to (which may be from) and its objective into *obj.  When no u_i
-   couples two coefficients the fused lasso returns z itself, as the
-   Python wrapper of the DP does.  Returns 0, or 2 when the update or the
-   objective is not finite. */
+   into to (which may be from) and its objective into *obj.  The fused
+   lasso of an iterative envelope is first the certified solve on the runs
+   of from (certified), and the DP (counted in s->dp_calls) only when its
+   test fails; the squared loss's one solve, whose from is not read, is the
+   DP.  Both take the penalties of solve_penalties.  When no u_i couples
+   two coefficients the fused lasso returns z itself, as the Python wrapper
+   of the DP does.  Returns 0, or 2 when the update or the objective is not
+   finite. */
 static int map(loop *s, const double *from, double *to, double *obj)
 {
     int status = update(s, from);
     if (status)
         return status;
-    if (s->tf)
+    if (s->tf) {
         trend_filter(s, s->z, to);
-    else if (s->coupled)
-        dp(s->z, s->w, s->envelope == LOG_PENALTY ? s->ue : s->u, s->n, to, s->x);
-    else
+    } else if (s->coupled) {
+        const double *u = solve_penalties(s, s->envelope == LOG_PENALTY ? s->ue : s->u);
+        if (s->envelope == SQUARED || !certified(s->z, s->w, u, s->n, from, to, s->x)) {
+            dp(s->z, s->w, u, s->n, to, s->x);
+            s->dp_calls++;
+        }
+    } else {
         memcpy(to, s->z, (size_t)s->n * sizeof(double));
+    }
     *obj = objective(s, to);
     return fabs(*obj) < HUGE_VAL ? 0 : 2;
 }
@@ -909,7 +1008,7 @@ static long distinct_levels(const double *beta, long n)
     double top = 1.0, tol;
     long i, levels = 1;
     for (i = 0; i < n; i++)
-        top = fmax(top, fabs(beta[i]));
+        top = fabs(beta[i]) > top ? fabs(beta[i]) : top;
     tol = 1e-6 * top;
     for (i = 0; i < n - 1; i++)
         levels += fabs(beta[i + 1] - beta[i]) > tol;
@@ -939,7 +1038,7 @@ static void scale_dual(double *v, const double *pen, long rows)
 }
 
 /* The values of a fit's info row (see fit()). */
-enum { INFO = 10 };
+enum { INFO = 11 };
 
 /* One fit of a path: the majorize/minimize loop whose map F(beta) is the
    envelope update at beta, then the exact weighted fused lasso (or, when
@@ -976,14 +1075,15 @@ enum { INFO = 10 };
    HUBER_SHIFT the shift soft(y - beta, 1) (n values), for LOG_PENALTY
    the edge weights at the last iterate (n - 1 values), with a trend
    filter the weights w, the working responses z at the last iterate and
-   the last dual, s->v (2n + rows values); otherwise it is unread.  info[0..9]
-   are the maps run, converged (0/1), the last accepted objective, after
-   a rise the objective that rose, the df of the last iterate (its
-   distinct levels, or with a trend filter k + 1 plus the rows at a bound
-   of the dual that gave it, or of the start dual when no solve did),
-   the SQUAREM steps, the rejected extrapolations, the trend-filter
-   iterations, the trend-filter solves that did not meet their test and
-   the rising maps (0 or 1).  Returns 0, or the status of a plain map. */
+   the last dual, s->v (2n + rows values); otherwise it is unread.
+   info[0..10] are the maps run, converged (0/1), the last accepted
+   objective, after a rise the objective that rose, the df of the last
+   iterate (its distinct levels, or with a trend filter k + 1 plus the
+   rows at a bound of the dual that gave it, or of the start dual when no
+   solve did), the SQUAREM steps, the rejected extrapolations, the
+   trend-filter iterations, the trend-filter solves that did not meet
+   their test, the rising maps (0 or 1) and the maps whose fused lasso ran
+   the DP.  Returns 0, or the status of a plain map. */
 static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
                double *b1, double *b2, double *bx, double *envvar, double *info)
 {
@@ -992,11 +1092,13 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
     double obj = 0.0, next = 0.0, start;
 
     s->maps = 0;
+    s->dp_calls = 0;
     s->inner_iters = 0;
     s->capped = 0;
-    s->coupled = 0;
-    for (i = 0; i < s->rows; i++)
-        s->coupled |= s->u[i] != 0.0;
+    s->coupled = s->umax > 0.0;
+    /* the log penalty's edge weights u_i / (a + |d_i|) are at most u_i / a */
+    if (s->envelope == LOG_PENALTY)
+        s->umax /= s->a;
     if (s->tf) {
         /* until a solve gives beta, df counts the bounds of the start dual */
         for (i = 0; i < s->rows; i++)
@@ -1066,6 +1168,7 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
     info[7] = (double)s->inner_iters;
     info[8] = (double)s->capped;
     info[9] = (double)rises;
+    info[10] = (double)s->dp_calls;
     return status;
 }
 
@@ -1117,7 +1220,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
     long i, l, k = check ? (long)check[1] : 0, rows = n - k - 1;
     long nv = envelope == HUBER_SHIFT ? n : check ? 2 * n + rows : n - 1;
     tfdual tf;
-    double *work = calloc((size_t)(15 * n + (check ? 2 * rows : 0)), sizeof(double));
+    double *work = malloc(sizeof(double) * (size_t)(15 * n + (check ? 2 * rows : 0)));
     if (!work)
         return 1;
     if (check && tf_alloc(&tf, n, k)) {
@@ -1125,7 +1228,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         return 1;
     }
     double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n, *pen = bx + 9 * n;
-    loop s = {envelope, 0, record, y, m, pen, a, check ? check[0] : 0.0, n, rows, 0,
+    loop s = {envelope, 0, record, y, m, pen, a, check ? check[0] : 0.0, 0.0, n, rows, 0, 0,
               work, work + n, work + 2 * n, bx + n, trace,
               check ? &tf : NULL, pen + n, pen + n + rows, check ? check[2] : 0.0,
               check ? (long)check[3] : 0, 0, 0, 0};
@@ -1140,8 +1243,11 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         double *b = beta + l * n;
         if (l > 0)
             memcpy(b, b - n, (size_t)n * sizeof(double));
-        for (i = 0; i < rows; i++)
+        s.umax = 0.0;
+        for (i = 0; i < rows; i++) {
             pen[i] = lams[l] * u[i];
+            s.umax = pen[i] > s.umax ? pen[i] : s.umax;
+        }
         if (check)
             scale_dual(s.v, pen, rows);
         s.trace = trace;

@@ -44,11 +44,11 @@ from .solvers import (
     FitResult,
     SolverConfig,
     _ONE_SOLVE,
+    _UNIT_SCALE,
     _check_finite_minimizer,
     _mm_start,
     _run_record,
     distinct_levels,
-    envelope_fused_lasso_mm,
     envelope_fused_lasso_path,
     logistic_fused_lasso,
     # no estimator here runs it, but perfbench/tracing.py times the outer MM
@@ -192,10 +192,10 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
 def fused_lasso_gaussian(y, lam: float) -> FitResult:
     """Ordinary (squared-error) fused lasso; exact in one DP call, run as
     the one-cycle squared-loss envelope of
-    ``solvers.envelope_fused_lasso_mm``."""
+    ``solvers.envelope_fused_lasso_path`` on the one-scale grid."""
     y = _response(y, 1)
-    return envelope_fused_lasso_mm("gaussian", y, None, _penalties(lam, y.shape[0] - 1, "lam"),
-                                   None, _ONE_SOLVE)
+    return envelope_fused_lasso_path("gaussian", y, None, _penalties(lam, y.shape[0] - 1, "lam"),
+                                     _UNIT_SCALE, None, _ONE_SOLVE)[0]
 
 
 # ---------------------------------------------------------------------------

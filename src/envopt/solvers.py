@@ -20,8 +20,9 @@ Contents:
   ``solve(aux, beta) -> beta``, with one objective evaluation and a
   monotonicity check per cycle.
 * :func:`envelope_fused_lasso_path` -- one MM loop for the envelope fits,
-  whose subproblem is an exact fused lasso or, given an order ``k``, an
-  exact trend filter (the Huber shift, Polya-Gamma weights, Polya-Gamma
+  whose subproblem is an exact fused lasso (certified in closed form on
+  the runs of the map's input, or else the DP) or, given an order ``k``,
+  an exact trend filter (the Huber shift, Polya-Gamma weights, Polya-Gamma
   weights with the log penalty's edge weights, the weighted squared loss
   and the check loss's variance-mean weights), extrapolated by
   safeguarded SQUAREM, run over a warm-started grid of penalty scales,
@@ -48,8 +49,9 @@ validate their inputs and run the weighted squared loss as a one-solve
 fit of that loop.  The library is built on first use with the system C
 compiler, cached per user and called through ctypes.  When no compiler or
 cache is available, or the build or load fails (which warns), the same
-loops run in pure Python (:func:`_envelope_mm_python`, with the DP
-:func:`_fused_lasso_dp` and the dual solve :func:`_tf_solve`, which repeat
+loops run in pure Python (:func:`_envelope_mm_python`, with the certified
+solve :func:`_certified_solve`, the DP :func:`_fused_lasso_dp` and the
+dual solve :func:`_tf_solve`, which repeat
 the C arithmetic and return the same bits), which stay as the test
 oracles.  The choice is made once, in :func:`envelope_fused_lasso_path`.
 :data:`FUSED_LASSO_KERNEL` (``"c"`` or ``"python"``) says which
@@ -231,6 +233,61 @@ def _fused_lasso_dp(z, w, u):
     return beta
 
 
+def _certified_solve(z, w, u, hint):
+    """``certified`` in ``_fldp.c``: the weighted fused lasso of
+    :func:`_fused_lasso_dp` on the fused groups of ``hint``, or None when
+    the KKT test fails.
+
+    The groups are the runs of ``hint`` (maximal stretches of bit-equal
+    values), and each jump between runs keeps its sign ``sig``.  Each run
+    ``s..e`` takes the level ``(sum w z - u_{s-1} sig_{s-1} + u_e sig_e) /
+    sum w``, each sum in order.  The levels pass when every jump keeps its
+    sign strictly and the running sum ``g_j = sum_{i <= j} w_i (z_i -
+    b_i)`` has ``|g_j| <= u_j`` on every fused edge: those are the KKT
+    conditions (Hoefling 2010, *JCGS* 19:984-1006), and ``w > 0`` makes
+    the minimizer unique.  The levels are summed in a loop over floats,
+    whose arithmetic is C's; ``g`` is one ``np.add.accumulate``."""
+    n = z.shape[0]
+    d = np.diff(hint)
+    sig = np.where(d > 0.0, 1.0, np.where(d < 0.0, -1.0, 0.0))
+    zl, wl, ul, sl = z.tolist(), w.tolist(), u.tolist(), sig.tolist()
+    levels = []
+    s = 0
+    while s < n:
+        swz, sw = wl[s] * zl[s], wl[s]
+        e = s
+        while e < n - 1 and sl[e] == 0.0:
+            e += 1
+            swz += wl[e] * zl[e]
+            sw += wl[e]
+        if s > 0:
+            swz -= ul[s - 1] * sl[s - 1]
+        if e < n - 1:
+            swz += ul[e] * sl[e]
+        levels += [swz / sw] * (e + 1 - s)
+        s = e + 1
+    beta = np.array(levels)
+    jump = sig != 0.0
+    if not np.all(sig[jump] * np.diff(beta)[jump] > 0.0):
+        return None
+    g = np.add.accumulate(w * (z - beta))
+    if not np.all(np.abs(g[:-1][~jump]) <= u[~jump]):
+        return None
+    return beta
+
+
+def _solve_penalties(z, w, pen, umax):
+    """``solve_penalties`` in ``_fldp.c``: the edge penalties ``pen`` of a
+    fused-lasso solve on ``(z, w)``, clamped at ``G = 2 n max|z| max w``
+    when ``umax`` (a bound on the fit's penalties) exceeds ``G``.  The
+    solution lies in ``[min z, max z]``, so no ``|g_j|`` of
+    :func:`_certified_solve` exceeds ``max|z| sum w <= G / 2``: the clamp
+    leaves the minimizer and its fused edges as they are, and keeps the
+    DP's messages at the scale of the data."""
+    cap = 2.0 * z.shape[0] * float(np.max(np.abs(z))) * float(np.max(w))
+    return np.where(pen > cap, cap, pen) if umax > cap else pen
+
+
 _KERNEL_SOURCES = (Path(__file__).with_name("_fldp.c"),)
 # -O3 for speed.  With no contraction (fma) and no fast-math it may not
 # change an IEEE result, so the loops keep the bits they have at -O2.  No
@@ -339,7 +396,8 @@ def weighted_fused_lasso(z, omega, u_edges):
     n = z.shape[0]
     omega = _weights(omega, n)
     u = _penalties(u_edges, n - 1)
-    return envelope_fused_lasso_mm("gaussian", z, omega, u, None, _ONE_SOLVE).beta
+    fit = envelope_fused_lasso_path("gaussian", z, omega, u, _UNIT_SCALE, None, _ONE_SOLVE)[0]
+    return fit.beta
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +858,7 @@ _ENVELOPES = {"huber": (0, "fused_lasso", (("u", True),)),
 _TF_VARS = (("omega", True), ("z", True), ("v", False))
 
 # The values of a fit's info row in _fldp.c.
-_INFO = 10
+_INFO = 11
 
 # The run of an envelope that is exact in one map: one solve, whose
 # objective is the whole trace.
@@ -820,13 +878,16 @@ def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
     return envelope_fused_lasso_path(kind, y, m, u, _UNIT_SCALE, beta, cfg, a, q, k, v)[0]
 
 
-def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0) -> dict:
+def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0,
+                dp_calls=0) -> dict:
     """``aux["run"]`` of an envelope fit: its maps, SQUAREM steps, rejected
     extrapolations, inner trend-filter iterations, inner solves that hit
-    their cap (0 and 0 for the fused-lasso envelopes, whose DP is exact)
-    and rising maps that ended it (check loss only)."""
-    return {"maps": maps, "steps": steps, "rejected": rejected,
-            "inner_iters": inner_iters, "capped": capped, "rises": rises}
+    their cap (0 and 0 for the fused-lasso envelopes, whose solves are
+    exact), rising maps that ended it (check loss only) and the maps whose
+    fused lasso ran the DP, the rest having been certified on the runs of
+    their input (:func:`_certified_solve`)."""
+    return {"maps": maps, "steps": steps, "rejected": rejected, "inner_iters": inner_iters,
+            "capped": capped, "rises": rises, "dp_calls": dp_calls}
 
 
 def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
@@ -839,8 +900,8 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     ``beta`` and each later fit at the previous fit's last iterate.  Each
     fit's map ``F(beta)`` is the closed-form envelope update of the fit
     ``kind`` at ``beta`` and then the subproblem that ``k`` picks: with
-    ``k`` None an exact weighted fused lasso by the DP (the penalties are
-    on the ``n - 1`` edges), and with an order ``k`` an exact weighted
+    ``k`` None an exact weighted fused lasso (the penalties are on the
+    ``n - 1`` edges), and with an order ``k`` an exact weighted
     trend filter of that order (on the ``n - k - 1`` rows of its
     difference operator), solved by the dual active-set method to
     ``cfg.inner_tol`` within ``cfg.inner_max_iters`` iterations, each
@@ -883,6 +944,16 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
       loss where a residual is below 1e-6, so a plain map may rise: that
       ends the fit at its last accepted iterate, converged only when the
       rise is within ``cfg.tol`` relative, and the path goes on.
+
+    The fused lasso of each map of an iterative envelope is first solved
+    in closed form on the runs of that map's input (:func:`_certified_solve`),
+    and by the DP only when those levels fail the KKT test; the squared
+    loss's one solve is the DP.  The runs come from the map's input alone,
+    never from an earlier map or fit, so a path is still the chain of its
+    fits, bit for bit; a SQUAREM extrapolation keeps the runs that its
+    three iterates share.  Both solves take the edge penalties clamped at
+    a bound that cannot bind (:func:`_solve_penalties`), which keeps the
+    DP exact at huge penalties.
 
     The iterative envelopes are extrapolated by safeguarded SQUAREM
     (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
@@ -978,7 +1049,7 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         raise MonotonicityError(solve_name, info[failed + 2], info[failed + 3])
     out, t = [], 0
     for l in range(fits):
-        maps, converged, obj, _, df, steps, rejected, inner, capped, rises = \
+        maps, converged, obj, _, df, steps, rejected, inner, capped, rises, dp_calls = \
             info[_INFO * l:_INFO * (l + 1)]
         iters = int(maps)
         if record:  # a copy: a view would pin the whole buffer
@@ -988,7 +1059,8 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
             trace = traces[l:l + 1]
         # the record of _run_record, written out: a call costs about 0.5 us
         aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected),
-                       "inner_iters": int(inner), "capped": int(capped), "rises": int(rises)}}
+                       "inner_iters": int(inner), "capped": int(capped), "rises": int(rises),
+                       "dp_calls": int(dp_calls)}}
         base = o_env + l * width
         for name, first, end in slots:
             aux[name] = block[base + first:base + end]
@@ -1057,6 +1129,12 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
     tf = k is not None  # the subproblem: the trend filter, or else the DP
     stencil = _stencil(k) if tf else None
     dual = {"v": _scale_dual(v, u) if tf else None, "iters": 0, "capped": 0, "act": 0}
+    dp_calls = 0
+    # a bound on every edge penalty of the fit (solve_penalties in _fldp.c):
+    # the log penalty's edge weights u_i / (a + |d_i|) are at most u_i / a
+    umax = float(u.max()) if u.size else 0.0
+    if kind == "fdp":
+        umax /= a
 
     def edge_weights(b):
         return u / (a + np.abs(np.diff(b))) if kind == "fdp" else u
@@ -1115,6 +1193,17 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
         dual["capped"] += not done
         return _tf_primal(z, winv, dual["v"], k)
 
+    def fused_lasso(z, w, ue, hint):
+        """The certified solve on the runs of ``hint`` (None for the squared
+        loss's one solve), and the DP when it fails."""
+        nonlocal dp_calls
+        ue = _solve_penalties(z, w, ue, umax)
+        new = None if hint is None else _certified_solve(z, w, ue, hint)
+        if new is None:
+            dp_calls += 1
+            new = _fused_lasso_dp(z, w, ue)
+        return new
+
     def envelope_map(b):
         """``F(b)`` and its objective, or None when a value is not finite."""
         wz = update(b)
@@ -1125,7 +1214,8 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
             new = trend_filter(z, w)
         else:
             ue = edge_weights(b)
-            new = _fused_lasso_dp(z, w, ue) if n > 1 and ue.max() > 0 else z.copy()
+            new = (fused_lasso(z, w, ue, None if kind == "gaussian" else b)
+                   if n > 1 and ue.max() > 0 else z.copy())
         value = objective(new)
         return (new, value) if abs(value) < np.inf else None
 
@@ -1146,10 +1236,9 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
             r = b1 - b0
             v = b2 - 2.0 * b1 + b0
             rr, vv = _in_order_sum(r * r), _in_order_sum(v * v)
-            bx = b2  # alpha = -1
-            if vv > 0.0 and rr > vv:
-                alpha = -math.sqrt(rr / vv)
-                bx = b0 - 2.0 * alpha * r + alpha * alpha * v
+            alpha = -math.sqrt(rr / vv) if vv > 0.0 and rr > vv else -1.0
+            # at alpha = -1 (a root that rounds to 1 included) the point is b2
+            bx = b2 if alpha == -1.0 else b0 - 2.0 * alpha * r + alpha * alpha * v
             if not np.all(np.abs(bx) < np.inf):
                 return None
             return envelope_map(bx)
@@ -1201,7 +1290,8 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
         rises = 1
         converged = after - before <= cfg.tol * max(1.0, abs(before))
     iters = 1 if kind == "gaussian" else len(trace) - 1
-    aux = {"run": _run_record(iters, steps, rejected, dual["iters"], dual["capped"], rises)}
+    aux = {"run": _run_record(iters, steps, rejected, dual["iters"], dual["capped"], rises,
+                              dp_calls)}
     if kind == "huber":
         aux["u"] = location_envelope_update(huber, beta)
     elif kind == "fdp":

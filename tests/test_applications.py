@@ -399,23 +399,34 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
     capped = fit_fdp(ds.y, ds.m, 5.0, init=start, cfg=SolverConfig(max_iters=4))
     assert (capped.iters, capped.converged) == (4, False)
     assert capped.aux["run"]["maps"] == 4 and capped.aux["run"]["steps"] == 1
-    # one validated call of the envelope loop, whose maps are its DP calls
-    loops, dp_calls = [], []
-    dp = solvers._fused_lasso_dp
+    # one validated call of the envelope loop, whose maps are its solves:
+    # each a certified solve on the runs of the map's input, and the DP
+    # when that fails; a flat start is one run, which the fit's jumps
+    # break, so one fit takes both
+    loops, certified, dp_calls = [], [], []
+    certify, dp = solvers._certified_solve, solvers._fused_lasso_dp
 
     def recorded(*args, **kwargs):
         loops.append(args[0])
         return envelope_fused_lasso_path(*args, **kwargs)
 
+    def counted_certify(*args):
+        out = certify(*args)
+        certified.append(out is not None)
+        return out
+
     monkeypatch.setattr(applications, "envelope_fused_lasso_path", recorded)
     monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    monkeypatch.setattr(solvers, "_certified_solve", counted_certify)
     monkeypatch.setattr(solvers, "_fused_lasso_dp", lambda *a: dp_calls.append(1) or dp(*a))
-    fit = fit_fdp(ds.y, ds.m, 5.0, init=start)
+    fit = fit_fdp(ds.y, ds.m, 5.0, init=np.zeros(ds.y.size))
     assert loops == ["fdp"] and fit.converged
-    assert fit.iters == len(dp_calls) == fit.aux["run"]["maps"]
+    assert fit.iters == len(certified) == fit.aux["run"]["maps"]
+    assert len(dp_calls) == certified.count(False) == fit.aux["run"]["dp_calls"]
+    assert 0 < len(dp_calls) < fit.iters
     assert fit.aux.keys() == {"u", "run"}
     assert fit.aux["run"].keys() == {"maps", "steps", "rejected", "inner_iters", "capped",
-                                     "rises"}
+                                     "rises", "dp_calls"}
     assert fit.aux["run"]["inner_iters"] == fit.aux["run"]["capped"] == 0
 
 

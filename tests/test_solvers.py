@@ -119,13 +119,36 @@ def _dp_instances(rng, count):
     yield rng.normal(size=n), rng.uniform(0.5, 2.0, size=n), np.full(n - 1, 1e6)
 
 
+def _fused_lasso_kkt(z, w, u, beta):
+    """The worst violation of the fused lasso's KKT conditions at ``beta``,
+    relative to ``max|z| sum w``: the running sum ``g_j = sum_{i <= j}
+    w_i (z_i - b_i)`` is ``-u_j sign(jump)`` on a jump and at most ``u_j``
+    in size on a fused edge, and ``g_{n-1} = 0``."""
+    g = np.cumsum(w * (z - beta))
+    d = np.diff(beta)
+    jump = d != 0.0
+    worst = max(abs(g[-1]), float(np.max(np.abs(g[:-1][jump] + u[jump] * np.sign(d[jump])),
+                                         initial=0.0)),
+                float(np.max(np.abs(g[:-1][~jump]) - u[~jump], initial=0.0)))
+    return worst / (np.max(np.abs(z)) * np.sum(w))
+
+
 def test_fused_lasso_equals_python_dp_exactly():
+    # the one solve is the DP on the penalties clamped by _solve_penalties;
+    # where the clamp is active, the solution still meets the KKT
+    # conditions of the given penalties
     rng = np.random.Generator(np.random.PCG64(2013))
+    clamped = 0
     for z, omega, u in _dp_instances(rng, 1000):
         out = weighted_fused_lasso(z, omega, u)
-        ref = solvers._fused_lasso_dp(z, omega, u) if u.any() else z
+        pen = solvers._solve_penalties(z, omega, u, u.max()) if u.any() else u
+        ref = solvers._fused_lasso_dp(z, omega, pen) if u.any() else z
         assert np.array_equal(out, ref), (z.size, solvers.FUSED_LASSO_KERNEL)
+        if pen is not u:
+            clamped += 1
+            assert _fused_lasso_kkt(z, omega, u, out) <= 1e-13, z.size
     assert np.ptp(out) == 0.0  # the last instance fuses to one level
+    assert clamped >= 50
 
 
 def test_fused_lasso_forced_python_fallback(monkeypatch):
@@ -151,6 +174,106 @@ def test_fused_lasso_forced_python_fallback(monkeypatch):
     for args, msg in bad:
         with pytest.raises(ValidationError, match=msg):
             weighted_fused_lasso(*args)
+
+
+def _certify_instances(rng, count):
+    """DP inputs for the certified solve: n in 2..120, unit or non-uniform
+    weights, z over four decades and positive edge penalties over four."""
+    for i in range(count):
+        n = int(rng.integers(2, 121))
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        w = np.ones(n) if i % 2 else rng.uniform(0.05, 20.0, size=n)
+        u = rng.uniform(0.05, 1.0, size=n - 1) * 10.0 ** rng.uniform(-2, 2)
+        yield z, w, u
+
+
+def _hint(signs):
+    """A hint with the given jump signs (0 on a fused edge): integer
+    levels, so its runs and signs are exactly those."""
+    return np.concatenate(([0.0], np.cumsum(signs)))
+
+
+def test_certified_solve_certifies_the_dp_solution():
+    # on the runs of the DP's own solution the closed-form levels pass the
+    # KKT test and are the DP's solution
+    rng = np.random.Generator(np.random.PCG64(2910))
+    for z, w, u in _certify_instances(rng, 300):
+        dp = solvers._fused_lasso_dp(z, w, u)
+        cert = solvers._certified_solve(z, w, u, dp)
+        assert cert is not None, z.size
+        assert np.max(np.abs(cert - dp)) <= 1e-12 * np.max(np.abs(z)), z.size
+
+
+def test_certified_solve_on_a_nearby_problems_runs():
+    # a hint from the solution of a perturbed problem: what certifies is
+    # the DP's solution, and what does not falls back to the DP
+    rng = np.random.Generator(np.random.PCG64(2911))
+    certified = 0
+    for z, w, u in _certify_instances(rng, 300):
+        scale = np.max(np.abs(z))
+        hint = solvers._fused_lasso_dp(z + rng.normal(scale=1e-2 * scale, size=z.size), w,
+                                       u * rng.uniform(0.9, 1.1, size=u.size))
+        cert = solvers._certified_solve(z, w, u, hint)
+        if cert is not None:
+            certified += 1
+            dp = solvers._fused_lasso_dp(z, w, u)
+            assert np.max(np.abs(cert - dp)) <= 1e-12 * scale, z.size
+    assert 100 <= certified <= 280
+
+
+def test_certified_solve_rejects_a_wrong_hint():
+    # the DP solution's runs with one real jump's sign flipped, or with the
+    # runs on either side of it merged, cannot meet the KKT conditions
+    rng = np.random.Generator(np.random.PCG64(2912))
+    tried = 0
+    for z, w, u in _certify_instances(rng, 300):
+        dp = solvers._fused_lasso_dp(z, w, u)
+        d = np.diff(dp)
+        real = np.flatnonzero(np.abs(d) > 1e-6 * np.max(np.abs(z)))
+        if not real.size:
+            continue
+        tried += 1
+        e = rng.choice(real)
+        signs = np.sign(d)
+        assert solvers._certified_solve(z, w, u, _hint(signs)) is not None
+        for wrong in (-signs[e], 0.0):
+            bad = signs.copy()
+            bad[e] = wrong
+            assert solvers._certified_solve(z, w, u, _hint(bad)) is None, (z.size, wrong)
+    assert tried >= 200
+
+
+def test_certified_solve_needs_each_jump_strictly():
+    # z = (0, 2), u = 1: a rising jump gives the levels 0 + 1 and 2 - 1,
+    # which meet; the jump is not kept, so the levels are not certified,
+    # and the one run certifies the same levels
+    z, w, u = np.array([0.0, 2.0]), np.ones(2), np.ones(1)
+    assert solvers._certified_solve(z, w, u, np.array([0.0, 1.0])) is None
+    assert solvers._certified_solve(z, w, u, np.zeros(2)).tolist() == [1.0, 1.0]
+    assert solvers._fused_lasso_dp(z, w, u).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_fused_lasso_at_huge_penalties_is_the_weighted_mean(monkeypatch, python):
+    # the solves clamp each edge penalty at a bound it cannot bind, so a
+    # huge lam keeps the DP's messages at the scale of the data: unclamped,
+    # lam = 1e16 was off by 18 % and 1e18 returned 0
+    from envopt.applications import fit_rfl, fused_lasso_gaussian, simulate
+
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = simulate("rfl", 250, 1).y
+    w = np.random.Generator(np.random.PCG64(29)).uniform(0.1, 10.0, size=y.size)
+    mean, wmean = np.mean(y), np.sum(w * y) / np.sum(w)
+    for lam in (1e12, 1e14, 1e16, 1e18, 1e300):
+        beta = fused_lasso_gaussian(y, lam).beta
+        assert np.max(np.abs(beta - mean)) <= 1e-12 * abs(mean), lam
+        beta = weighted_fused_lasso(y, w, lam)
+        assert np.max(np.abs(beta - wmean)) <= 1e-12 * abs(wmean), lam
+    flat = fit_rfl(y, 1e4)
+    huge = fit_rfl(y, 1e17)
+    assert np.ptp(flat.beta) == np.ptp(huge.beta) == 0.0 and huge.converged
+    assert abs(huge.objective - flat.objective) <= 1e-12 * flat.objective
 
 
 def _kernel_probe(env, n_procs):
@@ -982,7 +1105,8 @@ def test_counts_with_no_finite_minimizer_are_rejected_before_any_map(monkeypatch
     calls = []
     for module in (solvers, applications):
         for loop in ("envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
-            monkeypatch.setattr(module, loop, lambda *args, **kw: calls.append(args))
+            monkeypatch.setattr(module, loop, lambda *args, **kw: calls.append(args),
+                                raising=False)
     cases = [
         (logistic_fused_lasso, ([0, 0, 3], [5, 5, 5], [0, 1]), {}),  # {0} all 0
         (logistic_fused_lasso, ([5, 5, 3], 5, [1, 0]), {}),  # {0, 1} all m
@@ -1244,7 +1368,7 @@ def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
     with pytest.MonkeyPatch.context() as mp:
         for module in (solvers, applications):
             for loop in ("mm_driver", "envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
-                mp.setattr(module, loop, lambda *args: calls.append(args))
+                mp.setattr(module, loop, lambda *args: calls.append(args), raising=False)
         for fit, args, kwargs, msg in _ENVELOPE_BAD:
             with pytest.raises(ValidationError, match=msg):
                 fit(*args, **kwargs)
