@@ -10,7 +10,12 @@
    2010, JCGS); otherwise, and for the squared loss's one solve, the
    fused lasso is solved by message passing (dp; Johnson 2013, JCGS).
    Both take edge penalties clamped at a bound they cannot bind
-   (solve_penalties), which keeps the DP exact at huge penalties.
+   (solve_penalties), which keeps the DP exact at huge penalties.  A
+   certified map's objective is summed in the same pass, as each run's
+   level is written; near convergence the iterates are a few long runs,
+   so the envelope update and the objective evaluate tanh and the
+   softplus once per run of bit-equal values, and the penalty once per
+   jump, with the bits of a per-point evaluation.
 
    envelope_fused_lasso_path runs the whole loop for one of five
    envelopes: the Huber location shift, the logit's Polya-Gamma weights,
@@ -117,50 +122,6 @@ static void dp(const double *z, const double *w, const double *u, long n,
         else
             beta[k] = nxt;
     }
-}
-
-/* The certified solve of the fused lasso of dp: the solution when its
-   fused groups are the runs of hint (maximal stretches of bit-equal
-   values) and each jump between runs keeps its sign, into beta (which may
-   be hint), with x as the work array of dp.  Each run s..e takes the
-   level b = (sum_i w_i z_i - u_{s-1} sig_{s-1} + u_e sig_e) / sum_i w_i,
-   sig_j the sign of hint's jump on edge j, each sum taken in order; then
-   the KKT conditions (Hoefling 2010, JCGS 19:984-1006) are tested without
-   slack: every jump keeps its sign strictly, and the running sum
-   g_j = sum_{i <= j} w_i (z_i - b_i) has |g_j| <= u_j on every fused edge.
-   With w > 0 the minimizer is unique, so a level vector that passes is
-   it.  Returns 1 when the levels pass (beta holds them), 0 when a test
-   fails (beta is then overwritten by the caller's dp). */
-static int certified(const double *z, const double *w, const double *u, long n,
-                     const double *hint, double *beta, double *x)
-{
-    long i, s, e;
-    double g = 0.0, prev = 0.0;
-    /* the signs of hint's jumps, before beta (which may be hint) is written */
-    for (i = 0; i < n - 1; i++)
-        x[i] = hint[i + 1] > hint[i] ? 1.0 : hint[i + 1] < hint[i] ? -1.0 : 0.0;
-    for (s = 0; s < n; s = e + 1) {
-        double swz = w[s] * z[s], sw = w[s], b;
-        for (e = s; e < n - 1 && x[e] == 0.0; e++) {
-            swz += w[e + 1] * z[e + 1];
-            sw += w[e + 1];
-        }
-        if (s > 0)
-            swz -= u[s - 1] * x[s - 1];
-        if (e < n - 1)
-            swz += u[e] * x[e];
-        b = swz / sw;
-        if (s > 0 && !(x[s - 1] > 0.0 ? b > prev : b < prev))
-            return 0;
-        for (i = s; i <= e; i++) {
-            beta[i] = b;
-            g += w[i] * (z[i] - b);
-            if (i < e && !(fabs(g) <= u[i]))
-                return 0;
-        }
-        prev = b;
-    }
-    return 1;
 }
 
 /* A breakpoint of the projected search in tf_solve: the step t at which
@@ -701,53 +662,80 @@ static int logit_loss(int envelope)
     return envelope == POLYA_GAMMA || envelope == LOG_PENALTY;
 }
 
+/* log(1 + e^b) as numpy's logaddexp(0, b) evaluates it. */
+static double softplus(double b)
+{
+    if (b == 0.0)
+        return log(2.0);
+    if (b < 0.0)
+        return log1p(exp(b));
+    return b + log1p(exp(-b));
+}
+
+/* The penalty term of edge i at the jump d = |b_{i+1} - b_i|: u_i d, for
+   LOG_PENALTY u_i log(1 + d/a). */
+static double edge_penalty(const loop *s, long i, double d)
+{
+    return s->u[i] * (s->envelope == LOG_PENALTY ? log1p(d / s->a) : d);
+}
+
 /* Data loss plus penalty: the Huber loss (threshold 1) of y - b, the
-   binomial logit loss m log(1 + e^b) - y b with log(1 + e^b) evaluated as
-   numpy's logaddexp(0, b), the weighted squared loss (w/2)(y - b)^2 or the
-   check loss |r| + (2q - 1) r of r = y - b; plus sum_i u_i |d_i| on the
-   differences d_i = b_{i+1} - b_i, for LOG_PENALTY the log penalty
-   sum_i u_i log(1 + |d_i|/a), and with a trend filter
-   sum_j u_j |(D b)_j|. */
+   binomial logit loss m softplus(b) - y b, the weighted squared loss
+   (w/2)(y - b)^2 or the check loss |r| + (2q - 1) r of r = y - b; plus
+   sum_i u_i |d_i| on the differences d_i = b_{i+1} - b_i, for LOG_PENALTY
+   the log penalty sum_i u_i log(1 + |d_i|/a), and with a trend filter
+   sum_j u_j |(D b)_j|.  Each sum runs in order.  The switch on the
+   envelope sits outside the loops, so each envelope has a loop of its
+   own.  The softplus is evaluated once per run of bit-equal b (+0 and -0
+   compare equal and give the same value), and an edge whose jump is 0 is
+   skipped: its term is +0, which leaves a sum that starts at +0 as it
+   is. */
 static double objective(const loop *s, const double *beta)
 {
     const double *y = s->y, *m = s->m, *u = s->u;
-    double loss = 0.0, pen = 0.0;
-    long i, j;
-    for (i = 0; i < s->n; i++) {
-        double b = beta[i];
-        if (s->envelope == HUBER_SHIFT) {
-            double r = fabs(y[i] - b);
+    double loss = 0.0, pen = 0.0, sp = 0.0;
+    long i, j, n = s->n;
+    switch (s->envelope) {
+    case HUBER_SHIFT:
+        for (i = 0; i < n; i++) {
+            double r = fabs(y[i] - beta[i]);
             loss += r < 1.0 ? 0.5 * r * r : r - 0.5;
-        } else if (s->envelope == SQUARED) {
-            double r = y[i] - b;
+        }
+        break;
+    case SQUARED:
+        for (i = 0; i < n; i++) {
+            double r = y[i] - beta[i];
             loss += 0.5 * s->w[i] * r * r;
-        } else if (s->envelope == CHECK) {
-            double r = y[i] - b;
+        }
+        break;
+    case CHECK:
+        for (i = 0; i < n; i++) {
+            double r = y[i] - beta[i];
             loss += fabs(r) + (2.0 * s->q - 1.0) * r;
-        } else {
-            double softplus;
-            if (b == 0.0)
-                softplus = log(2.0);
-            else if (b < 0.0)
-                softplus = log1p(exp(b));
-            else
-                softplus = b + log1p(exp(-b));
-            loss += m[i] * softplus - y[i] * b;
         }
-        /* the fused lasso's edge i in the same pass: the two sums are
-           independent, each still in order */
-        if (!s->tf && i < s->n - 1) {
-            double d = fabs(beta[i + 1] - b);
-            pen += u[i] * (s->envelope == LOG_PENALTY ? log1p(d / s->a) : d);
+        break;
+    default:
+        for (i = 0; i < n; i++) {
+            if (i == 0 || beta[i] != beta[i - 1])
+                sp = softplus(beta[i]);
+            loss += m[i] * sp - y[i] * beta[i];
         }
+        break;
     }
-    if (s->tf)
+    if (s->tf) {
         for (i = 0; i < s->rows; i++) {
             double acc = 0.0;
             for (j = 0; j <= s->tf->w; j++)
                 acc += s->tf->s[j] * beta[i + j];
             pen += u[i] * fabs(acc);
         }
+    } else {
+        for (i = 0; i < n - 1; i++) {
+            double d = fabs(beta[i + 1] - beta[i]);
+            if (d != 0.0)
+                pen += edge_penalty(s, i, d);
+        }
+    }
     return loss + pen;
 }
 
@@ -774,41 +762,125 @@ static void log_penalty_weights(const loop *s, const double *beta, double *ue)
    working responses z, and for LOG_PENALTY the edge weights ue.  Huber
    shift: z = y - soft(y - b, 1).  Squared loss: z = y.  Polya-Gamma (and
    LOG_PENALTY): w = (m/2b) tanh(b/2), the mean of the Polya-Gamma mixing
-   variable, with its limit m/4 at b = 0, and z = (y - m/2)/w.  Check
-   loss: w = min(1/|y - b|, WEIGHT_CLAMP) and z = y - (1 - 2q)/w.  Returns
-   0, or 2 when a weight is not positive and finite or a working response
-   is not finite. */
+   variable, with its limit m/4 at b = 0, and z = (y - m/2)/w; the ratio
+   tanh(h)/h is evaluated once per run of bit-equal b (at +0 and -0 it is
+   1).  Check loss: w = min(1/|y - b|, WEIGHT_CLAMP) and
+   z = y - (1 - 2q)/w.  As in objective, each envelope has a loop of its
+   own.  Returns 0, or 2 when a weight is not positive and finite or a
+   working response is not finite. */
 static int update(loop *s, const double *beta)
 {
     const double *y = s->y, *m = s->m;
-    double *w = s->w, *z = s->z;
-    long i;
-    for (i = 0; i < s->n; i++) {
-        if (s->envelope == HUBER_SHIFT) {
+    double *w = s->w, *z = s->z, ratio = 0.0;
+    long i, n = s->n;
+    switch (s->envelope) {
+    case HUBER_SHIFT:
+        for (i = 0; i < n; i++) {
             z[i] = y[i] - huber_shift(y[i], beta[i]);
-        } else if (s->envelope == SQUARED) {
+            if (!(fabs(z[i]) < HUGE_VAL))
+                return 2;
+        }
+        return 0;
+    case SQUARED:
+        for (i = 0; i < n; i++) {
             z[i] = y[i];
-        } else if (s->envelope == CHECK) {
+            if (!(fabs(z[i]) < HUGE_VAL))
+                return 2;
+        }
+        return 0;
+    case CHECK:
+        for (i = 0; i < n; i++) {
             w[i] = 1.0 / fabs(y[i] - beta[i]);
             if (!(w[i] < WEIGHT_CLAMP))
                 w[i] = WEIGHT_CLAMP;
             if (!(w[i] > 0.0))
                 return 2;
             z[i] = y[i] - (1.0 - 2.0 * s->q) / w[i];
-        } else {
-            double h = 0.5 * beta[i];
-            double ratio = fabs(h) < 1e-6 ? 1.0 - h * h / 3.0 : tanh(h) / h;
-            w[i] = 0.25 * m[i] * ratio;
-            if (!(w[i] > 0.0 && w[i] < HUGE_VAL))
+            if (!(fabs(z[i]) < HUGE_VAL))
                 return 2;
-            z[i] = (y[i] - m[i] / 2.0) / w[i];
         }
+        return 0;
+    }
+    for (i = 0; i < n; i++) {
+        if (i == 0 || beta[i] != beta[i - 1]) {
+            double h = 0.5 * beta[i];
+            ratio = fabs(h) < 1e-6 ? 1.0 - h * h / 3.0 : tanh(h) / h;
+        }
+        w[i] = 0.25 * m[i] * ratio;
+        if (!(w[i] > 0.0 && w[i] < HUGE_VAL))
+            return 2;
+        z[i] = (y[i] - m[i] / 2.0) / w[i];
         if (!(fabs(z[i]) < HUGE_VAL))
             return 2;
     }
     if (s->envelope == LOG_PENALTY)
         log_penalty_weights(s, beta, s->ue);
     return 0;
+}
+
+/* The certified solve of the fused lasso of dp on (s->z, s->w) with the
+   edge penalties u: the solution when its fused groups are the runs of
+   hint (maximal stretches of bit-equal values) and each jump between runs
+   keeps its sign, into beta (which may be hint), with s->x as the work
+   array of dp.  Each run st..e takes the level
+   b = (sum_i w_i z_i - u_{st-1} sig_{st-1} + u_e sig_e) / sum_i w_i,
+   sig_j the sign of hint's jump on edge j, each sum taken in order; then
+   the KKT conditions (Hoefling 2010, JCGS 19:984-1006) are tested without
+   slack: every jump keeps its sign strictly, and the running sum
+   g_j = sum_{i <= j} w_i (z_i - b_i) has |g_j| <= u_j on every fused edge.
+   With w > 0 the minimizer is unique, so a level vector that passes is
+   it.  It serves the iterative fused-lasso envelopes (the Huber shift and
+   the logit's two), and sums their objective in the same pass: as each
+   run's level is written, its points' losses are added in order, the
+   softplus once per run, and each jump's edge_penalty with the unclamped
+   s->u, so that *obj receives objective(s, beta) term for term (a fused
+   edge's term is +0, which objective skips).  Returns 1 when the levels pass
+   (beta and *obj hold them), 0 when a test fails (beta is then
+   overwritten by the caller's dp, and *obj is not written). */
+static int certified(const loop *s, const double *u, const double *hint,
+                     double *beta, double *obj)
+{
+    const double *z = s->z, *w = s->w, *y = s->y, *m = s->m;
+    double *x = s->x, g = 0.0, prev = 0.0, loss = 0.0, pen = 0.0;
+    long i, st, e, n = s->n;
+    /* the signs of hint's jumps, before beta (which may be hint) is written */
+    for (i = 0; i < n - 1; i++)
+        x[i] = hint[i + 1] > hint[i] ? 1.0 : hint[i + 1] < hint[i] ? -1.0 : 0.0;
+    for (st = 0; st < n; st = e + 1) {
+        double swz = w[st] * z[st], sw = w[st], b;
+        for (e = st; e < n - 1 && x[e] == 0.0; e++) {
+            swz += w[e + 1] * z[e + 1];
+            sw += w[e + 1];
+        }
+        if (st > 0)
+            swz -= u[st - 1] * x[st - 1];
+        if (e < n - 1)
+            swz += u[e] * x[e];
+        b = swz / sw;
+        if (st > 0 && !(x[st - 1] > 0.0 ? b > prev : b < prev))
+            return 0;
+        for (i = st; i <= e; i++) {
+            beta[i] = b;
+            g += w[i] * (z[i] - b);
+            if (i < e && !(fabs(g) <= u[i]))
+                return 0;
+        }
+        if (s->envelope == HUBER_SHIFT) {
+            for (i = st; i <= e; i++) {
+                double r = fabs(y[i] - b);
+                loss += r < 1.0 ? 0.5 * r * r : r - 0.5;
+            }
+        } else {
+            double sp = softplus(b);
+            for (i = st; i <= e; i++)
+                loss += m[i] * sp - y[i] * b;
+        }
+        if (st > 0)
+            pen += edge_penalty(s, st - 1, fabs(b - prev));
+        prev = b;
+    }
+    *obj = loss + pen;
+    return 1;
 }
 
 /* The trend filter on (z, s->w) with the row penalties s->u into to,
@@ -885,12 +957,13 @@ static const double *solve_penalties(loop *s, const double *pen)
    lasso on (z, w) with the edge weights (or, with tf, the trend filter)
    into to (which may be from) and its objective into *obj.  The fused
    lasso of an iterative envelope is first the certified solve on the runs
-   of from (certified), and the DP (counted in s->dp_calls) only when its
-   test fails; the squared loss's one solve, whose from is not read, is the
-   DP.  Both take the penalties of solve_penalties.  When no u_i couples
-   two coefficients the fused lasso returns z itself, as the Python wrapper
-   of the DP does.  Returns 0, or 2 when the update or the objective is not
-   finite. */
+   of from (certified), which also gives the objective, and the DP
+   (counted in s->dp_calls) only when its test fails; the squared loss's
+   one solve, whose from is not read, is the DP.  Both take the penalties
+   of solve_penalties.  When no u_i couples two coefficients the fused
+   lasso returns z itself, as the Python wrapper of the DP does; objective
+   gives the objective of every solve but a certified one.  Returns 0, or
+   2 when the update or the objective is not finite. */
 static int map(loop *s, const double *from, double *to, double *obj)
 {
     int status = update(s, from);
@@ -898,14 +971,14 @@ static int map(loop *s, const double *from, double *to, double *obj)
         return status;
     if (s->tf) {
         trend_filter(s, s->z, to);
-    } else if (s->coupled) {
-        const double *u = solve_penalties(s, s->envelope == LOG_PENALTY ? s->ue : s->u);
-        if (s->envelope == SQUARED || !certified(s->z, s->w, u, s->n, from, to, s->x)) {
-            dp(s->z, s->w, u, s->n, to, s->x);
-            s->dp_calls++;
-        }
-    } else {
+    } else if (!s->coupled) {
         memcpy(to, s->z, (size_t)s->n * sizeof(double));
+    } else {
+        const double *u = solve_penalties(s, s->envelope == LOG_PENALTY ? s->ue : s->u);
+        if (s->envelope != SQUARED && certified(s, u, from, to, obj))
+            return fabs(*obj) < HUGE_VAL ? 0 : 2;
+        dp(s->z, s->w, u, s->n, to, s->x);
+        s->dp_calls++;
     }
     *obj = objective(s, to);
     return fabs(*obj) < HUGE_VAL ? 0 : 2;

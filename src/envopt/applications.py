@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit, ndtri
 
+from .duality import _BLOCK_ELEMS
 from .errors import (ValidationError, _count, _float_vector, _lambda_grid, _penalties,
                      _response)
 from .losses import (
@@ -438,8 +439,9 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
     ``AppEntry.path``, which validates the inputs once: one kernel call
     for the whole rfl or qrtf path; for fdp, one for all the fused-lasso
     starts and then one log-penalty loop per positive lam.  ``criterion``
-    is "aic" or "cv"; the AIC losses come from one pass of the app's loss
-    over the stacked fits.  Ties select the larger lam.
+    is "aic" or "cv"; the AIC losses come from the app's loss over the
+    stacked fits, in blocks of at most ``duality._BLOCK_ELEMS`` values, so
+    that no temporary is mapped afresh.  Ties select the larger lam.
     """
     lam_arr = _lambda_grid(lambdas)
     if criterion not in ("aic", "cv"):
@@ -450,7 +452,9 @@ def solution_path(app: AppSpec, y, lambdas, m=None, criterion: str = "aic",
     y = np.asarray(y, dtype=float)
     fits = _path_fits(app, y, m, lam_arr, cfg)
     if criterion == "aic":
-        losses = APP_TABLE[app.app].loss(app, y, np.stack([f.beta for f in fits]), m)
+        loss, rows = APP_TABLE[app.app].loss, max(1, _BLOCK_ELEMS // y.shape[0])
+        losses = np.concatenate([loss(app, y, np.stack([f.beta for f in fits[i:i + rows]]), m)
+                                 for i in range(0, len(fits), rows)])
         crit = np.asarray([aic(f, loss) for f, loss in zip(fits, losses)])
     else:
         _, crit = kfold_cv(app, y, lam_arr, folds, cfg=cfg, m=m)

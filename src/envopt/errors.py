@@ -65,8 +65,10 @@ def _response(y, min_len: int, name: str = "y") -> np.ndarray:
         raise ValidationError(f"{name} must be a vector of length >= {min_len}")
     # y.y is finite only when every entry is, and costs one BLAS call; it
     # overflows from |y_i| ~ 1e154, where min and max decide (they
-    # propagate NaN, and a NaN fails both comparisons)
-    if not (math.isfinite(y.dot(y)) or (-np.inf < y.min() and y.max() < np.inf)):
+    # propagate NaN, and a NaN fails both comparisons).  np.vdot, unlike
+    # dot, does not read the floating-point flags, so that overflow warns
+    # of nothing; it costs about 0.2 us more than dot, np.errstate about 1 us
+    if not (math.isfinite(np.vdot(y, y)) or (-np.inf < y.min() and y.max() < np.inf)):
         raise ValidationError(f"{name} must be finite")
     return y
 

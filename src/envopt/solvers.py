@@ -953,7 +953,12 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     fits, bit for bit; a SQUAREM extrapolation keeps the runs that its
     three iterates share.  Both solves take the edge penalties clamped at
     a bound that cannot bind (:func:`_solve_penalties`), which keeps the
-    DP exact at huge penalties.
+    DP exact at huge penalties.  A certified map's objective is summed as
+    its levels are written, with the unclamped penalties.  The Polya-Gamma
+    ratio ``tanh(h)/h`` and the softplus are evaluated once per run of
+    equal values and the log penalty once per jump, which gives each entry
+    the bits of its own evaluation: the values of a run compare equal,
+    and +0 and -0 give the same ratio and softplus.
 
     The iterative envelopes are extrapolated by safeguarded SQUAREM
     (Varadhan & Roland 2008, *Scand. J. Statist.* 35:335-353).  A step
@@ -1076,11 +1081,28 @@ def _in_order_sum(x) -> float:
     return float(np.add.accumulate(x)[-1]) if x.size else 0.0
 
 
-def _softplus(b):
-    """``log(1 + e^b)`` per entry, as ``_fldp.c`` evaluates it with the C
-    library's ``exp`` and ``log1p``."""
-    return np.array([math.log(2.0) if x == 0.0 else math.log1p(math.exp(x)) if x < 0.0
-                     else x + math.log1p(math.exp(-x)) for x in b.tolist()])
+def _softplus(x: float) -> float:
+    """``log(1 + e^x)``, as ``_fldp.c`` evaluates it with the C library's
+    ``exp`` and ``log1p``."""
+    return (math.log(2.0) if x == 0.0 else math.log1p(math.exp(x)) if x < 0.0
+            else x + math.log1p(math.exp(-x)))
+
+
+def _pg_ratio(h: float) -> float:
+    """``tanh(h)/h``, 1 at ``h = 0``, as ``_fldp.c`` evaluates it."""
+    return 1.0 - h * h / 3.0 if abs(h) < 1e-6 else math.tanh(h) / h
+
+
+def _per_run(f, x):
+    """``f`` of each entry of ``x``, called once per run of ``x`` (maximal
+    stretches of entries that compare equal) and spread over it by
+    ``np.repeat``, as ``_fldp.c`` evaluates its transcendentals.  Each
+    ``f`` here gives +0 and -0 the same value."""
+    edge = np.empty(x.size + 1, dtype=bool)  # where each run starts, then the end
+    edge[0] = edge[-1] = True
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    at = np.flatnonzero(edge)
+    return np.repeat([f(v) for v in x[at[:-1]].tolist()], at[1:] - at[:-1])
 
 
 def _envelope_mm_python(kind, y, m, u, lams, beta, cfg, a=1.0, q=0.5, k=None,
@@ -1117,10 +1139,12 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
     """One fit of :func:`_envelope_mm_python`, map for map.
 
     It repeats the arithmetic of ``_fldp.c`` operation for operation: the
-    transcendental functions come from the C library (:mod:`math`), sums
-    run left to right, the DP is :func:`_fused_lasso_dp` and the trend
-    filter :func:`_tf_solve`.  It returns the compiled loop's bits
-    wherever the two share a C library."""
+    transcendental functions come from the C library (:mod:`math`), once
+    per run (:func:`_per_run`) or jump, sums run left to right, the DP is
+    :func:`_fused_lasso_dp` and the trend filter :func:`_tf_solve`.  It
+    takes every objective from its own ``objective``, whose sums have the
+    bits of those that the compiled certified solve adds up.  It returns
+    the compiled loop's bits wherever the two share a C library."""
     solve_name = _ENVELOPES[kind][1]
     n = y.shape[0]
     ones = np.ones(n)
@@ -1150,7 +1174,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
             r = y - b
             loss = np.abs(r) + (2.0 * q - 1.0) * r
         else:
-            loss = m * _softplus(b) - y * b
+            loss = m * _per_run(_softplus, b) - y * b
         if tf:
             d = np.zeros(n - k - 1)
             for j in range(k + 2):
@@ -1158,8 +1182,10 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
             d = np.abs(d)
         else:
             d = np.abs(np.diff(b))
-        if kind == "fdp":
-            d = np.array([math.log1p(x) for x in (d / a).tolist()])
+        if kind == "fdp":  # log1p on the jumps alone: a fused edge's term is +0
+            t, d = d / a, np.zeros(d.shape)
+            jumps = np.flatnonzero(t)
+            d[jumps] = [math.log1p(x) for x in t[jumps].tolist()]
         return _in_order_sum(loss) + _in_order_sum(u * d)
 
     def update(b):
@@ -1175,10 +1201,7 @@ def _envelope_fit_python(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> 
                 w = np.where(w < _WEIGHT_CLAMP, w, _WEIGHT_CLAMP)
                 z = y - (1.0 - 2.0 * q) / w
             else:
-                h = 0.5 * b
-                ratio = np.array([1.0 - x * x / 3.0 if abs(x) < 1e-6 else math.tanh(x) / x
-                                  for x in h.tolist()])
-                w = 0.25 * m * ratio
+                w = 0.25 * m * _per_run(_pg_ratio, 0.5 * b)
                 z = (y - m / 2.0) / w
         if not (np.all(w > 0.0) and np.all(np.abs(w) < np.inf)
                 and np.all(np.abs(z) < np.inf)):

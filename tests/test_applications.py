@@ -798,6 +798,20 @@ def test_input_rules_reject_what_used_to_crash(monkeypatch, python):
         assert count_knots(z, k) == count_knots(z, int(k))
 
 
+def test_huge_finite_response_warns_of_nothing():
+    # y.y overflows from |y_i| ~ 1.3e154, where the finiteness check falls
+    # back to min and max; numpy's dot warned of that overflow on valid y
+    y = simulate("rfl", 50, 1).y * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_rfl(y, 1.0)
+    assert fit.converged and np.isfinite(fit.objective)
+    for bad in (np.inf, -np.inf, np.nan):
+        y[7] = bad
+        with pytest.raises(ValidationError, match="y must be finite"):
+            fit_rfl(y, 1.0)
+
+
 # The messages of the shared input rules, each raised from one place: the
 # module that holds the rule.
 _RULE_MESSAGES = {

@@ -1509,6 +1509,64 @@ def test_envelope_fits_same_record_without_kernel(monkeypatch):
             _assert_same_fit(c, py, (case[0].size, case[1], c.iters))
 
 
+def _run_boundary_start(rng):
+    """A start whose neighbours sit on the run boundaries of the loops'
+    per-run evaluations: +0 beside -0, values one ulp apart, |b/2| on both
+    sides of 1e-6 (where the Polya-Gamma ratio takes its series), and long
+    runs, the pieces in a random order."""
+    pieces = [[0.0, -0.0, -0.0, 0.0, 0.0]]
+    for x in rng.uniform(-3.0, 3.0, size=8):
+        up, down = np.nextafter(x, np.inf), np.nextafter(x, -np.inf)
+        pieces.append([x, up, up, x, down, down])
+    for x in (2e-6, -2e-6):
+        pieces.append([np.nextafter(x, 0.0), x, x, np.nextafter(x, 2.0 * x), 0.5 * x])
+    pieces += [np.full(7, x) for x in rng.uniform(-2.0, 2.0, size=3)]
+    return np.concatenate([pieces[i] for i in rng.permutation(len(pieces))])
+
+
+@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
+@pytest.mark.parametrize("kind", ["binomial-logit", "fdp", "huber"])
+def test_run_boundaries_same_bits_without_kernel(monkeypatch, kind):
+    # the loops evaluate tanh, the softplus and the log penalty once per run
+    # of bit-equal values, and take a certified map's objective from its
+    # levels; the mirror evaluates every entry's own value, so a run that
+    # swallowed a neighbour one ulp away changes a bit here
+    rng = np.random.Generator(np.random.PCG64(3010))
+    for case in range(3):
+        start = _run_boundary_start(rng)
+        n = start.size
+        if kind == "huber":
+            y, m = start + rng.normal(scale=1.5, size=n), None
+        else:
+            m = rng.integers(2, 30, size=n).astype(float)
+            y = np.floor(rng.uniform(0.1, 0.9, size=n) * m) + rng.integers(0, 2, size=n)
+        lams = np.array([4.0, 0.5, 0.05])
+        for max_iters in (1, 3):
+            cfg = SolverConfig(max_iters=max_iters)
+            c = solvers.envelope_fused_lasso_path(kind, y, m, 1.0, lams, start, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_kernel", lambda: None)
+                py = solvers.envelope_fused_lasso_path(kind, y, m, 1.0, lams, start, cfg)
+            for l, (cf, pf) in enumerate(zip(c, py)):
+                where = (case, max_iters, l)
+                assert cf.beta.tobytes() == pf.beta.tobytes(), where
+                assert cf.trace.tobytes() == pf.trace.tobytes(), where
+                assert cf.aux["run"] == pf.aux["run"], where
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
+def test_certified_map_needs_each_jump_strictly(monkeypatch, python):
+    # y = start = (0, 2) with u = 1: the rising hint's levels 0 + 1 and
+    # 2 - 1 meet, so the certificate fails and the one map runs the DP
+    if python:
+        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    y = np.array([0.0, 2.0])
+    fit, = solvers.envelope_fused_lasso_path("huber", y, None, 1.0, np.array([1.0]), y.copy(),
+                                             SolverConfig(max_iters=1))
+    assert fit.aux["run"]["dp_calls"] == 1
+    assert fit.beta.tolist() == [1.0, 1.0] and fit.trace.tolist() == [2.0, 1.0]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"inner_max_iters": np.nan}, {"inner_max_iters": 2.5}, {"max_iters": np.inf},
     {"max_iters": 2.5}, {"max_iters": 0}, {"inner_max_iters": -1}, {"max_iters": True},
