@@ -37,14 +37,15 @@
    rejected extrapolations, inner iterations, capped inner solves, rising
    maps and the maps whose fused lasso ran the DP) and the final envelope
    variables; see its comment below.
-   envopt.solvers._envelope_mm_python repeats the loops operation for
-   operation, except that its trend filter refactors every free row in
-   each face solve, where tf_solve keeps rows that a fresh factorization
-   would give the same bits; built without floating-point contraction,
-   the two return the same bits.  The trend filter's functions take the
-   half-bandwidth w = k + 1 as a parameter, and trend_filter passes a
-   literal for k = 0, 1 and 2, which gives one copy of the solve per
-   order with constant loop bounds; k >= 3 reads w at run time. */
+   The tests' reference (tests/envelope_reference.py) repeats the loops
+   operation for operation, except that its trend filter refactors every
+   free row in each face solve, where tf_solve keeps rows that a fresh
+   factorization would give the same bits; built without floating-point
+   contraction, the two return the same bits.  The trend filter's
+   functions take the half-bandwidth w = k + 1 as a parameter, and
+   trend_filter passes a literal for k = 0, 1 and 2, which gives one copy
+   of the solve per order with constant loop bounds; k >= 3 reads w at
+   run time. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -53,7 +54,7 @@
 /* The fused-lasso DP: the minimizer of sum_i (w_i/2)(z_i - b_i)^2 +
    sum_i u_i |b_{i+1} - b_i| into beta[0..n-1], on the caller's work array
    x of 8n - 2 doubles, for n >= 2, w > 0 and u >= 0, all finite.  This is
-   envopt.solvers._fused_lasso_dp operation for operation. */
+   fused_lasso_dp of the tests' reference operation for operation. */
 static void dp(const double *z, const double *w, const double *u, long n,
                double *beta, double *x)
 {
@@ -1116,7 +1117,7 @@ enum { INFO = 11 };
 /* One fit of a path: the majorize/minimize loop whose map F(beta) is the
    envelope update at beta, then the exact weighted fused lasso (or, when
    s->tf is set, the trend filter), then the objective, with the row
-   penalties s->u; it is envopt.solvers._envelope_mm_python map for map.
+   penalties s->u; it is the tests' reference envelope_fit map for map.
    The envelopes are the Huber location shift (m, a and q unused), the
    Polya-Gamma weights (a and q unused), the Polya-Gamma weights together
    with the log penalty's edge weights u_i / (a + |b_{i+1} - b_i|)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, solvers
+from . import __version__
 from .applications import (
     APP_TABLE,
     APPS,
@@ -49,13 +49,8 @@ __all__ = ["main", "RunManifest"]
 
 @dataclass
 class RunManifest:
-    """Provenance block attached to every output file.
-
-    ``to_dict`` also records which implementation of the compiled loops
-    (the fused-lasso DP, the trend filter and the envelope loop around
-    them) ran, ``"c"`` or ``"python"``, so a fallback to the Python loops
-    shows in every artifact.
-    """
+    """Provenance block attached to every output file: the command, its
+    seed, configuration and timings, and the package version."""
 
     command: str
     seed: int | None = None
@@ -70,7 +65,6 @@ class RunManifest:
             "config": self.config,
             "version": self.version,
             "timings": self.timings,
-            "fused_lasso_kernel": solvers.FUSED_LASSO_KERNEL,
         }
 
 
@@ -173,6 +167,7 @@ def _fit_record(app: AppSpec, data, fit, manifest: RunManifest | None) -> dict:
         "converged": fit.converged,
         "df": fit.df,
         "aic": aic(fit, loss),
+        "run": fit.aux["run"],
     }
     if manifest is not None:
         rec["manifest"] = manifest.to_dict()

@@ -28,6 +28,8 @@ from envopt.solvers import (FitResult, SolverConfig, count_knots, envelope_fused
                             mm_driver, trend_filter_kkt_residual, weighted_fused_lasso,
                             weighted_trend_filter)
 
+import envelope_reference as reference
+
 
 def _trace_monotone(fit):
     d = np.diff(fit.trace)
@@ -136,7 +138,7 @@ def test_qrtf_self_consistency_at_fixed_point():
 @pytest.mark.parametrize("warm", [False, True])
 def test_qrtf_run_record_counts_every_inner_solve(monkeypatch, warm):
     """``aux["run"]`` sums the iterations and capped solves of every trend
-    filter of the fit, the cold start's included; the Python loop, whose
+    filter of the fit, the cold start's included; the reference, whose
     solves can be watched, returns the compiled loop's record."""
     y = simulate("qrtf", 150, seed=5).y
     # a budget some inner solves hit and others do not (at 40 none of
@@ -144,15 +146,15 @@ def test_qrtf_run_record_counts_every_inner_solve(monkeypatch, warm):
     cfg = SolverConfig(max_iters=20, tol=1e-6, inner_max_iters=20, inner_tol=1e-6)
     init = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg) if warm else None
     fit = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
-    solve = solvers._tf_solve
+    solve = reference.tf_solve
     runs = []
 
     def counting(*args):
         runs.append(solve(*args))
         return runs[-1]
 
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    monkeypatch.setattr(solvers, "_tf_solve", counting)
+    reference.use(monkeypatch)
+    monkeypatch.setattr(reference, "tf_solve", counting)
     py = fit_qrtf(y, 0.9, 2, 2.0, cfg=cfg, init=init)
     run = fit.aux["run"]
     assert run == py.aux["run"]
@@ -169,11 +171,11 @@ def test_qrtf_rejected_extrapolation_restores_the_dual(monkeypatch):
     """After a SQUAREM step whose extrapolated map is rejected, the next
     trend filter (or the fit's last dual) starts at the dual of the step's
     second map, which gave the iterate the loop kept, not at the dual of
-    the rejected map; the compiled loop returns the mirror's record."""
+    the rejected map; the compiled loop returns the reference's record."""
     y = simulate("qrtf", 150, seed=5).y
     cfg = SolverConfig(max_iters=30, tol=1e-9)
     fit = fit_qrtf(y, 0.9, 2, 50.0, cfg=cfg)
-    solve = solvers._tf_solve
+    solve = reference.tf_solve
     duals = []  # the start and the end of each solve
 
     def watched(ab, b, lam, tol, max_iters, v):
@@ -182,8 +184,8 @@ def test_qrtf_rejected_extrapolation_restores_the_dual(monkeypatch):
         duals.append((start, v.copy()))
         return out
 
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    monkeypatch.setattr(solvers, "_tf_solve", watched)
+    reference.use(monkeypatch)
+    monkeypatch.setattr(reference, "tf_solve", watched)
     py = fit_qrtf(y, 0.9, 2, 50.0, cfg=cfg)
     run, t = py.aux["run"], py.trace
     assert fit.aux["run"] == run and np.array_equal(fit.aux["v"], py.aux["v"])
@@ -269,7 +271,7 @@ def test_qrtf_rising_map_ends_the_fit(monkeypatch, python):
     the fit ends at the last iterate it accepted, its trace stays
     non-increasing, and it converges only when the rise is within tol."""
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = simulate("qrtf", 60, seed=1).y
     fit = fit_qrtf(y, 0.9, 2, 3.0, cfg=SolverConfig(tol=1e-8))
     assert fit.aux["run"]["rises"] == 1 and fit.iters < 500
@@ -289,14 +291,14 @@ def test_qrtf_init_fit_carries_its_dual(monkeypatch):
     v = first.aux["v"]
     assert v.shape == (57,) and np.max(np.abs(v)) == 30.0
     starts = []
-    solve = solvers._tf_solve
+    solve = reference.tf_solve
 
     def recorded(ab, b, lam, tol, max_iters, dual):
         starts.append(dual.copy())
         return solve(ab, b, lam, tol, max_iters, dual)
 
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    monkeypatch.setattr(solvers, "_tf_solve", recorded)
+    reference.use(monkeypatch)
+    monkeypatch.setattr(reference, "tf_solve", recorded)
     chained = fit_qrtf(y, 0.9, 2, 3.0, init=first)
     bound = np.abs(v) == 30.0
     assert np.array_equal(starts[0][bound], np.sign(v[bound]) * 3.0)
@@ -404,11 +406,11 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
     # when that fails; a flat start is one run, which the fit's jumps
     # break, so one fit takes both
     loops, certified, dp_calls = [], [], []
-    certify, dp = solvers._certified_solve, solvers._fused_lasso_dp
+    certify, dp = reference.certified_solve, reference.fused_lasso_dp
 
     def recorded(*args, **kwargs):
         loops.append(args[0])
-        return envelope_fused_lasso_path(*args, **kwargs)
+        return reference.envelope_fused_lasso_path(*args, **kwargs)
 
     def counted_certify(*args):
         out = certify(*args)
@@ -416,9 +418,8 @@ def test_fdp_is_one_envelope_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(applications, "envelope_fused_lasso_path", recorded)
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    monkeypatch.setattr(solvers, "_certified_solve", counted_certify)
-    monkeypatch.setattr(solvers, "_fused_lasso_dp", lambda *a: dp_calls.append(1) or dp(*a))
+    monkeypatch.setattr(reference, "certified_solve", counted_certify)
+    monkeypatch.setattr(reference, "fused_lasso_dp", lambda *a: dp_calls.append(1) or dp(*a))
     fit = fit_fdp(ds.y, ds.m, 5.0, init=np.zeros(ds.y.size))
     assert loops == ["fdp"] and fit.converged
     assert fit.iters == len(certified) == fit.aux["run"]["maps"]
@@ -610,7 +611,7 @@ def test_rfl_path_is_the_chain_of_fits(monkeypatch, python):
     # criterion-5 data: the one-call path against fit_rfl started at the
     # previous fit, and its AIC values against per-fit losses
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = simulate("rfl", 250, seed=1).y
     lams = np.geomspace(300.0, 1.0, 100)
     app = AppSpec("rfl")
@@ -626,11 +627,11 @@ def test_rfl_path_is_the_chain_of_fits(monkeypatch, python):
 @pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
 def test_rfl_cv_is_the_chain_of_fits(monkeypatch, python):
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = simulate("rfl", 250, seed=2).y
     lams = np.geomspace(300.0, 1.0, 100)
     if python:
-        lams = lams[::10]  # the Python DP is slow: every tenth lam
+        lams = lams[::10]  # the reference is slow: every tenth lam
     K = 5
     idx = np.arange(y.size)
     table = np.zeros(lams.size)
@@ -662,7 +663,7 @@ def test_rfl_path_stops_at_the_failing_fit(monkeypatch, python):
     # the objective at the second scale overflows: the path raises the
     # error that fit_rfl raises at that lam, and no later fit runs
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = np.array([0.0, 4.0, 0.0, 4.0])
     lams = np.array([1.0, 1e308, 1.0])
     first = fit_rfl(y, 1.0)
@@ -775,10 +776,7 @@ _RULE_BAD = [
 ]
 
 
-@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
-def test_input_rules_reject_what_used_to_crash(monkeypatch, python):
-    if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+def test_input_rules_reject_what_used_to_crash():
     for fn, args, msg in _RULE_BAD:
         if fn is weighted_trend_filter:
             state = {}

@@ -154,6 +154,28 @@ def test_path_aic_selected_index_recorded(tmp_path):
     assert d["selected"] == int(np.argmin(vals))
 
 
+@pytest.mark.parametrize("app, lambdas, criterion", [("qrtf", "logspace:-1:5:7", "cv"),
+                                                     ("fdp", "20,5,0", "aic")])
+def test_path_fits_carry_their_run_records(tmp_path, app, lambdas, criterion):
+    # each fit record holds its fit's aux["run"], and the manifest names no
+    # implementation of the loops
+    from envopt.applications import AppSpec, solution_path
+    from envopt.cli import _parse_lambda_grid
+
+    data, out = tmp_path / "d.csv", tmp_path / "p.json"
+    run(["simulate", "--app", app, "--n", 40, "--m", 25, "--seed", 3, "--out", data])
+    assert run(["path", "--app", app, "--data", data, "--lambdas", lambdas, "--criterion",
+                criterion, "--folds", 3, "--max-iters", 25, "--out", out]) == 0
+    d = json.loads(out.read_text())
+    cols = np.loadtxt(data, delimiter=",", skiprows=1)
+    path = solution_path(AppSpec(app), cols[:, 1], _parse_lambda_grid(lambdas),
+                         m=cols[:, 2] if app == "fdp" else None, criterion=criterion, folds=3,
+                         cfg=SolverConfig(max_iters=25))
+    assert [rec["run"] for rec in d["fits"]] == [fit.aux["run"] for fit in path.fits]
+    assert sum(rec["run"]["maps"] for rec in d["fits"]) > 0
+    assert set(d["manifest"]) == {"command", "seed", "config", "version", "timings"}
+
+
 def test_path_comma_list_order_enforced(tmp_path):
     data = tmp_path / "r.csv"
     run(["simulate", "--app", "rfl", "--n", 30, "--seed", 9, "--out", data])

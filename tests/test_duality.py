@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from envopt import duality, solvers
+from envopt import duality
 from envopt.duality import (
     EXPONENTIAL,
     GAUSSIAN_LOCATION,
@@ -27,6 +27,8 @@ from envopt.losses import (
 )
 from envopt.operators import moreau_envelope_numeric
 from envopt.penalties import PenaltySpec, location_dual, penalty_dual, penalty_value
+
+import envelope_reference as reference
 
 
 def test_family_invariants():
@@ -376,17 +378,12 @@ def _row_term(center, slope):
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "numpy"])
-def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared, kernel):
+def test_row_point_term_gives_each_row_its_own_parameters(monkeypatch, shared):
     # a term with a center per row: every row gets its own objective, even
     # where all brackets are equal and rows share grids, with the bits of a
-    # one-row search per row; 5 rows a block, so blocks hold several rows.
-    # The search runs in numpy alone, so it gives these bits whether or
-    # not the kernel library loads.
+    # one-row search per row; 5 rows a block, so blocks hold several rows
     from envopt import duality
 
-    if not kernel:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
     monkeypatch.setattr(duality, "_BLOCK_ELEMS", 5 * 101)
     rng = np.random.Generator(np.random.PCG64(11 + shared))
     rows = 23
@@ -809,11 +806,10 @@ def test_double_conjugation_gap_is_the_hull_depth():
     assert abs(_double_conjugation_gap(lambda x: 1.2 * huber(x, 1.0)) - 0.12) <= 1e-3
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_check_suites_same_rows_without_kernel(monkeypatch):
     from envopt.checks import run_suite
 
     rows = run_suite("all")
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    reference.use(monkeypatch)
     assert repr(run_suite("all")) == repr(rows)  # repr keeps every bit of a float
     assert len(rows) == 24

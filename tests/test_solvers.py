@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shutil
@@ -27,6 +28,8 @@ from envopt.solvers import (
     weighted_fused_lasso,
     weighted_trend_filter,
 )
+
+import envelope_reference as reference
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +85,21 @@ def test_fused_lasso_random_vs_brute_force_objective():
 
 
 def test_fused_lasso_validation():
-    with pytest.raises(ValidationError):
-        weighted_fused_lasso([1.0, 2.0], [1.0, -1.0], [0.5])
-    with pytest.raises(ValidationError):
-        weighted_fused_lasso([1.0, 2.0], [1.0, 1.0], [-0.5])
-    with pytest.raises(ValidationError):
-        weighted_fused_lasso([1.0, np.inf], [1.0, 1.0], [0.5])
+    bad = [
+        (([], [], []), "z must be a vector of length >= 1"),
+        ((np.ones((3, 2)), 1.0, 1.0), "z must be a vector of length >= 1"),
+        (([1.0, 2.0], [1.0, -1.0], [0.5]), "omega must be strictly positive"),
+        (([1.0, 2.0], [1.0, np.nan], [0.5]), "omega must be strictly positive"),
+        (([1.0, 2.0], [1.0, 1.0], [-0.5]), "edge weights must be nonnegative"),
+        (([1.0, np.inf], [1.0, 1.0], [0.5]), "z must be finite"),
+        (([1.0, 2.0], [1.0, np.inf], [0.5]), "omega must be strictly positive and finite"),
+        (([1.0, 2.0], [1.0, 1.0], [np.nan]), "edge weights must be nonnegative and finite"),
+        ((np.ones(4), [1.0, 2.0], 1.0), "omega must be a scalar or a vector of length 4"),
+        ((np.ones(4), 1.0, np.ones(4)), "edge weights must be a scalar or a vector of length 3"),
+    ]
+    for args, msg in bad:
+        with pytest.raises(ValidationError, match=msg):
+            weighted_fused_lasso(*args)
 
 
 def test_fused_lasso_matches_exact_trend_filter():
@@ -134,46 +146,21 @@ def _fused_lasso_kkt(z, w, u, beta):
 
 
 def test_fused_lasso_equals_python_dp_exactly():
-    # the one solve is the DP on the penalties clamped by _solve_penalties;
+    # the one solve is the DP on the penalties clamped by solve_penalties;
     # where the clamp is active, the solution still meets the KKT
     # conditions of the given penalties
     rng = np.random.Generator(np.random.PCG64(2013))
     clamped = 0
     for z, omega, u in _dp_instances(rng, 1000):
         out = weighted_fused_lasso(z, omega, u)
-        pen = solvers._solve_penalties(z, omega, u, u.max()) if u.any() else u
-        ref = solvers._fused_lasso_dp(z, omega, pen) if u.any() else z
-        assert np.array_equal(out, ref), (z.size, solvers.FUSED_LASSO_KERNEL)
+        pen = reference.solve_penalties(z, omega, u, u.max()) if u.any() else u
+        ref = reference.fused_lasso_dp(z, omega, pen) if u.any() else z
+        assert np.array_equal(out, ref), z.size
         if pen is not u:
             clamped += 1
             assert _fused_lasso_kkt(z, omega, u, out) <= 1e-13, z.size
     assert np.ptp(out) == 0.0  # the last instance fuses to one level
     assert clamped >= 50
-
-
-def test_fused_lasso_forced_python_fallback(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(77))
-    cases = list(_dp_instances(rng, 40))
-    expected = [weighted_fused_lasso(*c) for c in cases]
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    assert solvers.FUSED_LASSO_KERNEL == "python"
-    for c, e in zip(cases, expected):
-        assert np.array_equal(weighted_fused_lasso(*c), e)
-    bad = [
-        (([], [], []), "z must be a vector of length >= 1"),
-        ((np.ones((3, 2)), 1.0, 1.0), "z must be a vector of length >= 1"),
-        (([1.0, 2.0], [1.0, -1.0], [0.5]), "omega must be strictly positive"),
-        (([1.0, 2.0], [1.0, np.nan], [0.5]), "omega must be strictly positive"),
-        (([1.0, 2.0], [1.0, 1.0], [-0.5]), "edge weights must be nonnegative"),
-        (([1.0, np.inf], [1.0, 1.0], [0.5]), "z must be finite"),
-        (([1.0, 2.0], [1.0, np.inf], [0.5]), "omega must be strictly positive and finite"),
-        (([1.0, 2.0], [1.0, 1.0], [np.nan]), "edge weights must be nonnegative and finite"),
-        ((np.ones(4), [1.0, 2.0], 1.0), "omega must be a scalar or a vector of length 4"),
-        ((np.ones(4), 1.0, np.ones(4)), "edge weights must be a scalar or a vector of length 3"),
-    ]
-    for args, msg in bad:
-        with pytest.raises(ValidationError, match=msg):
-            weighted_fused_lasso(*args)
 
 
 def _certify_instances(rng, count):
@@ -198,8 +185,8 @@ def test_certified_solve_certifies_the_dp_solution():
     # KKT test and are the DP's solution
     rng = np.random.Generator(np.random.PCG64(2910))
     for z, w, u in _certify_instances(rng, 300):
-        dp = solvers._fused_lasso_dp(z, w, u)
-        cert = solvers._certified_solve(z, w, u, dp)
+        dp = reference.fused_lasso_dp(z, w, u)
+        cert = reference.certified_solve(z, w, u, dp)
         assert cert is not None, z.size
         assert np.max(np.abs(cert - dp)) <= 1e-12 * np.max(np.abs(z)), z.size
 
@@ -211,12 +198,12 @@ def test_certified_solve_on_a_nearby_problems_runs():
     certified = 0
     for z, w, u in _certify_instances(rng, 300):
         scale = np.max(np.abs(z))
-        hint = solvers._fused_lasso_dp(z + rng.normal(scale=1e-2 * scale, size=z.size), w,
-                                       u * rng.uniform(0.9, 1.1, size=u.size))
-        cert = solvers._certified_solve(z, w, u, hint)
+        hint = reference.fused_lasso_dp(z + rng.normal(scale=1e-2 * scale, size=z.size), w,
+                                        u * rng.uniform(0.9, 1.1, size=u.size))
+        cert = reference.certified_solve(z, w, u, hint)
         if cert is not None:
             certified += 1
-            dp = solvers._fused_lasso_dp(z, w, u)
+            dp = reference.fused_lasso_dp(z, w, u)
             assert np.max(np.abs(cert - dp)) <= 1e-12 * scale, z.size
     assert 100 <= certified <= 280
 
@@ -227,7 +214,7 @@ def test_certified_solve_rejects_a_wrong_hint():
     rng = np.random.Generator(np.random.PCG64(2912))
     tried = 0
     for z, w, u in _certify_instances(rng, 300):
-        dp = solvers._fused_lasso_dp(z, w, u)
+        dp = reference.fused_lasso_dp(z, w, u)
         d = np.diff(dp)
         real = np.flatnonzero(np.abs(d) > 1e-6 * np.max(np.abs(z)))
         if not real.size:
@@ -235,11 +222,11 @@ def test_certified_solve_rejects_a_wrong_hint():
         tried += 1
         e = rng.choice(real)
         signs = np.sign(d)
-        assert solvers._certified_solve(z, w, u, _hint(signs)) is not None
+        assert reference.certified_solve(z, w, u, _hint(signs)) is not None
         for wrong in (-signs[e], 0.0):
             bad = signs.copy()
             bad[e] = wrong
-            assert solvers._certified_solve(z, w, u, _hint(bad)) is None, (z.size, wrong)
+            assert reference.certified_solve(z, w, u, _hint(bad)) is None, (z.size, wrong)
     assert tried >= 200
 
 
@@ -248,9 +235,9 @@ def test_certified_solve_needs_each_jump_strictly():
     # which meet; the jump is not kept, so the levels are not certified,
     # and the one run certifies the same levels
     z, w, u = np.array([0.0, 2.0]), np.ones(2), np.ones(1)
-    assert solvers._certified_solve(z, w, u, np.array([0.0, 1.0])) is None
-    assert solvers._certified_solve(z, w, u, np.zeros(2)).tolist() == [1.0, 1.0]
-    assert solvers._fused_lasso_dp(z, w, u).tolist() == [1.0, 1.0]
+    assert reference.certified_solve(z, w, u, np.array([0.0, 1.0])) is None
+    assert reference.certified_solve(z, w, u, np.zeros(2)).tolist() == [1.0, 1.0]
+    assert reference.fused_lasso_dp(z, w, u).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
@@ -261,7 +248,7 @@ def test_fused_lasso_at_huge_penalties_is_the_weighted_mean(monkeypatch, python)
     from envopt.applications import fit_rfl, fused_lasso_gaussian, simulate
 
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = simulate("rfl", 250, 1).y
     w = np.random.Generator(np.random.PCG64(29)).uniform(0.1, 10.0, size=y.size)
     mean, wmean = np.mean(y), np.sum(w * y) / np.sum(w)
@@ -276,13 +263,37 @@ def test_fused_lasso_at_huge_penalties_is_the_weighted_mean(monkeypatch, python)
     assert abs(huge.objective - flat.objective) <= 1e-12 * flat.objective
 
 
+# Two fits in a fresh interpreter, each printing its beta or the class and
+# message of the error it raised.
+_PROBE = """
+from envopt import EnvoptError, weighted_fused_lasso
+for _ in range(2):
+    try:
+        print(weighted_fused_lasso([0.0, 2.0], 1.0, 1.0).tolist())
+    except EnvoptError as exc:
+        print(type(exc).__name__, repr(str(exc)))
+"""
+_FITTED = ["[1.0, 1.0]"] * 2
+
+
 def _kernel_probe(env, n_procs):
-    """Start ``n_procs`` fresh interpreters at once; each loads the kernel
-    and prints FUSED_LASSO_KERNEL."""
-    code = "from envopt import solvers; print(solvers.FUSED_LASSO_KERNEL)"
-    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
-                              stdout=subprocess.PIPE) for _ in range(n_procs)]
-    return [p.communicate(timeout=300)[0].strip() for p in procs]
+    """Start ``n_procs`` fresh interpreters at once, each running the two
+    fits of ``_PROBE``; returns each one's printed lines and stderr."""
+    procs = [subprocess.Popen([sys.executable, "-c", _PROBE], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(n_procs)]
+    outs = [p.communicate(timeout=300) for p in procs]
+    return [(out.splitlines(), err) for out, err in outs]
+
+
+def _refusal(env):
+    """The message of the EnvoptError that both fits of one probe raised,
+    with nothing written to stderr."""
+    [(lines, stderr)] = _kernel_probe(env, 1)
+    assert len(lines) == 2 and lines[0] == lines[1] and stderr == "", (lines, stderr)
+    name, message = lines[0].split(" ", 1)
+    assert name == "EnvoptError", lines
+    return ast.literal_eval(message)
 
 
 def _probe_env(tmp_path, path):
@@ -291,7 +302,6 @@ def _probe_env(tmp_path, path):
                 PYTHONPATH=src)
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_fused_lasso_kernel_compiled_once_then_cached(tmp_path):
     real_cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))))
     bin_dir = tmp_path / "bin"
@@ -301,8 +311,8 @@ def test_fused_lasso_kernel_compiled_once_then_cached(tmp_path):
     wrapper.write_text(f'#!/bin/sh\necho run "$@" >> "{log}"\nexec "{real_cc}" "$@"\n')
     wrapper.chmod(0o755)
     env = _probe_env(tmp_path, f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
-    # cold cache, three processes at once: exactly one compiles
-    assert _kernel_probe(env, 3) == ["c"] * 3
+    # cold cache, three processes at once, two fits each: exactly one compiles
+    assert _kernel_probe(env, 3) == [(_FITTED, "")] * 3
     runs = log.read_text().splitlines()
     assert len(runs) == 1
     args = runs[0].split()[1:]
@@ -312,41 +322,41 @@ def test_fused_lasso_kernel_compiled_once_then_cached(tmp_path):
     assert not {"-ffast-math", "-Ofast", "-fassociative-math",
                 "-funsafe-math-optimizations", "-march=native"} & set(args)
     # a later process reuses the cached library
-    assert _kernel_probe(env, 1) == ["c"]
+    assert _kernel_probe(env, 1) == [(_FITTED, "")]
     assert log.read_text().splitlines() == runs
     libs = list((tmp_path / "cache" / "envopt").glob("fldp-*.so"))
     assert len(libs) == 1
 
 
-def test_failed_kernel_build_warns_and_falls_back(tmp_path):
+def test_failed_kernel_build_raises_once(tmp_path):
+    # each fit raises the build's error, which names the compiler and ends
+    # with its error output; the second fit does not run the compiler again
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    wrapper = bin_dir / "cc"  # a compiler that always fails
-    wrapper.write_text('#!/bin/sh\necho "fatal error: no can do" >&2\nexit 1\n')
+    log = tmp_path / "cc.log"
+    wrapper = bin_dir / "cc"  # a compiler that logs each run and always fails
+    wrapper.write_text(f'#!/bin/sh\necho run >> "{log}"\n'
+                       'echo "fatal error: no can do" >&2\nexit 1\n')
     wrapper.chmod(0o755)
     env = _probe_env(tmp_path, f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
-    code = ("from envopt import solvers; "
-            "print(solvers.FUSED_LASSO_KERNEL, solvers.FUSED_LASSO_KERNEL)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                          capture_output=True, timeout=300)
-    assert proc.stdout.split() == ["python", "python"]
-    assert proc.stderr.count("RuntimeWarning") == 1
-    assert str(wrapper) in proc.stderr
-    assert "fatal error: no can do" in proc.stderr
+    message = _refusal(env)
+    assert str(wrapper) in message and message.endswith("fatal error: no can do")
+    assert log.read_text().splitlines() == ["run"]
     assert list((tmp_path / "cache" / "envopt").glob("*.so")) == []
 
 
-def test_fused_lasso_kernel_falls_back_to_python(tmp_path):
+def test_kernel_refusals_say_their_cause(tmp_path):
+    # no compiler on PATH: nothing is built, and no cache is made
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert _kernel_probe(_probe_env(tmp_path, str(empty)), 1) == ["python"]
+    assert "no cc, gcc or clang on PATH" in _refusal(_probe_env(tmp_path, str(empty)))
     assert not (tmp_path / "cache").exists()
-    # a cache directory that other users can write to is never used
+    # a cache directory that other users can write to is named, and never
+    # used
     shared = tmp_path / "cache" / "envopt"
     shared.mkdir(parents=True)
     shared.chmod(0o777)
-    env = _probe_env(tmp_path, os.environ.get("PATH", ""))
-    assert _kernel_probe(env, 1) == ["python"]
+    assert str(shared) in _refusal(_probe_env(tmp_path, os.environ.get("PATH", "")))
     assert list(shared.iterdir()) == []
 
 
@@ -418,12 +428,14 @@ def _tf_instances(rng, count):
 
 
 def _tf_run(args, python, cfg=_TF_BUDGET):
+    """One trend filter of ``args``, by the compiled loop or (``python``)
+    by the reference; returns beta and the state."""
     z, omega, k, lam, state = args
     state = None if state is None else dict(state)  # each run reads a copy
     out = {} if state is None else state
     with pytest.MonkeyPatch.context() as mp:
         if python:
-            mp.setattr(solvers, "_kernel", lambda: None)
+            reference.use(mp)
         beta = weighted_trend_filter(z, omega, k, lam, cfg, out)
     return beta, out
 
@@ -435,7 +447,6 @@ def _assert_same_solve(got, expected, where):
     assert (c["iters"], c["converged"]) == (py["iters"], py["converged"]), where
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_trend_filter_c_loop_matches_python_loop():
     rng = np.random.Generator(np.random.PCG64(1406))
     capped = converged = 0
@@ -451,11 +462,10 @@ def test_trend_filter_c_loop_matches_python_loop():
     assert converged == 30 and capped >= 3
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("cap, tol", [(1, 1e-30), (19, 1e-30), (20, 1e-30), (21, 1e-30),
                                       (5000, 1e-4)])
 def test_trend_filter_c_loop_record_matches_python_loop(cap, tol):
-    """The record matches the Python loop's after one iteration, after a
+    """The record matches the reference's after one iteration, after a
     few, and at convergence, where every solve meets its stop test."""
     cfg = SolverConfig(inner_max_iters=cap, inner_tol=tol)
     rng = np.random.Generator(np.random.PCG64(1406))
@@ -506,10 +516,9 @@ def _tf_other_orders(rng):
                 yield _tf_draw(rng, k, n, i >= 2, i % 2)
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_trend_filter_other_orders_match_python_loop():
     # the solve for k >= 3 and the per-order copies on their shortest
-    # inputs give the Python loop's bits, run to the end and to the cap
+    # inputs give the reference's bits, run to the end and to the cap
     rng = np.random.Generator(np.random.PCG64(2303))
     capped = converged = 0
     for args in _tf_other_orders(rng):
@@ -544,10 +553,10 @@ def _long_free_runs(rng):
 
 
 def _mirror_iterate(z, omega, lam, v, iters):
-    """The dual after ``iters`` iterations of the mirror's solve from ``v``."""
-    _, ab, b = solvers._tf_bands(z, omega, 2)
+    """The dual after ``iters`` iterations of the reference solve from ``v``."""
+    _, ab, b = reference.tf_bands(z, omega, 2)
     v = v.copy()
-    solvers._tf_solve(ab, b, lam, 1e-7, iters, v)
+    reference.tf_solve(ab, b, lam, 1e-7, iters, v)
     return v
 
 
@@ -569,14 +578,14 @@ def _kept_prefix_instances():
     z = np.cumsum(rng.normal(size=n))
     omega = 10.0 ** rng.uniform(-3, 3, size=n)
     omega[rng.random(n) < 0.1] = 1e6
-    _, ab, b = solvers._tf_bands(z, omega, 2)
+    _, ab, b = reference.tf_bands(z, omega, 2)
     m = b.size
-    x, _, dependent = solvers._face_solve(ab, b, np.zeros(m))
+    x, _, dependent = reference.face_solve(ab, b, np.zeros(m))
     first = int(np.flatnonzero(dependent)[0])
     for row in (0, first + 1, first + 5):
         start = rng.uniform(-1.0, 1.0, size=m)
         v = 1e-2 * np.max(np.abs(x)) * start
-        at_v = solvers._face_solve(ab, b, v)[0]
+        at_v = reference.face_solve(ab, b, v)[0]
         lam = np.full(m, 10.0 * np.max(np.abs(at_v)))
         lam[row] = abs(at_v[row]) / 2.0
         v[row] = 1e-3 * lam[row] * start[row]
@@ -592,14 +601,13 @@ def _kept_prefix_instances():
     yield z, omega, 2, lam, {"v": v}
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_trend_filter_long_free_runs_match_python_loop(monkeypatch):
     """On long free runs, where the factorization drops dependent rows,
     and on the edge cases of the compiled solve's kept prefix, the C solve
-    and the Python mirror (which refactors every row) agree bit for bit
+    and the reference (which refactors every row) agree bit for bit
     after a few iterations and at a cap of 40."""
     dropped = []
-    face = solvers._face_solve
+    face = reference.face_solve
 
     def counting(*args):
         out = face(*args)
@@ -608,7 +616,7 @@ def test_trend_filter_long_free_runs_match_python_loop(monkeypatch):
 
     cases = [*_long_free_runs(np.random.Generator(np.random.PCG64(2020))),
              *_kept_prefix_instances()]
-    monkeypatch.setattr(solvers, "_face_solve", counting)
+    monkeypatch.setattr(reference, "face_solve", counting)
     for args in cases:
         for cap in (1, 2, 5, 40):
             cfg = SolverConfig(inner_max_iters=cap, inner_tol=1e-7)
@@ -632,9 +640,9 @@ def _search_instances(rng, count):
         lam = np.full(n - k - 1, 10.0 ** rng.uniform(-2, 3))
         v = np.zeros(n - k - 1)
         if i % 2:
-            _, ab, b = solvers._tf_bands(z + rng.normal(scale=0.3, size=n), omega, k)
-            solvers._tf_solve(ab, b, lam, 1e-9, 300, v)
-        _, ab, b = solvers._tf_bands(z, omega, k)
+            _, ab, b = reference.tf_bands(z + rng.normal(scale=0.3, size=n), omega, k)
+            reference.tf_solve(ab, b, lam, 1e-9, 300, v)
+        _, ab, b = reference.tf_bands(z, omega, k)
         yield ab, b, lam, v
 
 
@@ -649,11 +657,11 @@ def _dense(ab):
 
 
 def test_projected_search_lowers_the_dual_more_than_the_cut(monkeypatch):
-    """Each step of the mirror's solve that leaves the box holds at least
+    """Each step of the reference solve that leaves the box holds at least
     one row and lowers q(v) = v'Av/2 - b'v, evaluated densely, at least as
     much as the one-row cut from the same v would: the step t d cut at
     the first breakpoint (ties to the lower row), that row held."""
-    search = solvers._projected_search
+    search = reference.projected_search
     steps = []
     rng = np.random.Generator(np.random.PCG64(2121))
     for ab, b, lam, v in list(_search_instances(rng, 24)):
@@ -678,8 +686,8 @@ def test_projected_search_lowers_the_dual_more_than_the_cut(monkeypatch):
                 changes.append((value, size))
             steps.append((*changes, int(np.count_nonzero(st[idx]))))
 
-        monkeypatch.setattr(solvers, "_projected_search", watched)
-        solvers._tf_solve(ab, b, lam, 1e-9, 300, v)
+        monkeypatch.setattr(reference, "projected_search", watched)
+        reference.tf_solve(ab, b, lam, 1e-9, 300, v)
     assert len(steps) >= 100
     further = 0
     for (found, size), (cut, cut_size), held in steps:
@@ -702,8 +710,8 @@ def _search_edge_instances():
     n = 80
     z = np.cumsum(rng.normal(size=n))
     omega = 10.0 ** rng.uniform(-1, 1, size=n)
-    _, ab, b = solvers._tf_bands(z, omega, 1)
-    x = solvers._face_solve(ab, b, np.zeros(b.size))[0]
+    _, ab, b = reference.tf_bands(z, omega, 1)
+    x = reference.face_solve(ab, b, np.zeros(b.size))[0]
     lam = np.full(b.size, 10.0 * np.max(np.abs(x)))
     lam[[20, 50]] = np.abs(x[[20, 50]]) / 2.0
     yield z, omega, 1, lam, None
@@ -712,11 +720,11 @@ def _search_edge_instances():
     z = np.cumsum(rng.normal(size=n))
     omega = 10.0 ** rng.uniform(-3, 3, size=n)
     omega[rng.random(n) < 0.1] = 1e6
-    _, ab, b = solvers._tf_bands(z, omega, 2)
-    x, _, dependent = solvers._face_solve(ab, b, np.zeros(b.size))
+    _, ab, b = reference.tf_bands(z, omega, 2)
+    x, _, dependent = reference.face_solve(ab, b, np.zeros(b.size))
     first = int(np.flatnonzero(dependent)[0])
     v = 1e-2 * np.max(np.abs(x)) * rng.uniform(-1.0, 1.0, size=b.size)
-    at_v = solvers._face_solve(ab, b, v)[0]
+    at_v = reference.face_solve(ab, b, v)[0]
     lam = np.full(b.size, 10.0 * np.max(np.abs(at_v)))
     rows = [first - 2, first - 1, first + 1, first + 2]
     lam[rows] = np.abs(at_v[rows]) / 2.0
@@ -724,12 +732,11 @@ def _search_edge_instances():
     yield from _tf_instances(np.random.Generator(np.random.PCG64(1406)), 21)
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_trend_filter_projected_search_edge_cases_match_python_loop(monkeypatch):
-    """The C solve and the Python mirror agree bit for bit on the edge
+    """The C solve and the reference agree bit for bit on the edge
     cases of the projected search, after one iteration, after a few and
     at a cap of 40."""
-    search = solvers._projected_search
+    search = reference.projected_search
     seen = {"tie": 0, "full": 0, "dependent": 0, "zero": 0}
 
     def watched(c, g, x, v, st, idx, lam):
@@ -740,7 +747,7 @@ def test_trend_filter_projected_search_edge_cases_match_python_loop(monkeypatch)
         search(c, g, x, v, st, idx, lam)
         held = np.flatnonzero(free & (st[idx] != 0))
         rest = np.flatnonzero(st[idx] == 0)
-        dependent = solvers._face_solve(c, np.zeros(idx.size), np.zeros(idx.size))[2]
+        dependent = reference.face_solve(c, np.zeros(idx.size), np.zeros(idx.size))[2]
         w = c.shape[0] - 1
         seen["tie"] += int(np.sum(ratio == np.min(ratio)) > 1)
         seen["zero"] += int(np.min(ratio) == 0.0)
@@ -750,7 +757,7 @@ def test_trend_filter_projected_search_edge_cases_match_python_loop(monkeypatch)
             dependent[max(a - w, 0):a + w + 1].any() for a in held))
 
     cases = list(_search_edge_instances())
-    monkeypatch.setattr(solvers, "_projected_search", watched)
+    monkeypatch.setattr(reference, "projected_search", watched)
     for args in cases:
         for cap in (1, 2, 5, 40):
             cfg = SolverConfig(inner_max_iters=cap, inner_tol=1e-7)
@@ -797,10 +804,7 @@ _TF_BAD = [
 ]
 
 
-@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
-def test_trend_filter_rejects_bad_input_before_any_work(monkeypatch, python):
-    if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+def test_trend_filter_rejects_bad_input_before_any_work():
     for (z, omega, k, lam), msg in _TF_BAD:
         state = {}
         with pytest.raises(ValidationError, match=msg):
@@ -808,24 +812,11 @@ def test_trend_filter_rejects_bad_input_before_any_work(monkeypatch, python):
         assert state == {}
 
 
-def test_trend_filter_forced_python_fallback(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(2016))
-    cases = list(_tf_instances(rng, 12))
-    expected = [_tf_run(c, python=False) for c in cases]
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    assert solvers.FUSED_LASSO_KERNEL == "python"
-    for c, solve in zip(cases, expected):
-        _assert_same_solve(_tf_run(c, python=False), solve, c[0].size)  # the loader is patched away
-    for (z, omega, k, lam), msg in _TF_BAD:
-        with pytest.raises(ValidationError, match=msg):
-            weighted_trend_filter(z, omega, k, lam)
-
-
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
     """A warm start outside the box is scaled into it as a whole (the
-    largest t <= 1 that fits it there), by the C loop and the Python
-    mirror alike, and the solve still ends at the solution."""
+    largest t <= 1 that fits it there), by the C loop and the reference
+    alike, and the solve still ends at the solution."""
     rng = np.random.Generator(np.random.PCG64(90 + k))
     n, lam = 120, 1.5
     z = np.cumsum(rng.normal(size=n))
@@ -839,9 +830,9 @@ def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
     assert state["converged"]
     assert trend_filter_kkt_residual(beta, z, omega, k, lam) <= 1e-6
     starts = []
-    solve = solvers._tf_solve
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
-    monkeypatch.setattr(solvers, "_tf_solve",
+    solve = reference.tf_solve
+    reference.use(monkeypatch)
+    monkeypatch.setattr(reference, "tf_solve",
                         lambda ab, b, lam, *rest: starts.append(rest[-1].copy())
                         or solve(ab, b, lam, *rest))
     weighted_trend_filter(z, omega, k, lam, state={"v": v})
@@ -865,8 +856,6 @@ def test_kernel_has_one_fit_entry(monkeypatch):
     weighted_fused_lasso(z, 1.0, 0.5)
     weighted_trend_filter(z, 1.0, 1, 0.5)
     assert calls == ["gaussian", "gaussian"]
-    if solvers.FUSED_LASSO_KERNEL != "c":
-        pytest.skip("no C kernel here")
     lib = solvers._kernel()
     for gone in ("fused_lasso_dp", "trend_filter_dual"):
         assert not hasattr(lib, gone)
@@ -876,7 +865,7 @@ def test_kernel_has_one_fit_entry(monkeypatch):
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_compiled_sources_are_package_data():
-    # without its source, an installed package silently runs the Python loops
+    # without its source, an installed package cannot build its loops
     import tomllib
 
     root = Path(__file__).resolve().parent.parent
@@ -1232,14 +1221,6 @@ def _assert_run_record(fit, cfg):
     assert fit.converged or fit.iters == cfg.max_iters
 
 
-def _c_and_python(monkeypatch, fit, args, kwargs):
-    """One fit by the compiled loop and by its Python mirror."""
-    c = fit(*args, **kwargs)
-    with monkeypatch.context() as mp:
-        mp.setattr(solvers, "_kernel", lambda: None)
-        return c, fit(*args, **kwargs)
-
-
 def _assert_same_fit(c, py, where):
     """The two loops return the same bits: iterate, trace, record, df and
     final envelope variables."""
@@ -1253,11 +1234,10 @@ def _assert_same_fit(c, py, where):
             assert np.array_equal(c.aux[name], py.aux[name]), where
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_qrtf_c_path_matches_python_path(monkeypatch):
     """The check-loss envelope path, its cold start, dual carried from fit
     to fit, capped inner solves and maps that rise included, returns the
-    same bits from the C loop and from its Python mirror."""
+    same bits from the C loop and from the reference."""
     from envopt.applications import simulate
 
     rng = np.random.Generator(np.random.PCG64(1601))
@@ -1277,7 +1257,7 @@ def test_qrtf_c_path_matches_python_path(monkeypatch):
     c_paths = [solvers.envelope_fused_lasso_path("check", y, None, 1.0, lams, None, cfg,
                                                  q=q, k=k)
                for y, lams, cfg, q, k in cases]
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    reference.use(monkeypatch)
     records = []
     for (y, lams, cfg, q, k), c_path in zip(cases, c_paths):
         py_path = solvers.envelope_fused_lasso_path("check", y, None, 1.0, lams, None, cfg,
@@ -1289,16 +1269,18 @@ def test_qrtf_c_path_matches_python_path(monkeypatch):
     assert sum(r["rises"] > 0 for r in records) >= 3
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_envelope_mm_c_loop_matches_mm_driver(monkeypatch):
-    # the Python mirror repeats the C loop's arithmetic map for map, so
+    # the reference repeats the C loop's arithmetic map for map, so
     # whole runs agree to the bit, SQUAREM's steplength and accept test
     # included
     rng = np.random.Generator(np.random.PCG64(1205))
     cases = list(_envelope_instances(rng, 120))
     c_fits = []
     for fit, args, kwargs in cases:
-        c, py = _c_and_python(monkeypatch, fit, args, kwargs)
+        c = fit(*args, **kwargs)
+        with monkeypatch.context() as mp:
+            reference.use(mp)
+            py = fit(*args, **kwargs)
         where = (fit.__name__, args[0].size, kwargs["init"] is None, c.iters, py.iters)
         _assert_same_fit(c, py, where)
         _assert_run_record(c, kwargs["cfg"])
@@ -1313,7 +1295,7 @@ def test_envelope_mm_rejects_extrapolation_that_rises(monkeypatch, python):
     from envopt.applications import fit_rfl, simulate
 
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = simulate("rfl", 30, seed=5).y
     cfg = SolverConfig()
     fit = fit_rfl(y, 5.0, cfg=cfg)
@@ -1358,12 +1340,9 @@ _ENVELOPE_BAD = [
 ]
 
 
-@pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
-def test_envelope_mm_rejects_bad_input_before_any_work(monkeypatch, python):
+def test_envelope_mm_rejects_bad_input_before_any_work():
     from envopt import applications
 
-    if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for module in (solvers, applications):
@@ -1441,7 +1420,7 @@ def test_envelope_mm_kernel_status_is_raised(monkeypatch):
                 init = fit_rfl(y6, lam, init=init).beta
         for err in (path_err, cv_err):
             assert str(err.value) == str(chain_err.value)
-    # named as the Python mirror names the solve of the same loop
+    # named as the reference names the solve of the same loop
     assert (logit_err.value.step, rfl_err.value.step, fdp_err.value.step) == (
         "polya_gamma_fused_lasso", "fused_lasso", "log_penalty_fused_lasso")
     assert (logit_err.value.before, logit_err.value.after) == (0.5, 1.0)
@@ -1498,12 +1477,11 @@ def test_envelope_fits_return_df_and_final_shift():
     assert flat >= 10
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 def test_envelope_fits_same_record_without_kernel(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(910))
     cases = list(_envelope_edge_instances(rng, 60))
     c_fits = [_four_fits(*case) for case in cases]
-    monkeypatch.setattr(solvers, "_kernel", lambda: None)
+    reference.use(monkeypatch)
     for case, fits in zip(cases, c_fits):
         for c, py in zip(fits, _four_fits(*case)):
             _assert_same_fit(c, py, (case[0].size, case[1], c.iters))
@@ -1524,12 +1502,11 @@ def _run_boundary_start(rng):
     return np.concatenate([pieces[i] for i in rng.permutation(len(pieces))])
 
 
-@pytest.mark.skipif(solvers.FUSED_LASSO_KERNEL != "c", reason="no C kernel here")
 @pytest.mark.parametrize("kind", ["binomial-logit", "fdp", "huber"])
 def test_run_boundaries_same_bits_without_kernel(monkeypatch, kind):
     # the loops evaluate tanh, the softplus and the log penalty once per run
     # of bit-equal values, and take a certified map's objective from its
-    # levels; the mirror evaluates every entry's own value, so a run that
+    # levels; the reference evaluates every entry's own value, so a run that
     # swallowed a neighbour one ulp away changes a bit here
     rng = np.random.Generator(np.random.PCG64(3010))
     for case in range(3):
@@ -1545,13 +1522,10 @@ def test_run_boundaries_same_bits_without_kernel(monkeypatch, kind):
             cfg = SolverConfig(max_iters=max_iters)
             c = solvers.envelope_fused_lasso_path(kind, y, m, 1.0, lams, start, cfg)
             with monkeypatch.context() as mp:
-                mp.setattr(solvers, "_kernel", lambda: None)
+                reference.use(mp)
                 py = solvers.envelope_fused_lasso_path(kind, y, m, 1.0, lams, start, cfg)
             for l, (cf, pf) in enumerate(zip(c, py)):
-                where = (case, max_iters, l)
-                assert cf.beta.tobytes() == pf.beta.tobytes(), where
-                assert cf.trace.tobytes() == pf.trace.tobytes(), where
-                assert cf.aux["run"] == pf.aux["run"], where
+                _assert_same_fit(cf, pf, (case, max_iters, l))
 
 
 @pytest.mark.parametrize("python", [False, True], ids=["default", "python"])
@@ -1559,7 +1533,7 @@ def test_certified_map_needs_each_jump_strictly(monkeypatch, python):
     # y = start = (0, 2) with u = 1: the rising hint's levels 0 + 1 and
     # 2 - 1 meet, so the certificate fails and the one map runs the DP
     if python:
-        monkeypatch.setattr(solvers, "_kernel", lambda: None)
+        reference.use(monkeypatch)
     y = np.array([0.0, 2.0])
     fit, = solvers.envelope_fused_lasso_path("huber", y, None, 1.0, np.array([1.0]), y.copy(),
                                              SolverConfig(max_iters=1))
