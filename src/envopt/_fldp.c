@@ -645,10 +645,10 @@ enum { HUBER_SHIFT = 0, POLYA_GAMMA = 1, SQUARED = 2, LOG_PENALTY = 3, CHECK = 4
    iterations and the solves that ended without meeting their test, and
    act receives the rows at a bound of the last map's solve (tf is NULL
    when the caller passed no check block).  maps counts the maps run
-   and, when record is nonzero (for every envelope but SQUARED), trace[t]
-   receives the objective after map t. */
+   and, for every envelope but SQUARED, trace[t] receives the objective
+   after map t. */
 typedef struct {
-    int envelope, coupled, record;
+    int envelope, coupled;
     const double *y, *m, *u;
     double a, q, umax;
     long n, rows, maps, dp_calls;
@@ -657,11 +657,6 @@ typedef struct {
     double *v, *v2, inner_tol;
     long inner_max, inner_iters, capped, act;
 } loop;
-
-static int logit_loss(int envelope)
-{
-    return envelope == POLYA_GAMMA || envelope == LOG_PENALTY;
-}
 
 /* log(1 + e^b) as numpy's logaddexp(0, b) evaluates it. */
 static double softplus(double b)
@@ -962,7 +957,7 @@ static const double *solve_penalties(loop *s, const double *pen)
    (counted in s->dp_calls) only when its test fails; the squared loss's
    one solve, whose from is not read, is the DP.  Both take the penalties
    of solve_penalties.  When no u_i couples two coefficients the fused
-   lasso returns z itself, as the Python wrapper of the DP does; objective
+   lasso returns a copy of z (as the tests' reference does); objective
    gives the objective of every solve but a certified one.  Returns 0, or
    2 when the update or the objective is not finite. */
 static int map(loop *s, const double *from, double *to, double *obj)
@@ -985,12 +980,12 @@ static int map(loop *s, const double *from, double *to, double *obj)
     return fabs(*obj) < HUGE_VAL ? 0 : 2;
 }
 
-/* Appends the objective after one more map to the run record. */
+/* Appends the objective after one more map to the run record (SQUARED,
+   whose trace is its one map's objective, never comes here). */
 static void count_map(loop *s, double obj)
 {
     s->maps++;
-    if (s->record)
-        s->trace[s->maps] = obj;
+    s->trace[s->maps] = obj;
 }
 
 /* One plain map from -> to.  *obj holds the objective at from on entry
@@ -1143,7 +1138,7 @@ enum { INFO = 11 };
    beta holds the start on entry (unread for SQUARED and for CHECK with
    cold set) and the last iterate on return; b1, b2 and bx are work
    vectors.  s->trace[0] is the starting objective (for SQUARED the
-   objective of its one map) and, when s->record is nonzero, s->trace[t]
+   objective of its one map) and, for the iterative envelopes, s->trace[t]
    the objective after map t; a rejected extrapolation repeats its step's
    plain value.  envvar receives the final envelope variables: for
    HUBER_SHIFT the shift soft(y - beta, 1) (n values), for LOG_PENALTY
@@ -1273,12 +1268,13 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
    and the last dual) of the final envelope variables, unread otherwise
    (it may be NULL).  info is fits x INFO values, row l the info of fit l
    (see fit()), then one value: the index of the last fit run, which is
-   the failing fit when the return value is 2 or 3.  The caller validates
-   the inputs (n >= 1, y finite, 0 <= y <= m with m >= 1 for the logit
-   envelopes, m > 0 and finite for SQUARED, u >= 0 and lams >= 0 with
-   every product lams[l] * u_j finite, a > 0 and finite for LOG_PENALTY,
-   0 < q < 1 for CHECK, k >= 0 and n >= k + 2 with check, the start
-   finite, max_iters >= 1, inner_max_iters >= 1, fits >= 1).  Returns 0;
+   the failing fit when the return value is 2 or 3.  The caller passes m
+   and check as its table _KINDS says and validates the values (n >= 1,
+   y finite, 0 <= y <= m with m >= 1 for the logit envelopes, m > 0 and
+   finite for SQUARED, u >= 0 and lams >= 0 with every product
+   lams[l] * u_j finite, a > 0 and finite for LOG_PENALTY, 0 < q < 1 for
+   CHECK, k >= 0 and n >= k + 2 with check, the start finite, max_iters
+   >= 1, inner_max_iters >= 1, fits >= 1).  Returns 0;
    1 when the work arrays cannot be allocated; 2 when a weight, a working
    response or the objective of a plain map is not finite; 3 when the
    objective of a plain map rises (not for CHECK).  A fit that fails
@@ -1290,7 +1286,6 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
                               double *envvar, double *info, const double *check)
 {
     int cold = envelope == CHECK && check[4] != 0.0, status = 0;
-    int record = envelope != SQUARED;
     long i, l, k = check ? (long)check[1] : 0, rows = n - k - 1;
     long nv = envelope == HUBER_SHIFT ? n : check ? 2 * n + rows : n - 1;
     tfdual tf;
@@ -1302,13 +1297,13 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         return 1;
     }
     double *b1 = work + 3 * n, *b2 = b1 + n, *bx = b2 + n, *pen = bx + 9 * n;
-    loop s = {envelope, 0, record, y, m, pen, a, check ? check[0] : 0.0, 0.0, n, rows, 0, 0,
+    loop s = {envelope, 0, y, m, pen, a, check ? check[0] : 0.0, 0.0, n, rows, 0, 0,
               work, work + n, work + 2 * n, bx + n, trace,
               check ? &tf : NULL, pen + n, pen + n + rows, check ? check[2] : 0.0,
               check ? (long)check[3] : 0, 0, 0, 0};
 
     /* the weights of the envelopes that do not update them */
-    if (!logit_loss(envelope) && envelope != CHECK)
+    if (envelope == HUBER_SHIFT || envelope == SQUARED)
         for (i = 0; i < n; i++)
             s.w[i] = envelope == SQUARED && m ? m[i] : 1.0;
     if (check)
@@ -1327,7 +1322,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         s.trace = trace;
         status = fit(&s, tol, max_iters, cold && l == 0, b, b1, b2, bx,
                      envvar ? envvar + l * nv : NULL, info + INFO * l);
-        trace += record ? s.maps + 1 : 1;
+        trace += envelope == SQUARED ? 1 : s.maps + 1;
     }
     info[INFO * fits] = (double)(l - 1);
     if (check)

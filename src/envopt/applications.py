@@ -375,7 +375,7 @@ class AppEntry:
         return "m" in self.columns
 
 
-def _logit_losses(spec, y, betas, m):
+def _binomial_losses(spec, y, betas, m):
     loss = LossSpec("binomial-logit", y=y, m=m)
     return np.array([loss_value(loss, beta) for beta in betas])
 
@@ -396,7 +396,7 @@ APP_TABLE = {
         path=_qrtf_path, columns=("x", "y"), truth=_qrtf_truth,
         params=("q", "k")),
     "fdp": AppEntry(
-        loss=_logit_losses, path=_fdp_path, columns=("x", "y", "m"),
+        loss=_binomial_losses, path=_fdp_path, columns=("x", "y", "m"),
         truth=lambda spec, data: data.get("truth_logodds"), params=("a",)),
 }
 APPS = tuple(APP_TABLE)
@@ -515,13 +515,16 @@ def simulate(app: str, n: int, seed: int, m: Optional[int] = None) -> Dataset:
     piecewise-constant log-odds truth.  The generator is PCG64 with the
     given 64-bit seed, recorded in the metadata; the same seed
     reproduces the dataset bit for bit.  ``n``, ``seed`` and ``m`` must
-    be integers (not bool), with ``n >= 5``, ``seed >= 0`` and ``m >= 1``.
+    be integers (not bool), with ``n >= 5``, ``seed >= 0`` and ``m >= 1``;
+    ``m`` is given only for an app with trial counts (fdp).
     """
     if app not in APPS:
         raise ValidationError(f"unknown application {app!r}")
     _count(n, "n", 5)
     _count(seed, "seed", 0)
     if m is not None:
+        if not APP_TABLE[app].needs_m:
+            raise ValidationError(f"{app} has no trial counts, so it takes no m")
         _count(m, "m", 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     meta = {"generator": "pcg64", "seed": int(seed), "n": int(n)}

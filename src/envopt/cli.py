@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .applications import (
     simulate,
     solution_path,
 )
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .errors import ConvergenceError, EnvoptError, ValidationError, _lambda_grid
 from .solvers import SolverConfig
 
@@ -155,6 +155,11 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _app_params(app: AppSpec) -> dict:
+    """The AppSpec fields that the app reads (``APP_TABLE[app].params``)."""
+    return {p: getattr(app, p) for p in APP_TABLE[app.app].params}
+
+
 def _fit_record(app: AppSpec, data, fit, manifest: RunManifest | None) -> dict:
     loss = app_loss(app, data["y"], fit.beta, m=data.get("m"))
     rec = {
@@ -171,7 +176,7 @@ def _fit_record(app: AppSpec, data, fit, manifest: RunManifest | None) -> dict:
     }
     if manifest is not None:
         rec["manifest"] = manifest.to_dict()
-    rec.update({p: getattr(app, p) for p in APP_TABLE[app.app].params})
+    rec.update(_app_params(app))
     return rec
 
 
@@ -199,9 +204,7 @@ def cmd_fit(args) -> int:
     cfg = _solver_config(args)
     fit = APP_TABLE[app.app].path(app, data["y"], data.get("m"), np.array([app.lam]), cfg)[0]
     manifest = RunManifest(command=" ".join(sys.argv),
-                           config={"lam": args.lam, "q": args.q, "k": args.k,
-                                   "a": args.a, "tol": cfg.tol,
-                                   "max_iters": cfg.max_iters})
+                           config={"lam": args.lam, **_app_params(app), **asdict(cfg)})
     manifest.timings["fit"] = time.perf_counter() - t0
     _write_json(args.out, _fit_record(app, data, fit, manifest))
     print(f"wrote {args.out} (objective {fit.objective:.6g}, df {fit.df}, "
@@ -220,9 +223,8 @@ def cmd_path(args) -> int:
     path = solution_path(app, data["y"], lambdas, m=data.get("m"),
                          criterion=args.criterion, folds=args.folds, cfg=cfg)
     manifest = RunManifest(command=" ".join(sys.argv),
-                           config={"lambdas": args.lambdas,
-                                   "criterion": args.criterion,
-                                   "folds": args.folds})
+                           config={"lambdas": args.lambdas, "criterion": args.criterion,
+                                   "folds": args.folds, **_app_params(app), **asdict(cfg)})
     manifest.timings["path"] = time.perf_counter() - t0
     records = [_fit_record(app.with_lam(float(lam)), data, fit, None)
                for lam, fit in zip(path.lambdas, path.fits)]
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--m", type=int, default=None,
-                    help="binomial trial count (fdp; default 25)")
+                    help="binomial trial count (fdp only; default 25)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_simulate)
 
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run the validation suites")
     sp.add_argument("--suite", default="all",
-                    choices=("envelope", "prox", "conjugate", "solver", "all"))
+                    choices=(*SUITES, "all"))
     sp.add_argument("--out", default=None, help="optional JSON report path")
     sp.set_defaults(fn=cmd_check)
     return p

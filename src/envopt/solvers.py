@@ -19,16 +19,13 @@ Contents:
   ``update(beta) -> aux`` followed by the subproblem solve
   ``solve(aux, beta) -> beta``, with one objective evaluation and a
   monotonicity check per cycle.
-* :func:`envelope_fused_lasso_path` -- one MM loop for the envelope fits,
-  whose subproblem is an exact fused lasso (certified in closed form on
-  the runs of the map's input, or else the DP) or, given an order ``k``,
-  an exact trend filter (the Huber shift, Polya-Gamma weights, Polya-Gamma
-  weights with the log penalty's edge weights, the weighted squared loss
-  and the check loss's variance-mean weights), extrapolated by
-  safeguarded SQUAREM, run over a warm-started grid of penalty scales,
-  that returns each fit's whole run record, df and final envelope
-  variables included; :func:`envelope_fused_lasso_mm` is its one-fit
-  case.
+* :func:`envelope_fused_lasso_path` -- one MM loop for the five envelope
+  fits (below), whose subproblem is an exact fused lasso (certified in
+  closed form on the runs of the map's input, or else the DP) or, given
+  an order ``k``, an exact trend filter, extrapolated by safeguarded
+  SQUAREM, run over a warm-started grid of penalty scales, that returns
+  each fit's whole run record, df and final envelope variables included;
+  what each fit kind reads is its row of one table, ``_KINDS``.
 * :func:`logistic_fused_lasso` -- the logit's Gaussian scale-mixture
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
@@ -58,6 +55,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from collections import namedtuple
 import hashlib
 import os
 import shutil
@@ -239,8 +237,8 @@ def weighted_fused_lasso(z, omega, u_edges):
     sum_i u_i |beta_{i+1} - beta_i|``.  The problem is strictly convex,
     so the dynamic program returns the unique solution.  The inputs follow
     the package's input rules (README, "Input rules"), and the solve is
-    the one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
-    weights ``omega``, whose map is the compiled DP.
+    the one-solve squared-loss fit of :func:`envelope_fused_lasso_path` with
+    weights ``omega`` on the one scale 1, whose map is the compiled DP.
     """
     z = _response(z, 1, "z")
     n = z.shape[0]
@@ -269,8 +267,8 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     bound with a wrong-signed multiplier beyond ``cfg.inner_tol`` relative.
     ``cfg.inner_max_iters`` caps the iterations.  The inputs follow the
     package's input rules (README, "Input rules"), and the solve is the
-    one-solve squared-loss fit of :func:`envelope_fused_lasso_mm` with
-    weights ``omega`` and order ``k``.
+    one-solve squared-loss fit of :func:`envelope_fused_lasso_path` with
+    weights ``omega`` and order ``k`` on the one scale 1.
 
     ``lam`` may be a scalar or a per-row vector; a row with ``lam_j = 0``
     is left free in the primal (its dual stays 0).  ``state``, if given,
@@ -292,8 +290,8 @@ def weighted_trend_filter(z, omega, k: int, lam, cfg: Optional[SolverConfig] = N
     if state is None:
         state = {}
     v = state.get("v")  # a warm start of another length is ignored
-    fit = envelope_fused_lasso_mm("gaussian", z, omega, lam, None, cfg, k=k,
-                                  v=None if np.shape(v) != (m,) else v)
+    fit = envelope_fused_lasso_path("gaussian", z, omega, lam, _UNIT_SCALE, None, cfg, k=k,
+                                    v=None if np.shape(v) != (m,) else v)[0]
     state.update(v=fit.aux["v"], iters=fit.aux["run"]["inner_iters"],
                  converged=fit.converged)
     return fit.beta
@@ -438,21 +436,23 @@ def _mm_start(init, default, n: int) -> np.ndarray:
     return beta
 
 
-# The envelopes of envelope_fused_lasso_path, by fit kind: the code of each
-# in _fldp.c, the name of its map's solve, which a MonotonicityError
-# reports, and the final envelope variables its fused-lasso fits return in
-# aux, each with n values (True) or one per row of D (False): the Huber
-# shift or the log penalty's edge weights ("u").
-_ENVELOPES = {"huber": (0, "fused_lasso", (("u", True),)),
-              "binomial-logit": (1, "polya_gamma_fused_lasso", ()),
-              "gaussian": (2, "fused_lasso", ()),
-              "fdp": (3, "log_penalty_fused_lasso", (("u", False),)),
-              "check": (4, "trend_filter", ())}
-
-# The final envelope variables of a fit whose subproblem is the trend
-# filter: the weights and working responses at the last iterate ("omega",
-# "z") and the dual of the last trend filter ("v").
-_TF_VARS = (("omega", True), ("z", True), ("v", False))
+# The fit kinds of envelope_fused_lasso_path: the envelope's code in
+# _fldp.c; the name of its map's solve, which a MonotonicityError reports;
+# the values of ``m is not None`` and of ``k is not None`` that a call may
+# have; and the final envelope variables in aux, without k and with it,
+# each with n values (True) or one per row of D (False).
+_Kind = namedtuple("_Kind", "code solve m k envvars")
+_REQUIRED, _OPTIONAL, _NONE = (True,), (False, True), (False,)
+_RULES = {_REQUIRED: "requires", _OPTIONAL: "may take", _NONE: "takes no"}
+_KINDS = {
+    "huber": _Kind(0, "fused_lasso", _NONE, _NONE, ((("u", True),), None)),
+    "binomial-logit": _Kind(1, "polya_gamma_fused_lasso", _REQUIRED, _NONE, ((), None)),
+    "gaussian": _Kind(2, "fused_lasso", _OPTIONAL, _OPTIONAL,
+                      ((), (("omega", True), ("z", True), ("v", False)))),
+    "fdp": _Kind(3, "log_penalty_fused_lasso", _REQUIRED, _NONE, ((("u", False),), None)),
+    "check": _Kind(4, "trend_filter", _NONE, _REQUIRED,
+                   (None, (("omega", True), ("z", True), ("v", False)))),
+}
 
 # The values of a fit's info row in _fldp.c.
 _INFO = 11
@@ -465,14 +465,6 @@ _ONE_SOLVE = SolverConfig(max_iters=1)
 # leaves every edge weight exactly as given.
 _UNIT_SCALE = np.ones(1)
 _UNIT_SCALE.setflags(write=False)
-
-
-def envelope_fused_lasso_mm(kind: str, y, m, u, beta, cfg: SolverConfig,
-                            a: float = 1.0, q: float = 0.5, k: Optional[int] = None,
-                            v=None) -> FitResult:
-    """One envelope fit with row penalties ``u``: the path of
-    :func:`envelope_fused_lasso_path` with the single penalty scale 1."""
-    return envelope_fused_lasso_path(kind, y, m, u, _UNIT_SCALE, beta, cfg, a, q, k, v)[0]
 
 
 def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0,
@@ -515,34 +507,40 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     its ``aux["omega"]`` and ``aux["z"]`` are the weights and working
     responses at the last iterate, ``aux["v"]`` the dual of its last solve
     (of the step's second plain map when the last extrapolation was
-    rejected), and ``df`` is the count of dual rows at a bound plus ``k + 1``.  The
+    rejected), and ``df`` is the count of dual rows at a bound plus ``k + 1``.
+
+    What each kind reads is its row of ``_KINDS``, as said below; a dual
+    ``v`` comes only with ``k``.  A call that breaks its kind's row raises
+    :class:`~envopt.errors.ValidationError` before the kernel runs.  The
     envelopes:
 
     * ``"huber"``: the Huber location shift (threshold 1), a fused lasso
       on ``y - soft(y - beta, 1)`` with unit weights; ``aux["u"]`` is the
-      shift at the last iterate.
+      shift at the last iterate.  It takes neither ``m`` nor ``k``.
     * ``"binomial-logit"``: the logit's Polya-Gamma weights
-      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``.
+      (:func:`~envopt.losses.logit_scale_update`) with trial counts ``m``;
+      no ``k``.
     * ``"fdp"``: the Polya-Gamma weights together with the log penalty
       ``sum_i u_i log(1 + |beta_{i+1} - beta_i| / a)`` linearized at
       ``beta``, whose edge weights are ``u_i / (a + |beta_{i+1} -
       beta_i|)``.  Each bound touches its own term at ``beta``, so their
       sum majorizes the objective; ``aux["u"]`` is the edge weights at the
-      last iterate.
+      last iterate.  It needs trial counts ``m`` and takes no ``k``.
     * ``"gaussian"``: the squared loss ``sum_i (m_i/2)(y_i - beta_i)^2``
-      with per-point weights ``m`` (1 when None), exact in one solve on
-      ``y``; the record is ``iters=1``, ``converged=True`` and
-      ``trace=[objective]`` (run it with ``_ONE_SOLVE``; ``beta`` is not
-      read and may be None).  :func:`weighted_fused_lasso` and
+      with per-point weights ``m`` (1 when None; ``k`` too is optional),
+      exact in one solve on ``y``; the record is ``iters=1``,
+      ``converged=True`` and ``trace=[objective]`` (run it with
+      ``_ONE_SOLVE``; ``beta`` is not read and may be None).  :func:`weighted_fused_lasso` and
       :func:`weighted_trend_filter` are this fit.
     * ``"check"``: the check loss at quantile ``q``, majorized by its
       variance-mean quadratic with weights ``min(1/|y - beta|, 1e6)``
       (:func:`~envopt.losses.variance_mean_update`), with the trend filter
-      of order ``k``.  With ``beta`` None, fit 0 starts at the trend filter
-      of ``y`` with unit weights.  The clamped weights do not majorize the
-      loss where a residual is below 1e-6, so a plain map may rise: that
-      ends the fit at its last accepted iterate, converged only when the
-      rise is within ``cfg.tol`` relative, and the path goes on.
+      of order ``k``, required (no ``m``).  With ``beta`` None, fit 0
+      starts at the trend filter of ``y`` with unit weights.  The clamped
+      weights do not majorize the loss where a residual is below 1e-6, so
+      a plain map may rise: that ends the fit at its last accepted
+      iterate, converged only when the rise is within ``cfg.tol``
+      relative, and the path goes on.
 
     The fused lasso of each map of an iterative envelope is first solved
     in closed form on the runs (maximal stretches of bit-equal values) of
@@ -586,29 +584,26 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     The whole path, the objectives and ``df`` included, runs in one call
     of the compiled kernel (``_fldp.c``); when the kernel cannot be used,
     :func:`_kernel` raises :class:`~envopt.errors.EnvoptError`.  The
-    caller validates the inputs: ``y`` (and ``m``) contiguous, finite and,
-    for the logit, ``0 <= y <= m`` with ``m >= 1``, for ``"gaussian"``
-    ``m`` None or positive; ``u`` a scalar or one nonnegative finite
-    penalty per row; ``lams`` a float vector of
-    nonnegative finite scales; ``a`` positive and finite for ``"fdp"``;
-    ``0 < q < 1`` and an order ``k`` for ``"check"``; ``k >= 0`` and
-    ``n >= k + 2`` when ``k`` is given; a start
-    ``beta`` from :func:`_mm_start`, which is not changed.  Outside the
-    check loss, a plain map that raises the objective raises
-    :class:`MonotonicityError` naming the solve; a value that is not
-    finite raises :class:`ValidationError`; each with the values of the
-    fit where it happened, and no later fit runs.  Returns the fits in the
-    order of ``lams``; the iterates and final envelope variables of a path
-    are views of one block.
+    callers validate the values by the input rules of ``errors``, the
+    start ``beta`` by :func:`_mm_start`, as the comment of the C entry
+    lists them; ``beta`` is not changed.  Outside the check loss, a plain
+    map that raises the objective raises :class:`MonotonicityError` naming
+    the solve; a value that is not finite raises :class:`ValidationError`;
+    each with the values of the fit where it happened, and no later fit
+    runs.  Returns the fits in the order of ``lams``; the iterates and
+    final envelope variables of a path are views of one block.
     """
+    row = _KINDS.get(kind)
+    if row is None:
+        raise ValidationError(f"unknown envelope kind {kind!r}; the kinds are {', '.join(_KINDS)}")
+    if (m is not None) not in row.m or (k is not None) not in row.k or (v is not None and k is None):
+        raise ValidationError(f"envelope kind {kind!r} {_RULES[row.m]} m and {_RULES[row.k]} "
+                              "order k (a dual v comes only with k)")
     lib = _kernel()
-    code, solve_name, envvars = _ENVELOPES[kind]
-    n, fits = y.shape[0], lams.shape[0]
     check = k is not None  # the trend filter's parameters go to _fldp.c
-    if check:
-        envvars, rows = _TF_VARS, n - k - 1
-    else:
-        rows = n - 1
+    envvars = row.envvars[check]
+    n, fits = y.shape[0], lams.shape[0]
+    rows = n - k - 1 if check else n - 1
     slots, width = [], 0  # (name, first, end) of each envelope variable in a fit's row
     for name, full in envvars:
         slots.append((name, width, width + (n if full else rows)))
@@ -646,7 +641,7 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
     else:
         traces, trace_at = block[o_trace:], at + 8 * o_trace
     status = lib.envelope_fused_lasso_path(
-        code, at, None if m is None else at + 8 * o_m, at + 8 * o_u,
+        row.code, at, None if m is None else at + 8 * o_m, at + 8 * o_u,
         at + 8 * o_lam, fits, a, n, cfg.tol, cfg.max_iters, at + 8 * o_beta,
         trace_at, at + 8 * o_env if envvars else None, at + 8 * o_info,
         at + 8 * o_check if check else None)
@@ -657,7 +652,7 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         raise ValidationError("an MM cycle met a value that is not finite")
     if status == 3:
         failed = _INFO * int(info[-1])
-        raise MonotonicityError(solve_name, info[failed + 2], info[failed + 3])
+        raise MonotonicityError(row.solve, info[failed + 2], info[failed + 3])
     out, t = [], 0
     for l in range(fits):
         maps, converged, obj, _, df, steps, rejected, inner, capped, rises, dp_calls = \
@@ -720,9 +715,10 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     resulting weighted fused lasso is solved exactly, so the objective is
     monotone.  The inputs are validated here, counts with no finite
     minimizer included (:func:`_check_finite_minimizer`), and the loop runs
-    as :func:`envelope_fused_lasso_mm`, extrapolated by SQUAREM.  Returns
-    the MM run record: ``iters`` maps, their ``trace``, whether the loop
-    met ``cfg.tol`` within ``cfg.max_iters`` and ``aux["run"]``.
+    as :func:`envelope_fused_lasso_path` on the one scale 1, extrapolated
+    by SQUAREM.  Returns the MM run record: ``iters`` maps, their
+    ``trace``, whether the loop met ``cfg.tol`` within ``cfg.max_iters``
+    and ``aux["run"]``.
     """
     cfg = cfg or SolverConfig()
     loss = LossSpec("binomial-logit", y=y, m=m)
@@ -730,7 +726,8 @@ def logistic_fused_lasso(y, m, u_edges, init=None,
     u = _penalties(u_edges, n - 1)
     _check_finite_minimizer(loss, u)
     beta = _mm_start(init, np.zeros(n), n)
-    return envelope_fused_lasso_mm("binomial-logit", loss.y, loss.m, u, beta, cfg)
+    return envelope_fused_lasso_path("binomial-logit", loss.y, loss.m, u, _UNIT_SCALE, beta,
+                                     cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from envopt import applications, solvers
 from envopt.errors import MonotonicityError, ValidationError
 from envopt.losses import _WEIGHT_CLAMP, LossSpec, location_envelope_update
 from envopt.operators import diff_matrix
-from envopt.solvers import _ENVELOPES, FitResult, _finite, _run_record, distinct_levels
+from envopt.solvers import _KINDS, FitResult, _finite, _run_record, distinct_levels
 
 
 def use(mp):
@@ -475,7 +475,7 @@ def envelope_fit(kind, y, m, u, beta, cfg, a, q=0.5, k=None, v=None) -> FitResul
     takes every objective from its own ``objective``, whose sums have the
     bits of those that the compiled certified solve adds up.  It returns
     the compiled loop's bits wherever the two share a C library."""
-    solve_name = _ENVELOPES[kind][1]
+    solve_name = _KINDS[kind].solve
     n = y.shape[0]
     ones = np.ones(n)
     weights = m if kind == "gaussian" and m is not None else ones  # of the squared loss

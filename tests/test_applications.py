@@ -679,7 +679,8 @@ def test_rfl_path_stops_at_the_failing_fit(monkeypatch, python):
     _assert_same_fit_record(single[0], first, "single")
     # the squared loss records its one map's objective alone, at any budget
     for cfg in (SolverConfig(), solvers._ONE_SOLVE):
-        gauss = solvers.envelope_fused_lasso_mm("gaussian", y, None, 1.0, None, cfg)
+        gauss, = solvers.envelope_fused_lasso_path("gaussian", y, None, 1.0, solvers._UNIT_SCALE,
+                                                   None, cfg)
         assert gauss.trace.tolist() == [gauss.objective] and gauss.iters == 1
 
 

@@ -33,6 +33,15 @@ def test_simulate_bad_seed_is_validation_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("app", ["rfl", "qrtf"])
+def test_simulate_refuses_m_without_trial_counts(tmp_path, capsys, app):
+    # m used to be accepted, ignored and recorded in the manifest
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--app", app, "--n", 10, "--m", 25, "--seed", 1, "--out", out]) == 2
+    assert f"error: {app} has no trial counts, so it takes no m" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_schema_qrtf_and_fdp(tmp_path):
     q = tmp_path / "q.csv"
     assert run(["simulate", "--app", "qrtf", "--n", 50, "--seed", 7,
@@ -163,7 +172,8 @@ def test_path_fits_carry_their_run_records(tmp_path, app, lambdas, criterion):
     from envopt.cli import _parse_lambda_grid
 
     data, out = tmp_path / "d.csv", tmp_path / "p.json"
-    run(["simulate", "--app", app, "--n", 40, "--m", 25, "--seed", 3, "--out", data])
+    run(["simulate", "--app", app, "--n", 40, *(["--m", 25] if app == "fdp" else []),
+         "--seed", 3, "--out", data])
     assert run(["path", "--app", app, "--data", data, "--lambdas", lambdas, "--criterion",
                 criterion, "--folds", 3, "--max-iters", 25, "--out", out]) == 0
     d = json.loads(out.read_text())
@@ -270,6 +280,40 @@ def test_path_fdp_cv(tmp_path):
     truth = [float(r.split(",")[3]) for r in lines[1:]]
     sim = [float(r.split(",")[3]) for r in data.read_text().splitlines()[1:]]
     assert truth == sim  # the simulator's truth_logodds column
+
+
+def test_manifests_record_the_run_settings(tmp_path):
+    # the lam or lambdas, the parameters the app reads and the four solver
+    # settings, each as its flag gives it
+    solver_flags = ["--tol", 1e-6, "--max-iters", 40, "--inner-tol", 1e-9,
+                    "--inner-max-iters", 300]
+    solver = {"max_iters": 40, "tol": 1e-6, "inner_max_iters": 300, "inner_tol": 1e-9}
+    qrtf, fdp = tmp_path / "q.csv", tmp_path / "f.csv"
+    run(["simulate", "--app", "qrtf", "--n", 30, "--seed", 2, "--out", qrtf])
+    run(["simulate", "--app", "fdp", "--n", 30, "--m", 10, "--seed", 2, "--out", fdp])
+    cases = [
+        (["fit", "--app", "qrtf", "--data", qrtf, "--lam", 2.5, "--q", 0.3, "--k", 1],
+         {"lam": 2.5, "q": 0.3, "k": 1}),
+        (["fit", "--app", "rfl", "--data", qrtf, "--lam", 2.5, "--q", 0.3], {"lam": 2.5}),
+        (["path", "--app", "fdp", "--data", fdp, "--lambdas", "20,5", "--a", 2.0,
+          "--criterion", "cv", "--folds", 3],
+         {"lambdas": "20,5", "criterion": "cv", "folds": 3, "a": 2.0}),
+        (["path", "--app", "qrtf", "--data", qrtf, "--lambdas", "logspace:0:1:2", "--k", 0],
+         {"lambdas": "logspace:0:1:2", "criterion": "aic", "folds": 5, "q": 0.9, "k": 0}),
+    ]
+    for i, (args, config) in enumerate(cases):
+        out = tmp_path / f"{i}.json"
+        assert run([*args, *solver_flags, "--out", out]) == 0
+        assert json.loads(out.read_text())["manifest"]["config"] == {**config, **solver}
+
+
+def test_check_suite_choices_are_the_suites():
+    from envopt.checks import SUITES
+
+    for name in (*SUITES, "all"):
+        assert build_parser().parse_args(["check", "--suite", name]).suite == name
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "--suite", "none"])
 
 
 def test_check_prox_suite_cli(capsys):

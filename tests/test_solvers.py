@@ -863,6 +863,105 @@ def test_kernel_has_one_fit_entry(monkeypatch):
     assert declared == {"envelope_fused_lasso_path"}
 
 
+# (kind, m given, k given, v given) of each call that the callers of
+# envelope_fused_lasso_path make: trial counts m for the logit kinds,
+# optional weights m for "gaussian", an order k for "check" and optionally
+# for "gaussian", and a dual v only with k
+_ACCEPTED = {("huber", False, False, False), ("binomial-logit", True, False, False),
+             ("fdp", True, False, False), ("check", False, True, False),
+             ("check", False, True, True),
+             *(("gaussian", m, k, v) for m in (False, True)
+               for k, v in ((False, False), (True, False), (True, True)))}
+_PATTERNS = [(kind, m, k, v) for kind in ("huber", "binomial-logit", "gaussian", "fdp", "check")
+             for m in (False, True) for k in (False, True) for v in (False, True)]
+
+
+def _pattern_id(pattern):
+    kind, *given = pattern
+    return "-".join([kind, *(name for name, g in zip("mkv", given) if g)])
+
+
+def _pattern_call(kind, m, k, v):
+    """The arguments of a one-lam envelope path at n = 20 that gives trial
+    counts or weights ``m``, the order 1 and a dual ``v`` as the flags
+    say."""
+    rng = np.random.default_rng(20)
+    n = 20
+    counts = rng.binomial(10, 0.4, n).astype(float)
+    y = counts if kind in ("binomial-logit", "fdp") else rng.normal(size=n)
+    start = None if kind in ("gaussian", "check") else np.zeros(n)
+    args = (kind, y, np.full(n, 10.0) if m else None, 1.0, np.array([3.0]), start,
+            SolverConfig(max_iters=30))
+    return args, {"q": 0.7, "k": 1 if k else None,
+                  "v": 0.1 * rng.standard_normal(n - 2) if v else None}
+
+
+@pytest.mark.parametrize("pattern", sorted(_ACCEPTED), ids=_pattern_id)
+def test_each_accepted_input_pattern_runs(pattern):
+    # the compiled loop gives the reference's bits, and the envelope
+    # variables of its kind and subproblem
+    kind, _, k, _ = pattern
+    args, kwargs = _pattern_call(*pattern)
+    fit, = solvers.envelope_fused_lasso_path(*args, **kwargs)
+    _assert_same_fit(fit, reference.envelope_fused_lasso_path(*args, **kwargs)[0], pattern)
+    envvars = ("omega", "z", "v") if k else ("u",) if kind in ("huber", "fdp") else ()
+    assert set(fit.aux) == {"run", *envvars}
+    assert fit.aux["run"]["maps"] >= 1 and np.all(np.isfinite(fit.beta))
+
+
+@pytest.mark.parametrize("pattern", [p for p in _PATTERNS if p not in _ACCEPTED],
+                         ids=_pattern_id)
+def test_each_refused_input_pattern_raises_before_the_kernel(monkeypatch, pattern):
+    calls = []
+
+    def kernel():
+        calls.append(pattern)
+        raise AssertionError("the compiled loop was reached")
+
+    monkeypatch.setattr(solvers, "_kernel", kernel)
+    args, kwargs = _pattern_call(*pattern)
+    with pytest.raises(ValidationError, match=re.escape(f"envelope kind {pattern[0]!r}")):
+        solvers.envelope_fused_lasso_path(*args, **kwargs)
+    assert calls == []
+    assert len(_PATTERNS) == 40 and len(_ACCEPTED) == 11
+
+
+def test_unknown_envelope_kind_is_refused(monkeypatch):
+    monkeypatch.setattr(solvers, "_kernel", lambda: pytest.fail("the compiled loop was reached"))
+    args, kwargs = _pattern_call("huber", False, False, False)
+    with pytest.raises(ValidationError, match="unknown envelope kind 'logit'; the kinds are huber"):
+        solvers.envelope_fused_lasso_path("logit", *args[1:], **kwargs)
+
+
+_FORMER_CRASHES = """
+import numpy as np
+from envopt import solvers
+from envopt.errors import ValidationError
+solvers._kernel()  # loaded, as after any fit
+y, cfg = np.arange(6.0), solvers.SolverConfig()
+for kind in ("check", "binomial-logit", "fdp"):
+    try:
+        solvers.envelope_fused_lasso_path(kind, y, None, 1.0, np.ones(1), np.zeros(6), cfg)
+    except ValidationError as exc:
+        print(kind, exc)
+"""
+
+
+def test_calls_that_crashed_the_loop_raise():
+    # "check" with no order k and the logit kinds with no counts m made the
+    # compiled loop read a NULL pointer; a child process keeps such a crash
+    # to this one test
+    src = str(Path(envopt.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _FORMER_CRASHES], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    rule = "order k (a dual v comes only with k)"
+    assert proc.stdout.splitlines() == [
+        f"check envelope kind 'check' takes no m and requires {rule}",
+        f"binomial-logit envelope kind 'binomial-logit' requires m and takes no {rule}",
+        f"fdp envelope kind 'fdp' requires m and takes no {rule}"]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_compiled_sources_are_package_data():
     # without its source, an installed package cannot build its loops
@@ -1093,9 +1192,8 @@ def test_counts_with_no_finite_minimizer_are_rejected_before_any_map(monkeypatch
 
     calls = []
     for module in (solvers, applications):
-        for loop in ("envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
-            monkeypatch.setattr(module, loop, lambda *args, **kw: calls.append(args),
-                                raising=False)
+        monkeypatch.setattr(module, "envelope_fused_lasso_path",
+                            lambda *args, **kw: calls.append(args))
     cases = [
         (logistic_fused_lasso, ([0, 0, 3], [5, 5, 5], [0, 1]), {}),  # {0} all 0
         (logistic_fused_lasso, ([5, 5, 3], 5, [1, 0]), {}),  # {0, 1} all m
@@ -1146,7 +1244,8 @@ def _logit_fit(y, m, u, cfg, init=None):
     with pytest.raises(ValidationError, match="no finite minimizer"):
         logistic_fused_lasso(y, m, u, init=init, cfg=cfg)
     start = np.zeros(y.size) if init is None else np.array(init, dtype=float)
-    return solvers.envelope_fused_lasso_mm("binomial-logit", y, m, u, start, cfg)
+    return solvers.envelope_fused_lasso_path("binomial-logit", y, m, u, solvers._UNIT_SCALE,
+                                             start, cfg)[0]
 
 
 def _fdp_fit(y, m, lam, cfg, a=1.0, init=None):
@@ -1159,7 +1258,8 @@ def _fdp_fit(y, m, lam, cfg, a=1.0, init=None):
     with pytest.raises(ValidationError, match="no finite minimizer"):
         fit_fdp(y, m, lam, a=a, init=init, cfg=cfg)
     start = _logit_fit(y, m, lam, cfg).beta if init is None else np.array(init, dtype=float)
-    return solvers.envelope_fused_lasso_mm("fdp", y, m, lam, start, cfg, a=a)
+    return solvers.envelope_fused_lasso_path("fdp", y, m, lam, solvers._UNIT_SCALE, start, cfg,
+                                             a=a)[0]
 
 
 def _envelope_instances(rng, count):
@@ -1346,7 +1446,7 @@ def test_envelope_mm_rejects_bad_input_before_any_work():
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for module in (solvers, applications):
-            for loop in ("mm_driver", "envelope_fused_lasso_mm", "envelope_fused_lasso_path"):
+            for loop in ("mm_driver", "envelope_fused_lasso_path"):
                 mp.setattr(module, loop, lambda *args: calls.append(args), raising=False)
         for fit, args, kwargs, msg in _ENVELOPE_BAD:
             with pytest.raises(ValidationError, match=msg):
@@ -1564,8 +1664,8 @@ def test_level_and_knot_counting():
 _CC = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-@pytest.mark.skipif(_CC is None, reason="no C compiler here")
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    assert _CC is not None, "no cc, gcc or clang on PATH"
     # as C99 at -O2, and with the build's own flags, whose -O3 makes the
     # per-order copies of the trend-filter solve
     src = str(Path(solvers.__file__).with_name("_fldp.c"))
