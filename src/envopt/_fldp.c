@@ -25,18 +25,22 @@
    weights (the quantile trend filter).  Each map's subproblem is the
    weighted trend filter with the difference operator of order k + 1 when
    the caller passes a check block, and the fused lasso otherwise; the
-   squared loss with either subproblem is the one-solve fit behind
-   envopt.solvers.weighted_fused_lasso and weighted_trend_filter.  The
-   iterative envelopes are extrapolated by safeguarded SQUAREM, which with
-   a trend filter also hands a rejected extrapolation's successor the dual
-   of the iterate it keeps.  One call
-   runs a warm-started path of such fits over a grid of penalty scales,
-   each fit starting at the previous fit's iterate; a single fit is the
-   path of one scale 1.  For each fit it returns the iterate and its
-   objective trace, the fit's df, the run record (maps, SQUAREM steps,
-   rejected extrapolations, inner iterations, capped inner solves, rising
-   maps and the maps whose fused lasso ran the DP) and the final envelope
-   variables; see its comment below.
+   squared loss with the trend filter is the one-solve fit behind
+   envopt.solvers.weighted_trend_filter.  The other export,
+   fused_lasso_solve, is a front of a few lines that runs the squared
+   loss's one-solve fused lasso through envelope_fused_lasso_path with
+   every result in the caller's one buffer; it is the solve of
+   envopt.solvers.weighted_fused_lasso and
+   envopt.applications.fused_lasso_gaussian.  The iterative envelopes are
+   extrapolated by safeguarded SQUAREM, which with a trend filter also
+   hands a rejected extrapolation's successor the dual of the iterate it
+   keeps.  One call runs a warm-started path of such fits over a grid of
+   penalty scales, each fit starting at the previous fit's iterate; a
+   single fit is the path of one scale 1.  For each fit it returns the
+   iterate and its objective trace, the fit's df, the run record (maps,
+   SQUAREM steps, rejected extrapolations, inner iterations, capped inner
+   solves, rising maps and the maps whose fused lasso ran the DP) and the
+   final envelope variables; see its comment below.
    The tests' reference (tests/envelope_reference.py) repeats the loops
    operation for operation, except that its trend filter refactors every
    free row in each face solve, where tf_solve keeps rows that a fresh
@@ -1258,13 +1262,14 @@ static int fit(loop *s, double tol, long max_iters, int cold, double *beta,
    runs, and which is carried from fit to fit; when check is NULL the
    subproblem is the fused-lasso DP and k is 0.  u holds the penalties of
    the n - k - 1 rows of the difference operator of order k + 1 (the n - 1
-   edges for k = 0).  beta is a fits x n block whose row 0 holds the start
-   on entry (unread for SQUARED and for a cold CHECK start); row l
-   receives fit l's last iterate.  trace receives the fits' traces one
-   after another: fit l's maps + 1 values (room for fits x (max_iters + 1)
-   values), except for SQUARED, whose trace is its one value (fits
-   values).  envvar is a fits x n block (HUBER_SHIFT), a fits x (n - 1)
-   block (LOG_PENALTY) or, with check, a fits x (3n - k - 1) block (w, z
+   edges for k = 0), each 1 when u is NULL.  beta is a fits x n block
+   whose row 0 holds the start on entry (unread for SQUARED and for a
+   cold CHECK start); row l receives fit l's last iterate.  trace
+   receives the fits' traces one after another: fit l's maps + 1 values
+   (room for fits x (max_iters + 1) values), except for SQUARED, whose
+   trace is its one value (fits values).  envvar is a fits x n block
+   (HUBER_SHIFT), a fits x (n - 1) block (LOG_PENALTY) or, with check,
+   a fits x (3n - k - 1) block (w, z
    and the last dual) of the final envelope variables, unread otherwise
    (it may be NULL).  info is fits x INFO values, row l the info of fit l
    (see fit()), then one value: the index of the last fit run, which is
@@ -1314,7 +1319,7 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
             memcpy(b, b - n, (size_t)n * sizeof(double));
         s.umax = 0.0;
         for (i = 0; i < rows; i++) {
-            pen[i] = lams[l] * u[i];
+            pen[i] = lams[l] * (u ? u[i] : 1.0);
             s.umax = pen[i] > s.umax ? pen[i] : s.umax;
         }
         if (check)
@@ -1329,4 +1334,20 @@ int envelope_fused_lasso_path(int envelope, const double *y, const double *m,
         tf_free(&tf);
     free(work);
     return status;
+}
+
+/* The one-solve fit of the weighted squared loss sum_i (w_i/2)(y_i -
+   b_i)^2 + sum_i lam u_i |b_{i+1} - b_i| (w_i = 1 when w is NULL, u_i = 1
+   when u is NULL): the SQUARED fit of envelope_fused_lasso_path on the
+   one scale lam, whose results go to the one buffer out of n + INFO + 2
+   values: beta, the fit's info row (see fit()), the index 0 of the last
+   fit run and the one-value trace.  The caller validates the values as
+   for envelope_fused_lasso_path, lam * u_i finite.  Returns its status:
+   0, 1 or 2. */
+int fused_lasso_solve(const double *y, const double *w, const double *u,
+                      double lam, long n, double *out)
+{
+    return envelope_fused_lasso_path(SQUARED, y, w, u, &lam, 1, 1.0, n, 0.0,
+                                     1, out, out + n + INFO + 1, NULL,
+                                     out + n, NULL);
 }

@@ -19,7 +19,7 @@ app's path on the one-lam grid ``[lam]``.
 
 Model selection is by the operational AIC (2*loss + 2*df with df the
 count of distinct fitted levels, or for trend filtering k + 1 plus the
-knots, the dual rows at a bound)
+dual rows at a bound, which can exceed the knots of the fit)
 or by K-fold cross validation with interleaved folds and interpolated
 held-out predictions.
 """
@@ -44,11 +44,10 @@ from .losses import (
 from .solvers import (
     FitResult,
     SolverConfig,
-    _ONE_SOLVE,
-    _UNIT_SCALE,
     _check_finite_minimizer,
     _mm_start,
     _run_record,
+    _squared_fused_lasso,
     distinct_levels,
     envelope_fused_lasso_path,
     logistic_fused_lasso,
@@ -190,13 +189,17 @@ def fit_rfl(y, lam: float, cfg: Optional[SolverConfig] = None,
     return _rfl_path(None, y, None, np.array([lam], dtype=float), cfg, init)[0]
 
 
-def fused_lasso_gaussian(y, lam: float) -> FitResult:
-    """Ordinary (squared-error) fused lasso; exact in one DP call, run as
-    the one-cycle squared-loss envelope of
-    ``solvers.envelope_fused_lasso_path`` on the one-scale grid."""
+def fused_lasso_gaussian(y, lam: float | np.ndarray) -> FitResult:
+    """Ordinary (squared-error) fused lasso ``sum_i (y_i - b_i)^2 / 2 +
+    sum_i lam_i |b_{i+1} - b_i|``; exact in one DP call.  ``lam`` is a
+    float, the penalty of every edge, or a vector of the ``n - 1`` edges'
+    penalties, each nonnegative and finite.  The fit is
+    ``solvers._squared_fused_lasso``, the one-solve squared-loss fit of
+    ``solvers.envelope_fused_lasso_path`` run by the compiled front
+    ``fused_lasso_solve``: ``iters=1``, ``converged=True``,
+    ``trace=[objective]`` and ``df`` the distinct levels."""
     y = _response(y, 1)
-    return envelope_fused_lasso_path("gaussian", y, None, _penalties(lam, y.shape[0] - 1, "lam"),
-                                     _UNIT_SCALE, None, _ONE_SOLVE)[0]
+    return _squared_fused_lasso(y, None, _penalties(lam, y.shape[0] - 1, "lam"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +255,10 @@ def fit_qrtf(y, q: float, k: int, lam: float,
     raise the objective: the fit then ends at its last accepted iterate,
     converged only when the rise is within ``cfg.tol`` relative, and
     ``aux["run"]["rises"]`` is 1.  ``df`` is the count of dual rows at a
-    bound (the knots of an exact solve) plus ``k + 1``; ``aux["omega"]``
-    and ``aux["z"]`` hold the weights and working responses at the fit,
-    ``aux["v"]`` the dual of its last trend filter and ``aux["run"]`` the
-    run record of ``solvers._run_record``.
+    bound plus ``k + 1``, which can exceed ``count_knots(beta, k) + k + 1``;
+    ``aux["omega"]`` and ``aux["z"]`` hold the weights and working
+    responses at the fit, ``aux["v"]`` the dual of its last trend filter
+    and ``aux["run"]`` the run record of ``solvers._run_record``.
     """
     return _qrtf_path(AppSpec("qrtf", q=q, k=k), y, None, np.array([lam], dtype=float),
                       cfg, init)[0]

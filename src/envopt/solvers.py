@@ -30,20 +30,24 @@ Contents:
   envelope (Polya-Gamma weights) reducing each step to a weighted fused
   lasso.
 
-The loops are compiled from one source, ``_fldp.c``, whose one entry is
-:func:`envelope_fused_lasso_path`: the whole MM loop of the five
+The loops are compiled from one source, ``_fldp.c``, whose entry
+:func:`envelope_fused_lasso_path` runs the whole MM loop of the five
 envelope fits for a whole warm-started path in one call (the Huber
 location shift of the rfl path, the Polya-Gamma weights of
 :func:`logistic_fused_lasso` and of the fdp path's fused-lasso starts,
-the Polya-Gamma and log-penalty weights of the fdp path, the squared loss
-of ``applications.fused_lasso_gaussian``, exact in one map, and the
-variance-mean weights of the qrtf path; the fits ``applications.fit_rfl``,
-``fit_qrtf`` and ``fit_fdp`` are their app's path on one lam), which also
-returns each fit's ``df`` and its final envelope variables.  Its two
-subproblems, the DP and the trend filter's dual solve, have no entry of
-their own: :func:`weighted_fused_lasso` and :func:`weighted_trend_filter`
-validate their inputs and run the weighted squared loss as a one-solve
-fit of that loop.  The library is built on first use with the system C
+the Polya-Gamma and log-penalty weights of the fdp path, the squared loss,
+exact in one map, and the variance-mean weights of the qrtf path; the
+fits ``applications.fit_rfl``, ``fit_qrtf`` and ``fit_fdp`` are their
+app's path on one lam), which also returns each fit's ``df`` and its
+final envelope variables.  Its two subproblems, the DP and the trend
+filter's dual solve, have no entry of their own.
+:func:`weighted_trend_filter` runs the weighted squared loss as a
+one-solve fit of that loop.  The squared loss's one-solve fused lasso,
+of :func:`weighted_fused_lasso` and ``applications.fused_lasso_gaussian``,
+goes through the library's other entry, ``fused_lasso_solve``: a front of
+a few lines that calls the loop with its results in one buffer, so that
+the call costs little more than its DP (:func:`_squared_fused_lasso`).
+The library is built on first use with the system C
 compiler, cached per user and called through ctypes, and it is the only
 implementation of the loops: with no compiler, a cache directory that
 others can write to, or a build or load that fails, a fit raises
@@ -122,10 +126,11 @@ class SolverConfig:
 class FitResult:
     """Fitted vector plus the run record.
 
-    ``df`` counts distinct fitted levels (for trend filtering, k + 1 plus
-    the knots: the dual rows at a bound); ``aux`` holds the final envelope
-    variables of the run (auxiliary lambda/u/omega vectors, solver
-    diagnostics).
+    ``df`` counts distinct fitted levels; for trend filtering it is k + 1
+    plus the dual rows at a bound of the last solve, which can exceed the
+    knots that :func:`count_knots` finds in ``beta``.  ``aux`` holds the
+    final envelope variables of the run (auxiliary lambda/u/omega vectors,
+    solver diagnostics).
     """
 
     beta: np.ndarray
@@ -212,13 +217,17 @@ def _load_kernel():
                                               + [c_long, c_double, c_long, c_double,
                                                  c_long] + [ptr] * 5)
     lib.envelope_fused_lasso_path.restype = ctypes.c_int
+    lib.fused_lasso_solve.argtypes = [ptr] * 3 + [c_double, c_long, ptr]
+    lib.fused_lasso_solve.restype = ctypes.c_int
     return lib
 
 
 def _kernel():
-    """The compiled kernel library (:func:`_load_kernel`), whose one entry,
-    ``envelope_fused_lasso_path``, is the envelope MM with its two
-    subproblems, the fused-lasso DP and the trend filter's dual solve.
+    """The compiled kernel library (:func:`_load_kernel`), whose entry
+    ``envelope_fused_lasso_path`` is the envelope MM with its two
+    subproblems, the fused-lasso DP and the trend filter's dual solve, and
+    whose other entry ``fused_lasso_solve`` is a thin front of it: the
+    squared loss's one-solve fused lasso (:func:`_squared_fused_lasso`).
     When it cannot be used (no compiler on ``PATH``, a cache directory
     that others can write to, or a build or load that failed), this raises
     :class:`EnvoptError` with the cause; the build is attempted once per
@@ -237,15 +246,49 @@ def weighted_fused_lasso(z, omega, u_edges):
     sum_i u_i |beta_{i+1} - beta_i|``.  The problem is strictly convex,
     so the dynamic program returns the unique solution.  The inputs follow
     the package's input rules (README, "Input rules"), and the solve is
-    the one-solve squared-loss fit of :func:`envelope_fused_lasso_path` with
-    weights ``omega`` on the one scale 1, whose map is the compiled DP.
+    :func:`_squared_fused_lasso`, the one-solve squared-loss fit of
+    :func:`envelope_fused_lasso_path` with weights ``omega``, whose map is
+    the compiled DP.
     """
     z = _response(z, 1, "z")
     n = z.shape[0]
-    omega = _weights(omega, n)
-    u = _penalties(u_edges, n - 1)
-    fit = envelope_fused_lasso_path("gaussian", z, omega, u, _UNIT_SCALE, None, _ONE_SOLVE)[0]
-    return fit.beta
+    return _squared_fused_lasso(z, _weights(omega, n), _penalties(u_edges, n - 1)).beta
+
+
+def _squared_fused_lasso(y, w, u) -> FitResult:
+    """The exact minimizer of ``sum_i (w_i/2)(y_i - b_i)^2 + sum_i u_i
+    |b_{i+1} - b_i|`` with its run record: the one-solve ``"gaussian"`` fit
+    of :func:`envelope_fused_lasso_path` (``w`` as its ``m``, ``u`` on the
+    one scale 1, ``_ONE_SOLVE``), bit for bit, run by the kernel's front
+    ``fused_lasso_solve``, which calls that loop with one buffer for its
+    results.  ``w`` None is unit weights, and a float ``u`` puts that
+    penalty on every edge.  The callers validate ``y``, ``w`` and ``u`` by
+    :func:`_response`, :func:`_weights` and :func:`_penalties`;
+    :func:`weighted_fused_lasso` and ``applications.fused_lasso_gaussian``
+    are this fit.
+    """
+    n = y.shape[0]
+    vector = not isinstance(u, float)
+    o_u = n if w is None else 2 * n
+    o_beta = o_u + (n - 1 if vector else 0)
+    o_info = o_beta + n
+    # One block holds the inputs, copied (c_char.from_buffer takes no
+    # read-only array), then beta, the info row, the index of the last fit
+    # run and the one-value trace, so one address serves every pointer.
+    block = np.empty(o_info + _INFO + 2)
+    block[:n] = y
+    if w is not None:
+        block[n:o_u] = w
+    if vector:
+        block[o_u:o_beta] = u
+    at = ctypes.addressof(ctypes.c_char.from_buffer(block))
+    status = _kernel().fused_lasso_solve(at, None if w is None else at + 8 * n,
+                                         at + 8 * o_u if vector else None,
+                                         1.0 if vector else u, n, at + 8 * o_beta)
+    if status:
+        _raise_status(status)
+    return _fit_result(block[o_info:o_info + _INFO].tolist(), block[o_beta:o_info],
+                       block[o_info + _INFO + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +522,29 @@ def _run_record(maps, steps, rejected, inner_iters=0, capped=0, rises=0,
             "capped": capped, "rises": rises, "dp_calls": dp_calls}
 
 
+def _raise_status(status: int) -> None:
+    """The error of a kernel call that returned ``status`` 1 or 2."""
+    if status == 1:
+        raise MemoryError("envelope MM could not allocate its work arrays")
+    if status == 2:
+        raise ValidationError("an MM cycle met a value that is not finite")
+
+
+def _fit_result(info: list, beta, trace) -> FitResult:
+    """The fit of one info row of ``_fldp.c`` (a list; see ``fit()``
+    there), with its last iterate and trace; ``aux`` holds the run record
+    of :func:`_run_record`, the envelope variables being the caller's."""
+    maps, converged, obj, _, df, steps, rejected, inner, capped, rises, dp_calls = info
+    iters = int(maps)
+    # the record of _run_record, written out: a call costs about 0.5 us
+    aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected),
+                   "inner_iters": int(inner), "capped": int(capped), "rises": int(rises),
+                   "dp_calls": int(dp_calls)}}
+    # beta, objective, trace, iters, converged, df, aux: passed by position,
+    # which costs about 1 us less per fit than by keyword
+    return FitResult(beta, obj, trace, iters, bool(converged), int(df), aux)
+
+
 def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
                               a: float = 1.0, q: float = 0.5, k: Optional[int] = None,
                               v=None) -> list:
@@ -530,8 +596,9 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
       with per-point weights ``m`` (1 when None; ``k`` too is optional),
       exact in one solve on ``y``; the record is ``iters=1``,
       ``converged=True`` and ``trace=[objective]`` (run it with
-      ``_ONE_SOLVE``; ``beta`` is not read and may be None).  :func:`weighted_fused_lasso` and
-      :func:`weighted_trend_filter` are this fit.
+      ``_ONE_SOLVE``; ``beta`` is not read and may be None).
+      :func:`weighted_trend_filter` is this fit, and without ``k`` so is
+      :func:`_squared_fused_lasso`, through the compiled front.
     * ``"check"``: the check loss at quantile ``q``, majorized by its
       variance-mean quadratic with weights ``min(1/|y - beta|, 1e6)``
       (:func:`~envopt.losses.variance_mean_update`), with the trend filter
@@ -646,34 +713,24 @@ def envelope_fused_lasso_path(kind: str, y, m, u, lams, beta, cfg: SolverConfig,
         trace_at, at + 8 * o_env if envvars else None, at + 8 * o_info,
         at + 8 * o_check if check else None)
     info = block[o_info:o_trace].tolist()
-    if status == 1:
-        raise MemoryError("envelope MM could not allocate its work arrays")
-    if status == 2:
-        raise ValidationError("an MM cycle met a value that is not finite")
     if status == 3:
         failed = _INFO * int(info[-1])
         raise MonotonicityError(row.solve, info[failed + 2], info[failed + 3])
+    if status:
+        _raise_status(status)
     out, t = [], 0
     for l in range(fits):
-        maps, converged, obj, _, df, steps, rejected, inner, capped, rises, dp_calls = \
-            info[_INFO * l:_INFO * (l + 1)]
-        iters = int(maps)
+        row_info = info[_INFO * l:_INFO * (l + 1)]
         if record:  # a copy: a view would pin the whole buffer
-            trace = traces[t:t + iters + 1].copy()
-            t += iters + 1
+            stop = t + int(row_info[0]) + 1
+            trace, t = traces[t:stop].copy(), stop
         else:
             trace = traces[l:l + 1]
-        # the record of _run_record, written out: a call costs about 0.5 us
-        aux = {"run": {"maps": iters, "steps": int(steps), "rejected": int(rejected),
-                       "inner_iters": int(inner), "capped": int(capped), "rises": int(rises),
-                       "dp_calls": int(dp_calls)}}
+        fit = _fit_result(row_info, block[o_beta + l * n:o_beta + (l + 1) * n], trace)
         base = o_env + l * width
         for name, first, end in slots:
-            aux[name] = block[base + first:base + end]
-        # beta, objective, trace, iters, converged, df, aux: passed by
-        # position, which costs about 1 us less per fit than by keyword
-        out.append(FitResult(block[o_beta + l * n:o_beta + (l + 1) * n], obj, trace, iters,
-                             bool(converged), int(df), aux))
+            fit.aux[name] = block[base + first:base + end]
+        out.append(fit)
     return out
 
 

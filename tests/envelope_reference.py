@@ -4,8 +4,10 @@ and ``log1p`` through :mod:`math`, so it returns the compiled loop's bits.
 The tests compare the two bit for bit, which catches changes to the C
 arithmetic that no oracle sees, and watch its pieces to count what one
 compiled call does.  :func:`envelope_fused_lasso_path` has the signature
-of ``envopt.solvers.envelope_fused_lasso_path``, and :func:`use` puts it
-in that function's place.
+of ``envopt.solvers.envelope_fused_lasso_path`` and
+:func:`squared_fused_lasso` that of ``envopt.solvers._squared_fused_lasso``,
+the wrapper of the compiled front ``fused_lasso_solve``; :func:`use` puts
+each in its function's place.
 """
 
 import math
@@ -21,9 +23,20 @@ from envopt.solvers import _KINDS, FitResult, _finite, _run_record, distinct_lev
 
 def use(mp):
     """Run every envelope fit of the package by these loops for as long as
-    the ``pytest.MonkeyPatch`` ``mp`` holds its changes."""
+    the ``pytest.MonkeyPatch`` ``mp`` holds its changes: the paths and the
+    squared loss's one-solve fused lasso, which the package runs through
+    the compiled front."""
     for module in (solvers, applications):
         mp.setattr(module, "envelope_fused_lasso_path", envelope_fused_lasso_path)
+        mp.setattr(module, "_squared_fused_lasso", squared_fused_lasso)
+
+
+def squared_fused_lasso(y, w, u):
+    """``envopt.solvers._squared_fused_lasso``, whose compiled front runs
+    the loop's one-solve ``"gaussian"`` fit: that fit here, on the one
+    scale 1."""
+    return envelope_fused_lasso_path("gaussian", y, w, u, solvers._UNIT_SCALE, None,
+                                     solvers._ONE_SOLVE)[0]
 
 
 def fused_lasso_dp(z, w, u):

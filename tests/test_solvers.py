@@ -842,25 +842,145 @@ def test_trend_filter_warm_start_outside_box_is_scaled_in(monkeypatch, k):
 
 
 def test_kernel_has_one_fit_entry(monkeypatch):
-    """The compiled library exports the envelope loop alone: the fused
-    lasso and the trend filter are one-solve fits of the loop, one call
-    each."""
+    """The compiled library exports the envelope loop and one thin front
+    of it, ``fused_lasso_solve``, whose body calls the loop and nothing
+    else: no DP, set-up, objective or df of its own.  The squared loss's
+    one-solve fused lasso reaches the front, and every other fit the
+    loop."""
+    from envopt.applications import fit_fdp, fit_qrtf, fit_rfl, fused_lasso_gaussian
+
     src = Path(solvers.__file__).with_name("_fldp.c").read_text()
     exported = re.findall(r"^(?:int|void|long|double)\s+(\w+)\(", src, re.MULTILINE)
-    assert exported == ["envelope_fused_lasso_path"]
-    calls = []
-    path = solvers.envelope_fused_lasso_path
-    monkeypatch.setattr(solvers, "envelope_fused_lasso_path",
-                        lambda *a, **kw: calls.append(a[0]) or path(*a, **kw))
+    assert exported == ["envelope_fused_lasso_path", "fused_lasso_solve"]
+    front = src[src.index("int fused_lasso_solve("):]
+    body = front[front.index("{"):front.index("\n}") + 2]
+    assert re.findall(r"(\w+)\s*\(", body) == ["envelope_fused_lasso_path"], body
+    assert len(front[:front.index("\n}")].splitlines()) <= 8
+    lib, reached = solvers._kernel(), []
+
+    class Recorded:  # the library, recording which entries the fits look up
+        def __getattr__(self, name):
+            reached.append(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(solvers, "_kernel", Recorded)
     z = np.array([1.0, 3.0, 2.0, 5.0])
-    weighted_fused_lasso(z, 1.0, 0.5)
-    weighted_trend_filter(z, 1.0, 1, 0.5)
-    assert calls == ["gaussian", "gaussian"]
-    lib = solvers._kernel()
+    calls = {
+        "weighted_fused_lasso": lambda: weighted_fused_lasso(z, 1.0, 0.5),
+        "fused_lasso_gaussian": lambda: fused_lasso_gaussian(z, 0.5),
+        "weighted_trend_filter": lambda: weighted_trend_filter(z, 1.0, 1, 0.5),
+        "fit_rfl": lambda: fit_rfl(z, 0.5),
+        "fit_qrtf": lambda: fit_qrtf(z, 0.5, 1, 0.5),
+        "fit_fdp": lambda: fit_fdp([1.0, 3.0, 2.0, 4.0], 5.0, 0.5, init=np.zeros(4)),
+        "logistic_fused_lasso": lambda: logistic_fused_lasso([1.0, 3.0, 2.0, 4.0], 5.0, 0.5),
+    }
+    entries = {}
+    for name, call in calls.items():
+        reached.clear()
+        call()
+        entries[name] = reached[:]
+    front_callers = ("weighted_fused_lasso", "fused_lasso_gaussian")
+    assert entries == {name: ["fused_lasso_solve" if name in front_callers
+                              else "envelope_fused_lasso_path"] for name in calls}
     for gone in ("fused_lasso_dp", "trend_filter_dual"):
         assert not hasattr(lib, gone)
     declared = {name for name in vars(lib) if not name.startswith("_")}
-    assert declared == {"envelope_fused_lasso_path"}
+    assert declared == {"envelope_fused_lasso_path", "fused_lasso_solve"}
+
+
+def test_reference_use_replaces_the_compiled_front(monkeypatch):
+    """Under ``reference.use`` no fit reaches the compiled library, so the
+    C-versus-reference tests of ``fused_lasso_gaussian`` and
+    ``weighted_fused_lasso`` compare the compiled front with the
+    reference, not with itself."""
+    from envopt.applications import fit_rfl, fused_lasso_gaussian
+
+    z, w = np.array([1.0, 3.0, 2.0, 5.0]), np.array([1.0, 2.0, 1.0, 3.0])
+
+    def fits():
+        return (fused_lasso_gaussian(z, 0.5), fit_rfl(z, 0.5),
+                weighted_fused_lasso(z, w, 0.5), weighted_trend_filter(z, w, 1, 0.5))
+
+    c = fits()
+    reference.use(monkeypatch)
+
+    def refused():
+        raise AssertionError("a fit reached the compiled library under reference.use")
+
+    monkeypatch.setattr(solvers, "_kernel", refused)
+    py = fits()
+    _assert_same_fit(c[0], py[0], "fused_lasso_gaussian")
+    _assert_same_fit(c[1], py[1], "fit_rfl")
+    assert c[2].tobytes() == py[2].tobytes() and c[3].tobytes() == py[3].tobytes()
+
+
+def _front_cases():
+    """``(id, y, w, u)`` inputs of the squared loss's one-solve fused
+    lasso: n = 1 and 2, lam = 0 and a huge lam, per-edge penalties with
+    zeros among them, non-unit weights and a read-only y."""
+    rng = np.random.Generator(np.random.PCG64(34))
+    y = np.round(rng.normal(scale=3.0, size=40), 1)  # ties
+    w = rng.uniform(0.1, 10.0, size=40)
+    edges = rng.uniform(0.0, 2.0, size=39) * (rng.uniform(size=39) < 0.8)
+    frozen = y.copy()
+    frozen.setflags(write=False)
+    return [("n1", np.array([2.5]), None, 0.7),
+            ("n1-weighted", np.array([2.5]), np.array([3.0]), np.empty(0)),
+            ("n2-split", np.array([1.0, -2.0]), None, 0.5),
+            ("n2-fused", np.array([1.0, -2.0]), np.array([1.0, 4.0]), 3.0),
+            ("lam0", y, None, 0.0),
+            ("lam1e18", y, None, 1e18),
+            ("lam1e18-weighted", y, w, 1e18),
+            ("per-edge", y, None, edges),
+            ("weighted", y, w, 1.5),
+            ("weighted-per-edge", y, w, edges),
+            ("read-only", frozen, None, 1.5)]
+
+
+@pytest.mark.parametrize("case", _front_cases(), ids=lambda case: case[0])
+def test_squared_front_matches_the_loop_and_the_reference(case):
+    """The compiled front returns the bits of the loop's one-solve
+    ``"gaussian"`` fit and of the reference, record included."""
+    name, y, w, u = case
+    front = solvers._squared_fused_lasso(y, w, u)
+    loop, = solvers.envelope_fused_lasso_path("gaussian", y, w, u, solvers._UNIT_SCALE, None,
+                                              solvers._ONE_SOLVE)
+    _assert_same_fit(front, loop, name)
+    _assert_same_fit(front, reference.squared_fused_lasso(y, w, u), name)
+    coupled = y.size > 1 and np.any(u)  # else the solve is a copy of y, and no DP runs
+    assert front.aux == {"run": solvers._run_record(1, 0, 0, dp_calls=int(coupled))}, name
+    assert front.trace.tolist() == [front.objective]
+    if not coupled:
+        assert front.beta.tobytes() == y.tobytes()
+
+
+def test_squared_front_callers(monkeypatch):
+    """``fused_lasso_gaussian`` takes a per-edge lam vector, equal to
+    ``weighted_fused_lasso`` with unit weights, and a read-only y; values
+    whose fused objective overflows raise the loop's ``ValidationError``,
+    in C and in the reference."""
+    from envopt.applications import fused_lasso_gaussian
+
+    cases = {name: inputs for name, *inputs in _front_cases()}
+    y, _, edges = cases["per-edge"]
+    frozen = cases["read-only"][0]
+    assert (fused_lasso_gaussian(y, edges).beta.tobytes()
+            == weighted_fused_lasso(y, 1.0, edges).tobytes())
+    assert (fused_lasso_gaussian(frozen, 1.5).beta.tobytes()
+            == fused_lasso_gaussian(y, 1.5).beta.tobytes())
+    twos = np.full(y.size, 2.0)
+    twos.setflags(write=False)
+    assert (weighted_fused_lasso(frozen, twos, edges).tobytes()
+            == weighted_fused_lasso(y, 2.0, edges).tobytes())
+    huge = np.array([1e200, -1e200])
+    for python in (False, True):
+        if python:
+            reference.use(monkeypatch)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="not finite"):
+                fused_lasso_gaussian(huge, 1e200)
+            with pytest.raises(ValidationError, match="not finite"):
+                weighted_fused_lasso(huge, 1.0, [1e200])
 
 
 # (kind, m given, k given, v given) of each call that the callers of
@@ -1461,14 +1581,24 @@ def test_envelope_mm_rejects_bad_input_before_any_work():
 
 
 class _FakeKernel:
-    """Stands in for the compiled library, with the signature of
-    ``envelope_fused_lasso_path``.  Fit l with first edge weight
-    ``w = lams[l] * u[0]`` at least 1 returns its start after no map; the
-    first fit with ``w < 1`` stops the path with ``status`` and the
-    objectives ``w -> 2 w`` in its info row."""
+    """Stands in for the compiled library, with the signatures of
+    ``envelope_fused_lasso_path`` and of its front ``fused_lasso_solve``.
+    Fit l with first edge weight ``w = lams[l] * u[0]`` at least 1 returns
+    its start after no map; the first fit with ``w < 1`` stops the path
+    with ``status`` and the objectives ``w -> 2 w`` in its info row."""
 
     def __init__(self, status):
         self.status = status
+
+    def fused_lasso_solve(self, y, w, u, lam, n, out):
+        # the path of one fit at the scale lam, each u_i 1 when u is NULL,
+        # with the results in out as the compiled front lays them out
+        import ctypes
+
+        scale, unit = ctypes.c_double(lam), ctypes.c_double(1.0)
+        return self.envelope_fused_lasso_path(
+            2, y, w, u or ctypes.addressof(unit), ctypes.addressof(scale), 1, 1.0, n, 0.0, 1,
+            out, out + 8 * (n + solvers._INFO + 1), None, out + 8 * n, None)
 
     def envelope_fused_lasso_path(self, envelope, y, m, u, lams, fits, a, n, tol,
                                   max_iters, beta, trace, envvar, info, check):
